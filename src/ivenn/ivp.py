@@ -19,7 +19,7 @@ rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,16 +89,21 @@ def predict(table, taxonomy, embedding=None, softmax=None):
     """Assign the example to a category and emit its per-class intervals.
 
     The predicted class is the argmax of the interval midpoints, ties to the
-    lowest class index. Raises ValueError when the taxonomy does not match
-    the one the table was calibrated with.
+    lowest class index. Raises ValueError when the taxonomy's configuration
+    (kind, class count, k, theta and every threshold) differs from the one
+    the table was calibrated with.
     """
     cfg = table.config
     tcfg = taxonomy.config
-    if tcfg.kind is not cfg.kind or tcfg.class_count != cfg.class_count:
-        raise ValueError(
-            f"taxonomy {tcfg.kind.value}/{tcfg.class_count} does not match "
-            f"table {cfg.kind.value}/{cfg.class_count}"
+    # identity first: the common case is a taxonomy fitted from the table's
+    # own config, and a field-by-field compare would tax every fast prediction
+    if tcfg is not cfg and tcfg != cfg:
+        diff = ", ".join(
+            f"{f.name} {getattr(tcfg, f.name)} vs {getattr(cfg, f.name)}"
+            for f in fields(cfg)
+            if getattr(tcfg, f.name) != getattr(cfg, f.name)
         )
+        raise ValueError(f"taxonomy does not match the table (taxonomy vs table): {diff}")
     category = int(taxonomy.assign(embedding=embedding, softmax=softmax))
     if not 0 <= category < table.category_count:
         raise ValueError(

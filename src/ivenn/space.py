@@ -1,5 +1,5 @@
 """Embedding-space services: Euclidean distance, class centroids, exact
-k-nearest-neighbor search over a k-d tree, and silhouette clustering quality.
+k-nearest-neighbor search by a batched scan, and silhouette clustering quality.
 
 All structures here are immutable after construction; concurrent read-only
 queries are safe.
@@ -8,7 +8,6 @@ queries are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappush, heapreplace
 
 import numpy as np
 
@@ -58,117 +57,117 @@ def build_centroids(points, labels, class_count):
     return CentroidSet(centroids=centroids, counts=counts)
 
 
+def _check_rows(bound, what, offset=0):
+    # bound[i] is a per-row bound on squared distances that comes out NaN or
+    # inf exactly when row i holds a NaN or inf or squares past overflow
+    bad = ~np.isfinite(bound)
+    if bad.any():
+        i = offset + int(np.argmax(bad))
+        raise ValueError(f"{what} row {i} is not finite, or its squared distances overflow")
+
+
+def nearest_centroid_many(cs, Q):
+    """(classes (m,), distances (m,)) of the centroid nearest each row of Q,
+    ties to the lowest class. ValueError names a non-finite or huge row."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[1] != cs.dim:
+        raise ValueError(f"queries have shape {Q.shape}, expected (m, {cs.dim})")
+    with np.errstate(over="ignore"):  # reported as ValueError just below
+        dist = np.stack([np.linalg.norm(Q - c, axis=1) for c in cs.centroids], axis=1)
+    _check_rows(dist.max(axis=1), "query")
+    j = np.argmin(dist, axis=1)
+    return j, dist[np.arange(len(Q)), j]
+
+
 def nearest_centroid(cs, q):
-    """Class index of the centroid nearest to q and its distance.
-
-    Exact distance ties resolve to the lowest class index.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (cs.dim,):
-        raise ValueError(f"query has shape {q.shape}, centroids have dim {cs.dim}")
-    d = np.linalg.norm(cs.centroids - q, axis=1)
-    j = int(np.argmin(d))
-    return j, float(d[j])
+    """(class, distance) of the centroid nearest to q: a batch of one."""
+    j, d = nearest_centroid_many(cs, np.asarray(q, dtype=float)[None])
+    return int(j[0]), float(d[0])
 
 
-class KdIndex:
-    """Balanced k-d tree over labeled embeddings, for exact k-NN queries.
+@dataclass(frozen=True, eq=False)
+class KnnIndex:
+    """Labeled embeddings prepared for exact k-NN queries."""
 
-    Construction cycles the split axis with depth and splits at the median
-    element; coordinate ties fall back to insertion order, so the structure
-    and every query result are fully deterministic. Queries always agree
-    with an exhaustive scan.
-    """
-
-    def __init__(self, points, labels):
-        points = np.ascontiguousarray(points, dtype=float)
-        labels = np.asarray(labels, dtype=int)
-        if points.ndim != 2 or len(points) == 0:
-            raise ValueError("index needs a nonempty (n, dim) point array")
-        if len(labels) != len(points):
-            raise ValueError("points and labels length mismatch")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("points must be finite")
-        self.points = points
-        self.labels = labels
-        n = len(points)
-        self._axis = np.zeros(n, dtype=np.int32)
-        self._left = np.full(n, -1, dtype=np.int32)
-        self._right = np.full(n, -1, dtype=np.int32)
-        self._root = self._build(np.arange(n), 0)
-
-    def __len__(self):
-        return len(self.points)
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def _build(self, idx, depth):
-        if len(idx) == 0:
-            return -1
-        axis = depth % self.dim
-        # sort by (coordinate, original index): deterministic median under ties
-        idx = idx[np.lexsort((idx, self.points[idx, axis]))]
-        m = len(idx) // 2
-        node = int(idx[m])
-        self._axis[node] = axis
-        self._left[node] = self._build(idx[:m], depth + 1)
-        self._right[node] = self._build(idx[m + 1 :], depth + 1)
-        return node
+    points: np.ndarray  # (n, dim)
+    labels: np.ndarray  # (n,)
+    mean: np.ndarray  # (dim,)
+    gram_t: np.ndarray  # (dim, n): -2 * (points - mean), transposed for the Gram product
+    sqnorms: np.ndarray  # (n,) squared norms of points - mean
+    radius: float  # largest norm of points - mean
 
 
 def build_index(points, labels):
-    """Build a KdIndex over the given embeddings and labels."""
-    return KdIndex(points, labels)
+    """KnnIndex over embeddings and labels; ValueError names a non-finite
+    or huge row."""
+    points = np.ascontiguousarray(points, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    if points.ndim != 2 or len(points) == 0:
+        raise ValueError("index needs a nonempty (n, dim) point array")
+    if len(labels) != len(points):
+        raise ValueError("points and labels length mismatch")
+    # squared distances between points, and to their mean, stay below 4*max|p|^2
+    _check_rows(4.0 * np.einsum("ij,ij->i", points, points), "point")
+    mean = points.mean(axis=0)
+    centred = points - mean
+    sqnorms = np.einsum("ij,ij->i", centred, centred)
+    gram_t = np.multiply(centred.T, -2.0, order="C")
+    return KnnIndex(points, labels, mean, gram_t, sqnorms, float(np.sqrt(sqnorms.max())))
+
+
+# Shortlist margin. With u = eps/2, a = fl(p - mean), b = fl(q - mean) and
+# S = |p - mean| + |q - mean|, the Gram value s = fl(|a|^2 + b.(-2a)) plus
+# the row constant |b|^2, and the oracle's d^2 (d = fl(norm(fl(p - q)))),
+# each lie within (dim+4)*u*S^2 of |p - q|^2: centring errs by about 2u*S^2,
+# the dot product (any order, FMA or not) by gamma_(dim+1)*S^2, the oracle
+# by gamma_(dim+3)*S^2. Below the normal range a product errs by up to half
+# the smallest subnormal and a sum is exact: 2*dim of those over s and d^2.
+# With c = 2 for the gamma denominators and the rounding of M itself,
+#     M = c*(dim+4)*(eps*(radius + |q - mean|)^2 + smallest_subnormal)
+# bounds |s + |b|^2 - d^2| by 2M. If tau is a row's k-th smallest s, each of
+# the oracle's top k has d^2 - |b|^2 <= tau + 2M, hence s <= tau + 4M.
+_FLOAT = np.finfo(float)
+_CHUNK_BYTES = 256 * 1024  # per query chunk's (rows, n) array; more costs peak memory
+
+
+def knn_many(index, Q, k):
+    """(distances (m, k), indices (m, k)) of the k nearest stored points to
+    each row of Q, ascending. Distances are exactly np.linalg.norm(points -
+    q, axis=1), ties go to insertion order: a Gram shortlist per query chunk
+    is reranked by that formula. ValueError for k outside [1, n] or naming a
+    non-finite or huge row."""
+    n, dim = index.points.shape
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[1] != dim:
+        raise ValueError(f"queries have shape {Q.shape}, expected (m, {dim})")
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside [1, {n}]")
+    D = np.empty((len(Q), k))
+    I = np.empty((len(Q), k), dtype=np.int64)
+    slack = 2.0 * (dim + 4)
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    for lo in range(0, len(Q), step):
+        chunk = Q[lo : lo + step]
+        cq = chunk - index.mean
+        scale = (index.radius + np.sqrt(np.einsum("ij,ij->i", cq, cq))) ** 2
+        _check_rows(scale, "query", lo)  # a finite S^2 keeps s and M finite
+        s = cq @ index.gram_t
+        s += index.sqnorms
+        tau = np.partition(s, k - 1, axis=1)[:, k - 1]
+        margin = slack * (_FLOAT.eps * scale + _FLOAT.smallest_subnormal)
+        rows, cols = np.divmod(np.flatnonzero(s <= (tau + 4.0 * margin)[:, None]), n)
+        d = np.linalg.norm(index.points[cols] - chunk[rows], axis=1)
+        order = np.lexsort((cols, d, rows))
+        take = order[np.searchsorted(rows[order], np.arange(len(chunk)))[:, None] + np.arange(k)]
+        D[lo : lo + step] = d[take]
+        I[lo : lo + step] = cols[take]
+    return D, I
 
 
 def knn(index, q, k):
-    """The k nearest stored points to q, ascending by distance.
-
-    Returns (distances, indices) into index.points / index.labels. Exact
-    distance ties are broken by insertion order. Raises ValueError when k
-    is outside [1, len(index)].
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (index.dim,):
-        raise ValueError(f"query has shape {q.shape}, index has dim {index.dim}")
-    if not 1 <= k <= len(index):
-        raise ValueError(f"k={k} outside [1, {len(index)}]")
-
-    pts = index.points
-    axis = index._axis
-    left = index._left
-    right = index._right
-    # max-heap of the k best candidates as (-sqdist, -node); heap[0] is the
-    # current worst, and tuple comparison encodes the insertion-order tie rule
-    heap: list[tuple[float, int]] = []
-
-    def visit(node):
-        if node == -1:
-            return
-        p = pts[node]
-        diff = q - p
-        sd = float(diff @ diff)
-        entry = (-sd, -node)
-        if len(heap) < k:
-            heappush(heap, entry)
-        elif entry > heap[0]:
-            heapreplace(heap, entry)
-        ax = axis[node]
-        delta = float(q[ax] - p[ax])
-        near, far = (left[node], right[node]) if delta <= 0 else (right[node], left[node])
-        visit(near)
-        # equality kept: an equal-distance point beyond the plane can still
-        # win its tie on insertion order
-        if len(heap) < k or delta * delta <= -heap[0][0]:
-            visit(far)
-
-    visit(index._root)
-    best = sorted(heap, reverse=True)
-    dists = np.sqrt(np.array([-e[0] for e in best]))
-    ids = np.array([-e[1] for e in best], dtype=np.int64)
-    return dists, ids
+    """(distances (k,), indices (k,)) of q's k nearest points: a batch of one."""
+    D, I = knn_many(index, np.asarray(q, dtype=float)[None], k)
+    return D[0], I[0]
 
 
 def silhouette(points, labels):

@@ -4,7 +4,8 @@ similar points. Four are distance-based over a learned embedding space
 softmax-based splits of the predicted class.
 
 Every assign function is pure and deterministic; ties always resolve the
-same way on every run.
+same way on every run. The distance kinds assign a whole batch at once, and
+a single example is a batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from enum import Enum
 
 import numpy as np
 
-from ivenn.space import CentroidSet, KdIndex, build_centroids, build_index, knn, nearest_centroid
+from ivenn.space import (
+    CentroidSet,
+    KnnIndex,
+    build_centroids,
+    build_index,
+    knn_many,
+    nearest_centroid_many,
+)
 
 
 class TaxonomyKind(Enum):
@@ -64,56 +72,72 @@ def category_count(cfg):
     return 2 * c
 
 
-def _vote(dists, votes_labels, class_count):
-    # majority class; ties go to the smallest summed neighbor distance,
-    # then the lowest class index
-    votes = np.bincount(votes_labels, minlength=class_count)
-    top = votes.max()
-    tied = np.flatnonzero(votes == top)
-    if len(tied) == 1:
-        return int(tied[0])
-    sums = np.array([dists[votes_labels == cls].sum() for cls in tied])
-    return int(tied[np.argmin(sums)])
+def _vote(dists, neighbor_labels, class_count):
+    # majority class of each row of (m, k) neighbors; ties go to the smallest
+    # summed neighbor distance, then the lowest class index. bincount adds
+    # its weights in input order, so each sum runs in neighbor order.
+    m = len(dists)
+    cell = (np.arange(m)[:, None] * class_count + neighbor_labels).ravel()
+    votes = np.bincount(cell, minlength=m * class_count).reshape(m, class_count)
+    sums = np.bincount(cell, dists.ravel(), m * class_count).reshape(m, class_count)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    return np.argmin(np.where(tied, sums, np.inf), axis=1)
+
+
+def _knn_categories(index, R, cfg, refined):
+    dists, ids = knn_many(index, R, cfg.k)
+    neighbor_labels = index.labels[ids]
+    yhat = _vote(dists, neighbor_labels, cfg.class_count)
+    if not refined:
+        return yhat
+    width = cfg.k - cfg.k // cfg.class_count
+    disagree = (neighbor_labels != yhat[:, None]).sum(axis=1)
+    clamped = disagree >= width
+    for count in disagree[clamped]:
+        warnings.warn(
+            f"k-NN V2 disagreement count {count} reached the category width "
+            f"{width}; clamping (all-way vote tie)",
+            RuntimeWarning,
+        )
+    return yhat * width + np.where(clamped, width - 1, disagree)
+
+
+def _nc_categories(cs, R, cfg, refined):
+    if refined and cfg.theta is None:
+        raise ValueError("theta is unresolved; fit the taxonomy or set it explicitly")
+    j, d = nearest_centroid_many(cs, R)
+    if not refined:
+        return j
+    return 2 * j + (d > cfg.theta)
+
+
+def _batch_of_one(r):
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 1:
+        raise ValueError(f"embedding has shape {r.shape}, expected one vector")
+    return r[None, :]
 
 
 def assign_knn_v1(index, r, cfg):
     """Category = majority class among the k nearest training embeddings."""
-    dists, ids = knn(index, r, cfg.k)
-    return _vote(dists, index.labels[ids], cfg.class_count)
+    return int(_knn_categories(index, _batch_of_one(r), cfg, refined=False)[0])
 
 
 def assign_knn_v2(index, r, cfg):
     """Refines the k-NN category by how many of the k neighbors disagree
     with the predicted class."""
-    dists, ids = knn(index, r, cfg.k)
-    neighbor_labels = index.labels[ids]
-    yhat = _vote(dists, neighbor_labels, cfg.class_count)
-    width = cfg.k - cfg.k // cfg.class_count
-    disagree = int((neighbor_labels != yhat).sum())
-    if disagree >= width:
-        warnings.warn(
-            f"k-NN V2 disagreement count {disagree} reached the category width "
-            f"{width}; clamping (all-way vote tie)",
-            RuntimeWarning,
-        )
-        disagree = width - 1
-    return yhat * width + disagree
+    return int(_knn_categories(index, _batch_of_one(r), cfg, refined=True)[0])
 
 
 def assign_nc_v1(cs, r, cfg):
     """Category = class of the nearest centroid."""
-    j, _ = nearest_centroid(cs, r)
-    return j
+    return int(_nc_categories(cs, _batch_of_one(r), cfg, refined=False)[0])
 
 
 def assign_nc_v2(cs, r, cfg):
     """Splits each nearest-centroid category by whether the example sits
     within distance theta of that centroid (inclusive)."""
-    if cfg.theta is None:
-        raise ValueError("theta is unresolved; fit the taxonomy or set it explicitly")
-    j, d = nearest_centroid(cs, r)
-    h = 0 if d <= cfg.theta else 1
-    return 2 * j + h
+    return int(_nc_categories(cs, _batch_of_one(r), cfg, refined=True)[0])
 
 
 def assign_baseline(softmax_vector, cfg):
@@ -165,11 +189,11 @@ def resolve_theta(cs, points, labels):
 @dataclass(frozen=True)
 class Taxonomy:
     """A taxonomy fitted to proper-training data: holds whatever structures
-    its kind needs (k-d index, centroids, resolved theta) and assigns
+    its kind needs (k-NN index, centroids, resolved theta) and assigns
     category ids."""
 
     config: TaxonomyConfig
-    index: KdIndex | None = None
+    index: KnnIndex | None = None
     centroids: CentroidSet | None = None
 
     @property
@@ -184,23 +208,24 @@ class Taxonomy:
             return assign_baseline(softmax, self.config)
         if embedding is None:
             raise ValueError(f"{kind.value} requires an embedding vector")
-        if kind is TaxonomyKind.KNN_V1:
-            return assign_knn_v1(self.index, embedding, self.config)
-        if kind is TaxonomyKind.KNN_V2:
-            return assign_knn_v2(self.index, embedding, self.config)
-        if kind is TaxonomyKind.NC_V1:
-            return assign_nc_v1(self.centroids, embedding, self.config)
-        return assign_nc_v2(self.centroids, embedding, self.config)
+        return int(self.assign_many(embeddings=_batch_of_one(embedding))[0])
 
     def assign_many(self, embeddings=None, softmaxes=None):
-        n = len(embeddings) if embeddings is not None else len(softmaxes)
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = self.assign(
-                embedding=None if embeddings is None else embeddings[i],
-                softmax=None if softmaxes is None else softmaxes[i],
-            )
-        return out
+        """Categories of a batch: (m,) int64. The distance kinds run as one
+        batch; the softmax baselines assign row by row."""
+        kind = self.config.kind
+        if kind in BASELINE_KINDS:
+            n = len(embeddings) if softmaxes is None else len(softmaxes)
+            out = np.empty(n, dtype=np.int64)
+            for i in range(n):
+                out[i] = self.assign(softmax=None if softmaxes is None else softmaxes[i])
+            return out
+        if embeddings is None:
+            raise ValueError(f"{kind.value} requires an embedding vector")
+        refined = kind in (TaxonomyKind.KNN_V2, TaxonomyKind.NC_V2)
+        if kind in (TaxonomyKind.KNN_V1, TaxonomyKind.KNN_V2):
+            return _knn_categories(self.index, embeddings, self.config, refined)
+        return _nc_categories(self.centroids, embeddings, self.config, refined)
 
 
 def fit_taxonomy(cfg, embeddings=None, labels=None):

@@ -5,7 +5,7 @@ Criteria:
   1  interval width law over >= 10,000 predictions, all 8 taxonomies
   2  cumulative error bounded by LEP/UEP +- 3*sqrt(n)/2, 5 seeds
   3  ECE <= 0.05 and MCE >= ECE for the distance taxonomies
-  4  k-d tree == exhaustive scan, dims {2,32,128}, k {1,5,15}
+  4  k-NN index == exhaustive scan, dims {2,32,128}, k {1,5,15}
   5  contrastive backprop == central finite differences, 100 instances
   6  taxonomy formulas + refinement invariants over 1000 random inputs
   7  metric hand oracles to 1e-12; silhouette vs brute force to 1e-9
@@ -194,7 +194,7 @@ def test_criterion_3_ece_target(calibration_runs):
 
 
 def test_criterion_4_knn_oracle_equivalence():
-    """k-d tree queries exactly match an exhaustive scan (members, order,
+    """k-NN index queries exactly match an exhaustive scan (members, order,
     distances) for 100 queries in dims {2,32,128} with k {1,5,15}.
     Budget: 10 s."""
     start = time.monotonic()
@@ -213,7 +213,7 @@ def test_criterion_4_knn_oracle_equivalence():
                 np.testing.assert_allclose(d, d_brute[order[:k]], rtol=0, atol=1e-9)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
-    print(f"criterion 4 PASS: tree == scan, 300 queries x 3 k values in {elapsed:.1f}s")
+    print(f"criterion 4 PASS: index == scan, 300 queries x 3 k values in {elapsed:.1f}s")
 
 
 def test_criterion_5_gradient_correctness():

@@ -13,7 +13,13 @@ from ivenn.ivp import (
     predict,
     save_table,
 )
-from ivenn.taxonomy import TaxonomyConfig, TaxonomyKind, category_count, fit_taxonomy
+from ivenn.taxonomy import (
+    DISTANCE_KINDS,
+    TaxonomyConfig,
+    TaxonomyKind,
+    category_count,
+    fit_taxonomy,
+)
 
 
 def table_from_counts(counts, kind=TaxonomyKind.BASE_V1, **cfg_kw):
@@ -165,6 +171,49 @@ class TestPredict:
             lo_before, _ = intervals(base, 0)
             lo_after, _ = intervals(bumped, 0)
             assert lo_after[j] >= lo_before[j]
+
+
+class TestPredictRejects:
+    """predict refuses a mismatched table and non-finite input instead of
+    returning a confident prediction."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(101)
+        self.emb = np.vstack([rng.normal(size=(20, 2)) + (5.0 * c, 0.0) for c in range(3)])
+        self.labels = np.repeat(np.arange(3), 20)
+
+    def fitted(self, kind, **kw):
+        tax = fit_taxonomy(TaxonomyConfig(kind=kind, class_count=3, **kw), self.emb, self.labels)
+        return tax, calibrate(tax, self.labels, embeddings=self.emb)
+
+    def test_every_config_field_compared(self):
+        knn7, knn7_table = self.fitted(TaxonomyKind.KNN_V2, k=7)
+        knn5, _ = self.fitted(TaxonomyKind.KNN_V2, k=5)
+        with pytest.raises(ValueError, match="does not match.*k 5 vs 7"):
+            predict(knn7_table, knn5, embedding=self.emb[0])
+        _, nc_table = self.fitted(TaxonomyKind.NC_V2, theta=0.5)
+        nc_other, _ = self.fitted(TaxonomyKind.NC_V2, theta=0.6)
+        with pytest.raises(ValueError, match="does not match.*theta 0.6 vs 0.5"):
+            predict(nc_table, nc_other, embedding=self.emb[0])
+        for field in ("max_output_threshold", "second_output_threshold", "output_gap_threshold"):
+            table = table_from_counts(np.zeros((6, 3)), kind=TaxonomyKind.BASE_V2)
+            cfg = TaxonomyConfig(kind=TaxonomyKind.BASE_V2, class_count=3, **{field: 0.4})
+            tax = fit_taxonomy(cfg)
+            with pytest.raises(ValueError, match=f"does not match.*{field} 0.4 vs"):
+                predict(table, tax, softmax=(0.6, 0.3, 0.1))
+        # the table's own config, or an equal copy of it, still matches
+        assert predict(knn7_table, knn7, embedding=self.emb[0]).category >= 0
+        refit = fit_taxonomy(knn7_table.config, self.emb, self.labels)
+        assert predict(knn7_table, refit, embedding=self.emb[0]).category >= 0
+
+    def test_non_finite_embedding_rejected(self):
+        for kind in DISTANCE_KINDS:
+            tax, table = self.fitted(kind)
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="row 0 is not finite"):
+                    predict(table, tax, embedding=np.array([bad, 0.0]))
+            with pytest.raises(ValueError, match="row 0 is not finite"):
+                predict(table, tax, embedding=np.array([1e200, 0.0]))
 
 
 class TestPersistence:

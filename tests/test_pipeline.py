@@ -100,12 +100,12 @@ class TestParseConfig:
 
 
 class TestRunPipeline:
-    def test_identity_matches_hand_oracle(self):
+    def test_identity_matches_hand_oracle(self, tmp_path):
         """The full pipeline on identity embeddings must reproduce a
         loop-and-formula oracle prediction for prediction."""
         seed = 4
         cfg = RunConfig(
-            out_dir="unused", taxonomy="nc_v1", embedding="identity", seed=seed
+            out_dir=str(tmp_path), taxonomy="nc_v1", embedding="identity", seed=seed
         )
         result = run_pipeline(cfg, dataset=hand_dataset(), stop_after="predict")
         expected, test_labels = hand_ivp_oracle(seed)
@@ -119,10 +119,10 @@ class TestRunPipeline:
         for rec, y in zip(result.records, test_labels):
             assert rec.true_label == int(y)
 
-    def test_identity_oracle_across_seeds(self):
+    def test_identity_oracle_across_seeds(self, tmp_path):
         for seed in (0, 1, 2, 7):
             cfg = RunConfig(
-                out_dir="unused", taxonomy="nc_v1", embedding="identity", seed=seed
+                out_dir=str(tmp_path), taxonomy="nc_v1", embedding="identity", seed=seed
             )
             result = run_pipeline(cfg, dataset=hand_dataset(), stop_after="predict")
             expected, _ = hand_ivp_oracle(seed)

@@ -1,4 +1,4 @@
-"""Distance, centroids, k-d tree queries, silhouette."""
+"""Distance, centroids, exact k-NN queries, silhouette."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from ivenn.space import (
     build_index,
     distance,
     knn,
+    knn_many,
     nearest_centroid,
+    nearest_centroid_many,
     silhouette,
 )
 
@@ -151,7 +153,7 @@ class TestKnn:
                     np.testing.assert_allclose(d, od, rtol=0, atol=1e-12)
 
     def test_matches_brute_force_on_tie_heavy_grid(self):
-        """Integer grid points force exact distance ties; the tree must still
+        """Integer grid points force exact distance ties; the index must still
         reproduce the insertion-order tie rule."""
         rng = np.random.default_rng(7)
         side = np.arange(4.0)
@@ -169,6 +171,115 @@ class TestKnn:
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             build_index(np.empty((0, 2)), [])
+
+
+def oracle_many(points, Q, k):
+    # the criterion-4 oracle, one query at a time
+    out = [brute_knn(points, q, k) for q in Q]
+    return np.array([d for d, _ in out]), np.array([i for _, i in out])
+
+
+def knn_datasets(rng, n, dim, m=24):
+    """Point sets and m queries that stress the shortlist's error margin."""
+    grid = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    dup = rng.normal(size=(n // 4, dim))
+    yield "gaussian", rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+    yield "grid ties", grid, rng.integers(-2, 3, (m, dim)) + rng.choice([0.0, 0.5], (m, dim))
+    yield "duplicates", np.repeat(dup, 4, axis=0)[rng.permutation(n)], dup[:m] + 1e-9
+    for name, shift, scale in (("offset", 1e6, 1e-3), ("huge", 0.0, 1e150), ("tiny", 0.0, 1e-160)):
+        pts = shift + scale * rng.normal(size=(n, dim))
+        yield name, pts, shift + scale * rng.normal(size=(m, dim))
+
+
+class TestKnnMany:
+    def test_exactly_equals_oracle(self):
+        """Members, order and distances equal the exhaustive oracle bit for
+        bit, including offset, huge and subnormal-range coordinates."""
+        rng = np.random.default_rng(2110)
+        n = 100
+        for dim in (1, 2, 3, 8, 32, 128):
+            for name, pts, Q in knn_datasets(rng, n, dim):
+                index = build_index(pts, np.zeros(n, dtype=int))
+                for k in (1, 5, 15, n):
+                    D, I = knn_many(index, Q, k)
+                    oD, oI = oracle_many(pts, Q, k)
+                    assert np.array_equal(I, oI), (name, dim, k)
+                    assert np.array_equal(D, oD), (name, dim, k)
+
+    def test_rows_equal_single_queries(self):
+        rng = np.random.default_rng(5)
+        pts = rng.integers(0, 4, size=(300, 3)).astype(float)
+        index = build_index(pts, np.zeros(300, dtype=int))
+        Q = rng.integers(0, 4, size=(40, 3)) + rng.choice([0.0, 0.5], size=(40, 3))
+        D, I = knn_many(index, Q, 7)
+        for q, d, ids in zip(Q, D, I):
+            d1, ids1 = knn(index, q, 7)
+            assert np.array_equal(d, d1) and np.array_equal(ids, ids1)
+
+    def test_chunks_cover_every_row(self):
+        # more queries than one byte-capped chunk holds
+        rng = np.random.default_rng(8)
+        pts = rng.normal(size=(5000, 2))
+        Q = rng.normal(size=(30, 2))
+        index = build_index(pts, np.zeros(5000, dtype=int))
+        D, I = knn_many(index, Q, 3)
+        oD, oI = oracle_many(pts, Q, 3)
+        assert np.array_equal(I, oI) and np.array_equal(D, oD)
+        Q[25, 0] = np.nan  # named by its row in Q, not in its chunk
+        with pytest.raises(ValueError, match="query row 25 is not finite"):
+            knn_many(index, Q, 3)
+
+    def test_empty_batch(self):
+        index = build_index(np.eye(3), [0, 1, 2])
+        D, I = knn_many(index, np.empty((0, 3)), 2)
+        assert D.shape == I.shape == (0, 2)
+
+    def test_shape_checked(self):
+        index = build_index(np.eye(3), [0, 1, 2])
+        with pytest.raises(ValueError, match="shape"):
+            knn_many(index, np.zeros((2, 2)), 1)
+        with pytest.raises(ValueError, match="shape"):
+            knn(index, np.zeros(2), 1)
+
+    def test_non_finite_query_row_named(self):
+        index = build_index(np.eye(3), [0, 1, 2])
+        for bad in (np.nan, np.inf, -np.inf):
+            Q = np.zeros((4, 3))
+            Q[2, 1] = bad
+            with pytest.raises(ValueError, match="query row 2 is not finite"):
+                knn_many(index, Q, 1)
+
+    def test_overflowing_query_row_named(self):
+        index = build_index(np.eye(3), [0, 1, 2])
+        Q = np.zeros((3, 3))
+        Q[1] = 1e200
+        with pytest.raises(ValueError, match="query row 1 is not finite"):
+            knn_many(index, Q, 1)
+
+    def test_bad_index_points_named(self):
+        pts = np.zeros((5, 2))
+        pts[3, 0] = np.nan
+        with pytest.raises(ValueError, match="point row 3 is not finite"):
+            build_index(pts, np.zeros(5, dtype=int))
+        pts[3, 0] = 1e200
+        with pytest.raises(ValueError, match="point row 3 is not finite"):
+            build_index(pts, np.zeros(5, dtype=int))
+
+
+class TestNearestCentroidMany:
+    def test_rows_equal_single_queries(self):
+        cs = build_centroids([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)], [0, 1, 2], 3)
+        Q = np.array([(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (5.0, 5.0), (1.0, 3.0)])
+        j, d = nearest_centroid_many(cs, Q)
+        assert [(int(a), float(b)) for a, b in zip(j, d)] == [nearest_centroid(cs, q) for q in Q]
+        assert j.tolist() == [0, 0, 0, 1, 2]
+
+    def test_non_finite_row_named(self):
+        cs = build_centroids([(0.0,), (2.0,)], [0, 1], 2)
+        with pytest.raises(ValueError, match="query row 1 is not finite"):
+            nearest_centroid_many(cs, np.array([[0.0], [np.nan]]))
+        with pytest.raises(ValueError, match="query row 0 is not finite"):
+            nearest_centroid_many(cs, np.array([[1e200], [0.0]]))
 
 
 class TestSilhouette:

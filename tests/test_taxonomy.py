@@ -1,9 +1,11 @@
 """Category-assignment rules for all eight taxonomies."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from ivenn.space import build_centroids, build_index
+from ivenn.space import build_centroids, build_index, knn_many
 from ivenn.taxonomy import (
     BASELINE_KINDS,
     DISTANCE_KINDS,
@@ -255,3 +257,78 @@ class TestRefinementInvariants:
             for kind in (TaxonomyKind.BASE_V2, TaxonomyKind.BASE_V3, TaxonomyKind.BASE_V4):
                 assert 0 <= cats[kind] < 2 * c
                 assert cats[kind] // 2 == top
+
+
+def reference_category(tax, q):
+    """Scalar statement of each distance rule: plain loops over an
+    exhaustive scan, votes tied on summed distance, then lowest class."""
+    cfg = tax.config
+    c = cfg.class_count
+    if cfg.kind in (TaxonomyKind.NC_V1, TaxonomyKind.NC_V2):
+        d = [float(np.linalg.norm(cs - q)) for cs in tax.centroids.centroids]
+        j = d.index(min(d))
+        if cfg.kind is TaxonomyKind.NC_V1:
+            return j
+        return 2 * j + (0 if d[j] <= cfg.theta else 1)
+    pts = tax.index.points
+    d = np.linalg.norm(pts - q, axis=1)
+    near = sorted(range(len(pts)), key=lambda i: (d[i], i))[: cfg.k]
+    labels = [int(tax.index.labels[i]) for i in near]
+    votes = [labels.count(j) for j in range(c)]
+    sums = [sum(float(d[i]) for i in near if tax.index.labels[i] == j) for j in range(c)]
+    yhat = min((j for j in range(c) if votes[j] == max(votes)), key=lambda j: (sums[j], j))
+    if cfg.kind is TaxonomyKind.KNN_V1:
+        return yhat
+    width = cfg.k - cfg.k // c
+    return yhat * width + min(sum(lab != yhat for lab in labels), width - 1)
+
+
+class TestAssignMany:
+    def tie_heavy(self, rng, c):
+        # integer grid embeddings and queries on and between grid points
+        emb = rng.integers(0, 4, size=(120, 2)).astype(float)
+        labels = rng.integers(0, c, 120)
+        queries = rng.integers(0, 4, size=(150, 2)) + rng.choice([0.0, 0.5], size=(150, 2))
+        return emb, labels, queries
+
+    def test_batch_equals_per_row(self):
+        rng = np.random.default_rng(73)
+        for c, k in ((2, 2), (3, 5), (4, 8)):
+            emb, labels, queries = self.tie_heavy(rng, c)
+            for kind in DISTANCE_KINDS:
+                tax = fit_taxonomy(cfg_for(kind, c=c, k=k), emb, labels)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    batch = tax.assign_many(embeddings=queries)
+                    rows = [tax.assign(embedding=q) for q in queries]
+                assert batch.dtype == np.int64
+                assert batch.tolist() == rows, (kind, c, k)
+                assert rows == [reference_category(tax, q) for q in queries], (kind, c, k)
+
+    def test_knn_v2_one_warning_per_clamped_row(self):
+        # c=2, k=2: the category width is 1, so every 1-1 vote clamps
+        rng = np.random.default_rng(79)
+        emb, labels, queries = self.tie_heavy(rng, 2)
+        tax = fit_taxonomy(cfg_for(TaxonomyKind.KNN_V2, c=2, k=2), emb, labels)
+        _, ids = knn_many(tax.index, queries, 2)
+        neighbor_labels = tax.index.labels[ids]
+        clamped = int((neighbor_labels[:, 0] != neighbor_labels[:, 1]).sum())
+        assert clamped > 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            cats = tax.assign_many(embeddings=queries)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == clamped
+        assert all(
+            m == "k-NN V2 disagreement count 1 reached the category width 1; "
+            "clamping (all-way vote tie)"
+            for m in messages
+        )
+        assert np.all((0 <= cats) & (cats < tax.category_count))
+
+    def test_empty_batch(self):
+        rng = np.random.default_rng(83)
+        emb, labels, _ = self.tie_heavy(rng, 3)
+        for kind in DISTANCE_KINDS:
+            tax = fit_taxonomy(cfg_for(kind), emb, labels)
+            assert tax.assign_many(embeddings=np.empty((0, 2))).shape == (0,)
