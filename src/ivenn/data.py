@@ -117,6 +117,12 @@ def load_csv(path, class_count=None):
                 softmaxes[row] = [float(v) for v in cells[2 + dim :]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+    bad = ~np.isfinite(features).all(axis=1)
+    if softmax_count:
+        bad |= ~np.isfinite(softmaxes).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{path}:{row + 2}: non-finite cell (nan or inf)")
     labels = np.array(labels, dtype=np.int64)
     if class_count is None:
         class_count = int(labels.max()) + 1 if len(labels) else 1

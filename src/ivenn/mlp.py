@@ -4,7 +4,13 @@ classifier (cross-entropy, probability outputs).
 
 Hidden layers use tanh; the output layer is linear in embedding mode and
 softmax in classifier mode. Training is plain mini-batch SGD with a fixed
-learning rate, fully deterministic given the seed.
+learning rate, fully deterministic given the seed, and stops with a
+ValueError naming the epoch if any parameter turns non-finite.
+
+Twin training works on arrays throughout: each epoch's pairs come from a
+handful of vectorised draws over class-sorted index arrays, and each batch
+runs one forward and one backward pass over both twins stacked, so the
+shared weights' gradient sums the two twins inside one matmul.
 """
 
 from __future__ import annotations
@@ -86,14 +92,12 @@ def _softmax(z):
 
 
 def _forward_trace(params, X):
-    # returns pre-activations and activations per layer; acts[0] is the input
-    zs = []
+    # returns the activations per layer; acts[0] is the input
     acts = [X]
     a = X
     last = len(params.weights) - 1
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ W.T + b
-        zs.append(z)
         if l < last:
             a = np.tanh(z)
         elif params.mode == CLASSIFIER:
@@ -101,7 +105,7 @@ def _forward_trace(params, X):
         else:
             a = z
         acts.append(a)
-    return zs, acts
+    return acts
 
 
 def forward_batch(params, X):
@@ -109,8 +113,7 @@ def forward_batch(params, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ValueError(f"input has shape {X.shape}, network expects (n, {params.input_dim})")
-    _, acts = _forward_trace(params, X)
-    return acts[-1]
+    return _forward_trace(params, X)[-1]
 
 
 def forward(params, x):
@@ -134,24 +137,25 @@ def contrastive_loss(r1, r2, same_class, margin):
     return d if same_class else max(0.0, margin - d)
 
 
-def _backprop(params, zs, acts, delta):
-    # delta is dLoss/dz for the output layer
+def _backprop(params, acts, delta):
+    # delta is dLoss/dz for the output layer; tanh' = 1 - tanh**2 is read
+    # off the stored activations
     grad_w = [None] * len(params.weights)
     grad_b = [None] * len(params.biases)
     for l in range(len(params.weights) - 1, -1, -1):
         grad_w[l] = delta.T @ acts[l]
         grad_b[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ params.weights[l]) * (1.0 - np.tanh(zs[l - 1]) ** 2)
+            delta = (delta @ params.weights[l]) * (1.0 - acts[l] ** 2)
     return grad_w, grad_b
 
 
 def _contrastive_batch(params, X1, X2, same, margin):
-    # mean loss over the batch and its gradients wrt the shared parameters
+    # mean loss over the batch and its gradients wrt the shared parameters;
+    # both twins go through one pass stacked as [X1; X2]
     n = len(X1)
-    zs1, acts1 = _forward_trace(params, X1)
-    zs2, acts2 = _forward_trace(params, X2)
-    diff = acts1[-1] - acts2[-1]
+    acts = _forward_trace(params, np.concatenate([X1, X2]))
+    diff = acts[-1][:n] - acts[-1][n:]
     d = np.linalg.norm(diff, axis=1)
     loss = float(np.where(same, d, np.maximum(0.0, margin - d)).mean())
     # dLoss/dd: 1 for similar pairs, -1 inside the margin for dissimilar,
@@ -159,10 +163,7 @@ def _contrastive_batch(params, X1, X2, same, margin):
     coef = np.where(same, 1.0, np.where(d < margin, -1.0, 0.0))
     coef = np.where(d > 0.0, coef, 0.0)
     g = (coef / np.where(d > 0.0, d, 1.0) / n)[:, None] * diff
-    gw1, gb1 = _backprop(params, zs1, acts1, g)
-    gw2, gb2 = _backprop(params, zs2, acts2, -g)
-    grad_w = [a + b for a, b in zip(gw1, gw2)]
-    grad_b = [a + b for a, b in zip(gb1, gb2)]
+    grad_w, grad_b = _backprop(params, acts, np.concatenate([g, -g]))
     return loss, grad_w, grad_b
 
 
@@ -191,50 +192,34 @@ def _sgd_step(params, grad_w, grad_b, lr):
 
 
 class _PairSampler:
-    """Draws balanced same/different-class pairs, deterministic given rng."""
+    """Draws balanced same/different-class pairs, deterministic given rng.
+
+    A same pair's anchor is uniform over the examples whose class has at
+    least 2 members, its partner uniform over the anchor's other class
+    members. A different pair's anchor is uniform over all examples, its
+    partner uniform over the examples of every other class."""
 
     def __init__(self, labels):
-        self.labels = labels
-        self.n = len(labels)
-        order = np.argsort(labels, kind="stable")
-        self.by_class = {}
-        self.pos_in_class = np.empty(self.n, dtype=np.int64)
-        for c in np.unique(labels):
-            group = np.flatnonzero(labels == c)
-            self.by_class[int(c)] = group
-            self.pos_in_class[group] = np.arange(len(group))
-        self.same_pool = np.concatenate(
-            [g for g in self.by_class.values() if len(g) >= 2]
-        ) if any(len(g) >= 2 for g in self.by_class.values()) else np.empty(0, dtype=np.int64)
-        # class-sorted view with offsets, for O(1) different-class draws
-        self.sorted_idx = order
-        self.class_start = {}
-        self.class_size = {}
-        start = 0
-        for c in np.unique(labels):
-            size = len(self.by_class[int(c)])
-            self.class_start[int(c)] = start
-            self.class_size[int(c)] = size
-            start += size
+        _, self.cls, self.size = np.unique(
+            labels, return_inverse=True, return_counts=True
+        )
+        self.start = np.cumsum(self.size) - self.size
+        self.order = np.argsort(self.cls, kind="stable")  # class-sorted
+        self.pos = np.empty(len(labels), dtype=np.int64)  # index within class
+        self.pos[self.order] = np.arange(len(labels)) - self.start[self.cls[self.order]]
+        self.same_pool = np.flatnonzero(self.size[self.cls] >= 2)
 
     def draw(self, rng, n_same, n_diff):
-        i1 = np.empty(n_same + n_diff, dtype=np.int64)
-        i2 = np.empty(n_same + n_diff, dtype=np.int64)
-        same = np.zeros(n_same + n_diff, dtype=bool)
-        for t in range(n_same):
-            i = int(self.same_pool[rng.integers(len(self.same_pool))])
-            group = self.by_class[int(self.labels[i])]
-            step = 1 + int(rng.integers(len(group) - 1))
-            j = int(group[(self.pos_in_class[i] + step) % len(group)])
-            i1[t], i2[t], same[t] = i, j, True
-        for t in range(n_same, n_same + n_diff):
-            i = int(rng.integers(self.n))
-            c = int(self.labels[i])
-            start, size = self.class_start[c], self.class_size[c]
-            u = int(rng.integers(self.n - size))
-            j = int(self.sorted_idx[u if u < start else u + size])
-            i1[t], i2[t] = i, j
-        return i1, i2, same
+        i = self.same_pool[rng.integers(len(self.same_pool), size=n_same)]
+        c = self.cls[i]
+        step = rng.integers(1, self.size[c])
+        j = self.order[self.start[c] + (self.pos[i] + step) % self.size[c]]
+        k = rng.integers(len(self.cls), size=n_diff)
+        c = self.cls[k]
+        u = rng.integers(len(self.cls) - self.size[c])
+        m = self.order[np.where(u < self.start[c], u, u + self.size[c])]
+        same = np.arange(n_same + n_diff) < n_same
+        return np.concatenate([i, k]), np.concatenate([j, m]), same
 
 
 def train_siamese(features, labels, layer_dims, config):
@@ -255,7 +240,7 @@ def train_siamese(features, labels, layer_dims, config):
     rng = np.random.default_rng((*_as_seed(config.seed), 1))
     n_same = config.pairs_per_epoch // 2
     n_diff = config.pairs_per_epoch - n_same
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         i1, i2, same = sampler.draw(rng, n_same, n_diff)
         for start in range(0, len(i1), config.batch_size):
             sl = slice(start, start + config.batch_size)
@@ -263,6 +248,7 @@ def train_siamese(features, labels, layer_dims, config):
                 params, X[i1[sl]], X[i2[sl]], same[sl], config.margin
             )
             _sgd_step(params, grad_w, grad_b, config.learning_rate)
+        _check_finite(params, epoch)
     return params
 
 
@@ -282,17 +268,26 @@ def train_classifier(features, labels, layer_dims, config):
     params = init_params(layer_dims, CLASSIFIER, config.seed)
     rng = np.random.default_rng((*_as_seed(config.seed), 2))
     n = len(X)
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            zs, acts = _forward_trace(params, X[idx])
+            acts = _forward_trace(params, X[idx])
             delta = acts[-1].copy()
             delta[np.arange(len(idx)), y[idx]] -= 1.0
             delta /= len(idx)
-            grad_w, grad_b = _backprop(params, zs, acts, delta)
+            grad_w, grad_b = _backprop(params, acts, delta)
             _sgd_step(params, grad_w, grad_b, config.learning_rate)
+        _check_finite(params, epoch)
     return params
+
+
+def _check_finite(params, epoch):
+    if not all(np.isfinite(a).all() for a in params.weights + params.biases):
+        raise ValueError(
+            f"training diverged at epoch {epoch + 1}: non-finite parameters "
+            f"(try a smaller learning_rate)"
+        )
 
 
 def _as_seed(seed):

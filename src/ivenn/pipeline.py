@@ -245,7 +245,6 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
                         epochs=cfg.epochs,
                         batch_size=cfg.batch_size,
                         seed=(cfg.seed, 11),
-                        pairs_per_epoch=cfg.pairs_per_epoch,
                     ),
                 )
                 cal_soft = forward_batch(result.classifier_params, cal.features)

@@ -48,6 +48,22 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"d\.csv:3.*non-numeric"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"id,label,f0,f1\n0,0,1.0,2.0\n1,1,3.0,{cell}\n2,0,{cell},1.0\n")
+        with pytest.raises(ValueError, match=r"d\.csv:3: non-finite"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_score_names_line(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            f"id,label,f0,s0,s1\n0,0,1.0,0.5,0.5\n1,1,2.0,0.5,0.5\n2,1,3.0,{cell},0.5\n"
+        )
+        with pytest.raises(ValueError, match=r"d\.csv:4: non-finite"):
+            load_csv(path)
+
     def test_bad_softmax_sum(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,label,f0,s0,s1\n0,0,1.0,0.5,0.4\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ivenn.mlp import (
     CLASSIFIER,
@@ -19,6 +21,7 @@ from ivenn.mlp import (
     train_classifier,
     train_siamese,
 )
+from ivenn.mlp import _contrastive_batch, _PairSampler
 
 
 def fd_gradients(params, pair, margin, eps=1e-6):
@@ -183,6 +186,120 @@ class TestLossGradient:
             loss_gradient(p, PairExample(np.zeros(2), np.ones(2), True), 1.0)
 
 
+def two_pass_reference(params, X1, X2, same, margin):
+    """Contrastive batch loss and gradients with one trace and one backprop
+    per twin, tanh' recomputed from the pre-activations, summed per layer."""
+    last = len(params.weights) - 1
+
+    def trace(X):
+        zs, acts = [], [X]
+        for l, (W, b) in enumerate(zip(params.weights, params.biases)):
+            zs.append(acts[-1] @ W.T + b)
+            acts.append(np.tanh(zs[-1]) if l < last else zs[-1])
+        return zs, acts
+
+    def backprop(zs, acts, delta):
+        gw, gb = [None] * (last + 1), [None] * (last + 1)
+        for l in range(last, -1, -1):
+            gw[l] = delta.T @ acts[l]
+            gb[l] = delta.sum(axis=0)
+            if l > 0:
+                delta = (delta @ params.weights[l]) * (1.0 - np.tanh(zs[l - 1]) ** 2)
+        return gw, gb
+
+    zs1, acts1 = trace(X1)
+    zs2, acts2 = trace(X2)
+    diff = acts1[-1] - acts2[-1]
+    d = np.linalg.norm(diff, axis=1)
+    loss = float(np.where(same, d, np.maximum(0.0, margin - d)).mean())
+    coef = np.where(same, 1.0, np.where(d < margin, -1.0, 0.0))
+    coef = np.where(d > 0.0, coef, 0.0)
+    g = (coef / np.where(d > 0.0, d, 1.0) / len(X1))[:, None] * diff
+    gw1, gb1 = backprop(zs1, acts1, g)
+    gw2, gb2 = backprop(zs2, acts2, -g)
+    return loss, [a + b for a, b in zip(gw1, gw2)], [a + b for a, b in zip(gb1, gb2)]
+
+
+class TestStackedTwinPass:
+    @pytest.mark.parametrize("dims", [[4, 3], [5, 7, 3], [6, 8, 5, 2]])
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    def test_matches_two_pass_reference(self, dims, batch):
+        rng = np.random.default_rng(batch * 100 + len(dims))
+        params = init_params(dims, seed=int(rng.integers(1 << 30)))
+        X1, X2 = rng.normal(size=(2, batch, dims[0]))
+        X2[0] = X1[0]  # a coincident pair takes the zero subgradient
+        same = rng.integers(2, size=batch).astype(bool)
+        loss, gw, gb = _contrastive_batch(params, X1, X2, same, 1.5)
+        ref_loss, ref_gw, ref_gb = two_pass_reference(params, X1, X2, same, 1.5)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        # relative to the largest reference entry: the output bias gradient
+        # is exactly 0 in the reference (the twins cancel) but may carry a
+        # rounding residue when summed over the stacked rows
+        scale = max(np.abs(ref).max() for ref in ref_gw + ref_gb)
+        for got, ref in zip(gw + gb, ref_gw + ref_gb):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * scale
+
+
+@st.composite
+def label_arrays(draw):
+    # 2-6 classes with arbitrary non-contiguous ids, singletons allowed, at
+    # least one class with 2 members, shuffled
+    classes = draw(st.lists(st.integers(0, 50), min_size=2, max_size=6, unique=True))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=len(classes), max_size=len(classes)))
+    assume(max(sizes) >= 2)
+    labels = np.repeat(np.array(classes), sizes)
+    return labels[draw(st.permutations(range(len(labels))))]
+
+
+class TestPairSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labels=label_arrays(),
+        seed=st.integers(0, 2**32 - 1),
+        n_same=st.integers(0, 40),
+        n_diff=st.integers(0, 40),
+    )
+    def test_pairs_valid_and_deterministic(self, labels, seed, n_same, n_diff):
+        sampler = _PairSampler(labels)
+        i1, i2, same = sampler.draw(np.random.default_rng(seed), n_same, n_diff)
+        assert same.tolist() == [True] * n_same + [False] * n_diff
+        assert i1.min(initial=0) >= 0 and i1.max(initial=0) < len(labels)
+        assert i2.min(initial=0) >= 0 and i2.max(initial=0) < len(labels)
+        s, d = slice(None, n_same), slice(n_same, None)
+        assert np.all(i1[s] != i2[s])
+        assert np.all(labels[i1[s]] == labels[i2[s]])
+        assert np.all(labels[i1[d]] != labels[i2[d]])
+        again = sampler.draw(np.random.default_rng(seed), n_same, n_diff)
+        for a, b in zip((i1, i2, same), again):
+            np.testing.assert_array_equal(a, b)
+
+    def test_exact_pair_counts(self):
+        # classes 5, 2, 9 have 4, 3, 4 members; class 7 is a singleton
+        labels = np.array([5, 2, 9, 5, 9, 5, 2, 9, 5, 9, 2, 7])
+        size = {c: int((labels == c).sum()) for c in labels}
+        n, draws = len(labels), 400_000
+        i1, i2, _ = _PairSampler(labels).draw(np.random.default_rng(0), draws, draws)
+        same_pool = sum(1 for c in labels if size[c] >= 2)
+        for sl, want_same in ((slice(None, draws), True), (slice(draws, None), False)):
+            pairs, counts = np.unique(
+                np.stack([i1[sl], i2[sl]], axis=1), axis=0, return_counts=True
+            )
+            expected = {}
+            for i in range(n):
+                for j in range(n):
+                    if i == j or (labels[i] == labels[j]) != want_same:
+                        continue
+                    if want_same:
+                        p = 1.0 / same_pool / (size[labels[i]] - 1)
+                    else:
+                        p = 1.0 / n / (n - size[labels[i]])
+                    expected[(i, j)] = p * draws
+            assert {tuple(map(int, p)) for p in pairs} == set(expected)
+            ratio = [c / expected[tuple(map(int, p))] for p, c in zip(pairs, counts)]
+            assert max(abs(r - 1.0) for r in ratio) < 0.1
+
+
 def two_blob_data(rng, n=120, gap=6.0):
     x0 = rng.normal(size=(n // 2, 2)) + (-gap / 2, 0.0)
     x1 = rng.normal(size=(n // 2, 2)) + (gap / 2, 0.0)
@@ -236,6 +353,13 @@ class TestTrainSiamese:
 
         assert mean_loss(params) < mean_loss(init)
 
+    def test_divergence_names_epoch(self):
+        X, y = two_blob_data(np.random.default_rng(61), n=40)
+        cfg = TrainConfig(learning_rate=1e305, epochs=5, pairs_per_epoch=32)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="diverged at epoch 1: non-finite"):
+                train_siamese(X * 1e6, y, [2, 2], cfg)
+
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
         with pytest.raises(ValueError, match="2 classes"):
@@ -272,6 +396,13 @@ class TestTrainClassifier:
         params = train_classifier(X, y, [2, 5, 2], TrainConfig(epochs=10, seed=0))
         out = forward_batch(params, rng.normal(size=(30, 2)))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+    def test_divergence_names_epoch(self):
+        X, y = two_blob_data(np.random.default_rng(67), n=40)
+        cfg = TrainConfig(learning_rate=1e305, epochs=5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="diverged at epoch 1: non-finite"):
+                train_classifier(X * 1e6, y, [2, 2], cfg)
 
     def test_label_out_of_range(self):
         X = np.zeros((4, 2))

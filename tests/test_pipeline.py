@@ -151,6 +151,17 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="stage 'load'"):
             run_pipeline(cfg)
 
+    def test_diverged_training_names_stage_and_epoch(self, tmp_path):
+        ds = synth_gaussians(2, 2, 50, 4.0, seed=3)
+        ds = Dataset(ds.ids, ds.features * 1e6, ds.labels, ds.class_count)
+        cfg = RunConfig(
+            out_dir=str(tmp_path), taxonomy="nc_v1", hidden_dims=(),
+            embedding_dim=2, learning_rate=1e305, epochs=3,
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(PipelineError, match="stage 'train'.*diverged at epoch 1"):
+                run_pipeline(cfg, dataset=ds)
+
     def test_byte_identical_reruns(self, tmp_path):
         ds = synth_gaussians(3, 4, 200, 3.0, seed=5)
         outs = []
