@@ -81,13 +81,24 @@ def _parse_header(header):
     return dim, c
 
 
+def _line_number(raw, k):
+    # 1-based line in the file of the k-th (0-based) non-blank line; only
+    # error paths pay for the scan
+    seen = -1
+    for number, ln in enumerate(raw, start=1):
+        seen += bool(ln.strip())
+        if seen == k:
+            return number
+    raise IndexError(k)
+
+
 def load_csv(path, class_count=None):
     """Parse a dataset CSV. Malformed rows are rejected with their line
-    number. When the file has no score block and class_count is not given,
-    it is inferred as max(label) + 1."""
+    number in the file, blank lines counted. When the file has no score
+    block and class_count is not given, it is inferred as max(label) + 1."""
     with open(path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    lines = [ln for ln in lines if ln.strip()]
+        raw = [ln.rstrip("\n") for ln in f]
+    lines = [ln for ln in raw if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
     dim, softmax_count = _parse_header(lines[0])
@@ -103,11 +114,11 @@ def load_csv(path, class_count=None):
     features = np.empty((len(lines) - 1, dim))
     softmaxes = np.empty((len(lines) - 1, softmax_count)) if softmax_count else None
     for row, ln in enumerate(lines[1:]):
-        lineno = row + 2
         cells = ln.split(",")
         if len(cells) != width:
             raise ValueError(
-                f"{path}:{lineno}: expected {width} columns, got {len(cells)}"
+                f"{path}:{_line_number(raw, row + 1)}: expected {width} columns, "
+                f"got {len(cells)}"
             )
         try:
             ids.append(int(cells[0]))
@@ -116,20 +127,25 @@ def load_csv(path, class_count=None):
             if softmax_count:
                 softmaxes[row] = [float(v) for v in cells[2 + dim :]]
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+            raise ValueError(
+                f"{path}:{_line_number(raw, row + 1)}: non-numeric cell ({exc})"
+            ) from None
     bad = ~np.isfinite(features).all(axis=1)
     if softmax_count:
         bad |= ~np.isfinite(softmaxes).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValueError(f"{path}:{row + 2}: non-finite cell (nan or inf)")
+        raise ValueError(
+            f"{path}:{_line_number(raw, row + 1)}: non-finite cell (nan or inf)"
+        )
     labels = np.array(labels, dtype=np.int64)
     if class_count is None:
         class_count = int(labels.max()) + 1 if len(labels) else 1
     if len(labels) and (labels.min() < 0 or labels.max() >= class_count):
         bad = int(np.argmax((labels < 0) | (labels >= class_count)))
         raise ValueError(
-            f"{path}:{bad + 2}: label {labels[bad]} outside [0, {class_count})"
+            f"{path}:{_line_number(raw, bad + 1)}: label {labels[bad]} "
+            f"outside [0, {class_count})"
         )
     return Dataset(
         ids=np.array(ids, dtype=np.int64),

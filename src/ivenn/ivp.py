@@ -10,42 +10,30 @@ where n_j is the calibration count of class j in that category and N the
 category total: the empirical class frequency under the two hypothetical
 completions of the category by the new example. Every interval in one
 prediction has width exactly 1 / (N + 1). The predicted class maximizes the
-interval midpoint.
+interval midpoint, which is the class with the largest count, ties to the
+lowest class index.
 
 A prediction landing in a category no calibration example reached gets the
 vacuous interval [0, 1] for every class and is flagged as such rather than
 rejected.
+
+Counts first: everything a prediction holds depends only on its category's
+counts, so a table derives its per-category rows once (`table.rows`) and a
+batch of predictions is one category column indexing them. `predict_many`
+predicts a batch with one taxonomy call; `predict` is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.taxonomy import Taxonomy, TaxonomyConfig, TaxonomyKind, category_count
+from ivenn.taxonomy import TaxonomyConfig, TaxonomyKind, category_count
 
 _TABLE_FORMAT = "ivenn-calibration-table-v1"
-
-
-@dataclass(frozen=True)
-class CalibrationTable:
-    """Per-category, per-class counts of calibration examples."""
-
-    counts: np.ndarray  # (category_count, class_count) int64
-    config: TaxonomyConfig
-
-    @property
-    def class_count(self):
-        return self.counts.shape[1]
-
-    @property
-    def category_count(self):
-        return self.counts.shape[0]
-
-    @property
-    def totals(self):
-        return self.counts.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -56,6 +44,95 @@ class IvpPrediction:
     upper: np.ndarray  # per class
     mean: np.ndarray  # interval midpoints, the decision statistic
     empty_category: bool  # True when no calibration example reached the category
+
+
+class CategoryRows(NamedTuple):
+    """What an example landing in category k is given, as row k of each
+    field. The arrays are read-only: predictions share them."""
+
+    counts: np.ndarray  # (K, c) int64 calibration counts n_j
+    totals: np.ndarray  # (K,) int64 category totals N
+    lower: np.ndarray  # (K, c) n_j / (N + 1)
+    upper: np.ndarray  # (K, c) (n_j + 1) / (N + 1)
+    mean: np.ndarray  # (K, c) interval midpoints
+    predicted: np.ndarray  # (K,) argmax of the counts, ties to the lowest class
+    empty: np.ndarray  # (K,) True where N == 0
+    predictions: tuple  # (K,) IvpPrediction of each category
+
+
+def category_rows(counts):
+    """Derive the per-category prediction rows from integer counts."""
+    counts = np.array(counts, dtype=np.int64)
+    totals = counts.sum(axis=1)
+    denom = (totals + 1)[:, None]
+    lower = counts / denom
+    upper = (counts + 1) / denom
+    mean = (lower + upper) / 2.0
+    predicted = np.argmax(counts, axis=1)
+    empty = totals == 0
+    for a in (counts, totals, lower, upper, mean, predicted, empty):
+        a.flags.writeable = False
+    predictions = tuple(
+        IvpPrediction(
+            predicted_class=int(predicted[k]),
+            category=k,
+            lower=lower[k],
+            upper=upper[k],
+            mean=mean[k],
+            empty_category=bool(empty[k]),
+        )
+        for k in range(len(counts))
+    )
+    return CategoryRows(counts, totals, lower, upper, mean, predicted, empty, predictions)
+
+
+@dataclass(frozen=True)
+class CalibrationTable:
+    """Per-category, per-class counts of calibration examples. The counts
+    are not to be changed once `rows` has been read."""
+
+    counts: np.ndarray  # (category_count, class_count) int64
+    config: TaxonomyConfig
+
+    def __post_init__(self):
+        want = (category_count(self.config), self.config.class_count)
+        if self.counts.shape != want:
+            raise ValueError(
+                f"counts have shape {self.counts.shape}, the taxonomy "
+                f"configuration needs {want}"
+            )
+
+    @property
+    def class_count(self):
+        return self.counts.shape[1]
+
+    @property
+    def category_count(self):
+        return self.counts.shape[0]
+
+    @cached_property
+    def rows(self):
+        return category_rows(self.counts)
+
+    @property
+    def totals(self):
+        return self.rows.totals
+
+
+@dataclass(frozen=True)
+class IvpBatch:
+    """Predictions of a batch as columns: example i gets row category[i] of
+    each field of `rows` (its lower bounds are rows.lower[category]).
+    Indexing yields an IvpPrediction."""
+
+    category: np.ndarray  # (m,) int64
+    rows: CategoryRows
+
+    def __len__(self):
+        return len(self.category)
+
+    def __getitem__(self, i):
+        return self.rows.predictions[self.category[i]]
 
 
 def calibrate(taxonomy, labels, embeddings=None, softmaxes=None):
@@ -78,21 +155,11 @@ def intervals(table, category):
     """Per-class probability interval for one category as (lower, upper)."""
     if not 0 <= category < table.category_count:
         raise ValueError(f"category {category} outside [0, {table.category_count})")
-    n_j = table.counts[category]
-    total = int(n_j.sum())
-    lower = n_j / (total + 1)
-    upper = (n_j + 1) / (total + 1)
-    return lower, upper
+    rows = table.rows
+    return rows.lower[category], rows.upper[category]
 
 
-def predict(table, taxonomy, embedding=None, softmax=None):
-    """Assign the example to a category and emit its per-class intervals.
-
-    The predicted class is the argmax of the interval midpoints, ties to the
-    lowest class index. Raises ValueError when the taxonomy's configuration
-    (kind, class count, k, theta and every threshold) differs from the one
-    the table was calibrated with.
-    """
+def _check_config(table, taxonomy):
     cfg = table.config
     tcfg = taxonomy.config
     # identity first: the common case is a taxonomy fitted from the table's
@@ -104,22 +171,24 @@ def predict(table, taxonomy, embedding=None, softmax=None):
             if getattr(tcfg, f.name) != getattr(cfg, f.name)
         )
         raise ValueError(f"taxonomy does not match the table (taxonomy vs table): {diff}")
-    category = int(taxonomy.assign(embedding=embedding, softmax=softmax))
-    if not 0 <= category < table.category_count:
-        raise ValueError(
-            f"category {category} out of range for the table's "
-            f"{table.category_count} categories; configuration mismatch"
-        )
-    lower, upper = intervals(table, category)
-    mean = (lower + upper) / 2.0
-    return IvpPrediction(
-        predicted_class=int(np.argmax(mean)),
-        category=category,
-        lower=lower,
-        upper=upper,
-        mean=mean,
-        empty_category=bool(table.totals[category] == 0),
-    )
+
+
+def predict_many(table, taxonomy, embeddings=None, softmaxes=None):
+    """Predict a batch: one taxonomy call, then each example indexes its
+    category's row. Raises ValueError when the taxonomy's configuration
+    (kind, class count, k, theta and every threshold) differs from the one
+    the table was calibrated with. A matching configuration fixes the
+    category count, so every category indexes the table."""
+    _check_config(table, taxonomy)
+    cats = taxonomy.assign_many(embeddings=embeddings, softmaxes=softmaxes)
+    return IvpBatch(category=cats, rows=table.rows)
+
+
+def predict(table, taxonomy, embedding=None, softmax=None):
+    """Predict one example: a batch of one. Only the input the taxonomy
+    kind reads is converted."""
+    _check_config(table, taxonomy)
+    return table.rows.predictions[taxonomy.assign(embedding=embedding, softmax=softmax)]
 
 
 def save_table(table, path):

@@ -1,25 +1,36 @@
 """Evaluation metrics for interval-valued classifiers.
 
-A test-set run is an ordered list of EvalRecord (prediction + truth). From
-it we compute cumulative error/error-probability curves, accuracy, negative
-log-likelihood, Brier score, mean interval diameter, and expected/maximum
-calibration error, and assemble everything into one report.
+A test-set run is an ordered sequence of EvalRecord (prediction + truth).
+From it we compute cumulative error/error-probability curves, accuracy,
+negative log-likelihood, Brier score, mean interval diameter, and
+expected/maximum calibration error, and assemble everything into one report.
 
 The per-example probability estimate o_i^j is the interval midpoint for
 class j; the confidence of a prediction is the midpoint of its predicted
 class. Cumulative lower/upper error probabilities accumulate 1 - U(yhat)
 and 1 - L(yhat): when the predictor is well calibrated these bracket the
 cumulative error count.
+
+Every metric runs on columns. An EvalBatch (a predicted batch plus its
+labels) is already columnar: each example indexes its category's row, so
+per-category and per-(category, class) terms are computed once, and the
+confidence bin comes from the integer counts, exactly. A list of records
+is converted to float columns once, one row per record, and binned by its
+float confidence. Sums run left to right in input order (cumsum, bincount
+weights), as a loop over the records would, so equal inputs give equal
+bytes either way.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.ivp import IvpPrediction
+from ivenn.ivp import IvpBatch, IvpPrediction
 
 # Floor for probabilities entering log; midpoints never reach 1 for a
 # nonempty category, so no upper guard is needed.
@@ -40,6 +51,23 @@ class EvalRecord:
     @property
     def confidence(self):
         return float(self.prediction.mean[self.prediction.predicted_class])
+
+
+@dataclass(frozen=True)
+class EvalBatch(Sequence):
+    """A predicted batch with its true labels: a sequence of EvalRecord
+    whose records are built only when indexed."""
+
+    predictions: IvpBatch
+    labels: np.ndarray  # (m,) int
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return EvalRecord(prediction=self.predictions[i], true_label=int(self.labels[i]))
 
 
 @dataclass(frozen=True)
@@ -76,83 +104,119 @@ class CalibrationReport:
     bin_stats: tuple
 
 
-def cumulative(records):
-    """Running sums of errors and of 1-U(yhat), 1-L(yhat), in input order."""
-    if not records:
+class _Columns(NamedTuple):
+    # example i reads row key[i] of the per-row fields
+    key: np.ndarray  # (m,)
+    labels: np.ndarray  # (m,) true classes
+    lower: np.ndarray  # (K, c)
+    upper: np.ndarray  # (K, c)
+    mean: np.ndarray  # (K, c)
+    predicted: np.ndarray  # (K,)
+    empty: np.ndarray  # (K,)
+    counts: np.ndarray | None  # (K, c) integer counts, when known
+    totals: np.ndarray | None  # (K,)
+
+    @property
+    def err(self):
+        return self.predicted[self.key] != self.labels
+
+    def at_predicted(self, a):
+        """Per-row value of a (K, c) field at the predicted class."""
+        return a[np.arange(len(a)), self.predicted]
+
+
+def _columns(records):
+    if not len(records):
         raise ValueError("need at least one record")
-    errs = np.array([r.err for r in records], dtype=float)
-    yhat = [r.prediction.predicted_class for r in records]
-    lep_inc = np.array([1.0 - r.prediction.upper[j] for r, j in zip(records, yhat)])
-    uep_inc = np.array([1.0 - r.prediction.lower[j] for r, j in zip(records, yhat)])
-    return CumulativeCurves(
-        E=np.cumsum(errs), LEP=np.cumsum(lep_inc), UEP=np.cumsum(uep_inc)
+    if isinstance(records, EvalBatch):
+        p = records.predictions
+        r = p.rows
+        return _Columns(
+            p.category, np.asarray(records.labels), r.lower, r.upper, r.mean,
+            r.predicted, r.empty, r.counts, r.totals,
+        )
+    preds = [r.prediction for r in records]
+    return _Columns(
+        key=np.arange(len(preds)),
+        labels=np.array([r.true_label for r in records], dtype=np.int64),
+        lower=np.array([p.lower for p in preds], dtype=float),
+        upper=np.array([p.upper for p in preds], dtype=float),
+        mean=np.array([p.mean for p in preds], dtype=float),
+        predicted=np.array([p.predicted_class for p in preds], dtype=np.int64),
+        empty=np.array([p.empty_category for p in preds], dtype=bool),
+        counts=None,
+        totals=None,
     )
 
 
-def accuracy(records):
-    if not records:
-        raise ValueError("need at least one record")
-    return 1.0 - sum(r.err for r in records) / len(records)
+def _cumulative(col):
+    lep_inc = 1.0 - col.at_predicted(col.upper)
+    uep_inc = 1.0 - col.at_predicted(col.lower)
+    return CumulativeCurves(
+        E=np.cumsum(col.err.astype(float)),
+        LEP=np.cumsum(lep_inc[col.key]),
+        UEP=np.cumsum(uep_inc[col.key]),
+    )
 
 
-def nll(records):
-    """Summed negative log-likelihood of the true class under the interval
-    midpoints. The report derives the mean from this."""
-    if not records:
-        raise ValueError("need at least one record")
-    total = 0.0
-    for r in records:
-        o_true = float(r.prediction.mean[r.true_label])
-        total -= math.log(max(o_true, _LOG_EPS))
-    return total
+def _cell_terms(col):
+    """Per-example log(o_true) and squared error to the one-hot truth,
+    each computed once per distinct (row, true class) cell."""
+    c = col.mean.shape[1]
+    cells, inverse = np.unique(col.key * c + col.labels, return_inverse=True)
+    rows, classes = np.divmod(cells, c)
+    o = col.mean[rows]
+    o_true = o[np.arange(len(o)), classes].tolist()
+    log_o = np.array([math.log(max(v, _LOG_EPS)) for v in o_true])
+    sq = ((o - np.eye(c)[classes]) ** 2).sum(axis=1)
+    return log_o[inverse], sq[inverse]
 
 
-def brier(records):
-    """Mean over samples of the squared error between the midpoint vector
-    and the one-hot truth, summed over classes."""
-    if not records:
-        raise ValueError("need at least one record")
-    total = 0.0
-    for r in records:
-        o = r.prediction.mean
-        t = np.zeros_like(o)
-        t[r.true_label] = 1.0
-        total += float(((o - t) ** 2).sum())
-    return total / len(records)
+def _nll(log_o):
+    # 0 - (l1 + l2 + ...) rounds exactly as the loop 0 - l1 - l2 - ...,
+    # signed zero included
+    return 0.0 - float(np.cumsum(log_o)[-1])
 
 
-def diameter(records):
-    """Mean interval width at the predicted class."""
-    if not records:
-        raise ValueError("need at least one record")
-    widths = [
-        float(r.prediction.upper[j] - r.prediction.lower[j])
-        for r, j in ((r, r.prediction.predicted_class) for r in records)
-    ]
-    return float(np.mean(widths))
+def _brier(sq):
+    return float(np.cumsum(sq)[-1]) / len(sq)
+
+
+def _diameter(col):
+    width = col.at_predicted(col.upper) - col.at_predicted(col.lower)
+    return float(np.mean(width[col.key]))
 
 
 def _bin_index(conf, bins):
     # Right-inclusive equal-width bins on [0, 1]: bin m covers (m/M, (m+1)/M].
-    return min(max(math.ceil(conf * bins) - 1, 0), bins - 1)
+    return np.clip(np.ceil(conf * bins).astype(np.int64) - 1, 0, bins - 1)
 
 
-def ece_mce(records, bins=10):
-    """Expected and maximum calibration error over equal-width confidence
-    bins, plus the per-bin stats. Empty bins do not contribute."""
-    if not records:
-        raise ValueError("need at least one record")
+def _count_bin_index(n, total, bins):
+    # The same bins for the exact confidence (2n + 1) / (2 (N + 1)), the
+    # midpoint of [n/(N+1), (n+1)/(N+1)], in integers: a float midpoint can
+    # land one bin high on an edge (n=1, N=4 gives 0.30000000000000004).
+    num, den = bins * (2 * n + 1), 2 * (total + 1)
+    return np.clip(-(-num // den) - 1, 0, bins - 1)
+
+
+def _accuracy(col):
+    return 1.0 - int(col.err.sum()) / len(col.key)
+
+
+def _ece_mce(col, bins):
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    hits = np.zeros(bins, dtype=np.int64)
-    counts = np.zeros(bins, dtype=np.int64)
-    conf_sums = np.zeros(bins)
-    for r in records:
-        m = _bin_index(r.confidence, bins)
-        counts[m] += 1
-        hits[m] += 1 - r.err
-        conf_sums[m] += r.confidence
-    n = len(records)
+    conf = col.at_predicted(col.mean)
+    if col.counts is None:
+        row_bin = _bin_index(conf, bins)
+    else:
+        row_bin = _count_bin_index(col.at_predicted(col.counts), col.totals, bins)
+    b = row_bin[col.key]
+    counts = np.bincount(b, minlength=bins)
+    hits = np.bincount(b[~col.err], minlength=bins)
+    conf_sums = np.bincount(b, weights=conf[col.key], minlength=bins)
+    n = len(b)
     ece = 0.0
     mce = 0.0
     stats = []
@@ -168,31 +232,62 @@ def ece_mce(records, bins=10):
             BinStat(
                 bin_index=m,
                 count=int(counts[m]),
-                accuracy=float(acc_m),
-                confidence=float(conf_m),
+                accuracy=acc_m,
+                confidence=conf_m,
             )
         )
     return ece, mce, tuple(stats)
 
 
+def cumulative(records):
+    """Running sums of errors and of 1-U(yhat), 1-L(yhat), in input order."""
+    return _cumulative(_columns(records))
+
+
+def accuracy(records):
+    return _accuracy(_columns(records))
+
+
+def nll(records):
+    """Summed negative log-likelihood of the true class under the interval
+    midpoints. The report derives the mean from this."""
+    return _nll(_cell_terms(_columns(records))[0])
+
+
+def brier(records):
+    """Mean over samples of the squared error between the midpoint vector
+    and the one-hot truth, summed over classes."""
+    return _brier(_cell_terms(_columns(records))[1])
+
+
+def diameter(records):
+    """Mean interval width at the predicted class."""
+    return _diameter(_columns(records))
+
+
+def ece_mce(records, bins=10):
+    """Expected and maximum calibration error over equal-width confidence
+    bins, plus the per-bin stats. Empty bins do not contribute."""
+    return _ece_mce(_columns(records), bins)
+
+
 def build_report(records, bins=10):
-    if not records:
-        raise ValueError("need at least one record")
-    curves = cumulative(records)
-    ece, mce, stats = ece_mce(records, bins)
-    total_nll = nll(records)
-    n = len(records)
+    col = _columns(records)
+    ece, mce, stats = _ece_mce(col, bins)
+    log_o, sq = _cell_terms(col)
+    total_nll = _nll(log_o)
+    n = len(col.key)
     return CalibrationReport(
         n=n,
-        accuracy=accuracy(records),
+        accuracy=_accuracy(col),
         nll_sum=total_nll,
         nll_mean=total_nll / n,
-        brier=brier(records),
-        diameter=diameter(records),
+        brier=_brier(sq),
+        diameter=_diameter(col),
         ece=ece,
         mce=mce,
-        empty_category_count=sum(1 for r in records if r.prediction.empty_category),
-        curves=curves,
+        empty_category_count=int(col.empty[col.key].sum()),
+        curves=_cumulative(col),
         bin_stats=stats,
     )
 
@@ -224,9 +319,10 @@ def report_text(report):
 def curves_csv(curves):
     """Cumulative curves as CSV with columns n, E, LEP, UEP."""
     lines = ["n,E,LEP,UEP"]
-    for i in range(len(curves.E)):
-        lines.append(
-            f"{i + 1},{float(curves.E[i])!r},"
-            f"{float(curves.LEP[i])!r},{float(curves.UEP[i])!r}"
+    lines += [
+        f"{i},{e!r},{lep!r},{uep!r}"
+        for i, (e, lep, uep) in enumerate(
+            zip(curves.E.tolist(), curves.LEP.tolist(), curves.UEP.tolist()), start=1
         )
+    ]
     return "\n".join(lines) + "\n"

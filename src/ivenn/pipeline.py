@@ -2,14 +2,18 @@
 embedding, fit a taxonomy, calibrate, predict the test set, and write every
 artifact to an output directory.
 
+The test set is predicted in one `predict_many` call and scored on its
+columns; `PipelineResult.records` builds EvalRecords from those columns
+only when indexed.
+
 Artifacts (all byte-deterministic given the same config and seed):
     model.npz        twin-network parameters (when an embedding is trained)
     classifier.npz   score network (when softmax_source = train)
     table.txt        calibration table
-    predictions.csv  id,label,category,predicted,L0,U0,...
+    predictions.csv  id,label,category,predicted,N,n0..,L0,U0,... (v2)
     report.txt       scalar metrics + bin stats
     curves.csv       cumulative E/LEP/UEP
-    timing.txt       wall-clock latencies; intentionally NOT deterministic
+    timing.txt       wall seconds per stage; intentionally NOT deterministic
 
 Timing never goes into report.txt so two runs of the same config compare
 equal byte for byte.
@@ -19,14 +23,22 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ivenn.data import SplitSpec, load_csv, split
-from ivenn.ivp import IvpPrediction, calibrate, predict, save_table
-from ivenn.metrics import EvalRecord, build_report, curves_csv, report_text
+from ivenn.ivp import (
+    IvpBatch,
+    IvpPrediction,
+    calibrate,
+    category_rows,
+    predict_many,
+    save_table,
+)
+from ivenn.metrics import EvalBatch, EvalRecord, build_report, curves_csv, report_text
 from ivenn.mlp import (
     EMBEDDING,
     TrainConfig,
@@ -55,13 +67,18 @@ class PipelineError(RuntimeError):
 
 
 @contextmanager
-def _stage(name):
+def _stage(name, timings=None):
+    """Name the stage in any error it raises; add its wall time to
+    timings[name] when it succeeds."""
+    t0 = time.perf_counter()
     try:
         yield
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(f"stage '{name}': {exc}") from exc
+    if timings is not None:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
 @dataclass
@@ -147,10 +164,11 @@ def parse_config(text):
 
 @dataclass
 class PipelineResult:
-    """Fields beyond the reached milestone are None (or empty lists)."""
+    """Fields beyond the reached milestone are None (or empty lists).
+    `records` is a sequence of EvalRecord (an EvalBatch once predicted)."""
 
     report: object = None
-    records: list = None
+    records: Sequence = None
     table: object = None
     taxonomy: object = None
     embedding_params: object = None
@@ -167,8 +185,9 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
     depth = STAGES.index(stop_after)
     kind = TaxonomyKind(cfg.taxonomy)
     result = PipelineResult(records=[], out_dir=cfg.out_dir)
+    timings = {}
 
-    with _stage("load"):
+    with _stage("load", timings):
         if dataset is None:
             if cfg.data_csv is None:
                 raise ValueError("no data_csv configured and no dataset passed in")
@@ -178,7 +197,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
                 f"config class_count {cfg.class_count} != dataset {dataset.class_count}"
             )
 
-    with _stage("split"):
+    with _stage("split", timings):
         spec = SplitSpec(
             test_fraction=cfg.test_fraction,
             calibration_fraction=cfg.calibration_fraction,
@@ -186,7 +205,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
         )
         proper, cal, test = split(dataset, spec)
 
-    with _stage("train"):
+    with _stage("train", timings):
         if cfg.embedding == SIAMESE:
             if cfg.model_path is not None:
                 params = load_params(cfg.model_path)
@@ -215,17 +234,17 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
             result.embedding_params = params
 
     if depth == 0:
-        _write_artifacts(cfg, result)
+        _write_artifacts(cfg, result, timings)
         return result
 
-    with _stage("embed"):
+    with _stage("embed", timings):
         proper_emb = _embed(cfg, result.embedding_params, proper.features)
         cal_emb = _embed(cfg, result.embedding_params, cal.features)
         test_emb = _embed(cfg, result.embedding_params, test.features)
 
     cal_soft = test_soft = None
     if kind in BASELINE_KINDS:
-        with _stage("softmax"):
+        with _stage("softmax", timings):
             if cfg.softmax_source == "csv":
                 if dataset.softmaxes is None:
                     raise ValueError(
@@ -250,7 +269,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
                 cal_soft = forward_batch(result.classifier_params, cal.features)
                 test_soft = forward_batch(result.classifier_params, test.features)
 
-    with _stage("taxonomy"):
+    with _stage("taxonomy", timings):
         tax_cfg = TaxonomyConfig(
             kind=kind,
             class_count=dataset.class_count,
@@ -262,35 +281,26 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
         )
         result.taxonomy = fit_taxonomy(tax_cfg, proper_emb, proper.labels)
 
-    with _stage("calibrate"):
+    with _stage("calibrate", timings):
         result.table = calibrate(
             result.taxonomy, cal.labels, embeddings=cal_emb, softmaxes=cal_soft
         )
 
     if depth == 1:
-        _write_artifacts(cfg, result)
+        _write_artifacts(cfg, result, timings)
         return result
 
-    predictions = []
-    latencies = []
-    with _stage("predict"):
-        for i in range(len(test)):
-            soft = None if test_soft is None else test_soft[i]
-            t0 = time.perf_counter()
-            pred = predict(
-                result.table, result.taxonomy, embedding=test_emb[i], softmax=soft
-            )
-            latencies.append(time.perf_counter() - t0)
-            result.records.append(
-                EvalRecord(prediction=pred, true_label=int(test.labels[i]))
-            )
-            predictions.append((int(test.ids[i]), int(test.labels[i]), pred))
+    with _stage("predict", timings):
+        batch = predict_many(
+            result.table, result.taxonomy, embeddings=test_emb, softmaxes=test_soft
+        )
+        result.records = EvalBatch(predictions=batch, labels=test.labels)
 
     if depth >= 3:
-        with _stage("report"):
+        with _stage("report", timings):
             result.report = build_report(result.records, bins=cfg.bins)
 
-    _write_artifacts(cfg, result, predictions, dataset.class_count, latencies)
+    _write_artifacts(cfg, result, timings, test.ids)
     return result
 
 
@@ -300,8 +310,8 @@ def _embed(cfg, params, features):
     return forward_batch(params, features)
 
 
-def _write_artifacts(cfg, result, predictions=None, class_count=None, latencies=None):
-    with _stage("write"):
+def _write_artifacts(cfg, result, timings, test_ids=None):
+    with _stage("write", timings):
         os.makedirs(cfg.out_dir, exist_ok=True)
         if result.embedding_params is not None and cfg.model_path is None:
             save_params(result.embedding_params, os.path.join(cfg.out_dir, "model.npz"))
@@ -311,11 +321,10 @@ def _write_artifacts(cfg, result, predictions=None, class_count=None, latencies=
             )
         if result.table is not None:
             save_table(result.table, os.path.join(cfg.out_dir, "table.txt"))
-        if predictions is not None:
+        if test_ids is not None:
             _write_predictions(
-                os.path.join(cfg.out_dir, "predictions.csv"), predictions, class_count
+                os.path.join(cfg.out_dir, "predictions.csv"), test_ids, result.records
             )
-            _write_timing(os.path.join(cfg.out_dir, "timing.txt"), latencies)
         if result.report is not None:
             path = os.path.join(cfg.out_dir, "report.txt")
             with open(path, "w", encoding="utf-8") as f:
@@ -323,49 +332,78 @@ def _write_artifacts(cfg, result, predictions=None, class_count=None, latencies=
             path = os.path.join(cfg.out_dir, "curves.csv")
             with open(path, "w", encoding="utf-8") as f:
                 f.write(curves_csv(result.report.curves))
+    if test_ids is not None:
+        with _stage("write"):
+            _write_timing(
+                os.path.join(cfg.out_dir, "timing.txt"), timings, len(test_ids)
+            )
 
 
-def _write_predictions(path, predictions, class_count):
-    cols = ["id", "label", "category", "predicted"]
-    for j in range(class_count):
+def _write_predictions(path, ids, records):
+    """v2: id,label,category,predicted,N,n0..n{c-1},L0,U0,... Every example
+    of a category shares everything after its category, so that suffix is
+    formatted once per category."""
+    rows = records.predictions.rows
+    c = rows.counts.shape[1]
+    cols = ["id", "label", "category", "predicted", "N"]
+    cols += [f"n{j}" for j in range(c)]
+    for j in range(c):
         cols += [f"L{j}", f"U{j}"]
+    suffix = [
+        ",".join(
+            [str(p), str(total), *map(str, n)]
+            + [repr(v) for pair in zip(lo, up) for v in pair]
+        )
+        for p, total, n, lo, up in zip(
+            rows.predicted.tolist(), rows.totals.tolist(), rows.counts.tolist(),
+            rows.lower.tolist(), rows.upper.tolist(),
+        )
+    ]
     lines = [",".join(cols)]
-    for ex_id, label, pred in predictions:
-        row = [str(ex_id), str(label), str(pred.category), str(pred.predicted_class)]
-        for j in range(class_count):
-            row += [repr(float(pred.lower[j])), repr(float(pred.upper[j]))]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _write_timing(path, latencies):
-    arr = np.asarray(latencies)
-    lines = [
-        f"predictions = {len(arr)}",
-        f"total_s = {arr.sum():.6f}",
-        f"mean_ms = {arr.mean() * 1e3:.4f}",
-        f"max_ms = {arr.max() * 1e3:.4f}",
+    lines += [
+        f"{i},{y},{k},{suffix[k]}"
+        for i, y, k in zip(
+            ids.tolist(), records.labels.tolist(), records.predictions.category.tolist()
+        )
     ]
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
+def _write_timing(path, timings, predictions):
+    """Wall seconds per stage, in run order, then the predict stage's cost
+    per example."""
+    lines = [f"{name}_s = {seconds:.6f}" for name, seconds in timings.items()]
+    lines.append(f"predictions = {predictions}")
+    lines.append(f"predict_us_per_row = {timings['predict'] / predictions * 1e6:.4f}")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def load_predictions(path):
-    """Rebuild EvalRecords from a predictions.csv; lets `report` rerun the
-    metrics without redoing the predictions."""
+    """Rebuild the evaluation input from a predictions.csv, so `report` can
+    rerun the metrics without redoing the predictions.
+
+    A v2 file carries each example's category counts: it gives an EvalBatch
+    whose intervals, predicted class, empty flag and confidence bin are
+    recomputed from those integers, and the intervals in the file must
+    match them. A v1 file has only the float intervals: it gives a list of
+    EvalRecord, and a category counts as empty when its interval is [0, 1].
+    """
     with open(path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    header = lines[0].split(",")
+        numbered = [(i, ln.rstrip("\n")) for i, ln in enumerate(f, start=1) if ln.strip()]
+    header = numbered[0][1].split(",")
     if header[:4] != ["id", "label", "category", "predicted"]:
         raise ValueError(f"{path}: not a predictions file")
+    cells = [ln.split(",") for _, ln in numbered[1:]]
+    if header[4:5] == ["N"]:
+        return _load_predictions_v2(path, header, cells, [i for i, _ in numbered[1:]])
     class_count = (len(header) - 4) // 2
     records = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        label, category, predicted = int(cells[1]), int(cells[2]), int(cells[3])
-        lower = np.array([float(cells[4 + 2 * j]) for j in range(class_count)])
-        upper = np.array([float(cells[5 + 2 * j]) for j in range(class_count)])
+    for row in cells:
+        label, category, predicted = int(row[1]), int(row[2]), int(row[3])
+        lower = np.array([float(row[4 + 2 * j]) for j in range(class_count)])
+        upper = np.array([float(row[5 + 2 * j]) for j in range(class_count)])
         pred = IvpPrediction(
             predicted_class=predicted,
             category=category,
@@ -376,3 +414,30 @@ def load_predictions(path):
         )
         records.append(EvalRecord(prediction=pred, true_label=label))
     return records
+
+
+def _load_predictions_v2(path, header, cells, line_numbers):
+    c = (len(header) - 5) // 3
+    if len(header) != 5 + 3 * c or not cells:
+        raise ValueError(f"{path}: malformed v2 predictions header or no rows")
+    ints = np.array([row[: 5 + c] for row in cells], dtype=np.int64)
+    floats = np.array([row[5 + c :] for row in cells], dtype=float)
+    category, counts = ints[:, 2], ints[:, 5:]
+    if category.min() < 0 or counts.min() < 0 or (ints[:, 4] != counts.sum(axis=1)).any():
+        raise ValueError(f"{path}: negative category or count, or N not the sum of the counts")
+    per_category = np.zeros((int(category.max()) + 1, c), dtype=np.int64)
+    per_category[category] = counts
+    rows = category_rows(per_category)
+    bad = (
+        (rows.counts[category] != counts).any(axis=1)
+        | (rows.predicted[category] != ints[:, 3])
+        | (rows.lower[category] != floats[:, 0::2]).any(axis=1)
+        | (rows.upper[category] != floats[:, 1::2]).any(axis=1)
+    )
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"{path}:{line_numbers[row]}: counts, predicted class and intervals "
+            f"disagree with the other rows of category {category[row]}"
+        )
+    return EvalBatch(predictions=IvpBatch(category=category, rows=rows), labels=ints[:, 1])

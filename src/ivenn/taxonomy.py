@@ -4,8 +4,8 @@ similar points. Four are distance-based over a learned embedding space
 softmax-based splits of the predicted class.
 
 Every assign function is pure and deterministic; ties always resolve the
-same way on every run. The distance kinds assign a whole batch at once, and
-a single example is a batch of one.
+same way on every run. Every kind assigns a whole batch at once, and a
+single example is a batch of one.
 """
 
 from __future__ import annotations
@@ -111,11 +111,40 @@ def _nc_categories(cs, R, cfg, refined):
     return 2 * j + (d > cfg.theta)
 
 
-def _batch_of_one(r):
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 1:
-        raise ValueError(f"embedding has shape {r.shape}, expected one vector")
-    return r[None, :]
+def _batch_of_one(v, what="embedding"):
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{what} has shape {v.shape}, expected one vector")
+    return v[None, :]
+
+
+def _baseline_categories(S, cfg):
+    S = np.asarray(S, dtype=float)
+    c = cfg.class_count
+    if S.ndim != 2 or S.shape[1] != c:
+        raise ValueError(f"softmax rows have shape {S.shape}, expected (m, {c})")
+    # NaN fails both comparisons, so a non-finite row is caught here too
+    bad = ~((S.min(axis=1) >= 0.0) & (np.abs(S.sum(axis=1) - 1.0) <= 1e-6))
+    if bad.any():
+        raise ValueError(
+            f"softmax row {int(np.argmax(bad))} must be finite, nonnegative "
+            f"and sum to 1 (tol 1e-6)"
+        )
+    top_class = np.argmax(S, axis=1)
+    if cfg.kind is TaxonomyKind.BASE_V1:
+        return top_class
+    # kth = c - 2 leaves the second largest output in place and the largest after it
+    ranked = np.partition(S, -2, axis=1)
+    top, second = ranked[:, -1], ranked[:, -2]
+    if cfg.kind is TaxonomyKind.BASE_V2:
+        h = top < cfg.max_output_threshold
+    elif cfg.kind is TaxonomyKind.BASE_V3:
+        h = second > cfg.second_output_threshold
+    elif cfg.kind is TaxonomyKind.BASE_V4:
+        h = top - second < cfg.output_gap_threshold
+    else:
+        raise ValueError(f"{cfg.kind} is not a softmax baseline taxonomy")
+    return 2 * top_class + h
 
 
 def assign_knn_v1(index, r, cfg):
@@ -144,25 +173,7 @@ def assign_baseline(softmax_vector, cfg):
     """Softmax-based categories: the predicted class, optionally split in two
     by the top output (>= 0.75), the second output (<= 0.25), or the gap
     between them (>= 0.5)."""
-    sv = np.asarray(softmax_vector, dtype=float)
-    if sv.shape != (cfg.class_count,):
-        raise ValueError(f"softmax vector has shape {sv.shape}, expected ({cfg.class_count},)")
-    if sv.min() < 0.0 or abs(sv.sum() - 1.0) > 1e-6:
-        raise ValueError("softmax vector entries must be nonnegative and sum to 1 (tol 1e-6)")
-    top_class = int(np.argmax(sv))
-    if cfg.kind is TaxonomyKind.BASE_V1:
-        return top_class
-    top = float(sv[top_class])
-    second = float(np.partition(sv, -2)[-2])
-    if cfg.kind is TaxonomyKind.BASE_V2:
-        h = 0 if top >= cfg.max_output_threshold else 1
-    elif cfg.kind is TaxonomyKind.BASE_V3:
-        h = 0 if second <= cfg.second_output_threshold else 1
-    elif cfg.kind is TaxonomyKind.BASE_V4:
-        h = 0 if top - second >= cfg.output_gap_threshold else 1
-    else:
-        raise ValueError(f"{cfg.kind} is not a softmax baseline taxonomy")
-    return 2 * top_class + h
+    return int(_baseline_categories(_batch_of_one(softmax_vector, "softmax"), cfg)[0])
 
 
 def resolve_theta(cs, points, labels):
@@ -201,25 +212,24 @@ class Taxonomy:
         return category_count(self.config)
 
     def assign(self, embedding=None, softmax=None):
+        """Category of one example: a batch of one through assign_many. Only
+        the input the kind reads is converted."""
         kind = self.config.kind
         if kind in BASELINE_KINDS:
             if softmax is None:
                 raise ValueError(f"{kind.value} requires a softmax vector")
-            return assign_baseline(softmax, self.config)
+            return int(self.assign_many(softmaxes=_batch_of_one(softmax, "softmax"))[0])
         if embedding is None:
             raise ValueError(f"{kind.value} requires an embedding vector")
         return int(self.assign_many(embeddings=_batch_of_one(embedding))[0])
 
     def assign_many(self, embeddings=None, softmaxes=None):
-        """Categories of a batch: (m,) int64. The distance kinds run as one
-        batch; the softmax baselines assign row by row."""
+        """Categories of a batch: (m,) int64, every kind as one batch."""
         kind = self.config.kind
         if kind in BASELINE_KINDS:
-            n = len(embeddings) if softmaxes is None else len(softmaxes)
-            out = np.empty(n, dtype=np.int64)
-            for i in range(n):
-                out[i] = self.assign(softmax=None if softmaxes is None else softmaxes[i])
-            return out
+            if softmaxes is None:
+                raise ValueError(f"{kind.value} requires a softmax vector")
+            return _baseline_categories(softmaxes, self.config)
         if embeddings is None:
             raise ValueError(f"{kind.value} requires an embedding vector")
         refined = kind in (TaxonomyKind.KNN_V2, TaxonomyKind.NC_V2)

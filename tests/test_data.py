@@ -64,6 +64,21 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"d\.csv:4: non-finite"):
             load_csv(path)
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,label,f0\n0,0,1.0\n\n1,0,oops\n")
+        with pytest.raises(ValueError, match=r"d\.csv:4: non-numeric"):
+            load_csv(path)
+        path.write_text("\nid,label,f0,f1\n0,0,1.0,2.0\n\n\n1,1,3.0\n")
+        with pytest.raises(ValueError, match=r"d\.csv:6: expected 4 columns"):
+            load_csv(path)
+        path.write_text("id,label,f0\n\n0,0,1.0\n\n1,0,nan\n")
+        with pytest.raises(ValueError, match=r"d\.csv:5: non-finite"):
+            load_csv(path)
+        path.write_text("id,label,f0\n0,0,1.0\n\n\n1,5,2.0\n")
+        with pytest.raises(ValueError, match=r"d\.csv:5: label 5"):
+            load_csv(path, class_count=2)
+
     def test_bad_softmax_sum(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,label,f0,s0,s1\n0,0,1.0,0.5,0.4\n")

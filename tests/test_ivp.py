@@ -1,16 +1,21 @@
 """Calibration table construction, probability intervals, prediction."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivenn.ivp import (
     CalibrationTable,
     calibrate,
+    category_rows,
     intervals,
     load_table,
     predict,
+    predict_many,
     save_table,
 )
 from ivenn.taxonomy import (
@@ -173,6 +178,98 @@ class TestPredict:
             assert lo_after[j] >= lo_before[j]
 
 
+class TestCategoryRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.integers(2, 6).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(0, 10**6), min_size=c, max_size=c), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_rows_are_the_counts_rationals(self, counts):
+        rows = category_rows(counts)
+        for k, n in enumerate(counts):
+            total = sum(n)
+            assert rows.totals[k] == total and rows.empty[k] == (total == 0)
+            for j, n_j in enumerate(n):
+                assert rows.lower[k, j] == float(Fraction(n_j, total + 1))
+                assert rows.upper[k, j] == float(Fraction(n_j + 1, total + 1))
+            # the argmax of the integer counts is the argmax of the midpoints
+            assert rows.predicted[k] == n.index(max(n)) == int(np.argmax(rows.mean[k]))
+            pred = rows.predictions[k]
+            assert (pred.category, pred.predicted_class) == (k, rows.predicted[k])
+            assert pred.lower.tobytes() == rows.lower[k].tobytes()
+
+    def test_rows_are_read_only(self):
+        table = table_from_counts([[3, 1, 0], [0, 0, 0], [0, 0, 0]])
+        pred = predict(table, fit_taxonomy(table.config), softmax=(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="read-only"):
+            pred.lower[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            table.rows.predicted[0] = 2
+
+    def test_table_shape_must_match_config(self):
+        cfg = TaxonomyConfig(kind=TaxonomyKind.BASE_V2, class_count=3)
+        with pytest.raises(ValueError, match=r"needs \(6, 3\)"):
+            CalibrationTable(counts=np.zeros((3, 3), dtype=np.int64), config=cfg)
+
+
+def random_fitted(rng, kind, c, k):
+    """A fitted taxonomy on coarse-grid points (many distance ties) and a
+    random table for it, with some categories left empty."""
+    labels = np.concatenate([np.arange(c), rng.integers(0, c, 12)])
+    emb = rng.integers(0, 4, size=(len(labels), 2)) + rng.choice([0.0, 0.5], size=(len(labels), 2))
+    tax = fit_taxonomy(TaxonomyConfig(kind=kind, class_count=c, k=k), emb, labels)
+    counts = rng.integers(0, 6, size=(tax.category_count, c))
+    counts *= rng.integers(0, 2, size=(tax.category_count, 1))
+    return tax, CalibrationTable(counts=counts, config=tax.config)
+
+
+def random_inputs(rng, m, c):
+    queries = rng.integers(0, 4, size=(m, 2)) + rng.choice([0.0, 0.5], size=(m, 2))
+    weights = rng.integers(0, 5, size=(m, c)).astype(float)
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    return queries, weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestPredictMany:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(list(TaxonomyKind)),
+        c=st.integers(2, 4),
+        k=st.integers(1, 7),
+        m=st.integers(0, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_row_wise_predict(self, kind, c, k, m, seed):
+        rng = np.random.default_rng(seed)
+        tax, table = random_fitted(rng, kind, c, k)
+        queries, scores = random_inputs(rng, m, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            batch = predict_many(table, tax, embeddings=queries, softmaxes=scores)
+            singles = [
+                predict(table, tax, embedding=q, softmax=sv) for q, sv in zip(queries, scores)
+            ]
+        assert len(batch) == m
+        rows, cats = batch.rows, batch.category
+        for i, one in enumerate(singles):
+            assert cats[i] == one.category
+            assert rows.predicted[cats[i]] == one.predicted_class
+            assert rows.empty[cats[i]] == one.empty_category
+            assert rows.lower[cats][i].tobytes() == one.lower.tobytes()
+            assert rows.upper[cats][i].tobytes() == one.upper.tobytes()
+            assert rows.mean[cats][i].tobytes() == one.mean.tobytes()
+            assert batch[i] is one
+
+    def test_config_checked_once_for_the_batch(self):
+        table = table_from_counts([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+        other = fit_taxonomy(TaxonomyConfig(kind=TaxonomyKind.BASE_V2, class_count=3))
+        with pytest.raises(ValueError, match="does not match"):
+            predict_many(table, other, softmaxes=np.eye(3))
+
+
 class TestPredictRejects:
     """predict refuses a mismatched table and non-finite input instead of
     returning a confident prediction."""
@@ -205,6 +302,18 @@ class TestPredictRejects:
         assert predict(knn7_table, knn7, embedding=self.emb[0]).category >= 0
         refit = fit_taxonomy(knn7_table.config, self.emb, self.labels)
         assert predict(knn7_table, refit, embedding=self.emb[0]).category >= 0
+
+    def test_non_finite_scores_rejected(self):
+        tax = fit_taxonomy(TaxonomyConfig(kind=TaxonomyKind.BASE_V2, class_count=3))
+        table = calibrate(tax, [0, 1], softmaxes=[(0.8, 0.1, 0.1), (0.1, 0.8, 0.1)])
+        with pytest.raises(ValueError, match="softmax row 0 must be finite"):
+            predict(table, tax, softmax=[np.nan, 0.5, 0.5])
+        scores = np.full((5, 3), 1 / 3)
+        scores[3, 1] = np.inf
+        with pytest.raises(ValueError, match="softmax row 3 must be finite"):
+            calibrate(tax, [0, 1, 2, 0, 1], softmaxes=scores)
+        with pytest.raises(ValueError, match="softmax row 3 must be finite"):
+            predict_many(table, tax, softmaxes=scores)
 
     def test_non_finite_embedding_rejected(self):
         for kind in DISTANCE_KINDS:

@@ -1,13 +1,18 @@
 """Hand-computed oracles for every scalar metric and the cumulative curves."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ivenn.ivp import IvpPrediction
+from ivenn.ivp import IvpBatch, IvpPrediction, category_rows
 from ivenn.metrics import (
+    EvalBatch,
     EvalRecord,
+    _count_bin_index,
     accuracy,
     brier,
     build_report,
@@ -256,3 +261,150 @@ class TestReport:
         a = cumulative([right, wrong]).E.tolist()
         b = cumulative([wrong, right]).E.tolist()
         assert a != b
+
+
+def loop_report(records, bins):
+    """The metrics written as one loop over the records, summing left to
+    right: the arithmetic every columnar path must reproduce bit for bit."""
+    E = LEP = UEP = nll_total = brier_total = 0.0
+    curves, widths = [], []
+    hits, counts, conf_sums = [0] * bins, [0] * bins, [0.0] * bins
+    for r in records:
+        p, j = r.prediction, r.prediction.predicted_class
+        E += r.err
+        LEP += 1.0 - float(p.upper[j])
+        UEP += 1.0 - float(p.lower[j])
+        curves.append((E, LEP, UEP))
+        nll_total -= math.log(max(float(p.mean[r.true_label]), 1e-12))
+        t = np.zeros_like(p.mean)
+        t[r.true_label] = 1.0
+        brier_total += float(((p.mean - t) ** 2).sum())
+        widths.append(float(p.upper[j] - p.lower[j]))
+        m = min(max(math.ceil(r.confidence * bins) - 1, 0), bins - 1)
+        counts[m] += 1
+        hits[m] += 1 - r.err
+        conf_sums[m] += r.confidence
+    n = len(records)
+    ece = mce = 0.0
+    stats = []
+    for m in range(bins):
+        if counts[m]:
+            acc, conf = hits[m] / counts[m], conf_sums[m] / counts[m]
+            ece += counts[m] / n * abs(acc - conf)
+            mce = max(mce, abs(acc - conf))
+            stats.append((m, counts[m], acc, conf))
+    return dict(
+        curves=curves, nll_sum=nll_total, brier=brier_total / n,
+        diameter=float(np.mean(widths)), ece=ece, mce=mce, bin_stats=stats,
+        empty=sum(r.prediction.empty_category for r in records),
+        accuracy=1.0 - sum(r.err for r in records) / n,
+    )
+
+
+def assert_matches_loop(report, records, bins, check_bins=True):
+    want = loop_report(records, bins)
+    curves = report.curves
+    assert list(zip(curves.E.tolist(), curves.LEP.tolist(), curves.UEP.tolist())) == want["curves"]
+    for field in ("nll_sum", "brier", "diameter", "accuracy"):
+        assert repr(getattr(report, field)) == repr(want[field]), field
+    assert report.empty_category_count == want["empty"]
+    if check_bins:
+        assert (repr(report.ece), repr(report.mce)) == (repr(want["ece"]), repr(want["mce"]))
+        got = [(b.bin_index, b.count, b.accuracy, b.confidence) for b in report.bin_stats]
+        assert repr(got) == repr(want["bin_stats"])
+
+
+def exact_bin(n, total, bins):
+    conf = Fraction(2 * n + 1, 2 * (total + 1))
+    return min(max(math.ceil(conf * bins) - 1, 0), bins - 1)
+
+
+def random_batch(rng, c, categories, m):
+    counts = rng.integers(0, 60, size=(categories, c))
+    counts *= rng.random((categories, 1)) > 0.1  # a few empty categories
+    rows = category_rows(counts)
+    batch = IvpBatch(category=rng.integers(0, categories, m), rows=rows)
+    return EvalBatch(predictions=batch, labels=rng.integers(0, c, m))
+
+
+class TestColumns:
+    def test_records_match_the_loop(self):
+        recs = TestReport().make_records(n=300)
+        recs += [point_record((1.0, 0.0, 0.0), 0), point_record((0.0, 0.2, 0.8), 0)]
+        assert_matches_loop(build_report(recs, bins=10), recs, 10)
+        # the loop's 0.0 - log(1.0) is +0.0, not -0.0
+        assert repr(nll([point_record((1.0, 0.0), 0)])) == "0.0"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        c=st.integers(2, 5),
+        categories=st.integers(1, 12),
+        m=st.integers(1, 200),
+        bins=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_matches_records_and_loop(self, c, categories, m, bins, seed):
+        batch = random_batch(np.random.default_rng(seed), c, categories, m)
+        records = list(batch)
+        rows, cats = batch.predictions.rows, batch.predictions.category
+        n = rows.counts[np.arange(categories), rows.predicted][cats]
+        total = rows.totals[cats]
+        # a confidence on a bin edge is where float binning may land one bin
+        # high; everything else must agree to the last bit
+        on_edge = bool(((bins * (2 * n + 1)) % (2 * (total + 1)) == 0).any())
+        from_batch = build_report(batch, bins=bins)
+        assert_matches_loop(from_batch, records, bins, check_bins=not on_edge)
+        if not on_edge:
+            assert report_text(from_batch) == report_text(build_report(records, bins=bins))
+        assert curves_csv(from_batch.curves) == curves_csv(build_report(records, bins=bins).curves)
+        exact = [exact_bin(int(a), int(b), bins) for a, b in zip(n, total)]
+        got = [s.bin_index for s in from_batch.bin_stats]
+        assert got == sorted(set(exact))
+        assert [s.count for s in from_batch.bin_stats] == [exact.count(b) for b in got]
+
+    def test_eval_batch_is_a_record_sequence(self):
+        batch = random_batch(np.random.default_rng(5), 3, 4, 10)
+        assert len(batch) == 10 and len(batch[2:5]) == 3
+        rec = batch[3]
+        assert isinstance(rec, EvalRecord) and rec.true_label == batch.labels[3]
+        assert rec.prediction.category == batch.predictions.category[3]
+        assert [r.err for r in batch] == [r.err for r in batch[:]]
+        assert accuracy(batch) == accuracy(list(batch))
+
+
+class TestExactBinning:
+    def test_edge_confidence_regression(self):
+        # counts (1, 1, 1, 1): predicted class 0 with n = 1, N = 4, so the
+        # confidence is 3/10 exactly, the right edge of bin 2. The float
+        # midpoint (0.2 + 0.4) / 2 is 0.30000000000000004, one bin high.
+        rows = category_rows([[1, 1, 1, 1]])
+        assert rows.mean[0, 0] == 0.30000000000000004
+        batch = EvalBatch(
+            predictions=IvpBatch(category=np.zeros(1, dtype=np.int64), rows=rows),
+            labels=np.zeros(1, dtype=np.int64),
+        )
+        assert [s.bin_index for s in ece_mce(batch, bins=10)[2]] == [2]
+        # a record list carries no counts and keeps the float path
+        assert [s.bin_index for s in ece_mce(list(batch), bins=10)[2]] == [3]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        total=st.integers(0, 10**9),
+        frac=st.fractions(0, 1),
+        bins=st.integers(1, 100),
+    )
+    def test_integer_bins_are_exact(self, total, frac, bins):
+        n = int(frac * total)
+        got = _count_bin_index(np.int64(n), np.int64(total), bins)
+        assert int(got) == exact_bin(n, total, bins)
+
+    def test_edge_pairs_below_400(self):
+        # every (n, N) with N < 400 at 10 bins: the integer bins are exact,
+        # while the float midpoint misbins exactly 14 of them
+        n, total = np.array([(a, b) for b in range(400) for a in range(b + 1)]).T
+        integer = _count_bin_index(n, total, 10)
+        exact = [exact_bin(a, b, 10) for a, b in zip(n.tolist(), total.tolist())]
+        assert integer.tolist() == exact
+        conf = (n / (total + 1) + (n + 1) / (total + 1)) / 2.0
+        floats = np.clip(np.ceil(conf * 10).astype(np.int64) - 1, 0, 9)
+        assert int((floats != integer).sum()) == 14

@@ -5,7 +5,7 @@ import pytest
 
 from ivenn import cli
 from ivenn.data import Dataset, SplitSpec, load_csv, split, synth_gaussians
-from ivenn.metrics import build_report, report_text
+from ivenn.metrics import EvalBatch, EvalRecord, build_report, report_text
 from ivenn.pipeline import (
     PipelineError,
     RunConfig,
@@ -244,6 +244,152 @@ class TestRunPipeline:
         records = load_predictions(tmp_path / "predictions.csv")
         rebuilt = build_report(records, bins=cfg.bins)
         assert report_text(rebuilt) == report_text(result.report)
+
+
+def edge_dataset():
+    """Four classes under base_v1 on CSV-style scores, laid out so that
+    calibration puts one example of each class into category 0. Its counts
+    (1, 1, 1, 1) give predicted class 0 with confidence exactly 3/10, the
+    right edge of bin 2, which the float midpoint 0.30000000000000004
+    misses."""
+    n, c = 200, 4
+    probe = Dataset(
+        ids=np.arange(n, dtype=np.int64), features=np.zeros((n, 1)),
+        labels=np.arange(n) % c, class_count=c,
+    )
+    _, cal, test = split(probe, EDGE_SPLIT)
+    labels = np.arange(n) % c
+    category = labels.copy()
+    labels[cal.ids[:c]] = np.arange(c)
+    category[cal.ids[:c]] = 0
+    rest = cal.ids[c:]
+    labels[rest] = category[rest] = 1 + np.arange(len(rest)) % (c - 1)
+    rng = np.random.default_rng(0)
+    labels[test.ids] = rng.integers(0, c, len(test.ids))
+    category[test.ids] = rng.integers(0, c, len(test.ids))
+    scores = np.full((n, c), 0.1)
+    scores[np.arange(n), category] = 0.7
+    return Dataset(
+        ids=probe.ids, features=rng.normal(size=(n, 1)), labels=labels,
+        class_count=c, softmaxes=scores,
+    )
+
+
+EDGE_SPLIT = SplitSpec(test_fraction=0.2, calibration_fraction=0.25, seed=0)
+
+
+def edge_config(out_dir):
+    return RunConfig(
+        out_dir=str(out_dir), taxonomy="base_v1", embedding="identity",
+        test_fraction=EDGE_SPLIT.test_fraction,
+        calibration_fraction=EDGE_SPLIT.calibration_fraction, seed=EDGE_SPLIT.seed,
+    )
+
+
+class TestPredictionsFile:
+    def test_v2_columns_carry_the_counts(self, tmp_path):
+        result = run_pipeline(edge_config(tmp_path), dataset=edge_dataset())
+        lines = (tmp_path / "predictions.csv").read_text().splitlines()
+        assert lines[0] == (
+            "id,label,category,predicted,N,n0,n1,n2,n3,L0,U0,L1,U1,L2,U2,L3,U3"
+        )
+        assert len(lines) == 1 + len(result.records)
+        for line, rec in zip(lines[1:], result.records):
+            cells = line.split(",")
+            pred = rec.prediction
+            n = result.table.counts[pred.category].tolist()
+            assert [int(v) for v in cells[1:9]] == [
+                rec.true_label, pred.category, pred.predicted_class, sum(n), *n
+            ]
+            assert [float(v) for v in cells[9::2]] == pred.lower.tolist()
+            assert [float(v) for v in cells[10::2]] == pred.upper.tolist()
+
+    def test_report_from_v2_is_byte_identical_on_an_edge(self, tmp_path):
+        result = run_pipeline(edge_config(tmp_path / "run"), dataset=edge_dataset())
+        assert result.table.counts[0].tolist() == [1, 1, 1, 1]
+        on_edge = sum(r.prediction.category == 0 for r in result.records)
+        assert on_edge > 0
+        assert any(b.bin_index == 2 and b.count >= on_edge for b in result.report.bin_stats)
+        # the same records without their counts fall back to float binning,
+        # which moves the edge examples one bin up
+        floats = build_report(list(result.records), bins=10)
+        assert report_text(floats) != report_text(result.report)
+
+        loaded = load_predictions(tmp_path / "run" / "predictions.csv")
+        assert isinstance(loaded, EvalBatch)
+        assert cli.main(
+            ["report", "--predictions", str(tmp_path / "run" / "predictions.csv"),
+             "--report-out", str(tmp_path / "re.txt"),
+             "--curves-out", str(tmp_path / "ce.csv")]
+        ) == 0
+        assert (tmp_path / "re.txt").read_bytes() == (tmp_path / "run" / "report.txt").read_bytes()
+        assert (tmp_path / "ce.csv").read_bytes() == (tmp_path / "run" / "curves.csv").read_bytes()
+
+    def test_v1_file_still_loads(self, tmp_path):
+        result = run_pipeline(edge_config(tmp_path), dataset=edge_dataset())
+        v2 = (tmp_path / "predictions.csv").read_text().splitlines()
+        # v1 lacks the N,n0..n3 block
+        v1 = [",".join(ln.split(",")[:4] + ln.split(",")[9:]) for ln in v2]
+        assert v1[0] == "id,label,category,predicted,L0,U0,L1,U1,L2,U2,L3,U3"
+        (tmp_path / "v1.csv").write_text("\n".join(v1) + "\n")
+        records = load_predictions(tmp_path / "v1.csv")
+        assert all(isinstance(r, EvalRecord) for r in records)
+        assert [(r.true_label, r.prediction.category, r.prediction.predicted_class)
+                for r in records] == [
+            (r.true_label, r.prediction.category, r.prediction.predicted_class)
+            for r in result.records
+        ]
+        expected = build_report(list(result.records), bins=10)
+        assert report_text(build_report(records, bins=10)) == report_text(expected)
+
+    def test_v2_rows_must_agree_with_their_counts(self, tmp_path):
+        run_pipeline(edge_config(tmp_path), dataset=edge_dataset())
+        lines = (tmp_path / "predictions.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[-1] = "0.5"
+        lines[3] = ",".join(cells)
+        # the blank line counts: the altered row is line 5 of the file
+        (tmp_path / "bad.csv").write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:5: .*disagree"):
+            load_predictions(tmp_path / "bad.csv")
+
+    def test_records_are_built_from_columns(self, tmp_path):
+        ds = synth_gaussians(3, 3, 100, 4.0, seed=8)
+        cfg = RunConfig(out_dir=str(tmp_path), taxonomy="nc_v2", embedding="identity")
+        result = run_pipeline(cfg, dataset=ds)
+        assert isinstance(result.records, EvalBatch)
+        batch = result.records.predictions
+        for i, rec in enumerate(result.records):
+            assert rec.prediction.category == batch.category[i]
+            assert rec.prediction.lower.tolist() == batch.rows.lower[batch.category[i]].tolist()
+
+    def test_timing_is_per_stage(self, tmp_path):
+        ds = synth_gaussians(3, 3, 100, 4.0, seed=8)
+        cfg = RunConfig(out_dir=str(tmp_path), taxonomy="nc_v1", embedding="identity")
+        result = run_pipeline(cfg, dataset=ds)
+        pairs = [ln.split(" = ") for ln in (tmp_path / "timing.txt").read_text().splitlines()]
+        timing = {k: float(v) for k, v in pairs}
+        stages = ["load", "split", "train", "embed", "taxonomy", "calibrate",
+                  "predict", "report", "write"]
+        assert list(timing) == [f"{s}_s" for s in stages] + ["predictions", "predict_us_per_row"]
+        assert timing["predictions"] == len(result.records)
+        assert all(v >= 0 for v in timing.values())
+
+    def test_non_finite_scores_name_stage_and_row(self, tmp_path):
+        ds = synth_gaussians(3, 3, 100, 4.0, seed=4)
+        cfg = RunConfig(
+            out_dir=str(tmp_path), taxonomy="base_v2", embedding="identity",
+            softmax_source="train", hidden_dims=(6,), epochs=5, seed=3,
+        )
+        _, cal, test = split(ds, SplitSpec(seed=cfg.seed))
+        for ids, stage, row in ((cal.ids, "calibrate", 3), (test.ids, "predict", 5)):
+            features = ds.features.copy()
+            features[ids[row], 1] = np.nan  # ids are row numbers here
+            bad = Dataset(ds.ids, features, ds.labels, ds.class_count)
+            with pytest.raises(
+                PipelineError, match=f"stage '{stage}': softmax row {row} must be finite"
+            ):
+                run_pipeline(cfg, dataset=bad)
 
 
 class TestCli:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivenn.space import build_centroids, build_index, knn_many
 from ivenn.taxonomy import (
@@ -160,6 +162,63 @@ class TestBaselines:
             assign_baseline((0.5, 0.3, 0.1), cfg_for(TaxonomyKind.BASE_V2))
         with pytest.raises(ValueError, match="shape"):
             assign_baseline((0.5, 0.5), cfg_for(TaxonomyKind.BASE_V2))
+
+    def test_non_finite_row_named(self):
+        # NaN fails every comparison, so a check written as `bad if min < 0
+        # or |sum - 1| > tol` would let these through as class-0 predictions
+        for kind in BASELINE_KINDS:
+            tax = fit_taxonomy(cfg_for(kind))
+            for bad in ((np.nan, 0.5, 0.5), (np.inf, 0.0, 0.0), (-np.inf, 1.0, 1.0)):
+                scores = np.full((4, 3), 1 / 3)
+                scores[2] = bad
+                with pytest.raises(ValueError, match="softmax row 2 must be finite"):
+                    tax.assign_many(softmaxes=scores)
+                with pytest.raises(ValueError, match="softmax row 0 must be finite"):
+                    tax.assign(softmax=bad)
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="softmax row 1 .*nonnegative"):
+            fit_taxonomy(cfg_for(TaxonomyKind.BASE_V1)).assign_many(
+                softmaxes=[(0.5, 0.25, 0.25), (1.1, -0.1, 0.0)]
+            )
+
+
+def reference_baseline(sv, cfg):
+    """Scalar statement of each softmax rule on a list of floats."""
+    top_class = sv.index(max(sv))
+    if cfg.kind is TaxonomyKind.BASE_V1:
+        return top_class
+    top, second = sorted(sv)[-1], sorted(sv)[-2]
+    if cfg.kind is TaxonomyKind.BASE_V2:
+        h = 0 if top >= cfg.max_output_threshold else 1
+    elif cfg.kind is TaxonomyKind.BASE_V3:
+        h = 0 if second <= cfg.second_output_threshold else 1
+    else:
+        h = 0 if top - second >= cfg.output_gap_threshold else 1
+    return 2 * top_class + h
+
+
+class TestBaselineBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        c=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(0, 30),
+    )
+    def test_batch_equals_scalar_rule(self, c, seed, m):
+        # scores on a coarse grid, so ties and outputs exactly at a
+        # threshold (0.75, 0.25, a 0.5 gap) are common
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(0, 5, size=(m, c)).astype(float)
+        weights[weights.sum(axis=1) == 0, 0] = 1.0
+        scores = weights / weights.sum(axis=1, keepdims=True)
+        for kind in BASELINE_KINDS:
+            tax = fit_taxonomy(cfg_for(kind, c=c))
+            batch = tax.assign_many(softmaxes=scores)
+            assert batch.dtype == np.int64 and batch.shape == (m,)
+            expected = [reference_baseline(sv, tax.config) for sv in scores.tolist()]
+            assert batch.tolist() == expected
+            assert [tax.assign(softmax=sv) for sv in scores] == expected
 
 
 class TestResolveTheta:
