@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ivenn.data import load_csv, save_csv, synth_gaussians
+from ivenn.data import _write_csv, load_csv, save_csv, synth_gaussians
 from ivenn.metrics import build_report, curves_csv, report_text
 from ivenn.mlp import forward_batch, load_params
 from ivenn.pipeline import (
@@ -107,13 +107,7 @@ def _cmd_embed(args):
     ds = load_csv(args.data)
     emb = forward_batch(params, ds.features)
     cols = ["id", "label"] + [f"e{i}" for i in range(emb.shape[1])]
-    lines = [",".join(cols)]
-    for i in range(len(ds)):
-        row = [str(int(ds.ids[i])), str(int(ds.labels[i]))]
-        row += [repr(float(v)) for v in emb[i]]
-        lines.append(",".join(row))
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_csv(args.out, cols, ds.ids, ds.labels, emb)
     print(f"wrote {len(ds)} embeddings to {args.out}")
     return 0
 

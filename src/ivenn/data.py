@@ -5,16 +5,33 @@ The on-disk format is a single CSV with header
     id,label,f0,...,f{D-1}[,s0,...,s{c-1}]
 
 where the optional s block carries an externally produced per-class score
-vector (each row summing to 1) for score-threshold taxonomies.
+vector (each row summing to 1) for score-threshold taxonomies. Blank and
+whitespace-only lines are skipped; there are no comments and no quoting;
+ids and labels are int64. The body is parsed by numpy's C reader, and only
+a file it rejects goes through the Python row loop, which accepts the same
+literals as Python's int() and float() and names the line of a bad row.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-_SOFTMAX_TOL = 1e-6
+_WRITE_BLOCK_ROWS = 4096
+
+
+def check_score_rows(S):
+    """Raise unless every row of the (m, c) score array is finite,
+    nonnegative and sums to 1 within 1e-6."""
+    # NaN fails both comparisons, so a non-finite row is caught here too
+    bad = ~((S.min(axis=1) >= 0.0) & (np.abs(S.sum(axis=1) - 1.0) <= 1e-6))
+    if bad.any():
+        raise ValueError(
+            f"softmax row {int(np.argmax(bad))} must be finite, nonnegative "
+            f"and sum to 1 (tol 1e-6)"
+        )
 
 
 @dataclass(frozen=True)
@@ -40,11 +57,7 @@ class Dataset:
                 raise ValueError(
                     f"softmaxes must have shape ({n}, {self.class_count})"
                 )
-            bad = np.abs(self.softmaxes.sum(axis=1) - 1.0) > _SOFTMAX_TOL
-            if bad.any():
-                raise ValueError(
-                    f"softmax row {int(np.argmax(bad))} does not sum to 1"
-                )
+            check_score_rows(self.softmaxes)
 
     def __len__(self):
         return len(self.ids)
@@ -81,43 +94,55 @@ def _parse_header(header):
     return dim, c
 
 
-def _line_number(raw, k):
+def _line_number(path, k):
     # 1-based line in the file of the k-th (0-based) non-blank line; only
     # error paths pay for the scan
     seen = -1
-    for number, ln in enumerate(raw, start=1):
-        seen += bool(ln.strip())
-        if seen == k:
-            return number
+    with open(path, encoding="utf-8") as f:
+        for number, ln in enumerate(f, start=1):
+            seen += bool(ln.strip())
+            if seen == k:
+                return number
     raise IndexError(k)
 
 
-def load_csv(path, class_count=None):
-    """Parse a dataset CSV. Malformed rows are rejected with their line
-    number in the file, blank lines counted. When the file has no score
-    block and class_count is not given, it is inferred as max(label) + 1."""
-    with open(path, encoding="utf-8") as f:
-        raw = [ln.rstrip("\n") for ln in f]
-    lines = [ln for ln in raw if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    dim, softmax_count = _parse_header(lines[0])
+def _read_columns(f, dim, softmax_count):
+    """Parse the rest of an open dataset file with numpy's C reader into
+    C-contiguous (ids, labels, features, softmaxes), or return None when it
+    rejects the text."""
+    dtype = [("id", "<i8"), ("label", "<i8"), ("f", "<f8", (dim,))]
     if softmax_count:
-        if class_count is not None and class_count != softmax_count:
-            raise ValueError(
-                f"{path}: header has {softmax_count} score columns, "
-                f"expected {class_count}"
-            )
-        class_count = softmax_count
+        dtype.append(("s", "<f8", (softmax_count,)))
+    try:
+        with warnings.catch_warnings():
+            # a file with no rows only warns; the row loop handles it
+            warnings.simplefilter("error", UserWarning)
+            table = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, UserWarning):
+        return None
+    return (
+        np.ascontiguousarray(table["id"]),
+        np.ascontiguousarray(table["label"]),
+        np.ascontiguousarray(table["f"]),
+        np.ascontiguousarray(table["s"]) if softmax_count else None,
+    )
+
+
+def _parse_rows(path, dim, softmax_count):
+    """The Python row loop: parse every non-blank line after the header, or
+    raise naming the line of the first bad row. ids and labels come back as
+    lists of Python ints, range-checked later by _int64_column."""
+    with open(path, encoding="utf-8") as f:
+        lines = [ln.rstrip("\n") for ln in f if ln.strip()][1:]
     width = 2 + dim + softmax_count
     ids, labels = [], []
-    features = np.empty((len(lines) - 1, dim))
-    softmaxes = np.empty((len(lines) - 1, softmax_count)) if softmax_count else None
-    for row, ln in enumerate(lines[1:]):
+    features = np.empty((len(lines), dim))
+    softmaxes = np.empty((len(lines), softmax_count)) if softmax_count else None
+    for row, ln in enumerate(lines):
         cells = ln.split(",")
         if len(cells) != width:
             raise ValueError(
-                f"{path}:{_line_number(raw, row + 1)}: expected {width} columns, "
+                f"{path}:{_line_number(path, row + 1)}: expected {width} columns, "
                 f"got {len(cells)}"
             )
         try:
@@ -128,27 +153,64 @@ def load_csv(path, class_count=None):
                 softmaxes[row] = [float(v) for v in cells[2 + dim :]]
         except ValueError as exc:
             raise ValueError(
-                f"{path}:{_line_number(raw, row + 1)}: non-numeric cell ({exc})"
+                f"{path}:{_line_number(path, row + 1)}: non-numeric cell ({exc})"
             ) from None
+    return ids, labels, features, softmaxes
+
+
+def _int64_column(path, values, name):
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        row = next(i for i, v in enumerate(values) if not lo <= v <= hi)
+        raise ValueError(
+            f"{path}:{_line_number(path, row + 1)}: {name} {values[row]} "
+            f"outside int64"
+        ) from None
+
+
+def load_csv(path, class_count=None):
+    """Parse a dataset CSV. Malformed rows are rejected with their line
+    number in the file, blank lines counted. When the file has no score
+    block and class_count is not given, it is inferred as max(label) + 1."""
+    with open(path, encoding="utf-8") as f:
+        header = f.readline()
+        while header and not header.strip():
+            header = f.readline()
+        if not header:
+            raise ValueError(f"{path}: empty file")
+        dim, softmax_count = _parse_header(header)
+        if softmax_count:
+            if class_count is not None and class_count != softmax_count:
+                raise ValueError(
+                    f"{path}: header has {softmax_count} score columns, "
+                    f"expected {class_count}"
+                )
+            class_count = softmax_count
+        columns = _read_columns(f, dim, softmax_count)
+    if columns is None:
+        columns = _parse_rows(path, dim, softmax_count)
+    ids, labels, features, softmaxes = columns
     bad = ~np.isfinite(features).all(axis=1)
     if softmax_count:
         bad |= ~np.isfinite(softmaxes).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(
-            f"{path}:{_line_number(raw, row + 1)}: non-finite cell (nan or inf)"
+            f"{path}:{_line_number(path, row + 1)}: non-finite cell (nan or inf)"
         )
-    labels = np.array(labels, dtype=np.int64)
+    labels = _int64_column(path, labels, "label")
     if class_count is None:
         class_count = int(labels.max()) + 1 if len(labels) else 1
     if len(labels) and (labels.min() < 0 or labels.max() >= class_count):
         bad = int(np.argmax((labels < 0) | (labels >= class_count)))
         raise ValueError(
-            f"{path}:{_line_number(raw, bad + 1)}: label {labels[bad]} "
+            f"{path}:{_line_number(path, bad + 1)}: label {labels[bad]} "
             f"outside [0, {class_count})"
         )
     return Dataset(
-        ids=np.array(ids, dtype=np.int64),
+        ids=_int64_column(path, ids, "id"),
         features=features,
         labels=labels,
         class_count=class_count,
@@ -156,20 +218,34 @@ def load_csv(path, class_count=None):
     )
 
 
+def _write_csv(path, header, ids, labels, values):
+    """Write the header, then one `id,label,v0,...` line per row of the 2-D
+    float array `values`; floats via repr, so load_csv reads back the same
+    bits. Rows are formatted a block at a time to bound the memory held in
+    Python objects."""
+    ids = np.asarray(ids, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for block in range(0, len(ids), _WRITE_BLOCK_ROWS):
+            rows = slice(block, block + _WRITE_BLOCK_ROWS)
+            f.write("".join(
+                ",".join([str(i), str(y), *map(repr, row)]) + "\n"
+                for i, y, row in zip(
+                    ids[rows].tolist(), labels[rows].tolist(), values[rows].tolist()
+                )
+            ))
+
+
 def save_csv(ds, path):
-    """Inverse of load_csv; floats via repr so the round trip is exact."""
+    """Inverse of load_csv; the round trip is exact."""
     cols = ["id", "label"] + [f"f{i}" for i in range(ds.feature_dim)]
+    values = ds.features
     if ds.softmaxes is not None:
         cols += [f"s{j}" for j in range(ds.class_count)]
-    lines = [",".join(cols)]
-    for i in range(len(ds)):
-        row = [str(int(ds.ids[i])), str(int(ds.labels[i]))]
-        row += [repr(float(v)) for v in ds.features[i]]
-        if ds.softmaxes is not None:
-            row += [repr(float(v)) for v in ds.softmaxes[i]]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        values = np.hstack([ds.features, ds.softmaxes])
+    _write_csv(path, cols, ds.ids, ds.labels, values)
 
 
 @dataclass(frozen=True)

@@ -238,9 +238,9 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
         return result
 
     with _stage("embed", timings):
-        proper_emb = _embed(cfg, result.embedding_params, proper.features)
-        cal_emb = _embed(cfg, result.embedding_params, cal.features)
-        test_emb = _embed(cfg, result.embedding_params, test.features)
+        proper_emb = _embed(cfg, result.embedding_params, proper)
+        cal_emb = _embed(cfg, result.embedding_params, cal)
+        test_emb = _embed(cfg, result.embedding_params, test)
 
     cal_soft = test_soft = None
     if kind in BASELINE_KINDS:
@@ -304,10 +304,19 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
     return result
 
 
-def _embed(cfg, params, features):
+def _embed(cfg, params, part):
+    """Embed the features of one split; a non-finite network output (an
+    overflowing model) is rejected here, naming the example."""
     if cfg.embedding == IDENTITY:
-        return features
-    return forward_batch(params, features)
+        return part.features
+    emb = forward_batch(params, part.features)
+    bad = ~np.isfinite(emb).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"embedding of example id {part.ids[int(np.argmax(bad))]} is not "
+            f"finite (nan or inf)"
+        )
+    return emb
 
 
 def _write_artifacts(cfg, result, timings, test_ids=None):

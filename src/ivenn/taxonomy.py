@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from ivenn.data import check_score_rows
 from ivenn.space import (
     CentroidSet,
     KnnIndex,
@@ -123,13 +124,7 @@ def _baseline_categories(S, cfg):
     c = cfg.class_count
     if S.ndim != 2 or S.shape[1] != c:
         raise ValueError(f"softmax rows have shape {S.shape}, expected (m, {c})")
-    # NaN fails both comparisons, so a non-finite row is caught here too
-    bad = ~((S.min(axis=1) >= 0.0) & (np.abs(S.sum(axis=1) - 1.0) <= 1e-6))
-    if bad.any():
-        raise ValueError(
-            f"softmax row {int(np.argmax(bad))} must be finite, nonnegative "
-            f"and sum to 1 (tol 1e-6)"
-        )
+    check_score_rows(S)
     top_class = np.argmax(S, axis=1)
     if cfg.kind is TaxonomyKind.BASE_V1:
         return top_class

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ivenn import cli, data
 from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
+from ivenn.mlp import forward_batch, init_params, save_params
 from ivenn.space import build_centroids, nearest_centroid
 
 WELL_FORMED = """id,label,f0,f1
@@ -119,6 +123,190 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.softmaxes, ds.softmaxes)
 
 
+HEADER = "id,label,f0,f1\n"
+
+# (name, file text, class_count): inputs where numpy's C reader and the
+# Python row loop might part ways
+EDGE_INPUTS = [
+    ("spaces_and_tabs", HEADER + " 1 ,\t0, 1.5\t,-2 \n", None),
+    ("crlf", "id,label,f0,f1\r\n1,0,1.5,2\r\n2,1,3,4\r\n", None),
+    ("signs", HEADER + "+1,-0,-0,+0.5\n", None),
+    ("whitespace_only_lines", HEADER + "1,0,1,2\n  \t \n2,1,3,4\n \n", None),
+    ("underscores", HEADER + "1_000,0,1_0.5,2\n", None),
+    ("arabic_indic_digit", HEADER + "\u0661,0,\u0661.5,2\n", None),
+    ("label_1.0", HEADER + "1,1.0,1,2\n", None),
+    ("empty_cell", HEADER + "1,0,,2\n", None),
+    ("hash_in_cell", HEADER + "1,0,1,2#note\n", None),
+    ("quoted_cell", HEADER + '1,0,"1",2\n', None),
+    ("header_only", HEADER, None),
+    ("header_only_scores", "id,label,f0,s0,s1\n", None),
+    ("single_row", HEADER + "5,1,0.5,0.25\n", None),
+    ("single_row_scores", "id,label,f0,s0,s1\n5,1,0.5,0.25,0.75\n", None),
+    ("trailing_comma", HEADER + "1,0,1,2,\n", None),
+    ("float_overflow", HEADER + "1,0,1e400,2\n", None),
+    ("nan", HEADER + "1,0,nan,2\n", None),
+    ("inf", HEADER + "1,0,2,-Infinity\n", None),
+    ("too_few_columns", HEADER + "1,0,1,2\n2,1,3\n", None),
+    ("too_many_columns", HEADER + "1,0,1,2\n2,1,3,4,5\n", None),
+    ("int64_extremes", HEADER + "-9223372036854775808,0,1,2\n9223372036854775807,1,3,4\n", None),
+    ("id_overflow", HEADER + "9223372036854775808,0,1,2\n", None),
+    ("label_overflow", HEADER + "1,-9223372036854775809,1,2\n", None),
+    ("label_out_of_range", HEADER + "1,0,1,2\n2,4,3,4\n", 3),
+    ("subnormal_and_extremes", HEADER + "1,0,5e-324,1.7976931348623157e308\n", None),
+]
+
+
+def _outcome(path, class_count):
+    try:
+        return load_csv(path, class_count)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReaderParity:
+    """load_csv must give what the Python row loop gives: bit-identical
+    arrays, or the same error text."""
+
+    @pytest.mark.parametrize(
+        "text,class_count", [case[1:] for case in EDGE_INPUTS],
+        ids=[case[0] for case in EDGE_INPUTS],
+    )
+    def test_matches_row_loop(self, tmp_path, monkeypatch, text, class_count):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = _outcome(path, class_count)
+
+        def reject(*args, **kwargs):
+            raise ValueError("C reader disabled")
+
+        monkeypatch.setattr(np, "loadtxt", reject)
+        loop = _outcome(path, class_count)
+        if isinstance(loop, str):
+            assert fast == loop
+            return
+        assert not isinstance(fast, str), fast
+        assert fast.class_count == loop.class_count
+        for name in ("ids", "labels", "features", "softmaxes"):
+            a, b = getattr(fast, name), getattr(loop, name)
+            if b is None:
+                assert a is None
+                continue
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+    def test_well_formed_file_skips_row_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("\n" + WITH_SOFTMAX + "\n")
+
+        def fail(*args):
+            raise AssertionError("row loop ran on a well-formed file")
+
+        monkeypatch.setattr(data, "_parse_rows", fail)
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.softmaxes, [[0.9, 0.1], [0.3, 0.7]])
+
+    @pytest.mark.parametrize("column,line", [("id", 0), ("label", 1)])
+    @pytest.mark.parametrize("value", ["99999999999999999999", "-9223372036854775809"])
+    def test_int64_overflow_names_line(self, tmp_path, column, line, value):
+        path = tmp_path / "d.csv"
+        cells = ["1", "0", "1.0"]
+        cells[line] = value
+        path.write_text("id,label,f0\n0,0,1.0\n\n" + ",".join(cells) + "\n")
+        with pytest.raises(ValueError, match=rf"d\.csv:4: {column} {value} outside int64"):
+            load_csv(path)
+
+    def test_embed_with_overflowing_id_exits_2(self, tmp_path, capsys):
+        model = str(tmp_path / "model.npz")
+        save_params(init_params([1, 2]), model)
+        path = tmp_path / "d.csv"
+        path.write_text("id,label,f0\n0,0,1.0\n99999999999999999999,1,2.0\n")
+        assert cli.main(
+            ["embed", "--model", model, "--data", str(path), "--out", str(tmp_path / "e.csv")]
+        ) == 2
+        assert "d.csv:3: id 99999999999999999999 outside int64" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n),
+                st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                st.lists(
+                    st.lists(
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=2, max_size=2,
+                    ),
+                    min_size=n, max_size=n,
+                ),
+            )
+        )
+    )
+    def test_round_trip_bit_exact(self, tmp_path_factory, columns):
+        ids, labels, features = columns
+        ds = Dataset(
+            ids=np.array(ids, dtype=np.int64),
+            features=np.array(features),
+            labels=np.array(labels, dtype=np.int64),
+            class_count=3,
+        )
+        path = tmp_path_factory.mktemp("rt") / "d.csv"
+        save_csv(ds, path)
+        back = load_csv(path, class_count=3)
+        for name in ("ids", "labels", "features"):
+            a, b = getattr(back, name), getattr(ds, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+def _reference_rows(header, ids, labels, values):
+    # the per-cell formatting every dataset CSV has always been written with
+    lines = [",".join(header)]
+    for i in range(len(ids)):
+        row = [str(int(ids[i])), str(int(labels[i]))]
+        row += [repr(float(v)) for v in values[i]]
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestCsvWriter:
+    EXTREMES = Dataset(
+        ids=np.array([-(2**63), 2**63 - 1, 7], dtype=np.int64),
+        features=np.array(
+            [[-0.0, 5e-324], [1.7976931348623157e308, -1.7976931348623157e308], [0.1, 1e-300]]
+        ),
+        labels=np.array([0, 1, 1]),
+        class_count=2,
+        softmaxes=np.array([[1.0, 0.0], [0.25, 0.75], [0.1, 0.9]]),
+    )
+
+    def test_save_csv_bytes(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_csv(self.EXTREMES, path)
+        assert path.read_bytes() == (
+            b"id,label,f0,f1,s0,s1\n"
+            b"-9223372036854775808,0,-0.0,5e-324,1.0,0.0\n"
+            b"9223372036854775807,1,1.7976931348623157e+308,"
+            b"-1.7976931348623157e+308,0.25,0.75\n"
+            b"7,1,0.1,1e-300,0.1,0.9\n"
+        )
+
+    def test_embed_bytes(self, tmp_path):
+        data_path, model = tmp_path / "d.csv", tmp_path / "model.npz"
+        save_csv(self.EXTREMES, data_path)
+        params = init_params([2, 3, 2], seed=4)
+        save_params(params, model)
+        out = tmp_path / "e.csv"
+        with np.errstate(over="ignore"):  # tanh saturates on the 1.8e308 row
+            assert cli.main(
+                ["embed", "--model", str(model), "--data", str(data_path), "--out", str(out)]
+            ) == 0
+            emb = forward_batch(params, self.EXTREMES.features)
+        assert out.read_bytes() == _reference_rows(
+            ["id", "label", "e0", "e1"], self.EXTREMES.ids, self.EXTREMES.labels, emb
+        )
+
+
 class TestDatasetValidation:
     def test_label_range(self):
         with pytest.raises(ValueError, match="labels"):
@@ -136,6 +324,18 @@ class TestDatasetValidation:
                 features=np.zeros((1, 2)),
                 labels=np.array([0, 0]),
                 class_count=1,
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_non_finite_or_negative_score_row(self, bad):
+        scores = np.array([[0.5, 0.25, 0.25], [bad, 0.5, 0.5 - (bad if bad < 0 else 0)]])
+        with pytest.raises(ValueError, match="softmax row 1 must be finite, nonnegative"):
+            Dataset(
+                ids=np.array([0, 1]),
+                features=np.zeros((2, 1)),
+                labels=np.array([0, 1]),
+                class_count=3,
+                softmaxes=scores,
             )
 
     def test_softmax_shape(self):

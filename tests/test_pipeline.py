@@ -6,6 +6,7 @@ import pytest
 from ivenn import cli
 from ivenn.data import Dataset, SplitSpec, load_csv, split, synth_gaussians
 from ivenn.metrics import EvalBatch, EvalRecord, build_report, report_text
+from ivenn.mlp import EMBEDDING, MlpParams, save_params
 from ivenn.pipeline import (
     PipelineError,
     RunConfig,
@@ -160,6 +161,30 @@ class TestRunPipeline:
         )
         with np.errstate(all="ignore"):
             with pytest.raises(PipelineError, match="stage 'train'.*diverged at epoch 1"):
+                run_pipeline(cfg, dataset=ds)
+
+    def test_overflowing_model_fails_at_embed(self, tmp_path):
+        # a loaded model whose output overflows for one example must fail
+        # as stage 'embed', naming that example, not later in the k-NN index
+        model = str(tmp_path / "model.npz")
+        save_params(
+            MlpParams(
+                layer_dims=[2, 2], weights=[np.diag([1e307, 1.0])],
+                biases=[np.zeros(2)], mode=EMBEDDING,
+            ),
+            model,
+        )
+        features = HAND_FEATURES.copy()
+        features[13, 0] = 50.0
+        ds = Dataset(np.arange(20, dtype=np.int64) + 100, features, HAND_LABELS, 2)
+        cfg = RunConfig(
+            out_dir=str(tmp_path), taxonomy="knn_v1", k=3, model_path=model, seed=1,
+            test_fraction=0.25, calibration_fraction=0.4,
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(
+                PipelineError, match="stage 'embed'.*example id 113 is not finite"
+            ):
                 run_pipeline(cfg, dataset=ds)
 
     def test_byte_identical_reruns(self, tmp_path):
