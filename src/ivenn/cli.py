@@ -20,10 +20,11 @@ import sys
 
 from ivenn.data import _write_csv, load_csv, save_csv, synth_gaussians
 from ivenn.metrics import build_report, curves_csv, report_text
-from ivenn.mlp import forward_batch, load_params
+from ivenn.mlp import load_params
 from ivenn.pipeline import (
     PipelineError,
     RunConfig,
+    embed_checked,
     load_predictions,
     parse_config,
     run_pipeline,
@@ -105,7 +106,7 @@ def _cmd_synth(args):
 def _cmd_embed(args):
     params = load_params(args.model)
     ds = load_csv(args.data)
-    emb = forward_batch(params, ds.features)
+    emb = embed_checked(params, ds.features, ds.ids)
     cols = ["id", "label"] + [f"e{i}" for i in range(emb.shape[1])]
     _write_csv(args.out, cols, ds.ids, ds.labels, emb)
     print(f"wrote {len(ds)} embeddings to {args.out}")

@@ -34,6 +34,7 @@ import numpy as np
 from ivenn.taxonomy import TaxonomyConfig, TaxonomyKind, category_count
 
 _TABLE_FORMAT = "ivenn-calibration-table-v1"
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -217,17 +218,16 @@ def load_table(path):
     if not lines or lines[0] != f"# {_TABLE_FORMAT}":
         raise ValueError(f"{path}: not a {_TABLE_FORMAT} file")
     fields = {}
-    triples = []
+    count_lines = []
     in_counts = False
-    for ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
         if ln.strip() == "counts:":
             in_counts = True
             continue
         if in_counts:
-            cat, cls, cnt = ln.split()
-            triples.append((int(cat), int(cls), int(cnt)))
+            count_lines.append((number, ln))
         else:
             key, _, value = ln.partition("=")
             fields[key.strip()] = value.strip()
@@ -242,6 +242,23 @@ def load_table(path):
         output_gap_threshold=float(fields["output_gap_threshold"]),
     )
     counts = np.zeros((category_count(cfg), cfg.class_count), dtype=np.int64)
-    for cat, cls, cnt in triples:
+    seen = set()
+    for number, ln in count_lines:
+        where = f"{path}:{number}:"
+        try:
+            cat, cls, cnt = (int(v) for v in ln.split())
+        except ValueError:
+            raise ValueError(
+                f"{where} expected 'category class count' integers, got {ln!r}"
+            ) from None
+        if not 0 <= cat < counts.shape[0]:
+            raise ValueError(f"{where} category {cat} outside [0, {counts.shape[0]})")
+        if not 0 <= cls < counts.shape[1]:
+            raise ValueError(f"{where} class {cls} outside [0, {counts.shape[1]})")
+        if not 0 <= cnt <= _INT64_MAX:
+            raise ValueError(f"{where} count {cnt} is negative or outside int64")
+        if (cat, cls) in seen:
+            raise ValueError(f"{where} cell ({cat}, {cls}) repeated")
+        seen.add((cat, cls))
         counts[cat, cls] = cnt
     return CalibrationTable(counts=counts, config=cfg)

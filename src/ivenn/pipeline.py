@@ -304,19 +304,24 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
     return result
 
 
-def _embed(cfg, params, part):
-    """Embed the features of one split; a non-finite network output (an
-    overflowing model) is rejected here, naming the example."""
-    if cfg.embedding == IDENTITY:
-        return part.features
-    emb = forward_batch(params, part.features)
+def embed_checked(params, features, ids):
+    """forward_batch(params, features); a non-finite output row (an
+    overflowing model) raises ValueError naming that example's id."""
+    emb = forward_batch(params, features)
     bad = ~np.isfinite(emb).all(axis=1)
     if bad.any():
         raise ValueError(
-            f"embedding of example id {part.ids[int(np.argmax(bad))]} is not "
+            f"embedding of example id {ids[int(np.argmax(bad))]} is not "
             f"finite (nan or inf)"
         )
     return emb
+
+
+def _embed(cfg, params, part):
+    """Embed the features of one split."""
+    if cfg.embedding == IDENTITY:
+        return part.features
+    return embed_checked(params, part.features, part.ids)
 
 
 def _write_artifacts(cfg, result, timings, test_ids=None):
@@ -429,7 +434,17 @@ def _load_predictions_v2(path, header, cells, line_numbers):
     c = (len(header) - 5) // 3
     if len(header) != 5 + 3 * c or not cells:
         raise ValueError(f"{path}: malformed v2 predictions header or no rows")
-    ints = np.array([row[: 5 + c] for row in cells], dtype=np.int64)
+    try:
+        ints = np.array([row[: 5 + c] for row in cells], dtype=np.int64)
+    except OverflowError:
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        line, name, value = next(
+            (line, header[j], v)
+            for line, row in zip(line_numbers, cells)
+            for j, v in enumerate(row[: 5 + c])
+            if not lo <= int(v) <= hi
+        )
+        raise ValueError(f"{path}:{line}: {name} {value} outside int64") from None
     floats = np.array([row[5 + c :] for row in cells], dtype=float)
     category, counts = ints[:, 2], ints[:, 5:]
     if category.min() < 0 or counts.min() < 0 or (ints[:, 4] != counts.sum(axis=1)).any():

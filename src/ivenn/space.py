@@ -126,15 +126,24 @@ def build_index(points, labels):
 #     M = c*(dim+4)*(eps*(radius + |q - mean|)^2 + smallest_subnormal)
 # bounds |s + |b|^2 - d^2| by 2M. If tau is a row's k-th smallest s, each of
 # the oracle's top k has d^2 - |b|^2 <= tau + 2M, hence s <= tau + 4M.
+# The scan never finds tau itself. It splits the n columns into b >= k
+# contiguous blocks and takes tau' = the k-th smallest of the row's b block
+# minima. Those k minima sit in k distinct columns and are all <= tau', so
+# at least k values of s are <= tau', which means tau <= tau'. So the
+# shortlist s <= tau' + 4M still holds the oracle's top k. With 64 blocks or
+# more, tau' is close to tau and the shortlist stays short even when the
+# points are stored sorted by class or by cluster.
 _FLOAT = np.finfo(float)
-_CHUNK_BYTES = 256 * 1024  # per query chunk's (rows, n) array; more costs peak memory
+_BLOCKS = 64  # at least this many column blocks per row, when n allows it
+_CHUNK_BYTES = 1024 * 1024  # per query chunk's (rows, n) array; more costs peak memory
 
 
 def knn_many(index, Q, k):
     """(distances (m, k), indices (m, k)) of the k nearest stored points to
     each row of Q, ascending. Distances are exactly np.linalg.norm(points -
-    q, axis=1), ties go to insertion order: a Gram shortlist per query chunk
-    is reranked by that formula. ValueError for k outside [1, n] or naming a
+    q, axis=1), ties go to insertion order: per query chunk, the Gram values
+    at or below a bound taken from per-block row minima form a shortlist,
+    which is reranked by that formula. ValueError for k outside [1, n] or naming a
     non-finite or huge row."""
     n, dim = index.points.shape
     Q = np.asarray(Q, dtype=float)
@@ -146,6 +155,8 @@ def knn_many(index, Q, k):
     I = np.empty((len(Q), k), dtype=np.int64)
     slack = 2.0 * (dim + 4)
     step = max(1, _CHUNK_BYTES // (8 * n))
+    b = min(n, max(k, _BLOCKS))
+    starts = np.arange(b) * n // b  # b distinct block starts, since b <= n
     for lo in range(0, len(Q), step):
         chunk = Q[lo : lo + step]
         cq = chunk - index.mean
@@ -153,7 +164,7 @@ def knn_many(index, Q, k):
         _check_rows(scale, "query", lo)  # a finite S^2 keeps s and M finite
         s = cq @ index.gram_t
         s += index.sqnorms
-        tau = np.partition(s, k - 1, axis=1)[:, k - 1]
+        tau = np.partition(np.minimum.reduceat(s, starts, axis=1), k - 1, axis=1)[:, k - 1]
         margin = slack * (_FLOAT.eps * scale + _FLOAT.smallest_subnormal)
         rows, cols = np.divmod(np.flatnonzero(s <= (tau + 4.0 * margin)[:, None]), n)
         d = np.linalg.norm(index.points[cols] - chunk[rows], axis=1)

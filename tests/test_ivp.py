@@ -367,3 +367,30 @@ class TestPersistence:
         path.write_text("not a table\n")
         with pytest.raises(ValueError, match="not a"):
             load_table(path)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["-1 0 5"], r":11: category -1 outside \[0, 3\)"),
+            (["7 0 5"], r":11: category 7 outside \[0, 3\)"),
+            (["0 3 5"], r":11: class 3 outside \[0, 3\)"),
+            (["0 0 -3"], r":11: count -3 is negative"),
+            (["0 0 99999999999999999999"], r":11: count 9{20} is negative or outside int64"),
+            (["0 0 2", "0 0 7"], r":12: cell \(0, 0\) repeated"),
+            (["0 0"], r":11: expected 'category class count' integers, got '0 0'"),
+            (["0 0 5 1"], r":11: expected 'category class count' integers"),
+            (["0 0 1.5"], r":11: expected 'category class count' integers"),
+        ],
+        ids=["negative category", "category past K", "class past c", "negative count",
+             "count past int64", "repeated cell", "two fields", "four fields", "float count"],
+    )
+    def test_bad_count_line_names_path_and_line(self, tmp_path, extra, message):
+        # 3 categories, 3 classes; the header and "counts:" take lines 1-9 and
+        # the one saved cell line 10
+        table = table_from_counts([[0, 0, 0], [0, 4, 0], [0, 0, 0]])
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("\n".join(extra) + "\n")
+        with pytest.raises(ValueError, match=r"table\.txt" + message):
+            load_table(path)

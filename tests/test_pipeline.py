@@ -465,6 +465,54 @@ class TestCli:
         assert lines[0] == "id,label,e0,e1"
         assert len(lines) == 161
 
+    def test_embed_rejects_non_finite_output(self, tmp_path, capsys):
+        # the weight overflows for the second example only: it is named by
+        # its id, and no embeddings file is written
+        model = str(tmp_path / "model.npz")
+        save_params(
+            MlpParams(
+                layer_dims=[1, 1], weights=[np.array([[1e308]])],
+                biases=[np.zeros(1)], mode=EMBEDDING,
+            ),
+            model,
+        )
+        data = tmp_path / "d.csv"
+        data.write_text("id,label,f0\n7,0,1.0\n8,1,2.0\n")
+        out = tmp_path / "emb.csv"
+        with np.errstate(over="ignore"):
+            code = cli.main(["embed", "--model", model, "--data", str(data), "--out", str(out)])
+        assert code == 2
+        assert "embedding of example id 8 is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "column, value", [(0, "99999999999999999999"), (1, "-9223372036854775809"),
+                          (2, "9223372036854775808"), (6, "99999999999999999999")]
+    )
+    def test_report_names_int64_overflow(self, tmp_path, capsys, column, value):
+        data = str(tmp_path / "d.csv")
+        cli.main(["synth", "--classes", "2", "--dim", "2", "--n-per-class", "40",
+                  "--separation", "5", "--seed", "2", "--out", data])
+        run = tmp_path / "run"
+        assert cli.main(
+            ["evaluate", "--data", data, "--taxonomy", "nc_v1", "--embedding", "identity",
+             "--out-dir", str(run), "--seed", "1"]
+        ) == 0
+        path = run / "predictions.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        header = lines[0].split(",")
+        capsys.readouterr()
+        assert cli.main(
+            ["report", "--predictions", str(path), "--report-out", str(tmp_path / "r.txt"),
+             "--curves-out", str(tmp_path / "c.csv")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"predictions.csv:4: {header[column]} {value} outside int64" in err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         data = str(tmp_path / "d.csv")
         cli.main(["synth", "--classes", "2", "--dim", "2", "--n-per-class", "100",

@@ -180,7 +180,8 @@ def oracle_many(points, Q, k):
 
 
 def knn_datasets(rng, n, dim, m=24):
-    """Point sets and m queries that stress the shortlist's error margin."""
+    """Point sets and m queries that stress the shortlist's error margin and
+    its bound from the k-th smallest of 64 or more column-block minima."""
     grid = rng.integers(-2, 3, size=(n, dim)).astype(float)
     dup = rng.normal(size=(n // 4, dim))
     yield "gaussian", rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
@@ -189,22 +190,39 @@ def knn_datasets(rng, n, dim, m=24):
     for name, shift, scale in (("offset", 1e6, 1e-3), ("huge", 0.0, 1e150), ("tiny", 0.0, 1e-160)):
         pts = shift + scale * rng.normal(size=(n, dim))
         yield name, pts, shift + scale * rng.normal(size=(m, dim))
+    # stored sorted by class: each cluster fills a run of neighbouring blocks
+    centres = 4.0 * rng.normal(size=(6, dim))
+    labels = np.sort(rng.integers(0, 6, n))
+    Q = centres[rng.integers(0, 6, m)] + rng.normal(size=(m, dim))
+    yield "class-sorted clusters", centres[labels] + rng.normal(size=(n, dim)), Q
+    # 3 points, fewer than most k, stored side by side in one block
+    c = rng.normal(size=dim)
+    pts = rng.normal(size=(n, dim))
+    pts[n // 3 : n // 3 + 3] = c + 1e-6 * rng.normal(size=(3, dim))
+    yield "tight cluster in one block", pts, c + 1e-6 * rng.normal(size=(m, dim))
+    # 64 points, one at the start of each of 64 equal blocks: every block
+    # minimum lies in the cluster, and k = 65 must look past it
+    pts = rng.normal(size=(n, dim))
+    pts[np.arange(64) * n // 64] = c + 1e-3 * rng.normal(size=(64, dim))
+    yield "one cluster point per block", pts, c + 1e-3 * rng.normal(size=(m, dim))
 
 
 class TestKnnMany:
     def test_exactly_equals_oracle(self):
         """Members, order and distances equal the exhaustive oracle bit for
-        bit, including offset, huge and subnormal-range coordinates."""
+        bit, including offset, huge and subnormal-range coordinates, blocks
+        of 1-2 points (n = 100) and of about 31 (n = 2000), and k above the
+        64 blocks."""
         rng = np.random.default_rng(2110)
-        n = 100
-        for dim in (1, 2, 3, 8, 32, 128):
-            for name, pts, Q in knn_datasets(rng, n, dim):
-                index = build_index(pts, np.zeros(n, dtype=int))
-                for k in (1, 5, 15, n):
-                    D, I = knn_many(index, Q, k)
-                    oD, oI = oracle_many(pts, Q, k)
-                    assert np.array_equal(I, oI), (name, dim, k)
-                    assert np.array_equal(D, oD), (name, dim, k)
+        for n in (100, 2000):
+            for dim in (1, 2, 3, 8, 32, 128):
+                for name, pts, Q in knn_datasets(rng, n, dim):
+                    index = build_index(pts, np.zeros(n, dtype=int))
+                    oD, oI = oracle_many(pts, Q, n)  # each k's oracle is a prefix
+                    for k in (1, 5, 15, 65, n):
+                        D, I = knn_many(index, Q, k)
+                        assert np.array_equal(I, oI[:, :k]), (name, n, dim, k)
+                        assert np.array_equal(D, oD[:, :k]), (name, n, dim, k)
 
     def test_rows_equal_single_queries(self):
         rng = np.random.default_rng(5)
