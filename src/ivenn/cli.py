@@ -29,54 +29,30 @@ from ivenn.pipeline import (
     parse_config,
     run_pipeline,
 )
+from ivenn.taxonomy import field_types, value_parser
 
-# (flag, RunConfig field, type) — type None means plain string
-_PIPELINE_FLAGS = [
-    ("--data", "data_csv", None),
-    ("--out-dir", "out_dir", None),
-    ("--seed", "seed", int),
-    ("--taxonomy", "taxonomy", None),
-    ("--class-count", "class_count", int),
-    ("--k", "k", int),
-    ("--theta", "theta", float),
-    ("--max-output-threshold", "max_output_threshold", float),
-    ("--second-output-threshold", "second_output_threshold", float),
-    ("--output-gap-threshold", "output_gap_threshold", float),
-    ("--embedding", "embedding", None),
-    ("--model", "model_path", None),
-    ("--softmax-source", "softmax_source", None),
-    ("--hidden-dims", "hidden_dims", None),
-    ("--embedding-dim", "embedding_dim", int),
-    ("--margin", "margin", float),
-    ("--learning-rate", "learning_rate", float),
-    ("--epochs", "epochs", int),
-    ("--batch-size", "batch_size", int),
-    ("--pairs-per-epoch", "pairs_per_epoch", int),
-    ("--test-fraction", "test_fraction", float),
-    ("--calibration-fraction", "calibration_fraction", float),
-    ("--bins", "bins", int),
-]
+# the two flags not named after their RunConfig field
+_FLAG_NAMES = {"data_csv": "--data", "model_path": "--model"}
 
 
 def _add_pipeline_flags(sub):
     sub.add_argument("--config", help="key = value config file; flags override it")
-    for flag, field, typ in _PIPELINE_FLAGS:
-        sub.add_argument(flag, dest=field, type=typ, default=None)
+    for name, annotation in field_types(RunConfig).items():
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        # a flag left out is absent from the namespace, so it overrides nothing
+        sub.add_argument(
+            flag, dest=name, type=value_parser(annotation), default=argparse.SUPPRESS
+        )
 
 
 def _build_config(args):
+    cfg = RunConfig()
     if args.config:
         with open(args.config, encoding="utf-8") as f:
             cfg = parse_config(f.read())
-    else:
-        cfg = RunConfig()
-    for _, field, _ in _PIPELINE_FLAGS:
-        value = getattr(args, field)
-        if value is None:
-            continue
-        if field == "hidden_dims":
-            value = tuple(int(v) for v in value.split(",") if v.strip())
-        setattr(cfg, field, value)
+    for name in field_types(RunConfig):
+        if hasattr(args, name):
+            setattr(cfg, name, getattr(args, name))
     cfg.validate()
     return cfg
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.taxonomy import TaxonomyConfig, TaxonomyKind, category_count
+from ivenn.taxonomy import TaxonomyConfig, category_count, format_value, parse_field
 
 _TABLE_FORMAT = "ivenn-calibration-table-v1"
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -197,13 +197,7 @@ def save_table(table, path):
     (category, class, count) triple per nonzero cell. Round-trip exact."""
     cfg = table.config
     lines = [f"# {_TABLE_FORMAT}"]
-    lines.append(f"kind = {cfg.kind.value}")
-    lines.append(f"class_count = {cfg.class_count}")
-    lines.append(f"k = {cfg.k}")
-    lines.append(f"theta = {'none' if cfg.theta is None else repr(cfg.theta)}")
-    lines.append(f"max_output_threshold = {cfg.max_output_threshold!r}")
-    lines.append(f"second_output_threshold = {cfg.second_output_threshold!r}")
-    lines.append(f"output_gap_threshold = {cfg.output_gap_threshold!r}")
+    lines += [f"{f.name} = {format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
     lines.append("counts:")
     for cat, cls in zip(*np.nonzero(table.counts)):
         lines.append(f"{cat} {cls} {table.counts[cat, cls]}")
@@ -212,12 +206,13 @@ def save_table(table, path):
 
 
 def load_table(path):
-    """Read a table written by save_table."""
+    """Read a table written by save_table. A bad header line raises
+    ValueError naming `path:line`, a missing key naming path and key."""
     with open(path, encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     if not lines or lines[0] != f"# {_TABLE_FORMAT}":
         raise ValueError(f"{path}: not a {_TABLE_FORMAT} file")
-    fields = {}
+    header = {}
     count_lines = []
     in_counts = False
     for number, ln in enumerate(lines[1:], start=2):
@@ -228,19 +223,18 @@ def load_table(path):
             continue
         if in_counts:
             count_lines.append((number, ln))
-        else:
-            key, _, value = ln.partition("=")
-            fields[key.strip()] = value.strip()
-    theta = fields["theta"]
-    cfg = TaxonomyConfig(
-        kind=TaxonomyKind(fields["kind"]),
-        class_count=int(fields["class_count"]),
-        k=int(fields["k"]),
-        theta=None if theta == "none" else float(theta),
-        max_output_threshold=float(fields["max_output_threshold"]),
-        second_output_threshold=float(fields["second_output_threshold"]),
-        output_gap_threshold=float(fields["output_gap_threshold"]),
-    )
+            continue
+        try:
+            key, value = parse_field(TaxonomyConfig, ln)
+            if key in header:
+                raise ValueError(f"{key} repeated")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
+        header[key] = value
+    missing = [f.name for f in fields(TaxonomyConfig) if f.name not in header]
+    if missing:
+        raise ValueError(f"{path}: header has no {', '.join(missing)}")
+    cfg = TaxonomyConfig(**header)
     counts = np.zeros((category_count(cfg), cfg.class_count), dtype=np.int64)
     seen = set()
     for number, ln in count_lines:

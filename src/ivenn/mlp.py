@@ -5,7 +5,8 @@ classifier (cross-entropy, probability outputs).
 Hidden layers use tanh; the output layer is linear in embedding mode and
 softmax in classifier mode. Training is plain mini-batch SGD with a fixed
 learning rate, fully deterministic given the seed, and stops with a
-ValueError naming the epoch if any parameter turns non-finite.
+ValueError naming the epoch if any parameter turns non-finite, or at the
+end if a hidden layer has saturated.
 
 Twin training works on arrays throughout: each epoch's pairs come from a
 handful of vectorised draws over class-sorted index arrays, and each batch
@@ -249,6 +250,7 @@ def train_siamese(features, labels, layer_dims, config):
             )
             _sgd_step(params, grad_w, grad_b, config.learning_rate)
         _check_finite(params, epoch)
+    _check_saturation(params, X)
     return params
 
 
@@ -279,6 +281,7 @@ def train_classifier(features, labels, layer_dims, config):
             grad_w, grad_b = _backprop(params, acts, delta)
             _sgd_step(params, grad_w, grad_b, config.learning_rate)
         _check_finite(params, epoch)
+    _check_saturation(params, X)
     return params
 
 
@@ -288,6 +291,18 @@ def _check_finite(params, epoch):
             f"training diverged at epoch {epoch + 1}: non-finite parameters "
             f"(try a smaller learning_rate)"
         )
+
+
+def _check_saturation(params, X):
+    # a hidden layer at exactly +-1 on every unit for every training row has
+    # tanh' = 0 everywhere: the weights are finite but training has stalled,
+    # and the network maps every input to one of a few outputs
+    for l, a in enumerate(_forward_trace(params, X)[1:-1], start=1):
+        if (np.abs(a) == 1.0).all():
+            raise ValueError(
+                f"training saturated: every unit of hidden layer {l} is exactly "
+                f"+-1 on every training row (try a smaller learning_rate)"
+            )
 
 
 def _as_seed(seed):

@@ -25,7 +25,7 @@ import os
 import time
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,9 @@ from ivenn.taxonomy import (
     BASELINE_KINDS,
     TaxonomyConfig,
     TaxonomyKind,
+    field_types,
     fit_taxonomy,
+    parse_field,
 )
 
 IDENTITY = "identity"
@@ -83,8 +85,8 @@ def _stage(name, timings=None):
 
 @dataclass
 class RunConfig:
-    """Flat bag of every knob one run needs; parse_config fills it from a
-    key = value text file."""
+    """Flat bag of every knob one run needs. The field annotations are its
+    only schema: parse_config and the CLI flags take each key's type there."""
 
     data_csv: str | None = None
     out_dir: str = "."
@@ -122,42 +124,19 @@ class RunConfig:
         TaxonomyKind(self.taxonomy)
 
 
-_INT_FIELDS = {
-    "seed", "class_count", "k", "embedding_dim",
-    "epochs", "batch_size", "pairs_per_epoch", "bins",
-}
-_FLOAT_FIELDS = {
-    "theta", "max_output_threshold", "second_output_threshold",
-    "output_gap_threshold", "margin", "learning_rate",
-    "test_fraction", "calibration_fraction",
-}
-
-
 def parse_config(text):
-    """Build a RunConfig from `key = value` lines; # starts a comment."""
+    """Build a RunConfig from `key = value` lines (# starts a comment), each
+    value parsed as its field's annotation: `none` only for an optional one."""
     cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key:
-            raise ValueError(f"config line {lineno}: expected key = value, got {raw!r}")
-        if key not in known:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key == "hidden_dims":
-            parsed = tuple(int(v) for v in value.split(",") if v.strip())
-        elif value.lower() == "none":
-            parsed = None
-        elif key in _INT_FIELDS:
-            parsed = int(value)
-        elif key in _FLOAT_FIELDS:
-            parsed = float(value)
-        else:
-            parsed = value
-        setattr(cfg, key, parsed)
+        try:
+            key, value = parse_field(RunConfig, line)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
+        setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -222,14 +201,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
                     proper.features,
                     proper.labels,
                     dims,
-                    TrainConfig(
-                        margin=cfg.margin,
-                        learning_rate=cfg.learning_rate,
-                        epochs=cfg.epochs,
-                        batch_size=cfg.batch_size,
-                        seed=(cfg.seed, 10),
-                        pairs_per_epoch=cfg.pairs_per_epoch,
-                    ),
+                    _derived(TrainConfig, cfg, seed=(cfg.seed, 10)),
                 )
             result.embedding_params = params
 
@@ -259,25 +231,14 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
                     proper.features,
                     proper.labels,
                     dims,
-                    TrainConfig(
-                        learning_rate=cfg.learning_rate,
-                        epochs=cfg.epochs,
-                        batch_size=cfg.batch_size,
-                        seed=(cfg.seed, 11),
-                    ),
+                    _derived(TrainConfig, cfg, seed=(cfg.seed, 11)),
                 )
                 cal_soft = forward_batch(result.classifier_params, cal.features)
                 test_soft = forward_batch(result.classifier_params, test.features)
 
     with _stage("taxonomy", timings):
-        tax_cfg = TaxonomyConfig(
-            kind=kind,
-            class_count=dataset.class_count,
-            k=cfg.k,
-            theta=cfg.theta,
-            max_output_threshold=cfg.max_output_threshold,
-            second_output_threshold=cfg.second_output_threshold,
-            output_gap_threshold=cfg.output_gap_threshold,
+        tax_cfg = _derived(
+            TaxonomyConfig, cfg, kind=kind, class_count=dataset.class_count
         )
         result.taxonomy = fit_taxonomy(tax_cfg, proper_emb, proper.labels)
 
@@ -302,6 +263,13 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
 
     _write_artifacts(cfg, result, timings, test.ids)
     return result
+
+
+def _derived(cls, cfg, **given):
+    """A `cls` config of the `given` fields; every other field is the
+    RunConfig field of the same name."""
+    shared = {n: getattr(cfg, n) for n in field_types(cls) if n not in given}
+    return cls(**given, **shared)
 
 
 def embed_checked(params, features, ids):

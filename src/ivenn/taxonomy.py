@@ -6,13 +6,19 @@ softmax-based splits of the predicted class.
 Every assign function is pure and deterministic; ties always resolve the
 same way on every run. Every kind assigns a whole batch at once, and a
 single example is a batch of one.
+
+Config values as text (run config files, table headers, CLI flags) are
+parsed and formatted here, typed by the config dataclasses' annotations.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from types import NoneType
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -59,6 +65,59 @@ class TaxonomyConfig:
             raise ValueError("k must be at least 1")
         if self.theta is not None and self.theta <= 0:
             raise ValueError("theta must be positive")
+
+
+@functools.cache
+def field_types(cls):
+    """Field name -> resolved annotation of the config dataclass `cls`, in
+    field order; resolved once per class."""
+    return get_type_hints(cls)
+
+
+@functools.cache
+def value_parser(annotation):
+    """The function that parses one config value as a field annotated
+    `annotation`: int, float, str, an Enum (by value), tuple (comma-separated
+    ints), or X | None, where `none` means None. It raises ValueError on a
+    bad value and is named after the type, as argparse's `type=` expects."""
+    optional = NoneType in get_args(annotation)
+    if optional:
+        annotation = next(a for a in get_args(annotation) if a is not NoneType)
+
+    def parse(text):
+        if optional and text.lower() == "none":
+            return None
+        if annotation is tuple:
+            return tuple(int(v) for v in text.split(",") if v.strip())
+        return annotation(text)
+
+    parse.__name__ = annotation.__name__
+    return parse
+
+
+def format_value(value):
+    """The text value_parser reads back as `value`; floats round-trip exactly."""
+    if value is None:
+        return "none"
+    if isinstance(value, Enum):
+        return value.value
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def parse_field(cls, line):
+    """Split a `key = value` line and parse the value as field `key` of the
+    config dataclass `cls`; returns (key, value)."""
+    key, sep, text = line.partition("=")
+    key, text = key.strip(), text.strip()
+    if not sep or not key:
+        raise ValueError(f"expected key = value, got {line!r}")
+    if key not in field_types(cls):
+        raise ValueError(f"unknown key {key!r}")
+    parse = value_parser(field_types(cls)[key])
+    try:
+        return key, parse(text)
+    except ValueError:
+        raise ValueError(f"{key}: invalid {parse.__name__} value: {text!r}") from None
 
 
 def category_count(cfg):

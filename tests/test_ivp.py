@@ -369,28 +369,72 @@ class TestPersistence:
             load_table(path)
 
     @pytest.mark.parametrize(
-        "extra, message",
+        "old, new, message",
         [
-            (["-1 0 5"], r":11: category -1 outside \[0, 3\)"),
-            (["7 0 5"], r":11: category 7 outside \[0, 3\)"),
-            (["0 3 5"], r":11: class 3 outside \[0, 3\)"),
-            (["0 0 -3"], r":11: count -3 is negative"),
-            (["0 0 99999999999999999999"], r":11: count 9{20} is negative or outside int64"),
-            (["0 0 2", "0 0 7"], r":12: cell \(0, 0\) repeated"),
-            (["0 0"], r":11: expected 'category class count' integers, got '0 0'"),
-            (["0 0 5 1"], r":11: expected 'category class count' integers"),
-            (["0 0 1.5"], r":11: expected 'category class count' integers"),
+            ("1 1 4\n", "1 1 4\n-1 0 5\n", r":11: category -1 outside \[0, 3\)"),
+            ("1 1 4\n", "1 1 4\n7 0 5\n", r":11: category 7 outside \[0, 3\)"),
+            ("1 1 4\n", "1 1 4\n0 3 5\n", r":11: class 3 outside \[0, 3\)"),
+            ("1 1 4\n", "1 1 4\n0 0 -3\n", r":11: count -3 is negative"),
+            ("1 1 4\n", "1 1 4\n0 0 99999999999999999999\n",
+             r":11: count 9{20} is negative or outside int64"),
+            ("1 1 4\n", "1 1 4\n0 0 2\n0 0 7\n", r":12: cell \(0, 0\) repeated"),
+            ("1 1 4\n", "1 1 4\n0 0\n",
+             r":11: expected 'category class count' integers, got '0 0'"),
+            ("1 1 4\n", "1 1 4\n0 0 5 1\n", r":11: expected 'category class count' integers"),
+            ("1 1 4\n", "1 1 4\n0 0 1.5\n", r":11: expected 'category class count' integers"),
+            ("theta = none\n", "", r": header has no theta"),
+            ("k = 5\n", "k = 5\nthetta = 3\n", r":5: unknown key 'thetta'"),
+            ("k = 5\n", "k = 5\nk = 7\n", r":5: k repeated"),
+            ("k = 5\n", "k = x\n", r":4: k: invalid int value: 'x'"),
+            ("k = 5\n", "k 5\n", r":4: expected key = value, got 'k 5'"),
         ],
         ids=["negative category", "category past K", "class past c", "negative count",
-             "count past int64", "repeated cell", "two fields", "four fields", "float count"],
+             "count past int64", "repeated cell", "two fields", "four fields", "float count",
+             "missing key", "unknown key", "repeated key", "bad value", "no equals sign"],
     )
-    def test_bad_count_line_names_path_and_line(self, tmp_path, extra, message):
+    def test_bad_count_line_names_path_and_line(self, tmp_path, old, new, message):
         # 3 categories, 3 classes; the header and "counts:" take lines 1-9 and
-        # the one saved cell line 10
+        # the one saved cell line 10. Each case edits the saved text, in the
+        # count lines or in the header.
         table = table_from_counts([[0, 0, 0], [0, 4, 0], [0, 0, 0]])
         path = tmp_path / "table.txt"
         save_table(table, path)
-        with open(path, "a", encoding="utf-8") as f:
-            f.write("\n".join(extra) + "\n")
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
         with pytest.raises(ValueError, match=r"table\.txt" + message):
             load_table(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(TaxonomyKind),
+        class_count=st.integers(2, 6),
+        k=st.integers(1, 12),
+        theta=st.none() | st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+        thresholds=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+    )
+    def test_header_round_trip_in_the_hand_written_format(
+        self, tmp_path_factory, kind, class_count, k, theta, thresholds
+    ):
+        cfg = TaxonomyConfig(kind, class_count, k, theta, *thresholds)
+        counts = np.arange(category_count(cfg) * class_count).reshape(-1, class_count)
+        table = CalibrationTable(counts=counts.astype(np.int64), config=cfg)
+        path = tmp_path_factory.mktemp("table") / "table.txt"
+        save_table(table, path)
+        loaded = load_table(path)
+        assert loaded.config == cfg
+        np.testing.assert_array_equal(loaded.counts, table.counts)
+        # the header as save_table wrote it line by line before it looped
+        # over the TaxonomyConfig fields
+        header = (
+            "# ivenn-calibration-table-v1\n"
+            f"kind = {cfg.kind.value}\n"
+            f"class_count = {cfg.class_count}\n"
+            f"k = {cfg.k}\n"
+            f"theta = {'none' if cfg.theta is None else repr(cfg.theta)}\n"
+            f"max_output_threshold = {cfg.max_output_threshold!r}\n"
+            f"second_output_threshold = {cfg.second_output_threshold!r}\n"
+            f"output_gap_threshold = {cfg.output_gap_threshold!r}\n"
+            "counts:\n"
+        )
+        assert path.read_bytes().startswith(header.encode("utf-8"))

@@ -360,6 +360,15 @@ class TestTrainSiamese:
             with pytest.raises(ValueError, match="diverged at epoch 1: non-finite"):
                 train_siamese(X * 1e6, y, [2, 2], cfg)
 
+    def test_saturation_raises(self):
+        # every tanh unit pinned at exactly +-1 leaves finite weights and a
+        # collapsed embedding; it must fail like divergence does
+        X, y = two_blob_data(np.random.default_rng(61), n=40)
+        cfg = TrainConfig(learning_rate=1e300, epochs=5, pairs_per_epoch=32)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="saturated: every unit of hidden layer 1"):
+                train_siamese(X, y, [2, 4, 2], cfg)
+
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
         with pytest.raises(ValueError, match="2 classes"):
@@ -403,6 +412,13 @@ class TestTrainClassifier:
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match="diverged at epoch 1: non-finite"):
                 train_classifier(X * 1e6, y, [2, 2], cfg)
+
+    def test_saturation_raises(self):
+        X, y = two_blob_data(np.random.default_rng(67), n=40)
+        cfg = TrainConfig(learning_rate=1e300, epochs=5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="saturated: every unit of hidden layer 1"):
+                train_classifier(X, y, [2, 4, 2], cfg)
 
     def test_label_out_of_range(self):
         X = np.zeros((4, 2))

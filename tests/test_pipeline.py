@@ -1,5 +1,8 @@
 """Config parsing, the end-to-end pipeline, artifacts, and the CLI."""
 
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,35 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             parse_config("taxonomy = nc_v9")
 
+    @pytest.mark.parametrize(
+        "key, expected",
+        [
+            ("data_csv", None),
+            ("model_path", None),
+            ("class_count", None),
+            ("theta", None),
+            ("out_dir", "none"),
+            ("seed", "int"),
+            ("epochs", "int"),
+            ("k", "int"),
+            ("bins", "int"),
+            ("learning_rate", "float"),
+            ("test_fraction", "float"),
+            ("hidden_dims", "tuple"),
+        ],
+    )
+    def test_none_only_for_optional_fields(self, key, expected):
+        # an optional field reads none as None, a str field keeps the word,
+        # and any other field rejects it, naming the line and the key
+        text = f"# header\n{key} = none\n"
+        if expected in ("int", "float", "tuple"):
+            with pytest.raises(
+                ValueError, match=rf"config line 2: {key}: invalid {expected} value: 'none'"
+            ):
+                parse_config(text)
+        else:
+            assert getattr(parse_config(text), key) == expected
+
 
 class TestRunPipeline:
     def test_identity_matches_hand_oracle(self, tmp_path):
@@ -161,6 +193,16 @@ class TestRunPipeline:
         )
         with np.errstate(all="ignore"):
             with pytest.raises(PipelineError, match="stage 'train'.*diverged at epoch 1"):
+                run_pipeline(cfg, dataset=ds)
+
+    def test_saturated_training_names_stage(self, tmp_path):
+        ds = synth_gaussians(2, 2, 50, 4.0, seed=3)
+        cfg = RunConfig(
+            out_dir=str(tmp_path), taxonomy="nc_v1", hidden_dims=(4,),
+            embedding_dim=2, learning_rate=1e300, epochs=3,
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(PipelineError, match="stage 'train'.*saturated"):
                 run_pipeline(cfg, dataset=ds)
 
     def test_overflowing_model_fails_at_embed(self, tmp_path):
@@ -533,3 +575,74 @@ class TestCli:
             ["evaluate", "--data", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)]
         ) == 2
         assert "stage 'load'" in capsys.readouterr().err
+
+    def test_none_flags_override_the_config_file(self, tmp_path, capsys):
+        data = str(tmp_path / "d.csv")
+        cli.main(["synth", "--classes", "2", "--dim", "2", "--n-per-class", "100",
+                  "--separation", "5", "--seed", "4", "--out", data])
+        base = f"data_csv = {data}\ntaxonomy = nc_v2\nembedding = identity\n"
+        auto, fixed = tmp_path / "auto.cfg", tmp_path / "fixed.cfg"
+        auto.write_text(base + "theta = none\n")
+        fixed.write_text(base + "theta = 0.3\nclass_count = 3\n")
+        assert cli.main(["evaluate", "--config", str(auto), "--out-dir", str(tmp_path / "a")]) == 0
+        assert cli.main(
+            ["evaluate", "--config", str(fixed), "--out-dir", str(tmp_path / "b"),
+             "--theta", "none", "--class-count", "none"]
+        ) == 0
+        table = (tmp_path / "b" / "table.txt").read_text()
+        assert table == (tmp_path / "a" / "table.txt").read_text()
+        assert "theta = 0.3\n" not in table
+
+    def test_bad_flag_value_exits_2_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--seed", "x"])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
+
+# the pipeline flags as they were written out by hand, one per RunConfig field
+PIPELINE_FLAGS = [
+    "--data", "--out-dir", "--seed", "--taxonomy", "--class-count", "--k", "--theta",
+    "--max-output-threshold", "--second-output-threshold", "--output-gap-threshold",
+    "--embedding", "--model", "--softmax-source", "--hidden-dims", "--embedding-dim",
+    "--margin", "--learning-rate", "--epochs", "--batch-size", "--pairs-per-epoch",
+    "--test-fraction", "--calibration-fraction", "--bins",
+]
+
+# one value per RunConfig field, each unlike the field's default
+FIELD_TEXT = {
+    "data_csv": "d.csv", "out_dir": "o", "seed": "7", "taxonomy": "knn_v2",
+    "class_count": "3", "k": "9", "theta": "0.3", "max_output_threshold": "0.7",
+    "second_output_threshold": "0.2", "output_gap_threshold": "0.4",
+    "embedding": "identity", "model_path": "m.npz", "softmax_source": "train",
+    "hidden_dims": "8,4", "embedding_dim": "3", "margin": "2.5",
+    "learning_rate": "0.1", "epochs": "9", "batch_size": "16",
+    "pairs_per_epoch": "64", "test_fraction": "0.25", "calibration_fraction": "0.3",
+    "bins": "7",
+}
+
+
+def subcommand_flags(name):
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a.option_strings[0] for a in subs.choices[name]._actions if a.dest != "help"]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command", ["train", "calibrate", "predict", "evaluate"])
+    def test_flags_are_the_hand_written_ones_in_order(self, command):
+        assert subcommand_flags(command) == ["--config", *PIPELINE_FLAGS]
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [*FIELD_TEXT.items(), ("data_csv", "none"), ("model_path", "none"),
+         ("class_count", "none"), ("theta", "none"), ("hidden_dims", "")],
+    )
+    def test_config_key_and_flag_agree(self, name, text):
+        assert list(FIELD_TEXT) == [f.name for f in fields(RunConfig)]
+        flag = PIPELINE_FLAGS[list(FIELD_TEXT).index(name)]
+        from_file = parse_config(f"{name} = {text}")
+        from_flag = cli._build_config(cli.build_parser().parse_args(["evaluate", flag, text]))
+        assert from_flag == from_file
+        # each value differs from the default, so it must have been applied
+        assert getattr(from_file, name) != getattr(RunConfig(), name) or text == "none"
