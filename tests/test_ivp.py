@@ -424,8 +424,7 @@ class TestPersistence:
         loaded = load_table(path)
         assert loaded.config == cfg
         np.testing.assert_array_equal(loaded.counts, table.counts)
-        # the header as save_table wrote it line by line before it looped
-        # over the TaxonomyConfig fields
+        # the v1 table header, spelled out key by key
         header = (
             "# ivenn-calibration-table-v1\n"
             f"kind = {cfg.kind.value}\n"

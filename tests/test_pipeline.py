@@ -600,7 +600,7 @@ class TestCli:
         assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
 
 
-# the pipeline flags as they were written out by hand, one per RunConfig field
+# the pipeline flags that command lines use, in help order, one per RunConfig field
 PIPELINE_FLAGS = [
     "--data", "--out-dir", "--seed", "--taxonomy", "--class-count", "--k", "--theta",
     "--max-output-threshold", "--second-output-threshold", "--output-gap-threshold",
