@@ -8,10 +8,15 @@ learning rate, fully deterministic given the seed, and stops with a
 ValueError naming the epoch if any parameter turns non-finite, or at the
 end if a hidden layer has saturated.
 
-Twin training works on arrays throughout: each epoch's pairs come from a
-handful of vectorised draws over class-sorted index arrays, and each batch
-runs one forward and one backward pass over both twins stacked, so the
-shared weights' gradient sums the two twins inside one matmul.
+Both trainers run one in-place step over a workspace: every weight and bias
+is a view into one flat buffer and every gradient a view into a second, and
+the forward and backward passes write into activation and delta buffers
+allocated once per training run. An SGD update is two whole-buffer
+operations and the divergence check one. A twin epoch draws its pairs with
+a few vectorised draws over class-sorted index arrays and gathers them with
+one fancy index, laid out so that each batch is a contiguous [X1; X2] view:
+both twins run through one stacked pass, and the shared weights' gradient
+sums the two twins inside one matmul.
 """
 
 from __future__ import annotations
@@ -87,24 +92,22 @@ def init_params(layer_dims, mode=EMBEDDING, seed=0):
     return MlpParams(layer_dims=layer_dims, weights=weights, biases=biases, mode=mode)
 
 
-def _softmax(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _forward_trace(params, X):
-    # returns the activations per layer; acts[0] is the input
-    acts = [X]
-    a = X
+def _forward(params, X, outs=None):
+    # returns the activations of every layer after the input X, layer l+1's
+    # written into outs[l] when given, else into fresh arrays
+    outs = outs or [None] * len(params.weights)
     last = len(params.weights) - 1
-    for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ W.T + b
+    acts = []
+    a = X
+    for l, (W, b, out) in enumerate(zip(params.weights, params.biases, outs)):
+        a = np.matmul(a, W.T, out=out)
+        a += b
         if l < last:
-            a = np.tanh(z)
+            np.tanh(a, out=a)
         elif params.mode == CLASSIFIER:
-            a = _softmax(z)
-        else:
-            a = z
+            a -= a.max(axis=1, keepdims=True)
+            np.exp(a, out=a)
+            a /= a.sum(axis=1, keepdims=True)
         acts.append(a)
     return acts
 
@@ -114,7 +117,7 @@ def forward_batch(params, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ValueError(f"input has shape {X.shape}, network expects (n, {params.input_dim})")
-    return _forward_trace(params, X)[-1]
+    return _forward(params, X)[-1]
 
 
 def forward(params, x):
@@ -138,34 +141,103 @@ def contrastive_loss(r1, r2, same_class, margin):
     return d if same_class else max(0.0, margin - d)
 
 
-def _backprop(params, acts, delta):
-    # delta is dLoss/dz for the output layer; tanh' = 1 - tanh**2 is read
-    # off the stored activations
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.biases)
-    for l in range(len(params.weights) - 1, -1, -1):
-        grad_w[l] = delta.T @ acts[l]
-        grad_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ params.weights[l]) * (1.0 - acts[l] ** 2)
-    return grad_w, grad_b
+class _Workspace:
+    """A network's weights and biases as views into one flat buffer, their
+    gradients as views into a second, and activation and delta buffers for
+    batches of up to `rows` input rows. Each step writes in place."""
+
+    def __init__(self, params, rows):
+        dims = params.layer_dims
+        arrays = [a for wb in zip(params.weights, params.biases) for a in wb]
+        ends = np.cumsum([a.size for a in arrays])
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.grad = np.empty_like(self.flat)
+        w, g = (
+            [buf[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)]
+            for buf in (self.flat, self.grad)
+        )
+        self.params = MlpParams(list(dims), w[0::2], w[1::2], params.mode)
+        self.grad_w, self.grad_b = g[0::2], g[1::2]
+        self.acts = [np.empty((rows, d)) for d in dims[1:]]
+        self.deltas = [np.empty((rows, d)) for d in dims[1:]]  # dLoss/dz
+        self.tanh_grad = [np.empty((rows, d)) for d in dims[1:-1]]
+
+    def forward(self, X):
+        """Activations of every layer after the input, as views of the
+        first len(X) rows of the activation buffers."""
+        return _forward(self.params, X, [a[: len(X)] for a in self.acts])
+
+    def backward(self, X, acts):
+        # the output delta is already in self.deltas[-1]; tanh' = 1 - tanh**2
+        # is read off the stored activations
+        m = len(X)
+        delta = self.deltas[-1][:m]
+        for l in range(len(acts) - 1, -1, -1):
+            a = acts[l - 1] if l > 0 else X
+            np.matmul(delta.T, a, out=self.grad_w[l])
+            np.add.reduce(delta, axis=0, out=self.grad_b[l])
+            if l > 0:
+                prev = np.matmul(delta, self.params.weights[l], out=self.deltas[l - 1][:m])
+                t = np.multiply(a, a, out=self.tanh_grad[l - 1][:m])
+                np.subtract(1.0, t, out=t)
+                prev *= t
+                delta = prev
+
+    def contrastive(self, X, same, margin):
+        """Gradient of the mean contrastive loss of a batch whose rows are
+        [X1; X2], both twins in one pass; returns the pair distances."""
+        n = len(same)
+        acts = self.forward(X)
+        diff = acts[-1][:n] - acts[-1][n:]
+        d = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        # dLoss/dd: 1 for similar pairs, -1 inside the margin for dissimilar,
+        # 0 otherwise; coincident pairs (d == 0) get the zero subgradient
+        coef = np.where(same, 1.0, np.where(d < margin, -1.0, 0.0))
+        scale = np.zeros(n)
+        np.divide(coef, d, out=scale, where=d > 0.0)
+        scale /= n
+        delta = self.deltas[-1]
+        g = np.multiply(scale[:, None], diff, out=delta[:n])
+        np.negative(g, out=delta[n : 2 * n])
+        self.backward(X, acts)
+        return d
+
+    def cross_entropy(self, X, y):
+        """Gradient of the mean cross-entropy of a softmax batch."""
+        m = len(X)
+        acts = self.forward(X)
+        delta = self.deltas[-1][:m]
+        np.copyto(delta, acts[-1])
+        delta[np.arange(m), y] -= 1.0
+        delta /= m
+        self.backward(X, acts)
+
+    def descend(self, lr):
+        self.grad *= lr
+        self.flat -= self.grad
+
+    def check_finite(self, epoch):
+        if not np.isfinite(self.flat).all():
+            raise ValueError(
+                f"training diverged at epoch {epoch + 1}: non-finite parameters "
+                f"(try a smaller learning_rate)"
+            )
+
+    def export(self):
+        """The parameters as standalone arrays."""
+        p = self.params
+        return MlpParams(
+            list(p.layer_dims), [W.copy() for W in p.weights], [b.copy() for b in p.biases], p.mode
+        )
 
 
 def _contrastive_batch(params, X1, X2, same, margin):
-    # mean loss over the batch and its gradients wrt the shared parameters;
-    # both twins go through one pass stacked as [X1; X2]
-    n = len(X1)
-    acts = _forward_trace(params, np.concatenate([X1, X2]))
-    diff = acts[-1][:n] - acts[-1][n:]
-    d = np.linalg.norm(diff, axis=1)
+    # mean loss over the batch and its gradients wrt the shared parameters,
+    # through a one-off workspace
+    ws = _Workspace(params, 2 * len(X1))
+    d = ws.contrastive(np.concatenate([X1, X2]), same, margin)
     loss = float(np.where(same, d, np.maximum(0.0, margin - d)).mean())
-    # dLoss/dd: 1 for similar pairs, -1 inside the margin for dissimilar,
-    # 0 otherwise; coincident pairs (d == 0) get the zero subgradient
-    coef = np.where(same, 1.0, np.where(d < margin, -1.0, 0.0))
-    coef = np.where(d > 0.0, coef, 0.0)
-    g = (coef / np.where(d > 0.0, d, 1.0) / n)[:, None] * diff
-    grad_w, grad_b = _backprop(params, acts, np.concatenate([g, -g]))
-    return loss, grad_w, grad_b
+    return loss, [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
 
 
 def loss_gradient(params, pair, margin):
@@ -183,13 +255,6 @@ def loss_gradient(params, pair, margin):
         params, x1[None, :], x2[None, :], np.array([pair.same_class]), margin
     )
     return grad_w, grad_b
-
-
-def _sgd_step(params, grad_w, grad_b, lr):
-    for W, gW in zip(params.weights, grad_w):
-        W -= lr * gW
-    for b, gb in zip(params.biases, grad_b):
-        b -= lr * gb
 
 
 class _PairSampler:
@@ -237,19 +302,21 @@ def train_siamese(features, labels, layer_dims, config):
     if len(sampler.same_pool) == 0:
         raise ValueError("no class has at least 2 examples; cannot form similar pairs")
 
-    params = init_params(layer_dims, EMBEDDING, config.seed)
+    n_pairs, size = config.pairs_per_epoch, config.batch_size
+    ws = _Workspace(init_params(layer_dims, EMBEDDING, config.seed), 2 * min(n_pairs, size))
     rng = np.random.default_rng((*_as_seed(config.seed), 1))
-    n_same = config.pairs_per_epoch // 2
-    n_diff = config.pairs_per_epoch - n_same
+    n_same = n_pairs // 2
+    batches = [(s, min(s + size, n_pairs)) for s in range(0, n_pairs, size)]
+    # row order that lays each batch out as [X[i1_b]; X[i2_b]] within [i1; i2]
+    order = np.concatenate([np.r_[s:e, n_pairs + s : n_pairs + e] for s, e in batches])
     for epoch in range(config.epochs):
-        i1, i2, same = sampler.draw(rng, n_same, n_diff)
-        for start in range(0, len(i1), config.batch_size):
-            sl = slice(start, start + config.batch_size)
-            _, grad_w, grad_b = _contrastive_batch(
-                params, X[i1[sl]], X[i2[sl]], same[sl], config.margin
-            )
-            _sgd_step(params, grad_w, grad_b, config.learning_rate)
-        _check_finite(params, epoch)
+        i1, i2, same = sampler.draw(rng, n_same, n_pairs - n_same)
+        rows = X[np.concatenate([i1, i2])[order]]
+        for s, e in batches:
+            ws.contrastive(rows[2 * s : 2 * e], same[s:e], config.margin)
+            ws.descend(config.learning_rate)
+        ws.check_finite(epoch)
+    params = ws.export()
     _check_saturation(params, X)
     return params
 
@@ -267,37 +334,26 @@ def train_classifier(features, labels, layer_dims, config):
     if y.min() < 0 or y.max() >= layer_dims[-1]:
         raise ValueError("labels must lie in [0, layer_dims[-1])")
 
-    params = init_params(layer_dims, CLASSIFIER, config.seed)
+    n, size = len(X), config.batch_size
+    ws = _Workspace(init_params(layer_dims, CLASSIFIER, config.seed), min(n, size))
     rng = np.random.default_rng((*_as_seed(config.seed), 2))
-    n = len(X)
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            acts = _forward_trace(params, X[idx])
-            delta = acts[-1].copy()
-            delta[np.arange(len(idx)), y[idx]] -= 1.0
-            delta /= len(idx)
-            grad_w, grad_b = _backprop(params, acts, delta)
-            _sgd_step(params, grad_w, grad_b, config.learning_rate)
-        _check_finite(params, epoch)
+        Xp, yp = X[perm], y[perm]
+        for s in range(0, n, size):
+            ws.cross_entropy(Xp[s : s + size], yp[s : s + size])
+            ws.descend(config.learning_rate)
+        ws.check_finite(epoch)
+    params = ws.export()
     _check_saturation(params, X)
     return params
-
-
-def _check_finite(params, epoch):
-    if not all(np.isfinite(a).all() for a in params.weights + params.biases):
-        raise ValueError(
-            f"training diverged at epoch {epoch + 1}: non-finite parameters "
-            f"(try a smaller learning_rate)"
-        )
 
 
 def _check_saturation(params, X):
     # a hidden layer at exactly +-1 on every unit for every training row has
     # tanh' = 0 everywhere: the weights are finite but training has stalled,
     # and the network maps every input to one of a few outputs
-    for l, a in enumerate(_forward_trace(params, X)[1:-1], start=1):
+    for l, a in enumerate(_forward(params, X)[:-1], start=1):
         if (np.abs(a) == 1.0).all():
             raise ValueError(
                 f"training saturated: every unit of hidden layer {l} is exactly "

@@ -128,14 +128,18 @@ def parse_config(text):
     """Build a RunConfig from `key = value` lines (# starts a comment), each
     value parsed as its field's annotation: `none` only for an optional one."""
     cfg = RunConfig()
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
             key, value = parse_field(RunConfig, line)
+            if key in seen:
+                raise ValueError(f"{key} repeated")
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
+        seen.add(key)
         setattr(cfg, key, value)
     cfg.validate()
     return cfg
@@ -369,8 +373,10 @@ def load_predictions(path):
     A v2 file carries each example's category counts: it gives an EvalBatch
     whose intervals, predicted class, empty flag and confidence bin are
     recomputed from those integers, and the intervals in the file must
-    match them. A v1 file has only the float intervals: it gives a list of
-    EvalRecord, and a category counts as empty when its interval is [0, 1].
+    match them. Its rows are the file's distinct categories in increasing
+    id order, so its category column holds row numbers, not the ids. A v1
+    file has only the float intervals: it gives a list of EvalRecord, and a
+    category counts as empty when its interval is [0, 1].
     """
     with open(path, encoding="utf-8") as f:
         numbered = [(i, ln.rstrip("\n")) for i, ln in enumerate(f, start=1) if ln.strip()]
@@ -417,14 +423,16 @@ def _load_predictions_v2(path, header, cells, line_numbers):
     category, counts = ints[:, 2], ints[:, 5:]
     if category.min() < 0 or counts.min() < 0 or (ints[:, 4] != counts.sum(axis=1)).any():
         raise ValueError(f"{path}: negative category or count, or N not the sum of the counts")
-    per_category = np.zeros((int(category.max()) + 1, c), dtype=np.int64)
-    per_category[category] = counts
+    # one row per distinct category, so memory follows the file, not the ids
+    distinct, key = np.unique(category, return_inverse=True)
+    per_category = np.zeros((len(distinct), c), dtype=np.int64)
+    per_category[key] = counts
     rows = category_rows(per_category)
     bad = (
-        (rows.counts[category] != counts).any(axis=1)
-        | (rows.predicted[category] != ints[:, 3])
-        | (rows.lower[category] != floats[:, 0::2]).any(axis=1)
-        | (rows.upper[category] != floats[:, 1::2]).any(axis=1)
+        (rows.counts[key] != counts).any(axis=1)
+        | (rows.predicted[key] != ints[:, 3])
+        | (rows.lower[key] != floats[:, 0::2]).any(axis=1)
+        | (rows.upper[key] != floats[:, 1::2]).any(axis=1)
     )
     if bad.any():
         row = int(np.argmax(bad))
@@ -432,4 +440,4 @@ def _load_predictions_v2(path, header, cells, line_numbers):
             f"{path}:{line_numbers[row]}: counts, predicted class and intervals "
             f"disagree with the other rows of category {category[row]}"
         )
-    return EvalBatch(predictions=IvpBatch(category=category, rows=rows), labels=ints[:, 1])
+    return EvalBatch(predictions=IvpBatch(category=key, rows=rows), labels=ints[:, 1])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ivenn.ivp import (
     CalibrationTable,
@@ -114,6 +115,29 @@ class TestCalibrate:
         permuted = calibrate(tax, cal_labels[perm], embeddings=cal_emb[perm])
         np.testing.assert_array_equal(table.counts, permuted.counts)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(list(TaxonomyKind)),
+        c=st.integers(2, 4),
+        k=st.integers(1, 7),
+        m=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_independent_of_input_order(self, kind, c, k, m, seed):
+        rng = np.random.default_rng(seed)
+        tax, _ = random_fitted(rng, kind, c, k)
+        queries, scores = random_inputs(rng, m, c)
+        labels = rng.integers(0, c, m)
+        perm = rng.permutation(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            table = calibrate(tax, labels, embeddings=queries, softmaxes=scores)
+            permuted = calibrate(
+                tax, labels[perm], embeddings=queries[perm], softmaxes=scores[perm]
+            )
+        assert table.counts.sum() == m
+        assert table.counts.tobytes() == permuted.counts.tobytes()
+
     def test_label_out_of_range(self):
         tax = fit_taxonomy(TaxonomyConfig(kind=TaxonomyKind.BASE_V1, class_count=2))
         with pytest.raises(ValueError, match="labels"):
@@ -200,6 +224,30 @@ class TestCategoryRows:
             pred = rows.predictions[k]
             assert (pred.category, pred.predicted_class) == (k, rows.predicted[k])
             assert pred.lower.tobytes() == rows.lower[k].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=arrays(
+            np.int64,
+            st.tuples(st.integers(1, 8), st.integers(2, 6)),
+            elements=st.integers(0, 2**40) | st.integers(0, 3),
+        )
+    )
+    def test_width_law_exact_on_random_tables(self, counts):
+        # every row: N is the exact integer sum, L and U are the correctly
+        # rounded n/(N+1) and (n+1)/(N+1), rationals exactly 1/(N+1) apart,
+        # and the float width misses 1/(N+1) by at most the two roundings
+        rows = category_rows(counts)
+        for k, n in enumerate(counts.tolist()):
+            total = sum(n)
+            assert int(rows.totals[k]) == total
+            width = Fraction(1, total + 1)
+            for j, n_j in enumerate(n):
+                assert rows.lower[k, j] == float(Fraction(n_j, total + 1))
+                assert rows.upper[k, j] == float(Fraction(n_j + 1, total + 1))
+                rounding = Fraction(np.spacing(rows.lower[k, j]) + np.spacing(rows.upper[k, j])) / 2
+                got = Fraction(rows.upper[k, j]) - Fraction(rows.lower[k, j])
+                assert abs(got - width) <= rounding
 
     def test_rows_are_read_only(self):
         table = table_from_counts([[3, 1, 0], [0, 0, 0], [0, 0, 0]])

@@ -457,3 +457,159 @@ class TestPersistence:
             )
         with pytest.raises(ValueError, match="version"):
             load_params(path)
+
+
+def reference_forward(params, X):
+    """Activations per layer, acts[0] being the input, one fresh array each."""
+    acts = [X]
+    last = len(params.weights) - 1
+    for l, (W, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ W.T + b
+        if l < last:
+            acts.append(np.tanh(z))
+        elif params.mode == CLASSIFIER:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            acts.append(e / e.sum(axis=1, keepdims=True))
+        else:
+            acts.append(z)
+    return acts
+
+
+def reference_backprop(params, acts, delta):
+    grad_w, grad_b = [None] * len(params.weights), [None] * len(params.weights)
+    for l in range(len(params.weights) - 1, -1, -1):
+        grad_w[l] = delta.T @ acts[l]
+        grad_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ params.weights[l]) * (1.0 - acts[l] ** 2)
+    return grad_w, grad_b
+
+
+def reference_update(params, grad_w, grad_b, lr):
+    for W, gW in zip(params.weights, grad_w):
+        W -= lr * gW
+    for b, gb in zip(params.biases, grad_b):
+        b -= lr * gb
+
+
+def reference_check(params, epoch):
+    if not all(np.isfinite(a).all() for a in params.weights + params.biases):
+        raise ValueError(f"training diverged at epoch {epoch + 1}: non-finite parameters")
+
+
+def reference_siamese(X, y, dims, cfg):
+    """Twin SGD as a plain loop: a per-batch gather and concatenate, list
+    backprop and a per-array update."""
+    params = init_params(dims, EMBEDDING, cfg.seed)
+    rng = np.random.default_rng((cfg.seed, 1))
+    sampler = _PairSampler(y)
+    n_same = cfg.pairs_per_epoch // 2
+    for epoch in range(cfg.epochs):
+        i1, i2, same = sampler.draw(rng, n_same, cfg.pairs_per_epoch - n_same)
+        for start in range(0, len(i1), cfg.batch_size):
+            sl = slice(start, start + cfg.batch_size)
+            n = len(i1[sl])
+            acts = reference_forward(params, np.concatenate([X[i1[sl]], X[i2[sl]]]))
+            diff = acts[-1][:n] - acts[-1][n:]
+            d = np.linalg.norm(diff, axis=1)
+            coef = np.where(same[sl], 1.0, np.where(d < cfg.margin, -1.0, 0.0))
+            coef = np.where(d > 0.0, coef, 0.0)
+            g = (coef / np.where(d > 0.0, d, 1.0) / n)[:, None] * diff
+            grad_w, grad_b = reference_backprop(params, acts, np.concatenate([g, -g]))
+            reference_update(params, grad_w, grad_b, cfg.learning_rate)
+        reference_check(params, epoch)
+    return params
+
+
+def reference_classifier(X, y, dims, cfg):
+    params = init_params(dims, CLASSIFIER, cfg.seed)
+    rng = np.random.default_rng((cfg.seed, 2))
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(len(X))
+        for start in range(0, len(X), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            acts = reference_forward(params, X[idx])
+            delta = acts[-1].copy()
+            delta[np.arange(len(idx)), y[idx]] -= 1.0
+            delta /= len(idx)
+            grad_w, grad_b = reference_backprop(params, acts, delta)
+            reference_update(params, grad_w, grad_b, cfg.learning_rate)
+        reference_check(params, epoch)
+    return params
+
+
+def assert_same_bits(got, ref):
+    assert got.layer_dims == ref.layer_dims and got.mode == ref.mode
+    for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def three_class_data(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 3, n)
+    return rng.normal(size=(n, dim)) + 2.0 * y[:, None], y
+
+
+# pairs_per_epoch (or rows, for the classifier) 100 against batches of 32
+# leaves a 4-row tail; a batch of 128 is larger than the whole epoch
+BATCHINGS = [(100, 32), (100, 128), (64, 16)]
+
+
+class TestTrainingMatchesReferenceLoop:
+    @pytest.mark.parametrize("dims", [[4, 3], [8, 16, 2], [8, 10, 32], [6, 8, 5, 2]])
+    @pytest.mark.parametrize("pairs, batch", BATCHINGS)
+    def test_siamese_bit_for_bit(self, dims, pairs, batch):
+        X, y = three_class_data(90, dims[0], seed=len(dims) * 10 + batch)
+        cfg = TrainConfig(
+            margin=1.5, learning_rate=0.05, epochs=12, batch_size=batch,
+            seed=5, pairs_per_epoch=pairs,
+        )
+        assert_same_bits(train_siamese(X, y, dims, cfg), reference_siamese(X, y, dims, cfg))
+
+    @pytest.mark.parametrize("dims", [[4, 3], [8, 16, 2], [8, 10, 32], [6, 8, 5, 2]])
+    @pytest.mark.parametrize("rows, batch", BATCHINGS)
+    def test_classifier_bit_for_bit(self, dims, rows, batch):
+        X, y = three_class_data(rows, dims[0], seed=len(dims) * 10 + batch)
+        y %= dims[-1]
+        cfg = TrainConfig(learning_rate=0.2, epochs=12, batch_size=batch, seed=6)
+        got = train_classifier(X, y, dims, cfg)
+        assert_same_bits(got, reference_classifier(X, y, dims, cfg))
+
+    @pytest.mark.parametrize(
+        "train, reference, lr",
+        [(train_siamese, reference_siamese, 5.6e295),
+         (train_classifier, reference_classifier, 1e296)],
+    )
+    def test_divergence_epoch_unchanged(self, train, reference, lr):
+        # linear [4, 3] networks on features scaled 1e6: the twin weights grow
+        # for some epochs before they overflow
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(size=(60, 4)) * 1e6, rng.integers(0, 3, 60)
+        cfg = TrainConfig(learning_rate=lr, epochs=40, batch_size=16, seed=2, pairs_per_epoch=50)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=r"diverged at epoch \d+") as ref:
+                reference(X, y, [4, 3], cfg)
+            epoch = ref.value.args[0].split(":")[0]
+            with pytest.raises(ValueError, match=f"^{epoch}: non-finite"):
+                train(X, y, [4, 3], cfg)
+        if train is train_siamese:
+            assert epoch != "training diverged at epoch 1"
+
+    @pytest.mark.parametrize("train", [train_siamese, train_classifier])
+    def test_returned_arrays_are_standalone(self, train):
+        X, y = three_class_data(60, 6, seed=3)
+        params = train(X, y, [6, 8, 5, 3], TrainConfig(epochs=3, pairs_per_epoch=40))
+        arrays = params.weights + params.biases
+        before = [a.copy() for a in arrays]
+        for i, a in enumerate(arrays):
+            assert a.flags.owndata and a.flags.c_contiguous
+            a += 1.0
+            for j, other in enumerate(arrays):
+                if j != i:
+                    assert other.tobytes() == before[j].tobytes()
+            a[...] = before[i]
+        # a second run from the same config is unaffected by the writes
+        again = train(X, y, [6, 8, 5, 3], TrainConfig(epochs=3, pairs_per_epoch=40))
+        for a, b in zip(again.weights + again.biases, before):
+            assert a.tobytes() == b.tobytes()

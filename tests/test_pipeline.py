@@ -102,6 +102,15 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             parse_config("taxonomy = nc_v9")
 
+    def test_repeated_key(self, tmp_path):
+        # the same wording as a calibration table header's repeated key
+        with pytest.raises(ValueError, match=r"^config line 3: seed repeated$"):
+            parse_config("seed = 1\n# again\nseed = 2\n")
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 5\ntaxonomy = nc_v1\nepochs = 5\n")
+        with pytest.raises(ValueError, match=r"^config line 3: epochs repeated$"):
+            parse_config(path.read_text())
+
     @pytest.mark.parametrize(
         "key, expected",
         [
@@ -554,6 +563,42 @@ class TestCli:
         ) == 2
         err = capsys.readouterr().err
         assert f"predictions.csv:4: {header[column]} {value} outside int64" in err
+
+    @pytest.mark.parametrize("offset", [10**8, 10**15])
+    def test_report_keys_rows_by_distinct_category(self, tmp_path, capsys, offset):
+        # category ids far beyond the row count must cost memory for the
+        # rows only, and leave the report's bytes unchanged
+        data = str(tmp_path / "d.csv")
+        cli.main(["synth", "--classes", "3", "--dim", "3", "--n-per-class", "60",
+                  "--separation", "4", "--seed", "2", "--out", data])
+        run = tmp_path / "run"
+        assert cli.main(
+            ["evaluate", "--data", data, "--taxonomy", "nc_v2", "--embedding", "identity",
+             "--out-dir", str(run), "--seed", "1"]
+        ) == 0
+        lines = (run / "predictions.csv").read_text().splitlines()
+        moved = [lines[0]]
+        for line in lines[1:]:
+            cells = line.split(",")
+            cells[2] = str(offset * (int(cells[2]) + 1))
+            moved.append(",".join(cells))
+        path = tmp_path / "moved.csv"
+        path.write_text("\n".join(moved) + "\n")
+        assert cli.main(
+            ["report", "--predictions", str(path), "--report-out", str(tmp_path / "r.txt"),
+             "--curves-out", str(tmp_path / "c.csv")]
+        ) == 0
+        assert (tmp_path / "r.txt").read_bytes() == (run / "report.txt").read_bytes()
+        assert (tmp_path / "c.csv").read_bytes() == (run / "curves.csv").read_bytes()
+
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("taxonomy = nc_v1\nseed = 1\nseed = 2\n")
+        assert cli.main(
+            ["evaluate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "r")]
+        ) == 2
+        assert "config line 3: seed repeated" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         data = str(tmp_path / "d.csv")
