@@ -26,10 +26,10 @@ def check_score_rows(S):
     """Raise unless every row of the (m, c) score array is finite,
     nonnegative and sums to 1 within 1e-6."""
     # NaN fails both comparisons, so a non-finite row is caught here too
-    bad = ~((S.min(axis=1) >= 0.0) & (np.abs(S.sum(axis=1) - 1.0) <= 1e-6))
-    if bad.any():
+    ok = (np.minimum.reduce(S, axis=1) >= 0.0) & (np.abs(np.add.reduce(S, axis=1) - 1.0) <= 1e-6)
+    if not ok.all():
         raise ValueError(
-            f"softmax row {int(np.argmax(bad))} must be finite, nonnegative "
+            f"softmax row {int(np.argmin(ok))} must be finite, nonnegative "
             f"and sum to 1 (tol 1e-6)"
         )
 

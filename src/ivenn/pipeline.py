@@ -404,25 +404,45 @@ def load_predictions(path):
     return records
 
 
+def _cell_block(path, header, cells, line_numbers, columns, dtype):
+    """The cells of `columns` (a slice) as one dtype array. A cell numpy
+    cannot convert raises ValueError naming `path:line` and its column."""
+    try:
+        return np.array([row[columns] for row in cells], dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    kind = "an integer" if dtype is np.int64 else "a number"
+    for line, row in zip(line_numbers, cells):
+        for name, value in zip(header[columns], row[columns]):
+            try:
+                np.array(value, dtype=dtype)
+            except OverflowError:
+                raise ValueError(f"{path}:{line}: {name} {value} outside int64") from None
+            except ValueError:
+                raise ValueError(f"{path}:{line}: {name} cell {value!r} is not {kind}") from None
+    raise error
+
+
 def _load_predictions_v2(path, header, cells, line_numbers):
     c = (len(header) - 5) // 3
     if len(header) != 5 + 3 * c or not cells:
         raise ValueError(f"{path}: malformed v2 predictions header or no rows")
-    try:
-        ints = np.array([row[: 5 + c] for row in cells], dtype=np.int64)
-    except OverflowError:
-        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-        line, name, value = next(
-            (line, header[j], v)
-            for line, row in zip(line_numbers, cells)
-            for j, v in enumerate(row[: 5 + c])
-            if not lo <= int(v) <= hi
-        )
-        raise ValueError(f"{path}:{line}: {name} {value} outside int64") from None
-    floats = np.array([row[5 + c :] for row in cells], dtype=float)
+    for line, row in zip(line_numbers, cells):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
+    ints = _cell_block(path, header, cells, line_numbers, slice(0, 5 + c), np.int64)
+    floats = _cell_block(path, header, cells, line_numbers, slice(5 + c, None), float)
     category, counts = ints[:, 2], ints[:, 5:]
-    if category.min() < 0 or counts.min() < 0 or (ints[:, 4] != counts.sum(axis=1)).any():
-        raise ValueError(f"{path}: negative category or count, or N not the sum of the counts")
+    checked = [2, *range(5, 5 + c)]  # category, n0..n{c-1}
+    negative = ints[:, checked] < 0
+    bad = negative.any(axis=1) | (ints[:, 4] != counts.sum(axis=1))
+    if bad.any():
+        row = int(np.argmax(bad))
+        where = f"{path}:{line_numbers[row]}:"
+        if negative[row].any():
+            j = checked[int(np.argmax(negative[row]))]
+            raise ValueError(f"{where} {header[j]} {ints[row, j]} is negative")
+        raise ValueError(f"{where} N {ints[row, 4]} is not the sum of the counts")
     # one row per distinct category, so memory follows the file, not the ids
     distinct, key = np.unique(category, return_inverse=True)
     per_category = np.zeros((len(distinct), c), dtype=np.int64)

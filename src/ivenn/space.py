@@ -7,6 +7,7 @@ queries are safe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,9 @@ def build_centroids(points, labels, class_count):
 
 
 def _check_rows(bound, what, offset=0):
-    # bound[i] is a per-row bound on squared distances that comes out NaN or
-    # inf exactly when row i holds a NaN or inf or squares past overflow
+    # bound[i] is a per-row bound on squared distances, or a finite multiple
+    # of one, that comes out NaN or inf exactly when row i holds a NaN or inf
+    # or squares past overflow
     bad = ~np.isfinite(bound)
     if bad.any():
         i = offset + int(np.argmax(bad))
@@ -125,7 +127,10 @@ def build_index(points, labels):
 # With c = 2 for the gamma denominators and the rounding of M itself,
 #     M = c*(dim+4)*(eps*(radius + |q - mean|)^2 + smallest_subnormal)
 # bounds |s + |b|^2 - d^2| by 2M. If tau is a row's k-th smallest s, each of
-# the oracle's top k has d^2 - |b|^2 <= tau + 2M, hence s <= tau + 4M.
+# the oracle's top k has d^2 - |b|^2 <= tau + 2M, hence s <= tau + 4M. The
+# kernel builds 4M in place as S^2*(8*(dim+4)*eps) + 8*(dim+4)*smallest_subnormal;
+# both coefficients are exact, so 4M takes three roundings, as the product
+# form does, and S^2 is finite exactly when 4M is.
 # The scan never finds tau itself. It splits the n columns into b >= k
 # contiguous blocks and takes tau' = the k-th smallest of the row's b block
 # minima. Those k minima sit in k distinct columns and are all <= tau', so
@@ -138,40 +143,66 @@ _BLOCKS = 64  # at least this many column blocks per row, when n allows it
 _CHUNK_BYTES = 1024 * 1024  # per query chunk's (rows, n) array; more costs peak memory
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_plan(n, k):
+    """(rows per query chunk, block starts, arange(rows), arange(k)) of a
+    scan over n points for k neighbours; the arrays are read-only."""
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    b = min(n, max(k, _BLOCKS))
+    plan = (np.arange(b) * n // b, np.arange(step), np.arange(k))  # b distinct starts: b <= n
+    for a in plan:
+        a.flags.writeable = False
+    return step, *plan
+
+
 def knn_many(index, Q, k):
     """(distances (m, k), indices (m, k)) of the k nearest stored points to
     each row of Q, ascending. Distances are exactly np.linalg.norm(points -
-    q, axis=1), ties go to insertion order: per query chunk, the Gram values
-    at or below a bound taken from per-block row minima form a shortlist,
-    which is reranked by that formula. ValueError for k outside [1, n] or naming a
-    non-finite or huge row."""
+    q, axis=1), ties go to insertion order. Per query chunk of at most 1 MiB
+    of Gram values, the values at or below tau' + 4M (the margin comment
+    above) form a row-major shortlist, reranked by that formula with the
+    ufuncs np.linalg.norm runs and ordered by a stable sort on (row,
+    distance). ValueError for k outside [1, n] or naming a non-finite or
+    huge row."""
     n, dim = index.points.shape
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != dim:
         raise ValueError(f"queries have shape {Q.shape}, expected (m, {dim})")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
+    step, starts, row_ids, ranks = _scan_plan(n, k)
+    eps_term = 8.0 * (dim + 4) * _FLOAT.eps
+    floor_term = 8.0 * (dim + 4) * _FLOAT.smallest_subnormal
     D = np.empty((len(Q), k))
     I = np.empty((len(Q), k), dtype=np.int64)
-    slack = 2.0 * (dim + 4)
-    step = max(1, _CHUNK_BYTES // (8 * n))
-    b = min(n, max(k, _BLOCKS))
-    starts = np.arange(b) * n // b  # b distinct block starts, since b <= n
     for lo in range(0, len(Q), step):
         chunk = Q[lo : lo + step]
         cq = chunk - index.mean
-        scale = (index.radius + np.sqrt(np.einsum("ij,ij->i", cq, cq))) ** 2
-        _check_rows(scale, "query", lo)  # a finite S^2 keeps s and M finite
+        bound = np.einsum("ij,ij->i", cq, cq)
+        np.sqrt(bound, out=bound)
+        bound += index.radius
+        bound *= bound  # S^2
+        bound *= eps_term
+        bound += floor_term  # 4M, finite iff S^2 is, which keeps s finite
+        if not np.isfinite(bound).all():
+            _check_rows(bound, "query", lo)
         s = cq @ index.gram_t
         s += index.sqnorms
-        tau = np.partition(np.minimum.reduceat(s, starts, axis=1), k - 1, axis=1)[:, k - 1]
-        margin = slack * (_FLOAT.eps * scale + _FLOAT.smallest_subnormal)
-        rows, cols = np.divmod(np.flatnonzero(s <= (tau + 4.0 * margin)[:, None]), n)
-        d = np.linalg.norm(index.points[cols] - chunk[rows], axis=1)
-        order = np.lexsort((cols, d, rows))
-        take = order[np.searchsorted(rows[order], np.arange(len(chunk)))[:, None] + np.arange(k)]
-        D[lo : lo + step] = d[take]
-        I[lo : lo + step] = cols[take]
+        mins = np.minimum.reduceat(s, starts, axis=1)
+        mins.partition(k - 1, axis=1)
+        bound += mins[:, k - 1]  # tau' + 4M
+        rows, cols = np.divmod((s <= bound[:, None]).ravel().nonzero()[0], n)
+        # np.linalg.norm(axis=1) is sqrt(add.reduce(x * x, axis=1)) for real x
+        diff = index.points[cols]
+        diff -= chunk[rows]
+        diff *= diff
+        d = np.sqrt(np.add.reduce(diff, axis=1))
+        # rows ascend and columns ascend within a row, so a stable sort by
+        # (row, d) breaks distance ties by column and leaves rows as they are
+        order = np.lexsort((d, rows))
+        take = order[rows.searchsorted(row_ids[: len(chunk)])[:, None] + ranks]
+        d.take(take, out=D[lo : lo + step])
+        cols.take(take, out=I[lo : lo + step])
     return D, I
 
 

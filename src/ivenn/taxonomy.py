@@ -133,33 +133,33 @@ def category_count(cfg):
 
 
 def _vote(dists, neighbor_labels, class_count):
-    # majority class of each row of (m, k) neighbors; ties go to the smallest
-    # summed neighbor distance, then the lowest class index. bincount adds
-    # its weights in input order, so each sum runs in neighbor order.
+    # (majority class, its vote count) of each row of (m, k) neighbors; ties
+    # go to the smallest summed neighbor distance, then the lowest class
+    # index. bincount adds its weights in input order, so each sum runs in
+    # neighbor order.
     m = len(dists)
-    cell = (np.arange(m)[:, None] * class_count + neighbor_labels).ravel()
+    cell = (neighbor_labels + np.arange(0, m * class_count, class_count)[:, None]).ravel()
     votes = np.bincount(cell, minlength=m * class_count).reshape(m, class_count)
     sums = np.bincount(cell, dists.ravel(), m * class_count).reshape(m, class_count)
-    tied = votes == votes.max(axis=1, keepdims=True)
-    return np.argmin(np.where(tied, sums, np.inf), axis=1)
+    top = np.maximum.reduce(votes, axis=1)
+    return np.where(votes < top[:, None], np.inf, sums).argmin(axis=1), top
 
 
 def _knn_categories(index, R, cfg, refined):
     dists, ids = knn_many(index, R, cfg.k)
-    neighbor_labels = index.labels[ids]
-    yhat = _vote(dists, neighbor_labels, cfg.class_count)
+    yhat, votes = _vote(dists, index.labels[ids], cfg.class_count)
     if not refined:
         return yhat
     width = cfg.k - cfg.k // cfg.class_count
-    disagree = (neighbor_labels != yhat[:, None]).sum(axis=1)
-    clamped = disagree >= width
-    for count in disagree[clamped]:
-        warnings.warn(
-            f"k-NN V2 disagreement count {count} reached the category width "
-            f"{width}; clamping (all-way vote tie)",
-            RuntimeWarning,
-        )
-    return yhat * width + np.where(clamped, width - 1, disagree)
+    disagree = cfg.k - votes  # neighbors outside the winning class
+    if disagree.max(initial=0) >= width:  # an all-way vote tie
+        for count in disagree[disagree >= width]:
+            warnings.warn(
+                f"k-NN V2 disagreement count {count} reached the category width "
+                f"{width}; clamping (all-way vote tie)",
+                RuntimeWarning,
+            )
+    return yhat * width + np.minimum(disagree, width - 1)
 
 
 def _nc_categories(cs, R, cfg, refined):
@@ -184,11 +184,12 @@ def _baseline_categories(S, cfg):
     if S.ndim != 2 or S.shape[1] != c:
         raise ValueError(f"softmax rows have shape {S.shape}, expected (m, {c})")
     check_score_rows(S)
-    top_class = np.argmax(S, axis=1)
+    top_class = S.argmax(axis=1)
     if cfg.kind is TaxonomyKind.BASE_V1:
         return top_class
     # kth = c - 2 leaves the second largest output in place and the largest after it
-    ranked = np.partition(S, -2, axis=1)
+    ranked = S.copy()
+    ranked.partition(-2, axis=1)
     top, second = ranked[:, -1], ranked[:, -2]
     if cfg.kind is TaxonomyKind.BASE_V2:
         h = top < cfg.max_output_threshold

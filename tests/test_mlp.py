@@ -427,22 +427,36 @@ class TestTrainClassifier:
 
 
 class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        params = train_siamese(
-            *two_blob_data(np.random.default_rng(59), n=40),
-            [2, 3, 2],
-            TrainConfig(epochs=3, seed=8, pairs_per_epoch=32),
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from([EMBEDDING, CLASSIFIER]),
+        layer_dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),  # depths 1-3
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_bit_exact(self, tmp_path_factory, mode, layer_dims, seed):
+        # random bytes reach every float64 pattern: NaN payloads, -0.0, subnormals
+        rng = np.random.default_rng(seed)
+
+        def bits(*shape):
+            raw = rng.bytes(8 * int(np.prod(shape)))
+            return np.frombuffer(raw, dtype=np.float64).reshape(shape)
+
+        shapes = list(zip(layer_dims[1:], layer_dims))
+        params = MlpParams(
+            layer_dims=layer_dims,
+            weights=[bits(fan_out, fan_in) for fan_out, fan_in in shapes],
+            biases=[bits(fan_out) for fan_out, _ in shapes],
+            mode=mode,
         )
-        path = tmp_path / "model.npz"
+        path = tmp_path_factory.mktemp("params") / "model.npz"
         save_params(params, path)
         loaded = load_params(path)
-        assert loaded.mode == EMBEDDING
-        assert loaded.layer_dims == params.layer_dims
-        for a, b in zip(
-            loaded.weights + loaded.biases, params.weights + params.biases
-        ):
-            np.testing.assert_array_equal(a, b)
-            assert a.dtype == np.float64
+        assert loaded.mode == mode
+        assert loaded.layer_dims == layer_dims
+        assert len(loaded.weights) == len(loaded.biases) == len(shapes)
+        for a, b in zip(loaded.weights + loaded.biases, params.weights + params.biases):
+            assert (a.dtype, a.shape) == (np.float64, b.shape)
+            assert a.tobytes() == b.tobytes()
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"

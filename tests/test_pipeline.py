@@ -536,11 +536,10 @@ class TestCli:
         assert "embedding of example id 8 is not finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "column, value", [(0, "99999999999999999999"), (1, "-9223372036854775809"),
-                          (2, "9223372036854775808"), (6, "99999999999999999999")]
-    )
-    def test_report_names_int64_overflow(self, tmp_path, capsys, column, value):
+    @staticmethod
+    def report_after_editing_line_4(tmp_path, capsys, edit):
+        """Run `report` on an nc_v1 predictions.csv whose line 4 cells went
+        through `edit`; returns (exit code, stderr, header cells)."""
         data = str(tmp_path / "d.csv")
         cli.main(["synth", "--classes", "2", "--dim", "2", "--n-per-class", "40",
                   "--separation", "5", "--seed", "2", "--out", data])
@@ -551,18 +550,59 @@ class TestCli:
         ) == 0
         path = run / "predictions.csv"
         lines = path.read_text().splitlines()
-        cells = lines[3].split(",")
-        cells[column] = value
-        lines[3] = ",".join(cells)
+        lines[3] = ",".join(edit(lines[3].split(",")))
         path.write_text("\n".join(lines) + "\n")
-        header = lines[0].split(",")
         capsys.readouterr()
-        assert cli.main(
+        code = cli.main(
             ["report", "--predictions", str(path), "--report-out", str(tmp_path / "r.txt"),
              "--curves-out", str(tmp_path / "c.csv")]
-        ) == 2
-        err = capsys.readouterr().err
+        )
+        return code, capsys.readouterr().err, lines[0].split(",")
+
+    @pytest.mark.parametrize(
+        "column, value", [(0, "99999999999999999999"), (1, "-9223372036854775809"),
+                          (2, "9223372036854775808"), (6, "99999999999999999999")]
+    )
+    def test_report_names_int64_overflow(self, tmp_path, capsys, column, value):
+        def edit(cells):
+            cells[column] = value
+            return cells
+
+        code, err, header = self.report_after_editing_line_4(tmp_path, capsys, edit)
+        assert code == 2
         assert f"predictions.csv:4: {header[column]} {value} outside int64" in err
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (7, "abc", "L0 cell 'abc' is not a number"),
+            (10, "", "U1 cell '' is not a number"),
+            (1, "1.5", "label cell '1.5' is not an integer"),
+            (3, "x", "predicted cell 'x' is not an integer"),
+            (2, "-3", "category -3 is negative"),
+            (6, "-1", "n1 -1 is negative"),
+            (4, "999999", "N 999999 is not the sum of the counts"),
+        ],
+        ids=["text interval", "empty interval", "float label", "text class",
+             "negative category", "negative count", "N not the sum"],
+    )
+    def test_report_names_bad_cell(self, tmp_path, capsys, column, value, message):
+        def edit(cells):
+            # id,label,category,predicted,N,n0,n1,L0,U0,L1,U1
+            assert len(cells) == 11
+            cells[column] = value
+            return cells
+
+        code, err, _ = self.report_after_editing_line_4(tmp_path, capsys, edit)
+        assert code == 2
+        assert f"predictions.csv:4: {message}" in err
+
+    @pytest.mark.parametrize("edit, got", [(lambda c: c[:-1], 10), (lambda c: c + ["0.5"], 12)],
+                             ids=["short row", "long row"])
+    def test_report_names_row_width(self, tmp_path, capsys, edit, got):
+        code, err, _ = self.report_after_editing_line_4(tmp_path, capsys, edit)
+        assert code == 2
+        assert f"predictions.csv:4: expected 11 columns, got {got}" in err
 
     @pytest.mark.parametrize("offset", [10**8, 10**15])
     def test_report_keys_rows_by_distinct_category(self, tmp_path, capsys, offset):

@@ -318,6 +318,27 @@ class TestRefinementInvariants:
                 assert cats[kind] // 2 == top
 
 
+def reference_knn(tax, q):
+    """(class, disagreement) of the plain k-NN rule over an exhaustive scan:
+    the majority class of the k nearest points (by distance, then insertion
+    order), votes tied on their distances summed in neighbor order, then
+    the lowest class; the disagreement counts neighbors of another class."""
+    cfg = tax.config
+    pts = tax.index.points
+    d = np.linalg.norm(pts - q, axis=1)
+    near = sorted(range(len(pts)), key=lambda i: (d[i], i))[: cfg.k]
+    labels = [int(tax.index.labels[i]) for i in near]
+    votes = [labels.count(j) for j in range(cfg.class_count)]
+    sums = [0.0] * cfg.class_count
+    for i, label in zip(near, labels):
+        sums[label] += float(d[i])
+    yhat = min(
+        (j for j in range(cfg.class_count) if votes[j] == max(votes)),
+        key=lambda j: (sums[j], j),
+    )
+    return yhat, sum(label != yhat for label in labels)
+
+
 def reference_category(tax, q):
     """Scalar statement of each distance rule: plain loops over an
     exhaustive scan, votes tied on summed distance, then lowest class."""
@@ -329,17 +350,51 @@ def reference_category(tax, q):
         if cfg.kind is TaxonomyKind.NC_V1:
             return j
         return 2 * j + (0 if d[j] <= cfg.theta else 1)
-    pts = tax.index.points
-    d = np.linalg.norm(pts - q, axis=1)
-    near = sorted(range(len(pts)), key=lambda i: (d[i], i))[: cfg.k]
-    labels = [int(tax.index.labels[i]) for i in near]
-    votes = [labels.count(j) for j in range(c)]
-    sums = [sum(float(d[i]) for i in near if tax.index.labels[i] == j) for j in range(c)]
-    yhat = min((j for j in range(c) if votes[j] == max(votes)), key=lambda j: (sums[j], j))
+    yhat, disagree = reference_knn(tax, q)
     if cfg.kind is TaxonomyKind.KNN_V1:
         return yhat
     width = cfg.k - cfg.k // c
-    return yhat * width + min(sum(lab != yhat for lab in labels), width - 1)
+    return yhat * width + min(disagree, width - 1)
+
+
+class TestKnnBatch:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        c=st.integers(2, 4),
+        k=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(0, 25),
+    )
+    def test_batch_equals_reference_rule(self, c, k, seed, m):
+        # points and queries on a coarse integer grid, so distance, vote and
+        # summed-distance ties are common; k a multiple of c allows all-way
+        # vote ties, which knn_v2 clamps with one warning per row
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(k, 41))
+        emb = rng.integers(0, 4, size=(n, 2)).astype(float)
+        labels = rng.integers(0, c, n)
+        queries = rng.integers(0, 4, size=(m, 2)) + rng.choice([0.0, 0.5], size=(m, 2))
+        width = k - k // c
+        for kind in (TaxonomyKind.KNN_V1, TaxonomyKind.KNN_V2):
+            tax = fit_taxonomy(cfg_for(kind, c=c, k=k), emb, labels)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                batch = tax.assign_many(embeddings=queries)
+            assert batch.dtype == np.int64 and batch.shape == (m,)
+            expected = [reference_category(tax, q) for q in queries]
+            assert batch.tolist() == expected
+            clamped = [] if kind is TaxonomyKind.KNN_V1 else [
+                disagree for _, disagree in (reference_knn(tax, q) for q in queries)
+                if disagree >= width
+            ]
+            assert [str(w.message) for w in caught] == [
+                f"k-NN V2 disagreement count {count} reached the category width "
+                f"{width}; clamping (all-way vote tie)"
+                for count in clamped
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert [tax.assign(embedding=q) for q in queries] == expected
 
 
 class TestAssignMany:
