@@ -32,13 +32,12 @@ import numpy as np
 from ivenn.data import SplitSpec, load_csv, split
 from ivenn.ivp import (
     IvpBatch,
-    IvpPrediction,
     calibrate,
     category_rows,
     predict_many,
     save_table,
 )
-from ivenn.metrics import EvalBatch, EvalRecord, build_report, curves_csv, report_text
+from ivenn.metrics import EvalBatch, build_report, curves_csv, report_text
 from ivenn.mlp import (
     EMBEDDING,
     TrainConfig,
@@ -370,63 +369,26 @@ def load_predictions(path):
     """Rebuild the evaluation input from a predictions.csv, so `report` can
     rerun the metrics without redoing the predictions.
 
-    A v2 file carries each example's category counts: it gives an EvalBatch
-    whose intervals, predicted class, empty flag and confidence bin are
-    recomputed from those integers, and the intervals in the file must
-    match them. Its rows are the file's distinct categories in increasing
-    id order, so its category column holds row numbers, not the ids. A v1
-    file has only the float intervals: it gives a list of EvalRecord, and a
-    category counts as empty when its interval is [0, 1].
+    The file carries each example's category counts: the EvalBatch's
+    intervals, predicted class, empty flag and confidence bin are recomputed
+    from those integers, and the intervals in the file must match them. Its
+    rows are the file's distinct categories in increasing id order, so its
+    category column holds row numbers, not the ids. ValueError names the
+    file when it is empty or its header is not a predictions header, and
+    `path:line` for a bad row.
     """
     with open(path, encoding="utf-8") as f:
         numbered = [(i, ln.rstrip("\n")) for i, ln in enumerate(f, start=1) if ln.strip()]
+    if not numbered:
+        raise ValueError(f"{path}: empty file")
     header = numbered[0][1].split(",")
-    if header[:4] != ["id", "label", "category", "predicted"]:
-        raise ValueError(f"{path}: not a predictions file")
-    cells = [ln.split(",") for _, ln in numbered[1:]]
-    if header[4:5] == ["N"]:
-        return _load_predictions_v2(path, header, cells, [i for i, _ in numbered[1:]])
-    class_count = (len(header) - 4) // 2
-    records = []
-    for row in cells:
-        label, category, predicted = int(row[1]), int(row[2]), int(row[3])
-        lower = np.array([float(row[4 + 2 * j]) for j in range(class_count)])
-        upper = np.array([float(row[5 + 2 * j]) for j in range(class_count)])
-        pred = IvpPrediction(
-            predicted_class=predicted,
-            category=category,
-            lower=lower,
-            upper=upper,
-            mean=(lower + upper) / 2.0,
-            empty_category=bool(upper[0] - lower[0] == 1.0),
-        )
-        records.append(EvalRecord(prediction=pred, true_label=label))
-    return records
-
-
-def _cell_block(path, header, cells, line_numbers, columns, dtype):
-    """The cells of `columns` (a slice) as one dtype array. A cell numpy
-    cannot convert raises ValueError naming `path:line` and its column."""
-    try:
-        return np.array([row[columns] for row in cells], dtype=dtype)
-    except (ValueError, OverflowError) as exc:
-        error = exc
-    kind = "an integer" if dtype is np.int64 else "a number"
-    for line, row in zip(line_numbers, cells):
-        for name, value in zip(header[columns], row[columns]):
-            try:
-                np.array(value, dtype=dtype)
-            except OverflowError:
-                raise ValueError(f"{path}:{line}: {name} {value} outside int64") from None
-            except ValueError:
-                raise ValueError(f"{path}:{line}: {name} cell {value!r} is not {kind}") from None
-    raise error
-
-
-def _load_predictions_v2(path, header, cells, line_numbers):
     c = (len(header) - 5) // 3
-    if len(header) != 5 + 3 * c or not cells:
-        raise ValueError(f"{path}: malformed v2 predictions header or no rows")
+    if header[:5] != ["id", "label", "category", "predicted", "N"] or len(header) != 5 + 3 * c:
+        raise ValueError(f"{path}: not a predictions header (id,label,category,predicted,N,...)")
+    if len(numbered) == 1:
+        raise ValueError(f"{path}: no prediction rows")
+    cells = [ln.split(",") for _, ln in numbered[1:]]
+    line_numbers = [i for i, _ in numbered[1:]]
     for line, row in zip(line_numbers, cells):
         if len(row) != len(header):
             raise ValueError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
@@ -461,3 +423,22 @@ def _load_predictions_v2(path, header, cells, line_numbers):
             f"disagree with the other rows of category {category[row]}"
         )
     return EvalBatch(predictions=IvpBatch(category=key, rows=rows), labels=ints[:, 1])
+
+
+def _cell_block(path, header, cells, line_numbers, columns, dtype):
+    """The cells of `columns` (a slice) as one dtype array. A cell numpy
+    cannot convert raises ValueError naming `path:line` and its column."""
+    try:
+        return np.array([row[columns] for row in cells], dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    kind = "an integer" if dtype is np.int64 else "a number"
+    for line, row in zip(line_numbers, cells):
+        for name, value in zip(header[columns], row[columns]):
+            try:
+                np.array(value, dtype=dtype)
+            except OverflowError:
+                raise ValueError(f"{path}:{line}: {name} {value} outside int64") from None
+            except ValueError:
+                raise ValueError(f"{path}:{line}: {name} cell {value!r} is not {kind}") from None
+    raise error

@@ -1,5 +1,6 @@
 """Embedding-space services: Euclidean distance, class centroids, exact
-k-nearest-neighbor search by a batched scan, and silhouette clustering quality.
+k-nearest-neighbor search over a tiled index that scans only the tiles a
+query can reach, and silhouette clustering quality.
 
 All structures here are immutable after construction; concurrent read-only
 queries are safe.
@@ -8,6 +9,7 @@ queries are safe.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +91,32 @@ def nearest_centroid(cs, q):
 
 @dataclass(frozen=True, eq=False)
 class KnnIndex:
-    """Labeled embeddings prepared for exact k-NN queries."""
+    """Labeled embeddings prepared for exact k-NN queries, packed into tiles
+    of at most _TILE points. Tile slots past a tile's points are padding."""
 
     points: np.ndarray  # (n, dim)
     labels: np.ndarray  # (n,)
     mean: np.ndarray  # (dim,)
-    gram_t: np.ndarray  # (dim, n): -2 * (points - mean), transposed for the Gram product
-    sqnorms: np.ndarray  # (n,) squared norms of points - mean
     radius: float  # largest norm of points - mean
+    # (tiles, width, dim + 1): rows -2 * (p - mean) and |p - mean|^2,
+    # tile-major; padding rows are 0 and +inf
+    tile_gram: np.ndarray
+    tile_ids: np.ndarray  # (tiles, width) original column ids, 0 in padding
+    centre_gram: np.ndarray  # (dim + 1, tiles): columns -2 * centre and |centre|^2
+    tile_radius: np.ndarray  # (tiles,) rounded-up largest |(p - mean) - centre| per tile
+
+
+_TILE = 32  # points per tile at most
 
 
 def build_index(points, labels):
     """KnnIndex over embeddings and labels; ValueError names a non-finite
-    or huge row."""
+    or huge row.
+
+    A sort-tile pass orders the points along the top two principal axes of
+    a subsample: about sqrt(tiles) slabs of whole tiles along the first,
+    each sorted along the second and cut into tiles of n // tiles or
+    n // tiles + 1 points, the larger tiles first."""
     points = np.ascontiguousarray(points, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if points.ndim != 2 or len(points) == 0:
@@ -110,99 +125,181 @@ def build_index(points, labels):
         raise ValueError("points and labels length mismatch")
     # squared distances between points, and to their mean, stay below 4*max|p|^2
     _check_rows(4.0 * np.einsum("ij,ij->i", points, points), "point")
+    n, dim = points.shape
     mean = points.mean(axis=0)
-    centred = points - mean
-    sqnorms = np.einsum("ij,ij->i", centred, centred)
-    gram_t = np.multiply(centred.T, -2.0, order="C")
-    return KnnIndex(points, labels, mean, gram_t, sqnorms, float(np.sqrt(sqnorms.max())))
+    tiles = -(-n // _TILE)
+    small, big = divmod(n, tiles)  # big tiles hold small + 1 points
+    width = -(-n // tiles)
+    sizes = np.full(tiles, small)
+    sizes[:big] += 1
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    sub = points[:: -(-n // 1024)] - mean
+    along = points @ np.linalg.eigh(sub.T @ sub)[1][:, -1:-3:-1]
+    ids = along[:, 0].argsort()
+    slabs = math.isqrt(tiles - 1) + 1
+    slab = np.repeat(np.arange(slabs), np.diff(starts[np.arange(slabs + 1) * tiles // slabs]))
+    second = along[ids, -1]
+    second -= second.min()
+    span = second.max()
+    ids = ids[(slab + second / (2 * span) if span > 0 else slab).argsort()]
+    members = points.take(ids, axis=0)
+    members -= mean  # tile order
+    sqnorms = np.einsum("ij,ij->i", members, members)
+    tile_gram = np.zeros((tiles, width, dim + 1))
+    tile_gram[big:, small:, dim] = np.inf  # padding
+    tile_ids = np.zeros((tiles, width), dtype=np.int64)
+    centres = np.empty((tiles, dim))
+    r2 = np.empty(tiles)
+    cut = big * width
+    for rows, part, size in (
+        (slice(0, big), slice(0, cut), width), (slice(big, tiles), slice(cut, n), small)
+    ):
+        block = members[part].reshape(-1, size, dim)
+        np.multiply(block, -2.0, out=tile_gram[rows, :size, :dim])
+        tile_gram[rows, :size, dim] = sqnorms[part].reshape(-1, size)
+        tile_ids[rows, :size] = ids[part].reshape(-1, size)
+        centres[rows] = block.mean(axis=1)
+        block -= centres[rows, None]
+        r2[rows] = np.einsum("tij,tij->ti", block, block).max(axis=1, initial=0.0)
+    r2 *= 1.0 + 2 * (dim + 4) * _FLOAT.eps  # rounded up: the tile bound comment
+    r2 += 2 * (dim + 4) * _FLOAT.smallest_subnormal
+    return KnnIndex(
+        points, labels, mean, float(np.sqrt(sqnorms.max())), tile_gram, tile_ids,
+        np.vstack([-2.0 * centres.T, np.einsum("ij,ij->i", centres, centres)]),
+        np.nextafter(np.sqrt(r2), np.inf),
+    )
 
 
 # Shortlist margin. With u = eps/2, a = fl(p - mean), b = fl(q - mean) and
 # S = |p - mean| + |q - mean|, the Gram value s = fl(|a|^2 + b.(-2a)) plus
 # the row constant |b|^2, and the oracle's d^2 (d = fl(norm(fl(p - q)))),
 # each lie within (dim+4)*u*S^2 of |p - q|^2: centring errs by about 2u*S^2,
-# the dot product (any order, FMA or not) by gamma_(dim+1)*S^2, the oracle
-# by gamma_(dim+3)*S^2. Below the normal range a product errs by up to half
-# the smallest subnormal and a sum is exact: 2*dim of those over s and d^2.
-# With c = 2 for the gamma denominators and the rounding of M itself,
+# the dot product of dim + 1 terms (any order, FMA or not) by
+# gamma_(dim+1)*S^2, the oracle by gamma_(dim+3)*S^2. Below the normal range
+# a product errs by up to half the smallest subnormal and a sum is exact:
+# 2*dim of those over s and d^2. With c = 2 for the gamma denominators and
+# the rounding of M itself,
 #     M = c*(dim+4)*(eps*(radius + |q - mean|)^2 + smallest_subnormal)
 # bounds |s + |b|^2 - d^2| by 2M. If tau is a row's k-th smallest s, each of
 # the oracle's top k has d^2 - |b|^2 <= tau + 2M, hence s <= tau + 4M. The
-# kernel builds 4M in place as S^2*(8*(dim+4)*eps) + 8*(dim+4)*smallest_subnormal;
-# both coefficients are exact, so 4M takes three roundings, as the product
-# form does, and S^2 is finite exactly when 4M is.
-# The scan never finds tau itself. It splits the n columns into b >= k
-# contiguous blocks and takes tau' = the k-th smallest of the row's b block
-# minima. Those k minima sit in k distinct columns and are all <= tau', so
-# at least k values of s are <= tau', which means tau <= tau'. So the
-# shortlist s <= tau' + 4M still holds the oracle's top k. With 64 blocks or
-# more, tau' is close to tau and the shortlist stays short even when the
-# points are stored sorted by class or by cluster.
+# kernel's margin is E = 8M of the largest S^2 in a chunk of rows, built from
+# S^2*(16*(dim+4)*eps) + 16*(dim+4)*smallest_subnormal; both coefficients are
+# exact, and S^2 is finite exactly when E is.
+# Any k columns bound tau from above: their k-th smallest s is at least
+# tau. The kernel takes tau1 from the query's nearest tiles, which hold k
+# points or more, and then the k-th smallest s over the tiles it scans,
+# which include those; so the shortlist s <= that + E still holds the
+# oracle's top k, and padding (s = +inf) never enters it.
+# Tile bound. Let c be a tile's centre and r >= |a - c| for each of its a.
+# Each of the oracle's top k has |p - q|^2 <= tau1 + |b|^2 + 3M/4, and with
+# x = |p - q| + u*S >= |a - b| the triangle inequality gives
+# |b - c| <= r + x. The computed |b - c|^2 = fl(|c|^2 + b.(-2c)) + |b|^2
+# errs by less than M/2, and with h = sqrt(tau1 + |b|^2 + E) >= x,
+#     (h + r)^2 - (r + x)^2 >= h^2 - x^2 >= 8M - M - 3u*S^2,
+# which exceeds that error plus the roundings of h and of (h + r)^2 (under
+# 40 eps*S^2). So a tile whose computed |b - c|^2 exceeds fl((h + r)^2),
+# that is |q - c| - r > h, holds none of the top k and is not scanned. The
+# computed squared radius errs below |a - c|^2 by at most (dim+3)*u relative
+# and dim half subnormals; it gains 2*(dim+4)*eps relative and 2*(dim+4)
+# smallest subnormals, and its root goes up to the next float.
 _FLOAT = np.finfo(float)
-_BLOCKS = 64  # at least this many column blocks per row, when n allows it
-_CHUNK_BYTES = 1024 * 1024  # per query chunk's (rows, n) array; more costs peak memory
+_CHUNK_BYTES = 1024 * 1024  # per chunk's arrays; more costs peak memory
+_GROUP = 20  # queries, ordered by nearest tile, that scan one union of tiles
 
 
 @functools.lru_cache(maxsize=16)
-def _scan_plan(n, k):
-    """(rows per query chunk, block starts, arange(rows), arange(k)) of a
-    scan over n points for k neighbours; the arrays are read-only."""
-    step = max(1, _CHUNK_BYTES // (8 * n))
-    b = min(n, max(k, _BLOCKS))
-    plan = (np.arange(b) * n // b, np.arange(step), np.arange(k))  # b distinct starts: b <= n
-    for a in plan:
+def _tile_plan(n, tiles, width, dim, k):
+    """(rows per chunk, rows per group, tiles per gathered piece, nearest
+    tiles that hold k points, arange(group), arange(k)) of a query over n
+    points in tiles; the arrays are read-only."""
+    near = min(tiles, -(-k // (n // tiles)))
+    step = max(1, _CHUNK_BYTES // (16 * tiles))  # (rows, tiles) arrays, ordered copies too
+    group = min(_GROUP, max(1, _CHUNK_BYTES // (8 * width * max(tiles, near * (dim + 1)))))
+    ranges = (np.arange(group), np.arange(k))
+    for a in ranges:
         a.flags.writeable = False
-    return step, *plan
+    return step, group, max(1, _CHUNK_BYTES // (8 * width * (dim + 1))), near, *ranges
 
 
 def knn_many(index, Q, k):
     """(distances (m, k), indices (m, k)) of the k nearest stored points to
     each row of Q, ascending. Distances are exactly np.linalg.norm(points -
-    q, axis=1), ties go to insertion order. Per query chunk of at most 1 MiB
-    of Gram values, the values at or below tau' + 4M (the margin comment
-    above) form a row-major shortlist, reranked by that formula with the
-    ufuncs np.linalg.norm runs and ordered by a stable sort on (row,
-    distance). ValueError for k outside [1, n] or naming a non-finite or
-    huge row."""
+    q, axis=1), ties go to insertion order. Per chunk of rows, the Gram
+    values of each row's nearest tiles bound its k-th distance, and groups
+    of rows scan only the union of their rows' reachable tiles (the margin
+    comment above); a chunk of several groups orders its rows by nearest
+    tile first. There the values at or below each row's k-th smallest + E
+    form a row-major shortlist, reranked by that formula with the ufuncs
+    np.linalg.norm runs and ordered by (row, distance, column). ValueError
+    for k outside [1, n] or naming a non-finite or huge row."""
     n, dim = index.points.shape
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != dim:
         raise ValueError(f"queries have shape {Q.shape}, expected (m, {dim})")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    step, starts, row_ids, ranks = _scan_plan(n, k)
-    eps_term = 8.0 * (dim + 4) * _FLOAT.eps
-    floor_term = 8.0 * (dim + 4) * _FLOAT.smallest_subnormal
+    tiles, width = index.tile_ids.shape
+    step, group, per, near, row_ids, ranks = _tile_plan(n, tiles, width, dim, k)
+    eps_term = 16.0 * (dim + 4) * _FLOAT.eps
+    floor_term = 16.0 * (dim + 4) * _FLOAT.smallest_subnormal
     D = np.empty((len(Q), k))
     I = np.empty((len(Q), k), dtype=np.int64)
     for lo in range(0, len(Q), step):
         chunk = Q[lo : lo + step]
-        cq = chunk - index.mean
-        bound = np.einsum("ij,ij->i", cq, cq)
-        np.sqrt(bound, out=bound)
-        bound += index.radius
-        bound *= bound  # S^2
-        bound *= eps_term
-        bound += floor_term  # 4M, finite iff S^2 is, which keeps s finite
-        if not np.isfinite(bound).all():
-            _check_rows(bound, "query", lo)
-        s = cq @ index.gram_t
-        s += index.sqnorms
-        mins = np.minimum.reduceat(s, starts, axis=1)
-        mins.partition(k - 1, axis=1)
-        bound += mins[:, k - 1]  # tau' + 4M
-        rows, cols = np.divmod((s <= bound[:, None]).ravel().nonzero()[0], n)
-        # np.linalg.norm(axis=1) is sqrt(add.reduce(x * x, axis=1)) for real x
-        diff = index.points[cols]
-        diff -= chunk[rows]
-        diff *= diff
-        d = np.sqrt(np.add.reduce(diff, axis=1))
-        # rows ascend and columns ascend within a row, so a stable sort by
-        # (row, d) breaks distance ties by column and leaves rows as they are
-        order = np.lexsort((d, rows))
-        take = order[rows.searchsorted(row_ids[: len(chunk)])[:, None] + ranks]
-        d.take(take, out=D[lo : lo + step])
-        cols.take(take, out=I[lo : lo + step])
+        cq = np.empty((len(chunk), dim + 1))
+        cq[:, dim] = 1.0  # picks up |a|^2 from the operands' last column
+        np.subtract(chunk, index.mean, out=cq[:, :dim])  # b
+        sq = np.einsum("ij,ij->i", cq[:, :dim], cq[:, :dim])
+        margin = math.sqrt(np.maximum.reduce(sq)) + index.radius
+        margin = margin * margin * eps_term + floor_term  # E of the chunk's largest S^2
+        if not math.isfinite(margin):
+            bound = np.sqrt(sq)
+            bound += index.radius
+            _check_rows(bound * bound, "query", lo)
+        cs = cq @ index.centre_gram
+        cs += sq[:, None]  # |b - c|^2
+        if near == 1:
+            nearest = cs.argmin(axis=1)[:, None]
+        else:
+            nearest = cs.argpartition(near - 1, axis=1)[:, :near]
+        sq += margin  # |b|^2 + E
+        Dc, Ic = D[lo : lo + step], I[lo : lo + step]
+        if len(chunk) > group:  # so that a group's rows share tiles
+            order = nearest[:, 0].argsort(kind="stable")
+            chunk, cq, sq, cs, nearest = (a.take(order, axis=0) for a in (chunk, cq, sq, cs, nearest))
+            Dc, Ic = np.empty_like(Dc), np.empty_like(Ic)
+        for a in range(0, len(chunk), group):
+            g = slice(a, a + group)
+            b = cq[g]
+            s = index.tile_gram.take(nearest[g], axis=0).reshape(len(b), -1, dim + 1)
+            s = np.matmul(s, b[:, :, None])[:, :, 0]
+            s.partition(k - 1, axis=1)
+            reach = s[:, k - 1] + sq[g]  # tau1 + |b|^2 + E
+            np.sqrt(reach, out=reach)  # h
+            lim = reach[:, None] + index.tile_radius
+            lim *= lim
+            kept = np.logical_or.reduce(cs[g] <= lim, axis=0).nonzero()[0]
+            s = np.empty((len(b), len(kept) * width))
+            for i in range(0, len(kept), per):  # gathering at most _CHUNK_BYTES at a time
+                part = index.tile_gram.take(kept[i : i + per], axis=0).reshape(-1, dim + 1)
+                np.matmul(b, part.T, out=s[:, i * width : (i + per) * width])
+            tau = s.copy()
+            tau.partition(k - 1, axis=1)
+            tau = tau[:, k - 1] + margin  # tau + E
+            at, cols = np.divmod((s <= tau[:, None]).ravel().nonzero()[0], s.shape[1])
+            cols = index.tile_ids.take(kept, axis=0).ravel().take(cols)
+            # np.linalg.norm(axis=1) is sqrt(add.reduce(x * x, axis=1)) for real x
+            diff = index.points.take(cols, axis=0)
+            diff -= chunk[g].take(at, axis=0)
+            diff *= diff
+            d = np.sqrt(np.add.reduce(diff, axis=1))
+            # tile-major columns do not ascend within a row, so the column is a key too
+            take = np.lexsort((cols, d, at))
+            take = take.take(at.searchsorted(row_ids[: len(b)])[:, None] + ranks)
+            d.take(take, out=Dc[g])
+            cols.take(take, out=Ic[g])
+        if len(chunk) > group:
+            D[lo + order], I[lo + order] = Dc, Ic
     return D, I
 
 

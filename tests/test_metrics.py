@@ -82,6 +82,22 @@ class TestCumulative:
         with pytest.raises(ValueError, match="at least one"):
             cumulative([])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c=st.integers(2, 5),
+        categories=st.integers(1, 12),
+        m=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_curves_ordered_and_nondecreasing(self, c, categories, m, seed):
+        # exact, no tolerance: 1 - U <= 1 - L per example, both >= 0, and a
+        # running sum rounds monotonically
+        curves = cumulative(random_batch(np.random.default_rng(seed), c, categories, m))
+        assert np.all(curves.LEP <= curves.UEP)
+        for arr in (curves.E, curves.LEP, curves.UEP):
+            assert len(arr) == m and arr[0] >= 0.0
+            assert np.all(np.diff(arr) >= 0.0)
+
 
 class TestAccuracy:
     def test_extremes_and_fraction(self):

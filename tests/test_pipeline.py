@@ -8,7 +8,7 @@ import pytest
 
 from ivenn import cli
 from ivenn.data import Dataset, SplitSpec, load_csv, split, synth_gaussians
-from ivenn.metrics import EvalBatch, EvalRecord, build_report, report_text
+from ivenn.metrics import EvalBatch, build_report, report_text
 from ivenn.mlp import EMBEDDING, MlpParams, save_params
 from ivenn.pipeline import (
     PipelineError,
@@ -401,22 +401,15 @@ class TestPredictionsFile:
         assert (tmp_path / "re.txt").read_bytes() == (tmp_path / "run" / "report.txt").read_bytes()
         assert (tmp_path / "ce.csv").read_bytes() == (tmp_path / "run" / "curves.csv").read_bytes()
 
-    def test_v1_file_still_loads(self, tmp_path):
-        result = run_pipeline(edge_config(tmp_path), dataset=edge_dataset())
-        v2 = (tmp_path / "predictions.csv").read_text().splitlines()
-        # v1 lacks the N,n0..n3 block
-        v1 = [",".join(ln.split(",")[:4] + ln.split(",")[9:]) for ln in v2]
-        assert v1[0] == "id,label,category,predicted,L0,U0,L1,U1,L2,U2,L3,U3"
-        (tmp_path / "v1.csv").write_text("\n".join(v1) + "\n")
-        records = load_predictions(tmp_path / "v1.csv")
-        assert all(isinstance(r, EvalRecord) for r in records)
-        assert [(r.true_label, r.prediction.category, r.prediction.predicted_class)
-                for r in records] == [
-            (r.true_label, r.prediction.category, r.prediction.predicted_class)
-            for r in result.records
-        ]
-        expected = build_report(list(result.records), bins=10)
-        assert report_text(build_report(records, bins=10)) == report_text(expected)
+    def test_header_without_counts_is_named(self, tmp_path):
+        run_pipeline(edge_config(tmp_path), dataset=edge_dataset())
+        lines = (tmp_path / "predictions.csv").read_text().splitlines()
+        # the same rows without the N,n0..n3 block
+        old = [",".join(ln.split(",")[:4] + ln.split(",")[9:]) for ln in lines]
+        assert old[0] == "id,label,category,predicted,L0,U0,L1,U1,L2,U2,L3,U3"
+        (tmp_path / "old.csv").write_text("\n".join(old) + "\n")
+        with pytest.raises(ValueError, match=r"old\.csv: not a predictions header"):
+            load_predictions(tmp_path / "old.csv")
 
     def test_v2_rows_must_agree_with_their_counts(self, tmp_path):
         run_pipeline(edge_config(tmp_path), dataset=edge_dataset())
@@ -603,6 +596,18 @@ class TestCli:
         code, err, _ = self.report_after_editing_line_4(tmp_path, capsys, edit)
         assert code == 2
         assert f"predictions.csv:4: expected 11 columns, got {got}" in err
+
+    @pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "whitespace"])
+    def test_report_names_empty_file(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        code = cli.main(
+            ["report", "--predictions", str(path), "--report-out", str(tmp_path / "r.txt"),
+             "--curves-out", str(tmp_path / "c.csv")]
+        )
+        assert code == 2
+        assert f"{path}: empty file" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
 
     @pytest.mark.parametrize("offset", [10**8, 10**15])
     def test_report_keys_rows_by_distinct_category(self, tmp_path, capsys, offset):

@@ -180,8 +180,9 @@ def oracle_many(points, Q, k):
 
 
 def knn_datasets(rng, n, dim, m=24):
-    """Point sets and m queries that stress the shortlist's error margin and
-    its bound from the k-th smallest of 64 or more column-block minima."""
+    """Point sets and m queries that stress the shortlist's error margin,
+    the k-th distance bound from the nearest tiles and the tile bound
+    |q - c| - r that prunes the rest."""
     grid = rng.integers(-2, 3, size=(n, dim)).astype(float)
     dup = rng.normal(size=(n // 4, dim))
     yield "gaussian", rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
@@ -190,33 +191,55 @@ def knn_datasets(rng, n, dim, m=24):
     for name, shift, scale in (("offset", 1e6, 1e-3), ("huge", 0.0, 1e150), ("tiny", 0.0, 1e-160)):
         pts = shift + scale * rng.normal(size=(n, dim))
         yield name, pts, shift + scale * rng.normal(size=(m, dim))
-    # stored sorted by class: each cluster fills a run of neighbouring blocks
+    # stored sorted by class: each cluster is a run of the input order
     centres = 4.0 * rng.normal(size=(6, dim))
     labels = np.sort(rng.integers(0, 6, n))
     Q = centres[rng.integers(0, 6, m)] + rng.normal(size=(m, dim))
     yield "class-sorted clusters", centres[labels] + rng.normal(size=(n, dim)), Q
-    # 3 points, fewer than most k, stored side by side in one block
+    # 3 points, fewer than most k, side by side in the input order
     c = rng.normal(size=dim)
     pts = rng.normal(size=(n, dim))
     pts[n // 3 : n // 3 + 3] = c + 1e-6 * rng.normal(size=(3, dim))
     yield "tight cluster in one block", pts, c + 1e-6 * rng.normal(size=(m, dim))
-    # 64 points, one at the start of each of 64 equal blocks: every block
-    # minimum lies in the cluster, and k = 65 must look past it
+    # 64 close points spread evenly through the input order: k = 65 must
+    # look past them
     pts = rng.normal(size=(n, dim))
     pts[np.arange(64) * n // 64] = c + 1e-3 * rng.normal(size=(64, dim))
     yield "one cluster point per block", pts, c + 1e-3 * rng.normal(size=(m, dim))
+    # the learned embedding's shape: a plane inside dim-D with 1e-6 noise
+    axes = np.linalg.qr(rng.normal(size=(dim, min(dim, 2))))[0]
+    pts = rng.normal(size=(n, axes.shape[1])) @ axes.T + 1e-6 * rng.normal(size=(n, dim))
+    Q = rng.normal(size=(m, axes.shape[1])) @ axes.T + 1e-6 * rng.normal(size=(m, dim))
+    yield "plane with 1e-6 noise", pts, Q
+    # queries 1e3 off the plane along a spare axis keep every tile; in 1-D
+    # and 2-D that axis lies in the plane
+    away = np.linalg.qr(np.c_[axes, rng.normal(size=dim)])[0][:, -1]
+    yield "queries far outside every tile", pts, Q + 1e3 * away
+    # dense 2-D blobs, 3 of them
+    blobs = np.zeros((n, dim))
+    blobs[:, : axes.shape[1]] = 0.3 * rng.normal(size=(n, axes.shape[1]))
+    blobs[:, : axes.shape[1]] += 3.0 * rng.normal(size=(3, axes.shape[1]))[rng.integers(0, 3, n)]
+    yield "dense 2-D blobs", blobs, blobs[rng.integers(0, n, m)] + 0.05 * rng.normal(size=(m, dim))
+    # n not a multiple of the tile size, so some tiles end in padding
+    yield "n - 3 points", blobs[3:], blobs[rng.integers(0, n, m)]
+    # groups of 64 points 1e-163 apart and 1e-155 between groups: a tile's
+    # squared radius underflows, and k = 65 reaches into a second group
+    groups = 1e-155 * rng.normal(size=(-(-n // 64), dim))
+    pts = groups[np.arange(n) // 64] + 1e-163 * rng.normal(size=(n, dim))
+    yield "tight groups of 64 in subnormal range", pts, groups[rng.integers(0, len(groups), m)]
 
 
 class TestKnnMany:
     def test_exactly_equals_oracle(self):
         """Members, order and distances equal the exhaustive oracle bit for
-        bit, including offset, huge and subnormal-range coordinates, blocks
-        of 1-2 points (n = 100) and of about 31 (n = 2000), and k above the
-        64 blocks."""
+        bit, including offset, huge and subnormal-range coordinates, tiles
+        of 25 points (n = 100) and of 31 or 32 (n = 2000), padded tiles and
+        k above a tile's size."""
         rng = np.random.default_rng(2110)
-        for n in (100, 2000):
+        for size in (100, 2000):
             for dim in (1, 2, 3, 8, 32, 128):
-                for name, pts, Q in knn_datasets(rng, n, dim):
+                for name, pts, Q in knn_datasets(rng, size, dim):
+                    n = len(pts)
                     index = build_index(pts, np.zeros(n, dtype=int))
                     oD, oI = oracle_many(pts, Q, n)  # each k's oracle is a prefix
                     for k in (1, 5, 15, 65, n):
