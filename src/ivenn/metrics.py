@@ -204,9 +204,13 @@ def _accuracy(col):
     return 1.0 - int(col.err.sum()) / len(col.key)
 
 
-def _ece_mce(col, bins):
+def check_bins(bins):
     if bins < 1:
         raise ValueError("bins must be >= 1")
+
+
+def _ece_mce(col, bins):
+    check_bins(bins)
     conf = col.at_predicted(col.mean)
     if col.counts is None:
         row_bin = _bin_index(conf, bins)

@@ -11,17 +11,32 @@ end if a hidden layer has saturated.
 Both trainers run one in-place step over a workspace: every weight and bias
 is a view into one flat buffer and every gradient a view into a second, and
 the forward and backward passes write into activation and delta buffers
-allocated once per training run. An SGD update is two whole-buffer
-operations and the divergence check one. A twin epoch draws its pairs with
-a few vectorised draws over class-sorted index arrays and gathers them with
-one fancy index, laid out so that each batch is a contiguous [X1; X2] view:
-both twins run through one stacked pass, and the shared weights' gradient
-sums the two twins inside one matmul.
+allocated once per training run. Before the first epoch a trainer builds
+its plan: one step per batch holding every view that step reads and writes
+(the batch-length slices of those buffers, W.T and delta.T, the twin halves
+of the output and its delta, and the batch's rows). Batch views are built
+once per distinct batch length, the full batch and the tail. Each batch's
+rows are a fixed view into one row buffer that every epoch refills with a
+single `take`. A step is then a fixed sequence of ufunc calls with
+positional outputs, an SGD update two whole-buffer operations and the
+divergence check one.
+
+A twin epoch draws its pairs with a few vectorised draws over class-sorted
+index arrays, and lays the row buffer out so that each batch is a contiguous
+[X1; X2] block: both twins run through one stacked pass, and the shared
+weights' gradient sums the two twins inside one matmul. The sampler puts the
+similar pairs first, so each pair's dLoss/dd inside and beyond the margin
+are constants fixed once per run. A consequence for training quality: the
+batches of an epoch are homogeneous. With 1024 pairs in batches of 32, an
+epoch runs 16 all-similar steps, then 16 all-dissimilar ones; the default
+256 pairs run 4 of each. Mixing them would change every trained model.
 """
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,15 +107,13 @@ def init_params(layer_dims, mode=EMBEDDING, seed=0):
     return MlpParams(layer_dims=layer_dims, weights=weights, biases=biases, mode=mode)
 
 
-def _forward(params, X, outs=None):
-    # returns the activations of every layer after the input X, layer l+1's
-    # written into outs[l] when given, else into fresh arrays
-    outs = outs or [None] * len(params.weights)
+def _forward(params, X):
+    # the activations of every layer after the input X
     last = len(params.weights) - 1
     acts = []
     a = X
-    for l, (W, b, out) in enumerate(zip(params.weights, params.biases, outs)):
-        a = np.matmul(a, W.T, out=out)
+    for l, (W, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ W.T
         a += b
         if l < last:
             np.tanh(a, out=a)
@@ -141,10 +154,61 @@ def contrastive_loss(r1, r2, same_class, margin):
     return d if same_class else max(0.0, margin - d)
 
 
+# the ufuncs a planned step calls, each passed its output buffer positionally
+_matmul, _add, _subtract, _multiply, _divide = (
+    np.matmul, np.add, np.subtract, np.multiply, np.divide
+)
+_tanh, _sqrt, _exp, _negative = np.tanh, np.sqrt, np.exp, np.negative
+_less, _greater, _where = np.less, np.greater, np.where
+_sum, _max = np.add.reduce, np.maximum.reduce
+
+
+class _Step(NamedTuple):
+    """The views one SGD step reads and writes."""
+
+    hidden: list  # (input, W.T, b, activation) per tanh layer
+    top: tuple  # (input, W.T, b, z) of the linear output layer
+    loss: object  # a head: writes dLoss/dz into the output delta
+    head: tuple  # the head's arguments
+    back: list  # (delta.T, input, grad_w, delta, grad_b, W, input's delta,
+    # tanh' buffer) per layer from the output layer down to layer 1
+    first: tuple  # (delta.T, input rows, grad_w, delta, grad_b) of layer 0
+
+
+def _contrastive(z1, z2, diff, sq, d, margin, c_in, c_out, mask, scale, n, scale_col, g1, g2):
+    # gradient of the mean contrastive loss wrt the twin outputs z1 and z2,
+    # written into g1 and g2; returns the pair distances
+    _subtract(z1, z2, diff)
+    _multiply(diff, diff, sq)
+    _sum(sq, 1, None, d)
+    _sqrt(d, d)
+    coef = _where(_less(d, margin, mask), c_in, c_out)
+    # coincident pairs (d == 0) get the zero subgradient
+    scale.fill(0.0)
+    _divide(coef, d, scale, where=_greater(d, 0.0, mask))
+    _divide(scale, n, scale)
+    _multiply(scale_col, diff, g1)
+    _negative(g1, g2)
+    return d
+
+
+def _cross_entropy(z, peak, p, total, rows, y, m):
+    # gradient of the mean cross-entropy wrt the logits z, written into p
+    _max(z, 1, None, peak, True)
+    _subtract(z, peak, p)
+    _exp(p, p)
+    _sum(p, 1, None, total, True)
+    _divide(p, total, p)
+    p[rows, y] -= 1.0
+    _divide(p, m, p)
+
+
 class _Workspace:
     """A network's weights and biases as views into one flat buffer, their
     gradients as views into a second, and activation and delta buffers for
-    batches of up to `rows` input rows. Each step writes in place."""
+    batches of up to `rows` input rows. A plan is one step per batch, its
+    views into those buffers built once per run; running a step writes every
+    buffer in place."""
 
     def __init__(self, params, rows):
         dims = params.layer_dims
@@ -158,66 +222,106 @@ class _Workspace:
         )
         self.params = MlpParams(list(dims), w[0::2], w[1::2], params.mode)
         self.grad_w, self.grad_b = g[0::2], g[1::2]
+        self.weights_t = [W.T for W in self.params.weights]
         self.acts = [np.empty((rows, d)) for d in dims[1:]]
         self.deltas = [np.empty((rows, d)) for d in dims[1:]]  # dLoss/dz
         self.tanh_grad = [np.empty((rows, d)) for d in dims[1:-1]]
+        self._by_length = {}
 
-    def forward(self, X):
-        """Activations of every layer after the input, as views of the
-        first len(X) rows of the activation buffers."""
-        return _forward(self.params, X, [a[: len(X)] for a in self.acts])
+    def _views(self, r):
+        # the first r rows of the activation, delta and tanh' buffers, built
+        # once per batch length
+        if r not in self._by_length:
+            deltas = [d[:r] for d in self.deltas]
+            self._by_length[r] = (
+                [a[:r] for a in self.acts],
+                deltas,
+                [d.T for d in deltas],
+                [t[:r] for t in self.tanh_grad],
+            )
+        return self._by_length[r]
 
-    def backward(self, X, acts):
-        # the output delta is already in self.deltas[-1]; tanh' = 1 - tanh**2
-        # is read off the stored activations
-        m = len(X)
-        delta = self.deltas[-1][:m]
-        for l in range(len(acts) - 1, -1, -1):
-            a = acts[l - 1] if l > 0 else X
-            np.matmul(delta.T, a, out=self.grad_w[l])
-            np.add.reduce(delta, axis=0, out=self.grad_b[l])
-            if l > 0:
-                prev = np.matmul(delta, self.params.weights[l], out=self.deltas[l - 1][:m])
-                t = np.multiply(a, a, out=self.tanh_grad[l - 1][:m])
-                np.subtract(1.0, t, out=t)
-                prev *= t
-                delta = prev
+    def _step(self, x, loss, head):
+        acts, deltas, deltas_t, tanh_grad = self._views(len(x))
+        p = self.params
+        ins = [x, *acts[:-1]]
+        layers = list(zip(ins, self.weights_t, p.biases, acts))
+        back = [
+            (deltas_t[l], ins[l], self.grad_w[l], deltas[l], self.grad_b[l],
+             p.weights[l], deltas[l - 1], tanh_grad[l - 1])
+            for l in range(len(acts) - 1, 0, -1)
+        ]
+        first = (deltas_t[0], x, self.grad_w[0], deltas[0], self.grad_b[0])
+        return _Step(layers[:-1], layers[-1], loss, head, back, first)
 
-    def contrastive(self, X, same, margin):
-        """Gradient of the mean contrastive loss of a batch whose rows are
-        [X1; X2], both twins in one pass; returns the pair distances."""
-        n = len(same)
-        acts = self.forward(X)
-        diff = acts[-1][:n] - acts[-1][n:]
-        d = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        # dLoss/dd: 1 for similar pairs, -1 inside the margin for dissimilar,
-        # 0 otherwise; coincident pairs (d == 0) get the zero subgradient
-        coef = np.where(same, 1.0, np.where(d < margin, -1.0, 0.0))
-        scale = np.zeros(n)
-        np.divide(coef, d, out=scale, where=d > 0.0)
-        scale /= n
-        delta = self.deltas[-1]
-        g = np.multiply(scale[:, None], diff, out=delta[:n])
-        np.negative(g, out=delta[n : 2 * n])
-        self.backward(X, acts)
-        return d
+    def twin_plan(self, rows, same, batches, margin):
+        """One contrastive step per (start, end) range of pairs. A batch's
+        input is rows[2 start : 2 end], laid out [X1; X2] so that both twins
+        run through one stacked pass; same[start:end] flags its similar
+        pairs."""
+        # dLoss/dd inside the margin and beyond it: 1 and 1 for a similar
+        # pair, -1 and 0 for a dissimilar one
+        c_in, c_out = np.where(same, 1.0, -1.0), np.where(same, 1.0, 0.0)
+        half, k = max(e - s for s, e in batches), self.params.output_dim
+        diff, sq = np.empty((half, k)), np.empty((half, k))
+        d, scale, mask = np.empty(half), np.empty(half), np.empty(half, dtype=bool)
+        plan = []
+        for s, e in batches:
+            n = e - s
+            z, delta = (v[-1] for v in self._views(2 * n)[:2])
+            head = (
+                z[:n], z[n:], diff[:n], sq[:n], d[:n], margin, c_in[s:e], c_out[s:e],
+                mask[:n], scale[:n], n, scale[:n, None], delta[:n], delta[n:],
+            )
+            plan.append(self._step(rows[2 * s : 2 * e], _contrastive, head))
+        return plan
 
-    def cross_entropy(self, X, y):
-        """Gradient of the mean cross-entropy of a softmax batch."""
-        m = len(X)
-        acts = self.forward(X)
-        delta = self.deltas[-1][:m]
-        np.copyto(delta, acts[-1])
-        delta[np.arange(m), y] -= 1.0
-        delta /= m
-        self.backward(X, acts)
+    def classifier_plan(self, X, y, size):
+        """One cross-entropy step per `size` consecutive rows of X, labels y."""
+        m = min(len(X), size)
+        peak, total = np.empty((m, 1)), np.empty((m, 1))
+        plan = []
+        for s in range(0, len(X), size):
+            n = min(size, len(X) - s)
+            z, p = (v[-1] for v in self._views(n)[:2])
+            head = (z, peak[:n], p, total[:n], np.arange(n), y[s : s + n], n)
+            plan.append(self._step(X[s : s + n], _cross_entropy, head))
+        return plan
 
-    def descend(self, lr):
-        self.grad *= lr
-        self.flat -= self.grad
+    def run(self, step):
+        """Write one planned step's gradient into the gradient buffer;
+        returns what its loss head returns."""
+        hidden, top, loss, head, back, first = step
+        for x, W_t, b, a in hidden:
+            _matmul(x, W_t, a)
+            _add(a, b, a)
+            _tanh(a, a)
+        x, W_t, b, z = top
+        _matmul(x, W_t, z)
+        _add(z, b, z)
+        out = loss(*head)
+        # tanh' = 1 - tanh**2 is read off the stored activations
+        for delta_t, x, grad_w, delta, grad_b, W, prev, t in back:
+            _matmul(delta_t, x, grad_w)
+            _sum(delta, 0, None, grad_b)
+            _matmul(delta, W, prev)
+            _multiply(x, x, t)
+            _subtract(1.0, t, t)
+            _multiply(prev, t, prev)
+        delta_t, x, grad_w, delta, grad_b = first
+        _matmul(delta_t, x, grad_w)
+        _sum(delta, 0, None, grad_b)
+        return out
 
-    def check_finite(self, epoch):
-        if not np.isfinite(self.flat).all():
+    def sgd_epoch(self, plan, lr, epoch):
+        """Run every step of the plan, each followed by its SGD update; raise
+        naming the epoch if a parameter has turned non-finite."""
+        flat, grad, run = self.flat, self.grad, self.run
+        for step in plan:
+            run(step)
+            _multiply(grad, lr, grad)
+            _subtract(flat, grad, flat)
+        if not np.isfinite(flat).all():
             raise ValueError(
                 f"training diverged at epoch {epoch + 1}: non-finite parameters "
                 f"(try a smaller learning_rate)"
@@ -233,9 +337,11 @@ class _Workspace:
 
 def _contrastive_batch(params, X1, X2, same, margin):
     # mean loss over the batch and its gradients wrt the shared parameters,
-    # through a one-off workspace
-    ws = _Workspace(params, 2 * len(X1))
-    d = ws.contrastive(np.concatenate([X1, X2]), same, margin)
+    # through a one-off plan
+    n = len(X1)
+    ws = _Workspace(params, 2 * n)
+    (step,) = ws.twin_plan(np.concatenate([X1, X2]), same, [(0, n)], margin)
+    d = ws.run(step)
     loss = float(np.where(same, d, np.maximum(0.0, margin - d)).mean())
     return loss, [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
 
@@ -284,8 +390,12 @@ class _PairSampler:
         c = self.cls[k]
         u = rng.integers(len(self.cls) - self.size[c])
         m = self.order[np.where(u < self.start[c], u, u + self.size[c])]
-        same = np.arange(n_same + n_diff) < n_same
-        return np.concatenate([i, k]), np.concatenate([j, m]), same
+        return np.concatenate([i, k]), np.concatenate([j, m]), self.layout(n_same, n_diff)
+
+    @staticmethod
+    def layout(n_same, n_diff):
+        """A draw's same-class flags: its similar pairs come first."""
+        return np.arange(n_same + n_diff) < n_same
 
 
 def train_siamese(features, labels, layer_dims, config):
@@ -303,19 +413,19 @@ def train_siamese(features, labels, layer_dims, config):
         raise ValueError("no class has at least 2 examples; cannot form similar pairs")
 
     n_pairs, size = config.pairs_per_epoch, config.batch_size
+    n_same = n_pairs // 2
     ws = _Workspace(init_params(layer_dims, EMBEDDING, config.seed), 2 * min(n_pairs, size))
     rng = np.random.default_rng((*_as_seed(config.seed), 1))
-    n_same = n_pairs // 2
     batches = [(s, min(s + size, n_pairs)) for s in range(0, n_pairs, size)]
     # row order that lays each batch out as [X[i1_b]; X[i2_b]] within [i1; i2]
     order = np.concatenate([np.r_[s:e, n_pairs + s : n_pairs + e] for s, e in batches])
+    rows = np.empty((2 * n_pairs, X.shape[1]))
+    same = _PairSampler.layout(n_same, n_pairs - n_same)
+    plan = ws.twin_plan(rows, same, batches, config.margin)
     for epoch in range(config.epochs):
-        i1, i2, same = sampler.draw(rng, n_same, n_pairs - n_same)
-        rows = X[np.concatenate([i1, i2])[order]]
-        for s, e in batches:
-            ws.contrastive(rows[2 * s : 2 * e], same[s:e], config.margin)
-            ws.descend(config.learning_rate)
-        ws.check_finite(epoch)
+        i1, i2, _ = sampler.draw(rng, n_same, n_pairs - n_same)
+        X.take(np.concatenate([i1, i2])[order], axis=0, out=rows)
+        ws.sgd_epoch(plan, config.learning_rate, epoch)
     params = ws.export()
     _check_saturation(params, X)
     return params
@@ -337,13 +447,13 @@ def train_classifier(features, labels, layer_dims, config):
     n, size = len(X), config.batch_size
     ws = _Workspace(init_params(layer_dims, CLASSIFIER, config.seed), min(n, size))
     rng = np.random.default_rng((*_as_seed(config.seed), 2))
+    Xp, yp = np.empty(X.shape), np.empty_like(y)
+    plan = ws.classifier_plan(Xp, yp, size)
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
-        Xp, yp = X[perm], y[perm]
-        for s in range(0, n, size):
-            ws.cross_entropy(Xp[s : s + size], yp[s : s + size])
-            ws.descend(config.learning_rate)
-        ws.check_finite(epoch)
+        X.take(perm, axis=0, out=Xp)
+        y.take(perm, out=yp)
+        ws.sgd_epoch(plan, config.learning_rate, epoch)
     params = ws.export()
     _check_saturation(params, X)
     return params
@@ -382,13 +492,46 @@ def save_params(params, path):
 
 
 def load_params(path):
-    """Read parameters written by save_params."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        mode = str(data["mode"])
-        layer_dims = [int(d) for d in data["layer_dims"]]
-        weights = [data[f"w{l}"] for l in range(len(layer_dims) - 1)]
-        biases = [data[f"b{l}"] for l in range(len(layer_dims) - 1)]
-    return MlpParams(layer_dims=layer_dims, weights=weights, biases=biases, mode=mode)
+    """Read parameters written by save_params. A missing array, a weight or
+    bias whose shape disagrees with layer_dims, or an unknown version or
+    mode raises ValueError naming the file, as does a file that is not an
+    .npz archive."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, zipfile.BadZipFile) as exc:  # pickled data, a broken zip
+        raise ValueError(f"{path}: not a model file ({exc})") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a model file (a single .npy array)")
+    with data:
+
+        def array(name):
+            if name not in data.files:
+                raise ValueError(f"{path}: model file has no array {name!r}")
+            try:
+                return data[name]
+            except zipfile.BadZipFile as exc:  # a bad CRC or member header
+                raise ValueError(f"{path}: array {name!r} is unreadable ({exc})") from None
+
+        version = array("version")
+        if version.shape != () or version.item() != _FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported model format version {version}")
+        mode = array("mode")
+        if mode.shape != () or mode.item() not in (EMBEDDING, CLASSIFIER):
+            raise ValueError(f"{path}: unknown mode {mode}")
+        dims = array("layer_dims")
+        if dims.ndim != 1 or dims.dtype.kind not in "iu" or len(dims) < 2 or (dims < 1).any():
+            raise ValueError(f"{path}: layer_dims {dims} is not two or more positive integers")
+        layer_dims = [int(d) for d in dims]
+        weights, biases = [], []
+        for l, (fan_in, fan_out) in enumerate(zip(layer_dims, layer_dims[1:])):
+            for name, shape, out in (
+                (f"w{l}", (fan_out, fan_in), weights), (f"b{l}", (fan_out,), biases)
+            ):
+                a = array(name)
+                if a.shape != shape or a.dtype.kind != "f":
+                    raise ValueError(
+                        f"{path}: {name} is {a.dtype} {a.shape}, layer_dims "
+                        f"{layer_dims} need float {shape}"
+                    )
+                out.append(a)
+    return MlpParams(layer_dims=layer_dims, weights=weights, biases=biases, mode=str(mode))

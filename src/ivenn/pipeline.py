@@ -37,7 +37,7 @@ from ivenn.ivp import (
     predict_many,
     save_table,
 )
-from ivenn.metrics import EvalBatch, build_report, curves_csv, report_text
+from ivenn.metrics import EvalBatch, build_report, check_bins, curves_csv, report_text
 from ivenn.mlp import (
     EMBEDDING,
     TrainConfig,
@@ -120,7 +120,14 @@ class RunConfig:
             raise ValueError(
                 f"softmax_source must be csv or train, got {self.softmax_source!r}"
             )
-        TaxonomyKind(self.taxonomy)
+        kind = TaxonomyKind(self.taxonomy)
+        # every stage's own checks, run before the load stage; an unset
+        # class_count is the dataset's, checked when the taxonomy is fitted
+        class_count = 2 if self.class_count is None else self.class_count
+        _derived(TaxonomyConfig, self, kind=kind, class_count=class_count).validate()
+        _derived(TrainConfig, self).validate()
+        _derived(SplitSpec, self).validate()
+        check_bins(self.bins)
 
 
 def parse_config(text):

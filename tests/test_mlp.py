@@ -1,5 +1,7 @@
 """Twin-network forward pass, contrastive loss and gradients, training."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -426,6 +428,12 @@ class TestTrainClassifier:
             train_classifier(X, np.array([0, 1, 2, 3]), [2, 3], TrainConfig(epochs=1))
 
 
+def npy_bytes(a):
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
 class TestPersistence:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -471,6 +479,25 @@ class TestPersistence:
             )
         with pytest.raises(ValueError, match="version"):
             load_params(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: b"id,label\n", "not a model file"),
+            (lambda raw: npy_bytes(np.zeros(3)), "not a model file (a single .npy array)"),
+            (lambda raw: raw[:100], "not a model file"),
+            (lambda raw: raw[:60] + b"\xff" * 8 + raw[68:], "array 'version' is unreadable"),
+        ],
+        ids=["text", "npy", "truncated", "bad crc"],
+    )
+    def test_unreadable_file_named(self, tmp_path, edit, message):
+        good = tmp_path / "good.npz"
+        save_params(init_params([2, 3], seed=0), good)
+        path = tmp_path / "bad.npz"
+        path.write_bytes(edit(good.read_bytes()))
+        with pytest.raises(ValueError) as exc:
+            load_params(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
 
 
 def reference_forward(params, X):
@@ -587,6 +614,40 @@ class TestTrainingMatchesReferenceLoop:
         X, y = three_class_data(rows, dims[0], seed=len(dims) * 10 + batch)
         y %= dims[-1]
         cfg = TrainConfig(learning_rate=0.2, epochs=12, batch_size=batch, seed=6)
+        got = train_classifier(X, y, dims, cfg)
+        assert_same_bits(got, reference_classifier(X, y, dims, cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 12), min_size=2, max_size=4),  # depths 1-3
+        pairs=st.integers(1, 70),  # 1 pair: no similar pair is drawn
+        batch=st.integers(1, 80),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_siamese_random_shapes_bit_for_bit(self, dims, pairs, batch, epochs, seed):
+        X, y = three_class_data(40, dims[0], seed)
+        cfg = TrainConfig(
+            margin=1.5, learning_rate=0.05, epochs=epochs, batch_size=batch,
+            seed=seed, pairs_per_epoch=pairs,
+        )
+        assert_same_bits(train_siamese(X, y, dims, cfg), reference_siamese(X, y, dims, cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+        classes=st.integers(2, 5),
+        rows=st.integers(2, 70),
+        batch=st.integers(1, 80),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_classifier_random_shapes_bit_for_bit(self, dims, classes, rows, batch, epochs, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.permutation(np.arange(rows) % classes)  # every class up to rows
+        X = rng.normal(size=(rows, dims[0])) + y[:, None]
+        dims = [*dims, classes]
+        cfg = TrainConfig(learning_rate=0.2, epochs=epochs, batch_size=batch, seed=seed)
         got = train_classifier(X, y, dims, cfg)
         assert_same_bits(got, reference_classifier(X, y, dims, cfg))
 

@@ -188,6 +188,18 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="stage 'softmax'.*scores"):
             run_pipeline(cfg, dataset=ds)
 
+    @pytest.mark.parametrize("field, value", [("bins", 0), ("k", 0), ("theta", -1.0)])
+    def test_bad_config_fails_before_load(self, tmp_path, field, value):
+        # a value only the report or taxonomy stage reads still fails up
+        # front, as a plain ValueError, before any stage runs or writes
+        ds = synth_gaussians(2, 2, 50, 4.0, seed=3)
+        out = tmp_path / "out"
+        cfg = RunConfig(out_dir=str(out), taxonomy="knn_v1", embedding="identity",
+                        **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            run_pipeline(cfg, dataset=ds)
+        assert not out.exists()
+
     def test_stage_name_in_errors(self, tmp_path):
         cfg = RunConfig(data_csv=str(tmp_path / "absent.csv"), out_dir=str(tmp_path))
         with pytest.raises(PipelineError, match="stage 'load'"):
@@ -527,6 +539,32 @@ class TestCli:
             code = cli.main(["embed", "--model", model, "--data", str(data), "--out", str(out)])
         assert code == 2
         assert "embedding of example id 8 is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a.pop("version"), "model file has no array 'version'"),
+            (lambda a: a.pop("b0"), "model file has no array 'b0'"),
+            (lambda a: a.update(w0=np.zeros((2, 3))),
+             "w0 is float64 (2, 3), layer_dims [2, 3] need float (3, 2)"),
+            (lambda a: a.update(mode="ranking"), "unknown mode ranking"),
+        ],
+        ids=["no version", "no bias", "transposed weight", "unknown mode"],
+    )
+    def test_embed_rejects_bad_model_file(self, tmp_path, capsys, edit, message):
+        arrays = dict(version=np.int64(1), mode="embedding", layer_dims=np.array([2, 3]),
+                      w0=np.zeros((3, 2)), b0=np.zeros(3))
+        edit(arrays)
+        model = tmp_path / "bad.npz"
+        with open(model, "wb") as f:
+            np.savez(f, **arrays)
+        data = tmp_path / "d.csv"
+        data.write_text("id,label,f0,f1\n7,0,1.0,2.0\n")
+        out = tmp_path / "emb.csv"
+        code = cli.main(["embed", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert code == 2
+        assert f"{model}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @staticmethod
