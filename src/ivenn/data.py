@@ -218,34 +218,34 @@ def load_csv(path, class_count=None):
     )
 
 
-def _write_csv(path, header, ids, labels, values):
-    """Write the header, then one `id,label,v0,...` line per row of the 2-D
-    float array `values`; floats via repr, so load_csv reads back the same
-    bits. Rows are formatted a block at a time to bound the memory held in
-    Python objects."""
-    ids = np.asarray(ids, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
+def csv_lines(*columns):
+    """One `,`-joined line per row of the columns, each a 1-D array or a 2-D
+    block of columns. Every cell is formatted as str() formats it, which is
+    repr for a float, so load_csv reads back the same bits."""
+    cells = [cell for col in columns for cell in np.atleast_2d(np.asarray(col).T).tolist()]
+    return list(map(",".join(["{}"] * len(cells)).format, *cells))
+
+
+def _write_csv(path, header, *columns):
+    """Write the header, then the columns' csv_lines a block of rows at a
+    time, to bound the memory held in Python objects."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for block in range(0, len(ids), _WRITE_BLOCK_ROWS):
+        for block in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             rows = slice(block, block + _WRITE_BLOCK_ROWS)
-            f.write("".join(
-                ",".join([str(i), str(y), *map(repr, row)]) + "\n"
-                for i, y, row in zip(
-                    ids[rows].tolist(), labels[rows].tolist(), values[rows].tolist()
-                )
-            ))
+            f.write("\n".join(csv_lines(*(col[rows] for col in columns))) + "\n")
 
 
 def save_csv(ds, path):
-    """Inverse of load_csv; the round trip is exact."""
+    """Inverse of load_csv; the round trip is exact. Every cell is written as
+    the file's type: int64 ids and labels, float features and scores."""
     cols = ["id", "label"] + [f"f{i}" for i in range(ds.feature_dim)]
-    values = ds.features
+    blocks = [np.asarray(ds.features, dtype=float)]
     if ds.softmaxes is not None:
         cols += [f"s{j}" for j in range(ds.class_count)]
-        values = np.hstack([ds.features, ds.softmaxes])
-    _write_csv(path, cols, ds.ids, ds.labels, values)
+        blocks.append(np.asarray(ds.softmaxes, dtype=float))
+    ids, labels = (np.asarray(a, dtype=np.int64) for a in (ds.ids, ds.labels))
+    _write_csv(path, cols, ids, labels, *blocks)
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,10 @@ def load_table(path):
     if missing:
         raise ValueError(f"{path}: header has no {', '.join(missing)}")
     cfg = TaxonomyConfig(**header)
-    counts = np.zeros((category_count(cfg), cfg.class_count), dtype=np.int64)
+    try:
+        counts = np.zeros((category_count(cfg), cfg.class_count), dtype=np.int64)
+    except ValueError as exc:  # a header value the config check rejects
+        raise ValueError(f"{path}: {exc}") from None
     seen = set()
     for number, ln in count_lines:
         where = f"{path}:{number}:"

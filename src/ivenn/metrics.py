@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ivenn.data import csv_lines
 from ivenn.ivp import IvpBatch, IvpPrediction
 
 # Floor for probabilities entering log; midpoints never reach 1 for a
@@ -322,11 +323,5 @@ def report_text(report):
 
 def curves_csv(curves):
     """Cumulative curves as CSV with columns n, E, LEP, UEP."""
-    lines = ["n,E,LEP,UEP"]
-    lines += [
-        f"{i},{e!r},{lep!r},{uep!r}"
-        for i, (e, lep, uep) in enumerate(
-            zip(curves.E.tolist(), curves.LEP.tolist(), curves.UEP.tolist()), start=1
-        )
-    ]
-    return "\n".join(lines) + "\n"
+    n = np.arange(1, len(curves.E) + 1)
+    return "\n".join(["n,E,LEP,UEP", *csv_lines(n, curves.E, curves.LEP, curves.UEP)]) + "\n"

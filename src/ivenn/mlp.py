@@ -91,11 +91,16 @@ class TrainConfig:
             raise ValueError("batch_size and pairs_per_epoch must be positive")
 
 
+def check_layer_dims(layer_dims):
+    """Raise unless layer_dims holds two or more sizes, all positive."""
+    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+        raise ValueError("layer_dims needs at least two positive entries")
+
+
 def init_params(layer_dims, mode=EMBEDDING, seed=0):
     """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
     layer_dims = [int(d) for d in layer_dims]
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ValueError("layer_dims needs at least two positive entries")
+    check_layer_dims(layer_dims)
     if mode not in (EMBEDDING, CLASSIFIER):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)

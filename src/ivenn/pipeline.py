@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import SplitSpec, load_csv, split
+from ivenn.data import SplitSpec, _write_csv, csv_lines, load_csv, split
 from ivenn.ivp import (
     IvpBatch,
     calibrate,
@@ -41,6 +41,7 @@ from ivenn.metrics import EvalBatch, build_report, check_bins, curves_csv, repor
 from ivenn.mlp import (
     EMBEDDING,
     TrainConfig,
+    check_layer_dims,
     forward_batch,
     load_params,
     save_params,
@@ -128,6 +129,11 @@ class RunConfig:
         _derived(TrainConfig, self).validate()
         _derived(SplitSpec, self).validate()
         check_bins(self.bins)
+        # each network the run trains; 1 stands in for the dataset's width
+        if self.embedding == SIAMESE and self.model_path is None:
+            check_layer_dims([1, *self.hidden_dims, self.embedding_dim])
+        if kind in BASELINE_KINDS and self.softmax_source == "train":
+            check_layer_dims([1, *self.hidden_dims, class_count])
 
 
 def parse_config(text):
@@ -331,35 +337,21 @@ def _write_artifacts(cfg, result, timings, test_ids=None):
             )
 
 
+def _predictions_header(c):
+    """The predictions.csv (v2) columns for c classes."""
+    cols = ["id", "label", "category", "predicted", "N", *(f"n{j}" for j in range(c))]
+    return cols + [f"{b}{j}" for j in range(c) for b in "LU"]
+
+
 def _write_predictions(path, ids, records):
     """v2: id,label,category,predicted,N,n0..n{c-1},L0,U0,... Every example
     of a category shares everything after its category, so that suffix is
     formatted once per category."""
     rows = records.predictions.rows
-    c = rows.counts.shape[1]
-    cols = ["id", "label", "category", "predicted", "N"]
-    cols += [f"n{j}" for j in range(c)]
-    for j in range(c):
-        cols += [f"L{j}", f"U{j}"]
-    suffix = [
-        ",".join(
-            [str(p), str(total), *map(str, n)]
-            + [repr(v) for pair in zip(lo, up) for v in pair]
-        )
-        for p, total, n, lo, up in zip(
-            rows.predicted.tolist(), rows.totals.tolist(), rows.counts.tolist(),
-            rows.lower.tolist(), rows.upper.tolist(),
-        )
-    ]
-    lines = [",".join(cols)]
-    lines += [
-        f"{i},{y},{k},{suffix[k]}"
-        for i, y, k in zip(
-            ids.tolist(), records.labels.tolist(), records.predictions.category.tolist()
-        )
-    ]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    bounds = np.stack([rows.lower, rows.upper], axis=2).reshape(len(rows.lower), -1)
+    suffix = np.array(csv_lines(rows.predicted, rows.totals, rows.counts, bounds), dtype=object)
+    k = records.predictions.category
+    _write_csv(path, _predictions_header(rows.counts.shape[1]), ids, records.labels, k, suffix[k])
 
 
 def _write_timing(path, timings, predictions):
@@ -390,7 +382,7 @@ def load_predictions(path):
         raise ValueError(f"{path}: empty file")
     header = numbered[0][1].split(",")
     c = (len(header) - 5) // 3
-    if header[:5] != ["id", "label", "category", "predicted", "N"] or len(header) != 5 + 3 * c:
+    if c < 2 or header != _predictions_header(c):
         raise ValueError(f"{path}: not a predictions header (id,label,category,predicted,N,...)")
     if len(numbered) == 1:
         raise ValueError(f"{path}: no prediction rows")

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from ivenn import cli, data
 from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
+from ivenn.ivp import IvpBatch, category_rows
+from ivenn.metrics import CumulativeCurves, EvalBatch, curves_csv
 from ivenn.mlp import forward_batch, init_params, save_params
+from ivenn.pipeline import _write_predictions
 from ivenn.space import build_centroids, nearest_centroid
 
 WELL_FORMED = """id,label,f0,f1
@@ -269,6 +272,33 @@ def _reference_rows(header, ids, labels, values):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _reference_predictions(ids, labels, category, rows):
+    # the per-row f-strings predictions.csv (v2) was first written with
+    suffix = [
+        ",".join(
+            [str(p), str(total), *map(str, n)] + [repr(v) for pair in zip(lo, up) for v in pair]
+        )
+        for p, total, n, lo, up in zip(
+            rows.predicted.tolist(), rows.totals.tolist(), rows.counts.tolist(),
+            rows.lower.tolist(), rows.upper.tolist(),
+        )
+    ]
+    lines = ["id,label,category,predicted,N,n0,n1,L0,U0,L1,U1"]
+    lines += [f"{i},{y},{k},{suffix[k]}" for i, y, k in zip(ids, labels, category)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_curves(E, LEP, UEP):
+    # the per-row f-string curves.csv was first written with
+    lines = ["n,E,LEP,UEP"]
+    lines += [f"{i},{e!r},{lep!r},{uep!r}" for i, (e, lep, uep) in enumerate(zip(E, LEP, UEP), 1)]
+    return "\n".join(lines) + "\n"
+
+
+# float cells whose shortest repr is easy to get wrong
+FLOAT_EDGES = [-0.0, 5e-324, 0.30000000000000004, 1.7976931348623157e308]
+
+
 class TestCsvWriter:
     EXTREMES = Dataset(
         ids=np.array([-(2**63), 2**63 - 1, 7], dtype=np.int64),
@@ -291,6 +321,17 @@ class TestCsvWriter:
             b"7,1,0.1,1e-300,0.1,0.9\n"
         )
 
+    def test_save_csv_writes_each_column_as_its_file_type(self, tmp_path):
+        # a Dataset built in code may hold float ids or integer features
+        ds = Dataset(
+            ids=np.array([3.0, 4.0]), features=np.array([[1], [-2]]), labels=np.array([0, 1]),
+            class_count=2, softmaxes=np.array([[1, 0], [0, 1]]),
+        )
+        path = tmp_path / "d.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == b"id,label,f0,s0,s1\n3,0,1.0,1.0,0.0\n4,1,-2.0,0.0,1.0\n"
+        assert load_csv(path).ids.tolist() == [3, 4]
+
     def test_embed_bytes(self, tmp_path):
         data_path, model = tmp_path / "d.csv", tmp_path / "model.npz"
         save_csv(self.EXTREMES, data_path)
@@ -305,6 +346,25 @@ class TestCsvWriter:
         assert out.read_bytes() == _reference_rows(
             ["id", "label", "e0", "e1"], self.EXTREMES.ids, self.EXTREMES.labels, emb
         )
+
+    def test_predictions_bytes(self, tmp_path):
+        rows = category_rows([[2**62, 3], [0, 0]])._replace(
+            lower=np.reshape(FLOAT_EDGES, (2, 2)),
+            upper=np.reshape(FLOAT_EDGES[::-1], (2, 2)),
+        )
+        ids = [-(2**63), 2**63 - 1, 7]
+        labels, category = [0, 1, 1], [1, 0, 0]
+        batch = EvalBatch(
+            predictions=IvpBatch(category=np.array(category), rows=rows), labels=np.array(labels)
+        )
+        path = tmp_path / "predictions.csv"
+        _write_predictions(path, np.array(ids, dtype=np.int64), batch)
+        assert path.read_bytes() == _reference_predictions(ids, labels, category, rows)
+
+    def test_curves_bytes(self):
+        E, LEP, UEP = FLOAT_EDGES, FLOAT_EDGES[::-1], FLOAT_EDGES[1:] + FLOAT_EDGES[:1]
+        curves = CumulativeCurves(E=np.array(E), LEP=np.array(LEP), UEP=np.array(UEP))
+        assert curves_csv(curves) == _reference_curves(E, LEP, UEP)
 
 
 class TestDatasetValidation:

@@ -1,5 +1,6 @@
 """Calibration table construction, probability intervals, prediction."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -451,6 +452,23 @@ class TestPersistence:
         assert old in text
         path.write_text(text.replace(old, new, 1), encoding="utf-8")
         with pytest.raises(ValueError, match=r"table\.txt" + message):
+            load_table(path)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("k = 5\n", "k = 0\n", "k must be at least 1"),
+            ("class_count = 3\n", "class_count = 1\n", "class_count must be at least 2"),
+            ("theta = none\n", "theta = -1.0\n", "theta must be positive"),
+        ],
+        ids=["k", "class_count", "theta"],
+    )
+    def test_bad_header_value_names_path(self, tmp_path, old, new, message):
+        # each value parses, so only the config check can reject it
+        path = tmp_path / "table.txt"
+        save_table(table_from_counts([[0, 0, 0], [0, 4, 0], [0, 0, 0]]), path)
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
             load_table(path)
 
     @settings(max_examples=150, deadline=None)

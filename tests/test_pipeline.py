@@ -200,6 +200,25 @@ class TestRunPipeline:
             run_pipeline(cfg, dataset=ds)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "given",
+        [
+            dict(embedding_dim=0),
+            dict(hidden_dims=(0,)),
+            dict(hidden_dims=(-3,)),
+            dict(taxonomy="base_v2", embedding="identity", softmax_source="train",
+                 hidden_dims=(4, 0)),
+        ],
+        ids=["embedding_dim 0", "hidden 0", "hidden -3", "classifier hidden 0"],
+    )
+    def test_bad_network_size_fails_before_load(self, tmp_path, given):
+        ds = synth_gaussians(2, 2, 50, 4.0, seed=3)
+        out = tmp_path / "out"
+        cfg = RunConfig(**{"out_dir": str(out), "taxonomy": "nc_v1", **given})
+        with pytest.raises(ValueError, match="^layer_dims needs at least two positive"):
+            run_pipeline(cfg, dataset=ds)
+        assert not out.exists()
+
     def test_stage_name_in_errors(self, tmp_path):
         cfg = RunConfig(data_csv=str(tmp_path / "absent.csv"), out_dir=str(tmp_path))
         with pytest.raises(PipelineError, match="stage 'load'"):
@@ -645,6 +664,26 @@ class TestCli:
         )
         assert code == 2
         assert f"{path}: empty file" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "id,label,category,predicted,N\n0,0,0,0,0\n",
+            "id,label,category,predicted,N,n0,L0,U0\n0,0,0,0,1,1,0.5,1.0\n",
+            "id,label,category,predicted,N,n0,n1,L0,L1,U0,U1\n0,0,0,0,1,1,0,0.5,0.0,1.0,0.5\n",
+        ],
+        ids=["no classes", "one class", "bounds out of order"],
+    )
+    def test_report_rejects_a_header_the_writer_cannot_produce(self, tmp_path, capsys, text):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        code = cli.main(
+            ["report", "--predictions", str(path), "--report-out", str(tmp_path / "r.txt"),
+             "--curves-out", str(tmp_path / "c.csv")]
+        )
+        assert code == 2
+        assert f"{path}: not a predictions header" in capsys.readouterr().err
         assert not (tmp_path / "r.txt").exists()
 
     @pytest.mark.parametrize("offset", [10**8, 10**15])
