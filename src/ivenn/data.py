@@ -34,6 +34,22 @@ def check_score_rows(S):
         )
 
 
+def _int64_ids(ids):
+    # ids as int64; ValueError names the first that is not an integer in
+    # int64's range (a float id would be written as 82.0)
+    ids = np.asarray(ids)
+    if ids.dtype.kind in "iu":
+        ok = ids <= np.iinfo(np.int64).max
+    elif ids.dtype.kind == "f":
+        ok = (np.trunc(ids) == ids) & (-(2.0**63) <= ids) & (ids < 2.0**63)
+    else:
+        ok = np.zeros(ids.shape, dtype=bool)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"id {ids[i].item()!r} in row {i} is not an integer")
+    return ids.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Dataset:
     ids: np.ndarray  # (n,) int64
@@ -43,6 +59,7 @@ class Dataset:
     softmaxes: np.ndarray | None = None  # (n, class_count) rows summing to 1
 
     def __post_init__(self):
+        object.__setattr__(self, "ids", _int64_ids(self.ids))
         n = len(self.ids)
         if self.features.shape[0] != n or self.labels.shape[0] != n:
             raise ValueError("ids, features and labels must have equal length")

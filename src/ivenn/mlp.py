@@ -524,9 +524,13 @@ def load_params(path):
         if mode.shape != () or mode.item() not in (EMBEDDING, CLASSIFIER):
             raise ValueError(f"{path}: unknown mode {mode}")
         dims = array("layer_dims")
-        if dims.ndim != 1 or dims.dtype.kind not in "iu" or len(dims) < 2 or (dims < 1).any():
-            raise ValueError(f"{path}: layer_dims {dims} is not two or more positive integers")
+        if dims.ndim != 1 or dims.dtype.kind not in "iu":
+            raise ValueError(f"{path}: layer_dims {dims} is not a list of integers")
         layer_dims = [int(d) for d in dims]
+        try:
+            check_layer_dims(layer_dims)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         weights, biases = [], []
         for l, (fan_in, fan_out) in enumerate(zip(layer_dims, layer_dims[1:])):
             for name, shape, out in (

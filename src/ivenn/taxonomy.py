@@ -133,16 +133,16 @@ def category_count(cfg):
 
 
 def _vote(dists, neighbor_labels, class_count):
-    # (majority class, its vote count) of each row of (m, k) neighbors; ties
-    # go to the smallest summed neighbor distance, then the lowest class
-    # index. bincount adds its weights in input order, so each sum runs in
+    # (majority class of each row of (m, k) neighbors, the (m, class_count)
+    # vote counts): most votes first, then the smallest summed neighbor
+    # distance, then the lowest class index, as lexsort sorts each row
+    # stably. bincount adds its weights in input order, so each sum runs in
     # neighbor order.
     m = len(dists)
     cell = (neighbor_labels + np.arange(0, m * class_count, class_count)[:, None]).ravel()
     votes = np.bincount(cell, minlength=m * class_count).reshape(m, class_count)
     sums = np.bincount(cell, dists.ravel(), m * class_count).reshape(m, class_count)
-    top = np.maximum.reduce(votes, axis=1)
-    return np.where(votes < top[:, None], np.inf, sums).argmin(axis=1), top
+    return np.lexsort((sums, -votes))[:, 0], votes
 
 
 def _knn_categories(index, R, cfg, refined):
@@ -151,7 +151,7 @@ def _knn_categories(index, R, cfg, refined):
     if not refined:
         return yhat
     width = cfg.k - cfg.k // cfg.class_count
-    disagree = cfg.k - votes  # neighbors outside the winning class
+    disagree = cfg.k - np.maximum.reduce(votes, axis=1)  # neighbors outside the winning class
     if disagree.max(initial=0) >= width:  # an all-way vote tie
         for count in disagree[disagree >= width]:
             warnings.warn(

@@ -1,5 +1,7 @@
 """CSV ingestion, deterministic splits, synthetic blobs."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -397,6 +399,29 @@ class TestDatasetValidation:
                 class_count=3,
                 softmaxes=scores,
             )
+
+    def test_integral_ids_become_int64(self):
+        for ids in (np.array([7.0, -3.0]), np.array([7, 3], dtype=np.uint8), [7, 3]):
+            ds = Dataset(ids=ids, features=np.zeros((2, 1)), labels=np.array([0, 0]),
+                         class_count=1)
+            assert ds.ids.dtype == np.int64 and ds.ids.tolist() == [int(i) for i in ids]
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([1.0, 2.5, np.nan], "id 2.5 in row 1 is not an integer"),
+            ([np.nan, 2.5], "id nan in row 0 is not an integer"),
+            ([1.0, np.inf], "id inf in row 1 is not an integer"),
+            ([1.0, 2.0**63], "id 9.223372036854776e+18 in row 1 is not an integer"),
+            (np.array([1, 2**63], dtype=np.uint64), "id 9223372036854775808 in row 1 is not"),
+            (np.array(["1", "2"]), "id '1' in row 0 is not an integer"),
+        ],
+        ids=["half", "nan", "inf", "past int64", "uint64 past int64", "text"],
+    )
+    def test_first_non_integer_id_named(self, ids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            Dataset(ids=np.asarray(ids), features=np.zeros((len(ids), 1)),
+                    labels=np.zeros(len(ids), dtype=int), class_count=1)
 
     def test_softmax_shape(self):
         with pytest.raises(ValueError, match="softmaxes"):

@@ -481,6 +481,26 @@ class TestPersistence:
             load_params(path)
 
     @pytest.mark.parametrize(
+        "dims, message",
+        [
+            (np.array([2]), "layer_dims needs at least two positive entries"),
+            (np.array([2, 0]), "layer_dims needs at least two positive entries"),
+            (np.array([2.0, 2.0]), "layer_dims [2. 2.] is not a list of integers"),
+            (np.array([[2, 2]]), "layer_dims [[2 2]] is not a list of integers"),
+        ],
+        ids=["one size", "zero size", "float sizes", "2-D sizes"],
+    )
+    def test_bad_layer_dims_named(self, tmp_path, dims, message):
+        # the rule init_params and the run config check, prefixed with the file
+        path = tmp_path / "bad.npz"
+        with open(path, "wb") as f:
+            np.savez(f, version=np.int64(1), mode="embedding", layer_dims=dims,
+                     w0=np.zeros((2, 2)), b0=np.zeros(2))
+        with pytest.raises(ValueError) as exc:
+            load_params(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda raw: b"id,label\n", "not a model file"),

@@ -522,6 +522,22 @@ class TestCli:
         ) == 0
         assert (tmp_path / "re.txt").read_bytes() == a
 
+    def test_float_ids_give_a_predictions_csv_report_reads(self, tmp_path, capsys):
+        synth = synth_gaussians(2, 2, 40, 5.0, seed=2)
+        ds = Dataset(synth.ids.astype(float), synth.features, synth.labels, synth.class_count)
+        out = tmp_path / "run"
+        run_pipeline(
+            RunConfig(out_dir=str(out), taxonomy="nc_v1", embedding="identity", seed=1),
+            dataset=ds,
+        )
+        ids = [line.split(",")[0] for line in (out / "predictions.csv").read_text().splitlines()]
+        assert ids[0] == "id" and all(i.isdigit() for i in ids[1:])
+        assert cli.main(
+            ["report", "--predictions", str(out / "predictions.csv"),
+             "--report-out", str(tmp_path / "re.txt"), "--curves-out", str(tmp_path / "ce.csv")]
+        ) == 0
+        assert (tmp_path / "re.txt").read_bytes() == (out / "report.txt").read_bytes()
+
     def test_train_then_embed(self, tmp_path, capsys):
         data = str(tmp_path / "d.csv")
         cli.main(["synth", "--classes", "2", "--dim", "2", "--n-per-class", "80",

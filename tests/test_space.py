@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivenn.space import (
+    _tile_plan,
     build_centroids,
     build_index,
     distance,
@@ -257,17 +260,47 @@ class TestKnnMany:
             d1, ids1 = knn(index, q, 7)
             assert np.array_equal(d, d1) and np.array_equal(ids, ids1)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from(["plane with 1e-6 noise", "dense 2-D blobs"]),
+        dim=st.sampled_from([2, 3, 32]),
+        k=st.sampled_from([1, 5, 40]),
+        rows=st.sampled_from([1, 19, 20, 21, 41, "two chunks"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_group_and_chunk_boundaries(self, shape, dim, k, rows, seed):
+        """Batches on either side of a group (20 rows, scanned as one) and
+        of a chunk (524 rows, whose groups are ordered by nearest tile)
+        equal single queries and the oracle bit for bit, on the learned
+        embedding's shapes."""
+        n = 4000  # 125 tiles of 32
+        rng = np.random.default_rng(seed)
+        tiles, width = -(-n // 32), 32
+        step, group = _tile_plan(n, tiles, width, dim, k)[:2]
+        assert (step, group) == (524, 20)
+        m = step + group + 1 if rows == "two chunks" else rows
+        pts, Q = next((p, q) for name, p, q in knn_datasets(rng, n, dim, m) if name == shape)
+        index = build_index(pts, np.zeros(n, dtype=int))
+        assert index.tile_ids.shape == (tiles, width)
+        D, I = knn_many(index, Q, k)
+        oD, oI = oracle_many(pts, Q, k)
+        assert np.array_equal(I, oI) and np.array_equal(D, oD)
+        for q, d, ids in zip(Q, D, I):
+            d1, ids1 = knn(index, q, k)
+            assert np.array_equal(d, d1) and np.array_equal(ids, ids1)
+
     def test_chunks_cover_every_row(self):
-        # more queries than one byte-capped chunk holds
+        # more queries than one byte-capped chunk holds: 157 tiles, 417 rows
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(5000, 2))
-        Q = rng.normal(size=(30, 2))
+        Q = rng.normal(size=(450, 2))
         index = build_index(pts, np.zeros(5000, dtype=int))
+        assert _tile_plan(5000, *index.tile_ids.shape, 2, 3)[0] == 417
         D, I = knn_many(index, Q, 3)
         oD, oI = oracle_many(pts, Q, 3)
         assert np.array_equal(I, oI) and np.array_equal(D, oD)
-        Q[25, 0] = np.nan  # named by its row in Q, not in its chunk
-        with pytest.raises(ValueError, match="query row 25 is not finite"):
+        Q[425, 0] = np.nan  # named by its row in Q, not in its chunk
+        with pytest.raises(ValueError, match="query row 425 is not finite"):
             knn_many(index, Q, 3)
 
     def test_empty_batch(self):

@@ -13,6 +13,7 @@ from ivenn.taxonomy import (
     DISTANCE_KINDS,
     TaxonomyConfig,
     TaxonomyKind,
+    _vote,
     assign_baseline,
     assign_knn_v1,
     assign_knn_v2,
@@ -355,6 +356,44 @@ def reference_category(tax, q):
         return yhat
     width = cfg.k - cfg.k // c
     return yhat * width + min(disagree, width - 1)
+
+
+def reference_vote(dists, labels, c):
+    """(class, votes) of one row of neighbors by plain loops: most votes,
+    then the smallest distance sum in neighbor order, then the lowest
+    class."""
+    votes = [0] * c
+    sums = [0.0] * c
+    for d, label in zip(dists, labels):
+        votes[label] += 1
+        sums[label] += d
+    return min(range(c), key=lambda j: (-votes[j], sums[j], j)), votes
+
+
+class TestVote:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), c=st.integers(2, 5), k=st.integers(1, 9), m=st.integers(0, 6))
+    def test_matches_reference(self, data, c, k, m):
+        # distances from a few values, 0.1 + 0.2 != 0.3 among them, and rows
+        # whose labels cycle through t classes, a forced vote tie when t
+        # divides k
+        dists, labels = [], []
+        for _ in range(m):
+            row = data.draw(st.lists(
+                st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0]), min_size=k, max_size=k
+            ))
+            dists.append(sorted(row))
+            if data.draw(st.booleans()):
+                t = data.draw(st.integers(1, c))
+                labels.append(data.draw(st.permutations([j % t for j in range(k)])))
+            else:
+                labels.append(data.draw(st.lists(st.integers(0, c - 1), min_size=k, max_size=k)))
+        D = np.array(dists, dtype=float).reshape(m, k)
+        L = np.array(labels, dtype=np.int64).reshape(m, k)
+        yhat, votes = _vote(D, L, c)
+        expected = [reference_vote(d, row, c) for d, row in zip(dists, labels)]
+        assert yhat.tolist() == [j for j, _ in expected]
+        assert votes.tolist() == [v for _, v in expected]
 
 
 class TestKnnBatch:
