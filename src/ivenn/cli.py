@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from ivenn.data import _write_csv, load_csv, save_csv, synth_gaussians
-from ivenn.metrics import build_report, curves_csv, report_text
+from ivenn.metrics import build_report, report_text, save_curves
 from ivenn.mlp import load_params
 from ivenn.pipeline import (
     PipelineError,
@@ -94,8 +94,7 @@ def _cmd_report(args):
     report = build_report(records, bins=args.bins)
     with open(args.report_out, "w", encoding="utf-8") as f:
         f.write(report_text(report))
-    with open(args.curves_out, "w", encoding="utf-8") as f:
-        f.write(curves_csv(report.curves))
+    save_curves(report.curves, args.curves_out)
     sys.stdout.write(report_text(report))
     return 0
 

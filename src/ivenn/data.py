@@ -7,19 +7,26 @@ The on-disk format is a single CSV with header
 where the optional s block carries an externally produced per-class score
 vector (each row summing to 1) for score-threshold taxonomies. Blank and
 whitespace-only lines are skipped; there are no comments and no quoting;
-ids and labels are int64. The body is parsed by numpy's C reader, and only
-a file it rejects goes through the Python row loop, which accepts the same
-literals as Python's int() and float() and names the line of a bad row.
+ids and labels are int64. The body is parsed by numpy's C reader a block
+of at most _READ_BLOCK_BYTES (1 MiB) of rows at a time, so parsing holds
+the columns plus one block. Only a file it rejects goes through the Python
+row loop, which accepts the same literals as Python's int() and float()
+and names the line of a bad row. Every CSV is written _WRITE_BLOCK_ROWS
+(4096) rows at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 _WRITE_BLOCK_ROWS = 4096
+_READ_BLOCK_BYTES = 1 << 20
+# numpy warns on a blank line once max_rows is set, and on a body with no rows
+_NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
 
 
 def check_score_rows(S):
@@ -34,20 +41,20 @@ def check_score_rows(S):
         )
 
 
-def _int64_ids(ids):
-    # ids as int64; ValueError names the first that is not an integer in
-    # int64's range (a float id would be written as 82.0)
-    ids = np.asarray(ids)
-    if ids.dtype.kind in "iu":
-        ok = ids <= np.iinfo(np.int64).max
-    elif ids.dtype.kind == "f":
-        ok = (np.trunc(ids) == ids) & (-(2.0**63) <= ids) & (ids < 2.0**63)
+def int64_values(values, name):
+    """The values as int64. ValueError names the first that is not an
+    integer in int64's range (a float one would be written as 82.0)."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        ok = values <= np.iinfo(np.int64).max
+    elif values.dtype.kind == "f":
+        ok = (np.trunc(values) == values) & (-(2.0**63) <= values) & (values < 2.0**63)
     else:
-        ok = np.zeros(ids.shape, dtype=bool)
+        ok = np.zeros(values.shape, dtype=bool)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise ValueError(f"id {ids[i].item()!r} in row {i} is not an integer")
-    return ids.astype(np.int64, copy=False)
+        raise ValueError(f"{name} {values[i].item()!r} in row {i} is not an integer")
+    return values.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,8 @@ class Dataset:
     softmaxes: np.ndarray | None = None  # (n, class_count) rows summing to 1
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", _int64_ids(self.ids))
+        object.__setattr__(self, "ids", int64_values(self.ids, "id"))
+        object.__setattr__(self, "labels", int64_values(self.labels, "label"))
         n = len(self.ids)
         if self.features.shape[0] != n or self.labels.shape[0] != n:
             raise ValueError("ids, features and labels must have equal length")
@@ -123,26 +131,63 @@ def _line_number(path, k):
     raise IndexError(k)
 
 
-def _read_columns(f, dim, softmax_count):
+def _line_count(path):
+    """Lines in the file as text mode splits them (LF, CRLF and a lone CR
+    each end one; the last may have no end). A CRLF split across two reads
+    counts twice, which keeps this an upper bound."""
+    count, last = 0, b""
+    with open(path, "rb") as f:
+        while chunk := f.read(_READ_BLOCK_BYTES):
+            # numpy counts a byte about four times faster than bytes.count
+            count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+            if b"\r" in chunk:
+                count += chunk.count(b"\r") - chunk.count(b"\r\n")
+            last = chunk[-1:]
+    return count + (last not in (b"", b"\n", b"\r"))
+
+
+def _read_columns(path, f, dim, softmax_count):
     """Parse the rest of an open dataset file with numpy's C reader into
     C-contiguous (ids, labels, features, softmaxes), or return None when it
-    rejects the text."""
-    dtype = [("id", "<i8"), ("label", "<i8"), ("f", "<f8", (dim,))]
+    rejects the text.
+
+    The rows are read a block of at most _READ_BLOCK_BYTES at a time. When
+    the first block is not the whole file, the columns are allocated for
+    every line of the file and filled block by block, then trimmed with one
+    copy if blank lines left some unfilled; parsing holds the columns plus
+    one block."""
+    fields = [("id", "<i8"), ("label", "<i8"), ("f", "<f8", (dim,))]
     if softmax_count:
-        dtype.append(("s", "<f8", (softmax_count,)))
-    try:
-        with warnings.catch_warnings():
-            # a file with no rows only warns; the row loop handles it
-            warnings.simplefilter("error", UserWarning)
-            table = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, UserWarning):
-        return None
-    return (
-        np.ascontiguousarray(table["id"]),
-        np.ascontiguousarray(table["label"]),
-        np.ascontiguousarray(table["f"]),
-        np.ascontiguousarray(table["s"]) if softmax_count else None,
-    )
+        fields.append(("s", "<f8", (softmax_count,)))
+    dtype = np.dtype(fields)
+    rows = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
+    with warnings.catch_warnings():
+        # a blank line or a body with no rows only warns; any other warning
+        # sends the file to the row loop
+        warnings.simplefilter("error", UserWarning)
+        warnings.filterwarnings("ignore", _NO_DATA, UserWarning)
+        read = functools.partial(
+            np.loadtxt, f, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=rows
+        )
+        try:
+            block = read()
+            n = len(block) if len(block) < rows else _line_count(path) - 1
+            columns = [np.empty((n, *dtype[name].shape), dtype[name].base) for name in dtype.names]
+            filled = 0
+            while True:
+                for column, name in zip(columns, dtype.names):
+                    column[filled : filled + len(block)] = block[name]
+                filled += len(block)
+                if len(block) < rows:
+                    break
+                del block  # so the next block is not read while this one is alive
+                block = read()
+        except (ValueError, UserWarning):
+            return None
+    if filled < n:
+        columns = [column[:filled].copy() for column in columns]
+    ids, labels, features, *scores = columns
+    return ids, labels, features, scores[0] if scores else None
 
 
 def _parse_rows(path, dim, softmax_count):
@@ -205,7 +250,7 @@ def load_csv(path, class_count=None):
                     f"expected {class_count}"
                 )
             class_count = softmax_count
-        columns = _read_columns(f, dim, softmax_count)
+        columns = _read_columns(path, f, dim, softmax_count)
     if columns is None:
         columns = _parse_rows(path, dim, softmax_count)
     ids, labels, features, softmaxes = columns

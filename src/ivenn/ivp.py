@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ivenn.data import int64_values
 from ivenn.taxonomy import TaxonomyConfig, category_count, format_value, parse_field
 
 _TABLE_FORMAT = "ivenn-calibration-table-v1"
@@ -141,7 +142,7 @@ def calibrate(taxonomy, labels, embeddings=None, softmaxes=None):
 
     The result is independent of input order.
     """
-    labels = np.asarray(labels, dtype=int)
+    labels = int64_values(labels, "label")
     c = taxonomy.config.class_count
     if len(labels) and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"labels must lie in [0, {c})")

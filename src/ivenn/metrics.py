@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.data import csv_lines
+from ivenn.data import _write_csv, csv_lines
 from ivenn.ivp import IvpBatch, IvpPrediction
 
 # Floor for probabilities entering log; midpoints never reach 1 for a
@@ -321,7 +321,20 @@ def report_text(report):
     return "\n".join(lines) + "\n"
 
 
+def _curves_table(curves):
+    # the header and columns of curves.csv
+    n = np.arange(1, len(curves.E) + 1)
+    return ["n", "E", "LEP", "UEP"], (n, curves.E, curves.LEP, curves.UEP)
+
+
 def curves_csv(curves):
     """Cumulative curves as CSV with columns n, E, LEP, UEP."""
-    n = np.arange(1, len(curves.E) + 1)
-    return "\n".join(["n,E,LEP,UEP", *csv_lines(n, curves.E, curves.LEP, curves.UEP)]) + "\n"
+    header, columns = _curves_table(curves)
+    return "\n".join([",".join(header), *csv_lines(*columns)]) + "\n"
+
+
+def save_curves(curves, path):
+    """Write curves_csv(curves) to path, a block of rows at a time, so no
+    more than one block is held as text."""
+    header, columns = _curves_table(curves)
+    _write_csv(path, header, *columns)

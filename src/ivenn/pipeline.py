@@ -17,6 +17,10 @@ Artifacts (all byte-deterministic given the same config and seed):
 
 Timing never goes into report.txt so two runs of the same config compare
 equal byte for byte.
+
+Memory: the loaded dataset is dropped once `split` has copied its parts,
+and the CSV artifacts are written 4096 rows at a time, so a run's peak is
+the split itself, where the dataset and its parts are both alive.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from ivenn.ivp import (
     predict_many,
     save_table,
 )
-from ivenn.metrics import EvalBatch, build_report, check_bins, curves_csv, report_text
+from ivenn.metrics import EvalBatch, build_report, check_bins, report_text, save_curves
 from ivenn.mlp import (
     EMBEDDING,
     TrainConfig,
@@ -199,6 +203,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
             seed=cfg.seed,
         )
         proper, cal, test = split(dataset, spec)
+        del dataset  # split copied the parts; later stages read `proper`
 
     with _stage("train", timings):
         if cfg.embedding == SIAMESE:
@@ -206,13 +211,13 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
                 params = load_params(cfg.model_path)
                 if params.mode != EMBEDDING:
                     raise ValueError(f"{cfg.model_path} is not an embedding model")
-                if params.input_dim != dataset.feature_dim:
+                if params.input_dim != proper.feature_dim:
                     raise ValueError(
                         f"model expects {params.input_dim} features, "
-                        f"data has {dataset.feature_dim}"
+                        f"data has {proper.feature_dim}"
                     )
             else:
-                dims = [dataset.feature_dim, *cfg.hidden_dims, cfg.embedding_dim]
+                dims = [proper.feature_dim, *cfg.hidden_dims, cfg.embedding_dim]
                 params = train_siamese(
                     proper.features,
                     proper.labels,
@@ -234,15 +239,15 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
     if kind in BASELINE_KINDS:
         with _stage("softmax", timings):
             if cfg.softmax_source == "csv":
-                if dataset.softmaxes is None:
+                if proper.softmaxes is None:
                     raise ValueError(
                         f"taxonomy {kind.value} needs per-class scores: add "
-                        f"s0..s{dataset.class_count - 1} columns to the CSV "
+                        f"s0..s{proper.class_count - 1} columns to the CSV "
                         f"or set softmax_source = train"
                     )
                 cal_soft, test_soft = cal.softmaxes, test.softmaxes
             else:
-                dims = [dataset.feature_dim, *cfg.hidden_dims, dataset.class_count]
+                dims = [proper.feature_dim, *cfg.hidden_dims, proper.class_count]
                 result.classifier_params = train_classifier(
                     proper.features,
                     proper.labels,
@@ -254,7 +259,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
 
     with _stage("taxonomy", timings):
         tax_cfg = _derived(
-            TaxonomyConfig, cfg, kind=kind, class_count=dataset.class_count
+            TaxonomyConfig, cfg, kind=kind, class_count=proper.class_count
         )
         result.taxonomy = fit_taxonomy(tax_cfg, proper_emb, proper.labels)
 
@@ -327,9 +332,7 @@ def _write_artifacts(cfg, result, timings, test_ids=None):
             path = os.path.join(cfg.out_dir, "report.txt")
             with open(path, "w", encoding="utf-8") as f:
                 f.write(report_text(result.report))
-            path = os.path.join(cfg.out_dir, "curves.csv")
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(curves_csv(result.report.curves))
+            save_curves(result.report.curves, os.path.join(cfg.out_dir, "curves.csv"))
     if test_ids is not None:
         with _stage("write"):
             _write_timing(

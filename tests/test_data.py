@@ -1,6 +1,7 @@
 """CSV ingestion, deterministic splits, synthetic blobs."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from ivenn import cli, data
 from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
 from ivenn.ivp import IvpBatch, category_rows
-from ivenn.metrics import CumulativeCurves, EvalBatch, curves_csv
+from ivenn.metrics import CumulativeCurves, EvalBatch, curves_csv, save_curves
 from ivenn.mlp import forward_batch, init_params, save_params
 from ivenn.pipeline import _write_predictions
 from ivenn.space import build_centroids, nearest_centroid
@@ -158,6 +159,17 @@ EDGE_INPUTS = [
     ("label_overflow", HEADER + "1,-9223372036854775809,1,2\n", None),
     ("label_out_of_range", HEADER + "1,0,1,2\n2,4,3,4\n", 3),
     ("subnormal_and_extremes", HEADER + "1,0,5e-324,1.7976931348623157e308\n", None),
+    # several rows, so that small blocks put these at or past a block edge
+    ("blank_lines_between_rows", HEADER + "1,0,1,2\n\n2,1,3,4\n \n\n3,0,5,6\n4,1,7,8\n\n", None),
+    ("blank_lines_before_header", "\n \n\n" + HEADER + "1,0,1,2\n2,1,3,4\n3,0,5,6\n", None),
+    ("no_trailing_newline", HEADER + "1,0,1,2\n2,1,3,4\n3,0,5,6", None),
+    ("lone_cr_line_ends", "id,label,f0,f1\r1,0,1,2\r2,1,3,4\r\r3,0,5,6\r", None),
+    ("crlf_many_rows", "id,label,f0,f1\r\n1,0,1,2\r\n2,1,3,4\r\n\r\n3,0,5,6\r\n4,1,7,8", None),
+    ("bad_cell_in_later_block", HEADER + "1,0,1,2\n2,1,3,4\n\n3,0,5,6\n4,1,oops,8\n", None),
+    ("short_row_in_later_block", HEADER + "1,0,1,2\n2,1,3,4\n3,0,5,6\n4,1,7\n5,0,9,9\n", None),
+    ("nan_in_later_block", HEADER + "1,0,1,2\n2,1,3,4\n\n3,0,5,6\n4,1,7,nan\n", None),
+    ("label_out_of_range_in_later_block", HEADER + "1,0,1,2\n2,1,3,4\n3,0,5,6\n\n4,3,7,8\n", 3),
+    ("id_overflow_in_later_block", HEADER + "1,0,1,2\n2,1,3,4\n3,0,5,6\n9223372036854775808,1,7,8\n", None),
 ]
 
 
@@ -211,6 +223,22 @@ class TestReaderParity:
         ds = load_csv(path)
         np.testing.assert_array_equal(ds.softmaxes, [[0.9, 0.1], [0.3, 0.7]])
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_blank_lines_skip_row_loop(self, tmp_path, monkeypatch, end):
+        # numpy warns on each blank line once it reads a bounded block
+        path = tmp_path / "d.csv"
+        text = "\n\n" + HEADER + "".join(f"{i},{i % 2},{i},0.5\n\n" for i in range(7))
+        path.write_bytes(text.replace("\n", end).encode())
+
+        def fail(*args):
+            raise AssertionError("row loop ran on a well-formed file")
+
+        monkeypatch.setattr(data, "_parse_rows", fail)
+        ds = load_csv(path)
+        assert ds.ids.tolist() == list(range(7)) and ds.labels.tolist() == [0, 1] * 3 + [0]
+        np.testing.assert_array_equal(ds.features, [[i, 0.5] for i in range(7)])
+        assert ds.features.flags.c_contiguous
+
     @pytest.mark.parametrize("column,line", [("id", 0), ("label", 1)])
     @pytest.mark.parametrize("value", ["99999999999999999999", "-9223372036854775809"])
     def test_int64_overflow_names_line(self, tmp_path, column, line, value):
@@ -262,6 +290,45 @@ class TestReaderParity:
             a, b = getattr(back, name), getattr(ds, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="class", params=[1, 64], ids=["1_row_blocks", "2_row_blocks"])
+def small_blocks(request):
+    # a 1-byte block holds one row of any file; a 64-byte block holds two rows
+    # of the 3- and 4-column files these tests write, and one of a 5-column file
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_READ_BLOCK_BYTES", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLoadCsvInBlocks(TestLoadCsv):
+    """The path:line errors and round trips, parsed across block edges."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestReaderParityInBlocks(TestReaderParity):
+    """Reader parity, parsed across block edges."""
+
+
+def test_parse_holds_the_columns_and_one_block(tmp_path):
+    # a file of about 8 blocks; holding the parsed table beside its columns
+    # would peak at twice the columns
+    dim = 32
+    n = 8 * data._READ_BLOCK_BYTES // (8 * (2 + dim))
+    rng = np.random.default_rng(17)
+    path = tmp_path / "d.csv"
+    save_csv(Dataset(ids=np.arange(n), features=rng.normal(size=(n, dim)),
+                     labels=rng.integers(0, 3, n), class_count=3), path)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == n
+    columns = ds.ids.nbytes + ds.labels.nbytes + ds.features.nbytes
+    assert peak < columns + 2 * data._READ_BLOCK_BYTES
 
 
 def _reference_rows(header, ids, labels, values):
@@ -363,10 +430,25 @@ class TestCsvWriter:
         _write_predictions(path, np.array(ids, dtype=np.int64), batch)
         assert path.read_bytes() == _reference_predictions(ids, labels, category, rows)
 
-    def test_curves_bytes(self):
+    def test_curves_bytes(self, tmp_path):
         E, LEP, UEP = FLOAT_EDGES, FLOAT_EDGES[::-1], FLOAT_EDGES[1:] + FLOAT_EDGES[:1]
         curves = CumulativeCurves(E=np.array(E), LEP=np.array(LEP), UEP=np.array(UEP))
         assert curves_csv(curves) == _reference_curves(E, LEP, UEP)
+        save_curves(curves, tmp_path / "curves.csv")
+        assert (tmp_path / "curves.csv").read_bytes() == _reference_curves(E, LEP, UEP).encode()
+
+
+# values that are not int64 integers, each with the message naming the first
+# of them after the column's name
+NON_INTEGERS = [
+    ([1.0, 2.5, np.nan], "2.5 in row 1 is not an integer"),
+    ([np.nan, 2.5], "nan in row 0 is not an integer"),
+    ([1.0, np.inf], "inf in row 1 is not an integer"),
+    ([1.0, 2.0**63], "9.223372036854776e+18 in row 1 is not an integer"),
+    (np.array([1, 2**63], dtype=np.uint64), "9223372036854775808 in row 1 is not"),
+    (np.array(["1", "2"]), "'1' in row 0 is not an integer"),
+]
+NON_INTEGER_IDS = ["half", "nan", "inf", "past int64", "uint64 past int64", "text"]
 
 
 class TestDatasetValidation:
@@ -406,22 +488,26 @@ class TestDatasetValidation:
                          class_count=1)
             assert ds.ids.dtype == np.int64 and ds.ids.tolist() == [int(i) for i in ids]
 
-    @pytest.mark.parametrize(
-        "ids, message",
-        [
-            ([1.0, 2.5, np.nan], "id 2.5 in row 1 is not an integer"),
-            ([np.nan, 2.5], "id nan in row 0 is not an integer"),
-            ([1.0, np.inf], "id inf in row 1 is not an integer"),
-            ([1.0, 2.0**63], "id 9.223372036854776e+18 in row 1 is not an integer"),
-            (np.array([1, 2**63], dtype=np.uint64), "id 9223372036854775808 in row 1 is not"),
-            (np.array(["1", "2"]), "id '1' in row 0 is not an integer"),
-        ],
-        ids=["half", "nan", "inf", "past int64", "uint64 past int64", "text"],
-    )
+    @pytest.mark.parametrize("ids, message", NON_INTEGERS, ids=NON_INTEGER_IDS)
     def test_first_non_integer_id_named(self, ids, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        with pytest.raises(ValueError, match=f"^{re.escape('id ' + message)}"):
             Dataset(ids=np.asarray(ids), features=np.zeros((len(ids), 1)),
                     labels=np.zeros(len(ids), dtype=int), class_count=1)
+
+    def test_integral_labels_become_int64(self):
+        for labels in (np.array([1.0, -0.0]), np.array([1, 0], dtype=np.uint8), [1, 0]):
+            ds = Dataset(ids=[0, 1], features=np.zeros((2, 1)), labels=labels, class_count=2)
+            assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([0.5, 1.0, 0.0, 1.9], "0.5 in row 0 is not an integer"), *NON_INTEGERS],
+        ids=["fraction", *NON_INTEGER_IDS],
+    )
+    def test_first_non_integer_label_named(self, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape('label ' + message)}"):
+            Dataset(ids=np.arange(len(labels)), features=np.zeros((len(labels), 1)),
+                    labels=np.asarray(labels), class_count=2)
 
     def test_softmax_shape(self):
         with pytest.raises(ValueError, match="softmaxes"):

@@ -144,6 +144,17 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="labels"):
             calibrate(tax, [0, 2], softmaxes=np.array([[1.0, 0.0], [0.0, 1.0]]))
 
+    def test_float_labels_count_only_when_integral(self):
+        tax = fit_taxonomy(TaxonomyConfig(kind=TaxonomyKind.BASE_V1, class_count=2))
+        scores = np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7], [0.4, 0.6]])
+        table = calibrate(tax, [0.0, 1.0, 0.0, 1.0], softmaxes=scores)
+        assert table.counts.tolist() == [[1, 1], [1, 1]]
+        # these must not be truncated to the labels above
+        with pytest.raises(ValueError, match=r"^label 0\.5 in row 0 is not an integer"):
+            calibrate(tax, [0.5, 1.0, 0.0, 1.9], softmaxes=scores)
+        with pytest.raises(ValueError, match=r"^label 1\.9 in row 3 is not an integer"):
+            calibrate(tax, np.array([1.0, 1.0, 0.0, 1.9]), softmaxes=scores)
+
 
 class TestPredict:
     def setup_method(self):

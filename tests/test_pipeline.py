@@ -1,14 +1,16 @@
 """Config parsing, the end-to-end pipeline, artifacts, and the CLI."""
 
 import argparse
+import importlib.util
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ivenn import cli
 from ivenn.data import Dataset, SplitSpec, load_csv, split, synth_gaussians
-from ivenn.metrics import EvalBatch, build_report, report_text
+from ivenn.metrics import EvalBatch, build_report, curves_csv, report_text
 from ivenn.mlp import EMBEDDING, MlpParams, save_params
 from ivenn.pipeline import (
     PipelineError,
@@ -343,6 +345,22 @@ class TestRunPipeline:
         result = run_pipeline(cfg, dataset=ds)
         assert (tmp_path / "classifier.npz").exists()
         assert result.report.n == len(result.records)
+
+    def test_curves_csv_written_in_blocks(self, tmp_path):
+        # 4200 test rows: curves.csv spans two 4096-row write blocks
+        ds = synth_gaussians(3, 3, 2800, 4.0, seed=8)
+        cfg = RunConfig(
+            out_dir=str(tmp_path), taxonomy="nc_v1", embedding="identity", test_fraction=0.5
+        )
+        curves = run_pipeline(cfg, dataset=ds).report.curves
+        assert len(curves.E) == 4200
+        written = (tmp_path / "curves.csv").read_bytes()
+        assert written == curves_csv(curves).encode()
+        assert cli.main(
+            ["report", "--predictions", str(tmp_path / "predictions.csv"),
+             "--report-out", str(tmp_path / "re.txt"), "--curves-out", str(tmp_path / "ce.csv")]
+        ) == 0
+        assert (tmp_path / "ce.csv").read_bytes() == written
 
     def test_predictions_round_trip_report(self, tmp_path):
         ds = synth_gaussians(3, 3, 250, 4.0, seed=6)
@@ -829,3 +847,19 @@ class TestConfigSchema:
         assert from_flag == from_file
         # each value differs from the default, so it must have been applied
         assert getattr(from_file, name) != getattr(RunConfig(), name) or text == "none"
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer fetches each name with getattr and each method
+    # from its class's own namespace; a missing one breaks the traced run
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.TRACED:
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    for cls, _, names in tracing.TRACED_METHODS:
+        for name in names:
+            assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"
