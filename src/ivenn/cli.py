@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ivenn.data import _write_csv, load_csv, save_csv, synth_gaussians
+from ivenn.data import _write_csv, load_csv, open_artifact, save_csv, synth_gaussians
 from ivenn.metrics import build_report, report_text, save_curves
 from ivenn.mlp import load_params
 from ivenn.pipeline import (
@@ -92,7 +92,7 @@ def _cmd_embed(args):
 def _cmd_report(args):
     records = load_predictions(args.predictions)
     report = build_report(records, bins=args.bins)
-    with open(args.report_out, "w", encoding="utf-8") as f:
+    with open_artifact(args.report_out) as f:
         f.write(report_text(report))
     save_curves(report.curves, args.curves_out)
     sys.stdout.write(report_text(report))

@@ -12,12 +12,15 @@ of at most _READ_BLOCK_BYTES (1 MiB) of rows at a time, so parsing holds
 the columns plus one block. Only a file it rejects goes through the Python
 row loop, which accepts the same literals as Python's int() and float()
 and names the line of a bad row. Every CSV is written _WRITE_BLOCK_ROWS
-(4096) rows at a time.
+(4096) rows at a time, and every artifact through `open_artifact`, which
+writes a new file in place of an old one.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -66,13 +69,15 @@ class Dataset:
     softmaxes: np.ndarray | None = None  # (n, class_count) rows summing to 1
 
     def __post_init__(self):
+        if np.ndim(self.ids) != 1 or np.ndim(self.labels) != 1:
+            raise ValueError("ids and labels must be 1-D arrays")
         object.__setattr__(self, "ids", int64_values(self.ids, "id"))
         object.__setattr__(self, "labels", int64_values(self.labels, "label"))
         n = len(self.ids)
-        if self.features.shape[0] != n or self.labels.shape[0] != n:
-            raise ValueError("ids, features and labels must have equal length")
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
+        if self.features.shape[0] != n or self.labels.shape[0] != n:
+            raise ValueError("ids, features and labels must have equal length")
         if self.class_count < 1:
             raise ValueError("class_count must be positive")
         if n and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
@@ -288,10 +293,27 @@ def csv_lines(*columns):
     return list(map(",".join(["{}"] * len(cells)).format, *cells))
 
 
+def open_artifact(path, mode="w"):
+    """Open path to write an artifact ("w" text, "wb" bytes) as a new file.
+    An existing regular file, or a link to one, is unlinked first. ext4
+    flushes a file to disk when it is closed after being truncated (and a
+    temp file when renamed over another), so rewriting a 3 MB artifact in
+    place took 110-156 ms and unlinking and writing afresh 0.3 ms. The
+    write never reaches another name hard-linked to the old file, and a
+    symlinked artifact becomes a regular file. A device or pipe such as
+    /dev/stdout is written in place."""
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+
+
 def _write_csv(path, header, *columns):
     """Write the header, then the columns' csv_lines a block of rows at a
     time, to bound the memory held in Python objects."""
-    with open(path, "w", encoding="utf-8") as f:
+    with open_artifact(path) as f:
         f.write(",".join(header) + "\n")
         for block in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             rows = slice(block, block + _WRITE_BLOCK_ROWS)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.data import int64_values
+from ivenn.data import int64_values, open_artifact
 from ivenn.taxonomy import TaxonomyConfig, category_count, format_value, parse_field
 
 _TABLE_FORMAT = "ivenn-calibration-table-v1"
@@ -202,7 +202,7 @@ def save_table(table, path):
     lines.append("counts:")
     for cat, cls in zip(*np.nonzero(table.counts)):
         lines.append(f"{cat} {cls} {table.counts[cat, cls]}")
-    with open(path, "w", encoding="utf-8") as f:
+    with open_artifact(path) as f:
         f.write("\n".join(lines) + "\n")
 
 

@@ -8,18 +8,24 @@ learning rate, fully deterministic given the seed, and stops with a
 ValueError naming the epoch if any parameter turns non-finite, or at the
 end if a hidden layer has saturated.
 
-Both trainers run one in-place step over a workspace: every weight and bias
-is a view into one flat buffer and every gradient a view into a second, and
-the forward and backward passes write into activation and delta buffers
-allocated once per training run. Before the first epoch a trainer builds
-its plan: one step per batch holding every view that step reads and writes
-(the batch-length slices of those buffers, W.T and delta.T, the twin halves
-of the output and its delta, and the batch's rows). Batch views are built
-once per distinct batch length, the full batch and the tail. Each batch's
-rows are a fixed view into one row buffer that every epoch refills with a
-single `take`. A step is then a fixed sequence of ufunc calls with
-positional outputs, an SGD update two whole-buffer operations and the
-divergence check one.
+Both trainers run one tape per epoch: a flat list of (function, operands)
+calls that covers every step and every SGD update, built once per run and
+run as it stands each epoch. Every weight and bias is a view into one flat
+buffer and every gradient a view into a second; the forward and backward
+passes write into activation and delta buffers allocated once per run.
+Each call writes into a buffer passed as its output, and every operand is
+an array: the margin, 0, 1, the batch length and the learning rate are
+0-d arrays, since a Python scalar costs about 0.15 us more per call. The
+2-D products call np.dot, which needs a C-contiguous output of the exact
+dtype (every product here has one) and costs 0.2-0.3 us less per call than
+np.matmul on the same BLAS routine. A pair's dLoss/dd is picked from two
+per-run constants with np.putmask, and a coincident pair's zero subgradient
+is 0 divided by 1, so no call allocates an array (numpy's iterator still
+takes a buffer of about the operand's size for a broadcast bias add, and
+frees it before returning). Views are built once per distinct batch
+length, the full batch and the tail, and each batch's rows are a fixed
+view into one row buffer that every epoch refills with a single `take`.
+After the tape, an epoch makes one divergence check.
 
 A twin epoch draws its pairs with a few vectorised draws over class-sorted
 index arrays, and lays the row buffer out so that each batch is a contiguous
@@ -36,9 +42,10 @@ from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
+
+from ivenn.data import open_artifact
 
 EMBEDDING = "embedding"
 CLASSIFIER = "classifier"
@@ -159,61 +166,25 @@ def contrastive_loss(r1, r2, same_class, margin):
     return d if same_class else max(0.0, margin - d)
 
 
-# the ufuncs a planned step calls, each passed its output buffer positionally
-_matmul, _add, _subtract, _multiply, _divide = (
-    np.matmul, np.add, np.subtract, np.multiply, np.divide
-)
+# the functions a tape calls, each passed its output positionally
+_dot, _add, _subtract, _multiply, _divide = np.dot, np.add, np.subtract, np.multiply, np.divide
 _tanh, _sqrt, _exp, _negative = np.tanh, np.sqrt, np.exp, np.negative
-_less, _greater, _where = np.less, np.greater, np.where
+_less, _greater, _logical_not = np.less, np.greater, np.logical_not
+_copyto, _putmask = np.copyto, np.putmask
 _sum, _max = np.add.reduce, np.maximum.reduce
 
 
-class _Step(NamedTuple):
-    """The views one SGD step reads and writes."""
-
-    hidden: list  # (input, W.T, b, activation) per tanh layer
-    top: tuple  # (input, W.T, b, z) of the linear output layer
-    loss: object  # a head: writes dLoss/dz into the output delta
-    head: tuple  # the head's arguments
-    back: list  # (delta.T, input, grad_w, delta, grad_b, W, input's delta,
-    # tanh' buffer) per layer from the output layer down to layer 1
-    first: tuple  # (delta.T, input rows, grad_w, delta, grad_b) of layer 0
-
-
-def _contrastive(z1, z2, diff, sq, d, margin, c_in, c_out, mask, scale, n, scale_col, g1, g2):
-    # gradient of the mean contrastive loss wrt the twin outputs z1 and z2,
-    # written into g1 and g2; returns the pair distances
-    _subtract(z1, z2, diff)
-    _multiply(diff, diff, sq)
-    _sum(sq, 1, None, d)
-    _sqrt(d, d)
-    coef = _where(_less(d, margin, mask), c_in, c_out)
-    # coincident pairs (d == 0) get the zero subgradient
-    scale.fill(0.0)
-    _divide(coef, d, scale, where=_greater(d, 0.0, mask))
-    _divide(scale, n, scale)
-    _multiply(scale_col, diff, g1)
-    _negative(g1, g2)
-    return d
-
-
-def _cross_entropy(z, peak, p, total, rows, y, m):
-    # gradient of the mean cross-entropy wrt the logits z, written into p
-    _max(z, 1, None, peak, True)
-    _subtract(z, peak, p)
-    _exp(p, p)
-    _sum(p, 1, None, total, True)
-    _divide(p, total, p)
-    p[rows, y] -= 1.0
-    _divide(p, m, p)
+def _run(tape):
+    for f, args in tape:
+        f(*args)
 
 
 class _Workspace:
     """A network's weights and biases as views into one flat buffer, their
     gradients as views into a second, and activation and delta buffers for
-    batches of up to `rows` input rows. A plan is one step per batch, its
-    views into those buffers built once per run; running a step writes every
-    buffer in place."""
+    batches of up to `rows` input rows. A step is the list of (function,
+    operands) calls that writes one batch's gradient into the gradient
+    buffer; its views into those buffers are built once per run."""
 
     def __init__(self, params, rows):
         dims = params.layer_dims
@@ -231,6 +202,7 @@ class _Workspace:
         self.acts = [np.empty((rows, d)) for d in dims[1:]]
         self.deltas = [np.empty((rows, d)) for d in dims[1:]]  # dLoss/dz
         self.tanh_grad = [np.empty((rows, d)) for d in dims[1:-1]]
+        self.one = np.ones(())
         self._by_length = {}
 
     def _views(self, r):
@@ -246,87 +218,107 @@ class _Workspace:
             )
         return self._by_length[r]
 
-    def _step(self, x, loss, head):
+    def _step(self, x, head):
+        # forward over the input rows x, the loss head writing dLoss/dz into
+        # the output delta, then backward into the gradient buffer
         acts, deltas, deltas_t, tanh_grad = self._views(len(x))
-        p = self.params
+        p, top = self.params, len(acts) - 1
         ins = [x, *acts[:-1]]
-        layers = list(zip(ins, self.weights_t, p.biases, acts))
-        back = [
-            (deltas_t[l], ins[l], self.grad_w[l], deltas[l], self.grad_b[l],
-             p.weights[l], deltas[l - 1], tanh_grad[l - 1])
-            for l in range(len(acts) - 1, 0, -1)
-        ]
-        first = (deltas_t[0], x, self.grad_w[0], deltas[0], self.grad_b[0])
-        return _Step(layers[:-1], layers[-1], loss, head, back, first)
+        step = []
+        for l, (a_in, W_t, b, a) in enumerate(zip(ins, self.weights_t, p.biases, acts)):
+            step += [(_dot, (a_in, W_t, a)), (_add, (a, b, a))]
+            if l < top:
+                step.append((_tanh, (a, a)))
+        step += head
+        # tanh' = 1 - tanh**2 is read off the stored activations
+        for l in range(top, -1, -1):
+            delta, grad_w, grad_b = deltas[l], self.grad_w[l], self.grad_b[l]
+            step += [(_dot, (deltas_t[l], ins[l], grad_w)), (_sum, (delta, 0, None, grad_b))]
+            if l:
+                prev, t = deltas[l - 1], tanh_grad[l - 1]
+                step += [
+                    (_dot, (delta, p.weights[l], prev)),
+                    (_multiply, (ins[l], ins[l], t)),
+                    (_subtract, (self.one, t, t)),
+                    (_multiply, (prev, t, prev)),
+                ]
+        return step
 
-    def twin_plan(self, rows, same, batches, margin):
-        """One contrastive step per (start, end) range of pairs. A batch's
-        input is rows[2 start : 2 end], laid out [X1; X2] so that both twins
-        run through one stacked pass; same[start:end] flags its similar
-        pairs."""
+    def twin_steps(self, rows, same, batches, margin):
+        """One contrastive step per (start, end) range of pairs, and the
+        buffer its pair distances land in. A batch's input is
+        rows[2 start : 2 end], laid out [X1; X2] so that both twins run
+        through one stacked pass; same[start:end] flags its similar pairs."""
         # dLoss/dd inside the margin and beyond it: 1 and 1 for a similar
         # pair, -1 and 0 for a dissimilar one
         c_in, c_out = np.where(same, 1.0, -1.0), np.where(same, 1.0, 0.0)
         half, k = max(e - s for s, e in batches), self.params.output_dim
         diff, sq = np.empty((half, k)), np.empty((half, k))
-        d, scale, mask = np.empty(half), np.empty(half), np.empty(half, dtype=bool)
-        plan = []
+        d, safe, scale = np.empty(half), np.empty(half), np.empty(half)
+        mask = np.empty(half, dtype=bool)
+        margin, zero, one = np.array(float(margin)), np.zeros(()), self.one
+        steps = []
         for s, e in batches:
             n = e - s
             z, delta = (v[-1] for v in self._views(2 * n)[:2])
-            head = (
-                z[:n], z[n:], diff[:n], sq[:n], d[:n], margin, c_in[s:e], c_out[s:e],
-                mask[:n], scale[:n], n, scale[:n, None], delta[:n], delta[n:],
-            )
-            plan.append(self._step(rows[2 * s : 2 * e], _contrastive, head))
-        return plan
+            dn, mn, sn, safe_n, diff_n = d[:n], mask[:n], scale[:n], safe[:n], diff[:n]
+            head = [
+                (_subtract, (z[:n], z[n:], diff_n)),
+                (_multiply, (diff_n, diff_n, sq[:n])),
+                (_sum, (sq[:n], 1, None, dn)),
+                (_sqrt, (dn, dn)),
+                # dLoss/dd: c_in inside the margin, c_out beyond it
+                (_less, (dn, margin, mn)),
+                (_copyto, (sn, c_out[s:e])),
+                (_putmask, (sn, mn, c_in[s:e])),
+                # a coincident pair (d == 0, or nan) gets the zero
+                # subgradient: its dLoss/dd is zeroed and divided by 1
+                (_greater, (dn, zero, mn)),
+                (_logical_not, (mn, mn)),
+                (_putmask, (sn, mn, zero)),
+                (_copyto, (safe_n, dn)),
+                (_putmask, (safe_n, mn, one)),
+                (_divide, (sn, safe_n, sn)),
+                (_divide, (sn, np.array(float(n)), sn)),
+                (_multiply, (scale[:n, None], diff_n, delta[:n])),
+                (_negative, (delta[:n], delta[n:])),
+            ]
+            steps.append(self._step(rows[2 * s : 2 * e], head))
+        return steps, d
 
-    def classifier_plan(self, X, y, size):
-        """One cross-entropy step per `size` consecutive rows of X, labels y."""
+    def classifier_steps(self, X, onehot, size):
+        """One cross-entropy step per `size` consecutive rows of X, whose
+        labels are the rows of onehot (1.0 at the label, 0.0 elsewhere)."""
         m = min(len(X), size)
         peak, total = np.empty((m, 1)), np.empty((m, 1))
-        plan = []
+        steps = []
         for s in range(0, len(X), size):
             n = min(size, len(X) - s)
             z, p = (v[-1] for v in self._views(n)[:2])
-            head = (z, peak[:n], p, total[:n], np.arange(n), y[s : s + n], n)
-            plan.append(self._step(X[s : s + n], _cross_entropy, head))
-        return plan
+            head = [
+                (_max, (z, 1, None, peak[:n], True)),
+                (_subtract, (z, peak[:n], p)),
+                (_exp, (p, p)),
+                (_sum, (p, 1, None, total[:n], True)),
+                (_divide, (p, total[:n], p)),
+                (_subtract, (p, onehot[s : s + n], p)),
+                (_divide, (p, np.array(float(n)), p)),
+            ]
+            steps.append(self._step(X[s : s + n], head))
+        return steps
 
-    def run(self, step):
-        """Write one planned step's gradient into the gradient buffer;
-        returns what its loss head returns."""
-        hidden, top, loss, head, back, first = step
-        for x, W_t, b, a in hidden:
-            _matmul(x, W_t, a)
-            _add(a, b, a)
-            _tanh(a, a)
-        x, W_t, b, z = top
-        _matmul(x, W_t, z)
-        _add(z, b, z)
-        out = loss(*head)
-        # tanh' = 1 - tanh**2 is read off the stored activations
-        for delta_t, x, grad_w, delta, grad_b, W, prev, t in back:
-            _matmul(delta_t, x, grad_w)
-            _sum(delta, 0, None, grad_b)
-            _matmul(delta, W, prev)
-            _multiply(x, x, t)
-            _subtract(1.0, t, t)
-            _multiply(prev, t, prev)
-        delta_t, x, grad_w, delta, grad_b = first
-        _matmul(delta_t, x, grad_w)
-        _sum(delta, 0, None, grad_b)
-        return out
+    def epoch_tape(self, steps, lr):
+        """The steps in order, each followed by its SGD update, as one flat
+        list of calls."""
+        flat, grad = self.flat, self.grad
+        update = [(_multiply, (grad, np.array(float(lr)), grad)), (_subtract, (flat, grad, flat))]
+        return [call for step in steps for call in step + update]
 
-    def sgd_epoch(self, plan, lr, epoch):
-        """Run every step of the plan, each followed by its SGD update; raise
-        naming the epoch if a parameter has turned non-finite."""
-        flat, grad, run = self.flat, self.grad, self.run
-        for step in plan:
-            run(step)
-            _multiply(grad, lr, grad)
-            _subtract(flat, grad, flat)
-        if not np.isfinite(flat).all():
+    def sgd_epoch(self, tape, epoch):
+        """Run one epoch's tape; raise naming the epoch if a parameter has
+        turned non-finite."""
+        _run(tape)
+        if not np.isfinite(self.flat).all():
             raise ValueError(
                 f"training diverged at epoch {epoch + 1}: non-finite parameters "
                 f"(try a smaller learning_rate)"
@@ -342,11 +334,11 @@ class _Workspace:
 
 def _contrastive_batch(params, X1, X2, same, margin):
     # mean loss over the batch and its gradients wrt the shared parameters,
-    # through a one-off plan
+    # through a one-step tape
     n = len(X1)
     ws = _Workspace(params, 2 * n)
-    (step,) = ws.twin_plan(np.concatenate([X1, X2]), same, [(0, n)], margin)
-    d = ws.run(step)
+    (step,), d = ws.twin_steps(np.concatenate([X1, X2]), same, [(0, n)], margin)
+    _run(step)
     loss = float(np.where(same, d, np.maximum(0.0, margin - d)).mean())
     return loss, [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
 
@@ -386,7 +378,9 @@ class _PairSampler:
         self.pos[self.order] = np.arange(len(labels)) - self.start[self.cls[self.order]]
         self.same_pool = np.flatnonzero(self.size[self.cls] >= 2)
 
-    def draw(self, rng, n_same, n_diff):
+    def pairs(self, rng, n_same, n_diff):
+        """The anchors of n_same similar and n_diff dissimilar pairs, then
+        their partners, as four index arrays."""
         i = self.same_pool[rng.integers(len(self.same_pool), size=n_same)]
         c = self.cls[i]
         step = rng.integers(1, self.size[c])
@@ -395,6 +389,11 @@ class _PairSampler:
         c = self.cls[k]
         u = rng.integers(len(self.cls) - self.size[c])
         m = self.order[np.where(u < self.start[c], u, u + self.size[c])]
+        return i, k, j, m
+
+    def draw(self, rng, n_same, n_diff):
+        """The pairs as anchors, partners and same-class flags."""
+        i, k, j, m = self.pairs(rng, n_same, n_diff)
         return np.concatenate([i, k]), np.concatenate([j, m]), self.layout(n_same, n_diff)
 
     @staticmethod
@@ -424,13 +423,16 @@ def train_siamese(features, labels, layer_dims, config):
     batches = [(s, min(s + size, n_pairs)) for s in range(0, n_pairs, size)]
     # row order that lays each batch out as [X[i1_b]; X[i2_b]] within [i1; i2]
     order = np.concatenate([np.r_[s:e, n_pairs + s : n_pairs + e] for s, e in batches])
+    drawn, picked = np.empty(2 * n_pairs, dtype=np.int64), np.empty(2 * n_pairs, dtype=np.int64)
     rows = np.empty((2 * n_pairs, X.shape[1]))
     same = _PairSampler.layout(n_same, n_pairs - n_same)
-    plan = ws.twin_plan(rows, same, batches, config.margin)
+    steps, _ = ws.twin_steps(rows, same, batches, config.margin)
+    tape = ws.epoch_tape(steps, config.learning_rate)
     for epoch in range(config.epochs):
-        i1, i2, _ = sampler.draw(rng, n_same, n_pairs - n_same)
-        X.take(np.concatenate([i1, i2])[order], axis=0, out=rows)
-        ws.sgd_epoch(plan, config.learning_rate, epoch)
+        np.concatenate(sampler.pairs(rng, n_same, n_pairs - n_same), out=drawn)
+        drawn.take(order, out=picked)
+        X.take(picked, axis=0, out=rows)
+        ws.sgd_epoch(tape, epoch)
     params = ws.export()
     _check_saturation(params, X)
     return params
@@ -452,13 +454,14 @@ def train_classifier(features, labels, layer_dims, config):
     n, size = len(X), config.batch_size
     ws = _Workspace(init_params(layer_dims, CLASSIFIER, config.seed), min(n, size))
     rng = np.random.default_rng((*_as_seed(config.seed), 2))
-    Xp, yp = np.empty(X.shape), np.empty_like(y)
-    plan = ws.classifier_plan(Xp, yp, size)
+    Y = (y[:, None] == np.arange(layer_dims[-1])).astype(float)  # one-hot labels
+    Xp, Yp = np.empty(X.shape), np.empty(Y.shape)
+    tape = ws.epoch_tape(ws.classifier_steps(Xp, Yp, size), config.learning_rate)
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         X.take(perm, axis=0, out=Xp)
-        y.take(perm, out=yp)
-        ws.sgd_epoch(plan, config.learning_rate, epoch)
+        Y.take(perm, axis=0, out=Yp)
+        ws.sgd_epoch(tape, epoch)
     params = ws.export()
     _check_saturation(params, X)
     return params
@@ -486,7 +489,7 @@ def save_params(params, path):
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
         arrays[f"w{l}"] = W
         arrays[f"b{l}"] = b
-    with open(path, "wb") as f:
+    with open_artifact(path, "wb") as f:
         np.savez(
             f,
             version=np.int64(_FORMAT_VERSION),

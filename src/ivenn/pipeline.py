@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import SplitSpec, _write_csv, csv_lines, load_csv, split
+from ivenn.data import SplitSpec, _write_csv, csv_lines, load_csv, open_artifact, split
 from ivenn.ivp import (
     IvpBatch,
     calibrate,
@@ -329,8 +329,7 @@ def _write_artifacts(cfg, result, timings, test_ids=None):
                 os.path.join(cfg.out_dir, "predictions.csv"), test_ids, result.records
             )
         if result.report is not None:
-            path = os.path.join(cfg.out_dir, "report.txt")
-            with open(path, "w", encoding="utf-8") as f:
+            with open_artifact(os.path.join(cfg.out_dir, "report.txt")) as f:
                 f.write(report_text(result.report))
             save_curves(result.report.curves, os.path.join(cfg.out_dir, "curves.csv"))
     if test_ids is not None:
@@ -363,7 +362,7 @@ def _write_timing(path, timings, predictions):
     lines = [f"{name}_s = {seconds:.6f}" for name, seconds in timings.items()]
     lines.append(f"predictions = {predictions}")
     lines.append(f"predict_us_per_row = {timings['predict'] / predictions * 1e6:.4f}")
-    with open(path, "w", encoding="utf-8") as f:
+    with open_artifact(path) as f:
         f.write("\n".join(lines) + "\n")
 
 

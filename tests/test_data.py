@@ -470,6 +470,20 @@ class TestDatasetValidation:
                 class_count=1,
             )
 
+    @pytest.mark.parametrize("features", [np.array(1.5), np.zeros(1), np.zeros((1, 2, 1))],
+                             ids=["0-d", "1-d", "3-d"])
+    def test_features_not_2d(self, features):
+        with pytest.raises(ValueError, match="features must be a 2-D array"):
+            Dataset(ids=np.array([0]), features=features, labels=np.array([0]), class_count=1)
+
+    @pytest.mark.parametrize("column", ["ids", "labels"])
+    @pytest.mark.parametrize("value", [np.array(0), np.array(0.5), np.zeros((1, 1))],
+                             ids=["0-d", "0-d fraction", "2-d"])
+    def test_ids_and_labels_not_1d(self, column, value):
+        columns = {"ids": np.array([0]), "labels": np.array([0]), column: value}
+        with pytest.raises(ValueError, match="ids and labels must be 1-D arrays"):
+            Dataset(features=np.zeros((1, 2)), class_count=1, **columns)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
     def test_non_finite_or_negative_score_row(self, bad):
         scores = np.array([[0.5, 0.25, 0.25], [bad, 0.5, 0.5 - (bad if bad < 0 else 0)]])

@@ -1,6 +1,7 @@
 """Twin-network forward pass, contrastive loss and gradients, training."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ivenn.mlp import (
     train_classifier,
     train_siamese,
 )
-from ivenn.mlp import _contrastive_batch, _PairSampler
+from ivenn.mlp import _contrastive_batch, _PairSampler, _Workspace
 
 
 def fd_gradients(params, pair, margin, eps=1e-6):
@@ -708,3 +709,67 @@ class TestTrainingMatchesReferenceLoop:
         again = train(X, y, [6, 8, 5, 3], TrainConfig(epochs=3, pairs_per_epoch=40))
         for a, b in zip(again.weights + again.biases, before):
             assert a.tobytes() == b.tobytes()
+
+
+def coincident_data():
+    # 12 rows on 5 distinct points: class 0 repeats p, classes 0 and 1 share
+    # q, classes 1 and 2 share r, class 2 repeats s
+    p, q, r, s = np.random.default_rng(11).normal(size=(4, 4))
+    X = np.array([p, p, p, q, q, q, r, r, r, s, s, s])
+    return X, np.repeat([0, 1, 2], 4)
+
+
+class TestCoincidentPairs:
+    @pytest.mark.parametrize("dims", [[4, 3], [4, 8, 2], [4, 6, 5, 2]])
+    @pytest.mark.parametrize("pairs, batch", [(40, 8), (33, 32)])
+    def test_siamese_bit_for_bit(self, dims, pairs, batch):
+        # identical rows give pairs at distance 0, similar and dissimilar
+        # alike, which take the zero subgradient inside the full trainer
+        X, y = coincident_data()
+        cfg = TrainConfig(margin=1.5, learning_rate=0.05, epochs=6, batch_size=batch,
+                          seed=3, pairs_per_epoch=pairs)
+        i1, i2, same = _PairSampler(y).draw(np.random.default_rng((3, 1)), pairs // 2,
+                                            pairs - pairs // 2)
+        coincident = (X[i1] == X[i2]).all(axis=1)
+        assert coincident[same].any() and coincident[~same].any()
+        assert_same_bits(train_siamese(X, y, dims, cfg), reference_siamese(X, y, dims, cfg))
+
+
+# the traced peak a tape may add, whatever its length: numpy's iterator
+# buffers for the broadcast bias adds and the isfinite mask come to about
+# 1.5 KiB at these sizes
+TAPE_PEAK_BYTES = 2048
+
+
+def tape_peak(ws, tape, epochs=5):
+    # the rise in traced peak memory over running the tape for some epochs
+    ws.sgd_epoch(tape, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for epoch in range(epochs):
+            ws.sgd_epoch(tape, epoch)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTapeAllocatesNothingPerStep:
+    @pytest.mark.parametrize("pairs", [16, 2048])
+    def test_twin_tape(self, pairs):
+        rng = np.random.default_rng(pairs)
+        rows = rng.normal(size=(2 * pairs, 4))
+        rows[1] = rows[0]  # a coincident pair
+        ws = _Workspace(init_params([4, 5, 2], EMBEDDING, 0), 8)
+        batches = [(s, min(s + 4, pairs)) for s in range(0, pairs, 4)]
+        same = _PairSampler.layout(pairs // 2, pairs - pairs // 2)
+        steps, _ = ws.twin_steps(rows, same, batches, 1.5)
+        assert tape_peak(ws, ws.epoch_tape(steps, 0.05)) <= TAPE_PEAK_BYTES
+
+    @pytest.mark.parametrize("rows", [16, 2048])
+    def test_classifier_tape(self, rows):
+        rng = np.random.default_rng(rows)
+        X, onehot = rng.normal(size=(rows, 4)), np.eye(3)[rng.integers(0, 3, rows)]
+        ws = _Workspace(init_params([4, 5, 3], CLASSIFIER, 0), 4)
+        tape = ws.epoch_tape(ws.classifier_steps(X, onehot, 4), 0.05)
+        assert tape_peak(ws, tape) <= TAPE_PEAK_BYTES

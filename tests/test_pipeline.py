@@ -290,6 +290,31 @@ class TestRunPipeline:
         for fname in ("report.txt", "curves.csv", "predictions.csv", "table.txt", "model.npz"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_rerun_into_same_out_dir_writes_new_files(self, tmp_path):
+        # a rerun replaces each artifact with a new file: a hard link to the
+        # first run's file keeps its bytes, and a symlinked artifact becomes
+        # a regular file while its target is left alone
+        ds = synth_gaussians(3, 4, 60, 3.0, seed=5)
+        out, first = tmp_path / "out", tmp_path / "first"
+        cfg = RunConfig(out_dir=str(out), taxonomy="knn_v1", k=3, embedding="siamese",
+                        hidden_dims=(6,), embedding_dim=2, epochs=4, seed=7)
+        run_pipeline(cfg, dataset=ds)
+        names = ("model.npz", "table.txt", "predictions.csv", "report.txt", "curves.csv",
+                 "timing.txt")
+        first.mkdir()
+        for name in names:
+            (first / name).hardlink_to(out / name)
+        target = tmp_path / "elsewhere.txt"
+        target.write_text("keep")
+        (out / "report.txt").unlink()
+        (out / "report.txt").symlink_to(target)
+        run_pipeline(cfg, dataset=ds)
+        for name in names:
+            assert not (out / name).samefile(first / name)
+            if name != "timing.txt":
+                assert (out / name).read_bytes() == (first / name).read_bytes()
+        assert not (out / "report.txt").is_symlink() and target.read_text() == "keep"
+
     def test_stop_after_writes_prefix_artifacts(self, tmp_path):
         ds = synth_gaussians(2, 2, 120, 5.0, seed=3)
         base = dict(taxonomy="nc_v1", embedding="siamese", hidden_dims=(4,),
