@@ -7,18 +7,21 @@ The on-disk format is a single CSV with header
 where the optional s block carries an externally produced per-class score
 vector (each row summing to 1) for score-threshold taxonomies. Blank and
 whitespace-only lines are skipped; there are no comments and no quoting;
-ids and labels are int64. The body is parsed by numpy's C reader a block
-of at most _READ_BLOCK_BYTES (1 MiB) of rows at a time, so parsing holds
-the columns plus one block. Only a file it rejects goes through the Python
-row loop, which accepts the same literals as Python's int() and float()
-and names the line of a bad row. Every CSV is written _WRITE_BLOCK_ROWS
-(4096) rows at a time, and every artifact through `open_artifact`, which
-writes a new file in place of an old one.
+ids and labels are int64. `read_csv` is the only CSV parser: it serves
+this file and predictions.csv. It parses the body with numpy's C reader a
+block of at most _READ_BLOCK_BYTES (1 MiB) of rows at a time, so parsing
+holds the columns plus one block. Only a file it rejects goes through the
+Python row loop, which accepts the same literals as Python's int() and
+float() and names the line of a bad row and the column of a bad cell.
+Every CSV is written _WRITE_BLOCK_ROWS (4096) rows at a time, and every
+artifact through `open_artifact`, which writes a new file in place of an
+old one.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import stat
 import warnings
@@ -107,8 +110,8 @@ class Dataset:
         )
 
 
-def _parse_header(header):
-    cols = [c.strip() for c in header.split(",")]
+def _parse_header(cols, class_count):
+    """The row dtype of a dataset CSV with these header cells."""
     if len(cols) < 3 or cols[0] != "id" or cols[1] != "label":
         raise ValueError("header must start with 'id,label,f0,...'")
     dim = 0
@@ -121,12 +124,15 @@ def _parse_header(header):
         c += 1
     if 2 + dim + c != len(cols):
         raise ValueError(f"unrecognized header column {cols[2 + dim + c]!r}")
-    return dim, c
+    if c and class_count is not None and class_count != c:
+        raise ValueError(f"header has {c} score columns, expected {class_count}")
+    fields = [("id", "<i8"), ("label", "<i8"), ("f", "<f8", (dim,))]
+    return np.dtype(fields + [("s", "<f8", (c,))] if c else fields)
 
 
-def _line_number(path, k):
-    # 1-based line in the file of the k-th (0-based) non-blank line; only
-    # error paths pay for the scan
+def line_number(path, k):
+    """The 1-based line in the file of its k-th (0-based) non-blank line;
+    only error paths pay for the scan."""
     seen = -1
     with open(path, encoding="utf-8") as f:
         for number, ln in enumerate(f, start=1):
@@ -134,6 +140,24 @@ def _line_number(path, k):
             if seen == k:
                 return number
     raise IndexError(k)
+
+
+def check_labels(path, labels, class_count):
+    """Raise naming `path:line` of a file's first label outside [0, class_count)."""
+    outside = (labels < 0) | (labels >= class_count)
+    if outside.any():
+        row = int(np.argmax(outside))
+        where = f"{path}:{line_number(path, row + 1)}:"
+        raise ValueError(f"{where} label {labels[row]} outside [0, {class_count})")
+
+
+def not_utf8(path, exc):
+    """The ValueError for exc, a UnicodeDecodeError met reading path: it names
+    `path:line` of the first byte that is not UTF-8, found by a rescan that
+    decodes such a byte to a lone surrogate (U+DC80..U+DCFF)."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        number = next(n for n, ln in enumerate(f, 1) if any("\udc80" <= c <= "\udcff" for c in ln))
+    return ValueError(f"{path}:{number}: byte 0x{exc.object[exc.start]:02x} is not UTF-8")
 
 
 def _line_count(path):
@@ -151,20 +175,16 @@ def _line_count(path):
     return count + (last not in (b"", b"\n", b"\r"))
 
 
-def _read_columns(path, f, dim, softmax_count):
-    """Parse the rest of an open dataset file with numpy's C reader into
-    C-contiguous (ids, labels, features, softmaxes), or return None when it
-    rejects the text.
+def _read_columns(path, f, dtype):
+    """Parse the rest of an open CSV file with numpy's C reader into one
+    C-contiguous column per field of the structured dtype, or return None
+    when it rejects the text.
 
     The rows are read a block of at most _READ_BLOCK_BYTES at a time. When
     the first block is not the whole file, the columns are allocated for
     every line of the file and filled block by block, then trimmed with one
     copy if blank lines left some unfilled; parsing holds the columns plus
     one block."""
-    fields = [("id", "<i8"), ("label", "<i8"), ("f", "<f8", (dim,))]
-    if softmax_count:
-        fields.append(("s", "<f8", (softmax_count,)))
-    dtype = np.dtype(fields)
     rows = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
     with warnings.catch_warnings():
         # a blank line or a body with no rows only warns; any other warning
@@ -191,93 +211,82 @@ def _read_columns(path, f, dim, softmax_count):
             return None
     if filled < n:
         columns = [column[:filled].copy() for column in columns]
-    ids, labels, features, *scores = columns
-    return ids, labels, features, scores[0] if scores else None
+    return columns
 
 
-def _parse_rows(path, dim, softmax_count):
-    """The Python row loop: parse every non-blank line after the header, or
-    raise naming the line of the first bad row. ids and labels come back as
-    lists of Python ints, range-checked later by _int64_column."""
+def _parse_rows(path, header, dtype):
+    """The Python row loop: parse every non-blank line after the header into
+    one column per dtype field, each cell as int() or float() would, or
+    raise naming `path:line` of the first bad row and a bad cell's column."""
+    bases = [dtype[n].base for n in dtype.names for _ in range(math.prod(dtype[n].shape))]
+    rows = []
     with open(path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()][1:]
-    width = 2 + dim + softmax_count
-    ids, labels = [], []
-    features = np.empty((len(lines), dim))
-    softmaxes = np.empty((len(lines), softmax_count)) if softmax_count else None
-    for row, ln in enumerate(lines):
-        cells = ln.split(",")
-        if len(cells) != width:
-            raise ValueError(
-                f"{path}:{_line_number(path, row + 1)}: expected {width} columns, "
-                f"got {len(cells)}"
-            )
-        try:
-            ids.append(int(cells[0]))
-            labels.append(int(cells[1]))
-            features[row] = [float(v) for v in cells[2 : 2 + dim]]
-            if softmax_count:
-                softmaxes[row] = [float(v) for v in cells[2 + dim :]]
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}:{_line_number(path, row + 1)}: non-numeric cell ({exc})"
-            ) from None
-    return ids, labels, features, softmaxes
+        lines = ((number, ln) for number, ln in enumerate(f, start=1) if ln.strip())
+        next(lines)  # the header
+        for number, ln in lines:
+            where, cells = f"{path}:{number}:", ln.rstrip("\n").split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{where} expected {len(header)} columns, got {len(cells)}")
+            row = []
+            for name, base, text in zip(header, bases, cells):
+                try:
+                    row.append(int(text) if base.kind == "i" else float(text))
+                except ValueError:
+                    kind = "an integer" if base.kind == "i" else "a number"
+                    raise ValueError(f"{where} {name} cell {text!r} is not {kind}") from None
+                if base.kind == "i" and not -(2**63) <= row[-1] < 2**63:
+                    raise ValueError(f"{where} {name} {text.strip()} outside int64")
+            rows.append(tuple(row))
+    # one scalar field per cell has the dtype's layout
+    table = np.array(rows, [(str(i), base) for i, base in enumerate(bases)]).view(dtype)
+    return [np.ascontiguousarray(table[name]) for name in dtype.names]
 
 
-def _int64_column(path, values, name):
+def read_csv(path, dtype_of):
+    """Parse a CSV file. The stripped cells of its first non-blank line are
+    the header, and dtype_of(header) is the structured dtype of every other
+    non-blank line. Returns (header, one C-contiguous column per dtype
+    field). A ValueError from dtype_of is raised again naming the file, and
+    a byte that is not UTF-8 is named by `path:line`."""
     try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-        row = next(i for i, v in enumerate(values) if not lo <= v <= hi)
-        raise ValueError(
-            f"{path}:{_line_number(path, row + 1)}: {name} {values[row]} "
-            f"outside int64"
-        ) from None
+        with open(path, encoding="utf-8") as f:
+            header = f.readline()
+            while header and not header.strip():
+                header = f.readline()
+            if not header:
+                raise ValueError(f"{path}: empty file")
+            header = [cell.strip() for cell in header.split(",")]
+            try:
+                dtype = dtype_of(header)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            columns = _read_columns(path, f, dtype)
+        if columns is None:
+            columns = _parse_rows(path, header, dtype)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    return header, columns
 
 
 def load_csv(path, class_count=None):
     """Parse a dataset CSV. Malformed rows are rejected with their line
     number in the file, blank lines counted. When the file has no score
     block and class_count is not given, it is inferred as max(label) + 1."""
-    with open(path, encoding="utf-8") as f:
-        header = f.readline()
-        while header and not header.strip():
-            header = f.readline()
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        dim, softmax_count = _parse_header(header)
-        if softmax_count:
-            if class_count is not None and class_count != softmax_count:
-                raise ValueError(
-                    f"{path}: header has {softmax_count} score columns, "
-                    f"expected {class_count}"
-                )
-            class_count = softmax_count
-        columns = _read_columns(path, f, dim, softmax_count)
-    if columns is None:
-        columns = _parse_rows(path, dim, softmax_count)
-    ids, labels, features, softmaxes = columns
+    dtype_of = functools.partial(_parse_header, class_count=class_count)
+    _, (ids, labels, features, *scores) = read_csv(path, dtype_of)
+    softmaxes = scores[0] if scores else None
     bad = ~np.isfinite(features).all(axis=1)
-    if softmax_count:
+    if softmaxes is not None:
+        class_count = softmaxes.shape[1]
         bad |= ~np.isfinite(softmaxes).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValueError(
-            f"{path}:{_line_number(path, row + 1)}: non-finite cell (nan or inf)"
-        )
-    labels = _int64_column(path, labels, "label")
+        raise ValueError(f"{path}:{line_number(path, row + 1)}: non-finite cell (nan or inf)")
     if class_count is None:
         class_count = int(labels.max()) + 1 if len(labels) else 1
-    if len(labels) and (labels.min() < 0 or labels.max() >= class_count):
-        bad = int(np.argmax((labels < 0) | (labels >= class_count)))
-        raise ValueError(
-            f"{path}:{_line_number(path, bad + 1)}: label {labels[bad]} "
-            f"outside [0, {class_count})"
-        )
+    check_labels(path, labels, class_count)
     return Dataset(
-        ids=_int64_column(path, ids, "id"),
+        ids=ids,
         features=features,
         labels=labels,
         class_count=class_count,

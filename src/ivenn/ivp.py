@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.data import int64_values, open_artifact
+from ivenn.data import int64_values, not_utf8, open_artifact
 from ivenn.taxonomy import TaxonomyConfig, category_count, format_value, parse_field
 
 _TABLE_FORMAT = "ivenn-calibration-table-v1"
@@ -207,10 +207,13 @@ def save_table(table, path):
 
 
 def load_table(path):
-    """Read a table written by save_table. A bad header line raises
-    ValueError naming `path:line`, a missing key naming path and key."""
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f]
+    """Read a table written by save_table. A bad header line or a byte that
+    is not UTF-8 raises ValueError naming `path:line`, a missing key path and key."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = [ln.rstrip("\n") for ln in f]
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     if not lines or lines[0] != f"# {_TABLE_FORMAT}":
         raise ValueError(f"{path}: not a {_TABLE_FORMAT} file")
     header = {}

@@ -33,7 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import SplitSpec, _write_csv, csv_lines, load_csv, open_artifact, split
+from ivenn.data import (
+    SplitSpec,
+    _write_csv,
+    check_labels,
+    csv_lines,
+    line_number,
+    load_csv,
+    open_artifact,
+    read_csv,
+    split,
+)
 from ivenn.ivp import (
     IvpBatch,
     calibrate,
@@ -370,45 +380,39 @@ def load_predictions(path):
     """Rebuild the evaluation input from a predictions.csv, so `report` can
     rerun the metrics without redoing the predictions.
 
-    The file carries each example's category counts: the EvalBatch's
-    intervals, predicted class, empty flag and confidence bin are recomputed
-    from those integers, and the intervals in the file must match them. Its
-    rows are the file's distinct categories in increasing id order, so its
-    category column holds row numbers, not the ids. ValueError names the
-    file when it is empty or its header is not a predictions header, and
-    `path:line` for a bad row.
+    data.read_csv parses the file, which carries each example's category
+    counts: the EvalBatch's intervals, predicted class, empty flag and
+    confidence bin are recomputed from those integers, and the intervals in
+    the file must match them. Its rows are the file's distinct categories in
+    increasing id order, so its category column holds row numbers, not the
+    ids. ValueError names the file when it is empty or its header is not a
+    predictions header, and `path:line` for a bad row or a byte not UTF-8.
     """
-    with open(path, encoding="utf-8") as f:
-        numbered = [(i, ln.rstrip("\n")) for i, ln in enumerate(f, start=1) if ln.strip()]
-    if not numbered:
-        raise ValueError(f"{path}: empty file")
-    header = numbered[0][1].split(",")
-    c = (len(header) - 5) // 3
-    if c < 2 or header != _predictions_header(c):
-        raise ValueError(f"{path}: not a predictions header (id,label,category,predicted,N,...)")
-    if len(numbered) == 1:
+
+    def dtype_of(header):
+        c = (len(header) - 5) // 3
+        if c < 2 or header != _predictions_header(c):
+            raise ValueError("not a predictions header (id,label,category,predicted,N,...)")
+        return np.dtype([("ints", "<i8", (5 + c,)), ("bounds", "<f8", (2 * c,))])
+
+    header, (ints, floats) = read_csv(path, dtype_of)
+    if not len(ints):
         raise ValueError(f"{path}: no prediction rows")
-    cells = [ln.split(",") for _, ln in numbered[1:]]
-    line_numbers = [i for i, _ in numbered[1:]]
-    for line, row in zip(line_numbers, cells):
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{line}: expected {len(header)} columns, got {len(row)}")
-    ints = _cell_block(path, header, cells, line_numbers, slice(0, 5 + c), np.int64)
-    floats = _cell_block(path, header, cells, line_numbers, slice(5 + c, None), float)
-    category, counts = ints[:, 2], ints[:, 5:]
-    checked = [2, *range(5, 5 + c)]  # category, n0..n{c-1}
+    labels, category, counts = ints[:, 1], ints[:, 2], ints[:, 5:]
+    checked = [2, *range(5, ints.shape[1])]  # category, n0..n{c-1}
     negative = ints[:, checked] < 0
     bad = negative.any(axis=1) | (ints[:, 4] != counts.sum(axis=1))
     if bad.any():
         row = int(np.argmax(bad))
-        where = f"{path}:{line_numbers[row]}:"
+        where = f"{path}:{line_number(path, row + 1)}:"
         if negative[row].any():
             j = checked[int(np.argmax(negative[row]))]
             raise ValueError(f"{where} {header[j]} {ints[row, j]} is negative")
         raise ValueError(f"{where} N {ints[row, 4]} is not the sum of the counts")
+    check_labels(path, labels, counts.shape[1])
     # one row per distinct category, so memory follows the file, not the ids
     distinct, key = np.unique(category, return_inverse=True)
-    per_category = np.zeros((len(distinct), c), dtype=np.int64)
+    per_category = np.zeros((len(distinct), counts.shape[1]), dtype=np.int64)
     per_category[key] = counts
     rows = category_rows(per_category)
     bad = (
@@ -420,26 +424,7 @@ def load_predictions(path):
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(
-            f"{path}:{line_numbers[row]}: counts, predicted class and intervals "
+            f"{path}:{line_number(path, row + 1)}: counts, predicted class and intervals "
             f"disagree with the other rows of category {category[row]}"
         )
-    return EvalBatch(predictions=IvpBatch(category=key, rows=rows), labels=ints[:, 1])
-
-
-def _cell_block(path, header, cells, line_numbers, columns, dtype):
-    """The cells of `columns` (a slice) as one dtype array. A cell numpy
-    cannot convert raises ValueError naming `path:line` and its column."""
-    try:
-        return np.array([row[columns] for row in cells], dtype=dtype)
-    except (ValueError, OverflowError) as exc:
-        error = exc
-    kind = "an integer" if dtype is np.int64 else "a number"
-    for line, row in zip(line_numbers, cells):
-        for name, value in zip(header[columns], row[columns]):
-            try:
-                np.array(value, dtype=dtype)
-            except OverflowError:
-                raise ValueError(f"{path}:{line}: {name} {value} outside int64") from None
-            except ValueError:
-                raise ValueError(f"{path}:{line}: {name} cell {value!r} is not {kind}") from None
-    raise error
+    return EvalBatch(predictions=IvpBatch(category=key, rows=rows), labels=labels)

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from ivenn import cli, data
 from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
-from ivenn.ivp import IvpBatch, category_rows
+from ivenn.ivp import IvpBatch, category_rows, load_table
 from ivenn.metrics import CumulativeCurves, EvalBatch, curves_csv, save_curves
 from ivenn.mlp import forward_batch, init_params, save_params
-from ivenn.pipeline import _write_predictions
+from ivenn.pipeline import RunConfig, _write_predictions, load_predictions, run_pipeline
 from ivenn.space import build_centroids, nearest_centroid
 
 WELL_FORMED = """id,label,f0,f1
@@ -55,7 +55,7 @@ class TestLoadCsv:
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,label,f0\n0,0,1.0\n1,0,oops\n")
-        with pytest.raises(ValueError, match=r"d\.csv:3.*non-numeric"):
+        with pytest.raises(ValueError, match=r"d\.csv:3: f0 cell 'oops' is not a number"):
             load_csv(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -77,7 +77,7 @@ class TestLoadCsv:
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,label,f0\n0,0,1.0\n\n1,0,oops\n")
-        with pytest.raises(ValueError, match=r"d\.csv:4: non-numeric"):
+        with pytest.raises(ValueError, match=r"d\.csv:4: f0 cell 'oops' is not a number"):
             load_csv(path)
         path.write_text("\nid,label,f0,f1\n0,0,1.0,2.0\n\n\n1,1,3.0\n")
         with pytest.raises(ValueError, match=r"d\.csv:6: expected 4 columns"):
@@ -329,6 +329,118 @@ def test_parse_holds_the_columns_and_one_block(tmp_path):
     assert len(ds) == n
     columns = ds.ids.nbytes + ds.labels.nbytes + ds.features.nbytes
     assert peak < columns + 2 * data._READ_BLOCK_BYTES
+
+
+@pytest.fixture(scope="module")
+def nc_run(tmp_path_factory):
+    """The output directory of a 3-class nc_v2 run, its data CSV and a model
+    for `embed`."""
+    out = tmp_path_factory.mktemp("run")
+    save_csv(synth_gaussians(3, 3, 60, 4.0, seed=2), out / "d.csv")
+    cfg = RunConfig(data_csv=str(out / "d.csv"), out_dir=str(out), taxonomy="nc_v2",
+                    embedding="identity", seed=1)
+    run_pipeline(cfg)
+    save_params(init_params([3, 2]), out / "model.npz")
+    return out
+
+
+def _fail(*args):
+    raise AssertionError("row loop ran on a well-formed file")
+
+
+def _report(path, out):
+    return cli.main(["report", "--predictions", str(path), "--report-out",
+                     str(out / "r.txt"), "--curves-out", str(out / "c.csv")])
+
+
+class TestPredictionsReader:
+    """predictions.csv is parsed by the block reader every CSV goes through."""
+
+    ROW_BYTES = 8 * (5 + 3 * 3)  # id..N, n0..n2, then L0,U0..L2,U2 of 3 classes
+
+    def test_well_formed_file_skips_row_loop(self, nc_run, monkeypatch):
+        monkeypatch.setattr(data, "_parse_rows", _fail)
+        assert len(load_predictions(nc_run / "predictions.csv")) == 18
+
+    @pytest.mark.parametrize("block_bytes", [1, 2 * ROW_BYTES], ids=["1_row", "2_rows"])
+    def test_small_blocks_give_the_same_batch_and_report(
+        self, nc_run, tmp_path, monkeypatch, block_bytes
+    ):
+        path = nc_run / "predictions.csv"
+        whole = load_predictions(path)
+        monkeypatch.setattr(data, "_READ_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(data, "_parse_rows", _fail)
+        blocks = load_predictions(path)
+        assert blocks.labels.tobytes() == whole.labels.tobytes()
+        assert blocks.predictions.category.tobytes() == whole.predictions.category.tobytes()
+        for name in ("counts", "totals", "lower", "upper", "predicted"):
+            a, b = getattr(blocks.predictions.rows, name), getattr(whole.predictions.rows, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert _report(path, tmp_path) == 0
+        assert (tmp_path / "r.txt").read_bytes() == (nc_run / "report.txt").read_bytes()
+        assert (tmp_path / "c.csv").read_bytes() == (nc_run / "curves.csv").read_bytes()
+
+    @pytest.mark.parametrize("block_bytes", [None, 1, 2 * ROW_BYTES],
+                             ids=["whole_file", "1_row_blocks", "2_row_blocks"])
+    def test_bad_cell_after_blank_lines_names_its_line(
+        self, nc_run, tmp_path, monkeypatch, block_bytes
+    ):
+        if block_bytes:
+            monkeypatch.setattr(data, "_READ_BLOCK_BYTES", block_bytes)
+        lines = (nc_run / "predictions.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[10] = "abc"  # L1
+        lines[5] = ",".join(cells)
+        path = tmp_path / "p.csv"
+        path.write_text("\n\n" + "\n".join(lines[:3] + ["", " "] + lines[3:]) + "\n")
+        with pytest.raises(ValueError, match=rf"p\.csv:10: L1 cell 'abc' is not a number$"):
+            load_predictions(path)
+
+    @pytest.mark.parametrize("label", ["-1", "3", "9223372036854775807"])
+    def test_label_outside_the_classes_names_its_line(self, nc_run, tmp_path, label):
+        lines = (nc_run / "predictions.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = label
+        lines[3] = ",".join(cells)
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert _report(path, tmp_path) == 2
+        with pytest.raises(ValueError, match=rf"p\.csv:4: label {label} outside \[0, 3\)$"):
+            load_predictions(path)
+
+
+class TestInputErrorsNameTheFile:
+    @pytest.mark.parametrize("command", ["embed", "evaluate"])
+    def test_bad_header_names_the_file(self, nc_run, tmp_path, capsys, command):
+        path = tmp_path / "hdr.csv"
+        path.write_text("label,id,f0,f1\n0,0,1.0,2.0\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "embed": ["embed", "--model", str(nc_run / "model.npz"), "--data", str(path),
+                      "--out", out],
+            "evaluate": ["evaluate", "--data", str(path), "--out-dir", out],
+        }[command]
+        assert cli.main(argv) == 2
+        assert f"{path}: header must start with 'id,label,f0,...'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["d.csv", "predictions.csv", "table.txt"])
+    def test_byte_that_is_not_utf8_names_the_file_and_line(self, nc_run, tmp_path, capsys, name):
+        lines = (nc_run / name).read_bytes().split(b"\n")
+        lines[3] = lines[3][:3] + b"\xff" + lines[3][3:]
+        path = tmp_path / name
+        path.write_bytes(b"\n".join(lines))
+        message = f"{path}:4: byte 0xff is not UTF-8"
+        if name == "table.txt":
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_table(path)
+            return
+        if name == "d.csv":
+            argv = ["embed", "--model", str(nc_run / "model.npz"), "--data", str(path),
+                    "--out", str(tmp_path / "e.csv")]
+            assert cli.main(argv) == 2
+        else:
+            assert _report(path, tmp_path) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
 
 
 def _reference_rows(header, ids, labels, values):
