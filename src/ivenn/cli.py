@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ivenn.data import _write_csv, load_csv, open_artifact, save_csv, synth_gaussians
+from ivenn.data import _write_csv, load_csv, not_utf8, open_artifact, save_csv, synth_gaussians
 from ivenn.metrics import build_report, report_text, save_curves
 from ivenn.mlp import load_params
 from ivenn.pipeline import (
@@ -26,10 +26,9 @@ from ivenn.pipeline import (
     RunConfig,
     embed_checked,
     load_predictions,
-    parse_config,
     run_pipeline,
 )
-from ivenn.taxonomy import field_types, value_parser
+from ivenn.taxonomy import field_types, read_fields, value_parser
 
 # the two flags not named after their RunConfig field
 _FLAG_NAMES = {"data_csv": "--data", "model_path": "--model"}
@@ -46,14 +45,19 @@ def _add_pipeline_flags(sub):
 
 
 def _build_config(args):
-    cfg = RunConfig()
+    given = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            cfg = parse_config(f.read())
-    for name in field_types(RunConfig):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    cfg.validate()
+        try:
+            with open(args.config, encoding="utf-8") as f:
+                given = read_fields(RunConfig, enumerate(f, 1), f"{args.config}: config line ")
+        except UnicodeDecodeError as exc:
+            raise not_utf8(args.config, exc) from None
+    given |= {name: getattr(args, name) for name in field_types(RunConfig) if hasattr(args, name)}
+    cfg = RunConfig(**given)
+    try:
+        cfg.validate()
+    except ValueError as exc:  # the file is named, though a flag may have set the value
+        raise ValueError(f"{args.config}: {exc}" if args.config else exc) from None
     return cfg
 
 
@@ -82,7 +86,7 @@ def _cmd_synth(args):
 def _cmd_embed(args):
     params = load_params(args.model)
     ds = load_csv(args.data)
-    emb = embed_checked(params, ds.features, ds.ids)
+    emb = embed_checked(params, ds.features, ds.ids, f"{args.data} with model {args.model}: ")
     cols = ["id", "label"] + [f"e{i}" for i in range(emb.shape[1])]
     _write_csv(args.out, cols, ds.ids, ds.labels, emb)
     print(f"wrote {len(ds)} embeddings to {args.out}")

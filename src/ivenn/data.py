@@ -74,17 +74,15 @@ class Dataset:
     def __post_init__(self):
         if np.ndim(self.ids) != 1 or np.ndim(self.labels) != 1:
             raise ValueError("ids and labels must be 1-D arrays")
+        if self.class_count < 1:
+            raise ValueError("class_count must be positive")
         object.__setattr__(self, "ids", int64_values(self.ids, "id"))
-        object.__setattr__(self, "labels", int64_values(self.labels, "label"))
+        object.__setattr__(self, "labels", class_labels(self.labels, self.class_count))
         n = len(self.ids)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if self.features.shape[0] != n or self.labels.shape[0] != n:
             raise ValueError("ids, features and labels must have equal length")
-        if self.class_count < 1:
-            raise ValueError("class_count must be positive")
-        if n and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise ValueError(f"labels must lie in [0, {self.class_count})")
         if self.softmaxes is not None:
             if self.softmaxes.shape != (n, self.class_count):
                 raise ValueError(
@@ -142,13 +140,17 @@ def line_number(path, k):
     raise IndexError(k)
 
 
-def check_labels(path, labels, class_count):
-    """Raise naming `path:line` of a file's first label outside [0, class_count)."""
+def class_labels(values, class_count, path=None):
+    """The values as int64 labels (int64_values), each in [0, class_count).
+    ValueError names the first label outside, by `path:line` when the
+    values are the rows of the file at path."""
+    labels = int64_values(values, "label")
     outside = (labels < 0) | (labels >= class_count)
     if outside.any():
         row = int(np.argmax(outside))
-        where = f"{path}:{line_number(path, row + 1)}:"
+        where = f"{path}:{line_number(path, row + 1)}:" if path else f"labels: row {row}:"
         raise ValueError(f"{where} label {labels[row]} outside [0, {class_count})")
+    return labels
 
 
 def not_utf8(path, exc):
@@ -284,11 +286,10 @@ def load_csv(path, class_count=None):
         raise ValueError(f"{path}:{line_number(path, row + 1)}: non-finite cell (nan or inf)")
     if class_count is None:
         class_count = int(labels.max()) + 1 if len(labels) else 1
-    check_labels(path, labels, class_count)
     return Dataset(
         ids=ids,
         features=features,
-        labels=labels,
+        labels=class_labels(labels, class_count, path),
         class_count=class_count,
         softmaxes=softmaxes,
     )

@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.data import int64_values, not_utf8, open_artifact
-from ivenn.taxonomy import TaxonomyConfig, category_count, format_value, parse_field
+from ivenn.data import class_labels, not_utf8, open_artifact
+from ivenn.taxonomy import TaxonomyConfig, category_count, format_value, read_fields
 
 _TABLE_FORMAT = "ivenn-calibration-table-v1"
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -142,10 +142,8 @@ def calibrate(taxonomy, labels, embeddings=None, softmaxes=None):
 
     The result is independent of input order.
     """
-    labels = int64_values(labels, "label")
     c = taxonomy.config.class_count
-    if len(labels) and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError(f"labels must lie in [0, {c})")
+    labels = class_labels(labels, c)
     counts = np.zeros((taxonomy.category_count, c), dtype=np.int64)
     if len(labels):
         cats = taxonomy.assign_many(embeddings=embeddings, softmaxes=softmaxes)
@@ -216,25 +214,8 @@ def load_table(path):
         raise not_utf8(path, exc) from None
     if not lines or lines[0] != f"# {_TABLE_FORMAT}":
         raise ValueError(f"{path}: not a {_TABLE_FORMAT} file")
-    header = {}
-    count_lines = []
-    in_counts = False
-    for number, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        if ln.strip() == "counts:":
-            in_counts = True
-            continue
-        if in_counts:
-            count_lines.append((number, ln))
-            continue
-        try:
-            key, value = parse_field(TaxonomyConfig, ln)
-            if key in header:
-                raise ValueError(f"{key} repeated")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{number}: {exc}") from None
-        header[key] = value
+    end = next((i for i, ln in enumerate(lines) if ln.strip() == "counts:"), len(lines))
+    header = read_fields(TaxonomyConfig, enumerate(lines[1:end], start=2), f"{path}:")
     missing = [f.name for f in fields(TaxonomyConfig) if f.name not in header]
     if missing:
         raise ValueError(f"{path}: header has no {', '.join(missing)}")
@@ -244,7 +225,9 @@ def load_table(path):
     except ValueError as exc:  # a header value the config check rejects
         raise ValueError(f"{path}: {exc}") from None
     seen = set()
-    for number, ln in count_lines:
+    for number, ln in enumerate(lines[end + 1 :], start=end + 2):
+        if not ln.strip():
+            continue
         where = f"{path}:{number}:"
         try:
             cat, cls, cnt = (int(v) for v in ln.split())

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import open_artifact
+from ivenn.data import class_labels, int64_values, open_artifact
 
 EMBEDDING = "embedding"
 CLASSIFIER = "classifier"
@@ -407,7 +407,7 @@ def train_siamese(features, labels, layer_dims, config):
     different-class inputs at least the margin apart."""
     config.validate()
     X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = int64_values(labels, "label")
     if X.ndim != 2 or X.shape[1] != layer_dims[0]:
         raise ValueError(f"features must be (n, {layer_dims[0]})")
     if len(np.unique(y)) < 2:
@@ -443,13 +443,11 @@ def train_classifier(features, labels, layer_dims, config):
     class count."""
     config.validate()
     X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = class_labels(labels, layer_dims[-1])
     if X.ndim != 2 or X.shape[1] != layer_dims[0]:
         raise ValueError(f"features must be (n, {layer_dims[0]})")
     if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 classes to train a classifier")
-    if y.min() < 0 or y.max() >= layer_dims[-1]:
-        raise ValueError("labels must lie in [0, layer_dims[-1])")
 
     n, size = len(X), config.batch_size
     ws = _Workspace(init_params(layer_dims, CLASSIFIER, config.seed), min(n, size))
@@ -503,21 +501,23 @@ def load_params(path):
     """Read parameters written by save_params. A missing array, a weight or
     bias whose shape disagrees with layer_dims, or an unknown version or
     mode raises ValueError naming the file, as does a file that is not an
-    .npz archive."""
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (ValueError, zipfile.BadZipFile) as exc:  # pickled data, a broken zip
-        raise ValueError(f"{path}: not a model file ({exc})") from None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not a model file (a single .npy array)")
-    with data:
+    .npz archive or whose archive or members are corrupt."""
+    # a bad CRC, header or seek, a short read, an unknown method, an encrypted member
+    broken = (ValueError, OSError, EOFError, NotImplementedError, RuntimeError, zipfile.BadZipFile)
+    with open(path, "rb") as f:  # open's own OSError names a missing file
+        try:
+            data = np.load(f, allow_pickle=False)
+        except broken as exc:
+            raise ValueError(f"{path}: not a model file ({exc})") from None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: not a model file (a single .npy array)")
 
         def array(name):
             if name not in data.files:
                 raise ValueError(f"{path}: model file has no array {name!r}")
-            try:
-                return data[name]
-            except zipfile.BadZipFile as exc:  # a bad CRC or member header
+            try:  # a member without the .npy magic comes back as bytes
+                return np.asarray(data[name])
+            except broken as exc:
                 raise ValueError(f"{path}: array {name!r} is unreadable ({exc})") from None
 
         version = array("version")

@@ -36,7 +36,7 @@ import numpy as np
 from ivenn.data import (
     SplitSpec,
     _write_csv,
-    check_labels,
+    class_labels,
     csv_lines,
     line_number,
     load_csv,
@@ -68,7 +68,7 @@ from ivenn.taxonomy import (
     TaxonomyKind,
     field_types,
     fit_taxonomy,
-    parse_field,
+    read_fields,
 )
 
 IDENTITY = "identity"
@@ -151,22 +151,9 @@ class RunConfig:
 
 
 def parse_config(text):
-    """Build a RunConfig from `key = value` lines (# starts a comment), each
+    """Build a RunConfig from `key = value` lines (taxonomy.read_fields), each
     value parsed as its field's annotation: `none` only for an optional one."""
-    cfg = RunConfig()
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            key, value = parse_field(RunConfig, line)
-            if key in seen:
-                raise ValueError(f"{key} repeated")
-        except ValueError as exc:
-            raise ValueError(f"config line {lineno}: {exc}") from None
-        seen.add(key)
-        setattr(cfg, key, value)
+    cfg = RunConfig(**read_fields(RunConfig, enumerate(text.splitlines(), 1), "config line "))
     cfg.validate()
     return cfg
 
@@ -303,14 +290,14 @@ def _derived(cls, cfg, **given):
     return cls(**given, **shared)
 
 
-def embed_checked(params, features, ids):
-    """forward_batch(params, features); a non-finite output row (an
-    overflowing model) raises ValueError naming that example's id."""
+def embed_checked(params, features, ids, where=""):
+    """forward_batch(params, features); a non-finite output row (an overflowing
+    model) raises ValueError naming that example's id, prefixed by `where`."""
     emb = forward_batch(params, features)
     bad = ~np.isfinite(emb).all(axis=1)
     if bad.any():
         raise ValueError(
-            f"embedding of example id {ids[int(np.argmax(bad))]} is not "
+            f"{where}embedding of example id {ids[int(np.argmax(bad))]} is not "
             f"finite (nan or inf)"
         )
     return emb
@@ -409,7 +396,7 @@ def load_predictions(path):
             j = checked[int(np.argmax(negative[row]))]
             raise ValueError(f"{where} {header[j]} {ints[row, j]} is negative")
         raise ValueError(f"{where} N {ints[row, 4]} is not the sum of the counts")
-    check_labels(path, labels, counts.shape[1])
+    class_labels(labels, counts.shape[1], path)
     # one row per distinct category, so memory follows the file, not the ids
     distinct, key = np.unique(category, return_inverse=True)
     per_category = np.zeros((len(distinct), counts.shape[1]), dtype=np.int64)

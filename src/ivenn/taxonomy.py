@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from ivenn.data import check_score_rows
+from ivenn.data import check_score_rows, class_labels
 from ivenn.space import (
     CentroidSet,
     KnnIndex,
@@ -118,6 +118,25 @@ def parse_field(cls, line):
         return key, parse(text)
     except ValueError:
         raise ValueError(f"{key}: invalid {parse.__name__} value: {text!r}") from None
+
+
+def read_fields(cls, numbered_lines, where):
+    """{key: value} of the `key = value` lines among (line number, text)
+    pairs, as parse_field reads them; `#` starts a comment. A bad line or a
+    repeated key raises ValueError `{where}{number}: ...` (a plain prefix)."""
+    given = {}
+    for number, text in numbered_lines:
+        line = text.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            key, value = parse_field(cls, line)
+            if key in given:
+                raise ValueError(f"{key} repeated")
+        except ValueError as exc:
+            raise ValueError(f"{where}{number}: {exc}") from None
+        given[key] = value
+    return given
 
 
 def category_count(cfg):
@@ -301,6 +320,7 @@ def fit_taxonomy(cfg, embeddings=None, labels=None):
         return Taxonomy(config=cfg)
     if embeddings is None or labels is None:
         raise ValueError(f"{cfg.kind.value} requires proper-training embeddings and labels")
+    labels = class_labels(labels, cfg.class_count)
     if cfg.kind in (TaxonomyKind.KNN_V1, TaxonomyKind.KNN_V2):
         if cfg.k > len(embeddings):
             raise ValueError(f"k={cfg.k} exceeds the {len(embeddings)} training points")

@@ -333,14 +333,16 @@ def test_parse_holds_the_columns_and_one_block(tmp_path):
 
 @pytest.fixture(scope="module")
 def nc_run(tmp_path_factory):
-    """The output directory of a 3-class nc_v2 run, its data CSV and a model
-    for `embed`."""
+    """The output directory of a 3-class nc_v2 run, its data CSV, its config
+    file and a model for `embed`."""
     out = tmp_path_factory.mktemp("run")
     save_csv(synth_gaussians(3, 3, 60, 4.0, seed=2), out / "d.csv")
     cfg = RunConfig(data_csv=str(out / "d.csv"), out_dir=str(out), taxonomy="nc_v2",
                     embedding="identity", seed=1)
     run_pipeline(cfg)
     save_params(init_params([3, 2]), out / "model.npz")
+    (out / "run.cfg").write_text(f"data_csv = {out / 'd.csv'}\ntaxonomy = nc_v2\n"
+                                 "embedding = identity\nseed = 1\n")
     return out
 
 
@@ -423,7 +425,7 @@ class TestInputErrorsNameTheFile:
         assert cli.main(argv) == 2
         assert f"{path}: header must start with 'id,label,f0,...'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["d.csv", "predictions.csv", "table.txt"])
+    @pytest.mark.parametrize("name", ["d.csv", "predictions.csv", "table.txt", "run.cfg"])
     def test_byte_that_is_not_utf8_names_the_file_and_line(self, nc_run, tmp_path, capsys, name):
         lines = (nc_run / name).read_bytes().split(b"\n")
         lines[3] = lines[3][:3] + b"\xff" + lines[3][3:]
@@ -438,6 +440,8 @@ class TestInputErrorsNameTheFile:
             argv = ["embed", "--model", str(nc_run / "model.npz"), "--data", str(path),
                     "--out", str(tmp_path / "e.csv")]
             assert cli.main(argv) == 2
+        elif name == "run.cfg":
+            assert cli.main(["calibrate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
         else:
             assert _report(path, tmp_path) == 2
         assert f"error: {message}\n" == capsys.readouterr().err

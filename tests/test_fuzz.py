@@ -1,6 +1,8 @@
-"""Line-mutation fuzz of the CLI's CSV inputs: a data CSV under `embed` and
-a predictions.csv under `report`. Whatever one mutated line holds, the
-command exits 0, or exits 2 naming the file; it never raises."""
+"""Mutation fuzz of every input the CLI reads: a data CSV under `embed`, a
+predictions.csv under `report`, a config file under `calibrate`, a
+table.txt under `load_table` (one mutated line each) and model.npz bytes
+under `embed`. Whatever the mutation, the reader succeeds or names the file;
+it never raises anything else."""
 
 import contextlib
 import io
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from ivenn import cli
 from ivenn.data import save_csv, synth_gaussians
+from ivenn.ivp import load_table
 from ivenn.mlp import init_params, save_params
 from ivenn.pipeline import RunConfig, run_pipeline
 
@@ -20,12 +23,15 @@ MUTATIONS = ["delete", "duplicate", "truncate", "reverse", "digit", "nan", "inf"
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A small data CSV, a model that embeds it and a 2-class predictions.csv."""
+    """A small data CSV, a model that embeds it, a 2-class predictions.csv and
+    table.txt, and a config file that calibrates on the data CSV."""
     out = tmp_path_factory.mktemp("fuzz")
     save_csv(synth_gaussians(2, 2, 15, 4.0, seed=3), out / "d.csv")
     save_params(init_params([2, 2]), out / "model.npz")
     run_pipeline(RunConfig(data_csv=str(out / "d.csv"), out_dir=str(out), taxonomy="nc_v1",
                            embedding="identity", seed=1))
+    (out / "run.cfg").write_text(f"# fuzz run\ndata_csv = {out / 'd.csv'}\ntaxonomy = knn_v1\n"
+                                 "embedding = identity\nseed = 1\nk = 3\n")
     return out
 
 
@@ -84,3 +90,72 @@ def test_mutated_line_exits_0_or_names_the_file(inputs, command, kind, i, j, dig
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code == 0 or (code == 2 and str(path) in err.getvalue()), (code, err.getvalue())
+
+
+def _main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return cli.main(argv), err.getvalue()
+
+
+LINES = dict(kind=st.sampled_from(MUTATIONS), i=st.integers(0, 1000), j=st.integers(0, 1000),
+             digit=st.integers(0, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**LINES)
+@example(kind="digit", i=5, j=0, digit=0)  # k = 0
+@example(kind="reverse", i=2, j=0, digit=0)  # an unknown key
+@example(kind="0xff", i=3, j=4, digit=0)
+def test_mutated_config_line_exits_0_or_names_the_file(inputs, kind, i, j, digit):
+    # the file is named by every error met reading or validating it; a
+    # stage that then fails on what it configured names the stage
+    path = inputs / "mutated.cfg"
+    path.unlink(missing_ok=True)
+    path.write_bytes(mutate((inputs / "run.cfg").read_bytes(), kind, i, j, digit))
+    code, err = _main(["calibrate", "--config", str(path), "--out-dir", str(inputs / "cal")])
+    named = str(path) in err or err.startswith("error: stage '")
+    assert code == 0 or (code == 2 and named), (code, err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**LINES)
+def test_mutated_table_line_loads_or_names_the_file(inputs, kind, i, j, digit):
+    path = inputs / "mutated_table.txt"
+    path.unlink(missing_ok=True)
+    path.write_bytes(mutate((inputs / "table.txt").read_bytes(), kind, i, j, digit))
+    try:
+        load_table(path)
+    except ValueError as exc:
+        assert str(path) in str(exc), str(exc)
+
+
+def mutate_bytes(data, kind, at, value):
+    """The bytes with the byte at `at` (mod the length) set to `value` or
+    deleted, or the file cut there, or the 8 bytes from it (a zip64 size
+    field) zeroed."""
+    at %= len(data)
+    if kind == "set":
+        return data[:at] + bytes([value]) + data[at + 1 :]
+    if kind == "delete":
+        return data[:at] + data[at + 1 :]
+    if kind == "truncate":
+        return data[:at]
+    return data[:at] + bytes(len(data[at : at + 8])) + data[at + 8 :]
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["set", "delete", "truncate", "zero8"]),
+       at=st.integers(0, 10**6), value=st.integers(0, 255))
+# in the central directory of the fixture's 1340-byte archive:
+@example(kind="zero8", at=1056, value=0)  # a member read back as raw bytes
+@example(kind="set", at=1053, value=1)  # an unknown compression method
+@example(kind="set", at=1051, value=1)  # a member flagged as encrypted
+@example(kind="set", at=1336, value=1)  # a seek before the file start
+def test_mutated_model_bytes_exit_0_or_name_the_file(inputs, kind, at, value):
+    path = inputs / "mutated_model.npz"
+    path.unlink(missing_ok=True)
+    path.write_bytes(mutate_bytes((inputs / "model.npz").read_bytes(), kind, at, value))
+    code, err = _main(["embed", "--model", str(path), "--data", str(inputs / "d.csv"),
+                       "--out", str(inputs / "e.csv")])
+    assert code == 0 or (code == 2 and str(path) in err), (code, err)

@@ -619,6 +619,19 @@ class TestCli:
         assert "embedding of example id 8 is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_embed_non_finite_output_names_the_data_and_the_model(self, tmp_path, capsys):
+        model = tmp_path / "model.npz"
+        save_params(MlpParams([1, 1], [np.array([[1e308]])], [np.zeros(1)], EMBEDDING), model)
+        data = tmp_path / "d.csv"
+        data.write_text("id,label,f0\n7,0,1.0\n8,1,2.0\n")
+        argv = ["embed", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "e")]
+        with np.errstate(over="ignore"):
+            assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data} with model {model}: embedding of example id 8 is not finite "
+            f"(nan or inf)\n"
+        )
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -824,6 +837,38 @@ class TestCli:
             cli.main(["evaluate", "--seed", "x"])
         assert exc.value.code == 2
         assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_flags_apply_before_the_one_validation(self, tmp_path, capsys):
+        # k = 0 in the file is invalid alone; --k 3 overrides it before any check
+        data = str(tmp_path / "d.csv")
+        cli.main(["synth", "--classes", "2", "--dim", "2", "--n-per-class", "30",
+                  "--separation", "5", "--seed", "4", "--out", data])
+        cfg_path = tmp_path / "k0.cfg"
+        cfg_path.write_text(f"data_csv = {data}\ntaxonomy = knn_v1\nembedding = identity\nk = 0\n")
+        out = tmp_path / "r"
+        assert cli.main(["calibrate", "--config", str(cfg_path), "--out-dir", str(out),
+                         "--k", "3"]) == 0
+        assert "k = 3\n" in (out / "table.txt").read_text()
+        capsys.readouterr()
+        assert cli.main(["calibrate", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: k must be at least 1\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed = 1\nbogus = 2\n", "config line 2: unknown key 'bogus'"),
+            ("seed = 1\n\nseed = 2\n", "config line 3: seed repeated"),
+            ("# run\nepochs = many\n", "config line 2: epochs: invalid int value: 'many'"),
+            ("taxonomy = nc_v9\n", "'nc_v9' is not a valid TaxonomyKind"),
+        ],
+        ids=["unknown key", "repeated key", "bad value", "invalid config"],
+    )
+    def test_config_file_errors_name_the_file(self, tmp_path, capsys, text, message):
+        # a brace in the path is kept as it is, never read as a format field
+        cfg_path = tmp_path / "run{0}.cfg"
+        cfg_path.write_text(text)
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
 
 
 # the pipeline flags that command lines use, in help order, one per RunConfig field

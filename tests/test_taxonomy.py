@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivenn.mlp import TrainConfig, train_siamese
 from ivenn.space import build_centroids, build_index, knn_many
 from ivenn.taxonomy import (
     BASELINE_KINDS,
@@ -284,6 +285,23 @@ class TestFitTaxonomy:
     def test_distance_kinds_need_training_data(self):
         with pytest.raises(ValueError, match="proper-training"):
             fit_taxonomy(cfg_for(TaxonomyKind.NC_V1))
+
+    def test_training_labels_follow_the_one_label_rule(self):
+        # a label outside the classes once put k-NN votes in another query's
+        # row (row 0 below got class 0 from zero votes) and dropped its rows
+        # from every nearest-centroid mean; a fractional label was truncated
+        X = np.arange(12.0)[:, None]
+        outside = np.array([5, 5, 5, 1, 1, 1, 0, 0, 0, 1, 1, 1])
+        for kind in (TaxonomyKind.KNN_V1, TaxonomyKind.NC_V1):
+            with pytest.raises(ValueError, match=r"^labels: row 0: label 5 outside \[0, 2\)$"):
+                fit_taxonomy(cfg_for(kind, c=2, k=3), X, outside)
+        fraction = np.where(outside == 5, 0.5, outside)
+        message = r"^label 0\.5 in row 0 is not an integer$"
+        for kind in DISTANCE_KINDS:
+            with pytest.raises(ValueError, match=message):
+                fit_taxonomy(cfg_for(kind, c=2, k=3), X, fraction)
+        with pytest.raises(ValueError, match=message):
+            train_siamese(X, fraction, [1, 2], TrainConfig(epochs=1))
 
 
 class TestRefinementInvariants:
