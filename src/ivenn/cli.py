@@ -26,9 +26,10 @@ from ivenn.pipeline import (
     RunConfig,
     embed_checked,
     load_predictions,
+    parse_config,
     run_pipeline,
 )
-from ivenn.taxonomy import field_types, read_fields, value_parser
+from ivenn.taxonomy import field_types, value_parser
 
 # the two flags not named after their RunConfig field
 _FLAG_NAMES = {"data_csv": "--data", "model_path": "--model"}
@@ -45,20 +46,22 @@ def _add_pipeline_flags(sub):
 
 
 def _build_config(args):
-    given = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as f:
-                given = read_fields(RunConfig, enumerate(f, 1), f"{args.config}: config line ")
-        except UnicodeDecodeError as exc:
-            raise not_utf8(args.config, exc) from None
-    given |= {name: getattr(args, name) for name in field_types(RunConfig) if hasattr(args, name)}
-    cfg = RunConfig(**given)
+    flags = {name: getattr(args, name) for name in field_types(RunConfig) if hasattr(args, name)}
+    if not args.config:
+        return parse_config("", **flags)
     try:
-        cfg.validate()
-    except ValueError as exc:  # the file is named, though a flag may have set the value
-        raise ValueError(f"{args.config}: {exc}" if args.config else exc) from None
-    return cfg
+        with open(args.config, encoding="utf-8") as f:
+            text = f.read()
+        return parse_config(text, **flags)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(args.config, exc) from None
+    except ValueError as exc:
+        try:
+            parse_config(text)  # the file alone is valid: a flag set the bad value
+            where = f"{args.config} with flags"
+        except ValueError:
+            where = args.config
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _run(args, stop_after):

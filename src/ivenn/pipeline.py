@@ -150,10 +150,11 @@ class RunConfig:
             check_layer_dims([1, *self.hidden_dims, class_count])
 
 
-def parse_config(text):
-    """Build a RunConfig from `key = value` lines (taxonomy.read_fields), each
-    value parsed as its field's annotation: `none` only for an optional one."""
-    cfg = RunConfig(**read_fields(RunConfig, enumerate(text.splitlines(), 1), "config line "))
+def parse_config(text, **flags):
+    """Build a RunConfig from `key = value` lines (taxonomy.read_fields, `none` only
+    for an optional key) and the typed `flags` over them, then validate it once."""
+    given = read_fields(RunConfig, enumerate(text.splitlines(), 1), "config line ")
+    cfg = RunConfig(**given | flags)
     cfg.validate()
     return cfg
 
@@ -296,10 +297,8 @@ def embed_checked(params, features, ids, where=""):
     emb = forward_batch(params, features)
     bad = ~np.isfinite(emb).all(axis=1)
     if bad.any():
-        raise ValueError(
-            f"{where}embedding of example id {ids[int(np.argmax(bad))]} is not "
-            f"finite (nan or inf)"
-        )
+        bad_id = ids[int(np.argmax(bad))]
+        raise ValueError(f"{where}embedding of example id {bad_id} is not finite (nan or inf)")
     return emb
 
 

@@ -870,6 +870,22 @@ class TestCli:
         assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
 
+    def test_a_bad_flag_over_a_valid_file_is_named_as_a_flag(self, tmp_path, capsys):
+        cfg_path = tmp_path / "good.cfg"
+        cfg_path.write_text("taxonomy = knn_v1\nembedding = identity\n")
+        assert cli.main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path),
+                         "--k", "0"]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path} with flags: k must be at least 1\n"
+
+    def test_the_cli_reads_a_config_file_as_parse_config_does(self, tmp_path):
+        # str.splitlines breaks at a form feed, and so does the CLI's reader
+        text = "seed = 1\x0cepochs = 2\n"
+        cfg_path = tmp_path / "ff.cfg"
+        cfg_path.write_text(text)
+        args = cli.build_parser().parse_args(["train", "--config", str(cfg_path)])
+        assert cli._build_config(args) == parse_config(text)
+        assert parse_config(text).epochs == 2
+
 
 # the pipeline flags that command lines use, in help order, one per RunConfig field
 PIPELINE_FLAGS = [
