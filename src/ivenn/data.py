@@ -58,8 +58,8 @@ def int64_values(values, name):
     else:
         ok = np.zeros(values.shape, dtype=bool)
     if not ok.all():
-        i = int(np.argmin(ok))
-        raise ValueError(f"{name} {values[i].item()!r} in row {i} is not an integer")
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValueError(f"{name} {values[i].item()!r} in row {i[0]} is not an integer")
     return values.astype(np.int64, copy=False)
 
 

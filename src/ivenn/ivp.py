@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.data import class_labels, not_utf8, open_artifact
+from ivenn.data import class_labels, int64_values, not_utf8, open_artifact
 from ivenn.taxonomy import TaxonomyConfig, category_count, format_value, read_fields
 
 _TABLE_FORMAT = "ivenn-calibration-table-v1"
@@ -60,6 +60,14 @@ class CategoryRows(NamedTuple):
     predicted: np.ndarray  # (K,) argmax of the counts, ties to the lowest class
     empty: np.ndarray  # (K,) True where N == 0
     predictions: tuple  # (K,) IvpPrediction of each category
+
+
+def unfit_count_rows(counts):
+    """Mask of the rows of (m, c) int64 counts the width law cannot hold for:
+    a negative count, or a total N past 2^53 - 1, beyond which N + 1 is not an
+    exact double. A float sum of non-negative integers is exact up to 2^53 and
+    rounds monotonically, so it passes the bound exactly when N does, unwrapped."""
+    return (counts < 0).any(axis=1) | (counts.sum(axis=1, dtype=float) > 2**53 - 1)
 
 
 def category_rows(counts):
@@ -97,16 +105,15 @@ class CalibrationTable:
     config: TaxonomyConfig
 
     def __post_init__(self):
+        counts = int64_values(self.counts, "count")
         want = (category_count(self.config), self.config.class_count)
-        if self.counts.shape != want:
-            raise ValueError(
-                f"counts have shape {self.counts.shape}, the taxonomy "
-                f"configuration needs {want}"
-            )
-
-    @property
-    def class_count(self):
-        return self.counts.shape[1]
+        if counts.shape != want:
+            raise ValueError(f"counts have shape {counts.shape}, the taxonomy needs {want}")
+        bad = unfit_count_rows(counts)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"category {k} counts {counts[k].tolist()}: negative or N > 2^53 - 1")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def category_count(self):
@@ -115,10 +122,6 @@ class CalibrationTable:
     @cached_property
     def rows(self):
         return category_rows(self.counts)
-
-    @property
-    def totals(self):
-        return self.rows.totals
 
 
 @dataclass(frozen=True)
@@ -245,4 +248,7 @@ def load_table(path):
             raise ValueError(f"{where} cell ({cat}, {cls}) repeated")
         seen.add((cat, cls))
         counts[cat, cls] = cnt
-    return CalibrationTable(counts=counts, config=cfg)
+    try:
+        return CalibrationTable(counts=counts, config=cfg)
+    except ValueError as exc:  # a category total past the width law's bound
+        raise ValueError(f"{path}: {exc}") from None

@@ -7,7 +7,7 @@ columns; `PipelineResult.records` builds EvalRecords from those columns
 only when indexed.
 
 Artifacts (all byte-deterministic given the same config and seed):
-    model.npz        twin-network parameters (when an embedding is trained)
+    model.npz        twin-network parameters (when a distance taxonomy trains one)
     classifier.npz   score network (when softmax_source = train)
     table.txt        calibration table
     predictions.csv  id,label,category,predicted,N,n0..,L0,U0,... (v2)
@@ -50,6 +50,7 @@ from ivenn.ivp import (
     category_rows,
     predict_many,
     save_table,
+    unfit_count_rows,
 )
 from ivenn.metrics import EvalBatch, build_report, check_bins, report_text, save_curves
 from ivenn.mlp import (
@@ -64,6 +65,7 @@ from ivenn.mlp import (
 )
 from ivenn.taxonomy import (
     BASELINE_KINDS,
+    DISTANCE_KINDS,
     TaxonomyConfig,
     TaxonomyKind,
     field_types,
@@ -89,8 +91,6 @@ def _stage(name, timings=None):
     t0 = time.perf_counter()
     try:
         yield
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError(f"stage '{name}': {exc}") from exc
     if timings is not None:
@@ -144,7 +144,7 @@ class RunConfig:
         _derived(SplitSpec, self).validate()
         check_bins(self.bins)
         # each network the run trains; 1 stands in for the dataset's width
-        if self.embedding == SIAMESE and self.model_path is None:
+        if kind in DISTANCE_KINDS and self.embedding == SIAMESE and self.model_path is None:
             check_layer_dims([1, *self.hidden_dims, self.embedding_dim])
         if kind in BASELINE_KINDS and self.softmax_source == "train":
             check_layer_dims([1, *self.hidden_dims, class_count])
@@ -204,7 +204,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
         del dataset  # split copied the parts; later stages read `proper`
 
     with _stage("train", timings):
-        if cfg.embedding == SIAMESE:
+        if cfg.embedding == SIAMESE and kind in DISTANCE_KINDS:
             if cfg.model_path is not None:
                 params = load_params(cfg.model_path)
                 if params.mode != EMBEDDING:
@@ -228,13 +228,13 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
         _write_artifacts(cfg, result, timings)
         return result
 
-    with _stage("embed", timings):
-        proper_emb = _embed(cfg, result.embedding_params, proper)
-        cal_emb = _embed(cfg, result.embedding_params, cal)
-        test_emb = _embed(cfg, result.embedding_params, test)
-
-    cal_soft = test_soft = None
-    if kind in BASELINE_KINDS:
+    proper_emb = cal_emb = test_emb = cal_soft = test_soft = None
+    if kind in DISTANCE_KINDS:
+        with _stage("embed", timings):
+            proper_emb = _embed(cfg, result.embedding_params, proper)
+            cal_emb = _embed(cfg, result.embedding_params, cal)
+            test_emb = _embed(cfg, result.embedding_params, test)
+    else:
         with _stage("softmax", timings):
             if cfg.softmax_source == "csv":
                 if proper.softmaxes is None:
@@ -387,13 +387,16 @@ def load_predictions(path):
     labels, category, counts = ints[:, 1], ints[:, 2], ints[:, 5:]
     checked = [2, *range(5, ints.shape[1])]  # category, n0..n{c-1}
     negative = ints[:, checked] < 0
-    bad = negative.any(axis=1) | (ints[:, 4] != counts.sum(axis=1))
+    unfit = unfit_count_rows(counts)  # so that the sum below cannot wrap
+    bad = negative.any(axis=1) | unfit | (ints[:, 4] != counts.sum(axis=1))
     if bad.any():
         row = int(np.argmax(bad))
         where = f"{path}:{line_number(path, row + 1)}:"
         if negative[row].any():
             j = checked[int(np.argmax(negative[row]))]
             raise ValueError(f"{where} {header[j]} {ints[row, j]} is negative")
+        if unfit[row]:
+            raise ValueError(f"{where} the counts total more than 2^53 - 1")
         raise ValueError(f"{where} N {ints[row, 4]} is not the sum of the counts")
     class_labels(labels, counts.shape[1], path)
     # one row per distinct category, so memory follows the file, not the ids

@@ -32,10 +32,6 @@ class CentroidSet:
     counts: np.ndarray  # (class_count,)
 
     @property
-    def class_count(self):
-        return self.centroids.shape[0]
-
-    @property
     def dim(self):
         return self.centroids.shape[1]
 
@@ -343,7 +339,7 @@ def silhouette(points, labels):
     points = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=int)
     n = len(points)
-    classes = np.unique(labels)
+    classes, own = np.unique(labels, return_inverse=True)
     if n < 2 or len(classes) < 2:
         raise ValueError("silhouette needs at least 2 points across at least 2 classes")
 
@@ -353,16 +349,15 @@ def silhouette(points, labels):
     dmat = np.sqrt(d2)
     np.fill_diagonal(dmat, 0.0)
 
-    masks = {int(c): labels == c for c in classes}
-    scores = np.zeros(n)
-    for i in range(n):
-        own = int(labels[i])
-        n_own = int(masks[own].sum())
-        if n_own == 1:
-            continue
-        a = dmat[i, masks[own]].sum() / (n_own - 1)
-        b = min(dmat[i, m].mean() for c, m in masks.items() if c != own)
-        denom = max(a, b)
-        if denom > 0:
-            scores[i] = (b - a) / denom
+    member = np.eye(len(classes))[own]  # (n, classes) one-hot
+    sums = dmat @ member  # each point's summed distance to each class
+    sizes = member.sum(axis=0)
+    rows = np.arange(n)
+    peers = sizes[own] - 1
+    a = sums[rows, own] / np.maximum(peers, 1)
+    means = sums / sizes
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.divide(b - a, denom, out=np.zeros(n), where=(peers > 0) & (denom > 0))
     return float(scores.mean())

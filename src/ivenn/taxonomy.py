@@ -164,10 +164,10 @@ def _vote(dists, neighbor_labels, class_count):
     return np.lexsort((sums, -votes))[:, 0], votes
 
 
-def _knn_categories(index, R, cfg, refined):
+def _knn_categories(index, R, cfg):
     dists, ids = knn_many(index, R, cfg.k)
     yhat, votes = _vote(dists, index.labels[ids], cfg.class_count)
-    if not refined:
+    if cfg.kind is TaxonomyKind.KNN_V1:
         return yhat
     width = cfg.k - cfg.k // cfg.class_count
     disagree = cfg.k - np.maximum.reduce(votes, axis=1)  # neighbors outside the winning class
@@ -181,16 +181,17 @@ def _knn_categories(index, R, cfg, refined):
     return yhat * width + np.minimum(disagree, width - 1)
 
 
-def _nc_categories(cs, R, cfg, refined):
+def _nc_categories(cs, R, cfg):
+    refined = cfg.kind is TaxonomyKind.NC_V2
     if refined and cfg.theta is None:
         raise ValueError("theta is unresolved; fit the taxonomy or set it explicitly")
     j, d = nearest_centroid_many(cs, R)
-    if not refined:
-        return j
-    return 2 * j + (d > cfg.theta)
+    return 2 * j + (d > cfg.theta) if refined else j
 
 
-def _batch_of_one(v, what="embedding"):
+def _batch_of_one(v, what):
+    if v is None:
+        return None
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{what} has shape {v.shape}, expected one vector")
@@ -214,40 +215,38 @@ def _baseline_categories(S, cfg):
         h = top < cfg.max_output_threshold
     elif cfg.kind is TaxonomyKind.BASE_V3:
         h = second > cfg.second_output_threshold
-    elif cfg.kind is TaxonomyKind.BASE_V4:
+    else:  # BASE_V4
         h = top - second < cfg.output_gap_threshold
-    else:
-        raise ValueError(f"{cfg.kind} is not a softmax baseline taxonomy")
     return 2 * top_class + h
 
 
 def assign_knn_v1(index, r, cfg):
     """Category = majority class among the k nearest training embeddings."""
-    return int(_knn_categories(index, _batch_of_one(r), cfg, refined=False)[0])
+    return Taxonomy(cfg, index=index).assign(r)
 
 
 def assign_knn_v2(index, r, cfg):
     """Refines the k-NN category by how many of the k neighbors disagree
     with the predicted class."""
-    return int(_knn_categories(index, _batch_of_one(r), cfg, refined=True)[0])
+    return Taxonomy(cfg, index=index).assign(r)
 
 
 def assign_nc_v1(cs, r, cfg):
     """Category = class of the nearest centroid."""
-    return int(_nc_categories(cs, _batch_of_one(r), cfg, refined=False)[0])
+    return Taxonomy(cfg, centroids=cs).assign(r)
 
 
 def assign_nc_v2(cs, r, cfg):
     """Splits each nearest-centroid category by whether the example sits
     within distance theta of that centroid (inclusive)."""
-    return int(_nc_categories(cs, _batch_of_one(r), cfg, refined=True)[0])
+    return Taxonomy(cfg, centroids=cs).assign(r)
 
 
 def assign_baseline(softmax_vector, cfg):
     """Softmax-based categories: the predicted class, optionally split in two
     by the top output (>= 0.75), the second output (<= 0.25), or the gap
     between them (>= 0.5)."""
-    return int(_baseline_categories(_batch_of_one(softmax_vector, "softmax"), cfg)[0])
+    return Taxonomy(cfg).assign(softmax=softmax_vector)
 
 
 def resolve_theta(cs, points, labels):
@@ -288,14 +287,9 @@ class Taxonomy:
     def assign(self, embedding=None, softmax=None):
         """Category of one example: a batch of one through assign_many. Only
         the input the kind reads is converted."""
-        kind = self.config.kind
-        if kind in BASELINE_KINDS:
-            if softmax is None:
-                raise ValueError(f"{kind.value} requires a softmax vector")
+        if self.config.kind in BASELINE_KINDS:
             return int(self.assign_many(softmaxes=_batch_of_one(softmax, "softmax"))[0])
-        if embedding is None:
-            raise ValueError(f"{kind.value} requires an embedding vector")
-        return int(self.assign_many(embeddings=_batch_of_one(embedding))[0])
+        return int(self.assign_many(embeddings=_batch_of_one(embedding, "embedding"))[0])
 
     def assign_many(self, embeddings=None, softmaxes=None):
         """Categories of a batch: (m,) int64, every kind as one batch."""
@@ -306,10 +300,9 @@ class Taxonomy:
             return _baseline_categories(softmaxes, self.config)
         if embeddings is None:
             raise ValueError(f"{kind.value} requires an embedding vector")
-        refined = kind in (TaxonomyKind.KNN_V2, TaxonomyKind.NC_V2)
         if kind in (TaxonomyKind.KNN_V1, TaxonomyKind.KNN_V2):
-            return _knn_categories(self.index, embeddings, self.config, refined)
-        return _nc_categories(self.centroids, embeddings, self.config, refined)
+            return _knn_categories(self.index, embeddings, self.config)
+        return _nc_categories(self.centroids, embeddings, self.config)
 
 
 def fit_taxonomy(cfg, embeddings=None, labels=None):

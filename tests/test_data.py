@@ -744,3 +744,34 @@ class TestSynthGaussians:
             synth_gaussians(5, 3, 10, 1.0, seed=0)
         with pytest.raises(ValueError, match="2 classes"):
             synth_gaussians(1, 3, 10, 1.0, seed=0)
+
+
+
+@pytest.mark.parametrize(
+    "text, class_count, message",
+    [
+        ("id,label,s0,s1\n0,0,0.5,0.5\n", None, "header declares no feature columns"),
+        ("id,label,f0,x\n0,0,1.0,2.0\n", None, "unrecognized header column 'x'"),
+        ("id,label,f0,s0,s1\n0,0,1.0,0.5,0.5\n", 3, "header has 2 score columns, expected 3"),
+    ],
+    ids=["no feature column", "unknown column", "score block width"],
+)
+def test_bad_header_is_named(tmp_path, text, class_count, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_csv(path, class_count)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Dataset(np.arange(2), np.zeros((2, 1)), np.zeros(2, int), 0),
+         "class_count must be positive"),
+        (lambda: synth_gaussians(2, 2, 5, -1.0, seed=0), "separation must be nonnegative"),
+    ],
+    ids=["class_count 0", "negative separation"],
+)
+def test_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -514,3 +514,45 @@ class TestPersistence:
             "counts:\n"
         )
         assert path.read_bytes().startswith(header.encode("utf-8"))
+
+
+class TestCountsTheWidthLawHoldsFor:
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([[-1, 2], [0, 0]], r"^category 0 counts \[-1, 2\]: negative or N > 2\^53 - 1$"),
+            ([[0.7, 2.0], [1.0, 0.0]], r"^count 0\.7 in row 0 is not an integer$"),
+            ([[0, 0], [2**53 - 1, 1]], r"^category 1 counts \[9007199254740991, 1\]: negative"),
+        ],
+        ids=["negative", "fraction", "total 2^53"],
+    )
+    def test_table_rejects_counts(self, counts, message):
+        cfg = TaxonomyConfig(kind=TaxonomyKind.BASE_V1, class_count=2)
+        with pytest.raises(ValueError, match=message):
+            CalibrationTable(counts=np.array(counts), config=cfg)
+
+    def test_int64_max_count_in_a_file_is_named(self, tmp_path):
+        # a total summed in int64 would wrap to a negative N
+        path = tmp_path / "table.txt"
+        save_table(table_from_counts([[0, 0, 0], [0, 4, 0], [0, 0, 0]]), path)
+        with open(path, "a") as f:
+            f.write(f"1 0 {2**63 - 1}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: category 1 counts"):
+            load_table(path)
+
+    def test_largest_total_keeps_exact_bounds(self, tmp_path):
+        n = [2**53 - 1 - 12345, 12345]
+        path = tmp_path / "table.txt"
+        save_table(table_from_counts([[0, 0], n]), path)
+        rows = load_table(path).rows
+        assert rows.totals[1] == 2**53 - 1
+        for j, n_j in enumerate(n):
+            assert rows.lower[1, j] == float(Fraction(n_j, 2**53))
+            assert rows.upper[1, j] == float(Fraction(n_j + 1, 2**53))
+
+    def test_blank_count_lines_are_skipped(self, tmp_path):
+        table = table_from_counts([[0, 0, 3], [0, 4, 0], [0, 0, 0]])
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        path.write_text(path.read_text().replace("counts:\n", "counts:\n\n  \n", 1))
+        np.testing.assert_array_equal(load_table(path).counts, table.counts)

@@ -773,3 +773,34 @@ class TestTapeAllocatesNothingPerStep:
         ws = _Workspace(init_params([4, 5, 3], CLASSIFIER, 0), 4)
         tape = ws.epoch_tape(ws.classifier_steps(X, onehot, 4), 0.05)
         assert tape_peak(ws, tape) <= TAPE_PEAK_BYTES
+
+
+TWO_CLASSES = np.array([0, 0, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TrainConfig(margin=0.0).validate(), r"^margin must be positive$"),
+        (lambda: TrainConfig(learning_rate=0.0).validate(), r"^learning_rate must be positive$"),
+        (lambda: TrainConfig(epochs=-1).validate(), r"^epochs must be nonnegative$"),
+        (lambda: TrainConfig(batch_size=0).validate(),
+         r"^batch_size and pairs_per_epoch must be positive$"),
+        (lambda: TrainConfig(pairs_per_epoch=0).validate(),
+         r"^batch_size and pairs_per_epoch must be positive$"),
+        (lambda: init_params([2, 3], mode="ranker"), r"^unknown mode 'ranker'$"),
+        (lambda: loss_gradient(init_params([2, 3]), PairExample(np.zeros(2), np.zeros(3), True), 1.0),
+         r"^pair inputs must match the network input dimension$"),
+        (lambda: train_siamese(np.zeros((4, 3)), TWO_CLASSES, [2, 3], TrainConfig(epochs=0)),
+         r"^features must be \(n, 2\)$"),
+        (lambda: train_classifier(np.zeros((4, 3)), TWO_CLASSES, [2, 2], TrainConfig(epochs=0)),
+         r"^features must be \(n, 2\)$"),
+        (lambda: train_classifier(np.zeros((4, 2)), np.zeros(4, int), [2, 2], TrainConfig(epochs=0)),
+         r"^need at least 2 classes to train a classifier$"),
+    ],
+    ids=["margin", "learning_rate", "epochs", "batch_size", "pairs_per_epoch", "mode",
+         "pair width", "siamese features", "classifier features", "classifier one class"],
+)
+def test_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

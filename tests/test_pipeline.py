@@ -11,7 +11,7 @@ import pytest
 from ivenn import cli
 from ivenn.data import Dataset, SplitSpec, load_csv, split, synth_gaussians
 from ivenn.metrics import EvalBatch, build_report, curves_csv, report_text
-from ivenn.mlp import EMBEDDING, MlpParams, save_params
+from ivenn.mlp import CLASSIFIER, EMBEDDING, MlpParams, init_params, save_params
 from ivenn.pipeline import (
     PipelineError,
     RunConfig,
@@ -949,3 +949,86 @@ def test_traced_names_resolve():
     for cls, _, names in tracing.TRACED_METHODS:
         for name in names:
             assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"
+
+
+def scored_dataset():
+    ds = synth_gaussians(3, 3, 60, 4.0, seed=5)
+    scores = np.random.default_rng(5).dirichlet(np.ones(3), len(ds))
+    return Dataset(ds.ids, ds.features, ds.labels, 3, softmaxes=scores)
+
+
+def test_baseline_run_trains_no_twin_network(tmp_path):
+    # a softmax baseline reads no embedding: the default siamese run writes
+    # what the identity run writes, and no model.npz
+    runs = {}
+    for embedding in ("siamese", "identity"):
+        out = tmp_path / embedding
+        run_pipeline(RunConfig(out_dir=str(out), taxonomy="base_v2", embedding=embedding),
+                     dataset=scored_dataset())
+        runs[embedding] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timing.txt"}
+    assert "model.npz" not in runs["siamese"]
+    assert runs["siamese"] == runs["identity"]
+
+    # a twin network of no width is no error where none is built
+    cfg = RunConfig(out_dir=str(tmp_path / "train"), taxonomy="base_v1", embedding_dim=0)
+    run_pipeline(cfg, dataset=scored_dataset(), stop_after="train")
+    assert list((tmp_path / "train").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "given, stop_after, error, message",
+    [
+        (dict(embedding="pca"), "report", ValueError,
+         r"^embedding must be siamese or identity, got 'pca'$"),
+        (dict(softmax_source="web"), "report", ValueError,
+         r"^softmax_source must be csv or train, got 'web'$"),
+        ({}, "embed", ValueError, r"^stop_after must be one of \("),
+        (dict(class_count=3), "report", PipelineError,
+         r"^stage 'load': config class_count 3 != dataset 2$"),
+    ],
+    ids=["embedding", "softmax_source", "stop_after", "class_count"],
+)
+def test_bad_run_is_named(tmp_path, given, stop_after, error, message):
+    cfg = RunConfig(out_dir=str(tmp_path), taxonomy="nc_v1", **given)
+    with pytest.raises(error, match=message):
+        run_pipeline(cfg, dataset=hand_dataset(), stop_after=stop_after)
+
+
+@pytest.mark.parametrize(
+    "layer_dims, mode, message",
+    [([2, 2], CLASSIFIER, r"model\.npz is not an embedding model$"),
+     ([3, 2], EMBEDDING, r"model expects 3 features, data has 2$")],
+    ids=["classifier", "input width"],
+)
+def test_bad_model_is_named(tmp_path, layer_dims, mode, message):
+    model = tmp_path / "model.npz"
+    save_params(init_params(layer_dims, mode), model)
+    cfg = RunConfig(out_dir=str(tmp_path / "out"), taxonomy="nc_v1", model_path=str(model))
+    with pytest.raises(PipelineError, match=r"^stage 'train': .*" + message):
+        run_pipeline(cfg, dataset=hand_dataset())
+
+
+def test_run_without_data_is_named(tmp_path):
+    with pytest.raises(
+        PipelineError, match=r"^stage 'load': no data_csv configured and no dataset passed in$"
+    ):
+        run_pipeline(RunConfig(out_dir=str(tmp_path)))
+
+
+def test_predictions_header_without_rows_is_named(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("id,label,category,predicted,N,n0,n1,L0,U0,L1,U1\n")
+    with pytest.raises(ValueError, match=r"p\.csv: no prediction rows$"):
+        load_predictions(path)
+
+
+def test_counts_past_the_width_law_bound_are_named(tmp_path):
+    # n0 + n1 = 2^63 sums to N = -2^63 in int64, and every interval would be
+    # [-0.5, -0.5]; the check runs before N is compared
+    path = tmp_path / "p.csv"
+    path.write_text(
+        "id,label,category,predicted,N,n0,n1,L0,U0,L1,U1\n"
+        f"0,0,0,0,{-2**63},{2**62},{2**62},-0.5,-0.5,-0.5,-0.5\n"
+    )
+    with pytest.raises(ValueError, match=r"p\.csv:2: the counts total more than 2\^53 - 1$"):
+        load_predictions(path)

@@ -406,3 +406,19 @@ class TestSilhouette:
         b = rng.normal(size=(25, 2)) * 0.1 + 8.0
         s = silhouette(np.vstack([a, b]), [0] * 25 + [1] * 25)
         assert s > 0.9
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_centroids(np.zeros((3, 2)), [0, 1], 2),
+         r"^points must be \(n, dim\) with one label per row$"),
+        (lambda: nearest_centroid_many(build_centroids(np.eye(2), [0, 1], 2), np.zeros((4, 3))),
+         r"^queries have shape \(4, 3\), expected \(m, 2\)$"),
+        (lambda: build_index(np.zeros((3, 2)), [0, 1]), r"^points and labels length mismatch$"),
+    ],
+    ids=["centroid labels", "centroid query width", "index labels"],
+)
+def test_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -503,3 +503,20 @@ class TestAssignMany:
         for kind in DISTANCE_KINDS:
             tax = fit_taxonomy(cfg_for(kind), emb, labels)
             assert tax.assign_many(embeddings=np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fit_taxonomy(cfg_for(TaxonomyKind.NC_V1, c=2), np.eye(2), [0, 1]).assign(
+            embedding=np.zeros((1, 2))), r"^embedding has shape \(1, 2\), expected one vector$"),
+        (lambda: fit_taxonomy(cfg_for(TaxonomyKind.BASE_V1, c=2)).assign(softmax=0.5),
+         r"^softmax has shape \(\), expected one vector$"),
+        (lambda: resolve_theta(build_centroids(np.eye(2), [0, 1], 2), np.zeros((0, 2)), []),
+         r"^cannot resolve theta from an empty training set$"),
+    ],
+    ids=["embedding matrix", "softmax scalar", "theta from no points"],
+)
+def test_bad_argument_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
