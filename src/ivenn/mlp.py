@@ -10,22 +10,34 @@ end if a hidden layer has saturated.
 
 Both trainers run one tape per epoch: a flat list of (function, operands)
 calls that covers every step and every SGD update, built once per run and
-run as it stands each epoch. Every weight and bias is a view into one flat
-buffer and every gradient a view into a second; the forward and backward
-passes write into activation and delta buffers allocated once per run.
+run as it stands each epoch. Each layer is one C-contiguous (out, in + 1)
+matrix [W | b], a view into one flat buffer, and its gradient the same view
+into a second. Every layer's input ends in a ones column, so one product
+gives a layer's pre-activations, bias included, and one product gives both
+its weight and bias gradients: the trainers append the ones column to the
+features once per run, and each hidden activation buffer is (rows, d + 1)
+with a ones column that nothing writes.
+
+The 2-D products call np.dot, which needs a C-contiguous output of the
+exact dtype and costs 0.2-0.3 us less per call than np.matmul on the same
+BLAS routine. So a hidden layer's product lands in a contiguous (rows, d)
+buffer, tanh runs on it in place, one copy fills the strided view [:, :d]
+of the activation buffer, and the backward pass reads tanh' off the
+contiguous buffer. A ufunc over a strided view goes through numpy's
+buffered iterator: at (64, 16), tanh into the view takes 1.50 us against
+0.98 us in place plus 0.47 us for the copy, and tanh' read off the view
+1.22 us against 0.27 us. The backward pass reads W as the strided view
+[:, :-1] of its layer, which BLAS takes as it is.
+
 Each call writes into a buffer passed as its output, and every operand is
-an array: the margin, 0, 1, the batch length and the learning rate are
-0-d arrays, since a Python scalar costs about 0.15 us more per call. The
-2-D products call np.dot, which needs a C-contiguous output of the exact
-dtype (every product here has one) and costs 0.2-0.3 us less per call than
-np.matmul on the same BLAS routine. A pair's dLoss/dd is picked from two
-per-run constants with np.putmask, and a coincident pair's zero subgradient
-is 0 divided by 1, so no call allocates an array (numpy's iterator still
-takes a buffer of about the operand's size for a broadcast bias add, and
-frees it before returning). Views are built once per distinct batch
-length, the full batch and the tail, and each batch's rows are a fixed
-view into one row buffer that every epoch refills with a single `take`.
-After the tape, an epoch makes one divergence check.
+an array: the margin, 0, 1, the batch length and the learning rate are 0-d
+arrays, since a Python scalar costs about 0.15 us more per call. A pair's
+dLoss/dd is picked from two per-run constants with np.putmask, and a
+coincident pair's zero subgradient is 0 divided by 1, so no call allocates
+an array. Views are built once per distinct batch length, the full batch
+and the tail, and each batch's rows are a fixed view into one row buffer
+that every epoch refills with a single `take`. After the tape, an epoch
+makes one divergence check.
 
 A twin epoch draws its pairs with a few vectorised draws over class-sorted
 index arrays, and lays the row buffer out so that each batch is a contiguous
@@ -167,7 +179,7 @@ def contrastive_loss(r1, r2, same_class, margin):
 
 
 # the functions a tape calls, each passed its output positionally
-_dot, _add, _subtract, _multiply, _divide = np.dot, np.add, np.subtract, np.multiply, np.divide
+_dot, _subtract, _multiply, _divide = np.dot, np.subtract, np.multiply, np.divide
 _tanh, _sqrt, _exp, _negative = np.tanh, np.sqrt, np.exp, np.negative
 _less, _greater, _logical_not = np.less, np.greater, np.logical_not
 _copyto, _putmask = np.copyto, np.putmask
@@ -180,65 +192,67 @@ def _run(tape):
 
 
 class _Workspace:
-    """A network's weights and biases as views into one flat buffer, their
-    gradients as views into a second, and activation and delta buffers for
-    batches of up to `rows` input rows. A step is the list of (function,
-    operands) calls that writes one batch's gradient into the gradient
-    buffer; its views into those buffers are built once per run."""
+    """A network's layers as (out, in + 1) matrices [W | b], views into one
+    flat buffer, their gradients as views into a second, and activation and
+    delta buffers for batches of up to `rows` input rows. A step is the list
+    of (function, operands) calls that writes one batch's gradient into the
+    gradient buffer; its input rows end in a ones column, and its views into
+    those buffers are built once per run."""
 
     def __init__(self, params, rows):
         dims = params.layer_dims
-        arrays = [a for wb in zip(params.weights, params.biases) for a in wb]
-        ends = np.cumsum([a.size for a in arrays])
-        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.layer_dims, self.mode = list(dims), params.mode
+        layers = [np.column_stack([W, b]) for W, b in zip(params.weights, params.biases)]
+        ends = np.cumsum([wb.size for wb in layers])
+        self.flat = np.concatenate([wb.ravel() for wb in layers])
         self.grad = np.empty_like(self.flat)
-        w, g = (
-            [buf[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)]
+        self.layers, self.grad_layers = (
+            [buf[e - wb.size : e].reshape(wb.shape) for wb, e in zip(layers, ends)]
             for buf in (self.flat, self.grad)
         )
-        self.params = MlpParams(list(dims), w[0::2], w[1::2], params.mode)
-        self.grad_w, self.grad_b = g[0::2], g[1::2]
-        self.weights_t = [W.T for W in self.params.weights]
-        self.acts = [np.empty((rows, d)) for d in dims[1:]]
+        self.products = [np.empty((rows, d)) for d in dims[1:]]  # z; the last is the output
+        self.hidden = [np.ones((rows, d + 1)) for d in dims[1:-1]]  # [tanh(z), 1]
         self.deltas = [np.empty((rows, d)) for d in dims[1:]]  # dLoss/dz
         self.tanh_grad = [np.empty((rows, d)) for d in dims[1:-1]]
         self.one = np.ones(())
         self._by_length = {}
 
     def _views(self, r):
-        # the first r rows of the activation, delta and tanh' buffers, built
-        # once per batch length
+        # the first r rows of the product, delta, hidden and tanh' buffers,
+        # built once per batch length
         if r not in self._by_length:
             deltas = [d[:r] for d in self.deltas]
             self._by_length[r] = (
-                [a[:r] for a in self.acts],
+                [z[:r] for z in self.products],
                 deltas,
                 [d.T for d in deltas],
+                [h[:r] for h in self.hidden],
                 [t[:r] for t in self.tanh_grad],
             )
         return self._by_length[r]
 
     def _step(self, x, head):
-        # forward over the input rows x, the loss head writing dLoss/dz into
-        # the output delta, then backward into the gradient buffer
-        acts, deltas, deltas_t, tanh_grad = self._views(len(x))
-        p, top = self.params, len(acts) - 1
-        ins = [x, *acts[:-1]]
+        # forward over the input rows x, each ending in a 1, the loss head
+        # writing dLoss/dz into the output delta, then backward into the
+        # gradient buffer
+        products, deltas, deltas_t, hidden, tanh_grad = self._views(len(x))
+        top = len(products) - 1
+        ins = [x, *hidden]  # each layer's input [a, 1]
         step = []
-        for l, (a_in, W_t, b, a) in enumerate(zip(ins, self.weights_t, p.biases, acts)):
-            step += [(_dot, (a_in, W_t, a)), (_add, (a, b, a))]
+        for l, (a_in, wb, z) in enumerate(zip(ins, self.layers, products)):
+            step.append((_dot, (a_in, wb.T, z)))
             if l < top:
-                step.append((_tanh, (a, a)))
+                step += [(_tanh, (z, z)), (_copyto, (hidden[l][:, :-1], z))]
         step += head
-        # tanh' = 1 - tanh**2 is read off the stored activations
+        # tanh' = 1 - tanh**2 is read off the contiguous products
         for l in range(top, -1, -1):
-            delta, grad_w, grad_b = deltas[l], self.grad_w[l], self.grad_b[l]
-            step += [(_dot, (deltas_t[l], ins[l], grad_w)), (_sum, (delta, 0, None, grad_b))]
+            delta = deltas[l]
+            step.append((_dot, (deltas_t[l], ins[l], self.grad_layers[l])))
             if l:
-                prev, t = deltas[l - 1], tanh_grad[l - 1]
+                prev, t, a = deltas[l - 1], tanh_grad[l - 1], products[l - 1]
                 step += [
-                    (_dot, (delta, p.weights[l], prev)),
-                    (_multiply, (ins[l], ins[l], t)),
+                    (_dot, (delta, self.layers[l][:, :-1], prev)),
+                    (_multiply, (a, a, t)),
                     (_subtract, (self.one, t, t)),
                     (_multiply, (prev, t, prev)),
                 ]
@@ -248,11 +262,12 @@ class _Workspace:
         """One contrastive step per (start, end) range of pairs, and the
         buffer its pair distances land in. A batch's input is
         rows[2 start : 2 end], laid out [X1; X2] so that both twins run
-        through one stacked pass; same[start:end] flags its similar pairs."""
+        through one stacked pass, each row ending in a 1; same[start:end]
+        flags its similar pairs."""
         # dLoss/dd inside the margin and beyond it: 1 and 1 for a similar
         # pair, -1 and 0 for a dissimilar one
         c_in, c_out = np.where(same, 1.0, -1.0), np.where(same, 1.0, 0.0)
-        half, k = max(e - s for s, e in batches), self.params.output_dim
+        half, k = max(e - s for s, e in batches), self.layer_dims[-1]
         diff, sq = np.empty((half, k)), np.empty((half, k))
         d, safe, scale = np.empty(half), np.empty(half), np.empty(half)
         mask = np.empty(half, dtype=bool)
@@ -287,8 +302,9 @@ class _Workspace:
         return steps, d
 
     def classifier_steps(self, X, onehot, size):
-        """One cross-entropy step per `size` consecutive rows of X, whose
-        labels are the rows of onehot (1.0 at the label, 0.0 elsewhere)."""
+        """One cross-entropy step per `size` consecutive rows of X, each
+        ending in a 1, whose labels are the rows of onehot (1.0 at the
+        label, 0.0 elsewhere)."""
         m = min(len(X), size)
         peak, total = np.empty((m, 1)), np.empty((m, 1))
         steps = []
@@ -326,10 +342,17 @@ class _Workspace:
 
     def export(self):
         """The parameters as standalone arrays."""
-        p = self.params
-        return MlpParams(
-            list(p.layer_dims), [W.copy() for W in p.weights], [b.copy() for b in p.biases], p.mode
-        )
+        return MlpParams(list(self.layer_dims), *_split(self.layers), self.mode)
+
+
+def _split(layers):
+    # each (out, in + 1) layer [W | b] as a standalone C-contiguous W and b
+    return [wb[:, :-1].copy() for wb in layers], [wb[:, -1].copy() for wb in layers]
+
+
+def _with_ones(X):
+    # the rows of X, each followed by a 1: the input a [W | b] layer takes
+    return np.column_stack([X, np.ones(len(X))])
 
 
 def _contrastive_batch(params, X1, X2, same, margin):
@@ -337,10 +360,10 @@ def _contrastive_batch(params, X1, X2, same, margin):
     # through a one-step tape
     n = len(X1)
     ws = _Workspace(params, 2 * n)
-    (step,), d = ws.twin_steps(np.concatenate([X1, X2]), same, [(0, n)], margin)
+    (step,), d = ws.twin_steps(_with_ones(np.concatenate([X1, X2])), same, [(0, n)], margin)
     _run(step)
     loss = float(np.where(same, d, np.maximum(0.0, margin - d)).mean())
-    return loss, [g.copy() for g in ws.grad_w], [g.copy() for g in ws.grad_b]
+    return loss, *_split(ws.grad_layers)
 
 
 def loss_gradient(params, pair, margin):
@@ -424,14 +447,15 @@ def train_siamese(features, labels, layer_dims, config):
     # row order that lays each batch out as [X[i1_b]; X[i2_b]] within [i1; i2]
     order = np.concatenate([np.r_[s:e, n_pairs + s : n_pairs + e] for s, e in batches])
     drawn, picked = np.empty(2 * n_pairs, dtype=np.int64), np.empty(2 * n_pairs, dtype=np.int64)
-    rows = np.empty((2 * n_pairs, X.shape[1]))
+    X_ones = _with_ones(X)
+    rows = np.empty((2 * n_pairs, X_ones.shape[1]))
     same = _PairSampler.layout(n_same, n_pairs - n_same)
     steps, _ = ws.twin_steps(rows, same, batches, config.margin)
     tape = ws.epoch_tape(steps, config.learning_rate)
     for epoch in range(config.epochs):
         np.concatenate(sampler.pairs(rng, n_same, n_pairs - n_same), out=drawn)
         drawn.take(order, out=picked)
-        X.take(picked, axis=0, out=rows)
+        X_ones.take(picked, axis=0, out=rows)
         ws.sgd_epoch(tape, epoch)
     params = ws.export()
     _check_saturation(params, X)
@@ -453,11 +477,12 @@ def train_classifier(features, labels, layer_dims, config):
     ws = _Workspace(init_params(layer_dims, CLASSIFIER, config.seed), min(n, size))
     rng = np.random.default_rng((*_as_seed(config.seed), 2))
     Y = (y[:, None] == np.arange(layer_dims[-1])).astype(float)  # one-hot labels
-    Xp, Yp = np.empty(X.shape), np.empty(Y.shape)
+    X_ones = _with_ones(X)
+    Xp, Yp = np.empty(X_ones.shape), np.empty(Y.shape)
     tape = ws.epoch_tape(ws.classifier_steps(Xp, Yp, size), config.learning_rate)
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
-        X.take(perm, axis=0, out=Xp)
+        X_ones.take(perm, axis=0, out=Xp)
         Y.take(perm, axis=0, out=Yp)
         ws.sgd_epoch(tape, epoch)
     params = ws.export()

@@ -1,13 +1,19 @@
 """Twin-network forward pass, contrastive loss and gradients, training."""
 
 import io
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ivenn
 from ivenn.mlp import (
     CLASSIFIER,
     EMBEDDING,
@@ -521,12 +527,17 @@ class TestPersistence:
         assert str(exc.value).startswith(f"{path}: {message}")
 
 
+def with_ones(a):
+    return np.column_stack([a, np.ones(len(a))])
+
+
 def reference_forward(params, X):
-    """Activations per layer, acts[0] being the input, one fresh array each."""
+    """Activations per layer, acts[0] being the input, one fresh array each;
+    each layer is one product of [a, 1] with [W | b]."""
     acts = [X]
     last = len(params.weights) - 1
     for l, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ W.T + b
+        z = with_ones(acts[-1]) @ np.column_stack([W, b]).T
         if l < last:
             acts.append(np.tanh(z))
         elif params.mode == CLASSIFIER:
@@ -540,8 +551,8 @@ def reference_forward(params, X):
 def reference_backprop(params, acts, delta):
     grad_w, grad_b = [None] * len(params.weights), [None] * len(params.weights)
     for l in range(len(params.weights) - 1, -1, -1):
-        grad_w[l] = delta.T @ acts[l]
-        grad_b[l] = delta.sum(axis=0)
+        grad_wb = delta.T @ with_ones(acts[l])
+        grad_w[l], grad_b[l] = grad_wb[:, :-1], grad_wb[:, -1]
         if l > 0:
             delta = (delta @ params.weights[l]) * (1.0 - acts[l] ** 2)
     return grad_w, grad_b
@@ -736,8 +747,13 @@ class TestCoincidentPairs:
 
 
 # the traced peak a tape may add, whatever its length: numpy's iterator
-# buffers for the broadcast bias adds and the isfinite mask come to about
-# 1.5 KiB at these sizes
+# buffers for the loss heads' broadcasts (the twin head's (n, 1) by (n, k)
+# scale, 1216 B here; the softmax's (n, 1) subtract and divide, 1200 B) and
+# the isfinite mask come to about 1.3 KiB at these sizes. No broadcast bias
+# add is left. Of the folded calls, the dot with the strided W view
+# [:, :-1] takes about 250 B and the copy into the strided activation view
+# 64 B; tanh writing that view would take 1.2 KiB and tanh' read off it
+# 1.7 KiB, so both run on the contiguous products
 TAPE_PEAK_BYTES = 2048
 
 
@@ -758,7 +774,7 @@ class TestTapeAllocatesNothingPerStep:
     @pytest.mark.parametrize("pairs", [16, 2048])
     def test_twin_tape(self, pairs):
         rng = np.random.default_rng(pairs)
-        rows = rng.normal(size=(2 * pairs, 4))
+        rows = with_ones(rng.normal(size=(2 * pairs, 4)))
         rows[1] = rows[0]  # a coincident pair
         ws = _Workspace(init_params([4, 5, 2], EMBEDDING, 0), 8)
         batches = [(s, min(s + 4, pairs)) for s in range(0, pairs, 4)]
@@ -769,10 +785,75 @@ class TestTapeAllocatesNothingPerStep:
     @pytest.mark.parametrize("rows", [16, 2048])
     def test_classifier_tape(self, rows):
         rng = np.random.default_rng(rows)
-        X, onehot = rng.normal(size=(rows, 4)), np.eye(3)[rng.integers(0, 3, rows)]
+        X, onehot = with_ones(rng.normal(size=(rows, 4))), np.eye(3)[rng.integers(0, 3, rows)]
         ws = _Workspace(init_params([4, 5, 3], CLASSIFIER, 0), 4)
         tape = ws.epoch_tape(ws.classifier_steps(X, onehot, 4), 0.05)
         assert tape_peak(ws, tape) <= TAPE_PEAK_BYTES
+
+
+class TestOnesColumnsStayOne:
+    # the ones columns that fold each bias into its layer's product: no tanh,
+    # take or copy may write over them, in the row buffer or a hidden buffer
+    @pytest.mark.parametrize("train", [train_siamese, train_classifier])
+    def test_after_every_epoch(self, monkeypatch, train):
+        checked = []
+        run_epoch = _Workspace.sgd_epoch
+
+        def sgd_epoch(ws, tape, epoch):
+            run_epoch(ws, tape, epoch)
+            rows = tape[0][1][0].base  # the first step's input is a view of the row buffer
+            for buf in (rows, *ws.hidden):
+                assert (buf[:, -1] == 1.0).all()
+            checked.append(len(ws.hidden))
+
+        monkeypatch.setattr(_Workspace, "sgd_epoch", sgd_epoch)
+        X, y = three_class_data(70, 6, seed=8)
+        cfg = TrainConfig(epochs=6, batch_size=32, pairs_per_epoch=100, seed=1)
+        train(X, y, [6, 8, 5, 3], cfg)
+        assert checked == [2] * 6
+
+
+# trains the bench-sized shapes and prints each run's sha256 over its
+# weights, biases and forward_batch output, then the BLAS thread count if
+# numpy's bundled OpenBLAS reports it
+THREAD_SCRIPT = """
+import ctypes, glob, hashlib, json, os
+import numpy as np
+from ivenn.mlp import TrainConfig, forward_batch, train_classifier, train_siamese
+rng = np.random.default_rng(7)
+y = rng.integers(0, 3, 400)
+X = rng.normal(size=(400, 8)) + y[:, None]
+runs = [(train_siamese, dims, batch)
+        for dims in ([8, 16, 2], [8, 10, 32], [8, 128, 16]) for batch in (32, 128)]
+runs.append((train_classifier, [8, 16, 3], 32))
+digests = []
+for train, dims, batch in runs:
+    cfg = TrainConfig(epochs=10, batch_size=batch, pairs_per_epoch=256, seed=3)
+    params = train(X, y, dims, cfg)
+    h = hashlib.sha256()
+    for a in params.weights + params.biases + [forward_batch(params, X)]:
+        h.update(a.tobytes())
+    digests.append(f"{train.__name__} {dims} {batch} {h.hexdigest()}")
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas*"))
+getter = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None) if libs else None
+print(json.dumps({"digests": digests, "threads": getter() if getter else None}))
+"""
+
+
+def test_bench_shapes_agree_across_blas_thread_counts():
+    # one BLAS thread (as the bench pins) and two give the same bits at the
+    # bench's shapes, the bias column included in every product's K
+    src = str(Path(ivenn.__file__).resolve().parents[1])
+    out = {}
+    for threads in (1, 2):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
+        proc = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        out[threads] = json.loads(proc.stdout)
+    assert out[1]["digests"] == out[2]["digests"]
+    assert len(out[1]["digests"]) == 7
+    if out[1]["threads"] is not None:
+        assert (out[1]["threads"], out[2]["threads"]) == (1, 2)
 
 
 TWO_CLASSES = np.array([0, 0, 1, 1])
