@@ -5,6 +5,8 @@ categories in the embedding space, and turn held-out calibration counts
 into per-class probability intervals with guaranteed width 1/(N+1).
 """
 
+import types
+
 from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
 from ivenn.ivp import (
     CalibrationTable,
@@ -68,64 +70,7 @@ from ivenn.taxonomy import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalibrationReport",
-    "CalibrationTable",
-    "CentroidSet",
-    "CumulativeCurves",
-    "Dataset",
-    "EvalBatch",
-    "EvalRecord",
-    "IvpBatch",
-    "IvpPrediction",
-    "KnnIndex",
-    "MlpParams",
-    "PairExample",
-    "PipelineError",
-    "RunConfig",
-    "SplitSpec",
-    "Taxonomy",
-    "TaxonomyConfig",
-    "TaxonomyKind",
-    "TrainConfig",
-    "accuracy",
-    "brier",
-    "build_centroids",
-    "build_index",
-    "build_report",
-    "calibrate",
-    "category_count",
-    "contrastive_loss",
-    "cumulative",
-    "diameter",
-    "distance",
-    "ece_mce",
-    "fit_taxonomy",
-    "forward",
-    "forward_batch",
-    "init_params",
-    "intervals",
-    "knn",
-    "knn_many",
-    "load_csv",
-    "load_params",
-    "load_table",
-    "loss_gradient",
-    "nearest_centroid",
-    "nearest_centroid_many",
-    "nll",
-    "parse_config",
-    "predict",
-    "predict_many",
-    "resolve_theta",
-    "run_pipeline",
-    "save_csv",
-    "save_params",
-    "save_table",
-    "silhouette",
-    "split",
-    "synth_gaussians",
-    "train_classifier",
-    "train_siamese",
-    "__version__",
-]
+# every name imported above, but not the submodules that importing them binds
+__all__ = sorted(
+    n for n, v in globals().items() if not (n[0] == "_" or isinstance(v, types.ModuleType))
+) + ["__version__"]

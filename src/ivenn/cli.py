@@ -18,8 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ivenn.data import _write_csv, load_csv, not_utf8, open_artifact, save_csv, synth_gaussians
-from ivenn.metrics import build_report, report_text, save_curves
+from ivenn.data import _write_csv, load_csv, not_utf8, save_csv, synth_gaussians
+from ivenn.metrics import build_report, report_text, save_report
 from ivenn.mlp import load_params
 from ivenn.pipeline import (
     PipelineError,
@@ -99,9 +99,7 @@ def _cmd_embed(args):
 def _cmd_report(args):
     records = load_predictions(args.predictions)
     report = build_report(records, bins=args.bins)
-    with open_artifact(args.report_out) as f:
-        f.write(report_text(report))
-    save_curves(report.curves, args.curves_out)
+    save_report(report, args.report_out, args.curves_out)
     sys.stdout.write(report_text(report))
     return 0
 

@@ -63,6 +63,14 @@ def int64_values(values, name):
     return values.astype(np.int64, copy=False)
 
 
+def check_finite(cfg, name):
+    """Raise naming field `name` of the config `cfg` if it is set but not
+    finite: nan fails every comparison, so a range check lets it through."""
+    value = getattr(cfg, name)
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     ids: np.ndarray  # (n,) int64
@@ -358,6 +366,8 @@ class SplitSpec:
         ):
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def split(ds, spec):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.data import _write_csv, csv_lines
+from ivenn.data import _write_csv, csv_lines, open_artifact
 from ivenn.ivp import IvpBatch, IvpPrediction
 
 # Floor for probabilities entering log; midpoints never reach 1 for a
@@ -127,6 +127,9 @@ class _Columns(NamedTuple):
 
 
 def _columns(records):
+    # the records as columns; columns pass through unchanged
+    if isinstance(records, _Columns):
+        return records
     if not len(records):
         raise ValueError("need at least one record")
     if isinstance(records, EvalBatch):
@@ -147,16 +150,6 @@ def _columns(records):
         empty=np.array([p.empty_category for p in preds], dtype=bool),
         counts=None,
         totals=None,
-    )
-
-
-def _cumulative(col):
-    lep_inc = 1.0 - col.at_predicted(col.upper)
-    uep_inc = 1.0 - col.at_predicted(col.lower)
-    return CumulativeCurves(
-        E=np.cumsum(col.err.astype(float)),
-        LEP=np.cumsum(lep_inc[col.key]),
-        UEP=np.cumsum(uep_inc[col.key]),
     )
 
 
@@ -183,11 +176,6 @@ def _brier(sq):
     return float(np.cumsum(sq)[-1]) / len(sq)
 
 
-def _diameter(col):
-    width = col.at_predicted(col.upper) - col.at_predicted(col.lower)
-    return float(np.mean(width[col.key]))
-
-
 def _bin_index(conf, bins):
     # Right-inclusive equal-width bins on [0, 1]: bin m covers (m/M, (m+1)/M].
     return np.clip(np.ceil(conf * bins).astype(np.int64) - 1, 0, bins - 1)
@@ -201,16 +189,15 @@ def _count_bin_index(n, total, bins):
     return np.clip(-(-num // den) - 1, 0, bins - 1)
 
 
-def _accuracy(col):
-    return 1.0 - int(col.err.sum()) / len(col.key)
-
-
 def check_bins(bins):
     if bins < 1:
         raise ValueError("bins must be >= 1")
 
 
-def _ece_mce(col, bins):
+def ece_mce(records, bins=10):
+    """Expected and maximum calibration error over equal-width confidence
+    bins, plus the per-bin stats. Empty bins do not contribute."""
+    col = _columns(records)
     check_bins(bins)
     conf = col.at_predicted(col.mean)
     if col.counts is None:
@@ -246,11 +233,19 @@ def _ece_mce(col, bins):
 
 def cumulative(records):
     """Running sums of errors and of 1-U(yhat), 1-L(yhat), in input order."""
-    return _cumulative(_columns(records))
+    col = _columns(records)
+    lep_inc = 1.0 - col.at_predicted(col.upper)
+    uep_inc = 1.0 - col.at_predicted(col.lower)
+    return CumulativeCurves(
+        E=np.cumsum(col.err.astype(float)),
+        LEP=np.cumsum(lep_inc[col.key]),
+        UEP=np.cumsum(uep_inc[col.key]),
+    )
 
 
 def accuracy(records):
-    return _accuracy(_columns(records))
+    col = _columns(records)
+    return 1.0 - int(col.err.sum()) / len(col.key)
 
 
 def nll(records):
@@ -267,32 +262,28 @@ def brier(records):
 
 def diameter(records):
     """Mean interval width at the predicted class."""
-    return _diameter(_columns(records))
-
-
-def ece_mce(records, bins=10):
-    """Expected and maximum calibration error over equal-width confidence
-    bins, plus the per-bin stats. Empty bins do not contribute."""
-    return _ece_mce(_columns(records), bins)
+    col = _columns(records)
+    width = col.at_predicted(col.upper) - col.at_predicted(col.lower)
+    return float(np.mean(width[col.key]))
 
 
 def build_report(records, bins=10):
     col = _columns(records)
-    ece, mce, stats = _ece_mce(col, bins)
+    ece, mce, stats = ece_mce(col, bins)
     log_o, sq = _cell_terms(col)
     total_nll = _nll(log_o)
     n = len(col.key)
     return CalibrationReport(
         n=n,
-        accuracy=_accuracy(col),
+        accuracy=accuracy(col),
         nll_sum=total_nll,
         nll_mean=total_nll / n,
         brier=_brier(sq),
-        diameter=_diameter(col),
+        diameter=diameter(col),
         ece=ece,
         mce=mce,
         empty_category_count=int(col.empty[col.key].sum()),
-        curves=_cumulative(col),
+        curves=cumulative(col),
         bin_stats=stats,
     )
 
@@ -338,3 +329,10 @@ def save_curves(curves, path):
     more than one block is held as text."""
     header, columns = _curves_table(curves)
     _write_csv(path, header, *columns)
+
+
+def save_report(report, report_path, curves_path):
+    """Write report_text(report) to report_path and its curves to curves_path."""
+    with open_artifact(report_path) as f:
+        f.write(report_text(report))
+    save_curves(report.curves, curves_path)

@@ -27,16 +27,18 @@ contiguous buffer. A ufunc over a strided view goes through numpy's
 buffered iterator: at (64, 16), tanh into the view takes 1.50 us against
 0.98 us in place plus 0.47 us for the copy, and tanh' read off the view
 1.22 us against 0.27 us. The backward pass reads W as the strided view
-[:, :-1] of its layer, which BLAS takes as it is.
+[:, :-1] of its layer, which BLAS takes as it is, except in a one-row step
+into a one-unit layer: that (1, k) by (k, 1) product is a BLAS dot, which
+sums in another order when an operand is strided, so W is copied first.
 
 Each call writes into a buffer passed as its output, and every operand is
 an array: the margin, 0, 1, the batch length and the learning rate are 0-d
 arrays, since a Python scalar costs about 0.15 us more per call. A pair's
 dLoss/dd is picked from two per-run constants with np.putmask, and a
 coincident pair's zero subgradient is 0 divided by 1, so no call allocates
-an array. Views are built once per distinct batch length, the full batch
-and the tail, and each batch's rows are a fixed view into one row buffer
-that every epoch refills with a single `take`. After the tape, an epoch
+an array. Each step's views into the buffers are made once, when the tape
+is built, and each batch's rows are a fixed view into one row buffer that
+every epoch refills with a single `take`. After the tape, an epoch
 makes one divergence check.
 
 A twin epoch draws its pairs with a few vectorised draws over class-sorted
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import class_labels, int64_values, open_artifact
+from ivenn.data import check_finite, class_labels, int64_values, open_artifact
 
 EMBEDDING = "embedding"
 CLASSIFIER = "classifier"
@@ -104,6 +106,8 @@ class TrainConfig:
             raise ValueError("margin must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        check_finite(self, "margin")
+        check_finite(self, "learning_rate")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1 or self.pairs_per_epoch < 1:
@@ -215,27 +219,14 @@ class _Workspace:
         self.deltas = [np.empty((rows, d)) for d in dims[1:]]  # dLoss/dz
         self.tanh_grad = [np.empty((rows, d)) for d in dims[1:-1]]
         self.one = np.ones(())
-        self._by_length = {}
-
-    def _views(self, r):
-        # the first r rows of the product, delta, hidden and tanh' buffers,
-        # built once per batch length
-        if r not in self._by_length:
-            deltas = [d[:r] for d in self.deltas]
-            self._by_length[r] = (
-                [z[:r] for z in self.products],
-                deltas,
-                [d.T for d in deltas],
-                [h[:r] for h in self.hidden],
-                [t[:r] for t in self.tanh_grad],
-            )
-        return self._by_length[r]
 
     def _step(self, x, head):
         # forward over the input rows x, each ending in a 1, the loss head
         # writing dLoss/dz into the output delta, then backward into the
         # gradient buffer
-        products, deltas, deltas_t, hidden, tanh_grad = self._views(len(x))
+        r = len(x)
+        products, deltas = [z[:r] for z in self.products], [d[:r] for d in self.deltas]
+        hidden, tanh_grad = [h[:r] for h in self.hidden], [t[:r] for t in self.tanh_grad]
         top = len(products) - 1
         ins = [x, *hidden]  # each layer's input [a, 1]
         step = []
@@ -247,11 +238,16 @@ class _Workspace:
         # tanh' = 1 - tanh**2 is read off the contiguous products
         for l in range(top, -1, -1):
             delta = deltas[l]
-            step.append((_dot, (deltas_t[l], ins[l], self.grad_layers[l])))
+            step.append((_dot, (delta.T, ins[l], self.grad_layers[l])))
             if l:
                 prev, t, a = deltas[l - 1], tanh_grad[l - 1], products[l - 1]
+                W = self.layers[l][:, :-1]
+                if prev.shape == (1, 1):  # a BLAS dot; see the module docstring
+                    W_col = np.empty(W.shape)
+                    step.append((_copyto, (W_col, W)))
+                    W = W_col
                 step += [
-                    (_dot, (delta, self.layers[l][:, :-1], prev)),
+                    (_dot, (delta, W, prev)),
                     (_multiply, (a, a, t)),
                     (_subtract, (self.one, t, t)),
                     (_multiply, (prev, t, prev)),
@@ -275,7 +271,7 @@ class _Workspace:
         steps = []
         for s, e in batches:
             n = e - s
-            z, delta = (v[-1] for v in self._views(2 * n)[:2])
+            z, delta = self.products[-1][: 2 * n], self.deltas[-1][: 2 * n]
             dn, mn, sn, safe_n, diff_n = d[:n], mask[:n], scale[:n], safe[:n], diff[:n]
             head = [
                 (_subtract, (z[:n], z[n:], diff_n)),
@@ -310,7 +306,7 @@ class _Workspace:
         steps = []
         for s in range(0, len(X), size):
             n = min(size, len(X) - s)
-            z, p = (v[-1] for v in self._views(n)[:2])
+            z, p = self.products[-1][:n], self.deltas[-1][:n]
             head = [
                 (_max, (z, 1, None, peak[:n], True)),
                 (_subtract, (z, peak[:n], p)),

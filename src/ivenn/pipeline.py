@@ -52,7 +52,7 @@ from ivenn.ivp import (
     save_table,
     unfit_count_rows,
 )
-from ivenn.metrics import EvalBatch, build_report, check_bins, report_text, save_curves
+from ivenn.metrics import EvalBatch, build_report, check_bins, save_report
 from ivenn.mlp import (
     EMBEDDING,
     TrainConfig,
@@ -100,30 +100,31 @@ def _stage(name, timings=None):
 @dataclass
 class RunConfig:
     """Flat bag of every knob one run needs. The field annotations are its
-    only schema: parse_config and the CLI flags take each key's type there."""
+    only schema: parse_config and the CLI flags take each key's type there.
+    A field that a stage's config also has takes that config's default."""
 
     data_csv: str | None = None
     out_dir: str = "."
-    seed: int = 0
+    seed: int = SplitSpec.seed
     taxonomy: str = "nc_v1"
     class_count: int | None = None
-    k: int = 5
-    theta: float | None = None
-    max_output_threshold: float = 0.75
-    second_output_threshold: float = 0.25
-    output_gap_threshold: float = 0.5
+    k: int = TaxonomyConfig.k
+    theta: float | None = TaxonomyConfig.theta
+    max_output_threshold: float = TaxonomyConfig.max_output_threshold
+    second_output_threshold: float = TaxonomyConfig.second_output_threshold
+    output_gap_threshold: float = TaxonomyConfig.output_gap_threshold
     embedding: str = SIAMESE  # "siamese" trains the twin net, "identity" skips it
     model_path: str | None = None  # reuse saved parameters instead of training
     softmax_source: str = "csv"  # "csv" expects s columns, "train" fits a net
     hidden_dims: tuple = (10,)
     embedding_dim: int = 32
-    margin: float = 1.0
-    learning_rate: float = 0.05
-    epochs: int = 200
-    batch_size: int = 32
-    pairs_per_epoch: int = 256
-    test_fraction: float = 0.10
-    calibration_fraction: float = 0.20
+    margin: float = TrainConfig.margin
+    learning_rate: float = TrainConfig.learning_rate
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    pairs_per_epoch: int = TrainConfig.pairs_per_epoch
+    test_fraction: float = SplitSpec.test_fraction
+    calibration_fraction: float = SplitSpec.calibration_fraction
     bins: int = 10
 
     def validate(self):
@@ -195,12 +196,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
             )
 
     with _stage("split", timings):
-        spec = SplitSpec(
-            test_fraction=cfg.test_fraction,
-            calibration_fraction=cfg.calibration_fraction,
-            seed=cfg.seed,
-        )
-        proper, cal, test = split(dataset, spec)
+        proper, cal, test = split(dataset, _derived(SplitSpec, cfg))
         del dataset  # split copied the parts; later stages read `proper`
 
     with _stage("train", timings):
@@ -325,9 +321,11 @@ def _write_artifacts(cfg, result, timings, test_ids=None):
                 os.path.join(cfg.out_dir, "predictions.csv"), test_ids, result.records
             )
         if result.report is not None:
-            with open_artifact(os.path.join(cfg.out_dir, "report.txt")) as f:
-                f.write(report_text(result.report))
-            save_curves(result.report.curves, os.path.join(cfg.out_dir, "curves.csv"))
+            save_report(
+                result.report,
+                os.path.join(cfg.out_dir, "report.txt"),
+                os.path.join(cfg.out_dir, "curves.csv"),
+            )
     if test_ids is not None:
         with _stage("write"):
             _write_timing(

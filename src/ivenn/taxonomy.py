@@ -3,9 +3,9 @@ similar points. Four are distance-based over a learned embedding space
 (k-NN and nearest-centroid, each with a refined variant) and four are
 softmax-based splits of the predicted class.
 
-Every assign function is pure and deterministic; ties always resolve the
-same way on every run. Every kind assigns a whole batch at once, and a
-single example is a batch of one.
+Taxonomy.assign_many is the one assignment path: pure and deterministic,
+ties always resolve the same way on every run. Every kind assigns a whole
+batch at once, and a single example is a batch of one (Taxonomy.assign).
 
 Config values as text (run config files, table headers, CLI flags) are
 parsed and formatted here, typed by the config dataclasses' annotations.
@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from ivenn.data import check_score_rows, class_labels
+from ivenn.data import check_finite, check_score_rows, class_labels
 from ivenn.space import (
     CentroidSet,
     KnnIndex,
@@ -65,6 +65,9 @@ class TaxonomyConfig:
             raise ValueError("k must be at least 1")
         if self.theta is not None and self.theta <= 0:
             raise ValueError("theta must be positive")
+        for name in ("theta", "max_output_threshold", "second_output_threshold",
+                     "output_gap_threshold"):
+            check_finite(self, name)
 
 
 @functools.cache
@@ -146,9 +149,14 @@ def category_count(cfg):
     if cfg.kind in (TaxonomyKind.KNN_V1, TaxonomyKind.NC_V1, TaxonomyKind.BASE_V1):
         return c
     if cfg.kind is TaxonomyKind.KNN_V2:
-        return c * (cfg.k - cfg.k // c)
+        return c * _knn_v2_width(cfg)
     # NC_V2 and BASE_V2..V4 split every class category in two
     return 2 * c
+
+
+def _knn_v2_width(cfg):
+    # k-NN V2 categories per class: one per disagreement count 0 .. width - 1
+    return cfg.k - cfg.k // cfg.class_count
 
 
 def _vote(dists, neighbor_labels, class_count):
@@ -169,7 +177,7 @@ def _knn_categories(index, R, cfg):
     yhat, votes = _vote(dists, index.labels[ids], cfg.class_count)
     if cfg.kind is TaxonomyKind.KNN_V1:
         return yhat
-    width = cfg.k - cfg.k // cfg.class_count
+    width = _knn_v2_width(cfg)
     disagree = cfg.k - np.maximum.reduce(votes, axis=1)  # neighbors outside the winning class
     if disagree.max(initial=0) >= width:  # an all-way vote tie
         for count in disagree[disagree >= width]:
@@ -218,35 +226,6 @@ def _baseline_categories(S, cfg):
     else:  # BASE_V4
         h = top - second < cfg.output_gap_threshold
     return 2 * top_class + h
-
-
-def assign_knn_v1(index, r, cfg):
-    """Category = majority class among the k nearest training embeddings."""
-    return Taxonomy(cfg, index=index).assign(r)
-
-
-def assign_knn_v2(index, r, cfg):
-    """Refines the k-NN category by how many of the k neighbors disagree
-    with the predicted class."""
-    return Taxonomy(cfg, index=index).assign(r)
-
-
-def assign_nc_v1(cs, r, cfg):
-    """Category = class of the nearest centroid."""
-    return Taxonomy(cfg, centroids=cs).assign(r)
-
-
-def assign_nc_v2(cs, r, cfg):
-    """Splits each nearest-centroid category by whether the example sits
-    within distance theta of that centroid (inclusive)."""
-    return Taxonomy(cfg, centroids=cs).assign(r)
-
-
-def assign_baseline(softmax_vector, cfg):
-    """Softmax-based categories: the predicted class, optionally split in two
-    by the top output (>= 0.75), the second output (<= 0.25), or the gap
-    between them (>= 0.5)."""
-    return Taxonomy(cfg).assign(softmax=softmax_vector)
 
 
 def resolve_theta(cs, points, labels):

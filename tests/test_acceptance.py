@@ -272,13 +272,7 @@ def test_criterion_6_taxonomy_formula_suite():
     """Category formulas on their worked examples, default thresholds
     0.75/0.25/0.5, and the refinement invariants coarse = fine // width over
     1000 random inputs per family."""
-    from ivenn.taxonomy import (
-        assign_baseline,
-        assign_knn_v1,
-        assign_knn_v2,
-        assign_nc_v1,
-        assign_nc_v2,
-    )
+    from ivenn.taxonomy import Taxonomy
     from ivenn.space import build_centroids
 
     cfg_defaults = TaxonomyConfig(kind=TaxonomyKind.BASE_V2, class_count=3)
@@ -292,33 +286,33 @@ def test_criterion_6_taxonomy_formula_suite():
 
     c3 = lambda kind, **kw: TaxonomyConfig(kind=kind, class_count=3, **kw)
     q = np.zeros(1)
-    assert assign_knn_v1(line([1, 1, 2]), q, c3(TaxonomyKind.KNN_V1, k=3)) == 1
-    assert assign_knn_v1(line([2, 0, 1]), q, c3(TaxonomyKind.KNN_V1, k=1)) == 2
+    assert Taxonomy(c3(TaxonomyKind.KNN_V1, k=3), index=line([1, 1, 2])).assign(q) == 1
+    assert Taxonomy(c3(TaxonomyKind.KNN_V1, k=1), index=line([2, 0, 1])).assign(q) == 2
     # 2-2 vote tie, class 0 is nearer (summed distance 1+2 < 3+4)
-    assert assign_knn_v1(line([0, 0, 1, 1]), q, c3(TaxonomyKind.KNN_V1, k=4)) == 0
-    assert assign_knn_v2(line([1, 1, 1, 2, 0]), q, c3(TaxonomyKind.KNN_V2, k=5)) == 6
-    assert assign_knn_v2(line([0, 0, 0, 0, 0]), q, c3(TaxonomyKind.KNN_V2, k=5)) == 0
-    assert assign_knn_v2(line([2, 2, 0, 1, 0]), q, c3(TaxonomyKind.KNN_V2, k=5)) == 11
+    assert Taxonomy(c3(TaxonomyKind.KNN_V1, k=4), index=line([0, 0, 1, 1])).assign(q) == 0
+    assert Taxonomy(c3(TaxonomyKind.KNN_V2, k=5), index=line([1, 1, 1, 2, 0])).assign(q) == 6
+    assert Taxonomy(c3(TaxonomyKind.KNN_V2, k=5), index=line([0, 0, 0, 0, 0])).assign(q) == 0
+    assert Taxonomy(c3(TaxonomyKind.KNN_V2, k=5), index=line([2, 2, 0, 1, 0])).assign(q) == 11
 
     cs4 = build_centroids([(0.0,), (10.0,), (20.0,), (30.0,)], [0, 1, 2, 3], 4)
     c4 = TaxonomyConfig(kind=TaxonomyKind.NC_V1, class_count=4)
-    assert assign_nc_v1(cs4, np.array([30.0]), c4) == 3
-    assert assign_nc_v1(cs4, np.array([5.0]), c4) == 0  # equidistant, lowest index
+    assert Taxonomy(c4, centroids=cs4).assign(np.array([30.0])) == 3
+    assert Taxonomy(c4, centroids=cs4).assign(np.array([5.0])) == 0  # equidistant, lowest index
 
     cs = build_centroids([(0.0,), (10.0,)], [0, 1], 2)
     c2 = lambda kind, **kw: TaxonomyConfig(kind=kind, class_count=2, **kw)
-    assert assign_nc_v1(cs, np.array([2.0]), c2(TaxonomyKind.NC_V1)) == 0
-    assert assign_nc_v2(cs, np.array([10.3]), c2(TaxonomyKind.NC_V2, theta=0.5)) == 2
-    assert assign_nc_v2(cs, np.array([10.7]), c2(TaxonomyKind.NC_V2, theta=0.5)) == 3
-    assert assign_nc_v2(cs, np.array([0.5]), c2(TaxonomyKind.NC_V2, theta=0.5)) == 0
+    assert Taxonomy(c2(TaxonomyKind.NC_V1), centroids=cs).assign(np.array([2.0])) == 0
+    assert Taxonomy(c2(TaxonomyKind.NC_V2, theta=0.5), centroids=cs).assign(np.array([10.3])) == 2
+    assert Taxonomy(c2(TaxonomyKind.NC_V2, theta=0.5), centroids=cs).assign(np.array([10.7])) == 3
+    assert Taxonomy(c2(TaxonomyKind.NC_V2, theta=0.5), centroids=cs).assign(np.array([0.5])) == 0
 
-    assert assign_baseline((0.1, 0.7, 0.2), c3(TaxonomyKind.BASE_V1)) == 1
-    assert assign_baseline((0.8, 0.1, 0.1), c3(TaxonomyKind.BASE_V2)) == 0
-    assert assign_baseline((0.5, 0.3, 0.2), c3(TaxonomyKind.BASE_V2)) == 1
-    assert assign_baseline((0.7, 0.2, 0.1), c3(TaxonomyKind.BASE_V3)) == 0
-    assert assign_baseline((0.6, 0.3, 0.1), c3(TaxonomyKind.BASE_V3)) == 1
-    assert assign_baseline((0.8, 0.2), c2(TaxonomyKind.BASE_V4)) == 0
-    assert assign_baseline((0.6, 0.4), c2(TaxonomyKind.BASE_V4)) == 1
+    assert Taxonomy(c3(TaxonomyKind.BASE_V1)).assign(softmax=(0.1, 0.7, 0.2)) == 1
+    assert Taxonomy(c3(TaxonomyKind.BASE_V2)).assign(softmax=(0.8, 0.1, 0.1)) == 0
+    assert Taxonomy(c3(TaxonomyKind.BASE_V2)).assign(softmax=(0.5, 0.3, 0.2)) == 1
+    assert Taxonomy(c3(TaxonomyKind.BASE_V3)).assign(softmax=(0.7, 0.2, 0.1)) == 0
+    assert Taxonomy(c3(TaxonomyKind.BASE_V3)).assign(softmax=(0.6, 0.3, 0.1)) == 1
+    assert Taxonomy(c2(TaxonomyKind.BASE_V4)).assign(softmax=(0.8, 0.2)) == 0
+    assert Taxonomy(c2(TaxonomyKind.BASE_V4)).assign(softmax=(0.6, 0.4)) == 1
 
     rng = np.random.default_rng(66)
     c, k = 3, 5

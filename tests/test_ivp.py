@@ -471,8 +471,9 @@ class TestPersistence:
             ("k = 5\n", "k = 0\n", "k must be at least 1"),
             ("class_count = 3\n", "class_count = 1\n", "class_count must be at least 2"),
             ("theta = none\n", "theta = -1.0\n", "theta must be positive"),
+            ("theta = none\n", "theta = nan\n", "theta must be finite, got nan"),
         ],
-        ids=["k", "class_count", "theta"],
+        ids=["k", "class_count", "theta", "theta nan"],
     )
     def test_bad_header_value_names_path(self, tmp_path, old, new, message):
         # each value parses, so only the config check can reject it

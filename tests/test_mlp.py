@@ -683,6 +683,17 @@ class TestTrainingMatchesReferenceLoop:
         got = train_classifier(X, y, dims, cfg)
         assert_same_bits(got, reference_classifier(X, y, dims, cfg))
 
+    @pytest.mark.parametrize("k", [4, 7, 12])
+    def test_classifier_one_row_step_into_one_unit(self, k):
+        # 9 rows in batches of 4 end in a one-row step, and its backward
+        # product into the one-unit layer is a (1, k) by (k, 1) BLAS dot
+        rng = np.random.default_rng(k)
+        y = np.arange(9) % 3
+        X = rng.normal(size=(9, 3)) + y[:, None]
+        cfg = TrainConfig(learning_rate=0.2, epochs=3, batch_size=4, seed=k)
+        dims = [3, 1, k, 3]
+        assert_same_bits(train_classifier(X, y, dims, cfg), reference_classifier(X, y, dims, cfg))
+
     @pytest.mark.parametrize(
         "train, reference, lr",
         [(train_siamese, reference_siamese, 5.6e295),

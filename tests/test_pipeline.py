@@ -1,6 +1,7 @@
 """Config parsing, the end-to-end pipeline, artifacts, and the CLI."""
 
 import argparse
+import ast
 import importlib.util
 from dataclasses import fields
 from pathlib import Path
@@ -11,14 +12,16 @@ import pytest
 from ivenn import cli
 from ivenn.data import Dataset, SplitSpec, load_csv, split, synth_gaussians
 from ivenn.metrics import EvalBatch, build_report, curves_csv, report_text
-from ivenn.mlp import CLASSIFIER, EMBEDDING, MlpParams, init_params, save_params
+from ivenn.mlp import CLASSIFIER, EMBEDDING, MlpParams, TrainConfig, init_params, save_params
 from ivenn.pipeline import (
     PipelineError,
     RunConfig,
+    _derived,
     load_predictions,
     parse_config,
     run_pipeline,
 )
+from ivenn.taxonomy import TaxonomyConfig, TaxonomyKind
 
 # 20 fixed points: two 2-D clusters around (0,0) and (6,6), labels 0/1
 HAND_FEATURES = np.array(
@@ -142,6 +145,22 @@ class TestParseConfig:
         else:
             assert getattr(parse_config(text), key) == expected
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key",
+        ["theta", "max_output_threshold", "second_output_threshold", "output_gap_threshold",
+         "margin", "learning_rate"],
+    )
+    def test_non_finite_value_is_named(self, key, value):
+        # nan fails every comparison, so a range check alone would let it
+        # through: nc_v2 would put every example "within theta"
+        with pytest.raises(ValueError, match=rf"^{key} must be finite, got {value}$"):
+            parse_config(f"taxonomy = nc_v2\n{key} = {value}\n")
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+            parse_config("seed = -1")
+
 
 class TestRunPipeline:
     def test_identity_matches_hand_oracle(self, tmp_path):
@@ -190,7 +209,10 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="stage 'softmax'.*scores"):
             run_pipeline(cfg, dataset=ds)
 
-    @pytest.mark.parametrize("field, value", [("bins", 0), ("k", 0), ("theta", -1.0)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("bins", 0), ("k", 0), ("theta", -1.0), ("theta", float("nan")), ("seed", -1)],
+    )
     def test_bad_config_fails_before_load(self, tmp_path, field, value):
         # a value only the report or taxonomy stage reads still fails up
         # front, as a plain ValueError, before any stage runs or writes
@@ -832,6 +854,11 @@ class TestCli:
         assert table == (tmp_path / "a" / "table.txt").read_text()
         assert "theta = 0.3\n" not in table
 
+    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys):
+        assert cli.main(["train", "--seed", "-1", "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "r").exists()
+
     def test_bad_flag_value_exits_2_naming_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["evaluate", "--seed", "x"])
@@ -949,6 +976,33 @@ def test_traced_names_resolve():
     for cls, _, names in tracing.TRACED_METHODS:
         for name in names:
             assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"
+
+
+def test_benchmark_imports_resolve():
+    # every name the benchmark imports from ivenn exists, so a deletion in
+    # src/ivenn cannot turn the benchmark into an ImportError
+    bench = Path(__file__).resolve().parent.parent / "perfbench" / "bench.py"
+    imports = [
+        node for node in ast.walk(ast.parse(bench.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ivenn")
+    ]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize(
+    "cls, required",
+    [(TaxonomyConfig, dict(kind=TaxonomyKind.KNN_V2, class_count=3)),
+     (TrainConfig, {}),
+     (SplitSpec, {})],
+    ids=["TaxonomyConfig", "TrainConfig", "SplitSpec"],
+)
+def test_each_default_is_written_once(cls, required):
+    # a RunConfig field that a stage's config also has takes that default
+    assert _derived(cls, RunConfig(), **required) == cls(**required)
 
 
 def scored_dataset():

@@ -12,14 +12,10 @@ from ivenn.space import build_centroids, build_index, knn_many
 from ivenn.taxonomy import (
     BASELINE_KINDS,
     DISTANCE_KINDS,
+    Taxonomy,
     TaxonomyConfig,
     TaxonomyKind,
     _vote,
-    assign_baseline,
-    assign_knn_v1,
-    assign_knn_v2,
-    assign_nc_v1,
-    assign_nc_v2,
     category_count,
     fit_taxonomy,
     resolve_theta,
@@ -62,31 +58,32 @@ class TestCategoryCount:
 class TestKnnV1:
     def test_majority_vote(self):
         index = line_index([1, 1, 2])
-        assert assign_knn_v1(index, np.zeros(1), cfg_for(TaxonomyKind.KNN_V1, k=3)) == 1
+        assert Taxonomy(cfg_for(TaxonomyKind.KNN_V1, k=3), index=index).assign(np.zeros(1)) == 1
 
     def test_k1_nearest_label(self):
         index = line_index([2, 0, 0])
-        assert assign_knn_v1(index, np.zeros(1), cfg_for(TaxonomyKind.KNN_V1, k=1)) == 2
+        assert Taxonomy(cfg_for(TaxonomyKind.KNN_V1, k=1), index=index).assign(np.zeros(1)) == 2
 
     def test_vote_tie_goes_to_nearer_class(self):
         index = line_index([0, 0, 1, 1])
-        assert assign_knn_v1(index, np.zeros(1), cfg_for(TaxonomyKind.KNN_V1, c=2, k=4)) == 0
+        cfg = cfg_for(TaxonomyKind.KNN_V1, c=2, k=4)
+        assert Taxonomy(cfg, index=index).assign(np.zeros(1)) == 0
 
 
 class TestKnnV2:
     def test_two_disagreements(self):
         # c=3, k=5, neighbor labels 1,1,1,2,0: predicted 1, 2 disagree -> 1*(5-1)+2
         index = line_index([1, 1, 1, 2, 0])
-        assert assign_knn_v2(index, np.zeros(1), cfg_for(TaxonomyKind.KNN_V2, k=5)) == 6
+        assert Taxonomy(cfg_for(TaxonomyKind.KNN_V2, k=5), index=index).assign(np.zeros(1)) == 6
 
     def test_unanimous_is_zero(self):
         index = line_index([0, 0, 0, 0, 0])
-        assert assign_knn_v2(index, np.zeros(1), cfg_for(TaxonomyKind.KNN_V2, k=5)) == 0
+        assert Taxonomy(cfg_for(TaxonomyKind.KNN_V2, k=5), index=index).assign(np.zeros(1)) == 0
 
     def test_maximal_id(self):
         # vote tie 2-2 between classes 2 and 0; class 2 nearer wins; 3 disagree
         index = line_index([2, 2, 0, 1, 0])
-        assert assign_knn_v2(index, np.zeros(1), cfg_for(TaxonomyKind.KNN_V2, k=5)) == 11
+        assert Taxonomy(cfg_for(TaxonomyKind.KNN_V2, k=5), index=index).assign(np.zeros(1)) == 11
 
     def test_all_way_tie_clamps_with_warning(self):
         """c=2 with k=2 makes the category width 1; a 1-1 split vote yields a
@@ -94,7 +91,7 @@ class TestKnnV2:
         index = line_index([0, 1])
         cfg = cfg_for(TaxonomyKind.KNN_V2, c=2, k=2)
         with pytest.warns(RuntimeWarning, match="clamp"):
-            cat = assign_knn_v2(index, np.zeros(1), cfg)
+            cat = Taxonomy(cfg, index=index).assign(np.zeros(1))
         assert 0 <= cat < category_count(cfg)
 
 
@@ -106,13 +103,16 @@ class TestNcV1:
         cs = build_centroids(
             [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (9.0, 9.0)], [0, 1, 2, 3], 4
         )
-        assert assign_nc_v1(cs, np.array([9.0, 9.0]), cfg_for(TaxonomyKind.NC_V1, c=4)) == 3
+        cfg = cfg_for(TaxonomyKind.NC_V1, c=4)
+        assert Taxonomy(cfg, centroids=cs).assign(np.array([9.0, 9.0])) == 3
 
     def test_nearer_centroid(self):
-        assert assign_nc_v1(self.cs, np.array([2.0, 0.0]), cfg_for(TaxonomyKind.NC_V1, c=2)) == 0
+        cfg = cfg_for(TaxonomyKind.NC_V1, c=2)
+        assert Taxonomy(cfg, centroids=self.cs).assign(np.array([2.0, 0.0])) == 0
 
     def test_equidistant_lowest_index(self):
-        assert assign_nc_v1(self.cs, np.array([5.0, 0.0]), cfg_for(TaxonomyKind.NC_V1, c=2)) == 0
+        cfg = cfg_for(TaxonomyKind.NC_V1, c=2)
+        assert Taxonomy(cfg, centroids=self.cs).assign(np.array([5.0, 0.0])) == 0
 
 
 class TestNcV2:
@@ -121,49 +121,49 @@ class TestNcV2:
 
     def test_within_theta(self):
         cfg = cfg_for(TaxonomyKind.NC_V2, c=2, theta=0.5)
-        assert assign_nc_v2(self.cs, np.array([10.3]), cfg) == 2
+        assert Taxonomy(cfg, centroids=self.cs).assign(np.array([10.3])) == 2
 
     def test_beyond_theta(self):
         cfg = cfg_for(TaxonomyKind.NC_V2, c=2, theta=0.5)
-        assert assign_nc_v2(self.cs, np.array([10.7]), cfg) == 3
+        assert Taxonomy(cfg, centroids=self.cs).assign(np.array([10.7])) == 3
 
     def test_boundary_is_inclusive(self):
         cfg = cfg_for(TaxonomyKind.NC_V2, c=2, theta=0.5)
-        assert assign_nc_v2(self.cs, np.array([0.5]), cfg) == 0
+        assert Taxonomy(cfg, centroids=self.cs).assign(np.array([0.5])) == 0
 
     def test_unresolved_theta_rejected(self):
         cfg = cfg_for(TaxonomyKind.NC_V2, c=2)
         with pytest.raises(ValueError, match="theta"):
-            assign_nc_v2(self.cs, np.array([1.0]), cfg)
+            Taxonomy(cfg, centroids=self.cs).assign(np.array([1.0]))
 
 
 class TestBaselines:
     def test_v1_argmax(self):
-        assert assign_baseline((0.1, 0.7, 0.2), cfg_for(TaxonomyKind.BASE_V1)) == 1
+        assert Taxonomy(cfg_for(TaxonomyKind.BASE_V1)).assign(softmax=(0.1, 0.7, 0.2)) == 1
 
     def test_v2_max_output_split(self):
-        assert assign_baseline((0.8, 0.1, 0.1), cfg_for(TaxonomyKind.BASE_V2)) == 0
-        assert assign_baseline((0.5, 0.3, 0.2), cfg_for(TaxonomyKind.BASE_V2)) == 1
+        assert Taxonomy(cfg_for(TaxonomyKind.BASE_V2)).assign(softmax=(0.8, 0.1, 0.1)) == 0
+        assert Taxonomy(cfg_for(TaxonomyKind.BASE_V2)).assign(softmax=(0.5, 0.3, 0.2)) == 1
 
     def test_v2_threshold_inclusive(self):
-        assert assign_baseline((0.75, 0.15, 0.1), cfg_for(TaxonomyKind.BASE_V2)) == 0
+        assert Taxonomy(cfg_for(TaxonomyKind.BASE_V2)).assign(softmax=(0.75, 0.15, 0.1)) == 0
 
     def test_v3_second_output_split(self):
-        assert assign_baseline((0.7, 0.2, 0.1), cfg_for(TaxonomyKind.BASE_V3)) == 0
-        assert assign_baseline((0.6, 0.3, 0.1), cfg_for(TaxonomyKind.BASE_V3)) == 1
+        assert Taxonomy(cfg_for(TaxonomyKind.BASE_V3)).assign(softmax=(0.7, 0.2, 0.1)) == 0
+        assert Taxonomy(cfg_for(TaxonomyKind.BASE_V3)).assign(softmax=(0.6, 0.3, 0.1)) == 1
 
     def test_v4_gap_split(self):
-        assert assign_baseline((0.8, 0.2), cfg_for(TaxonomyKind.BASE_V4, c=2)) == 0
-        assert assign_baseline((0.6, 0.4), cfg_for(TaxonomyKind.BASE_V4, c=2)) == 1
+        assert Taxonomy(cfg_for(TaxonomyKind.BASE_V4, c=2)).assign(softmax=(0.8, 0.2)) == 0
+        assert Taxonomy(cfg_for(TaxonomyKind.BASE_V4, c=2)).assign(softmax=(0.6, 0.4)) == 1
 
     def test_argmax_tie_lowest_index(self):
-        assert assign_baseline((0.4, 0.4, 0.2), cfg_for(TaxonomyKind.BASE_V1)) == 0
+        assert Taxonomy(cfg_for(TaxonomyKind.BASE_V1)).assign(softmax=(0.4, 0.4, 0.2)) == 0
 
     def test_invalid_vector_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            assign_baseline((0.5, 0.3, 0.1), cfg_for(TaxonomyKind.BASE_V2))
+            Taxonomy(cfg_for(TaxonomyKind.BASE_V2)).assign(softmax=(0.5, 0.3, 0.1))
         with pytest.raises(ValueError, match="shape"):
-            assign_baseline((0.5, 0.5), cfg_for(TaxonomyKind.BASE_V2))
+            Taxonomy(cfg_for(TaxonomyKind.BASE_V2)).assign(softmax=(0.5, 0.5))
 
     def test_non_finite_row_named(self):
         # NaN fails every comparison, so a check written as `bad if min < 0
