@@ -2,7 +2,7 @@
 
 Subcommands:
     synth      generate a synthetic Gaussian-blob dataset CSV
-    train      fit the twin-network embedding and save model.npz
+    train      train the run's network
     embed      run a saved model over a CSV and write the embeddings
     calibrate  build and save the calibration table
     predict    predict the test split and write predictions.csv
@@ -20,12 +20,12 @@ import sys
 
 from ivenn.data import _write_csv, load_csv, not_utf8, save_csv, synth_gaussians
 from ivenn.metrics import build_report, report_text, save_report
-from ivenn.mlp import load_params
 from ivenn.pipeline import (
     PipelineError,
     RunConfig,
     embed_checked,
     load_predictions,
+    load_twin,
     parse_config,
     run_pipeline,
 )
@@ -87,9 +87,10 @@ def _cmd_synth(args):
 
 
 def _cmd_embed(args):
-    params = load_params(args.model)
     ds = load_csv(args.data)
-    emb = embed_checked(params, ds.features, ds.ids, f"{args.data} with model {args.model}: ")
+    where = f"{args.data} with model {args.model}: "
+    params = load_twin(args.model, ds.feature_dim, where)
+    emb = embed_checked(params, ds.features, ds.ids, where)
     cols = ["id", "label"] + [f"e{i}" for i in range(emb.shape[1])]
     _write_csv(args.out, cols, ds.ids, ds.labels, emb)
     print(f"wrote {len(ds)} embeddings to {args.out}")
@@ -121,7 +122,7 @@ def build_parser():
     sub.set_defaults(func=_cmd_synth)
 
     for name, stop, text in [
-        ("train", "train", "train the embedding network"),
+        ("train", "train", "train the run's network"),
         ("calibrate", "calibrate", "build the calibration table"),
         ("predict", "predict", "predict the test split"),
         ("evaluate", "report", "full pipeline with report"),

@@ -1,19 +1,24 @@
-"""End-to-end driver: load (or accept) a dataset, split it, learn the
-embedding, fit a taxonomy, calibrate, predict the test set, and write every
-artifact to an output directory.
+"""End-to-end driver: load (or accept) a dataset, split it, train the run's
+network, fit a taxonomy, calibrate, predict the test set, and write every
+artifact to an output directory once, at the end.
 
 The test set is predicted in one `predict_many` call and scored on its
 columns; `PipelineResult.records` builds EvalRecords from those columns
 only when indexed.
 
-Artifacts (all byte-deterministic given the same config and seed):
-    model.npz        twin-network parameters (when a distance taxonomy trains one)
-    classifier.npz   score network (when softmax_source = train)
+Artifacts (all byte-deterministic given the same config and seed), from
+stop_after = "train" on:
+    model.npz        the twin network a distance taxonomy trains (none for an
+                     identity embedding or a reused model_path)
+    classifier.npz   the score network a baseline trains (softmax_source = train)
+from "calibrate" on:
     table.txt        calibration table
+from "predict" on:
     predictions.csv  id,label,category,predicted,N,n0..,L0,U0,... (v2)
+    timing.txt       wall seconds per stage; intentionally NOT deterministic
+from "report":
     report.txt       scalar metrics + bin stats
     curves.csv       cumulative E/LEP/UEP
-    timing.txt       wall seconds per stage; intentionally NOT deterministic
 
 Timing never goes into report.txt so two runs of the same config compare
 equal byte for byte.
@@ -30,6 +35,7 @@ import time
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +60,7 @@ from ivenn.ivp import (
 )
 from ivenn.metrics import EvalBatch, build_report, check_bins, save_report
 from ivenn.mlp import (
+    CLASSIFIER,
     EMBEDDING,
     TrainConfig,
     check_layer_dims,
@@ -144,11 +151,10 @@ class RunConfig:
         _derived(TrainConfig, self).validate()
         _derived(SplitSpec, self).validate()
         check_bins(self.bins)
-        # each network the run trains; 1 stands in for the dataset's width
-        if kind in DISTANCE_KINDS and self.embedding == SIAMESE and self.model_path is None:
-            check_layer_dims([1, *self.hidden_dims, self.embedding_dim])
-        if kind in BASELINE_KINDS and self.softmax_source == "train":
-            check_layer_dims([1, *self.hidden_dims, class_count])
+        # the network the run trains; 1 stands in for the dataset's width
+        network = _network(self, kind, 1, class_count)
+        if network is not None:
+            check_layer_dims(network[2])
 
 
 def parse_config(text, **flags):
@@ -169,9 +175,7 @@ class PipelineResult:
     records: Sequence = None
     table: object = None
     taxonomy: object = None
-    embedding_params: object = None
-    classifier_params: object = None
-    out_dir: str = "."
+    params: object = None  # the network the run trained or loaded, if any
 
 
 def run_pipeline(cfg, dataset=None, stop_after="report"):
@@ -182,8 +186,9 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
         raise ValueError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
     depth = STAGES.index(stop_after)
     kind = TaxonomyKind(cfg.taxonomy)
-    result = PipelineResult(records=[], out_dir=cfg.out_dir)
+    result = PipelineResult(records=[])
     timings = {}
+    test_ids = None  # set once the test split is predicted
 
     with _stage("load", timings):
         if dataset is None:
@@ -200,83 +205,41 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
         del dataset  # split copied the parts; later stages read `proper`
 
     with _stage("train", timings):
-        if cfg.embedding == SIAMESE and kind in DISTANCE_KINDS:
-            if cfg.model_path is not None:
-                params = load_params(cfg.model_path)
-                if params.mode != EMBEDDING:
-                    raise ValueError(f"{cfg.model_path} is not an embedding model")
-                if params.input_dim != proper.feature_dim:
-                    raise ValueError(
-                        f"model expects {params.input_dim} features, "
-                        f"data has {proper.feature_dim}"
-                    )
-            else:
-                dims = [proper.feature_dim, *cfg.hidden_dims, cfg.embedding_dim]
-                params = train_siamese(
-                    proper.features,
-                    proper.labels,
-                    dims,
-                    _derived(TrainConfig, cfg, seed=(cfg.seed, 10)),
-                )
-            result.embedding_params = params
+        network = _network(cfg, kind, proper.feature_dim, proper.class_count)
+        if network is not None:
+            _, mode, dims, seed = network
+            train = train_siamese if mode == EMBEDDING else train_classifier
+            result.params = train(
+                proper.features, proper.labels, dims, _derived(TrainConfig, cfg, seed=seed)
+            )
+        elif kind in DISTANCE_KINDS and cfg.embedding == SIAMESE:  # reuse model_path
+            result.params = load_twin(cfg.model_path, proper.feature_dim)
 
-    if depth == 0:
-        _write_artifacts(cfg, result, timings)
-        return result
+    if depth >= 1:
+        with _stage("embed" if kind in DISTANCE_KINDS else "softmax", timings):
+            # a baseline taxonomy is fitted from the labels alone
+            proper_in = _inputs(kind, result.params, proper) if kind in DISTANCE_KINDS else {}
+            cal_in = _inputs(kind, result.params, cal)
+            test_in = _inputs(kind, result.params, test)
 
-    proper_emb = cal_emb = test_emb = cal_soft = test_soft = None
-    if kind in DISTANCE_KINDS:
-        with _stage("embed", timings):
-            proper_emb = _embed(cfg, result.embedding_params, proper)
-            cal_emb = _embed(cfg, result.embedding_params, cal)
-            test_emb = _embed(cfg, result.embedding_params, test)
-    else:
-        with _stage("softmax", timings):
-            if cfg.softmax_source == "csv":
-                if proper.softmaxes is None:
-                    raise ValueError(
-                        f"taxonomy {kind.value} needs per-class scores: add "
-                        f"s0..s{proper.class_count - 1} columns to the CSV "
-                        f"or set softmax_source = train"
-                    )
-                cal_soft, test_soft = cal.softmaxes, test.softmaxes
-            else:
-                dims = [proper.feature_dim, *cfg.hidden_dims, proper.class_count]
-                result.classifier_params = train_classifier(
-                    proper.features,
-                    proper.labels,
-                    dims,
-                    _derived(TrainConfig, cfg, seed=(cfg.seed, 11)),
-                )
-                cal_soft = forward_batch(result.classifier_params, cal.features)
-                test_soft = forward_batch(result.classifier_params, test.features)
+        with _stage("taxonomy", timings):
+            tax_cfg = _derived(TaxonomyConfig, cfg, kind=kind, class_count=proper.class_count)
+            result.taxonomy = fit_taxonomy(tax_cfg, labels=proper.labels, **proper_in)
 
-    with _stage("taxonomy", timings):
-        tax_cfg = _derived(
-            TaxonomyConfig, cfg, kind=kind, class_count=proper.class_count
-        )
-        result.taxonomy = fit_taxonomy(tax_cfg, proper_emb, proper.labels)
+        with _stage("calibrate", timings):
+            result.table = calibrate(result.taxonomy, cal.labels, **cal_in)
 
-    with _stage("calibrate", timings):
-        result.table = calibrate(
-            result.taxonomy, cal.labels, embeddings=cal_emb, softmaxes=cal_soft
-        )
-
-    if depth == 1:
-        _write_artifacts(cfg, result, timings)
-        return result
-
-    with _stage("predict", timings):
-        batch = predict_many(
-            result.table, result.taxonomy, embeddings=test_emb, softmaxes=test_soft
-        )
-        result.records = EvalBatch(predictions=batch, labels=test.labels)
+    if depth >= 2:
+        with _stage("predict", timings):
+            batch = predict_many(result.table, result.taxonomy, **test_in)
+            result.records = EvalBatch(predictions=batch, labels=test.labels)
+        test_ids = test.ids
 
     if depth >= 3:
         with _stage("report", timings):
             result.report = build_report(result.records, bins=cfg.bins)
 
-    _write_artifacts(cfg, result, timings, test.ids)
+    _write_artifacts(cfg, result, network, timings, test_ids)
     return result
 
 
@@ -285,6 +248,32 @@ def _derived(cls, cfg, **given):
     RunConfig field of the same name."""
     shared = {n: getattr(cfg, n) for n in field_types(cls) if n not in given}
     return cls(**given, **shared)
+
+
+def _network(cfg, kind, feature_dim, class_count):
+    """The network this run trains, as (artifact name, mode, layer sizes,
+    seed), or None: an identity embedding, a reused model and CSV scores
+    train none."""
+    if kind in DISTANCE_KINDS and cfg.embedding == SIAMESE and cfg.model_path is None:
+        dims = [feature_dim, *cfg.hidden_dims, cfg.embedding_dim]
+        return "model.npz", EMBEDDING, dims, (cfg.seed, 10)
+    if kind in BASELINE_KINDS and cfg.softmax_source == "train":
+        dims = [feature_dim, *cfg.hidden_dims, class_count]
+        return "classifier.npz", CLASSIFIER, dims, (cfg.seed, 11)
+    return None
+
+
+def load_twin(path, feature_dim, where=""):
+    """load_params(path), checked to be a twin network over `feature_dim`
+    features; a failed check raises ValueError prefixed by `where`."""
+    params = load_params(path)
+    if params.mode != EMBEDDING:
+        raise ValueError(f"{where}{path} is not an embedding model")
+    if params.input_dim != feature_dim:
+        raise ValueError(
+            f"{where}model expects {params.input_dim} features, data has {feature_dim}"
+        )
+    return params
 
 
 def embed_checked(params, features, ids, where=""):
@@ -298,39 +287,40 @@ def embed_checked(params, features, ids, where=""):
     return emb
 
 
-def _embed(cfg, params, part):
-    """Embed the features of one split."""
-    if cfg.embedding == IDENTITY:
-        return part.features
-    return embed_checked(params, part.features, part.ids)
+def _inputs(kind, params, part):
+    """The taxonomy's input for one split, under its calibrate/predict_many
+    keyword: the embedding (the raw features when no network is used) for a
+    distance kind, the CSV's or the classifier's scores for a baseline."""
+    if kind in DISTANCE_KINDS:
+        if params is None:
+            return {"embeddings": part.features}
+        return {"embeddings": embed_checked(params, part.features, part.ids)}
+    if params is not None:
+        return {"softmaxes": forward_batch(params, part.features)}
+    if part.softmaxes is None:
+        raise ValueError(
+            f"taxonomy {kind.value} needs per-class scores: add "
+            f"s0..s{part.class_count - 1} columns to the CSV "
+            f"or set softmax_source = train"
+        )
+    return {"softmaxes": part.softmaxes}
 
 
-def _write_artifacts(cfg, result, timings, test_ids=None):
+def _write_artifacts(cfg, result, network, timings, test_ids):
+    path = partial(os.path.join, cfg.out_dir)
     with _stage("write", timings):
         os.makedirs(cfg.out_dir, exist_ok=True)
-        if result.embedding_params is not None and cfg.model_path is None:
-            save_params(result.embedding_params, os.path.join(cfg.out_dir, "model.npz"))
-        if result.classifier_params is not None:
-            save_params(
-                result.classifier_params, os.path.join(cfg.out_dir, "classifier.npz")
-            )
+        if network is not None:
+            save_params(result.params, path(network[0]))
         if result.table is not None:
-            save_table(result.table, os.path.join(cfg.out_dir, "table.txt"))
+            save_table(result.table, path("table.txt"))
         if test_ids is not None:
-            _write_predictions(
-                os.path.join(cfg.out_dir, "predictions.csv"), test_ids, result.records
-            )
+            _write_predictions(path("predictions.csv"), test_ids, result.records)
         if result.report is not None:
-            save_report(
-                result.report,
-                os.path.join(cfg.out_dir, "report.txt"),
-                os.path.join(cfg.out_dir, "curves.csv"),
-            )
+            save_report(result.report, path("report.txt"), path("curves.csv"))
     if test_ids is not None:
         with _stage("write"):
-            _write_timing(
-                os.path.join(cfg.out_dir, "timing.txt"), timings, len(test_ids)
-            )
+            _write_timing(path("timing.txt"), timings, len(test_ids))
 
 
 def _predictions_header(c):

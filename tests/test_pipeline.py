@@ -258,6 +258,14 @@ class TestRunPipeline:
         with np.errstate(all="ignore"):
             with pytest.raises(PipelineError, match="stage 'train'.*diverged at epoch 1"):
                 run_pipeline(cfg, dataset=ds)
+        # a baseline's score network is the run's network, trained as stage 'train'
+        cfg = RunConfig(
+            out_dir=str(tmp_path), taxonomy="base_v2", softmax_source="train",
+            hidden_dims=(), learning_rate=1e305, epochs=3,
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(PipelineError, match="^stage 'train':.*diverged at epoch 1"):
+                run_pipeline(cfg, dataset=ds)
 
     def test_saturated_training_names_stage(self, tmp_path):
         ds = synth_gaussians(2, 2, 50, 4.0, seed=3)
@@ -360,6 +368,34 @@ class TestRunPipeline:
         assert (tmp_path / "p" / "timing.txt").exists()
         assert not (tmp_path / "p" / "report.txt").exists()
         assert result.records and result.report is None
+
+    @pytest.mark.parametrize(
+        "taxonomy, softmax_source, network",
+        [pytest.param(kind, "csv", ["model.npz"], id=kind)
+         for kind in ("knn_v1", "knn_v2", "nc_v1", "nc_v2")]
+        + [pytest.param(kind, "csv", [], id=kind)
+           for kind in ("base_v1", "base_v2", "base_v3", "base_v4")]
+        + [pytest.param("base_v2", "train", ["classifier.npz"], id="base_v2-train")],
+    )
+    def test_each_prefix_writes_a_subset_of_the_full_run(
+        self, tmp_path, taxonomy, softmax_source, network
+    ):
+        # the staged subcommands stop earlier along the same path: every file
+        # a prefix writes is the full run's file, byte for byte, and `train`
+        # writes the run's network
+        given = dict(taxonomy=taxonomy, softmax_source=softmax_source, hidden_dims=(4,),
+                     embedding_dim=2, epochs=3, seed=1)
+        written = {}
+        for stop in ("train", "calibrate", "predict", "report"):
+            out = tmp_path / stop
+            run_pipeline(RunConfig(out_dir=str(out), **given), dataset=scored_dataset(),
+                         stop_after=stop)
+            written[stop] = {p.name: p.read_bytes() for p in out.iterdir()
+                             if p.name != "timing.txt"}
+        full = written.pop("report")
+        for stop, files in written.items():
+            assert files.items() <= full.items(), stop
+        assert sorted(written["train"]) == network
 
     def test_model_reuse_gives_same_report(self, tmp_path):
         ds = synth_gaussians(2, 3, 150, 4.0, seed=9)
@@ -653,6 +689,24 @@ class TestCli:
             f"error: {data} with model {model}: embedding of example id 8 is not finite "
             f"(nan or inf)\n"
         )
+
+    @pytest.mark.parametrize(
+        "mode, width, message",
+        [(CLASSIFIER, 2, "{model} is not an embedding model"),
+         (EMBEDDING, 3, "model expects 3 features, data has 2")],
+        ids=["classifier", "input width"],
+    )
+    def test_embed_rejects_a_model_it_cannot_run(self, tmp_path, capsys, mode, width, message):
+        model = tmp_path / "model.npz"
+        save_params(init_params([width, 2], mode), model)
+        data = tmp_path / "d.csv"
+        data.write_text("id,label,f0,f1\n7,0,1.0,2.0\n8,1,2.0,1.0\n")
+        out = tmp_path / "emb.csv"
+        assert cli.main(["embed", "--model", str(model), "--data", str(data),
+                         "--out", str(out)]) == 2
+        message = message.format(model=model)
+        assert capsys.readouterr().err == f"error: {data} with model {model}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit, message",
