@@ -359,13 +359,10 @@ class SplitSpec:
     calibration_fraction: float = 0.20
     seed: int = 0
 
-    def validate(self):
-        for name, v in (
-            ("test_fraction", self.test_fraction),
-            ("calibration_fraction", self.calibration_fraction),
-        ):
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+    def __post_init__(self):
+        for name in ("test_fraction", "calibration_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -376,7 +373,6 @@ def split(ds, spec):
     Raises when a part comes out empty or some class is missing from proper
     training, since the underlying model cannot learn an absent class.
     """
-    spec.validate()
     n = len(ds)
     n_test = int(n * spec.test_fraction)
     n_cal = int((n - n_test) * spec.calibration_fraction)

@@ -222,8 +222,8 @@ def load_table(path):
     missing = [f.name for f in fields(TaxonomyConfig) if f.name not in header]
     if missing:
         raise ValueError(f"{path}: header has no {', '.join(missing)}")
-    cfg = TaxonomyConfig(**header)
     try:
+        cfg = TaxonomyConfig(**header)
         counts = np.zeros((category_count(cfg), cfg.class_count), dtype=np.int64)
     except ValueError as exc:  # a header value the config check rejects
         raise ValueError(f"{path}: {exc}") from None

@@ -78,10 +78,6 @@ class MlpParams:
     def input_dim(self):
         return self.layer_dims[0]
 
-    @property
-    def output_dim(self):
-        return self.layer_dims[-1]
-
 
 @dataclass(frozen=True)
 class PairExample:
@@ -92,8 +88,10 @@ class PairExample:
     same_class: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """The SGD schedule and contrastive margin: frozen, and checked when made."""
+
     margin: float = 1.0
     learning_rate: float = 0.05
     epochs: int = 200
@@ -101,7 +99,7 @@ class TrainConfig:
     seed: int | tuple = 0
     pairs_per_epoch: int = 256
 
-    def validate(self):
+    def __post_init__(self):
         if self.margin <= 0:
             raise ValueError("margin must be positive")
         if self.learning_rate <= 0:
@@ -154,7 +152,7 @@ def _forward(params, X):
 
 
 def forward_batch(params, X):
-    """Apply the network to a (n, input_dim) batch; returns (n, output_dim)."""
+    """Apply the network to a (n, input_dim) batch; returns (n, layer_dims[-1])."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ValueError(f"input has shape {X.shape}, network expects (n, {params.input_dim})")
@@ -424,7 +422,6 @@ class _PairSampler:
 def train_siamese(features, labels, layer_dims, config):
     """Train an embedding network so same-class inputs map close together and
     different-class inputs at least the margin apart."""
-    config.validate()
     X = np.asarray(features, dtype=float)
     y = int64_values(labels, "label")
     if X.ndim != 2 or X.shape[1] != layer_dims[0]:
@@ -461,7 +458,6 @@ def train_siamese(features, labels, layer_dims, config):
 def train_classifier(features, labels, layer_dims, config):
     """Train a softmax classifier with cross-entropy; layer_dims[-1] is the
     class count."""
-    config.validate()
     X = np.asarray(features, dtype=float)
     y = class_labels(labels, layer_dims[-1])
     if X.ndim != 2 or X.shape[1] != layer_dims[0]:

@@ -144,12 +144,12 @@ class RunConfig:
                 f"softmax_source must be csv or train, got {self.softmax_source!r}"
             )
         kind = TaxonomyKind(self.taxonomy)
-        # every stage's own checks, run before the load stage; an unset
-        # class_count is the dataset's, checked when the taxonomy is fitted
+        # building each stage's config checks it, before the load stage; an
+        # unset class_count is the dataset's, checked when the taxonomy is fitted
         class_count = 2 if self.class_count is None else self.class_count
-        _derived(TaxonomyConfig, self, kind=kind, class_count=class_count).validate()
-        _derived(TrainConfig, self).validate()
-        _derived(SplitSpec, self).validate()
+        _derived(TaxonomyConfig, self, kind=kind, class_count=class_count)
+        _derived(TrainConfig, self)
+        _derived(SplitSpec, self)
         check_bins(self.bins)
         # the network the run trains; 1 stands in for the dataset's width
         network = _network(self, kind, 1, class_count)

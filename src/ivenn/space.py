@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ivenn.data import class_labels, int64_values
+
 
 def distance(a, b):
     """Euclidean distance between two vectors of equal dimension."""
@@ -42,7 +44,7 @@ def build_centroids(points, labels, class_count):
     Raises ValueError naming the class if any class has no examples.
     """
     points = np.asarray(points, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = class_labels(labels, class_count)
     if points.ndim != 2 or len(points) != len(labels):
         raise ValueError("points must be (n, dim) with one label per row")
     centroids = np.empty((class_count, points.shape[1]))
@@ -114,7 +116,7 @@ def build_index(points, labels):
     each sorted along the second and cut into tiles of n // tiles or
     n // tiles + 1 points, the larger tiles first."""
     points = np.ascontiguousarray(points, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = int64_values(labels, "label")
     if points.ndim != 2 or len(points) == 0:
         raise ValueError("index needs a nonempty (n, dim) point array")
     if len(labels) != len(points):

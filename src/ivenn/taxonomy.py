@@ -58,7 +58,8 @@ class TaxonomyConfig:
     second_output_threshold: float = 0.25
     output_gap_threshold: float = 0.5
 
-    def validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "kind", TaxonomyKind(self.kind))
         if self.class_count < 2:
             raise ValueError("class_count must be at least 2")
         if self.k < 1:
@@ -144,7 +145,6 @@ def read_fields(cls, numbered_lines, where):
 
 def category_count(cfg):
     """Number of categories the configured taxonomy can produce."""
-    cfg.validate()
     c = cfg.class_count
     if cfg.kind in (TaxonomyKind.KNN_V1, TaxonomyKind.NC_V1, TaxonomyKind.BASE_V1):
         return c
@@ -190,11 +190,8 @@ def _knn_categories(index, R, cfg):
 
 
 def _nc_categories(cs, R, cfg):
-    refined = cfg.kind is TaxonomyKind.NC_V2
-    if refined and cfg.theta is None:
-        raise ValueError("theta is unresolved; fit the taxonomy or set it explicitly")
     j, d = nearest_centroid_many(cs, R)
-    return 2 * j + (d > cfg.theta) if refined else j
+    return 2 * j + (d > cfg.theta) if cfg.kind is TaxonomyKind.NC_V2 else j
 
 
 def _batch_of_one(v, what):
@@ -252,12 +249,25 @@ def resolve_theta(cs, points, labels):
 @dataclass(frozen=True)
 class Taxonomy:
     """A taxonomy fitted to proper-training data: holds whatever structures
-    its kind needs (k-NN index, centroids, resolved theta) and assigns
-    category ids."""
+    its kind needs (k-NN index, centroids, resolved theta), checked when it
+    is made, and assigns category ids."""
 
     config: TaxonomyConfig
     index: KnnIndex | None = None
     centroids: CentroidSet | None = None
+
+    def __post_init__(self):
+        cfg, kind, index, cs = self.config, self.config.kind, self.index, self.centroids
+        if kind in (TaxonomyKind.KNN_V1, TaxonomyKind.KNN_V2):
+            if index is None:
+                raise ValueError(f"{kind.value} requires a k-NN index")
+            class_labels(index.labels, cfg.class_count)
+            if cfg.k > len(index.labels):
+                raise ValueError(f"k={cfg.k} exceeds the {len(index.labels)} training points")
+        elif kind in DISTANCE_KINDS and (cs is None or len(cs.centroids) != cfg.class_count):
+            raise ValueError(f"{kind.value} requires one centroid per class ({cfg.class_count})")
+        elif kind is TaxonomyKind.NC_V2 and cfg.theta is None:
+            raise ValueError("theta is unresolved; fit the taxonomy or set it explicitly")
 
     @property
     def category_count(self):
@@ -287,15 +297,11 @@ class Taxonomy:
 def fit_taxonomy(cfg, embeddings=None, labels=None):
     """Build the structures the configured taxonomy needs from the
     proper-training embeddings. Baseline kinds need no fitting."""
-    cfg.validate()
     if cfg.kind in BASELINE_KINDS:
         return Taxonomy(config=cfg)
     if embeddings is None or labels is None:
         raise ValueError(f"{cfg.kind.value} requires proper-training embeddings and labels")
-    labels = class_labels(labels, cfg.class_count)
     if cfg.kind in (TaxonomyKind.KNN_V1, TaxonomyKind.KNN_V2):
-        if cfg.k > len(embeddings):
-            raise ValueError(f"k={cfg.k} exceeds the {len(embeddings)} training points")
         return Taxonomy(config=cfg, index=build_index(embeddings, labels))
     cs = build_centroids(embeddings, labels, cfg.class_count)
     if cfg.kind is TaxonomyKind.NC_V2 and cfg.theta is None:

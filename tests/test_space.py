@@ -88,6 +88,22 @@ class TestCentroids:
         with pytest.raises(ValueError, match="class 1"):
             build_centroids([(0.0, 0.0)], [0], 2)
 
+    def test_labels_follow_the_one_label_rule(self):
+        # a label outside the classes once dropped its rows from every mean
+        # (centroids [0.5, 10.5] from counts [2, 2]); a fractional one was
+        # truncated into a class
+        pts = np.array([[0.0], [1.0], [10.0], [11.0], [20.0], [21.0]])
+        with pytest.raises(ValueError, match=r"^labels: row 4: label 5 outside \[0, 2\)$"):
+            build_centroids(pts, [0, 0, 1, 1, 5, 5], 2)
+        with pytest.raises(ValueError, match=r"^label 1\.5 in row 4 is not an integer$"):
+            build_centroids(pts, [0, 0, 1, 1, 1.5, 1], 2)
+
+
+def test_index_labels_are_integers():
+    # a fractional label was truncated into a class
+    with pytest.raises(ValueError, match=r"^label 0\.5 in row 1 is not an integer$"):
+        build_index(np.zeros((2, 1)), [0, 0.5])
+
 
 class TestNearestCentroid:
     def setup_method(self):

@@ -137,6 +137,50 @@ class TestNcV2:
             Taxonomy(cfg, centroids=self.cs).assign(np.array([1.0]))
 
 
+R4 = np.array([[0.0], [4.0], [10.0], [20.0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # every example was put within theta
+        (lambda: Taxonomy(cfg_for(TaxonomyKind.NC_V2, c=2, theta=float("nan")),
+                          centroids=build_centroids([(0.0,), (10.0,)], [0, 1], 2)),
+         r"^theta must be finite, got nan$"),
+        # every example was put beyond theta
+        (lambda: Taxonomy(cfg_for(TaxonomyKind.NC_V2, c=2, theta=-1.0),
+                          centroids=build_centroids([(0.0,), (10.0,)], [0, 1], 2)),
+         r"^theta must be positive$"),
+        # label 5 put its votes in another query's row: query 0, whose three
+        # neighbors all carry it, came out a confident class 0
+        (lambda: Taxonomy(cfg_for(TaxonomyKind.KNN_V1, c=2, k=3),
+                          index=build_index(np.r_[0:3, 9:12, 19:22][:, None], [5] * 3 + [1] * 6)),
+         r"^labels: row 0: label 5 outside \[0, 2\)$"),
+        # a third centroid came out as category 2 of 2
+        (lambda: Taxonomy(cfg_for(TaxonomyKind.NC_V1, c=2),
+                          centroids=build_centroids([(0.0,), (5.0,), (10.0,)], [0, 1, 2], 3)),
+         r"^nc_v1 requires one centroid per class \(2\)$"),
+        # once an AttributeError on the missing index's points
+        (lambda: Taxonomy(cfg_for(TaxonomyKind.KNN_V2, c=2, k=1)), r"^knn_v2 requires a k-NN index$"),
+        # a string kind no rule knows
+        (lambda: Taxonomy(cfg_for("knn_v9", c=2)), r"'knn_v9' is not a valid TaxonomyKind"),
+    ],
+    ids=["theta nan", "theta negative", "index label outside", "centroid count", "no index",
+         "unknown kind"],
+)
+def test_directly_built_taxonomy_is_checked(call, message):
+    # each once assigned, or failed in assignment, with no check at all
+    with pytest.raises(ValueError, match=message):
+        call().assign_many(embeddings=R4)
+
+
+def test_string_kind_is_its_enum():
+    # a string knn_v2 once fell through to 2 * c categories
+    cfg = TaxonomyConfig("knn_v2", 3, k=5)
+    assert cfg.kind is TaxonomyKind.KNN_V2
+    assert category_count(cfg) == 12
+
+
 class TestBaselines:
     def test_v1_argmax(self):
         assert Taxonomy(cfg_for(TaxonomyKind.BASE_V1)).assign(softmax=(0.1, 0.7, 0.2)) == 1
