@@ -13,7 +13,6 @@ from ivenn.ivp import (
     IvpBatch,
     IvpPrediction,
     calibrate,
-    intervals,
     load_table,
     predict,
     predict_many,
@@ -23,7 +22,6 @@ from ivenn.metrics import (
     CalibrationReport,
     CumulativeCurves,
     EvalBatch,
-    EvalRecord,
     accuracy,
     brier,
     build_report,
@@ -34,14 +32,11 @@ from ivenn.metrics import (
 )
 from ivenn.mlp import (
     MlpParams,
-    PairExample,
     TrainConfig,
-    contrastive_loss,
-    forward,
+    contrastive_gradient,
     forward_batch,
     init_params,
     load_params,
-    loss_gradient,
     save_params,
     train_classifier,
     train_siamese,
@@ -52,10 +47,8 @@ from ivenn.space import (
     KnnIndex,
     build_centroids,
     build_index,
-    distance,
     knn,
     knn_many,
-    nearest_centroid,
     nearest_centroid_many,
     silhouette,
 )

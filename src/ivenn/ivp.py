@@ -127,17 +127,10 @@ class CalibrationTable:
 @dataclass(frozen=True)
 class IvpBatch:
     """Predictions of a batch as columns: example i gets row category[i] of
-    each field of `rows` (its lower bounds are rows.lower[category]).
-    Indexing yields an IvpPrediction."""
+    each field of `rows` (its lower bounds are rows.lower[category])."""
 
     category: np.ndarray  # (m,) int64
     rows: CategoryRows
-
-    def __len__(self):
-        return len(self.category)
-
-    def __getitem__(self, i):
-        return self.rows.predictions[self.category[i]]
 
 
 def calibrate(taxonomy, labels, embeddings=None, softmaxes=None):
@@ -152,14 +145,6 @@ def calibrate(taxonomy, labels, embeddings=None, softmaxes=None):
         cats = taxonomy.assign_many(embeddings=embeddings, softmaxes=softmaxes)
         np.add.at(counts, (cats, labels), 1)
     return CalibrationTable(counts=counts, config=taxonomy.config)
-
-
-def intervals(table, category):
-    """Per-class probability interval for one category as (lower, upper)."""
-    if not 0 <= category < table.category_count:
-        raise ValueError(f"category {category} outside [0, {table.category_count})")
-    rows = table.rows
-    return rows.lower[category], rows.upper[category]
 
 
 def _check_config(table, taxonomy):

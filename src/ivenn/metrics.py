@@ -1,9 +1,10 @@
 """Evaluation metrics for interval-valued classifiers.
 
-A test-set run is an ordered sequence of EvalRecord (prediction + truth).
-From it we compute cumulative error/error-probability curves, accuracy,
-negative log-likelihood, Brier score, mean interval diameter, and
-expected/maximum calibration error, and assemble everything into one report.
+A test-set run is one EvalBatch: per example, the intervals it was given
+and its true label. From it we compute cumulative error/error-probability
+curves, accuracy, negative log-likelihood, Brier score, mean interval
+diameter, and expected/maximum calibration error, and assemble everything
+into one report.
 
 The per-example probability estimate o_i^j is the interval midpoint for
 class j; the confidence of a prediction is the midpoint of its predicted
@@ -11,64 +12,29 @@ class. Cumulative lower/upper error probabilities accumulate 1 - U(yhat)
 and 1 - L(yhat): when the predictor is well calibrated these bracket the
 cumulative error count.
 
-Every metric runs on columns. An EvalBatch (a predicted batch plus its
-labels) is already columnar: each example indexes its category's row, so
-per-category and per-(category, class) terms are computed once, and the
-confidence bin comes from the integer counts, exactly. A list of records
-is converted to float columns once, one row per record, and binned by its
-float confidence. Sums run left to right in input order (cumsum, bincount
-weights), as a loop over the records would, so equal inputs give equal
-bytes either way.
+An EvalBatch is columnar: example i reads row category[i] of the per-row
+fields, so per-row and per-(row, class) terms are computed once. Built from
+predictions, its rows are the table's categories and carry their integer
+counts, so the confidence bin is exact. Built from explicit intervals, each
+example is its own row, and the bin comes from the float confidence. Sums
+run left to right in example order (cumsum, bincount weights), as a loop
+over the examples would.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.data import _write_csv, csv_lines, open_artifact
-from ivenn.ivp import IvpBatch, IvpPrediction
+from ivenn.data import _write_csv, class_labels, csv_lines, open_artifact
 
 # Floor for probabilities entering log; midpoints never reach 1 for a
 # nonempty category, so no upper guard is needed.
 _LOG_EPS = 1e-12
 
 _REPORT_FORMAT = "ivenn-report-v1"
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    prediction: IvpPrediction
-    true_label: int
-
-    @property
-    def err(self):
-        return 0 if self.prediction.predicted_class == self.true_label else 1
-
-    @property
-    def confidence(self):
-        return float(self.prediction.mean[self.prediction.predicted_class])
-
-
-@dataclass(frozen=True)
-class EvalBatch(Sequence):
-    """A predicted batch with its true labels: a sequence of EvalRecord
-    whose records are built only when indexed."""
-
-    predictions: IvpBatch
-    labels: np.ndarray  # (m,) int
-
-    def __len__(self):
-        return len(self.labels)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return EvalRecord(prediction=self.predictions[i], true_label=int(self.labels[i]))
 
 
 @dataclass(frozen=True)
@@ -105,61 +71,67 @@ class CalibrationReport:
     bin_stats: tuple
 
 
-class _Columns(NamedTuple):
-    # example i reads row key[i] of the per-row fields
-    key: np.ndarray  # (m,)
+@dataclass(frozen=True)
+class EvalBatch:
+    """Examples with their intervals and true labels: example i gets row
+    category[i] of each per-row field. Made from predictions
+    (`from_predictions`) or from explicit intervals (`from_intervals`)."""
+
+    category: np.ndarray  # (m,) the row of each example
     labels: np.ndarray  # (m,) true classes
     lower: np.ndarray  # (K, c)
     upper: np.ndarray  # (K, c)
     mean: np.ndarray  # (K, c)
     predicted: np.ndarray  # (K,)
-    empty: np.ndarray  # (K,)
-    counts: np.ndarray | None  # (K, c) integer counts, when known
-    totals: np.ndarray | None  # (K,)
+    empty: np.ndarray  # (K,) True where every interval is [0, 1]
+    counts: np.ndarray | None = None  # (K, c) integer counts, when known
+    totals: np.ndarray | None = None  # (K,)
+
+    def __post_init__(self):
+        if not len(self.labels):
+            raise ValueError("need at least one record")
+
+    @classmethod
+    def from_predictions(cls, batch, labels):
+        """A predicted IvpBatch and its labels: its rows are the table's
+        categories, counts included."""
+        r = batch.rows
+        return cls(
+            batch.category, np.asarray(labels), r.lower, r.upper, r.mean,
+            r.predicted, r.empty, r.counts, r.totals,
+        )
+
+    @classmethod
+    def from_intervals(cls, lower, upper, labels):
+        """One row per example from (m, c) interval bounds and labels under
+        data.class_labels: the predicted class maximizes the midpoint, ties
+        to the lowest class, and a row of vacuous [0, 1] intervals is empty.
+        No counts are known."""
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        if lower.ndim != 2 or upper.shape != lower.shape or np.shape(labels) != lower.shape[:1]:
+            raise ValueError("lower and upper must be (m, c), with one label per row")
+        labels = class_labels(labels, lower.shape[1])
+        mean = (lower + upper) / 2.0
+        empty = (lower == 0.0).all(axis=1) & (upper == 1.0).all(axis=1)
+        predicted = np.argmax(mean, axis=1)
+        return cls(np.arange(len(labels)), labels, lower, upper, mean, predicted, empty)
 
     @property
     def err(self):
-        return self.predicted[self.key] != self.labels
+        return self.predicted[self.category] != self.labels
 
     def at_predicted(self, a):
         """Per-row value of a (K, c) field at the predicted class."""
         return a[np.arange(len(a)), self.predicted]
 
 
-def _columns(records):
-    # the records as columns; columns pass through unchanged
-    if isinstance(records, _Columns):
-        return records
-    if not len(records):
-        raise ValueError("need at least one record")
-    if isinstance(records, EvalBatch):
-        p = records.predictions
-        r = p.rows
-        return _Columns(
-            p.category, np.asarray(records.labels), r.lower, r.upper, r.mean,
-            r.predicted, r.empty, r.counts, r.totals,
-        )
-    preds = [r.prediction for r in records]
-    return _Columns(
-        key=np.arange(len(preds)),
-        labels=np.array([r.true_label for r in records], dtype=np.int64),
-        lower=np.array([p.lower for p in preds], dtype=float),
-        upper=np.array([p.upper for p in preds], dtype=float),
-        mean=np.array([p.mean for p in preds], dtype=float),
-        predicted=np.array([p.predicted_class for p in preds], dtype=np.int64),
-        empty=np.array([p.empty_category for p in preds], dtype=bool),
-        counts=None,
-        totals=None,
-    )
-
-
-def _cell_terms(col):
+def _cell_terms(batch):
     """Per-example log(o_true) and squared error to the one-hot truth,
     each computed once per distinct (row, true class) cell."""
-    c = col.mean.shape[1]
-    cells, inverse = np.unique(col.key * c + col.labels, return_inverse=True)
+    c = batch.mean.shape[1]
+    cells, inverse = np.unique(batch.category * c + batch.labels, return_inverse=True)
     rows, classes = np.divmod(cells, c)
-    o = col.mean[rows]
+    o = batch.mean[rows]
     o_true = o[np.arange(len(o)), classes].tolist()
     log_o = np.array([math.log(max(v, _LOG_EPS)) for v in o_true])
     sq = ((o - np.eye(c)[classes]) ** 2).sum(axis=1)
@@ -185,8 +157,14 @@ def _count_bin_index(n, total, bins):
     # The same bins for the exact confidence (2n + 1) / (2 (N + 1)), the
     # midpoint of [n/(N+1), (n+1)/(N+1)], in integers: a float midpoint can
     # land one bin high on an edge (n=1, N=4 gives 0.30000000000000004).
-    num, den = bins * (2 * n + 1), 2 * (total + 1)
-    return np.clip(-(-num // den) - 1, 0, bins - 1)
+    # Python integers, one row at a time, since bins * (2n + 1) can pass
+    # int64. ceil(x / y) - 1 is (x - 1) // y; for 0 <= n <= N the confidence
+    # lies in (0, 1), so the bin lies in [0, bins - 1].
+    m = int(bins)
+    return np.array(
+        [(m * (2 * a + 1) - 1) // (2 * (b + 1)) for a, b in zip(n.tolist(), total.tolist())],
+        dtype=np.int64,
+    )
 
 
 def check_bins(bins):
@@ -194,20 +172,19 @@ def check_bins(bins):
         raise ValueError("bins must be >= 1")
 
 
-def ece_mce(records, bins=10):
+def ece_mce(batch, bins=10):
     """Expected and maximum calibration error over equal-width confidence
     bins, plus the per-bin stats. Empty bins do not contribute."""
-    col = _columns(records)
     check_bins(bins)
-    conf = col.at_predicted(col.mean)
-    if col.counts is None:
+    conf = batch.at_predicted(batch.mean)
+    if batch.counts is None:
         row_bin = _bin_index(conf, bins)
     else:
-        row_bin = _count_bin_index(col.at_predicted(col.counts), col.totals, bins)
-    b = row_bin[col.key]
+        row_bin = _count_bin_index(batch.at_predicted(batch.counts), batch.totals, bins)
+    b = row_bin[batch.category]
     counts = np.bincount(b, minlength=bins)
-    hits = np.bincount(b[~col.err], minlength=bins)
-    conf_sums = np.bincount(b, weights=conf[col.key], minlength=bins)
+    hits = np.bincount(b[~batch.err], minlength=bins)
+    conf_sums = np.bincount(b, weights=conf[batch.category], minlength=bins)
     n = len(b)
     ece = 0.0
     mce = 0.0
@@ -231,59 +208,55 @@ def ece_mce(records, bins=10):
     return ece, mce, tuple(stats)
 
 
-def cumulative(records):
-    """Running sums of errors and of 1-U(yhat), 1-L(yhat), in input order."""
-    col = _columns(records)
-    lep_inc = 1.0 - col.at_predicted(col.upper)
-    uep_inc = 1.0 - col.at_predicted(col.lower)
+def cumulative(batch):
+    """Running sums of errors and of 1-U(yhat), 1-L(yhat), in example order."""
+    lep_inc = 1.0 - batch.at_predicted(batch.upper)
+    uep_inc = 1.0 - batch.at_predicted(batch.lower)
     return CumulativeCurves(
-        E=np.cumsum(col.err.astype(float)),
-        LEP=np.cumsum(lep_inc[col.key]),
-        UEP=np.cumsum(uep_inc[col.key]),
+        E=np.cumsum(batch.err.astype(float)),
+        LEP=np.cumsum(lep_inc[batch.category]),
+        UEP=np.cumsum(uep_inc[batch.category]),
     )
 
 
-def accuracy(records):
-    col = _columns(records)
-    return 1.0 - int(col.err.sum()) / len(col.key)
+def accuracy(batch):
+    return 1.0 - int(batch.err.sum()) / len(batch.category)
 
 
-def nll(records):
+def nll(batch):
     """Summed negative log-likelihood of the true class under the interval
     midpoints. The report derives the mean from this."""
-    return _nll(_cell_terms(_columns(records))[0])
+    return _nll(_cell_terms(batch)[0])
 
 
-def brier(records):
+def brier(batch):
     """Mean over samples of the squared error between the midpoint vector
     and the one-hot truth, summed over classes."""
-    return _brier(_cell_terms(_columns(records))[1])
+    return _brier(_cell_terms(batch)[1])
 
 
-def diameter(records):
+def diameter(batch):
     """Mean interval width at the predicted class."""
-    col = _columns(records)
-    width = col.at_predicted(col.upper) - col.at_predicted(col.lower)
-    return float(np.mean(width[col.key]))
+    width = batch.at_predicted(batch.upper) - batch.at_predicted(batch.lower)
+    return float(np.mean(width[batch.category]))
 
 
-def build_report(records, bins=10):
-    col = _columns(records)
-    ece, mce, stats = ece_mce(col, bins)
-    log_o, sq = _cell_terms(col)
+def build_report(batch, bins=10):
+    ece, mce, stats = ece_mce(batch, bins)
+    log_o, sq = _cell_terms(batch)
     total_nll = _nll(log_o)
-    n = len(col.key)
+    n = len(batch.category)
     return CalibrationReport(
         n=n,
-        accuracy=accuracy(col),
+        accuracy=accuracy(batch),
         nll_sum=total_nll,
         nll_mean=total_nll / n,
         brier=_brier(sq),
-        diameter=diameter(col),
+        diameter=diameter(batch),
         ece=ece,
         mce=mce,
-        empty_category_count=int(col.empty[col.key].sum()),
-        curves=cumulative(col),
+        empty_category_count=int(batch.empty[batch.category].sum()),
+        curves=cumulative(batch),
         bin_stats=stats,
     )
 

@@ -80,15 +80,6 @@ class MlpParams:
 
 
 @dataclass(frozen=True)
-class PairExample:
-    """Two feature vectors plus whether they carry the same class label."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-    same_class: bool
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """The SGD schedule and contrastive margin: frozen, and checked when made."""
 
@@ -157,27 +148,6 @@ def forward_batch(params, X):
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ValueError(f"input has shape {X.shape}, network expects (n, {params.input_dim})")
     return _forward(params, X)[-1]
-
-
-def forward(params, x):
-    """Apply the network to a single feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, network expects ({params.input_dim},)")
-    return forward_batch(params, x[None, :])[0]
-
-
-def contrastive_loss(r1, r2, same_class, margin):
-    """Same-class pairs are charged their distance, different-class pairs the
-    hinge max(0, margin - distance)."""
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    if r1.shape != r2.shape:
-        raise ValueError(f"dimension mismatch: {r1.shape} vs {r2.shape}")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    d = float(np.linalg.norm(r1 - r2))
-    return d if same_class else max(0.0, margin - d)
 
 
 # the functions a tape calls, each passed its output positionally
@@ -349,32 +319,28 @@ def _with_ones(X):
     return np.column_stack([X, np.ones(len(X))])
 
 
-def _contrastive_batch(params, X1, X2, same, margin):
-    # mean loss over the batch and its gradients wrt the shared parameters,
-    # through a one-step tape
-    n = len(X1)
+def contrastive_gradient(params, X1, X2, same, margin):
+    """Mean contrastive loss of the pairs (X1[i], X2[i]) and its gradient wrt
+    every parameter, through the one-step tape training runs. A pair flagged
+    same[i] is charged its embedding distance d, any other pair the hinge
+    max(0, margin - d). Returns (loss, grad_weights, grad_biases), the
+    gradients shaped as params.weights and params.biases."""
+    if params.mode != EMBEDDING:
+        raise ValueError("contrastive gradients require an embedding-mode network")
+    X1, X2 = np.asarray(X1, dtype=float), np.asarray(X2, dtype=float)
+    same = np.asarray(same, dtype=bool)
+    if X1.shape[1:] != (params.input_dim,) or X2.shape[1:] != (params.input_dim,):
+        raise ValueError("pair inputs must match the network input dimension")
+    n = len(same)
+    if not len(X1) == len(X2) == n > 0:
+        raise ValueError("need one or more pairs, each with one same-class flag")
+    if margin <= 0:
+        raise ValueError("margin must be positive")
     ws = _Workspace(params, 2 * n)
     (step,), d = ws.twin_steps(_with_ones(np.concatenate([X1, X2])), same, [(0, n)], margin)
     _run(step)
     loss = float(np.where(same, d, np.maximum(0.0, margin - d)).mean())
     return loss, *_split(ws.grad_layers)
-
-
-def loss_gradient(params, pair, margin):
-    """Gradient of the contrastive loss of one pair wrt every parameter.
-
-    Returns (grad_weights, grad_biases) with shapes mirroring params.
-    """
-    if params.mode != EMBEDDING:
-        raise ValueError("contrastive gradients require an embedding-mode network")
-    x1 = np.asarray(pair.x1, dtype=float)
-    x2 = np.asarray(pair.x2, dtype=float)
-    if x1.shape != (params.input_dim,) or x2.shape != (params.input_dim,):
-        raise ValueError("pair inputs must match the network input dimension")
-    _, grad_w, grad_b = _contrastive_batch(
-        params, x1[None, :], x2[None, :], np.array([pair.same_class]), margin
-    )
-    return grad_w, grad_b
 
 
 class _PairSampler:

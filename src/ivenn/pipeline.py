@@ -3,8 +3,8 @@ network, fit a taxonomy, calibrate, predict the test set, and write every
 artifact to an output directory once, at the end.
 
 The test set is predicted in one `predict_many` call and scored on its
-columns; `PipelineResult.records` builds EvalRecords from those columns
-only when indexed.
+columns: `PipelineResult.records` is the EvalBatch of those predictions and
+the test labels.
 
 Artifacts (all byte-deterministic given the same config and seed), from
 stop_after = "train" on:
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -168,11 +167,10 @@ def parse_config(text, **flags):
 
 @dataclass
 class PipelineResult:
-    """Fields beyond the reached milestone are None (or empty lists).
-    `records` is a sequence of EvalRecord (an EvalBatch once predicted)."""
+    """Fields beyond the reached milestone are None."""
 
     report: object = None
-    records: Sequence = None
+    records: EvalBatch | None = None
     table: object = None
     taxonomy: object = None
     params: object = None  # the network the run trained or loaded, if any
@@ -186,7 +184,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
         raise ValueError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
     depth = STAGES.index(stop_after)
     kind = TaxonomyKind(cfg.taxonomy)
-    result = PipelineResult(records=[])
+    result = PipelineResult()
     timings = {}
     test_ids = None  # set once the test split is predicted
 
@@ -232,7 +230,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
     if depth >= 2:
         with _stage("predict", timings):
             batch = predict_many(result.table, result.taxonomy, **test_in)
-            result.records = EvalBatch(predictions=batch, labels=test.labels)
+            result.records = EvalBatch.from_predictions(batch, test.labels)
         test_ids = test.ids
 
     if depth >= 3:
@@ -329,15 +327,15 @@ def _predictions_header(c):
     return cols + [f"{b}{j}" for j in range(c) for b in "LU"]
 
 
-def _write_predictions(path, ids, records):
-    """v2: id,label,category,predicted,N,n0..n{c-1},L0,U0,... Every example
-    of a category shares everything after its category, so that suffix is
-    formatted once per category."""
-    rows = records.predictions.rows
-    bounds = np.stack([rows.lower, rows.upper], axis=2).reshape(len(rows.lower), -1)
-    suffix = np.array(csv_lines(rows.predicted, rows.totals, rows.counts, bounds), dtype=object)
-    k = records.predictions.category
-    _write_csv(path, _predictions_header(rows.counts.shape[1]), ids, records.labels, k, suffix[k])
+def _write_predictions(path, ids, batch):
+    """v2: id,label,category,predicted,N,n0..n{c-1},L0,U0,... from an
+    EvalBatch made from predictions. Every example of a category shares
+    everything after its category, so that suffix is formatted once per
+    category."""
+    bounds = np.stack([batch.lower, batch.upper], axis=2).reshape(len(batch.lower), -1)
+    suffix = np.array(csv_lines(batch.predicted, batch.totals, batch.counts, bounds), dtype=object)
+    k = batch.category
+    _write_csv(path, _predictions_header(batch.counts.shape[1]), ids, batch.labels, k, suffix[k])
 
 
 def _write_timing(path, timings, predictions):
@@ -404,4 +402,4 @@ def load_predictions(path):
             f"{path}:{line_number(path, row + 1)}: counts, predicted class and intervals "
             f"disagree with the other rows of category {category[row]}"
         )
-    return EvalBatch(predictions=IvpBatch(category=key, rows=rows), labels=labels)
+    return EvalBatch.from_predictions(IvpBatch(category=key, rows=rows), labels)

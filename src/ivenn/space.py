@@ -1,6 +1,6 @@
-"""Embedding-space services: Euclidean distance, class centroids, exact
-k-nearest-neighbor search over a tiled index that scans only the tiles a
-query can reach, and silhouette clustering quality.
+"""Embedding-space services: class centroids, exact batched k-nearest-neighbor
+search over a tiled index that scans only the tiles a query can reach, and
+silhouette clustering quality.
 
 All structures here are immutable after construction; concurrent read-only
 queries are safe.
@@ -15,15 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ivenn.data import class_labels, int64_values
-
-
-def distance(a, b):
-    """Euclidean distance between two vectors of equal dimension."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 @dataclass(frozen=True)
@@ -79,12 +70,6 @@ def nearest_centroid_many(cs, Q):
     _check_rows(dist.max(axis=1), "query")
     j = np.argmin(dist, axis=1)
     return j, dist[np.arange(len(Q)), j]
-
-
-def nearest_centroid(cs, q):
-    """(class, distance) of the centroid nearest to q: a batch of one."""
-    j, d = nearest_centroid_many(cs, np.asarray(q, dtype=float)[None])
-    return int(j[0]), float(d[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,16 +20,13 @@ import numpy as np
 import pytest
 
 from ivenn.data import synth_gaussians
-from ivenn.ivp import calibrate, intervals, predict
-from ivenn.metrics import EvalRecord, cumulative, diameter, ece_mce, nll, brier
+from ivenn.ivp import calibrate, predict
+from ivenn.metrics import EvalBatch, cumulative, diameter, ece_mce, nll, brier
 from ivenn.mlp import (
-    PairExample,
     TrainConfig,
-    contrastive_loss,
-    forward,
+    contrastive_gradient,
     forward_batch,
     init_params,
-    loss_gradient,
     train_siamese,
 )
 from ivenn.pipeline import RunConfig, run_pipeline
@@ -69,16 +66,23 @@ def fit_all_taxonomies(proper_X, proper_y, class_count, k=5):
 
 
 def predict_set(taxonomy, table, X, softmaxes, labels):
-    records = []
-    for i in range(len(X)):
-        pred = predict(
+    preds = [
+        predict(
             table,
             taxonomy,
             embedding=X[i],
             softmax=None if softmaxes is None else softmaxes[i],
         )
-        records.append(EvalRecord(prediction=pred, true_label=int(labels[i])))
-    return records
+        for i in range(len(X))
+    ]
+    return EvalBatch.from_intervals(
+        [p.lower for p in preds], [p.upper for p in preds], labels
+    )
+
+
+def embed(params, x):
+    # one feature vector through the network, as a batch of one
+    return forward_batch(params, x[None])[0]
 
 
 def three_way_split(class_count, dim, separation, seed, sizes):
@@ -171,7 +175,7 @@ def test_criterion_2_calibration_bound(calibration_runs):
     n = 2000
     slack = 3.0 * np.sqrt(n) / 2.0
     for (kind, seed), records in runs.items():
-        assert len(records) == n
+        assert len(records.labels) == n
         curves = cumulative(records)
         e_n, lep_n, uep_n = curves.E[-1], curves.LEP[-1], curves.UEP[-1]
         assert lep_n - slack <= e_n <= uep_n + slack, (
@@ -234,16 +238,16 @@ def test_criterion_5_gradient_correctness():
         x1, x2 = rng.normal(size=(2, dims[0]))
         same = bool(rng.integers(2))
         margin = float(rng.uniform(0.5, 2.0))
-        d = float(np.linalg.norm(forward(params, x1) - forward(params, x2)))
+        d = float(np.linalg.norm(embed(params, x1) - embed(params, x2)))
         if d < 0.05 or abs(d - margin) < 0.05:
             continue
-        pair = PairExample(x1, x2, same)
-        grad_w, grad_b = loss_gradient(params, pair, margin)
+        _, grad_w, grad_b = contrastive_gradient(params, x1[None], x2[None], [same], margin)
 
         def loss():
-            return contrastive_loss(
-                forward(params, pair.x1), forward(params, pair.x2), same, margin
-            )
+            # the contrastive loss, independently: the distance for a
+            # same-class pair, the hinge max(0, margin - d) otherwise
+            d = float(np.linalg.norm(embed(params, x1) - embed(params, x2)))
+            return d if same else max(0.0, margin - d)
 
         num = []
         for arr in params.weights + params.biases:
@@ -350,52 +354,29 @@ def test_criterion_7_metrics_oracles():
     """Scalar metric hand examples to 1e-12; silhouette against a direct
     O(n^2) oracle to 1e-9 on 20 random 50-point instances."""
 
-    def rec(means, true_label):
-        m = np.asarray(means, dtype=float)
-        from ivenn.ivp import IvpPrediction
-
-        return EvalRecord(
-            prediction=IvpPrediction(
-                predicted_class=int(np.argmax(m)),
-                category=0,
-                lower=m,
-                upper=m,
-                mean=m,
-                empty_category=False,
-            ),
-            true_label=true_label,
-        )
-
-    assert abs(nll([rec((0.5, 0.5), 0)]) - np.log(2.0)) < 1e-12
-    assert nll([rec((1.0, 0.0), 0)]) == 0.0
-    assert abs(nll([rec((1.0, 0.0), 1)]) + np.log(1e-12)) < 1e-12
-    assert abs(brier([rec((0.5, 0.5), 0)]) - 0.5) < 1e-12
-    assert abs(brier([rec((1 / 3, 1 / 3, 1 / 3), 2)]) - 2.0 / 3.0) < 1e-12
-    assert brier([rec((0.0, 1.0, 0.0), 1)]) == 0.0
-
-    from ivenn.ivp import IvpPrediction
-
     def wrec(lower, upper, true_label):
-        lo = np.asarray(lower, dtype=float)
-        up = np.asarray(upper, dtype=float)
-        mean = (lo + up) / 2.0
-        return EvalRecord(
-            prediction=IvpPrediction(
-                predicted_class=int(np.argmax(mean)),
-                category=0,
-                lower=lo,
-                upper=up,
-                mean=mean,
-                empty_category=False,
-            ),
-            true_label=true_label,
-        )
+        return lower, upper, true_label
+
+    def rec(means, true_label):
+        # zero-width intervals: the midpoint vector is exactly `means`
+        return wrec(means, means, true_label)
+
+    def batch(records):
+        lower, upper, labels = zip(*records)
+        return EvalBatch.from_intervals(lower, upper, labels)
+
+    assert abs(nll(batch([rec((0.5, 0.5), 0)])) - np.log(2.0)) < 1e-12
+    assert nll(batch([rec((1.0, 0.0), 0)])) == 0.0
+    assert abs(nll(batch([rec((1.0, 0.0), 1)])) + np.log(1e-12)) < 1e-12
+    assert abs(brier(batch([rec((0.5, 0.5), 0)])) - 0.5) < 1e-12
+    assert abs(brier(batch([rec((1 / 3, 1 / 3, 1 / 3), 2)])) - 2.0 / 3.0) < 1e-12
+    assert brier(batch([rec((0.0, 1.0, 0.0), 1)])) == 0.0
 
     two = [wrec((0.6, 0.0), (0.8, 0.2), 0), wrec((0.3, 0.0), (0.7, 0.3), 0)]
-    assert abs(diameter(two) - 0.3) < 1e-12
+    assert abs(diameter(batch(two)) - 0.3) < 1e-12
 
     one_bin = [rec((0.8, 0.2), 0)] * 3 + [rec((0.8, 0.2), 1)]
-    ece, mce, _ = ece_mce(one_bin, bins=10)
+    ece, mce, _ = ece_mce(batch(one_bin), bins=10)
     assert abs(ece - 0.05) < 1e-12 and abs(mce - 0.05) < 1e-12
     two_bins = (
         [rec((0.65, 0.35), 0)] * 15
@@ -403,7 +384,7 @@ def test_criterion_7_metrics_oracles():
         + [rec((0.85, 0.15), 0)] * 11
         + [rec((0.85, 0.15), 1)] * 9
     )
-    ece, mce, _ = ece_mce(two_bins, bins=10)
+    ece, mce, _ = ece_mce(batch(two_bins), bins=10)
     assert abs(ece - 0.2) < 1e-12 and abs(mce - 0.3) < 1e-12
 
     rng = np.random.default_rng(77)

@@ -14,7 +14,7 @@ from ivenn.ivp import IvpBatch, category_rows, load_table
 from ivenn.metrics import CumulativeCurves, EvalBatch, curves_csv, save_curves
 from ivenn.mlp import forward_batch, init_params, save_params
 from ivenn.pipeline import RunConfig, _write_predictions, load_predictions, run_pipeline
-from ivenn.space import build_centroids, nearest_centroid
+from ivenn.space import build_centroids, nearest_centroid_many
 
 WELL_FORMED = """id,label,f0,f1
 0,0,1.5,-2.0
@@ -362,7 +362,7 @@ class TestPredictionsReader:
 
     def test_well_formed_file_skips_row_loop(self, nc_run, monkeypatch):
         monkeypatch.setattr(data, "_parse_rows", _fail)
-        assert len(load_predictions(nc_run / "predictions.csv")) == 18
+        assert len(load_predictions(nc_run / "predictions.csv").labels) == 18
 
     @pytest.mark.parametrize("block_bytes", [1, 2 * ROW_BYTES], ids=["1_row", "2_rows"])
     def test_small_blocks_give_the_same_batch_and_report(
@@ -374,9 +374,9 @@ class TestPredictionsReader:
         monkeypatch.setattr(data, "_parse_rows", _fail)
         blocks = load_predictions(path)
         assert blocks.labels.tobytes() == whole.labels.tobytes()
-        assert blocks.predictions.category.tobytes() == whole.predictions.category.tobytes()
+        assert blocks.category.tobytes() == whole.category.tobytes()
         for name in ("counts", "totals", "lower", "upper", "predicted"):
-            a, b = getattr(blocks.predictions.rows, name), getattr(whole.predictions.rows, name)
+            a, b = getattr(blocks, name), getattr(whole, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert _report(path, tmp_path) == 0
         assert (tmp_path / "r.txt").read_bytes() == (nc_run / "report.txt").read_bytes()
@@ -539,8 +539,8 @@ class TestCsvWriter:
         )
         ids = [-(2**63), 2**63 - 1, 7]
         labels, category = [0, 1, 1], [1, 0, 0]
-        batch = EvalBatch(
-            predictions=IvpBatch(category=np.array(category), rows=rows), labels=np.array(labels)
+        batch = EvalBatch.from_predictions(
+            IvpBatch(category=np.array(category), rows=rows), np.array(labels)
         )
         path = tmp_path / "predictions.csv"
         _write_predictions(path, np.array(ids, dtype=np.int64), batch)
@@ -724,17 +724,13 @@ class TestSynthGaussians:
     def test_wide_separation_is_separable(self):
         ds = synth_gaussians(3, 3, 200, 10.0, seed=17)
         cs = build_centroids(ds.features, ds.labels, 3)
-        correct = sum(
-            nearest_centroid(cs, x)[0] == y for x, y in zip(ds.features, ds.labels)
-        )
+        correct = int((nearest_centroid_many(cs, ds.features)[0] == ds.labels).sum())
         assert correct / len(ds) > 0.99
 
     def test_zero_separation_indistinguishable(self):
         ds = synth_gaussians(3, 3, 300, 0.0, seed=19)
         cs = build_centroids(ds.features, ds.labels, 3)
-        correct = sum(
-            nearest_centroid(cs, x)[0] == y for x, y in zip(ds.features, ds.labels)
-        )
+        correct = int((nearest_centroid_many(cs, ds.features)[0] == ds.labels).sum())
         assert correct / len(ds) < 0.5
 
     def test_bad_arguments(self):

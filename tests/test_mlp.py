@@ -18,27 +18,47 @@ from ivenn.mlp import (
     CLASSIFIER,
     EMBEDDING,
     MlpParams,
-    PairExample,
     TrainConfig,
-    contrastive_loss,
-    forward,
+    contrastive_gradient,
     forward_batch,
     init_params,
     load_params,
-    loss_gradient,
     save_params,
     train_classifier,
     train_siamese,
 )
-from ivenn.mlp import _contrastive_batch, _PairSampler, _Workspace
+from ivenn.mlp import _PairSampler, _Workspace
 
 
-def fd_gradients(params, pair, margin, eps=1e-6):
+def embed_one(params, x):
+    # one feature vector through the network, as a batch of one
+    return forward_batch(params, np.asarray(x, dtype=float)[None])[0]
+
+
+def contrastive_loss(r1, r2, same_class, margin):
+    """The loss oracle: a same-class pair is charged the distance of its
+    embeddings, a different-class pair the hinge max(0, margin - distance)."""
+    d = float(np.linalg.norm(np.asarray(r1, dtype=float) - np.asarray(r2, dtype=float)))
+    return d if same_class else max(0.0, margin - d)
+
+
+def pair_gradient(params, x1, x2, same, margin):
+    # the gradients of one pair's loss, a batch of one
+    _, grad_w, grad_b = contrastive_gradient(params, [x1], [x2], [same], margin)
+    return grad_w, grad_b
+
+
+def pair_loss(r1, r2, same, margin):
+    # the library's loss of one pair of embeddings, through an identity network
+    dim = len(r1)
+    identity = MlpParams([dim, dim], [np.eye(dim)], [np.zeros(dim)], EMBEDDING)
+    return contrastive_gradient(identity, [r1], [r2], [same], margin)[0]
+
+
+def fd_gradients(params, x1, x2, same, margin, eps=1e-6):
     # central finite differences over every scalar parameter
     def loss():
-        r1 = forward(params, pair.x1)
-        r2 = forward(params, pair.x2)
-        return contrastive_loss(r1, r2, pair.same_class, margin)
+        return contrastive_loss(embed_one(params, x1), embed_one(params, x2), same, margin)
 
     grads = []
     for arrs in (params.weights, params.biases):
@@ -71,17 +91,17 @@ class TestForward:
             W[:] = 0.0
         for b in p.biases:
             b[:] = 0.0
-        np.testing.assert_array_equal(forward(p, (1.0, -2.0, 3.0)), np.zeros(2))
+        np.testing.assert_array_equal(embed_one(p, (1.0, -2.0, 3.0)), np.zeros(2))
 
     def test_identity_single_layer(self):
         p = MlpParams(
             layer_dims=[3, 3], weights=[np.eye(3)], biases=[np.zeros(3)], mode=EMBEDDING
         )
-        np.testing.assert_array_equal(forward(p, (1.0, 2.0, 3.0)), (1.0, 2.0, 3.0))
+        np.testing.assert_array_equal(embed_one(p, (1.0, 2.0, 3.0)), (1.0, 2.0, 3.0))
 
     def test_botnet_scale_dims(self):
         p = init_params([115, 10, 32], seed=1)
-        out = forward(p, np.zeros(115))
+        out = embed_one(p, np.zeros(115))
         assert out.shape == (32,)
 
     def test_classifier_outputs_are_distributions(self):
@@ -94,7 +114,7 @@ class TestForward:
     def test_shape_errors(self):
         p = init_params([3, 2], seed=0)
         with pytest.raises(ValueError, match="shape"):
-            forward(p, (1.0, 2.0))
+            forward_batch(p, (1.0, 2.0))
         with pytest.raises(ValueError, match="shape"):
             forward_batch(p, np.zeros((4, 5)))
 
@@ -123,16 +143,16 @@ class TestInit:
 class TestContrastiveLoss:
     def test_identical_same_class_is_zero(self):
         r = np.array([1.0, 2.0])
-        assert contrastive_loss(r, r, True, 1.0) == 0.0
+        assert pair_loss(r, r, True, 1.0) == 0.0
 
     def test_dissimilar_beyond_margin_is_zero(self):
-        assert contrastive_loss((0.0,), (1.5,), False, 1.0) == 0.0
+        assert pair_loss((0.0,), (1.5,), False, 1.0) == 0.0
 
     def test_dissimilar_inside_margin(self):
-        np.testing.assert_allclose(contrastive_loss((0.0,), (0.4,), False, 1.0), 0.6)
+        np.testing.assert_allclose(pair_loss((0.0,), (0.4,), False, 1.0), 0.6)
 
     def test_similar_pays_distance(self):
-        assert contrastive_loss((0.0,), (2.0,), True, 1.0) == 2.0
+        assert pair_loss((0.0,), (2.0,), True, 1.0) == 2.0
 
     def test_properties_random(self):
         rng = np.random.default_rng(17)
@@ -140,8 +160,8 @@ class TestContrastiveLoss:
             r1, r2 = rng.normal(size=(2, 3))
             m = float(rng.uniform(0.2, 3.0))
             d = float(np.linalg.norm(r1 - r2))
-            same = contrastive_loss(r1, r2, True, m)
-            diff = contrastive_loss(r1, r2, False, m)
+            same = pair_loss(r1, r2, True, m)
+            diff = pair_loss(r1, r2, False, m)
             assert same >= 0.0 and diff >= 0.0
             if d > 0:
                 assert same > 0.0
@@ -149,25 +169,24 @@ class TestContrastiveLoss:
                 assert diff == 0.0
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            contrastive_loss((1.0,), (1.0, 2.0), True, 1.0)
+        identity = MlpParams([1, 1], [np.eye(1)], [np.zeros(1)], EMBEDDING)
+        with pytest.raises(ValueError, match="match the network input dimension"):
+            contrastive_gradient(identity, [(1.0,)], [(1.0, 2.0)], [True], 1.0)
         with pytest.raises(ValueError, match="margin"):
-            contrastive_loss((1.0,), (2.0,), True, 0.0)
+            pair_loss((1.0,), (2.0,), True, 0.0)
 
 
 class TestLossGradient:
     def test_identical_same_class_inputs_zero_gradient(self):
         p = init_params([3, 4, 2], seed=5)
         x = np.array([0.3, -0.7, 1.1])
-        gw, gb = loss_gradient(p, PairExample(x, x.copy(), True), 1.0)
+        gw, gb = pair_gradient(p, x, x.copy(), True, 1.0)
         for g in gw + gb:
             np.testing.assert_array_equal(g, 0.0)
 
     def test_dissimilar_beyond_margin_zero_gradient(self):
         p = init_params([2, 3, 2], seed=6)
-        gw, gb = loss_gradient(
-            p, PairExample(np.array([50.0, 0.0]), np.array([-50.0, 0.0]), False), 1.0
-        )
+        gw, gb = pair_gradient(p, np.array([50.0, 0.0]), np.array([-50.0, 0.0]), False, 1.0)
         for g in gw + gb:
             np.testing.assert_array_equal(g, 0.0)
 
@@ -179,20 +198,19 @@ class TestLossGradient:
             x1, x2 = rng.normal(size=(2, 4))
             same = bool(rng.integers(2))
             margin = float(rng.uniform(0.5, 2.0))
-            d = float(np.linalg.norm(forward(p, x1) - forward(p, x2)))
+            d = float(np.linalg.norm(embed_one(p, x1) - embed_one(p, x2)))
             # the loss has kinks at d=0 and d=margin; FD is meaningless there
             if d < 0.05 or abs(d - margin) < 0.05:
                 continue
-            pair = PairExample(x1, x2, same)
-            analytic = loss_gradient(p, pair, margin)
-            numeric = fd_gradients(p, pair, margin)
+            analytic = pair_gradient(p, x1, x2, same, margin)
+            numeric = fd_gradients(p, x1, x2, same, margin)
             assert rel_error(analytic, numeric) < 1e-5
             checked += 1
 
     def test_classifier_mode_rejected(self):
         p = init_params([2, 2], mode=CLASSIFIER, seed=0)
         with pytest.raises(ValueError, match="embedding"):
-            loss_gradient(p, PairExample(np.zeros(2), np.ones(2), True), 1.0)
+            pair_gradient(p, np.zeros(2), np.ones(2), True, 1.0)
 
 
 def two_pass_reference(params, X1, X2, same, margin):
@@ -238,7 +256,7 @@ class TestStackedTwinPass:
         X1, X2 = rng.normal(size=(2, batch, dims[0]))
         X2[0] = X1[0]  # a coincident pair takes the zero subgradient
         same = rng.integers(2, size=batch).astype(bool)
-        loss, gw, gb = _contrastive_batch(params, X1, X2, same, 1.5)
+        loss, gw, gb = contrastive_gradient(params, X1, X2, same, 1.5)
         ref_loss, ref_gw, ref_gb = two_pass_reference(params, X1, X2, same, 1.5)
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
         # relative to the largest reference entry: the output bias gradient
@@ -881,8 +899,12 @@ TWO_CLASSES = np.array([0, 0, 1, 1])
         (lambda: TrainConfig(pairs_per_epoch=0).validate(),
          r"^batch_size and pairs_per_epoch must be positive$"),
         (lambda: init_params([2, 3], mode="ranker"), r"^unknown mode 'ranker'$"),
-        (lambda: loss_gradient(init_params([2, 3]), PairExample(np.zeros(2), np.zeros(3), True), 1.0),
+        (lambda: contrastive_gradient(init_params([2, 3]), np.zeros((1, 2)), np.zeros((1, 3)),
+                                      [True], 1.0),
          r"^pair inputs must match the network input dimension$"),
+        (lambda: contrastive_gradient(init_params([2, 3]), np.zeros((2, 2)), np.zeros((2, 2)),
+                                      [True], 1.0),
+         r"^need one or more pairs, each with one same-class flag$"),
         (lambda: train_siamese(np.zeros((4, 3)), TWO_CLASSES, [2, 3], TrainConfig(epochs=0)),
          r"^features must be \(n, 2\)$"),
         (lambda: train_classifier(np.zeros((4, 3)), TWO_CLASSES, [2, 2], TrainConfig(epochs=0)),
@@ -891,7 +913,7 @@ TWO_CLASSES = np.array([0, 0, 1, 1])
          r"^need at least 2 classes to train a classifier$"),
     ],
     ids=["margin", "learning_rate", "epochs", "batch_size", "pairs_per_epoch", "mode",
-         "pair width", "siamese features", "classifier features", "classifier one class"],
+         "pair width", "pair count", "siamese features", "classifier features", "classifier one class"],
 )
 def test_bad_argument_is_named(call, message):
     with pytest.raises(ValueError, match=message):

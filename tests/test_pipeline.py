@@ -172,15 +172,15 @@ class TestRunPipeline:
         )
         result = run_pipeline(cfg, dataset=hand_dataset(), stop_after="predict")
         expected, test_labels = hand_ivp_oracle(seed)
-        assert len(result.records) == len(expected) == 2
-        for rec, (kappa, lower, upper, best) in zip(result.records, expected):
-            pred = rec.prediction
-            assert pred.category == kappa
-            assert pred.predicted_class == best
-            np.testing.assert_array_equal(pred.lower, lower)
-            np.testing.assert_array_equal(pred.upper, upper)
-        for rec, y in zip(result.records, test_labels):
-            assert rec.true_label == int(y)
+        records = result.records
+        assert len(records.labels) == len(expected) == 2
+        for k, (kappa, lower, upper, best) in zip(records.category, expected):
+            assert k == kappa
+            assert records.predicted[k] == best
+            np.testing.assert_array_equal(records.lower[k], lower)
+            np.testing.assert_array_equal(records.upper[k], upper)
+        for label, y in zip(records.labels, test_labels):
+            assert label == int(y)
 
     def test_identity_oracle_across_seeds(self, tmp_path):
         for seed in (0, 1, 2, 7):
@@ -189,10 +189,8 @@ class TestRunPipeline:
             )
             result = run_pipeline(cfg, dataset=hand_dataset(), stop_after="predict")
             expected, _ = hand_ivp_oracle(seed)
-            got = [
-                (r.prediction.category, r.prediction.predicted_class)
-                for r in result.records
-            ]
+            records = result.records
+            got = [(k, records.predicted[k]) for k in records.category]
             assert got == [(k, b) for k, _, _, b in expected]
 
     def test_synthetic_nc_report_populated(self, tmp_path):
@@ -201,7 +199,7 @@ class TestRunPipeline:
         report = run_pipeline(cfg, dataset=ds).report
         for name in ("accuracy", "nll_sum", "nll_mean", "brier", "diameter", "ece", "mce"):
             assert np.isfinite(getattr(report, name))
-        assert report.n == len(run_pipeline(cfg, dataset=ds).records)
+        assert report.n == len(run_pipeline(cfg, dataset=ds).records.labels)
 
     def test_baseline_without_scores_is_config_error(self, tmp_path):
         ds = synth_gaussians(2, 2, 100, 4.0, seed=2)
@@ -354,20 +352,20 @@ class TestRunPipeline:
         result = run_pipeline(cfg, dataset=ds, stop_after="train")
         assert (tmp_path / "t" / "model.npz").exists()
         assert not (tmp_path / "t" / "table.txt").exists()
-        assert result.table is None and result.report is None
+        assert result.table is None and result.report is None and result.records is None
 
         cfg = RunConfig(out_dir=str(tmp_path / "c"), **base)
         result = run_pipeline(cfg, dataset=ds, stop_after="calibrate")
         assert (tmp_path / "c" / "table.txt").exists()
         assert not (tmp_path / "c" / "predictions.csv").exists()
-        assert result.table is not None and result.report is None
+        assert result.table is not None and result.report is None and result.records is None
 
         cfg = RunConfig(out_dir=str(tmp_path / "p"), **base)
         result = run_pipeline(cfg, dataset=ds, stop_after="predict")
         assert (tmp_path / "p" / "predictions.csv").exists()
         assert (tmp_path / "p" / "timing.txt").exists()
         assert not (tmp_path / "p" / "report.txt").exists()
-        assert result.records and result.report is None
+        assert result.records is not None and result.report is None
 
     @pytest.mark.parametrize(
         "taxonomy, softmax_source, network",
@@ -427,7 +425,7 @@ class TestRunPipeline:
         )
         result = run_pipeline(cfg, dataset=ds)
         assert (tmp_path / "classifier.npz").exists()
-        assert result.report.n == len(result.records)
+        assert result.report.n == len(result.records.labels)
 
     def test_curves_csv_written_in_blocks(self, tmp_path):
         # 4200 test rows: curves.csv spans two 4096-row write blocks
@@ -501,26 +499,28 @@ class TestPredictionsFile:
         assert lines[0] == (
             "id,label,category,predicted,N,n0,n1,n2,n3,L0,U0,L1,U1,L2,U2,L3,U3"
         )
-        assert len(lines) == 1 + len(result.records)
-        for line, rec in zip(lines[1:], result.records):
+        records = result.records
+        assert len(lines) == 1 + len(records.labels)
+        for line, k, y in zip(lines[1:], records.category, records.labels):
             cells = line.split(",")
-            pred = rec.prediction
-            n = result.table.counts[pred.category].tolist()
-            assert [int(v) for v in cells[1:9]] == [
-                rec.true_label, pred.category, pred.predicted_class, sum(n), *n
-            ]
-            assert [float(v) for v in cells[9::2]] == pred.lower.tolist()
-            assert [float(v) for v in cells[10::2]] == pred.upper.tolist()
+            n = result.table.counts[k].tolist()
+            assert [int(v) for v in cells[1:9]] == [y, k, records.predicted[k], sum(n), *n]
+            assert [float(v) for v in cells[9::2]] == records.lower[k].tolist()
+            assert [float(v) for v in cells[10::2]] == records.upper[k].tolist()
 
     def test_report_from_v2_is_byte_identical_on_an_edge(self, tmp_path):
         result = run_pipeline(edge_config(tmp_path / "run"), dataset=edge_dataset())
         assert result.table.counts[0].tolist() == [1, 1, 1, 1]
-        on_edge = sum(r.prediction.category == 0 for r in result.records)
+        records = result.records
+        on_edge = int((records.category == 0).sum())
         assert on_edge > 0
         assert any(b.bin_index == 2 and b.count >= on_edge for b in result.report.bin_stats)
-        # the same records without their counts fall back to float binning,
+        # the same intervals without their counts fall back to float binning,
         # which moves the edge examples one bin up
-        floats = build_report(list(result.records), bins=10)
+        k = records.category
+        floats = build_report(
+            EvalBatch.from_intervals(records.lower[k], records.upper[k], records.labels), bins=10
+        )
         assert report_text(floats) != report_text(result.report)
 
         loaded = load_predictions(tmp_path / "run" / "predictions.csv")
@@ -558,11 +558,13 @@ class TestPredictionsFile:
         ds = synth_gaussians(3, 3, 100, 4.0, seed=8)
         cfg = RunConfig(out_dir=str(tmp_path), taxonomy="nc_v2", embedding="identity")
         result = run_pipeline(cfg, dataset=ds)
-        assert isinstance(result.records, EvalBatch)
-        batch = result.records.predictions
-        for i, rec in enumerate(result.records):
-            assert rec.prediction.category == batch.category[i]
-            assert rec.prediction.lower.tolist() == batch.rows.lower[batch.category[i]].tolist()
+        records = result.records
+        assert isinstance(records, EvalBatch)
+        # the examples index the table's own rows, which are not copied
+        rows = result.table.rows
+        for name in ("lower", "upper", "mean", "predicted", "empty", "counts", "totals"):
+            assert getattr(records, name) is getattr(rows, name), name
+        assert len(records.category) == len(records.labels) == result.report.n
 
     def test_timing_is_per_stage(self, tmp_path):
         ds = synth_gaussians(3, 3, 100, 4.0, seed=8)
@@ -573,7 +575,7 @@ class TestPredictionsFile:
         stages = ["load", "split", "train", "embed", "taxonomy", "calibrate",
                   "predict", "report", "write"]
         assert list(timing) == [f"{s}_s" for s in stages] + ["predictions", "predict_us_per_row"]
-        assert timing["predictions"] == len(result.records)
+        assert timing["predictions"] == len(result.records.labels)
         assert all(v >= 0 for v in timing.values())
 
     def test_non_finite_scores_name_stage_and_row(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Distance, centroids, exact k-NN queries, silhouette."""
+"""Centroids, exact k-NN queries, silhouette."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,8 @@ from ivenn.space import (
     _tile_plan,
     build_centroids,
     build_index,
-    distance,
     knn,
     knn_many,
-    nearest_centroid,
     nearest_centroid_many,
     silhouette,
 )
@@ -50,26 +48,6 @@ def brute_silhouette(points, labels):
     return total / n
 
 
-class TestDistance:
-    def test_values(self):
-        assert distance((0, 0), (3, 4)) == 5.0
-        assert distance((1, 2, 3), (1, 2, 3)) == 0.0
-        np.testing.assert_allclose(distance((1, 1), (2, 2)), np.sqrt(2.0))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            distance((1, 2), (1, 2, 3))
-
-    def test_metric_axioms(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            a, b, c = rng.normal(size=(3, 4))
-            ab, ba = distance(a, b), distance(b, a)
-            assert ab == ba >= 0.0
-            assert distance(a, c) <= ab + distance(b, c) + 1e-12
-        assert distance(a, a) == 0.0
-
-
 class TestCentroids:
     def test_two_point_mean(self):
         cs = build_centroids([(0.0, 0.0), (2.0, 0.0)], [0, 0], 1)
@@ -103,6 +81,12 @@ def test_index_labels_are_integers():
     # a fractional label was truncated into a class
     with pytest.raises(ValueError, match=r"^label 0\.5 in row 1 is not an integer$"):
         build_index(np.zeros((2, 1)), [0, 0.5])
+
+
+def nearest_centroid(cs, q):
+    # one query as a batch of one
+    j, d = nearest_centroid_many(cs, np.asarray(q, dtype=float)[None])
+    return int(j[0]), float(d[0])
 
 
 class TestNearestCentroid:
