@@ -43,7 +43,6 @@ from ivenn.mlp import (
 )
 from ivenn.pipeline import PipelineError, RunConfig, parse_config, run_pipeline
 from ivenn.space import (
-    CentroidSet,
     KnnIndex,
     build_centroids,
     build_index,

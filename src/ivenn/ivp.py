@@ -18,9 +18,11 @@ vacuous interval [0, 1] for every class and is flagged as such rather than
 rejected.
 
 Counts first: everything a prediction holds depends only on its category's
-counts, so a table derives its per-category rows once (`table.rows`) and a
-batch of predictions is one category column indexing them. `predict_many`
-predicts a batch with one taxonomy call; `predict` is a batch of one.
+counts, so a table derives its per-category rows once (`table.rows`, one
+column per field) and a batch of predictions is one category column
+indexing them. `predict_many` predicts a batch with one taxonomy call;
+`predict` is a batch of one that returns its category's IvpPrediction,
+built for every category on the table's first `predict` and shared after.
 """
 
 from __future__ import annotations
@@ -50,16 +52,16 @@ class IvpPrediction:
 
 class CategoryRows(NamedTuple):
     """What an example landing in category k is given, as row k of each
-    field. The arrays are read-only: predictions share them."""
+    field. From counts the arrays are read-only: predictions share them.
+    Rows made from explicit intervals carry no counts or totals."""
 
-    counts: np.ndarray  # (K, c) int64 calibration counts n_j
-    totals: np.ndarray  # (K,) int64 category totals N
+    counts: np.ndarray | None  # (K, c) int64 calibration counts n_j
+    totals: np.ndarray | None  # (K,) int64 category totals N
     lower: np.ndarray  # (K, c) n_j / (N + 1)
     upper: np.ndarray  # (K, c) (n_j + 1) / (N + 1)
     mean: np.ndarray  # (K, c) interval midpoints
     predicted: np.ndarray  # (K,) argmax of the counts, ties to the lowest class
-    empty: np.ndarray  # (K,) True where N == 0
-    predictions: tuple  # (K,) IvpPrediction of each category
+    empty: np.ndarray  # (K,) True where N == 0: every interval is [0, 1]
 
 
 def unfit_count_rows(counts):
@@ -80,20 +82,10 @@ def category_rows(counts):
     mean = (lower + upper) / 2.0
     predicted = np.argmax(counts, axis=1)
     empty = totals == 0
-    for a in (counts, totals, lower, upper, mean, predicted, empty):
+    rows = CategoryRows(counts, totals, lower, upper, mean, predicted, empty)
+    for a in rows:
         a.flags.writeable = False
-    predictions = tuple(
-        IvpPrediction(
-            predicted_class=int(predicted[k]),
-            category=k,
-            lower=lower[k],
-            upper=upper[k],
-            mean=mean[k],
-            empty_category=bool(empty[k]),
-        )
-        for k in range(len(counts))
-    )
-    return CategoryRows(counts, totals, lower, upper, mean, predicted, empty, predictions)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -122,6 +114,22 @@ class CalibrationTable:
     @cached_property
     def rows(self):
         return category_rows(self.counts)
+
+    @cached_property
+    def predictions(self):
+        """(K,) IvpPrediction of each category: what `predict` returns."""
+        r = self.rows
+        return tuple(
+            IvpPrediction(
+                predicted_class=int(r.predicted[k]),
+                category=k,
+                lower=r.lower[k],
+                upper=r.upper[k],
+                mean=r.mean[k],
+                empty_category=bool(r.empty[k]),
+            )
+            for k in range(self.category_count)
+        )
 
 
 @dataclass(frozen=True)
@@ -176,7 +184,7 @@ def predict(table, taxonomy, embedding=None, softmax=None):
     """Predict one example: a batch of one. Only the input the taxonomy
     kind reads is converted."""
     _check_config(table, taxonomy)
-    return table.rows.predictions[taxonomy.assign(embedding=embedding, softmax=softmax)]
+    return table.predictions[taxonomy.assign(embedding=embedding, softmax=softmax)]
 
 
 def save_table(table, path):

@@ -12,13 +12,14 @@ class. Cumulative lower/upper error probabilities accumulate 1 - U(yhat)
 and 1 - L(yhat): when the predictor is well calibrated these bracket the
 cumulative error count.
 
-An EvalBatch is columnar: example i reads row category[i] of the per-row
-fields, so per-row and per-(row, class) terms are computed once. Built from
-predictions, its rows are the table's categories and carry their integer
-counts, so the confidence bin is exact. Built from explicit intervals, each
-example is its own row, and the bin comes from the float confidence. Sums
-run left to right in example order (cumsum, bincount weights), as a loop
-over the examples would.
+An EvalBatch is an ivp.IvpBatch with labels: example i reads row
+category[i] of each field of its CategoryRows, so per-row and
+per-(row, class) terms are computed once. Built from predictions, its rows
+are the table's categories and carry their integer counts, so the
+confidence bin is exact. Built from explicit intervals, each example is its
+own row, no counts are known, and the bin comes from the float confidence.
+Sums run left to right in example order (cumsum, bincount weights), as a
+loop over the examples would.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ivenn.data import _write_csv, class_labels, csv_lines, open_artifact
+from ivenn.ivp import CategoryRows, IvpBatch
 
 # Floor for probabilities entering log; midpoints never reach 1 for a
 # nonempty category, so no upper guard is needed.
@@ -72,66 +74,53 @@ class CalibrationReport:
 
 
 @dataclass(frozen=True)
-class EvalBatch:
-    """Examples with their intervals and true labels: example i gets row
-    category[i] of each per-row field. Made from predictions
-    (`from_predictions`) or from explicit intervals (`from_intervals`)."""
+class EvalBatch(IvpBatch):
+    """A predicted batch with its true labels: example i gets row
+    category[i] of each field of `rows` and has class labels[i], under
+    data.class_labels. Built from predictions as
+    `EvalBatch(batch.category, batch.rows, labels)`, or from explicit
+    intervals (`from_intervals`)."""
 
-    category: np.ndarray  # (m,) the row of each example
     labels: np.ndarray  # (m,) true classes
-    lower: np.ndarray  # (K, c)
-    upper: np.ndarray  # (K, c)
-    mean: np.ndarray  # (K, c)
-    predicted: np.ndarray  # (K,)
-    empty: np.ndarray  # (K,) True where every interval is [0, 1]
-    counts: np.ndarray | None = None  # (K, c) integer counts, when known
-    totals: np.ndarray | None = None  # (K,)
 
     def __post_init__(self):
-        if not len(self.labels):
+        labels = class_labels(self.labels, self.rows.lower.shape[1])
+        if len(labels) != len(self.category):
+            raise ValueError(f"{len(labels)} labels for {len(self.category)} examples")
+        if not len(labels):
             raise ValueError("need at least one record")
-
-    @classmethod
-    def from_predictions(cls, batch, labels):
-        """A predicted IvpBatch and its labels: its rows are the table's
-        categories, counts included."""
-        r = batch.rows
-        return cls(
-            batch.category, np.asarray(labels), r.lower, r.upper, r.mean,
-            r.predicted, r.empty, r.counts, r.totals,
-        )
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_intervals(cls, lower, upper, labels):
-        """One row per example from (m, c) interval bounds and labels under
-        data.class_labels: the predicted class maximizes the midpoint, ties
-        to the lowest class, and a row of vacuous [0, 1] intervals is empty.
-        No counts are known."""
+        """One row per example from (m, c) interval bounds and labels: the
+        predicted class maximizes the midpoint, ties to the lowest class,
+        and a row of vacuous [0, 1] intervals is empty. No counts are known."""
         lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
         if lower.ndim != 2 or upper.shape != lower.shape or np.shape(labels) != lower.shape[:1]:
             raise ValueError("lower and upper must be (m, c), with one label per row")
-        labels = class_labels(labels, lower.shape[1])
         mean = (lower + upper) / 2.0
         empty = (lower == 0.0).all(axis=1) & (upper == 1.0).all(axis=1)
-        predicted = np.argmax(mean, axis=1)
-        return cls(np.arange(len(labels)), labels, lower, upper, mean, predicted, empty)
+        rows = CategoryRows(None, None, lower, upper, mean, np.argmax(mean, axis=1), empty)
+        return cls(np.arange(len(lower)), rows, labels)
 
     @property
     def err(self):
-        return self.predicted[self.category] != self.labels
+        return self.rows.predicted[self.category] != self.labels
 
     def at_predicted(self, a):
-        """Per-row value of a (K, c) field at the predicted class."""
-        return a[np.arange(len(a)), self.predicted]
+        """Per-row value of a (K, c) field of `rows` at the predicted class."""
+        return a[np.arange(len(a)), self.rows.predicted]
 
 
 def _cell_terms(batch):
     """Per-example log(o_true) and squared error to the one-hot truth,
     each computed once per distinct (row, true class) cell."""
-    c = batch.mean.shape[1]
+    mean = batch.rows.mean
+    c = mean.shape[1]
     cells, inverse = np.unique(batch.category * c + batch.labels, return_inverse=True)
     rows, classes = np.divmod(cells, c)
-    o = batch.mean[rows]
+    o = mean[rows]
     o_true = o[np.arange(len(o)), classes].tolist()
     log_o = np.array([math.log(max(v, _LOG_EPS)) for v in o_true])
     sq = ((o - np.eye(c)[classes]) ** 2).sum(axis=1)
@@ -176,11 +165,12 @@ def ece_mce(batch, bins=10):
     """Expected and maximum calibration error over equal-width confidence
     bins, plus the per-bin stats. Empty bins do not contribute."""
     check_bins(bins)
-    conf = batch.at_predicted(batch.mean)
-    if batch.counts is None:
+    r = batch.rows
+    conf = batch.at_predicted(r.mean)
+    if r.counts is None:
         row_bin = _bin_index(conf, bins)
     else:
-        row_bin = _count_bin_index(batch.at_predicted(batch.counts), batch.totals, bins)
+        row_bin = _count_bin_index(batch.at_predicted(r.counts), r.totals, bins)
     b = row_bin[batch.category]
     counts = np.bincount(b, minlength=bins)
     hits = np.bincount(b[~batch.err], minlength=bins)
@@ -210,8 +200,8 @@ def ece_mce(batch, bins=10):
 
 def cumulative(batch):
     """Running sums of errors and of 1-U(yhat), 1-L(yhat), in example order."""
-    lep_inc = 1.0 - batch.at_predicted(batch.upper)
-    uep_inc = 1.0 - batch.at_predicted(batch.lower)
+    lep_inc = 1.0 - batch.at_predicted(batch.rows.upper)
+    uep_inc = 1.0 - batch.at_predicted(batch.rows.lower)
     return CumulativeCurves(
         E=np.cumsum(batch.err.astype(float)),
         LEP=np.cumsum(lep_inc[batch.category]),
@@ -237,7 +227,7 @@ def brier(batch):
 
 def diameter(batch):
     """Mean interval width at the predicted class."""
-    width = batch.at_predicted(batch.upper) - batch.at_predicted(batch.lower)
+    width = batch.at_predicted(batch.rows.upper) - batch.at_predicted(batch.rows.lower)
     return float(np.mean(width[batch.category]))
 
 
@@ -255,7 +245,7 @@ def build_report(batch, bins=10):
         diameter=diameter(batch),
         ece=ece,
         mce=mce,
-        empty_category_count=int(batch.empty[batch.category].sum()),
+        empty_category_count=int(batch.rows.empty[batch.category].sum()),
         curves=cumulative(batch),
         bin_stats=stats,
     )
@@ -297,15 +287,11 @@ def curves_csv(curves):
     return "\n".join([",".join(header), *csv_lines(*columns)]) + "\n"
 
 
-def save_curves(curves, path):
-    """Write curves_csv(curves) to path, a block of rows at a time, so no
-    more than one block is held as text."""
-    header, columns = _curves_table(curves)
-    _write_csv(path, header, *columns)
-
-
 def save_report(report, report_path, curves_path):
-    """Write report_text(report) to report_path and its curves to curves_path."""
+    """Write report_text(report) to report_path and curves_csv(report.curves)
+    to curves_path, the curves a block of rows at a time, so no more than one
+    block is held as text."""
     with open_artifact(report_path) as f:
         f.write(report_text(report))
-    save_curves(report.curves, curves_path)
+    header, columns = _curves_table(report.curves)
+    _write_csv(curves_path, header, *columns)

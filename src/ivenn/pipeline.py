@@ -50,7 +50,6 @@ from ivenn.data import (
     split,
 )
 from ivenn.ivp import (
-    IvpBatch,
     calibrate,
     category_rows,
     predict_many,
@@ -230,7 +229,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
     if depth >= 2:
         with _stage("predict", timings):
             batch = predict_many(result.table, result.taxonomy, **test_in)
-            result.records = EvalBatch.from_predictions(batch, test.labels)
+            result.records = EvalBatch(batch.category, batch.rows, test.labels)
         test_ids = test.ids
 
     if depth >= 3:
@@ -332,10 +331,11 @@ def _write_predictions(path, ids, batch):
     EvalBatch made from predictions. Every example of a category shares
     everything after its category, so that suffix is formatted once per
     category."""
-    bounds = np.stack([batch.lower, batch.upper], axis=2).reshape(len(batch.lower), -1)
-    suffix = np.array(csv_lines(batch.predicted, batch.totals, batch.counts, bounds), dtype=object)
+    r = batch.rows
+    bounds = np.stack([r.lower, r.upper], axis=2).reshape(len(r.lower), -1)
+    suffix = np.array(csv_lines(r.predicted, r.totals, r.counts, bounds), dtype=object)
     k = batch.category
-    _write_csv(path, _predictions_header(batch.counts.shape[1]), ids, batch.labels, k, suffix[k])
+    _write_csv(path, _predictions_header(r.counts.shape[1]), ids, batch.labels, k, suffix[k])
 
 
 def _write_timing(path, timings, predictions):
@@ -402,4 +402,4 @@ def load_predictions(path):
             f"{path}:{line_number(path, row + 1)}: counts, predicted class and intervals "
             f"disagree with the other rows of category {category[row]}"
         )
-    return EvalBatch.from_predictions(IvpBatch(category=key, rows=rows), labels)
+    return EvalBatch(key, rows, labels)

@@ -1,6 +1,6 @@
-"""Embedding-space services: class centroids, exact batched k-nearest-neighbor
-search over a tiled index that scans only the tiles a query can reach, and
-silhouette clustering quality.
+"""Embedding-space services: class centroids (a (class_count, dim) array),
+exact batched k-nearest-neighbor search over a tiled index that scans only
+the tiles a query can reach, and silhouette clustering quality.
 
 All structures here are immutable after construction; concurrent read-only
 queries are safe.
@@ -17,20 +17,9 @@ import numpy as np
 from ivenn.data import class_labels, int64_values
 
 
-@dataclass(frozen=True)
-class CentroidSet:
-    """Per-class mean embeddings plus the class sizes they were built from."""
-
-    centroids: np.ndarray  # (class_count, dim)
-    counts: np.ndarray  # (class_count,)
-
-    @property
-    def dim(self):
-        return self.centroids.shape[1]
-
-
 def build_centroids(points, labels, class_count):
-    """Arithmetic mean embedding of every class 0..class_count-1.
+    """(class_count, dim) array: row j is the arithmetic mean embedding of
+    class j.
 
     Raises ValueError naming the class if any class has no examples.
     """
@@ -39,14 +28,12 @@ def build_centroids(points, labels, class_count):
     if points.ndim != 2 or len(points) != len(labels):
         raise ValueError("points must be (n, dim) with one label per row")
     centroids = np.empty((class_count, points.shape[1]))
-    counts = np.zeros(class_count, dtype=np.int64)
     for j in range(class_count):
         members = points[labels == j]
         if len(members) == 0:
             raise ValueError(f"class {j} has no examples; cannot build its centroid")
         centroids[j] = members.mean(axis=0)
-        counts[j] = len(members)
-    return CentroidSet(centroids=centroids, counts=counts)
+    return centroids
 
 
 def _check_rows(bound, what, offset=0):
@@ -59,14 +46,16 @@ def _check_rows(bound, what, offset=0):
         raise ValueError(f"{what} row {i} is not finite, or its squared distances overflow")
 
 
-def nearest_centroid_many(cs, Q):
-    """(classes (m,), distances (m,)) of the centroid nearest each row of Q,
-    ties to the lowest class. ValueError names a non-finite or huge row."""
+def nearest_centroid_many(centroids, Q):
+    """(classes (m,), distances (m,)) of the row of the (class_count, dim)
+    centroids nearest each row of Q, ties to the lowest class. ValueError
+    names a non-finite or huge row."""
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[1] != cs.dim:
-        raise ValueError(f"queries have shape {Q.shape}, expected (m, {cs.dim})")
+    dim = np.shape(centroids)[1]
+    if Q.ndim != 2 or Q.shape[1] != dim:
+        raise ValueError(f"queries have shape {Q.shape}, expected (m, {dim})")
     with np.errstate(over="ignore"):  # reported as ValueError just below
-        dist = np.stack([np.linalg.norm(Q - c, axis=1) for c in cs.centroids], axis=1)
+        dist = np.stack([np.linalg.norm(Q - c, axis=1) for c in centroids], axis=1)
     _check_rows(dist.max(axis=1), "query")
     j = np.argmin(dist, axis=1)
     return j, dist[np.arange(len(Q)), j]

@@ -24,7 +24,6 @@ import numpy as np
 
 from ivenn.data import check_finite, check_score_rows, class_labels
 from ivenn.space import (
-    CentroidSet,
     KnnIndex,
     build_centroids,
     build_index,
@@ -189,8 +188,8 @@ def _knn_categories(index, R, cfg):
     return yhat * width + np.minimum(disagree, width - 1)
 
 
-def _nc_categories(cs, R, cfg):
-    j, d = nearest_centroid_many(cs, R)
+def _nc_categories(centroids, R, cfg):
+    j, d = nearest_centroid_many(centroids, R)
     return 2 * j + (d > cfg.theta) if cfg.kind is TaxonomyKind.NC_V2 else j
 
 
@@ -225,8 +224,9 @@ def _baseline_categories(S, cfg):
     return 2 * top_class + h
 
 
-def resolve_theta(cs, points, labels):
-    """Median distance of proper-training points to their own class centroid.
+def resolve_theta(centroids, points, labels):
+    """Median distance of proper-training points to their own class centroid
+    (a row of the (class_count, dim) centroids).
 
     Degenerate data (every point on its centroid) falls back to half the
     smallest positive inter-centroid distance.
@@ -235,11 +235,11 @@ def resolve_theta(cs, points, labels):
     labels = np.asarray(labels, dtype=int)
     if len(points) == 0:
         raise ValueError("cannot resolve theta from an empty training set")
-    own = np.linalg.norm(points - cs.centroids[labels], axis=1)
+    own = np.linalg.norm(points - centroids[labels], axis=1)
     theta = float(np.median(own))
     if theta > 0:
         return theta
-    gaps = np.linalg.norm(cs.centroids[:, None, :] - cs.centroids[None, :, :], axis=2)
+    gaps = np.linalg.norm(centroids[:, None, :] - centroids[None, :, :], axis=2)
     positive = gaps[gaps > 0]
     if len(positive) == 0:
         raise ValueError("all training points and centroids coincide; theta has no scale")
@@ -254,7 +254,7 @@ class Taxonomy:
 
     config: TaxonomyConfig
     index: KnnIndex | None = None
-    centroids: CentroidSet | None = None
+    centroids: np.ndarray | None = None  # (class_count, dim), row j of class j
 
     def __post_init__(self):
         cfg, kind, index, cs = self.config, self.config.kind, self.index, self.centroids
@@ -264,8 +264,12 @@ class Taxonomy:
             class_labels(index.labels, cfg.class_count)
             if cfg.k > len(index.labels):
                 raise ValueError(f"k={cfg.k} exceeds the {len(index.labels)} training points")
-        elif kind in DISTANCE_KINDS and (cs is None or len(cs.centroids) != cfg.class_count):
-            raise ValueError(f"{kind.value} requires one centroid per class ({cfg.class_count})")
+        elif kind in DISTANCE_KINDS and (np.ndim(cs) != 2 or len(cs) != cfg.class_count):
+            got = "none" if cs is None else f"shape {np.shape(cs)}"
+            raise ValueError(
+                f"{kind.value} requires one centroid per class as a "
+                f"({cfg.class_count}, dim) array, got {got}"
+            )
         elif kind is TaxonomyKind.NC_V2 and cfg.theta is None:
             raise ValueError("theta is unresolved; fit the taxonomy or set it explicitly")
 
@@ -303,7 +307,7 @@ def fit_taxonomy(cfg, embeddings=None, labels=None):
         raise ValueError(f"{cfg.kind.value} requires proper-training embeddings and labels")
     if cfg.kind in (TaxonomyKind.KNN_V1, TaxonomyKind.KNN_V2):
         return Taxonomy(config=cfg, index=build_index(embeddings, labels))
-    cs = build_centroids(embeddings, labels, cfg.class_count)
+    centroids = build_centroids(embeddings, labels, cfg.class_count)
     if cfg.kind is TaxonomyKind.NC_V2 and cfg.theta is None:
-        cfg = replace(cfg, theta=resolve_theta(cs, embeddings, labels))
-    return Taxonomy(config=cfg, centroids=cs)
+        cfg = replace(cfg, theta=resolve_theta(centroids, embeddings, labels))
+    return Taxonomy(config=cfg, centroids=centroids)

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,15 @@ from hypothesis import strategies as st
 
 from ivenn import cli, data
 from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
-from ivenn.ivp import IvpBatch, category_rows, load_table
-from ivenn.metrics import CumulativeCurves, EvalBatch, curves_csv, save_curves
+from ivenn.ivp import category_rows, load_table
+from ivenn.metrics import (
+    CumulativeCurves,
+    EvalBatch,
+    build_report,
+    curves_csv,
+    report_text,
+    save_report,
+)
 from ivenn.mlp import forward_batch, init_params, save_params
 from ivenn.pipeline import RunConfig, _write_predictions, load_predictions, run_pipeline
 from ivenn.space import build_centroids, nearest_centroid_many
@@ -376,7 +384,7 @@ class TestPredictionsReader:
         assert blocks.labels.tobytes() == whole.labels.tobytes()
         assert blocks.category.tobytes() == whole.category.tobytes()
         for name in ("counts", "totals", "lower", "upper", "predicted"):
-            a, b = getattr(blocks, name), getattr(whole, name)
+            a, b = getattr(blocks.rows, name), getattr(whole.rows, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert _report(path, tmp_path) == 0
         assert (tmp_path / "r.txt").read_bytes() == (nc_run / "report.txt").read_bytes()
@@ -539,9 +547,7 @@ class TestCsvWriter:
         )
         ids = [-(2**63), 2**63 - 1, 7]
         labels, category = [0, 1, 1], [1, 0, 0]
-        batch = EvalBatch.from_predictions(
-            IvpBatch(category=np.array(category), rows=rows), np.array(labels)
-        )
+        batch = EvalBatch(np.array(category), rows, np.array(labels))
         path = tmp_path / "predictions.csv"
         _write_predictions(path, np.array(ids, dtype=np.int64), batch)
         assert path.read_bytes() == _reference_predictions(ids, labels, category, rows)
@@ -550,7 +556,10 @@ class TestCsvWriter:
         E, LEP, UEP = FLOAT_EDGES, FLOAT_EDGES[::-1], FLOAT_EDGES[1:] + FLOAT_EDGES[:1]
         curves = CumulativeCurves(E=np.array(E), LEP=np.array(LEP), UEP=np.array(UEP))
         assert curves_csv(curves) == _reference_curves(E, LEP, UEP)
-        save_curves(curves, tmp_path / "curves.csv")
+        one = EvalBatch.from_intervals([(0.5, 0.5)], [(0.5, 0.5)], [0])
+        report = replace(build_report(one), curves=curves)
+        save_report(report, tmp_path / "report.txt", tmp_path / "curves.csv")
+        assert (tmp_path / "report.txt").read_text() == report_text(report)
         assert (tmp_path / "curves.csv").read_bytes() == _reference_curves(E, LEP, UEP).encode()
 
 
@@ -718,7 +727,7 @@ class TestSynthGaussians:
         cs = build_centroids(ds.features, ds.labels, 4)
         for i in range(4):
             for j in range(i + 1, 4):
-                d = np.linalg.norm(cs.centroids[i] - cs.centroids[j])
+                d = np.linalg.norm(cs[i] - cs[j])
                 assert abs(d - 7.0) < 0.3  # sample noise around the exact 7
 
     def test_wide_separation_is_separable(self):

@@ -224,6 +224,11 @@ class TestCategoryRows:
     )
     def test_rows_are_the_counts_rationals(self, counts):
         rows = category_rows(counts)
+        # a table whose first len(counts) categories hold the counts: k-NN V2
+        # with k = len(counts) has at least that many categories
+        c = len(counts[0])
+        cfg = TaxonomyConfig(kind=TaxonomyKind.KNN_V2, class_count=c, k=len(counts))
+        table = CalibrationTable(counts + [[0] * c] * (category_count(cfg) - len(counts)), cfg)
         for k, n in enumerate(counts):
             total = sum(n)
             assert rows.totals[k] == total and rows.empty[k] == (total == 0)
@@ -232,7 +237,7 @@ class TestCategoryRows:
                 assert rows.upper[k, j] == float(Fraction(n_j + 1, total + 1))
             # the argmax of the integer counts is the argmax of the midpoints
             assert rows.predicted[k] == n.index(max(n)) == int(np.argmax(rows.mean[k]))
-            pred = rows.predictions[k]
+            pred = table.predictions[k]
             assert (pred.category, pred.predicted_class) == (k, rows.predicted[k])
             assert pred.lower.tobytes() == rows.lower[k].tobytes()
 
@@ -320,7 +325,7 @@ class TestPredictMany:
             assert rows.lower[cats][i].tobytes() == one.lower.tobytes()
             assert rows.upper[cats][i].tobytes() == one.upper.tobytes()
             assert rows.mean[cats][i].tobytes() == one.mean.tobytes()
-            assert rows.predictions[cats[i]] is one
+            assert table.predictions[cats[i]] is one
 
     def test_config_checked_once_for_the_batch(self):
         table = table_from_counts([[1, 0, 0], [0, 0, 0], [0, 0, 0]])

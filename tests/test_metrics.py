@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivenn.ivp import IvpBatch, category_rows
+from ivenn.ivp import category_rows
 from ivenn.metrics import (
     EvalBatch,
     _count_bin_index,
@@ -77,7 +77,18 @@ class TestCumulative:
             EvalBatch.from_intervals(empty, empty, [])
         rows = category_rows([[1, 2]])
         with pytest.raises(ValueError, match=r"^need at least one record$"):
-            EvalBatch.from_predictions(IvpBatch(np.zeros(0, dtype=np.int64), rows), [])
+            EvalBatch(np.zeros(0, dtype=np.int64), rows, [])
+
+    def test_labels_checked_when_made(self):
+        # a label past the classes was once scored as another category's
+        # class: category 0 with label 2 read nll 2.3026 and brier 1.62, the
+        # values of category 1 with label 0
+        rows = category_rows([[3, 1], [0, 4]])
+        with pytest.raises(ValueError, match=r"^labels: row 0: label 2 outside \[0, 2\)$"):
+            EvalBatch(np.zeros(1, dtype=np.int64), rows, [2])
+        # one label for three examples was broadcast to all three
+        with pytest.raises(ValueError, match=r"^1 labels for 3 examples$"):
+            EvalBatch(np.array([0, 1, 1]), rows, [0])
 
     def test_interval_shapes_checked(self):
         message = r"^lower and upper must be \(m, c\), with one label per row$"
@@ -297,13 +308,14 @@ def loop_report(batch, bins):
     E = LEP = UEP = nll_total = brier_total = 0.0
     curves, widths, errs, empties = [], [], [], []
     hits, counts, conf_sums = [0] * bins, [0] * bins, [0.0] * bins
+    r = batch.rows
     for k, y in zip(batch.category.tolist(), batch.labels.tolist()):
-        lower, upper, mean = batch.lower[k], batch.upper[k], batch.mean[k]
-        j = int(batch.predicted[k])
+        lower, upper, mean = r.lower[k], r.upper[k], r.mean[k]
+        j = int(r.predicted[k])
         err = 0 if j == y else 1
         confidence = float(mean[j])
         errs.append(err)
-        empties.append(bool(batch.empty[k]))
+        empties.append(bool(r.empty[k]))
         E += err
         LEP += 1.0 - float(upper[j])
         UEP += 1.0 - float(lower[j])
@@ -355,15 +367,14 @@ def random_batch(rng, c, categories, m):
     counts = rng.integers(0, 60, size=(categories, c))
     counts *= rng.random((categories, 1)) > 0.1  # a few empty categories
     rows = category_rows(counts)
-    batch = IvpBatch(category=rng.integers(0, categories, m), rows=rows)
-    return EvalBatch.from_predictions(batch, rng.integers(0, c, m))
+    return EvalBatch(rng.integers(0, categories, m), rows, rng.integers(0, c, m))
 
 
 def without_counts(batch):
     """The same examples as an EvalBatch from their intervals: one row each
     and no counts, so binned by the float confidence."""
     k = batch.category
-    return EvalBatch.from_intervals(batch.lower[k], batch.upper[k], batch.labels)
+    return EvalBatch.from_intervals(batch.rows.lower[k], batch.rows.upper[k], batch.labels)
 
 
 class TestColumns:
@@ -386,8 +397,8 @@ class TestColumns:
         batch = random_batch(np.random.default_rng(seed), c, categories, m)
         records = without_counts(batch)
         cats = batch.category
-        n = batch.counts[np.arange(categories), batch.predicted][cats]
-        total = batch.totals[cats]
+        n = batch.rows.counts[np.arange(categories), batch.rows.predicted][cats]
+        total = batch.rows.totals[cats]
         # a confidence on a bin edge is where float binning may land one bin
         # high; everything else must agree to the last bit
         on_edge = bool(((bins * (2 * n + 1)) % (2 * (total + 1)) == 0).any())
@@ -410,10 +421,7 @@ class TestExactBinning:
         # midpoint (0.2 + 0.4) / 2 is 0.30000000000000004, one bin high.
         rows = category_rows([[1, 1, 1, 1]])
         assert rows.mean[0, 0] == 0.30000000000000004
-        batch = EvalBatch.from_predictions(
-            IvpBatch(category=np.zeros(1, dtype=np.int64), rows=rows),
-            np.zeros(1, dtype=np.int64),
-        )
+        batch = EvalBatch(np.zeros(1, dtype=np.int64), rows, np.zeros(1, dtype=np.int64))
         assert [s.bin_index for s in ece_mce(batch, bins=10)[2]] == [2]
         # intervals carry no counts and keep the float path
         assert [s.bin_index for s in ece_mce(without_counts(batch), bins=10)[2]] == [3]

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ivenn import cli
+from ivenn import cli, ivp
 from ivenn.data import Dataset, SplitSpec, load_csv, split, synth_gaussians
+from ivenn.ivp import predict, predict_many
 from ivenn.metrics import EvalBatch, build_report, curves_csv, report_text
 from ivenn.mlp import CLASSIFIER, EMBEDDING, MlpParams, TrainConfig, init_params, save_params
 from ivenn.pipeline import (
@@ -176,9 +177,9 @@ class TestRunPipeline:
         assert len(records.labels) == len(expected) == 2
         for k, (kappa, lower, upper, best) in zip(records.category, expected):
             assert k == kappa
-            assert records.predicted[k] == best
-            np.testing.assert_array_equal(records.lower[k], lower)
-            np.testing.assert_array_equal(records.upper[k], upper)
+            assert records.rows.predicted[k] == best
+            np.testing.assert_array_equal(records.rows.lower[k], lower)
+            np.testing.assert_array_equal(records.rows.upper[k], upper)
         for label, y in zip(records.labels, test_labels):
             assert label == int(y)
 
@@ -190,7 +191,7 @@ class TestRunPipeline:
             result = run_pipeline(cfg, dataset=hand_dataset(), stop_after="predict")
             expected, _ = hand_ivp_oracle(seed)
             records = result.records
-            got = [(k, records.predicted[k]) for k in records.category]
+            got = [(k, records.rows.predicted[k]) for k in records.category]
             assert got == [(k, b) for k, _, _, b in expected]
 
     def test_synthetic_nc_report_populated(self, tmp_path):
@@ -504,9 +505,10 @@ class TestPredictionsFile:
         for line, k, y in zip(lines[1:], records.category, records.labels):
             cells = line.split(",")
             n = result.table.counts[k].tolist()
-            assert [int(v) for v in cells[1:9]] == [y, k, records.predicted[k], sum(n), *n]
-            assert [float(v) for v in cells[9::2]] == records.lower[k].tolist()
-            assert [float(v) for v in cells[10::2]] == records.upper[k].tolist()
+            rows = records.rows
+            assert [int(v) for v in cells[1:9]] == [y, k, rows.predicted[k], sum(n), *n]
+            assert [float(v) for v in cells[9::2]] == rows.lower[k].tolist()
+            assert [float(v) for v in cells[10::2]] == rows.upper[k].tolist()
 
     def test_report_from_v2_is_byte_identical_on_an_edge(self, tmp_path):
         result = run_pipeline(edge_config(tmp_path / "run"), dataset=edge_dataset())
@@ -517,9 +519,9 @@ class TestPredictionsFile:
         assert any(b.bin_index == 2 and b.count >= on_edge for b in result.report.bin_stats)
         # the same intervals without their counts fall back to float binning,
         # which moves the edge examples one bin up
-        k = records.category
+        k, rows = records.category, records.rows
         floats = build_report(
-            EvalBatch.from_intervals(records.lower[k], records.upper[k], records.labels), bins=10
+            EvalBatch.from_intervals(rows.lower[k], rows.upper[k], records.labels), bins=10
         )
         assert report_text(floats) != report_text(result.report)
 
@@ -562,8 +564,7 @@ class TestPredictionsFile:
         assert isinstance(records, EvalBatch)
         # the examples index the table's own rows, which are not copied
         rows = result.table.rows
-        for name in ("lower", "upper", "mean", "predicted", "empty", "counts", "totals"):
-            assert getattr(records, name) is getattr(rows, name), name
+        assert records.rows is rows
         assert len(records.category) == len(records.labels) == result.report.n
 
     def test_timing_is_per_stage(self, tmp_path):
@@ -1047,6 +1048,33 @@ def test_benchmark_imports_resolve():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_predict_gives_what_the_benchmark_reads(tmp_path, monkeypatch):
+    # perfbench/bench.py indexes a list by each served prediction's category,
+    # checks its lower and upper bounds class by class and counts its empty
+    # flag; predict hands out one shared object per category, made on the
+    # first call, which the batch paths never make
+    def no_prediction(*args, **kwargs):
+        raise AssertionError("a batch path built an IvpPrediction")
+
+    monkeypatch.setattr(ivp, "IvpPrediction", no_prediction)
+    ds = synth_gaussians(3, 3, 40, 4.0, seed=3)
+    cfg = RunConfig(out_dir=str(tmp_path), taxonomy="knn_v2", embedding="identity")
+    result = run_pipeline(cfg, dataset=ds, stop_after="predict")
+    table, tax = result.table, result.taxonomy
+    predict_many(table, tax, embeddings=ds.features)
+    load_predictions(tmp_path / "predictions.csv")
+    assert "predictions" not in vars(table)
+    monkeypatch.undo()
+
+    pred = predict(table, tax, embedding=ds.features[0])
+    assert type(pred.category) is int
+    assert list(range(table.category_count))[pred.category] == pred.category
+    for bounds in (pred.lower, pred.upper):
+        assert bounds.dtype == np.float64 and bounds.shape == (3,)
+    assert type(pred.empty_category) is bool
+    assert predict(table, tax, embedding=ds.features[0]) is pred
 
 
 @pytest.mark.parametrize(

@@ -159,14 +159,19 @@ R4 = np.array([[0.0], [4.0], [10.0], [20.0]])
         # a third centroid came out as category 2 of 2
         (lambda: Taxonomy(cfg_for(TaxonomyKind.NC_V1, c=2),
                           centroids=build_centroids([(0.0,), (5.0,), (10.0,)], [0, 1, 2], 3)),
-         r"^nc_v1 requires one centroid per class \(2\)$"),
+         r"^nc_v1 requires one centroid per class as a \(2, dim\) array, got shape \(3, 1\)$"),
+        # one row per class, but each a number: once an IndexError in assignment
+        (lambda: Taxonomy(cfg_for(TaxonomyKind.NC_V1, c=2), centroids=np.array([0.0, 10.0])),
+         r"^nc_v1 requires one centroid per class as a \(2, dim\) array, got shape \(2,\)$"),
+        (lambda: Taxonomy(cfg_for(TaxonomyKind.NC_V2, c=2, theta=1.0)),
+         r"^nc_v2 requires one centroid per class as a \(2, dim\) array, got none$"),
         # once an AttributeError on the missing index's points
         (lambda: Taxonomy(cfg_for(TaxonomyKind.KNN_V2, c=2, k=1)), r"^knn_v2 requires a k-NN index$"),
         # a string kind no rule knows
         (lambda: Taxonomy(cfg_for("knn_v9", c=2)), r"'knn_v9' is not a valid TaxonomyKind"),
     ],
-    ids=["theta nan", "theta negative", "index label outside", "centroid count", "no index",
-         "unknown kind"],
+    ids=["theta nan", "theta negative", "index label outside", "centroid count", "centroids 1-D",
+         "no centroids", "no index", "unknown kind"],
 )
 def test_directly_built_taxonomy_is_checked(call, message):
     # each once assigned, or failed in assignment, with no check at all
@@ -408,7 +413,7 @@ def reference_category(tax, q):
     cfg = tax.config
     c = cfg.class_count
     if cfg.kind in (TaxonomyKind.NC_V1, TaxonomyKind.NC_V2):
-        d = [float(np.linalg.norm(cs - q)) for cs in tax.centroids.centroids]
+        d = [float(np.linalg.norm(centroid - q)) for centroid in tax.centroids]
         j = d.index(min(d))
         if cfg.kind is TaxonomyKind.NC_V1:
             return j
