@@ -148,17 +148,22 @@ def line_number(path, k):
     raise IndexError(k)
 
 
-def class_labels(values, class_count, path=None):
-    """The values as int64 labels (int64_values), each in [0, class_count).
-    ValueError names the first label outside, by `path:line` when the
-    values are the rows of the file at path."""
-    labels = int64_values(values, "label")
-    outside = (labels < 0) | (labels >= class_count)
+def index_values(values, count, name, column, path=None):
+    """The values as int64 (int64_values), each in [0, count). ValueError
+    names the first outside, by `path:line` when the values are the rows of
+    the file at path, else as row i of `column`."""
+    values = int64_values(values, name)
+    outside = (values < 0) | (values >= count)
     if outside.any():
         row = int(np.argmax(outside))
-        where = f"{path}:{line_number(path, row + 1)}:" if path else f"labels: row {row}:"
-        raise ValueError(f"{where} label {labels[row]} outside [0, {class_count})")
-    return labels
+        where = f"{path}:{line_number(path, row + 1)}:" if path else f"{column}: row {row}:"
+        raise ValueError(f"{where} {name} {values[row]} outside [0, {count})")
+    return values
+
+
+def class_labels(values, class_count, path=None):
+    """The values as int64 labels, each in [0, class_count) (index_values)."""
+    return index_values(values, class_count, "label", "labels", path)
 
 
 def not_utf8(path, exc):

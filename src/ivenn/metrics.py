@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import _write_csv, class_labels, csv_lines, open_artifact
+from ivenn.data import _write_csv, class_labels, csv_lines, index_values, open_artifact
 from ivenn.ivp import CategoryRows, IvpBatch
 
 # Floor for probabilities entering log; midpoints never reach 1 for a
@@ -76,8 +76,8 @@ class CalibrationReport:
 @dataclass(frozen=True)
 class EvalBatch(IvpBatch):
     """A predicted batch with its true labels: example i gets row
-    category[i] of each field of `rows` and has class labels[i], under
-    data.class_labels. Built from predictions as
+    category[i] of each field of `rows` and has class labels[i]; both
+    columns are checked against `rows` when made. Built from predictions as
     `EvalBatch(batch.category, batch.rows, labels)`, or from explicit
     intervals (`from_intervals`)."""
 
@@ -85,11 +85,13 @@ class EvalBatch(IvpBatch):
 
     def __post_init__(self):
         labels = class_labels(self.labels, self.rows.lower.shape[1])
-        if len(labels) != len(self.category):
-            raise ValueError(f"{len(labels)} labels for {len(self.category)} examples")
+        category = index_values(self.category, len(self.rows.lower), "category", "category")
+        if len(labels) != len(category):
+            raise ValueError(f"{len(labels)} labels for {len(category)} examples")
         if not len(labels):
             raise ValueError("need at least one record")
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "category", category)
 
     @classmethod
     def from_intervals(cls, lower, upper, labels):

@@ -31,22 +31,29 @@ buffered iterator: at (64, 16), tanh into the view takes 1.50 us against
 into a one-unit layer: that (1, k) by (k, 1) product is a BLAS dot, which
 sums in another order when an operand is strided, so W is copied first.
 
-Each call writes into a buffer passed as its output, and every operand is
-an array: the margin, 0, 1, the batch length and the learning rate are 0-d
-arrays, since a Python scalar costs about 0.15 us more per call. A pair's
-dLoss/dd is picked from two per-run constants with np.putmask, and a
-coincident pair's zero subgradient is 0 divided by 1, so no call allocates
-an array. Each step's views into the buffers are made once, when the tape
-is built, and each batch's rows are a fixed view into one row buffer that
-every epoch refills with a single `take`. After the tape, an epoch
-makes one divergence check.
+Each call writes into a buffer passed as its output, so no call allocates
+an array, and every operand is an array: the margin, 0, 1, the smallest
+subnormal, the batch length and the learning rate are 0-d arrays, since a
+Python scalar costs about 0.15 us more per call. The loss head takes
+dLoss/dd / d from float ufuncs, one choice per run of pairs with equal
+flags, fixed when the tape is built. With pos = heaviside(d, 0) and
+safe = fmax(d, smallest subnormal), a similar run takes pos / safe and a
+dissimilar run (heaviside(d - margin, 1) - pos) / safe: 1/d and -1/d inside
+the margin, and +0 for a coincident pair (d == 0), at or beyond the margin
+and at d = inf. Those are the bits, signs of zeros included, of picking 1,
+-1 or 0 and dividing a coincident pair's 0 by 1; a pair at d = nan gets nan
+where that gave 0 times its difference, and either way the step writes nan
+into the parameters. Each step's views into the buffers are made once,
+when the tape is built, and each batch's rows are a fixed view into one
+row buffer that every epoch refills with a single `take`. After the tape,
+an epoch makes one divergence check.
 
 A twin epoch draws its pairs with a few vectorised draws over class-sorted
 index arrays, and lays the row buffer out so that each batch is a contiguous
 [X1; X2] block: both twins run through one stacked pass, and the shared
 weights' gradient sums the two twins inside one matmul. The sampler puts the
-similar pairs first, so each pair's dLoss/dd inside and beyond the margin
-are constants fixed once per run. A consequence for training quality: the
+similar pairs first, so a batch holds at most two runs of like pairs. A
+consequence for training quality: the
 batches of an epoch are homogeneous. With 1024 pairs in batches of 32, an
 epoch runs 16 all-similar steps, then 16 all-dissimilar ones; the default
 256 pairs run 4 of each. Mixing them would change every trained model.
@@ -153,8 +160,7 @@ def forward_batch(params, X):
 # the functions a tape calls, each passed its output positionally
 _dot, _subtract, _multiply, _divide = np.dot, np.subtract, np.multiply, np.divide
 _tanh, _sqrt, _exp, _negative = np.tanh, np.sqrt, np.exp, np.negative
-_less, _greater, _logical_not = np.less, np.greater, np.logical_not
-_copyto, _putmask = np.copyto, np.putmask
+_fmax, _heaviside, _copyto = np.fmax, np.heaviside, np.copyto
 _sum, _max = np.add.reduce, np.maximum.reduce
 
 
@@ -227,39 +233,42 @@ class _Workspace:
         buffer its pair distances land in. A batch's input is
         rows[2 start : 2 end], laid out [X1; X2] so that both twins run
         through one stacked pass, each row ending in a 1; same[start:end]
-        flags its similar pairs."""
-        # dLoss/dd inside the margin and beyond it: 1 and 1 for a similar
-        # pair, -1 and 0 for a dissimilar one
-        c_in, c_out = np.where(same, 1.0, -1.0), np.where(same, 1.0, 0.0)
+        flags its similar pairs, and each run of equal flags in it gets its
+        own dLoss/dd calls."""
         half, k = max(e - s for s, e in batches), self.layer_dims[-1]
         diff, sq = np.empty((half, k)), np.empty((half, k))
-        d, safe, scale = np.empty(half), np.empty(half), np.empty(half)
-        mask = np.empty(half, dtype=bool)
+        d, safe, pos, scale = (np.empty(half) for _ in range(4))
         margin, zero, one = np.array(float(margin)), np.zeros(()), self.one
+        tiny = np.array(np.finfo(float).smallest_subnormal)
         steps = []
         for s, e in batches:
             n = e - s
             z, delta = self.products[-1][: 2 * n], self.deltas[-1][: 2 * n]
-            dn, mn, sn, safe_n, diff_n = d[:n], mask[:n], scale[:n], safe[:n], diff[:n]
             head = [
-                (_subtract, (z[:n], z[n:], diff_n)),
-                (_multiply, (diff_n, diff_n, sq[:n])),
-                (_sum, (sq[:n], 1, None, dn)),
-                (_sqrt, (dn, dn)),
-                # dLoss/dd: c_in inside the margin, c_out beyond it
-                (_less, (dn, margin, mn)),
-                (_copyto, (sn, c_out[s:e])),
-                (_putmask, (sn, mn, c_in[s:e])),
-                # a coincident pair (d == 0, or nan) gets the zero
-                # subgradient: its dLoss/dd is zeroed and divided by 1
-                (_greater, (dn, zero, mn)),
-                (_logical_not, (mn, mn)),
-                (_putmask, (sn, mn, zero)),
-                (_copyto, (safe_n, dn)),
-                (_putmask, (safe_n, mn, one)),
-                (_divide, (sn, safe_n, sn)),
-                (_divide, (sn, np.array(float(n)), sn)),
-                (_multiply, (scale[:n, None], diff_n, delta[:n])),
+                (_subtract, (z[:n], z[n:], diff[:n])),
+                (_multiply, (diff[:n], diff[:n], sq[:n])),
+                (_sum, (sq[:n], 1, None, d[:n])),
+                (_sqrt, (d[:n], d[:n])),
+                # safe: d, or the smallest subnormal at d == 0; pos: 1 at d > 0, 0 at d == 0
+                (_fmax, (d[:n], tiny, safe[:n])),
+                (_heaviside, (d[:n], zero, pos[:n])),
+            ]
+            flags = same[s:e]
+            cuts = [0, *(np.flatnonzero(flags[1:] != flags[:-1]) + 1), n]
+            for a, b in zip(cuts, cuts[1:]):
+                pos_r, safe_r, scale_r = pos[a:b], safe[a:b], scale[a:b]
+                if flags[a]:  # dLoss/dd / d: 1 / d, or +0 at d == 0
+                    head.append((_divide, (pos_r, safe_r, scale_r)))
+                else:  # -1 / d inside the margin, +0 at d == 0 or d >= margin
+                    head += [
+                        (_subtract, (d[a:b], margin, scale_r)),
+                        (_heaviside, (scale_r, one, scale_r)),
+                        (_subtract, (scale_r, pos_r, scale_r)),
+                        (_divide, (scale_r, safe_r, scale_r)),
+                    ]
+            head += [
+                (_divide, (scale[:n], np.array(float(n)), scale[:n])),
+                (_multiply, (scale[:n, None], diff[:n], delta[:n])),
                 (_negative, (delta[:n], delta[n:])),
             ]
             steps.append(self._step(rows[2 * s : 2 * e], head))
@@ -336,6 +345,8 @@ def contrastive_gradient(params, X1, X2, same, margin):
         raise ValueError("need one or more pairs, each with one same-class flag")
     if margin <= 0:
         raise ValueError("margin must be positive")
+    if not np.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin}")
     ws = _Workspace(params, 2 * n)
     (step,), d = ws.twin_steps(_with_ones(np.concatenate([X1, X2])), same, [(0, n)], margin)
     _run(step)

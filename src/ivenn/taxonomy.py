@@ -270,6 +270,9 @@ class Taxonomy:
                 f"{kind.value} requires one centroid per class as a "
                 f"({cfg.class_count}, dim) array, got {got}"
             )
+        elif kind in DISTANCE_KINDS and not np.isfinite(cs).all():
+            j = int(np.argmin(np.isfinite(cs).all(axis=1)))
+            raise ValueError(f"{kind.value} centroid of class {j} is not finite (nan or inf)")
         elif kind is TaxonomyKind.NC_V2 and cfg.theta is None:
             raise ValueError("theta is unresolved; fit the taxonomy or set it explicitly")
 

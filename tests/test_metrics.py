@@ -90,6 +90,15 @@ class TestCumulative:
         with pytest.raises(ValueError, match=r"^1 labels for 3 examples$"):
             EvalBatch(np.array([0, 1, 1]), rows, [0])
 
+    def test_categories_checked_when_made(self):
+        # a negative category once wrapped to a row from the end: category -1
+        # with label 0 was scored as category 1 (nll_sum 2.3026) with no error
+        rows = category_rows([[3, 1], [0, 4]])
+        with pytest.raises(ValueError, match=r"^category: row 0: category -1 outside \[0, 2\)$"):
+            EvalBatch(np.array([-1]), rows, [0])
+        with pytest.raises(ValueError, match=r"^category: row 1: category 2 outside \[0, 2\)$"):
+            EvalBatch(np.array([0, 2, 1]), rows, [0, 1, 1])
+
     def test_interval_shapes_checked(self):
         message = r"^lower and upper must be \(m, c\), with one label per row$"
         for lower, upper, labels in [

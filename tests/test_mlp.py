@@ -268,6 +268,69 @@ class TestStackedTwinPass:
             assert np.abs(got - ref).max() <= 1e-12 * scale
 
 
+def reference_output_delta(diff, same, margin):
+    """The output delta [g; -g] of two_pass_reference and reference_siamese,
+    from the embedding differences of a batch of pairs."""
+    d = np.linalg.norm(diff, axis=1)
+    coef = np.where(same, 1.0, np.where(d < margin, -1.0, 0.0))
+    coef = np.where(d > 0.0, coef, 0.0)
+    g = (coef / np.where(d > 0.0, d, 1.0) / len(diff))[:, None] * diff
+    return np.concatenate([g, -g])
+
+
+# pairs of 2-D embeddings, their flags, and whether dLoss/dd is 0; the
+# first is placed at the margin
+BOUNDARY_PAIRS = [
+    ((1.25, -0.5), (1.55, -0.1), False, True),  # d == margin counts as beyond it
+    ((0.7, 2.0), (0.7, 2.0), True, True),  # coincident similar
+    ((-1.5, 0.25), (-1.5, 0.25), False, True),  # coincident dissimilar
+    ((2e-170, 3e-170), (1e-170, 2e-170), False, True),  # d underflows to 0, diff does not
+    ((2e-170, 3e-170), (1e-170, 2e-170), True, True),
+    ((0.5, 0.5), (3.5, 0.5), False, True),  # beyond the margin
+    ((0.5, 0.5), (0.6, 0.4), False, False),  # inside it
+    ((-0.5, 1.5), (0.25, 1.0), True, False),
+    ((1e200, 1e200), (-1e200, -1e200), True, True),  # d overflows to inf
+    ((1e200, 1e200), (-1e200, -1e200), False, True),
+    ((0.3, -0.2), (0.1, 0.0), False, False),
+    ((0.3, -0.2), (0.1, 0.0), True, False),
+]
+
+
+class TestHeadBoundaries:
+    # a linear network whose inputs are unit vectors, one per row: row r's
+    # embedding is column r of W, and column r of the weight gradient is row
+    # r's output delta, so the head is read through contrastive_gradient
+    @pytest.mark.parametrize("order", ["listed", "reversed", "shuffled"])
+    def test_matches_reference_formula_bit_for_bit(self, order):
+        pairs = list(BOUNDARY_PAIRS)
+        if order == "reversed":
+            pairs.reverse()
+        elif order == "shuffled":
+            pairs = [pairs[i] for i in np.random.default_rng(29).permutation(len(pairs))]
+        z1, z2, same, zero = (np.array(col) for col in zip(*pairs))
+        n = len(pairs)
+        assert np.count_nonzero(same[1:] != same[:-1]) + 1 >= 5  # runs of equal flags
+        params = MlpParams([2 * n, 2], [np.concatenate([z1, z2]).T], [np.zeros(2)], EMBEDDING)
+        X1, X2 = np.eye(2 * n)[:n], np.eye(2 * n)[n:]
+        with np.errstate(over="ignore", under="ignore"):
+            margin = np.linalg.norm(z1 - z2, axis=1)[pairs.index(BOUNDARY_PAIRS[0])]
+            loss, gw, _ = contrastive_gradient(params, X1, X2, same, margin)
+            ref_loss, ref_gw, _ = two_pass_reference(params, X1, X2, same, margin)
+            delta = reference_output_delta(z1 - z2, same, margin)
+            # the head's own output delta, signs of zeros included
+            ws = _Workspace(params, 2 * n)
+            (step,), _ = ws.twin_steps(with_ones(np.eye(2 * n)), same, [(0, n)], margin)
+            for f, args in step:
+                f(*args)
+        assert ws.deltas[-1].tobytes() == delta.tobytes()
+        assert loss == ref_loss
+        # a gradient column sums one delta with zeros of either sign, so
+        # adding 0.0 makes each -0 a +0 before the bits are compared
+        assert (gw[0] + 0.0).tobytes() == (ref_gw[0] + 0.0).tobytes()
+        assert (gw[0].T + 0.0).tobytes() == (delta + 0.0).tobytes()
+        assert not delta[np.r_[zero, zero]].any() and delta[~np.r_[zero, zero]].all()
+
+
 @st.composite
 def label_arrays(draw):
     # 2-6 classes with arbitrary non-contiguous ids, singletons allowed, at
@@ -820,6 +883,18 @@ class TestTapeAllocatesNothingPerStep:
         assert tape_peak(ws, tape) <= TAPE_PEAK_BYTES
 
 
+class TestTapeCallBudget:
+    # a clock-free guard on the loss head: one step at train-d2's shape, its
+    # SGD update included, makes 22 calls when similar and 25 when dissimilar
+    def test_train_d2_step(self):
+        ws = _Workspace(init_params([8, 16, 2], EMBEDDING, 0), 64)
+        rows = with_ones(np.zeros((128, 8)))
+        same = _PairSampler.layout(32, 32)
+        steps, _ = ws.twin_steps(rows, same, [(0, 32), (32, 64)], 1.0)
+        similar, dissimilar = (len(ws.epoch_tape([step], 0.05)) for step in steps)
+        assert similar <= 22 and dissimilar <= 26
+
+
 class TestOnesColumnsStayOne:
     # the ones columns that fold each bias into its layer's product: no tanh,
     # take or copy may write over them, in the row buffer or a hidden buffer
@@ -905,6 +980,10 @@ TWO_CLASSES = np.array([0, 0, 1, 1])
         (lambda: contrastive_gradient(init_params([2, 3]), np.zeros((2, 2)), np.zeros((2, 2)),
                                       [True], 1.0),
          r"^need one or more pairs, each with one same-class flag$"),
+        # an infinite margin puts d - margin at nan for a pair at d = inf
+        (lambda: contrastive_gradient(init_params([2, 3]), np.zeros((1, 2)), np.zeros((1, 2)),
+                                      [False], np.inf),
+         r"^margin must be finite, got inf$"),
         (lambda: train_siamese(np.zeros((4, 3)), TWO_CLASSES, [2, 3], TrainConfig(epochs=0)),
          r"^features must be \(n, 2\)$"),
         (lambda: train_classifier(np.zeros((4, 3)), TWO_CLASSES, [2, 2], TrainConfig(epochs=0)),
@@ -913,7 +992,8 @@ TWO_CLASSES = np.array([0, 0, 1, 1])
          r"^need at least 2 classes to train a classifier$"),
     ],
     ids=["margin", "learning_rate", "epochs", "batch_size", "pairs_per_epoch", "mode",
-         "pair width", "pair count", "siamese features", "classifier features", "classifier one class"],
+         "pair width", "pair count", "pair margin", "siamese features", "classifier features",
+         "classifier one class"],
 )
 def test_bad_argument_is_named(call, message):
     with pytest.raises(ValueError, match=message):

@@ -165,13 +165,20 @@ R4 = np.array([[0.0], [4.0], [10.0], [20.0]])
          r"^nc_v1 requires one centroid per class as a \(2, dim\) array, got shape \(2,\)$"),
         (lambda: Taxonomy(cfg_for(TaxonomyKind.NC_V2, c=2, theta=1.0)),
          r"^nc_v2 requires one centroid per class as a \(2, dim\) array, got none$"),
+        # a nan centroid once reached assignment, which blamed the finite
+        # query: "query row 0 is not finite"
+        (lambda: Taxonomy(cfg_for(TaxonomyKind.NC_V1, c=2), centroids=np.array([[np.nan], [1.0]])),
+         r"^nc_v1 centroid of class 0 is not finite \(nan or inf\)$"),
+        (lambda: Taxonomy(cfg_for(TaxonomyKind.NC_V2, c=2, theta=1.0),
+                          centroids=np.array([[0.0, 1.0], [2.0, -np.inf]])),
+         r"^nc_v2 centroid of class 1 is not finite \(nan or inf\)$"),
         # once an AttributeError on the missing index's points
         (lambda: Taxonomy(cfg_for(TaxonomyKind.KNN_V2, c=2, k=1)), r"^knn_v2 requires a k-NN index$"),
         # a string kind no rule knows
         (lambda: Taxonomy(cfg_for("knn_v9", c=2)), r"'knn_v9' is not a valid TaxonomyKind"),
     ],
     ids=["theta nan", "theta negative", "index label outside", "centroid count", "centroids 1-D",
-         "no centroids", "no index", "unknown kind"],
+         "no centroids", "nan centroid", "inf centroid", "no index", "unknown kind"],
 )
 def test_directly_built_taxonomy_is_checked(call, message):
     # each once assigned, or failed in assignment, with no check at all
