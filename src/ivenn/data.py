@@ -63,6 +63,22 @@ def int64_values(values, name):
     return values.astype(np.int64, copy=False)
 
 
+def float_rows(X, dim, what):
+    """X as a float (m, dim) array. ValueError names `what` and both shapes."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"{what} have shape {X.shape}, expected (m, {dim})")
+    return X
+
+
+def check_finite_rows(X, what):
+    """Raise naming `what` and the first row of the 2-D X that holds a nan
+    or inf; only an array that is not all finite is searched row by row."""
+    if not np.isfinite(X).all():
+        row = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ValueError(f"{what} row {row} is not finite (nan or inf)")
+
+
 def check_finite(cfg, name):
     """Raise naming field `name` of the config `cfg` if it is set but not
     finite: nan fails every comparison, so a range check lets it through."""
@@ -91,6 +107,9 @@ class Dataset:
             raise ValueError("features must be a 2-D array")
         if self.features.shape[0] != n or self.labels.shape[0] != n:
             raise ValueError("ids, features and labels must have equal length")
+        if not np.isfinite(self.features).all():
+            row = int(np.argmin(np.isfinite(self.features).all(axis=1)))
+            raise ValueError(f"features of example id {self.ids[row]} are not finite (nan or inf)")
         if self.softmaxes is not None:
             if self.softmaxes.shape != (n, self.class_count):
                 raise ValueError(

@@ -66,7 +66,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import check_finite, class_labels, int64_values, open_artifact
+from ivenn.data import (
+    check_finite,
+    check_finite_rows,
+    class_labels,
+    float_rows,
+    int64_values,
+    open_artifact,
+)
 
 EMBEDDING = "embedding"
 CLASSIFIER = "classifier"
@@ -151,10 +158,7 @@ def _forward(params, X):
 
 def forward_batch(params, X):
     """Apply the network to a (n, input_dim) batch; returns (n, layer_dims[-1])."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != params.input_dim:
-        raise ValueError(f"input has shape {X.shape}, network expects (n, {params.input_dim})")
-    return _forward(params, X)[-1]
+    return _forward(params, float_rows(X, params.input_dim, "inputs"))[-1]
 
 
 # the functions a tape calls, each passed its output positionally
@@ -336,12 +340,11 @@ def contrastive_gradient(params, X1, X2, same, margin):
     gradients shaped as params.weights and params.biases."""
     if params.mode != EMBEDDING:
         raise ValueError("contrastive gradients require an embedding-mode network")
-    X1, X2 = np.asarray(X1, dtype=float), np.asarray(X2, dtype=float)
+    X1 = float_rows(X1, params.input_dim, "pair inputs X1")
+    X2 = float_rows(X2, params.input_dim, "pair inputs X2")
     same = np.asarray(same, dtype=bool)
-    if X1.shape[1:] != (params.input_dim,) or X2.shape[1:] != (params.input_dim,):
-        raise ValueError("pair inputs must match the network input dimension")
     n = len(same)
-    if not len(X1) == len(X2) == n > 0:
+    if same.ndim != 1 or not len(X1) == len(X2) == n > 0:
         raise ValueError("need one or more pairs, each with one same-class flag")
     if margin <= 0:
         raise ValueError("margin must be positive")
@@ -399,10 +402,9 @@ class _PairSampler:
 def train_siamese(features, labels, layer_dims, config):
     """Train an embedding network so same-class inputs map close together and
     different-class inputs at least the margin apart."""
-    X = np.asarray(features, dtype=float)
+    X = float_rows(features, layer_dims[0], "features")
+    check_finite_rows(X, "features")
     y = int64_values(labels, "label")
-    if X.ndim != 2 or X.shape[1] != layer_dims[0]:
-        raise ValueError(f"features must be (n, {layer_dims[0]})")
     if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 classes to form dissimilar pairs")
     sampler = _PairSampler(y)
@@ -435,10 +437,9 @@ def train_siamese(features, labels, layer_dims, config):
 def train_classifier(features, labels, layer_dims, config):
     """Train a softmax classifier with cross-entropy; layer_dims[-1] is the
     class count."""
-    X = np.asarray(features, dtype=float)
+    X = float_rows(features, layer_dims[0], "features")
+    check_finite_rows(X, "features")
     y = class_labels(labels, layer_dims[-1])
-    if X.ndim != 2 or X.shape[1] != layer_dims[0]:
-        raise ValueError(f"features must be (n, {layer_dims[0]})")
     if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 classes to train a classifier")
 

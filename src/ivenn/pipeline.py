@@ -102,11 +102,11 @@ def _stage(name, timings=None):
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Flat bag of every knob one run needs. The field annotations are its
-    only schema: parse_config and the CLI flags take each key's type there.
-    A field that a stage's config also has takes that config's default."""
+    """Every knob one run needs, frozen and checked when made. The field
+    annotations are its only schema: parse_config and the CLI flags take each
+    key's type there. A field a stage's config also has takes its default."""
 
     data_csv: str | None = None
     out_dir: str = "."
@@ -132,7 +132,7 @@ class RunConfig:
     calibration_fraction: float = SplitSpec.calibration_fraction
     bins: int = 10
 
-    def validate(self):
+    def __post_init__(self):
         if self.embedding not in (SIAMESE, IDENTITY):
             raise ValueError(
                 f"embedding must be siamese or identity, got {self.embedding!r}"
@@ -156,12 +156,10 @@ class RunConfig:
 
 
 def parse_config(text, **flags):
-    """Build a RunConfig from `key = value` lines (taxonomy.read_fields, `none` only
-    for an optional key) and the typed `flags` over them, then validate it once."""
+    """The RunConfig of `key = value` lines (taxonomy.read_fields, `none` only
+    for an optional key) and the typed `flags` over them, checked when made."""
     given = read_fields(RunConfig, enumerate(text.splitlines(), 1), "config line ")
-    cfg = RunConfig(**given | flags)
-    cfg.validate()
-    return cfg
+    return RunConfig(**given | flags)
 
 
 @dataclass
@@ -178,7 +176,6 @@ class PipelineResult:
 def run_pipeline(cfg, dataset=None, stop_after="report"):
     """Run the stages up to `stop_after` ("train", "calibrate", "predict" or
     "report") and write the artifacts produced so far."""
-    cfg.validate()
     if stop_after not in STAGES:
         raise ValueError(f"stop_after must be one of {STAGES}, got {stop_after!r}")
     depth = STAGES.index(stop_after)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import class_labels, int64_values
+from ivenn.data import check_finite_rows, class_labels, float_rows, int64_values
 
 
 def build_centroids(points, labels, class_count):
@@ -50,10 +50,7 @@ def nearest_centroid_many(centroids, Q):
     """(classes (m,), distances (m,)) of the row of the (class_count, dim)
     centroids nearest each row of Q, ties to the lowest class. ValueError
     names a non-finite or huge row."""
-    Q = np.asarray(Q, dtype=float)
-    dim = np.shape(centroids)[1]
-    if Q.ndim != 2 or Q.shape[1] != dim:
-        raise ValueError(f"queries have shape {Q.shape}, expected (m, {dim})")
+    Q = float_rows(Q, np.shape(centroids)[1], "queries")
     with np.errstate(over="ignore"):  # reported as ValueError just below
         dist = np.stack([np.linalg.norm(Q - c, axis=1) for c in centroids], axis=1)
     _check_rows(dist.max(axis=1), "query")
@@ -216,9 +213,7 @@ def knn_many(index, Q, k):
     (row, distance, column). ValueError for k outside [1, n] or naming a
     non-finite or huge row."""
     n, dim = index.points.shape
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[1] != dim:
-        raise ValueError(f"queries have shape {Q.shape}, expected (m, {dim})")
+    Q = float_rows(Q, dim, "queries")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
     plan = _tile_plan(n, *index.tile_ids.shape, dim, k)
@@ -313,7 +308,8 @@ def silhouette(points, labels):
     class. Points in singleton classes contribute 0.
     """
     points = np.asarray(points, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = int64_values(labels, "label")
+    check_finite_rows(points, "point")
     n = len(points)
     classes, own = np.unique(labels, return_inverse=True)
     if n < 2 or len(classes) < 2:

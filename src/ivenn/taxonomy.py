@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from ivenn.data import check_finite, check_score_rows, class_labels
+from ivenn.data import check_finite, check_finite_rows, check_score_rows, class_labels, float_rows
 from ivenn.space import (
     KnnIndex,
     build_centroids,
@@ -203,10 +203,7 @@ def _batch_of_one(v, what):
 
 
 def _baseline_categories(S, cfg):
-    S = np.asarray(S, dtype=float)
-    c = cfg.class_count
-    if S.ndim != 2 or S.shape[1] != c:
-        raise ValueError(f"softmax rows have shape {S.shape}, expected (m, {c})")
+    S = float_rows(S, cfg.class_count, "softmax rows")
     check_score_rows(S)
     top_class = S.argmax(axis=1)
     if cfg.kind is TaxonomyKind.BASE_V1:
@@ -231,10 +228,11 @@ def resolve_theta(centroids, points, labels):
     Degenerate data (every point on its centroid) falls back to half the
     smallest positive inter-centroid distance.
     """
-    points = np.asarray(points, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    points = float_rows(points, np.shape(centroids)[1], "points")
+    labels = class_labels(labels, len(centroids))
     if len(points) == 0:
         raise ValueError("cannot resolve theta from an empty training set")
+    check_finite_rows(points, "point")
     own = np.linalg.norm(points - centroids[labels], axis=1)
     theta = float(np.median(own))
     if theta > 0:

@@ -774,8 +774,10 @@ def test_bad_header_is_named(tmp_path, text, class_count, message):
         (lambda: Dataset(np.arange(2), np.zeros((2, 1)), np.zeros(2, int), 0),
          "class_count must be positive"),
         (lambda: synth_gaussians(2, 2, 5, -1.0, seed=0), "separation must be nonnegative"),
+        (lambda: Dataset(np.array([7, 8]), np.array([[0.0], [np.inf]]), np.zeros(2, int), 2),
+         r"features of example id 8 are not finite \(nan or inf\)"),
     ],
-    ids=["class_count 0", "negative separation"],
+    ids=["class_count 0", "negative separation", "non-finite feature"],
 )
 def test_bad_argument_is_named(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -170,7 +170,7 @@ class TestContrastiveLoss:
 
     def test_errors(self):
         identity = MlpParams([1, 1], [np.eye(1)], [np.zeros(1)], EMBEDDING)
-        with pytest.raises(ValueError, match="match the network input dimension"):
+        with pytest.raises(ValueError, match="X2 have shape"):
             contrastive_gradient(identity, [(1.0,)], [(1.0, 2.0)], [True], 1.0)
         with pytest.raises(ValueError, match="margin"):
             pair_loss((1.0,), (2.0,), True, 0.0)
@@ -961,22 +961,23 @@ def test_bench_shapes_agree_across_blas_thread_counts():
 
 
 TWO_CLASSES = np.array([0, 0, 1, 1])
+NAN_ROW_2 = np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 0.0], [2.0, 2.0]])
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: TrainConfig(margin=0.0).validate(), r"^margin must be positive$"),
-        (lambda: TrainConfig(learning_rate=0.0).validate(), r"^learning_rate must be positive$"),
-        (lambda: TrainConfig(epochs=-1).validate(), r"^epochs must be nonnegative$"),
-        (lambda: TrainConfig(batch_size=0).validate(),
+        (lambda: TrainConfig(margin=0.0), r"^margin must be positive$"),
+        (lambda: TrainConfig(learning_rate=0.0), r"^learning_rate must be positive$"),
+        (lambda: TrainConfig(epochs=-1), r"^epochs must be nonnegative$"),
+        (lambda: TrainConfig(batch_size=0),
          r"^batch_size and pairs_per_epoch must be positive$"),
-        (lambda: TrainConfig(pairs_per_epoch=0).validate(),
+        (lambda: TrainConfig(pairs_per_epoch=0),
          r"^batch_size and pairs_per_epoch must be positive$"),
         (lambda: init_params([2, 3], mode="ranker"), r"^unknown mode 'ranker'$"),
         (lambda: contrastive_gradient(init_params([2, 3]), np.zeros((1, 2)), np.zeros((1, 3)),
                                       [True], 1.0),
-         r"^pair inputs must match the network input dimension$"),
+         r"^pair inputs X2 have shape \(1, 3\), expected \(m, 2\)$"),
         (lambda: contrastive_gradient(init_params([2, 3]), np.zeros((2, 2)), np.zeros((2, 2)),
                                       [True], 1.0),
          r"^need one or more pairs, each with one same-class flag$"),
@@ -985,15 +986,24 @@ TWO_CLASSES = np.array([0, 0, 1, 1])
                                       [False], np.inf),
          r"^margin must be finite, got inf$"),
         (lambda: train_siamese(np.zeros((4, 3)), TWO_CLASSES, [2, 3], TrainConfig(epochs=0)),
-         r"^features must be \(n, 2\)$"),
+         r"^features have shape \(4, 3\), expected \(m, 2\)$"),
         (lambda: train_classifier(np.zeros((4, 3)), TWO_CLASSES, [2, 2], TrainConfig(epochs=0)),
-         r"^features must be \(n, 2\)$"),
+         r"^features have shape \(4, 3\), expected \(m, 2\)$"),
         (lambda: train_classifier(np.zeros((4, 2)), np.zeros(4, int), [2, 2], TrainConfig(epochs=0)),
          r"^need at least 2 classes to train a classifier$"),
+        # a (2, 1) flag column would broadcast against the (2,) distances
+        (lambda: contrastive_gradient(init_params([2, 3]), np.zeros((2, 2)), np.ones((2, 2)),
+                                      [[True], [False]], 1.0),
+         r"^need one or more pairs, each with one same-class flag$"),
+        (lambda: train_siamese(NAN_ROW_2, TWO_CLASSES, [2, 3], TrainConfig(epochs=0)),
+         r"^features row 2 is not finite \(nan or inf\)$"),
+        (lambda: train_classifier(NAN_ROW_2, TWO_CLASSES, [2, 2], TrainConfig(epochs=0)),
+         r"^features row 2 is not finite \(nan or inf\)$"),
     ],
     ids=["margin", "learning_rate", "epochs", "batch_size", "pairs_per_epoch", "mode",
          "pair width", "pair count", "pair margin", "siamese features", "classifier features",
-         "classifier one class"],
+         "classifier one class", "pair flag column", "siamese non-finite row",
+         "classifier non-finite row"],
 )
 def test_bad_argument_is_named(call, message):
     with pytest.raises(ValueError, match=message):

@@ -3,6 +3,8 @@
 import argparse
 import ast
 import importlib.util
+import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from ivenn import cli, ivp
-from ivenn.data import Dataset, SplitSpec, load_csv, split, synth_gaussians
+from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
 from ivenn.ivp import predict, predict_many
 from ivenn.metrics import EvalBatch, build_report, curves_csv, report_text
 from ivenn.mlp import CLASSIFIER, EMBEDDING, MlpParams, TrainConfig, init_params, save_params
@@ -217,9 +219,9 @@ class TestRunPipeline:
         # front, as a plain ValueError, before any stage runs or writes
         ds = synth_gaussians(2, 2, 50, 4.0, seed=3)
         out = tmp_path / "out"
-        cfg = RunConfig(out_dir=str(out), taxonomy="knn_v1", embedding="identity",
-                        **{field: value})
         with pytest.raises(ValueError, match=f"^{field} must"):
+            cfg = RunConfig(out_dir=str(out), taxonomy="knn_v1", embedding="identity",
+                            **{field: value})
             run_pipeline(cfg, dataset=ds)
         assert not out.exists()
 
@@ -237,8 +239,8 @@ class TestRunPipeline:
     def test_bad_network_size_fails_before_load(self, tmp_path, given):
         ds = synth_gaussians(2, 2, 50, 4.0, seed=3)
         out = tmp_path / "out"
-        cfg = RunConfig(**{"out_dir": str(out), "taxonomy": "nc_v1", **given})
         with pytest.raises(ValueError, match="^layer_dims needs at least two positive"):
+            cfg = RunConfig(**{"out_dir": str(out), "taxonomy": "nc_v1", **given})
             run_pipeline(cfg, dataset=ds)
         assert not out.exists()
 
@@ -580,17 +582,22 @@ class TestPredictionsFile:
         assert all(v >= 0 for v in timing.values())
 
     def test_non_finite_scores_name_stage_and_row(self, tmp_path):
-        ds = synth_gaussians(3, 3, 100, 4.0, seed=4)
+        # a Dataset refuses non-finite features, so the scores overflow
+        # instead: huge features aligned with a class's weights push its
+        # logit past the largest float
+        ds = synth_gaussians(3, 8, 100, 4.0, seed=4)
         cfg = RunConfig(
             out_dir=str(tmp_path), taxonomy="base_v2", embedding="identity",
-            softmax_source="train", hidden_dims=(6,), epochs=5, seed=3,
+            softmax_source="train", hidden_dims=(), epochs=5, seed=3,
         )
+        W = run_pipeline(cfg, dataset=ds, stop_after="train").params.weights[0]
         _, cal, test = split(ds, SplitSpec(seed=cfg.seed))
         for ids, stage, row in ((cal.ids, "calibrate", 3), (test.ids, "predict", 5)):
             features = ds.features.copy()
-            features[ids[row], 1] = np.nan  # ids are row numbers here
+            # ids are row numbers here; proper training, and so W, is unchanged
+            features[ids[row]] = np.sign(W[np.abs(W).sum(axis=1).argmax()]) * 1e308
             bad = Dataset(ds.ids, features, ds.labels, ds.class_count)
-            with pytest.raises(
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 PipelineError, match=f"stage '{stage}': softmax row {row} must be finite"
             ):
                 run_pipeline(cfg, dataset=bad)
@@ -1019,20 +1026,52 @@ class TestConfigSchema:
         assert getattr(from_file, name) != getattr(RunConfig(), name) or text == "none"
 
 
-def test_traced_names_resolve():
-    # the benchmark's tracer fetches each name with getattr and each method
-    # from its class's own namespace; a missing one breaks the traced run
+def _benchmark_tracing():
     spec = importlib.util.spec_from_file_location(
         "tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer fetches each name with getattr and each method
+    # from its class's own namespace; a missing one breaks the traced run
+    tracing = _benchmark_tracing()
     for module, names in tracing.TRACED:
         for name in names:
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
     for cls, _, names in tracing.TRACED_METHODS:
         for name in names:
             assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"
+
+
+def test_traced_run_fires_every_counter(tmp_path):
+    # the benchmark's traced pass in small: a twin run read from a CSV and
+    # one prediction served through this module's `predict`; every counter
+    # must fire, and every rebound name must be restored on exit
+    tracing = _benchmark_tracing()
+    module = sys.modules[__name__]
+    namespaces = (*tracing.CALLERS, module)
+    before = [dict(vars(ns)) for ns in namespaces]
+    methods = [(cls, name, vars(cls)[name]) for cls, _, names in tracing.TRACED_METHODS
+               for name in names]
+    save_csv(synth_gaussians(3, 4, 60, 4.0, seed=1), tmp_path / "d.csv")
+    cfg = RunConfig(data_csv=str(tmp_path / "d.csv"), out_dir=str(tmp_path / "out"),
+                    taxonomy="knn_v1", hidden_dims=(6,), embedding_dim=2, epochs=3,
+                    pairs_per_epoch=64)
+    tracer = tracing.Tracer(time.perf_counter)
+    with tracing.installed(tracer, module):
+        result = run_pipeline(cfg)
+        predict(result.table, result.taxonomy, embedding=result.taxonomy.index.points[0])
+    assert set(tracer.counts) == {f"{span}.{c}" for span, (c, _) in tracing.COUNTERS.items()}
+    assert tracer.counts["mlp.train_siamese.pairs"] == 3 * 64  # the config, argument 4
+    assert tracer.counts["data.load_csv.rows"] == 180
+    for ns, saved in zip(namespaces, before):
+        assert [k for k, v in saved.items() if vars(ns).get(k) is not v] == [], ns.__name__
+    for cls, name, fn in methods:
+        assert vars(cls)[name] is fn, f"{cls.__name__}.{name}"
 
 
 def test_benchmark_imports_resolve():
@@ -1127,9 +1166,31 @@ def test_baseline_run_trains_no_twin_network(tmp_path):
     ids=["embedding", "softmax_source", "stop_after", "class_count"],
 )
 def test_bad_run_is_named(tmp_path, given, stop_after, error, message):
-    cfg = RunConfig(out_dir=str(tmp_path), taxonomy="nc_v1", **given)
     with pytest.raises(error, match=message):
+        cfg = RunConfig(out_dir=str(tmp_path), taxonomy="nc_v1", **given)
         run_pipeline(cfg, dataset=hand_dataset(), stop_after=stop_after)
+
+
+@pytest.mark.parametrize(
+    "given",
+    [dict(taxonomy="knn_v1"), dict(taxonomy="knn_v1", embedding="identity"),
+     dict(taxonomy="nc_v2", embedding="identity")],
+    ids=["twin knn_v1", "identity knn_v1", "identity nc_v2"],
+)
+def test_non_finite_feature_names_its_example(tmp_path, given):
+    # a Dataset refuses it when made; one written into an accepted Dataset's
+    # features is refused where split makes the parts, not blamed on
+    # training, a proper-training row or a centroid
+    ds = synth_gaussians(3, 4, 60, 4.0, seed=1)
+    features = ds.features.copy()
+    features[117, 2] = np.nan
+    with pytest.raises(ValueError, match=r"^features of example id 1117 are not finite"):
+        Dataset(ds.ids + 1000, features, ds.labels, ds.class_count)
+    ds = Dataset(ds.ids + 1000, ds.features.copy(), ds.labels, ds.class_count)
+    ds.features[117, 2] = np.nan
+    cfg = RunConfig(out_dir=str(tmp_path), hidden_dims=(6,), embedding_dim=2, epochs=3, **given)
+    with pytest.raises(PipelineError, match=r"^stage 'split': features of example id 1117 "):
+        run_pipeline(cfg, dataset=ds)
 
 
 @pytest.mark.parametrize(

@@ -570,8 +570,17 @@ class TestAssignMany:
          r"^softmax has shape \(\), expected one vector$"),
         (lambda: resolve_theta(build_centroids(np.eye(2), [0, 1], 2), np.zeros((0, 2)), []),
          r"^cannot resolve theta from an empty training set$"),
+        (lambda: resolve_theta(build_centroids(np.eye(2), [0, 1], 2), np.zeros((2, 2)), [0, 5]),
+         r"^labels: row 1: label 5 outside \[0, 2\)$"),
+        (lambda: resolve_theta(build_centroids(np.eye(2), [0, 1], 2),
+                               np.array([[0.0, 0.0], [np.nan, 1.0]]), [0, 1]),
+         r"^point row 1 is not finite \(nan or inf\)$"),
+        # a (2, 1) batch would broadcast against the (2, 2) centroids
+        (lambda: resolve_theta(build_centroids(np.eye(2), [0, 1], 2), np.zeros((2, 1)), [0, 1]),
+         r"^points have shape \(2, 1\), expected \(m, 2\)$"),
     ],
-    ids=["embedding matrix", "softmax scalar", "theta from no points"],
+    ids=["embedding matrix", "softmax scalar", "theta from no points", "theta label",
+         "theta non-finite point", "theta point width"],
 )
 def test_bad_argument_is_named(call, message):
     with pytest.raises(ValueError, match=message):
