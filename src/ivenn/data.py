@@ -55,19 +55,39 @@ def int64_values(values, name):
         ok = values <= np.iinfo(np.int64).max
     elif values.dtype.kind == "f":
         ok = (np.trunc(values) == values) & (-(2.0**63) <= values) & (values < 2.0**63)
+    elif values.dtype.kind == "O":  # such as a Python int past int64, or None
+        in_range = np.vectorize(lambda v: type(v) is int and -(2**63) <= v < 2**63, otypes=[bool])
+        ok = in_range(values)
     else:
         ok = np.zeros(values.shape, dtype=bool)
     if not ok.all():
-        i = np.unravel_index(np.argmin(ok), ok.shape)
-        raise ValueError(f"{name} {values[i].item()!r} in row {i[0]} is not an integer")
+        # a 0-d value is row 0; an object array holds Python objects, not numpy scalars
+        i = int(np.argmin(ok))
+        value = values.reshape(-1)[i : i + 1].tolist()[0]
+        row = np.unravel_index(i, values.shape)[0] if values.ndim else 0
+        raise ValueError(f"{name} {value!r} in row {row} is not an integer")
     return values.astype(np.int64, copy=False)
 
 
+def row_labels(labels, n, class_count):
+    """The labels of n rows as a 1-D int64 array, each in [0, class_count)
+    (class_labels), or any int64 (int64_values) when class_count is None.
+    ValueError names the shape of labels that are not one per row."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"labels have shape {labels.shape}, expected ({n},)")
+    if class_count is None:
+        return int64_values(labels, "label")
+    return class_labels(labels, class_count)
+
+
 def float_rows(X, dim, what):
-    """X as a float (m, dim) array. ValueError names `what` and both shapes."""
+    """X as a float (m, dim) array, of any width when dim is None.
+    ValueError names `what` and both shapes."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != dim:
-        raise ValueError(f"{what} have shape {X.shape}, expected (m, {dim})")
+    if X.ndim != 2 or dim not in (None, X.shape[1]):
+        width = "dim" if dim is None else dim
+        raise ValueError(f"{what} have shape {X.shape}, expected (m, {width})")
     return X
 
 
@@ -96,21 +116,24 @@ class Dataset:
     softmaxes: np.ndarray | None = None  # (n, class_count) rows summing to 1
 
     def __post_init__(self):
-        if np.ndim(self.ids) != 1 or np.ndim(self.labels) != 1:
+        if np.ndim(self.ids) != 1:
             raise ValueError("ids and labels must be 1-D arrays")
         if self.class_count < 1:
             raise ValueError("class_count must be positive")
         object.__setattr__(self, "ids", int64_values(self.ids, "id"))
-        object.__setattr__(self, "labels", class_labels(self.labels, self.class_count))
         n = len(self.ids)
-        if self.features.ndim != 2:
+        object.__setattr__(self, "labels", row_labels(self.labels, n, self.class_count))
+        features = np.asarray(self.features, dtype=float)
+        object.__setattr__(self, "features", features)
+        if features.ndim != 2:
             raise ValueError("features must be a 2-D array")
-        if self.features.shape[0] != n or self.labels.shape[0] != n:
-            raise ValueError("ids, features and labels must have equal length")
-        if not np.isfinite(self.features).all():
-            row = int(np.argmin(np.isfinite(self.features).all(axis=1)))
+        if features.shape[0] != n:
+            raise ValueError("ids and features must have equal length")
+        if not np.isfinite(features).all():
+            row = int(np.argmin(np.isfinite(features).all(axis=1)))
             raise ValueError(f"features of example id {self.ids[row]} are not finite (nan or inf)")
         if self.softmaxes is not None:
+            object.__setattr__(self, "softmaxes", np.asarray(self.softmaxes, dtype=float))
             if self.softmaxes.shape != (n, self.class_count):
                 raise ValueError(
                     f"softmaxes must have shape ({n}, {self.class_count})"

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.data import class_labels, int64_values, not_utf8, open_artifact
+from ivenn.data import int64_values, not_utf8, open_artifact, row_labels
 from ivenn.taxonomy import TaxonomyConfig, category_count, format_value, read_fields
 
 _TABLE_FORMAT = "ivenn-calibration-table-v1"
@@ -147,11 +147,10 @@ def calibrate(taxonomy, labels, embeddings=None, softmaxes=None):
     The result is independent of input order.
     """
     c = taxonomy.config.class_count
-    labels = class_labels(labels, c)
     counts = np.zeros((taxonomy.category_count, c), dtype=np.int64)
-    if len(labels):
+    if np.size(labels) or embeddings is not None or softmaxes is not None:
         cats = taxonomy.assign_many(embeddings=embeddings, softmaxes=softmaxes)
-        np.add.at(counts, (cats, labels), 1)
+        np.add.at(counts, (cats, row_labels(labels, len(cats), c)), 1)
     return CalibrationTable(counts=counts, config=taxonomy.config)
 
 

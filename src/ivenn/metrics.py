@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import _write_csv, class_labels, csv_lines, index_values, open_artifact
+from ivenn.data import _write_csv, csv_lines, index_values, open_artifact, row_labels
 from ivenn.ivp import CategoryRows, IvpBatch
 
 # Floor for probabilities entering log; midpoints never reach 1 for a
@@ -84,10 +84,8 @@ class EvalBatch(IvpBatch):
     labels: np.ndarray  # (m,) true classes
 
     def __post_init__(self):
-        labels = class_labels(self.labels, self.rows.lower.shape[1])
         category = index_values(self.category, len(self.rows.lower), "category", "category")
-        if len(labels) != len(category):
-            raise ValueError(f"{len(labels)} labels for {len(category)} examples")
+        labels = row_labels(self.labels, len(category), self.rows.lower.shape[1])
         if not len(labels):
             raise ValueError("need at least one record")
         object.__setattr__(self, "labels", labels)
@@ -99,8 +97,8 @@ class EvalBatch(IvpBatch):
         predicted class maximizes the midpoint, ties to the lowest class,
         and a row of vacuous [0, 1] intervals is empty. No counts are known."""
         lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-        if lower.ndim != 2 or upper.shape != lower.shape or np.shape(labels) != lower.shape[:1]:
-            raise ValueError("lower and upper must be (m, c), with one label per row")
+        if lower.ndim != 2 or upper.shape != lower.shape:
+            raise ValueError("lower and upper must be (m, c)")
         mean = (lower + upper) / 2.0
         empty = (lower == 0.0).all(axis=1) & (upper == 1.0).all(axis=1)
         rows = CategoryRows(None, None, lower, upper, mean, np.argmax(mean, axis=1), empty)

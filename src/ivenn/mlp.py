@@ -69,10 +69,9 @@ import numpy as np
 from ivenn.data import (
     check_finite,
     check_finite_rows,
-    class_labels,
     float_rows,
-    int64_values,
     open_artifact,
+    row_labels,
 )
 
 EMBEDDING = "embedding"
@@ -388,11 +387,6 @@ class _PairSampler:
         m = self.order[np.where(u < self.start[c], u, u + self.size[c])]
         return i, k, j, m
 
-    def draw(self, rng, n_same, n_diff):
-        """The pairs as anchors, partners and same-class flags."""
-        i, k, j, m = self.pairs(rng, n_same, n_diff)
-        return np.concatenate([i, k]), np.concatenate([j, m]), self.layout(n_same, n_diff)
-
     @staticmethod
     def layout(n_same, n_diff):
         """A draw's same-class flags: its similar pairs come first."""
@@ -404,7 +398,7 @@ def train_siamese(features, labels, layer_dims, config):
     different-class inputs at least the margin apart."""
     X = float_rows(features, layer_dims[0], "features")
     check_finite_rows(X, "features")
-    y = int64_values(labels, "label")
+    y = row_labels(labels, len(X), None)
     if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 classes to form dissimilar pairs")
     sampler = _PairSampler(y)
@@ -439,7 +433,7 @@ def train_classifier(features, labels, layer_dims, config):
     class count."""
     X = float_rows(features, layer_dims[0], "features")
     check_finite_rows(X, "features")
-    y = class_labels(labels, layer_dims[-1])
+    y = row_labels(labels, len(X), layer_dims[-1])
     if len(np.unique(y)) < 2:
         raise ValueError("need at least 2 classes to train a classifier")
 

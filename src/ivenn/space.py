@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import check_finite_rows, class_labels, float_rows, int64_values
+from ivenn.data import check_finite_rows, float_rows, row_labels
 
 
 def build_centroids(points, labels, class_count):
@@ -23,10 +23,8 @@ def build_centroids(points, labels, class_count):
 
     Raises ValueError naming the class if any class has no examples.
     """
-    points = np.asarray(points, dtype=float)
-    labels = class_labels(labels, class_count)
-    if points.ndim != 2 or len(points) != len(labels):
-        raise ValueError("points must be (n, dim) with one label per row")
+    points = float_rows(points, None, "points")
+    labels = row_labels(labels, len(points), class_count)
     centroids = np.empty((class_count, points.shape[1]))
     for j in range(class_count):
         members = points[labels == j]
@@ -87,11 +85,9 @@ def build_index(points, labels):
     each sorted along the second and cut into tiles of n // tiles or
     n // tiles + 1 points, the larger tiles first."""
     points = np.ascontiguousarray(points, dtype=float)
-    labels = int64_values(labels, "label")
     if points.ndim != 2 or len(points) == 0:
         raise ValueError("index needs a nonempty (n, dim) point array")
-    if len(labels) != len(points):
-        raise ValueError("points and labels length mismatch")
+    labels = row_labels(labels, len(points), None)
     # squared distances between points, and to their mean, stay below 4*max|p|^2
     _check_rows(4.0 * np.einsum("ij,ij->i", points, points), "point")
     n, dim = points.shape
@@ -307,8 +303,8 @@ def silhouette(points, labels):
     members of its own class and b the smallest mean distance to any other
     class. Points in singleton classes contribute 0.
     """
-    points = np.asarray(points, dtype=float)
-    labels = int64_values(labels, "label")
+    points = float_rows(points, None, "points")
+    labels = row_labels(labels, len(points), None)
     check_finite_rows(points, "point")
     n = len(points)
     classes, own = np.unique(labels, return_inverse=True)

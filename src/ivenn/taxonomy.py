@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from ivenn.data import check_finite, check_finite_rows, check_score_rows, class_labels, float_rows
+from ivenn.data import check_finite, check_finite_rows, check_score_rows, float_rows, row_labels
 from ivenn.space import (
     KnnIndex,
     build_centroids,
@@ -229,7 +229,7 @@ def resolve_theta(centroids, points, labels):
     smallest positive inter-centroid distance.
     """
     points = float_rows(points, np.shape(centroids)[1], "points")
-    labels = class_labels(labels, len(centroids))
+    labels = row_labels(labels, len(points), len(centroids))
     if len(points) == 0:
         raise ValueError("cannot resolve theta from an empty training set")
     check_finite_rows(points, "point")
@@ -259,7 +259,7 @@ class Taxonomy:
         if kind in (TaxonomyKind.KNN_V1, TaxonomyKind.KNN_V2):
             if index is None:
                 raise ValueError(f"{kind.value} requires a k-NN index")
-            class_labels(index.labels, cfg.class_count)
+            row_labels(index.labels, len(index.points), cfg.class_count)
             if cfg.k > len(index.labels):
                 raise ValueError(f"k={cfg.k} exceeds the {len(index.labels)} training points")
         elif kind in DISTANCE_KINDS and (np.ndim(cs) != 2 or len(cs) != cfg.class_count):

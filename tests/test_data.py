@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ivenn import cli, data
 from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
-from ivenn.ivp import category_rows, load_table
+from ivenn.ivp import calibrate, category_rows, load_table
 from ivenn.metrics import (
     CumulativeCurves,
     EvalBatch,
@@ -20,9 +20,17 @@ from ivenn.metrics import (
     report_text,
     save_report,
 )
-from ivenn.mlp import forward_batch, init_params, save_params
+from ivenn.mlp import (
+    TrainConfig,
+    forward_batch,
+    init_params,
+    save_params,
+    train_classifier,
+    train_siamese,
+)
 from ivenn.pipeline import RunConfig, _write_predictions, load_predictions, run_pipeline
-from ivenn.space import build_centroids, nearest_centroid_many
+from ivenn.space import build_centroids, build_index, nearest_centroid_many, silhouette
+from ivenn.taxonomy import Taxonomy, TaxonomyConfig, TaxonomyKind, fit_taxonomy, resolve_theta
 
 WELL_FORMED = """id,label,f0,f1
 0,0,1.5,-2.0
@@ -606,7 +614,10 @@ class TestDatasetValidation:
                              ids=["0-d", "0-d fraction", "2-d"])
     def test_ids_and_labels_not_1d(self, column, value):
         columns = {"ids": np.array([0]), "labels": np.array([0]), column: value}
-        with pytest.raises(ValueError, match="ids and labels must be 1-D arrays"):
+        # labels follow the one label rule, data.row_labels
+        message = {"ids": "ids and labels must be 1-D arrays",
+                   "labels": rf"^labels have shape {re.escape(str(value.shape))}, expected \(1,\)$"}
+        with pytest.raises(ValueError, match=message[column]):
             Dataset(features=np.zeros((1, 2)), class_count=1, **columns)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
@@ -657,6 +668,83 @@ class TestDatasetValidation:
                 class_count=2,
                 softmaxes=np.ones((1, 3)) / 3.0,
             )
+
+    def test_built_from_lists(self):
+        # a list of features or of softmax rows once failed on .ndim or .shape
+        ds = Dataset(ids=[1], features=[[1.0]], labels=[0], class_count=2,
+                     softmaxes=[[0.5, 0.5]])
+        assert ds.features.dtype == ds.softmaxes.dtype == np.float64
+        assert ds.features.tolist() == [[1.0]] and ds.softmaxes.tolist() == [[0.5, 0.5]]
+        with pytest.raises(ValueError, match=r"^features must be a 2-D array$"):
+            Dataset(ids=[1], features=[1.0], labels=[0], class_count=2)
+        with pytest.raises(ValueError, match=r"^softmaxes must have shape \(1, 2\)$"):
+            Dataset(ids=[1], features=[[1.0]], labels=[0], class_count=2, softmaxes=[[1.0]])
+
+
+PAST_INT64 = 2**70
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: data.class_labels([PAST_INT64], 3), f"label {PAST_INT64} in row 0"),
+        (lambda: data.class_labels([0, PAST_INT64], 3), f"label {PAST_INT64} in row 1"),
+        (lambda: data.class_labels([None], 3), "label None in row 0"),
+        (lambda: data.int64_values(np.array(0.5), "label"), "label 0.5 in row 0"),
+        (lambda: calibrate(fit_taxonomy(TaxonomyConfig(TaxonomyKind.BASE_V1, 2)), [PAST_INT64],
+                           softmaxes=[[0.5, 0.5]]), f"label {PAST_INT64} in row 0"),
+        (lambda: Dataset(ids=np.array([PAST_INT64], dtype=object), features=np.zeros((1, 1)),
+                         labels=[0], class_count=1), f"id {PAST_INT64} in row 0"),
+    ],
+    ids=["past int64", "past int64 in row 1", "None", "0-d fraction", "calibrate",
+         "object id"],
+)
+def test_non_integer_in_any_array_named(call, message):
+    # a 0-d value, or a value in an object array, once failed while the
+    # message was built (AttributeError on .item(), IndexError on the row)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+        call()
+
+
+def labelled_entry_points(n):
+    """Each public function that takes n rows with their labels, as a call
+    on the labels alone: fixed rows X, and structures fitted to X with the
+    labels arange(n) % 2."""
+    X = np.random.default_rng(n).normal(size=(n, 2))
+    y = np.arange(n) % 2
+    tax = fit_taxonomy(TaxonomyConfig(TaxonomyKind.KNN_V1, 2, k=1), X, y)
+    rows = calibrate(tax, y, embeddings=X).rows
+    train = TrainConfig(epochs=1, batch_size=4, pairs_per_epoch=4)
+    return {
+        "Dataset": lambda labels: Dataset(ids=np.arange(n), features=X, labels=labels,
+                                          class_count=2),
+        "build_centroids": lambda labels: build_centroids(X, labels, 2),
+        "build_index": lambda labels: build_index(X, labels),
+        "Taxonomy": lambda labels: Taxonomy(tax.config, index=replace(tax.index, labels=labels)),
+        "resolve_theta": lambda labels: resolve_theta(build_centroids(X, y, 2), X, labels),
+        "silhouette": lambda labels: silhouette(X, labels),
+        "train_siamese": lambda labels: train_siamese(X, labels, [2, 2], train),
+        "train_classifier": lambda labels: train_classifier(X, labels, [2, 2], train),
+        "calibrate": lambda labels: calibrate(tax, labels, embeddings=X),
+        "EvalBatch": lambda labels: EvalBatch(np.zeros(n, dtype=np.int64), rows, labels),
+        "EvalBatch.from_intervals": lambda labels: EvalBatch.from_intervals(
+            np.zeros((n, 2)), np.ones((n, 2)), labels),
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4, 12), shape=st.sampled_from(["n - 1", "n + 1", "0", "1", "(n, 1)"]))
+def test_one_label_per_row_everywhere(n, shape):
+    # calibrate once broadcast a single label or an (n, 1) column into its
+    # counts, and other functions trained, indexed or failed in numpy on them
+    y = np.arange(n) % 2
+    bad = {"n - 1": y[:-1], "n + 1": np.arange(n + 1) % 2, "0": y[:0], "1": y[:1],
+           "(n, 1)": y[:, None]}[shape]
+    message = rf"^labels have shape {re.escape(str(bad.shape))}, expected \({n},\)$"
+    for call in labelled_entry_points(n).values():
+        call(y)
+        with pytest.raises(ValueError, match=message):
+            call(bad)
 
 
 class TestSplit:

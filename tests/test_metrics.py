@@ -87,7 +87,7 @@ class TestCumulative:
         with pytest.raises(ValueError, match=r"^labels: row 0: label 2 outside \[0, 2\)$"):
             EvalBatch(np.zeros(1, dtype=np.int64), rows, [2])
         # one label for three examples was broadcast to all three
-        with pytest.raises(ValueError, match=r"^1 labels for 3 examples$"):
+        with pytest.raises(ValueError, match=r"^labels have shape \(1,\), expected \(3,\)$"):
             EvalBatch(np.array([0, 1, 1]), rows, [0])
 
     def test_categories_checked_when_made(self):
@@ -100,11 +100,13 @@ class TestCumulative:
             EvalBatch(np.array([0, 2, 1]), rows, [0, 1, 1])
 
     def test_interval_shapes_checked(self):
-        message = r"^lower and upper must be \(m, c\), with one label per row$"
-        for lower, upper, labels in [
-            ((0.5, 0.5), (0.5, 0.5), [0]),  # one example as a flat vector
-            ([(0.5, 0.5)], [(0.5, 0.5, 0.0)], [0]),  # bounds of different widths
-            ([(0.5, 0.5)], [(0.5, 0.5)], [0, 1]),  # a label without a row
+        for lower, upper, labels, message in [
+            # one example as a flat vector
+            ((0.5, 0.5), (0.5, 0.5), [0], r"^lower and upper must be \(m, c\)$"),
+            # bounds of different widths
+            ([(0.5, 0.5)], [(0.5, 0.5, 0.0)], [0], r"^lower and upper must be \(m, c\)$"),
+            # a label without a row
+            ([(0.5, 0.5)], [(0.5, 0.5)], [0, 1], r"^labels have shape \(2,\), expected \(1,\)$"),
         ]:
             with pytest.raises(ValueError, match=message):
                 EvalBatch.from_intervals(lower, upper, labels)

@@ -352,7 +352,10 @@ class TestPairSampler:
     )
     def test_pairs_valid_and_deterministic(self, labels, seed, n_same, n_diff):
         sampler = _PairSampler(labels)
-        i1, i2, same = sampler.draw(np.random.default_rng(seed), n_same, n_diff)
+        # anchors, then partners, as train_siamese lays them out
+        pairs = sampler.pairs(np.random.default_rng(seed), n_same, n_diff)
+        i1, i2 = np.concatenate(pairs).reshape(2, -1)
+        same = _PairSampler.layout(n_same, n_diff)
         assert same.tolist() == [True] * n_same + [False] * n_diff
         assert i1.min(initial=0) >= 0 and i1.max(initial=0) < len(labels)
         assert i2.min(initial=0) >= 0 and i2.max(initial=0) < len(labels)
@@ -360,8 +363,8 @@ class TestPairSampler:
         assert np.all(i1[s] != i2[s])
         assert np.all(labels[i1[s]] == labels[i2[s]])
         assert np.all(labels[i1[d]] != labels[i2[d]])
-        again = sampler.draw(np.random.default_rng(seed), n_same, n_diff)
-        for a, b in zip((i1, i2, same), again):
+        again = sampler.pairs(np.random.default_rng(seed), n_same, n_diff)
+        for a, b in zip(pairs, again):
             np.testing.assert_array_equal(a, b)
 
     def test_exact_pair_counts(self):
@@ -369,7 +372,8 @@ class TestPairSampler:
         labels = np.array([5, 2, 9, 5, 9, 5, 2, 9, 5, 9, 2, 7])
         size = {c: int((labels == c).sum()) for c in labels}
         n, draws = len(labels), 400_000
-        i1, i2, _ = _PairSampler(labels).draw(np.random.default_rng(0), draws, draws)
+        drawn = _PairSampler(labels).pairs(np.random.default_rng(0), draws, draws)
+        i1, i2 = np.concatenate(drawn).reshape(2, -1)
         same_pool = sum(1 for c in labels if size[c] >= 2)
         for sl, want_same in ((slice(None, draws), True), (slice(draws, None), False)):
             pairs, counts = np.unique(
@@ -659,7 +663,9 @@ def reference_siamese(X, y, dims, cfg):
     sampler = _PairSampler(y)
     n_same = cfg.pairs_per_epoch // 2
     for epoch in range(cfg.epochs):
-        i1, i2, same = sampler.draw(rng, n_same, cfg.pairs_per_epoch - n_same)
+        n_diff = cfg.pairs_per_epoch - n_same
+        i1, i2 = np.concatenate(sampler.pairs(rng, n_same, n_diff)).reshape(2, -1)
+        same = _PairSampler.layout(n_same, n_diff)
         for start in range(0, len(i1), cfg.batch_size):
             sl = slice(start, start + cfg.batch_size)
             n = len(i1[sl])
@@ -831,8 +837,10 @@ class TestCoincidentPairs:
         X, y = coincident_data()
         cfg = TrainConfig(margin=1.5, learning_rate=0.05, epochs=6, batch_size=batch,
                           seed=3, pairs_per_epoch=pairs)
-        i1, i2, same = _PairSampler(y).draw(np.random.default_rng((3, 1)), pairs // 2,
-                                            pairs - pairs // 2)
+        drawn = _PairSampler(y).pairs(np.random.default_rng((3, 1)), pairs // 2,
+                                      pairs - pairs // 2)
+        i1, i2 = np.concatenate(drawn).reshape(2, -1)
+        same = _PairSampler.layout(pairs // 2, pairs - pairs // 2)
         coincident = (X[i1] == X[i2]).all(axis=1)
         assert coincident[same].any() and coincident[~same].any()
         assert_same_bits(train_siamese(X, y, dims, cfg), reference_siamese(X, y, dims, cfg))

@@ -411,17 +411,20 @@ class TestSilhouette:
     "call, message",
     [
         (lambda: build_centroids(np.zeros((3, 2)), [0, 1], 2),
-         r"^points must be \(n, dim\) with one label per row$"),
+         r"^labels have shape \(2,\), expected \(3,\)$"),
         (lambda: nearest_centroid_many(build_centroids(np.eye(2), [0, 1], 2), np.zeros((4, 3))),
          r"^queries have shape \(4, 3\), expected \(m, 2\)$"),
-        (lambda: build_index(np.zeros((3, 2)), [0, 1]), r"^points and labels length mismatch$"),
+        (lambda: build_index(np.zeros((3, 2)), [0, 1]),
+         r"^labels have shape \(2,\), expected \(3,\)$"),
         (lambda: silhouette(np.array([[0.0], [1.0], [4.0], [5.0]]), [0.5, 0.7, 1.2, 1.9]),
          r"^label 0\.5 in row 0 is not an integer$"),
         (lambda: silhouette(np.array([[0.0], [1.0], [np.nan], [5.0]]), [0, 0, 1, 1]),
          r"^point row 2 is not finite \(nan or inf\)$"),
+        (lambda: silhouette(np.array([0.0, 1.0, 4.0, 5.0]), [0, 0, 1, 1]),
+         r"^points have shape \(4,\), expected \(m, dim\)$"),
     ],
     ids=["centroid labels", "centroid query width", "index labels", "silhouette float labels",
-         "silhouette non-finite point"],
+         "silhouette non-finite point", "silhouette 1-d points"],
 )
 def test_bad_argument_is_named(call, message):
     with pytest.raises(ValueError, match=message):
