@@ -35,16 +35,17 @@ _READ_BLOCK_BYTES = 1 << 20
 _NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
 
 
-def check_score_rows(S):
+def check_score_rows(S, path=None):
     """Raise unless every row of the (m, c) score array is finite,
-    nonnegative and sums to 1 within 1e-6."""
-    # NaN fails both comparisons, so a non-finite row is caught here too
-    ok = (np.minimum.reduce(S, axis=1) >= 0.0) & (np.abs(np.add.reduce(S, axis=1) - 1.0) <= 1e-6)
+    nonnegative and sums to 1 within 1e-6, naming the first that is not by
+    `path:line` when the rows are the file's at path, else as row i."""
+    # NaN fails both comparisons, so a non-finite row is caught here too;
+    # `all` over a row is about 3x faster than its minimum at 3 columns
+    ok = (S >= 0.0).all(axis=1) & (np.abs(np.add.reduce(S, axis=1) - 1.0) <= 1e-6)
     if not ok.all():
-        raise ValueError(
-            f"softmax row {int(np.argmin(ok))} must be finite, nonnegative "
-            f"and sum to 1 (tol 1e-6)"
-        )
+        row = int(np.argmin(ok))
+        name = f"{path}:{line_number(path, row + 1)}: softmax row" if path else f"softmax row {row}"
+        raise ValueError(f"{name} must be finite, nonnegative and sum to 1 (tol 1e-6)")
 
 
 def int64_values(values, name):
@@ -91,12 +92,14 @@ def float_rows(X, dim, what):
     return X
 
 
-def check_finite_rows(X, what):
+def check_finite_rows(X, what, names=None):
     """Raise naming `what` and the first row of the 2-D X that holds a nan
-    or inf; only an array that is not all finite is searched row by row."""
+    or inf, as `row i`, or as names[i] when names are given (an example id,
+    a class); only an array that is not all finite is searched row by row."""
     if not np.isfinite(X).all():
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise ValueError(f"{what} row {row} is not finite (nan or inf)")
+        name = f"row {row}" if names is None else names[row]
+        raise ValueError(f"{what} {name} is not finite (nan or inf)")
 
 
 def check_finite(cfg, name):
@@ -123,22 +126,16 @@ class Dataset:
         object.__setattr__(self, "ids", int64_values(self.ids, "id"))
         n = len(self.ids)
         object.__setattr__(self, "labels", row_labels(self.labels, n, self.class_count))
-        features = np.asarray(self.features, dtype=float)
-        object.__setattr__(self, "features", features)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if features.shape[0] != n:
+        object.__setattr__(self, "features", float_rows(self.features, None, "features"))
+        if len(self.features) != n:
             raise ValueError("ids and features must have equal length")
-        if not np.isfinite(features).all():
-            row = int(np.argmin(np.isfinite(features).all(axis=1)))
-            raise ValueError(f"features of example id {self.ids[row]} are not finite (nan or inf)")
+        check_finite_rows(self.features, "features of example id", self.ids)
         if self.softmaxes is not None:
-            object.__setattr__(self, "softmaxes", np.asarray(self.softmaxes, dtype=float))
-            if self.softmaxes.shape != (n, self.class_count):
-                raise ValueError(
-                    f"softmaxes must have shape ({n}, {self.class_count})"
-                )
-            check_score_rows(self.softmaxes)
+            softmaxes = float_rows(self.softmaxes, self.class_count, "softmaxes")
+            object.__setattr__(self, "softmaxes", softmaxes)
+            if len(softmaxes) != n:
+                raise ValueError("ids and softmaxes must have equal length")
+            check_score_rows(softmaxes)
 
     def __len__(self):
         return len(self.ids)
@@ -148,7 +145,8 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices):
-        indices = np.asarray(indices, dtype=int)
+        """The examples at the indices, each an integer in [0, len(self))."""
+        indices = index_values(indices, len(self), "index", "indices")
         return Dataset(
             ids=self.ids[indices],
             features=self.features[indices],
@@ -339,6 +337,8 @@ def load_csv(path, class_count=None):
     if bad.any():
         row = int(np.argmax(bad))
         raise ValueError(f"{path}:{line_number(path, row + 1)}: non-finite cell (nan or inf)")
+    if softmaxes is not None:
+        check_score_rows(softmaxes, path)
     if class_count is None:
         class_count = int(labels.max()) + 1 if len(labels) else 1
     return Dataset(

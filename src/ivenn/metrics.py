@@ -29,7 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ivenn.data import _write_csv, csv_lines, index_values, open_artifact, row_labels
+from ivenn.data import (
+    _write_csv,
+    check_finite_rows,
+    csv_lines,
+    float_rows,
+    index_values,
+    open_artifact,
+    row_labels,
+)
 from ivenn.ivp import CategoryRows, IvpBatch
 
 # Floor for probabilities entering log; midpoints never reach 1 for a
@@ -84,7 +92,10 @@ class EvalBatch(IvpBatch):
     labels: np.ndarray  # (m,) true classes
 
     def __post_init__(self):
-        category = index_values(self.category, len(self.rows.lower), "category", "category")
+        category = np.asarray(self.category)
+        if category.ndim != 1:
+            raise ValueError(f"category has shape {category.shape}, expected (m,)")
+        category = index_values(category, len(self.rows.lower), "category", "category")
         labels = row_labels(self.labels, len(category), self.rows.lower.shape[1])
         if not len(labels):
             raise ValueError("need at least one record")
@@ -95,10 +106,17 @@ class EvalBatch(IvpBatch):
     def from_intervals(cls, lower, upper, labels):
         """One row per example from (m, c) interval bounds and labels: the
         predicted class maximizes the midpoint, ties to the lowest class,
-        and a row of vacuous [0, 1] intervals is empty. No counts are known."""
-        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-        if lower.ndim != 2 or upper.shape != lower.shape:
-            raise ValueError("lower and upper must be (m, c)")
+        and a row of vacuous [0, 1] intervals is empty. No counts are known.
+        Every bound is finite and 0 <= lower <= upper <= 1."""
+        lower = float_rows(lower, None, "lower bounds")
+        upper = float_rows(upper, lower.shape[1], "upper bounds")
+        if len(upper) != len(lower):
+            raise ValueError(f"upper bounds have {len(upper)} rows, lower bounds {len(lower)}")
+        check_finite_rows(lower, "lower bounds")
+        check_finite_rows(upper, "upper bounds")
+        bad = ((lower < 0.0) | (lower > upper) | (upper > 1.0)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"interval row {int(np.argmax(bad))} needs 0 <= lower <= upper <= 1")
         mean = (lower + upper) / 2.0
         empty = (lower == 0.0).all(axis=1) & (upper == 1.0).all(axis=1)
         rows = CategoryRows(None, None, lower, upper, mean, np.argmax(mean, axis=1), empty)

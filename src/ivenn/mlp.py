@@ -345,10 +345,9 @@ def contrastive_gradient(params, X1, X2, same, margin):
     n = len(same)
     if same.ndim != 1 or not len(X1) == len(X2) == n > 0:
         raise ValueError("need one or more pairs, each with one same-class flag")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    if not np.isfinite(margin):
-        raise ValueError(f"margin must be finite, got {margin}")
+    TrainConfig(margin=margin)  # the one margin rule
+    check_finite_rows(X1, "pair inputs X1")
+    check_finite_rows(X2, "pair inputs X2")
     ws = _Workspace(params, 2 * n)
     (step,), d = ws.twin_steps(_with_ones(np.concatenate([X1, X2])), same, [(0, n)], margin)
     _run(step)

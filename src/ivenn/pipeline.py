@@ -41,6 +41,7 @@ import numpy as np
 from ivenn.data import (
     SplitSpec,
     _write_csv,
+    check_finite_rows,
     class_labels,
     csv_lines,
     line_number,
@@ -274,10 +275,7 @@ def embed_checked(params, features, ids, where=""):
     """forward_batch(params, features); a non-finite output row (an overflowing
     model) raises ValueError naming that example's id, prefixed by `where`."""
     emb = forward_batch(params, features)
-    bad = ~np.isfinite(emb).all(axis=1)
-    if bad.any():
-        bad_id = ids[int(np.argmax(bad))]
-        raise ValueError(f"{where}embedding of example id {bad_id} is not finite (nan or inf)")
+    check_finite_rows(emb, f"{where}embedding of example id", ids)
     return emb
 
 

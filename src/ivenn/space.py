@@ -84,9 +84,9 @@ def build_index(points, labels):
     a subsample: about sqrt(tiles) slabs of whole tiles along the first,
     each sorted along the second and cut into tiles of n // tiles or
     n // tiles + 1 points, the larger tiles first."""
-    points = np.ascontiguousarray(points, dtype=float)
-    if points.ndim != 2 or len(points) == 0:
-        raise ValueError("index needs a nonempty (n, dim) point array")
+    points = np.ascontiguousarray(float_rows(points, None, "points"))
+    if len(points) == 0:
+        raise ValueError("index needs nonempty points")
     labels = row_labels(labels, len(points), None)
     # squared distances between points, and to their mean, stay below 4*max|p|^2
     _check_rows(4.0 * np.einsum("ij,ij->i", points, points), "point")

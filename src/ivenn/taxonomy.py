@@ -99,11 +99,14 @@ def value_parser(annotation):
 
 
 def format_value(value):
-    """The text value_parser reads back as `value`; floats round-trip exactly."""
+    """The text value_parser reads back as `value`; floats round-trip exactly,
+    and a tuple of ints is comma-separated (`10,16`, empty for ())."""
     if value is None:
         return "none"
     if isinstance(value, Enum):
         return value.value
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -268,11 +271,10 @@ class Taxonomy:
                 f"{kind.value} requires one centroid per class as a "
                 f"({cfg.class_count}, dim) array, got {got}"
             )
-        elif kind in DISTANCE_KINDS and not np.isfinite(cs).all():
-            j = int(np.argmin(np.isfinite(cs).all(axis=1)))
-            raise ValueError(f"{kind.value} centroid of class {j} is not finite (nan or inf)")
-        elif kind is TaxonomyKind.NC_V2 and cfg.theta is None:
-            raise ValueError("theta is unresolved; fit the taxonomy or set it explicitly")
+        elif kind in DISTANCE_KINDS:
+            check_finite_rows(cs, f"{kind.value} centroid of class", range(len(cs)))
+            if kind is TaxonomyKind.NC_V2 and cfg.theta is None:
+                raise ValueError("theta is unresolved; fit the taxonomy or set it explicitly")
 
     @property
     def category_count(self):

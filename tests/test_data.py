@@ -111,6 +111,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="sum to 1"):
             load_csv(path)
 
+    def test_bad_score_row_names_line(self, tmp_path):
+        # it was named by its index among the rows, `softmax row 1`
+        path = tmp_path / "d.csv"
+        path.write_text("id,label,f0,s0,s1\n0,0,1.0,0.5,0.5\n\n2,1,0.1,0.9,0.2\n")
+        message = r"softmax row must be finite, nonnegative and sum to 1 \(tol 1e-6\)$"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: {message}"):
+            load_csv(path)
+
     def test_label_outside_declared_classes(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,label,f0\n0,0,1.0\n1,5,2.0\n")
@@ -606,7 +614,9 @@ class TestDatasetValidation:
     @pytest.mark.parametrize("features", [np.array(1.5), np.zeros(1), np.zeros((1, 2, 1))],
                              ids=["0-d", "1-d", "3-d"])
     def test_features_not_2d(self, features):
-        with pytest.raises(ValueError, match="features must be a 2-D array"):
+        # the one row-batch rule, data.float_rows
+        message = rf"^features have shape {re.escape(str(features.shape))}, expected \(m, dim\)$"
+        with pytest.raises(ValueError, match=message):
             Dataset(ids=np.array([0]), features=features, labels=np.array([0]), class_count=1)
 
     @pytest.mark.parametrize("column", ["ids", "labels"])
@@ -659,6 +669,18 @@ class TestDatasetValidation:
             Dataset(ids=np.arange(len(labels)), features=np.zeros((len(labels), 1)),
                     labels=np.asarray(labels), class_count=2)
 
+    def test_subset_takes_indices_in_range(self):
+        ds = Dataset(ids=[5, 6, 7], features=np.zeros((3, 1)), labels=[0, 1, 0], class_count=2)
+        assert ds.subset([2, 0]).ids.tolist() == [7, 5]
+        assert len(ds.subset([])) == 0
+        # a mask was taken as the indices [1, 0, 1], and -1 as the last example
+        with pytest.raises(ValueError, match=r"^index True in row 0 is not an integer$"):
+            ds.subset([True, False, True])
+        with pytest.raises(ValueError, match=r"^indices: row 0: index -1 outside \[0, 3\)$"):
+            ds.subset([-1])
+        with pytest.raises(ValueError, match=r"^indices: row 1: index 3 outside \[0, 3\)$"):
+            ds.subset([0, 3])
+
     def test_softmax_shape(self):
         with pytest.raises(ValueError, match="softmaxes"):
             Dataset(
@@ -675,10 +697,13 @@ class TestDatasetValidation:
                      softmaxes=[[0.5, 0.5]])
         assert ds.features.dtype == ds.softmaxes.dtype == np.float64
         assert ds.features.tolist() == [[1.0]] and ds.softmaxes.tolist() == [[0.5, 0.5]]
-        with pytest.raises(ValueError, match=r"^features must be a 2-D array$"):
+        with pytest.raises(ValueError, match=r"^features have shape \(1,\), expected \(m, dim\)$"):
             Dataset(ids=[1], features=[1.0], labels=[0], class_count=2)
-        with pytest.raises(ValueError, match=r"^softmaxes must have shape \(1, 2\)$"):
+        with pytest.raises(ValueError, match=r"^softmaxes have shape \(1, 1\), expected \(m, 2\)$"):
             Dataset(ids=[1], features=[[1.0]], labels=[0], class_count=2, softmaxes=[[1.0]])
+        with pytest.raises(ValueError, match=r"^ids and softmaxes must have equal length$"):
+            Dataset(ids=[1], features=[[1.0]], labels=[0], class_count=2,
+                    softmaxes=[[0.5, 0.5]] * 2)
 
 
 PAST_INT64 = 2**70
@@ -863,7 +888,7 @@ def test_bad_header_is_named(tmp_path, text, class_count, message):
          "class_count must be positive"),
         (lambda: synth_gaussians(2, 2, 5, -1.0, seed=0), "separation must be nonnegative"),
         (lambda: Dataset(np.array([7, 8]), np.array([[0.0], [np.inf]]), np.zeros(2, int), 2),
-         r"features of example id 8 are not finite \(nan or inf\)"),
+         r"features of example id 8 is not finite \(nan or inf\)"),
     ],
     ids=["class_count 0", "negative separation", "non-finite feature"],
 )

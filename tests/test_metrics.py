@@ -98,13 +98,41 @@ class TestCumulative:
             EvalBatch(np.array([-1]), rows, [0])
         with pytest.raises(ValueError, match=r"^category: row 1: category 2 outside \[0, 2\)$"):
             EvalBatch(np.array([0, 2, 1]), rows, [0, 1, 1])
+        # a (3, 1) column was accepted, and build_report failed in numpy
+        with pytest.raises(ValueError, match=r"^category has shape \(3, 1\), expected \(m,\)$"):
+            EvalBatch(np.array([[0], [1], [1]]), rows, [0, 1, 1])
+        with pytest.raises(ValueError, match=r"^category has shape \(\), expected \(m,\)$"):
+            EvalBatch(np.array(0), rows, [0])
+
+    @pytest.mark.parametrize(
+        "lower, upper, message",
+        [
+            # nan bounds were scored as a report of nan
+            ([[np.nan, np.nan], [0.2, 0.6]], [[np.nan, np.nan], [0.3, 0.7]],
+             r"^lower bounds row 0 is not finite \(nan or inf\)$"),
+            ([[0.2, 0.6], [0.2, 0.6]], [[0.3, 0.7], [0.3, np.inf]],
+             r"^upper bounds row 1 is not finite \(nan or inf\)$"),
+            # lower above upper gave a diameter of -0.7
+            ([[0.9, 0.1]], [[0.2, 0.3]], r"^interval row 0 needs 0 <= lower <= upper <= 1$"),
+            ([[0.2, 0.6], [-0.1, 0.6]], [[0.3, 0.7]] * 2,
+             r"^interval row 1 needs 0 <= lower <= upper <= 1$"),
+            ([[0.2, 0.6]], [[0.3, 1.5]], r"^interval row 0 needs 0 <= lower <= upper <= 1$"),
+        ],
+        ids=["nan lower", "inf upper", "lower above upper", "below 0", "above 1"],
+    )
+    def test_bad_bounds_refused(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            EvalBatch.from_intervals(lower, upper, [0] * len(lower))
 
     def test_interval_shapes_checked(self):
         for lower, upper, labels, message in [
             # one example as a flat vector
-            ((0.5, 0.5), (0.5, 0.5), [0], r"^lower and upper must be \(m, c\)$"),
+            ((0.5, 0.5), (0.5, 0.5), [0], r"^lower bounds have shape \(2,\), expected \(m, dim\)$"),
             # bounds of different widths
-            ([(0.5, 0.5)], [(0.5, 0.5, 0.0)], [0], r"^lower and upper must be \(m, c\)$"),
+            ([(0.5, 0.5)], [(0.5, 0.5, 0.0)], [0],
+             r"^upper bounds have shape \(1, 3\), expected \(m, 2\)$"),
+            # bounds of different lengths
+            ([(0.5, 0.5)], [(0.5, 0.5)] * 2, [0], r"^upper bounds have 2 rows, lower bounds 1$"),
             # a label without a row
             ([(0.5, 0.5)], [(0.5, 0.5)], [0, 1], r"^labels have shape \(2,\), expected \(1,\)$"),
         ]:

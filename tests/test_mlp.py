@@ -1007,11 +1007,25 @@ NAN_ROW_2 = np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 0.0], [2.0, 2.0]])
          r"^features row 2 is not finite \(nan or inf\)$"),
         (lambda: train_classifier(NAN_ROW_2, TWO_CLASSES, [2, 2], TrainConfig(epochs=0)),
          r"^features row 2 is not finite \(nan or inf\)$"),
+        # a nan pair row gave loss nan and nan gradients
+        (lambda: contrastive_gradient(init_params([2, 3]), NAN_ROW_2, np.zeros((4, 2)),
+                                      TWO_CLASSES == 0, 1.0),
+         r"^pair inputs X1 row 2 is not finite \(nan or inf\)$"),
+        (lambda: contrastive_gradient(init_params([2, 3]), np.zeros((4, 2)), NAN_ROW_2[::-1],
+                                      TWO_CLASSES == 0, 1.0),
+         r"^pair inputs X2 row 1 is not finite \(nan or inf\)$"),
+        (lambda: contrastive_gradient(init_params([2, 3]), np.zeros((1, 2)), np.zeros((1, 2)),
+                                      [False], np.nan),
+         r"^margin must be finite, got nan$"),
+        (lambda: contrastive_gradient(init_params([2, 3]), np.zeros((1, 2)), np.zeros((1, 2)),
+                                      [False], 0.0),
+         r"^margin must be positive$"),
     ],
     ids=["margin", "learning_rate", "epochs", "batch_size", "pairs_per_epoch", "mode",
          "pair width", "pair count", "pair margin", "siamese features", "classifier features",
          "classifier one class", "pair flag column", "siamese non-finite row",
-         "classifier non-finite row"],
+         "classifier non-finite row", "pair non-finite X1 row", "pair non-finite X2 row",
+         "pair nan margin", "pair zero margin"],
 )
 def test_bad_argument_is_named(call, message):
     with pytest.raises(ValueError, match=message):

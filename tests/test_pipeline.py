@@ -24,7 +24,7 @@ from ivenn.pipeline import (
     parse_config,
     run_pipeline,
 )
-from ivenn.taxonomy import TaxonomyConfig, TaxonomyKind
+from ivenn.taxonomy import TaxonomyConfig, TaxonomyKind, field_types, format_value, value_parser
 
 # 20 fixed points: two 2-D clusters around (0,0) and (6,6), labels 0/1
 HAND_FEATURES = np.array(
@@ -1025,6 +1025,12 @@ class TestConfigSchema:
         # each value differs from the default, so it must have been applied
         assert getattr(from_file, name) != getattr(RunConfig(), name) or text == "none"
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_default_reads_back_from_its_text(self, name):
+        # hidden_dims = (10,) was written as `(10,)`, which value_parser refused
+        value = getattr(RunConfig(), name)
+        assert value_parser(field_types(RunConfig)[name])(format_value(value)) == value
+
 
 def _benchmark_tracing():
     spec = importlib.util.spec_from_file_location(
@@ -1184,7 +1190,7 @@ def test_non_finite_feature_names_its_example(tmp_path, given):
     ds = synth_gaussians(3, 4, 60, 4.0, seed=1)
     features = ds.features.copy()
     features[117, 2] = np.nan
-    with pytest.raises(ValueError, match=r"^features of example id 1117 are not finite"):
+    with pytest.raises(ValueError, match=r"^features of example id 1117 is not finite"):
         Dataset(ds.ids + 1000, features, ds.labels, ds.class_count)
     ds = Dataset(ds.ids + 1000, ds.features.copy(), ds.labels, ds.class_count)
     ds.features[117, 2] = np.nan

@@ -18,7 +18,9 @@ from ivenn.taxonomy import (
     _vote,
     category_count,
     fit_taxonomy,
+    format_value,
     resolve_theta,
+    value_parser,
 )
 
 
@@ -191,6 +193,12 @@ def test_string_kind_is_its_enum():
     cfg = TaxonomyConfig("knn_v2", 3, k=5)
     assert cfg.kind is TaxonomyKind.KNN_V2
     assert category_count(cfg) == 12
+
+
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6).map(tuple))
+def test_tuple_reads_back_from_its_text(dims):
+    # (10, 16) was written as `(10, 16)`, which value_parser(tuple) refused
+    assert value_parser(tuple)(format_value(dims)) == dims
 
 
 class TestBaselines:
