@@ -10,19 +10,22 @@ whitespace-only lines are skipped; there are no comments and no quoting;
 ids and labels are int64. `read_csv` is the only CSV parser: it serves
 this file and predictions.csv. It parses the body with numpy's C reader a
 block of at most _READ_BLOCK_BYTES (1 MiB) of rows at a time, so parsing
-holds the columns plus one block. Only a file it rejects goes through the
-Python row loop, which accepts the same literals as Python's int() and
-float() and names the line of a bad row and the column of a bad cell.
-Every CSV is written _WRITE_BLOCK_ROWS (4096) rows at a time, and every
-artifact through `open_artifact`, which writes a new file in place of an
-old one.
+holds the columns plus one block; on two CPUs, a forked child parses the
+rows past the middle of a body over _FORK_BYTES (4 MiB), holding its own
+columns plus one block. Only a file it rejects goes through the Python
+row loop, which accepts the same literals as Python's int() and float()
+and names the line of a bad row and the column of a bad cell. Every CSV
+is written _WRITE_BLOCK_ROWS (4096) rows at a time, and every artifact
+through `open_artifact`, which writes a new file in place of an old one.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
+import signal
 import stat
 import warnings
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ import numpy as np
 
 _WRITE_BLOCK_ROWS = 4096
 _READ_BLOCK_BYTES = 1 << 20
+_FORK_BYTES = 4 << 20
 # numpy warns on a blank line once max_rows is set, and on a body with no rows
 _NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
 
@@ -215,56 +219,114 @@ def not_utf8(path, exc):
     return ValueError(f"{path}:{number}: byte 0x{exc.object[exc.start]:02x} is not UTF-8")
 
 
-def _line_count(path):
-    """Lines in the file as text mode splits them (LF, CRLF and a lone CR
-    each end one; the last may have no end). A CRLF split across two reads
-    counts twice, which keeps this an upper bound."""
+def _line_count(path, start=0, stop=math.inf):
+    """Lines in bytes [start, stop) of the file as text mode splits them (LF,
+    CRLF and a lone CR each end one; the last may have no end)."""
     count, last = 0, b""
     with open(path, "rb") as f:
-        while chunk := f.read(_READ_BLOCK_BYTES):
+        f.seek(start)
+        while chunk := f.read(min(_READ_BLOCK_BYTES, stop - f.tell())):
             # numpy counts a byte about four times faster than bytes.count
             count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
             if b"\r" in chunk:
                 count += chunk.count(b"\r") - chunk.count(b"\r\n")
+            count -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split between reads
             last = chunk[-1:]
     return count + (last not in (b"", b"\n", b"\r"))
 
 
+def _fill(lines, dtype, count, ends=True):
+    """Parse the lines with numpy's C reader, _READ_BLOCK_BYTES of rows at a
+    time, into one column per dtype field; return the columns and the rows
+    filled. The first block allocates the columns: its own rows if it ends
+    the lines and `ends` says they end the body, else count() rows."""
+    rows = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
+    columns, filled = None, 0
+    while True:
+        block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=rows)
+        if columns is None:
+            n = len(block) if len(block) < rows and ends else count()
+            columns = [np.empty((n, *dtype[name].shape), dtype[name].base) for name in dtype.names]
+        for column, name in zip(columns, dtype.names):
+            column[filled : filled + len(block)] = block[name]
+        filled += len(block)
+        if len(block) < rows:
+            return columns, filled
+        del block  # so the next block is not read while this one is alive
+
+
+def _fill_in_two(path, f, dtype):
+    """_fill over the body left in the open text file f, cut at the first LF
+    past its byte midpoint, with a forked child parsing the rows after the
+    cut; None, with f rewound, unless the body is over _FORK_BYTES, a second
+    CPU can run the child, tell() gives a byte offset (not after a lone CR)
+    and the child sends every row it parsed. The columns are allocated after
+    the first block, as in the serial path: allocated before it, they raised
+    the benchmark's base-csv peak memory by about 3 MB."""
+    size = os.fstat(f.fileno()).st_size
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if size - (start := f.tell()) <= _FORK_BYTES or (cpus or 1) < 2 or not hasattr(os, "fork"):
+        return None
+    with open(path, "rb") as raw:
+        raw.seek((start + size) // 2)
+        if not raw.readline(_READ_BLOCK_BYTES).endswith(b"\n") or (cut := raw.tell()) >= size:
+            return None
+    r, w = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of a fork beside threads (OpenBLAS's pool); the child
+        # runs only numpy's text reader, with no import, logging or BLAS call
+        warnings.filterwarnings("ignore", r"This process .* use of fork\(\)", DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:  # no memory or process left for a child
+            pid = None
+    if pid == 0:  # the child writes its row count, then each column's bytes
+        try:
+            os.close(r)
+            with open(path, encoding="utf-8") as rest, open(w, "wb") as pipe:
+                rest.seek(cut)
+                mine, sent = _fill(rest, dtype, lambda: _line_count(path, cut))
+                pipe.write(sent.to_bytes(8, "little"))
+                for column in mine:
+                    pipe.write(column[:sent].view(np.uint8))
+            os._exit(0)  # only once every byte is written
+        finally:
+            os._exit(1)
+    os.close(w)
+    try:  # the child is reaped on every path
+        with open(r, "rb") as pipe:
+            head = itertools.islice(f, lines := _line_count(path, start, cut))
+            columns, filled = _fill(head, dtype, lambda: lines + _line_count(path, cut), ends=False)
+            sent = int.from_bytes(pipe.read(8), "little")
+            parts = [c[filled : filled + sent].view(np.uint8) for c in columns]
+            ok = filled + sent <= len(columns[0])
+            ok = ok and all(pipe.readinto(part) == part.nbytes for part in parts)
+        ok &= pid is not None and os.waitpid(pid, 0)[1] == 0
+        pid = 0
+    finally:
+        f.seek(start)  # where the serial path starts if this one fails
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return (columns, filled + sent) if ok else None
+
+
 def _read_columns(path, f, dtype):
     """Parse the rest of an open CSV file with numpy's C reader into one
-    C-contiguous column per field of the structured dtype, or return None
-    when it rejects the text.
-
-    The rows are read a block of at most _READ_BLOCK_BYTES at a time. When
-    the first block is not the whole file, the columns are allocated for
-    every line of the file and filled block by block, then trimmed with one
-    copy if blank lines left some unfilled; parsing holds the columns plus
-    one block."""
-    rows = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
+    C-contiguous column per field of the structured dtype (_fill_in_two, else
+    _fill), or return None when it rejects the text. Blank lines leave some
+    of the columns allocated for every line unfilled; one copy trims them."""
     with warnings.catch_warnings():
         # a blank line or a body with no rows only warns; any other warning
         # sends the file to the row loop
         warnings.simplefilter("error", UserWarning)
         warnings.filterwarnings("ignore", _NO_DATA, UserWarning)
-        read = functools.partial(
-            np.loadtxt, f, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=rows
-        )
         try:
-            block = read()
-            n = len(block) if len(block) < rows else _line_count(path) - 1
-            columns = [np.empty((n, *dtype[name].shape), dtype[name].base) for name in dtype.names]
-            filled = 0
-            while True:
-                for column, name in zip(columns, dtype.names):
-                    column[filled : filled + len(block)] = block[name]
-                filled += len(block)
-                if len(block) < rows:
-                    break
-                del block  # so the next block is not read while this one is alive
-                block = read()
+            serial = functools.partial(_fill, f, dtype, lambda: _line_count(path) - 1)
+            columns, filled = _fill_in_two(path, f, dtype) or serial()
         except (ValueError, UserWarning):
             return None
-    if filled < n:
+    if filled < len(columns[0]):
         columns = [column[:filled].copy() for column in columns]
     return columns
 
@@ -330,14 +392,12 @@ def load_csv(path, class_count=None):
     dtype_of = functools.partial(_parse_header, class_count=class_count)
     _, (ids, labels, features, *scores) = read_csv(path, dtype_of)
     softmaxes = scores[0] if scores else None
-    bad = ~np.isfinite(features).all(axis=1)
-    if softmaxes is not None:
-        class_count = softmaxes.shape[1]
-        bad |= ~np.isfinite(softmaxes).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
+    blocks = [features] + scores
+    if not all(np.isfinite(block).all() for block in blocks):
+        row = int(np.argmin(np.logical_and.reduce([np.isfinite(b).all(axis=1) for b in blocks])))
         raise ValueError(f"{path}:{line_number(path, row + 1)}: non-finite cell (nan or inf)")
     if softmaxes is not None:
+        class_count = softmaxes.shape[1]
         check_score_rows(softmaxes, path)
     if class_count is None:
         class_count = int(labels.max()) + 1 if len(labels) else 1

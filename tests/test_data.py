@@ -1,7 +1,10 @@
 """CSV ingestion, deterministic splits, synthetic blobs."""
 
+import os
 import re
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +207,24 @@ def _outcome(path, class_count):
         return str(exc)
 
 
+def _assert_same_outcome(got, want):
+    """got and want, each an _outcome, are the same error text or datasets
+    with bit-identical C-contiguous arrays."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.class_count == want.class_count
+    for name in ("ids", "labels", "features", "softmaxes"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None
+            continue
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
 class TestReaderParity:
     """load_csv must give what the Python row loop gives: bit-identical
     arrays, or the same error text."""
@@ -221,20 +242,7 @@ class TestReaderParity:
             raise ValueError("C reader disabled")
 
         monkeypatch.setattr(np, "loadtxt", reject)
-        loop = _outcome(path, class_count)
-        if isinstance(loop, str):
-            assert fast == loop
-            return
-        assert not isinstance(fast, str), fast
-        assert fast.class_count == loop.class_count
-        for name in ("ids", "labels", "features", "softmaxes"):
-            a, b = getattr(fast, name), getattr(loop, name)
-            if b is None:
-                assert a is None
-                continue
-            assert (a.dtype, a.shape) == (b.dtype, b.shape)
-            assert a.flags.c_contiguous and b.flags.c_contiguous
-            assert a.tobytes() == b.tobytes()
+        _assert_same_outcome(fast, _outcome(path, class_count))
 
     def test_well_formed_file_skips_row_loop(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
@@ -333,6 +341,184 @@ class TestLoadCsvInBlocks(TestLoadCsv):
 @pytest.mark.usefixtures("small_blocks")
 class TestReaderParityInBlocks(TestReaderParity):
     """Reader parity, parsed across block edges."""
+
+
+@pytest.fixture(
+    scope="class", params=[None, 64], ids=["two_processes", "two_processes_2_row_blocks"]
+)
+def two_processes(request):
+    # any body with an LF after its midpoint is cut, and two CPUs are offered
+    if not hasattr(os, "fork"):
+        pytest.skip("the platform cannot fork")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_FORK_BYTES", 0)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if request.param:
+            mp.setattr(data, "_READ_BLOCK_BYTES", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("two_processes")
+class TestLoadCsvInTwoProcesses(TestLoadCsv):
+    """The path:line errors and round trips, parsed by two processes."""
+
+
+@pytest.mark.usefixtures("two_processes")
+class TestReaderParityInTwoProcesses(TestReaderParity):
+    """Reader parity, parsed by two processes."""
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _rows(n, end="\n", blank=False):
+    """A file of n rows with `end` line ends, a blank line after each row
+    when blank is set."""
+    rows = [f"{i},{i % 2},{i}.5,{-i}e-3" for i in range(n)]
+    return HEADER.replace("\n", end) + "".join(row + end + end * blank for row in rows)
+
+
+@pytest.mark.usefixtures("two_processes")
+class TestTwoProcesses:
+    """A body cut in two gives the columns, or the path:line error, of the
+    serial reader, and no load leaves a child process behind."""
+
+    @pytest.fixture
+    def parse(self, monkeypatch):
+        """parse(path) -> (two-process outcome, serial outcome, whether the
+        first tried to fork a child)."""
+
+        def parse(path, class_count=None):
+            forks = []
+            if hasattr(os, "fork"):
+                fork = os.fork
+                monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+            two = _outcome(path, class_count)
+            _no_child_left()
+            with monkeypatch.context() as mp:
+                mp.setattr(data, "_FORK_BYTES", 1 << 62)
+                return two, _outcome(path, class_count), bool(forks)
+
+        return parse
+
+    @pytest.mark.parametrize(
+        "text",
+        [_rows(40), _rows(40, blank=True), "\n \n" + _rows(41, blank=True), _rows(40, "\r\n"),
+         _rows(40, "\r\n", blank=True), _rows(40).rstrip("\n"),
+         HEADER + _rows(30, "\r")[len(HEADER):] + _rows(30)[len(HEADER):]],
+        ids=["lf", "blank_beside_cut", "blank_before_header", "crlf", "crlf_blank_beside_cut",
+             "no_trailing_newline", "lone_cr_then_lf"],
+    )
+    def test_same_columns(self, tmp_path, parse, monkeypatch, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        fills, fill = [], data._fill
+        monkeypatch.setattr(data, "_fill", lambda *a, **k: fills.append(os.getpid()) or fill(*a, **k))
+        two, one, split = parse(path)
+        # this process parsed its half and the serial reference, and no fallback
+        assert split and fills.count(os.getpid()) == 2 and not isinstance(one, str)
+        _assert_same_outcome(two, one)
+
+    def test_lone_cr_file_is_parsed_serially(self, tmp_path, parse):
+        # tell() gives no byte offset after a header ended by a lone CR
+        path = tmp_path / "d.csv"
+        path.write_bytes(_rows(40, "\r").encode())
+        two, one, split = parse(path)
+        assert not split and len(one) == 40
+        _assert_same_outcome(two, one)
+
+    @pytest.mark.parametrize("row", [3, 17, 33])
+    @pytest.mark.parametrize(
+        "bad", ["1,0,oops,2", "1,0,1", "1,0,nan,2", "99999999999999999999,0,1,2", "1,7,1,2"],
+        ids=["bad_cell", "short_row", "nan", "id_overflow", "label_out_of_range"],
+    )
+    def test_bad_row_names_the_serial_line(self, tmp_path, parse, row, bad):
+        lines = _rows(40, blank=True).split("\n")
+        lines[1 + 2 * row] = bad
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines))
+        two, one, split = parse(path, 3)
+        assert split and isinstance(one, str) and f"d.csv:{2 + 2 * row}:" in one
+        assert two == one
+
+    @pytest.mark.parametrize("row", [3, 1900])
+    def test_byte_that_is_not_utf8_names_the_serial_line(self, tmp_path, row):
+        # 2000 rows, so the second half lies past the first half's text buffer
+        path = tmp_path / "d.csv"
+        text = _rows(2000).encode()
+        at = text.index(f"\n{row},".encode()) + 1
+        path.write_bytes(text[:at] + b"\xff" + text[at:])
+        with pytest.raises(ValueError, match=rf"d\.csv:{2 + row}: byte 0xff is not UTF-8$"):
+            load_csv(path)
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "child", ["exits_1", "fails_after_its_count", "sends_too_few_bytes", "claims_too_many_rows"]
+    )
+    def test_failed_child_gives_the_same_columns(self, tmp_path, parse, monkeypatch, child):
+        parent, fill = os.getpid(), data._fill
+
+        def fill_in_child(lines, dtype, count, ends=True):
+            columns, filled = fill(lines, dtype, count, ends)
+            if os.getpid() == parent:
+                return columns, filled
+            if child == "exits_1":
+                os._exit(1)
+            if child == "fails_after_its_count":  # a count of 0, then no column
+                return [None] * len(columns), 0
+            if child == "sends_too_few_bytes":  # one row of each column for two
+                return [column[:1] for column in columns], 2
+            return [np.zeros_like(column) for column in columns], count() + 1
+
+        monkeypatch.setattr(data, "_fill", fill_in_child)
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(40))
+        two, one, split = parse(path)
+        assert split
+        _assert_same_outcome(two, one)
+
+    def test_failed_fork_gives_the_same_columns(self, tmp_path, parse, monkeypatch):
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(40))
+        two, one, split = parse(path)
+        assert split
+        _assert_same_outcome(two, one)
+
+    def test_fork_beside_a_thread_warns_nothing(self, tmp_path, parse):
+        # Python 3.12+ warns on a fork in a process with threads
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(40))
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                two, one, split = parse(path)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert split and not caught and not thread.is_alive()
+        _assert_same_outcome(two, one)
+
+    @pytest.mark.parametrize("no_second_cpu", ["no_fork", "one_cpu"])
+    def test_serial_without_fork_or_second_cpu(self, tmp_path, parse, monkeypatch, no_second_cpu):
+        if no_second_cpu == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(40))
+        two, one, split = parse(path)
+        assert not split
+        _assert_same_outcome(two, one)
 
 
 def test_parse_holds_the_columns_and_one_block(tmp_path):
