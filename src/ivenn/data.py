@@ -17,14 +17,22 @@ row loop, which accepts the same literals as Python's int() and float()
 and names the line of a bad row and the column of a bad cell. Every CSV
 is written _WRITE_BLOCK_ROWS (4096) rows at a time, and every artifact
 through `open_artifact`, which writes a new file in place of an old one.
+On two CPUs, a forked child formats the second half of a CSV whose
+columns hold over _FORK_FLOATS (2^16) float cells and holds that half's
+text, while the parent writes the first half and then copies the child's
+text into the file, holding one block. Both the reader and the writer
+fork through `_forked`, which reaps the child on every path; the bytes
+written and the columns read are the one-process path's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import os
+import shutil
 import signal
 import stat
 import warnings
@@ -35,6 +43,7 @@ import numpy as np
 _WRITE_BLOCK_ROWS = 4096
 _READ_BLOCK_BYTES = 1 << 20
 _FORK_BYTES = 4 << 20
+_FORK_FLOATS = 1 << 16
 # numpy warns on a blank line once max_rows is set, and on a body with no rows
 _NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
 
@@ -255,60 +264,97 @@ def _fill(lines, dtype, count, ends=True):
         del block  # so the next block is not read while this one is alive
 
 
-def _fill_in_two(path, f, dtype):
-    """_fill over the body left in the open text file f, cut at the first LF
-    past its byte midpoint, with a forked child parsing the rows after the
-    cut; None, with f rewound, unless the body is over _FORK_BYTES, a second
-    CPU can run the child, tell() gives a byte offset (not after a lone CR)
-    and the child sends every row it parsed. The columns are allocated after
-    the first block, as in the serial path: allocated before it, they raised
-    the benchmark's base-csv peak memory by about 3 MB."""
-    size = os.fstat(f.fileno()).st_size
+@contextlib.contextmanager
+def _forked(send):
+    """Fork a child that runs send(pipe), pipe the write end of a pipe as a
+    binary file, and exits through os._exit: 0 only once send has returned
+    and every byte is written, else 1. Yields (the read end as a binary
+    file, a function that waits for the child and tells whether it exited
+    0), or None, with no child, unless os.fork exists, the CPU affinity set
+    (os.cpu_count() where it cannot be read) holds a second CPU and the fork
+    succeeds. The child is reaped on every path, and killed first if the
+    parent has not waited for it."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if size - (start := f.tell()) <= _FORK_BYTES or (cpus or 1) < 2 or not hasattr(os, "fork"):
-        return None
-    with open(path, "rb") as raw:
-        raw.seek((start + size) // 2)
-        if not raw.readline(_READ_BLOCK_BYTES).endswith(b"\n") or (cut := raw.tell()) >= size:
-            return None
+    if (cpus or 1) < 2 or not hasattr(os, "fork"):
+        yield None
+        return
     r, w = os.pipe()
     with warnings.catch_warnings():
-        # Python 3.12+ warns of a fork beside threads (OpenBLAS's pool); the child
-        # runs only numpy's text reader, with no import, logging or BLAS call
+        # Python 3.12+ warns of a fork beside threads (OpenBLAS's pool); each
+        # child runs only numpy's text reader or str formatting, with no
+        # import, logging or BLAS call
         warnings.filterwarnings("ignore", r"This process .* use of fork\(\)", DeprecationWarning)
         try:
             pid = os.fork()
         except OSError:  # no memory or process left for a child
             pid = None
-    if pid == 0:  # the child writes its row count, then each column's bytes
+    if pid is None:
+        os.close(r)
+        os.close(w)
+        yield None
+        return
+    if pid == 0:
         try:
             os.close(r)
-            with open(path, encoding="utf-8") as rest, open(w, "wb") as pipe:
-                rest.seek(cut)
-                mine, sent = _fill(rest, dtype, lambda: _line_count(path, cut))
-                pipe.write(sent.to_bytes(8, "little"))
-                for column in mine:
-                    pipe.write(column[:sent].view(np.uint8))
+            with open(w, "wb") as pipe:
+                send(pipe)
             os._exit(0)  # only once every byte is written
         finally:
             os._exit(1)
     os.close(w)
-    try:  # the child is reaped on every path
+    status = []
+
+    def exited_0():
+        status.append(os.waitpid(pid, 0)[1])
+        return status[0] == 0
+
+    try:
         with open(r, "rb") as pipe:
-            head = itertools.islice(f, lines := _line_count(path, start, cut))
-            columns, filled = _fill(head, dtype, lambda: lines + _line_count(path, cut), ends=False)
-            sent = int.from_bytes(pipe.read(8), "little")
-            parts = [c[filled : filled + sent].view(np.uint8) for c in columns]
-            ok = filled + sent <= len(columns[0])
-            ok = ok and all(pipe.readinto(part) == part.nbytes for part in parts)
-        ok &= pid is not None and os.waitpid(pid, 0)[1] == 0
-        pid = 0
+            yield pipe, exited_0
     finally:
-        f.seek(start)  # where the serial path starts if this one fails
-        if pid:
+        if not status:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return (columns, filled + sent) if ok else None
+
+
+def _fill_in_two(path, f, dtype):
+    """_fill over the body left in the open text file f, cut at the first LF
+    past its byte midpoint, with a forked child (_forked) parsing the rows
+    after the cut; None, with f where it was, unless the body is over
+    _FORK_BYTES, tell() gives a byte offset (not after a lone CR), a child
+    runs and it sends every row it parsed. A fork that fails returns None
+    before any row is parsed. The columns are allocated after the first
+    block, as in the serial path: allocated before it, they raised the
+    benchmark's base-csv peak memory by about 3 MB."""
+    size = os.fstat(f.fileno()).st_size
+    if size - (start := f.tell()) <= _FORK_BYTES:
+        return None
+    with open(path, "rb") as raw:
+        raw.seek((start + size) // 2)
+        if not raw.readline(_READ_BLOCK_BYTES).endswith(b"\n") or (cut := raw.tell()) >= size:
+            return None
+
+    def send(pipe):  # the child's row count, then each column's bytes
+        with open(path, encoding="utf-8") as rest:
+            rest.seek(cut)
+            mine, sent = _fill(rest, dtype, lambda: _line_count(path, cut))
+        pipe.write(sent.to_bytes(8, "little"))
+        for column in mine:
+            pipe.write(column[:sent].view(np.uint8))
+
+    with _forked(send) as child:
+        if child is None:
+            return None
+        pipe, exited_0 = child
+        head = itertools.islice(f, lines := _line_count(path, start, cut))
+        columns, filled = _fill(head, dtype, lambda: lines + _line_count(path, cut), ends=False)
+        sent = int.from_bytes(pipe.read(8), "little")
+        parts = [c[filled : filled + sent].view(np.uint8) for c in columns]
+        ok = filled + sent <= len(columns[0]) and all(pipe.readinto(p) == p.nbytes for p in parts)
+        if ok and exited_0():
+            return columns, filled + sent
+    f.seek(start)  # where the serial path starts
+    return None
 
 
 def _read_columns(path, f, dtype):
@@ -435,14 +481,44 @@ def open_artifact(path, mode="w"):
     return open(path, mode, encoding=None if "b" in mode else "utf-8")
 
 
+def _csv_blocks(columns, start, stop):
+    """The UTF-8 csv_lines of rows [start, stop) of the columns, each row
+    ended by LF, _WRITE_BLOCK_ROWS rows to a bytes object."""
+    for block in range(start, stop, _WRITE_BLOCK_ROWS):
+        rows = slice(block, min(block + _WRITE_BLOCK_ROWS, stop))
+        yield ("\n".join(csv_lines(*(col[rows] for col in columns))) + "\n").encode()
+
+
 def _write_csv(path, header, *columns):
     """Write the header, then the columns' csv_lines a block of rows at a
-    time, to bound the memory held in Python objects."""
-    with open_artifact(path) as f:
-        f.write(",".join(header) + "\n")
-        for block in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            rows = slice(block, block + _WRITE_BLOCK_ROWS)
-            f.write("\n".join(csv_lines(*(col[rows] for col in columns))) + "\n")
+    time, to bound the memory held in Python objects. When the columns hold
+    over _FORK_FLOATS float cells (repr is most of the cost), a forked child
+    (_forked) formats rows [n // 2, n) whole and sends them down a pipe,
+    while the parent writes the rows before them and then copies the pipe
+    into the file; if the child fails, the parent truncates the file back
+    to its own rows and formats the rest itself."""
+    columns = [np.asarray(col) for col in columns]
+    n = len(columns[0])
+    fork = sum(col.size for col in columns if col.dtype.kind == "f") > _FORK_FLOATS
+    cut = n // 2 if fork else n
+
+    def send(pipe):  # the whole half is formatted before the pipe can block
+        pipe.writelines(list(_csv_blocks(columns, cut, n)))
+
+    # forked before the file is opened, so the child inherits no write buffer
+    forked = _forked(send) if fork else contextlib.nullcontext()
+    with forked as child, open_artifact(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        f.writelines(_csv_blocks(columns, 0, cut))
+        if child and f.seekable():  # a device such as /dev/stdout cannot be truncated
+            pipe, exited_0 = child
+            end = f.tell()
+            shutil.copyfileobj(pipe, f, _READ_BLOCK_BYTES)
+            if exited_0():
+                return
+            f.seek(end)
+            f.truncate()
+        f.writelines(_csv_blocks(columns, cut, n))
 
 
 def save_csv(ds, path):

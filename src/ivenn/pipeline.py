@@ -25,7 +25,11 @@ equal byte for byte.
 
 Memory: the loaded dataset is dropped once `split` has copied its parts,
 and the CSV artifacts are written 4096 rows at a time, so a run's peak is
-the split itself, where the dataset and its parts are both alive.
+the split itself, where the dataset and its parts are both alive. On two
+CPUs a CSV of over 2^16 float cells (base-csv's curves.csv, not its
+predictions.csv, whose rows hold no float cells) has its second half
+formatted by a forked child, which holds that half's text; this process
+still holds one block of text at a time.
 """
 
 from __future__ import annotations
@@ -324,13 +328,14 @@ def _predictions_header(c):
 def _write_predictions(path, ids, batch):
     """v2: id,label,category,predicted,N,n0..n{c-1},L0,U0,... from an
     EvalBatch made from predictions. Every example of a category shares
-    everything after its category, so that suffix is formatted once per
+    everything from its category on, so that suffix is formatted once per
     category."""
     r = batch.rows
     bounds = np.stack([r.lower, r.upper], axis=2).reshape(len(r.lower), -1)
-    suffix = np.array(csv_lines(r.predicted, r.totals, r.counts, bounds), dtype=object)
-    k = batch.category
-    _write_csv(path, _predictions_header(r.counts.shape[1]), ids, batch.labels, k, suffix[k])
+    category = np.arange(len(r.predicted))
+    suffix = np.array(csv_lines(category, r.predicted, r.totals, r.counts, bounds), dtype=object)
+    header = _predictions_header(r.counts.shape[1])
+    _write_csv(path, header, ids, batch.labels, suffix[batch.category])
 
 
 def _write_timing(path, timings, predictions):

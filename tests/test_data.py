@@ -483,11 +483,15 @@ class TestTwoProcesses:
         def fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
+        fills, fill = [], data._fill
+        monkeypatch.setattr(data, "_fill", lambda *a, **k: fills.append(1) or fill(*a, **k))
         monkeypatch.setattr(os, "fork", fork)
         path = tmp_path / "d.csv"
         path.write_text(_rows(40))
         two, one, split = parse(path)
-        assert split
+        # the load went straight to the serial path: one _fill for it and one
+        # for the serial reference, with no half parsed before the fallback
+        assert split and len(fills) == 2
         _assert_same_outcome(two, one)
 
     def test_fork_beside_a_thread_warns_nothing(self, tmp_path, parse):
@@ -763,6 +767,169 @@ class TestCsvWriter:
         save_report(report, tmp_path / "report.txt", tmp_path / "curves.csv")
         assert (tmp_path / "report.txt").read_text() == report_text(report)
         assert (tmp_path / "curves.csv").read_bytes() == _reference_curves(E, LEP, UEP).encode()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two CPUs offered; the list of os.fork calls made."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the platform cannot fork")
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
+
+
+@pytest.fixture
+def two_process_writes(forks, monkeypatch):
+    """Every CSV write forks a child for its second half; the fork calls."""
+    monkeypatch.setattr(data, "_FORK_FLOATS", -1)
+    return forks
+
+
+@pytest.mark.usefixtures("two_process_writes")
+class TestCsvWriterInTwoProcesses(TestCsvWriter):
+    """The writer's bytes, each CSV's second half formatted by a child."""
+
+    @pytest.fixture(autouse=True)
+    def forks_a_child(self, two_process_writes):
+        yield
+        assert two_process_writes  # every test writes some CSV through a child
+        _no_child_left()
+
+
+def _curves(n):
+    """Curves-shaped columns of n rows, FLOAT_EDGES among their cells, and
+    their _reference_curves bytes (the serial writer's, by TestCsvWriter)."""
+    values = np.concatenate([FLOAT_EDGES, np.random.default_rng(n).normal(size=7)])
+    E, LEP, UEP = np.resize(values, (3, n))
+    want = _reference_curves(E.tolist(), LEP.tolist(), UEP.tolist()).encode()
+    return (np.arange(1, n + 1), E, LEP, UEP), want
+
+
+def _write_curves(tmp_path, n):
+    """The bytes _write_csv gives _curves(n), and the reference bytes; no
+    child is left once the write returns."""
+    columns, want = _curves(n)
+    path = tmp_path / "c.csv"
+    data._write_csv(path, ["n", "E", "LEP", "UEP"], *columns)
+    _no_child_left()
+    return path.read_bytes(), want
+
+
+class TestTwoProcessWrites:
+    """A CSV whose rows from n // 2 on a child formats has the serial
+    writer's bytes, whether the child runs, fails or never starts."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 41])
+    def test_same_bytes(self, tmp_path, two_process_writes, n):
+        got, want = _write_curves(tmp_path, n)
+        assert two_process_writes and got == want
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
+    def test_cut_beside_a_block_edge(self, tmp_path, two_process_writes, monkeypatch, n):
+        monkeypatch.setattr(data, "_WRITE_BLOCK_ROWS", 4)  # a cut at row 3, 4 or 5
+        got, want = _write_curves(tmp_path, n)
+        assert two_process_writes and got == want
+
+    @pytest.mark.parametrize("child", ["exits_1_before_sending", "exits_1_after_part"])
+    def test_failed_child_gives_the_same_bytes(
+        self, tmp_path, two_process_writes, monkeypatch, child
+    ):
+        parent, blocks = os.getpid(), data._csv_blocks
+
+        def blocks_in_child(columns, start, stop):
+            if os.getpid() == parent:
+                return blocks(columns, start, stop)
+            if child == "exits_1_before_sending":
+                os._exit(1)
+            # the first of its 5 blocks is sent, then writing None raises
+            return [next(blocks(columns, start, stop)), None]
+
+        monkeypatch.setattr(data, "_WRITE_BLOCK_ROWS", 4)
+        monkeypatch.setattr(data, "_csv_blocks", blocks_in_child)
+        got, want = _write_curves(tmp_path, 40)
+        assert two_process_writes and got == want
+
+    def test_failed_fork_gives_the_same_bytes(self, tmp_path, two_process_writes, monkeypatch):
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        got, want = _write_curves(tmp_path, 41)
+        assert got == want
+
+    def test_fork_beside_a_thread_warns_nothing(self, tmp_path, two_process_writes):
+        # Python 3.12+ warns on a fork in a process with threads
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got, want = _write_curves(tmp_path, 41)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert two_process_writes and not caught and not thread.is_alive()
+        assert got == want
+
+    def test_pipe_is_written_by_the_parent(self, tmp_path, two_process_writes):
+        # a FIFO cannot be truncated back to the parent's rows if the child
+        # fails, so the parent formats every row and the child is killed
+        path = tmp_path / "c.fifo"
+        os.mkfifo(path)
+        columns, want = _curves(41)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            data._write_csv(path, ["n", "E", "LEP", "UEP"], *columns)
+        finally:
+            reader.join(timeout=10)
+        _no_child_left()
+        assert two_process_writes and not reader.is_alive() and got == [want]
+
+    @pytest.mark.parametrize("no_second_cpu", ["no_fork", "one_cpu"])
+    def test_serial_without_fork_or_second_cpu(
+        self, tmp_path, two_process_writes, monkeypatch, no_second_cpu
+    ):
+        if no_second_cpu == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        got, want = _write_curves(tmp_path, 41)
+        assert not two_process_writes and got == want
+
+
+class TestWhenAWriteForks:
+    """A write forks for columns of over _FORK_FLOATS float cells only."""
+
+    def test_small_curves_write_serially(self, tmp_path, forks):
+        got, want = _write_curves(tmp_path, 900)
+        assert not forks and got == want
+
+    @pytest.mark.parametrize("n", [1, 40_000])
+    def test_predictions_write_serially(self, tmp_path, forks, n):
+        # their float cells are formatted once per category, so the rows hold none
+        rows = category_rows([[2, 3], [0, 5]])
+        category = np.arange(n) % 2
+        ids, labels = np.arange(n, dtype=np.int64), category
+        path = tmp_path / "predictions.csv"
+        _write_predictions(path, ids, EvalBatch(category, rows, labels))
+        assert not forks
+        assert path.read_bytes() == _reference_predictions(ids, labels, category, rows)
+
+    @pytest.mark.parametrize("cells", [1 << 16, (1 << 16) + 1])
+    def test_fork_over_the_float_cells(self, tmp_path, forks, cells):
+        path = tmp_path / "d.csv"
+        data._write_csv(path, ["id", "x"], np.arange(cells), np.arange(cells) / 8)
+        _no_child_left()
+        assert bool(forks) == (cells > data._FORK_FLOATS)
+        assert path.read_bytes() == "".join(
+            ["id,x\n", *(f"{i},{i / 8!r}\n" for i in range(cells))]
+        ).encode()
 
 
 # values that are not int64 integers, each with the message naming the first
