@@ -903,6 +903,52 @@ class TestTwoProcessWrites:
         assert not two_process_writes and got == want
 
 
+def _file_of_body(path, size):
+    """Write a dataset file whose body, the bytes after HEADER, is `size`
+    bytes; the last row's f0 is padded with zeros to fit."""
+    rows, length = [], 0
+    while length + 40 < size:
+        i = len(rows)
+        rows.append(f"{i},{i % 2},{i}.5,{-i}e-3\n")
+        length += len(rows[-1])
+    i = len(rows)
+    last = f"{i},{i % 2},{i}.5,0\n"
+    rows.append(last.replace(".5,", ".5" + "0" * (size - length - len(last)) + ",", 1))
+    path.write_text(HEADER + "".join(rows))
+    assert path.stat().st_size == len(HEADER) + size
+
+
+class TestWhenAReadForks:
+    """A read forks for a body of over _FORK_BYTES only, and gives the
+    serial reader's columns either way."""
+
+    @staticmethod
+    def _serial(path):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_FORK_BYTES", 1 << 62)
+            return load_csv(path)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_gate", "one_byte_over"])
+    def test_fork_over_the_body_bytes(self, tmp_path, forks, extra):
+        path = tmp_path / "d.csv"
+        _file_of_body(path, data._FORK_BYTES + extra)
+        got = load_csv(path)
+        _no_child_left()
+        assert bool(forks) == bool(extra)
+        _assert_same_outcome(got, self._serial(path))
+
+    def test_knn_workload_sized_file_forks(self, tmp_path, forks):
+        # the shape of the k-NN workloads' data.csv: 9000 rows of 8 features
+        path = tmp_path / "d.csv"
+        save_csv(synth_gaussians(3, 8, 3000, 3.0, seed=0), path)
+        _no_child_left()
+        forks.clear()  # the write's own fork
+        got = load_csv(path)
+        _no_child_left()
+        assert forks and len(got) == 9000
+        _assert_same_outcome(got, self._serial(path))
+
+
 class TestWhenAWriteForks:
     """A write forks for columns of over _FORK_FLOATS float cells only."""
 
@@ -921,7 +967,7 @@ class TestWhenAWriteForks:
         assert not forks
         assert path.read_bytes() == _reference_predictions(ids, labels, category, rows)
 
-    @pytest.mark.parametrize("cells", [1 << 16, (1 << 16) + 1])
+    @pytest.mark.parametrize("cells", [data._FORK_FLOATS, data._FORK_FLOATS + 1])
     def test_fork_over_the_float_cells(self, tmp_path, forks, cells):
         path = tmp_path / "d.csv"
         data._write_csv(path, ["id", "x"], np.arange(cells), np.arange(cells) / 8)
