@@ -11,14 +11,14 @@ ids and labels are int64. `read_csv` is the only CSV parser: it serves
 this file and predictions.csv. It parses the body with numpy's C reader a
 block of at most _READ_BLOCK_BYTES (1 MiB) of rows at a time, so parsing
 holds the columns plus one block; on two CPUs, a forked child parses the
-rows past the middle of a body over _FORK_BYTES (256 KiB), holding its own
+rows past the middle of a body over _FORK_BYTES, holding its own
 columns plus one block. Only a file it rejects goes through the Python
 row loop, which accepts the same literals as Python's int() and float()
 and names the line of a bad row and the column of a bad cell. Every CSV
 is written _WRITE_BLOCK_ROWS (4096) rows at a time, and every artifact
 through `open_artifact`, which writes a new file in place of an old one.
 On two CPUs, a forked child formats the second half of a CSV whose
-columns hold over _FORK_FLOATS (2^14) float cells and holds that half's
+columns hold over _FORK_FLOATS float cells and holds that half's
 text, while the parent writes the first half and then copies the child's
 text into the file, holding one block. Both the reader and the writer
 fork through `_forked`, which reaps the child on every path; the bytes
@@ -42,18 +42,18 @@ import numpy as np
 
 _WRITE_BLOCK_ROWS = 4096
 _READ_BLOCK_BYTES = 1 << 20
-# Each fork gate is the measured break-even of one process against two: a
-# child costs the parent about 1 ms to fork and reap in a 40 MB process, and
-# more in a larger one (2 vCPUs, one BLAS thread, 40 MB held; best of 15
-# reads and of 11 writes):
-#   read,  body KiB   79    158   317   636   1433   3194
-#     one process ms  0.62  1.17  2.30  4.42  10.02  24.32
-#     two processes   1.37  1.55  2.07  3.30   6.86  14.05
-#   write, curves.csv float cells  2.7k  6k    12k   24k   48k    90k
-#     one process ms               0.74  1.64  3.89  6.73  13.28  24.84
-#     two processes                1.18  1.75  4.34  4.59   8.08  15.41
-_FORK_BYTES = 256 << 10
-_FORK_FLOATS = 1 << 14
+# A body over _FORK_BYTES is parsed in two processes. load_csv of save_csv
+# files of synth_gaussians(3, 8, ...), one BLAS thread, 2 vCPUs, in a process
+# holding 85 MB (the benchmark's processes peak at 57-85 MB); ms, median of
+# three runs' medians of 30 loads:
+#   body KiB         317   477   636   795   955   1114  1433
+#     one process   2.30  3.40  4.50  5.57  6.67  7.80  10.16
+#     two processes 2.48  3.09  3.73  4.33  4.95  5.62   7.01
+# There a fork and its reap cost the parent about 0.8 ms, but in 2 of 8
+# timed runs at 65-105 MB they cost 2.1-2.6 ms, and one process still won
+# at 955 KiB and tied at 1114 KiB. The gate is that larger break-even.
+_FORK_BYTES = 1 << 20
+_FORK_FLOATS = 1 << 16
 # numpy warns on a blank line once max_rows is set, and on a body with no rows
 _NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
 
@@ -331,13 +331,11 @@ def _fill_in_two(path, f, dtype):
     """_fill over the body left in the open text file f, cut at the first LF
     past its byte midpoint, with a forked child (_forked) parsing the rows
     after the cut; None, with f where it was, unless the body is over
-    _FORK_BYTES (256 KiB, past which two processes beat one: the 9000-row
-    data.csv of the k-NN workloads forks), tell() gives a byte offset (not
-    after a lone CR), a child runs and it sends every row it parsed. A fork
-    that fails returns None before any row is parsed. The columns are
-    allocated after the first block, as in the serial path: allocated
-    before it, they raised the benchmark's base-csv peak memory by about
-    3 MB."""
+    _FORK_BYTES, tell() gives a byte offset (not after a lone CR), a child
+    runs and it sends every row it parsed. A fork that fails returns None
+    before any row is parsed. The columns are allocated after the first
+    block, as in the serial path: allocated before it, they raised the
+    benchmark's base-csv peak memory by about 3 MB."""
     size = os.fstat(f.fileno()).st_size
     if size - (start := f.tell()) <= _FORK_BYTES:
         return None
