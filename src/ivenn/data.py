@@ -6,23 +6,23 @@ The on-disk format is a single CSV with header
 
 where the optional s block carries an externally produced per-class score
 vector (each row summing to 1) for score-threshold taxonomies. Blank and
-whitespace-only lines are skipped; there are no comments and no quoting;
-ids and labels are int64. `read_csv` is the only CSV parser: it serves
-this file and predictions.csv. It parses the body with numpy's C reader a
-block of at most _READ_BLOCK_BYTES (1 MiB) of rows at a time, so parsing
-holds the columns plus one block; on two CPUs, a forked child parses the
-rows past the middle of a body over _FORK_BYTES, holding its own
-columns plus one block. Only a file it rejects goes through the Python
-row loop, which accepts the same literals as Python's int() and float()
-and names the line of a bad row and the column of a bad cell. Every CSV
-is written _WRITE_BLOCK_ROWS (4096) rows at a time, and every artifact
-through `open_artifact`, which writes a new file in place of an old one.
-On two CPUs, a forked child formats the second half of a CSV whose
-columns hold over _FORK_FLOATS float cells and holds that half's
-text, while the parent writes the first half and then copies the child's
-text into the file, holding one block. Both the reader and the writer
-fork through `_forked`, which reaps the child on every path; the bytes
-written and the columns read are the one-process path's.
+whitespace-only lines are skipped; there are no comments and no quoting; ids
+and labels are int64. `read_csv` is the only CSV parser: it serves this file
+and predictions.csv. Its one body reader parses with numpy's C reader a
+block of at most _READ_BLOCK_BYTES (1 MiB) of rows at a time into columns
+sized by a count of the lines, so parsing holds the columns plus one block.
+On two CPUs it cuts a body over _FORK_BYTES near its middle, and a forked
+child parses the rows after the cut, holding its own columns plus one block.
+Only a file it rejects goes through the Python row loop, which accepts the
+same literals as Python's int() and float() and names the line of a bad row
+and the column of a bad cell. Every CSV is written _WRITE_BLOCK_ROWS (4096) rows at a time,
+and every artifact through `open_artifact`, which writes a new file in place
+of an old one. On two CPUs, a forked child formats the second half of a CSV
+whose columns hold over _FORK_FLOATS float cells and holds that half's text,
+while the parent writes the first half and then copies the child's text into
+the file, holding one block. Both the reader and the writer fork through
+`_forked`, which reaps the child on every path; the bytes written and the
+columns read are the one-process path's.
 """
 
 from __future__ import annotations
@@ -254,17 +254,17 @@ def _line_count(path, start=0, stop=math.inf):
     return count + (last not in (b"", b"\n", b"\r"))
 
 
-def _fill(lines, dtype, count, ends=True):
+def _fill(lines, dtype, n):
     """Parse the lines with numpy's C reader, _READ_BLOCK_BYTES of rows at a
-    time, into one column per dtype field; return the columns and the rows
-    filled. The first block allocates the columns: its own rows if it ends
-    the lines and `ends` says they end the body, else count() rows."""
+    time, into one column of n rows (at least the lines' count) per dtype
+    field; return the columns and the rows filled. The columns are allocated
+    after the first block: allocated before it, they raised the benchmark's
+    base-csv peak memory by about 3 MB."""
     rows = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
     columns, filled = None, 0
     while True:
         block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=rows)
         if columns is None:
-            n = len(block) if len(block) < rows and ends else count()
             columns = [np.empty((n, *dtype[name].shape), dtype[name].base) for name in dtype.names]
         for column, name in zip(columns, dtype.names):
             column[filled : filled + len(block)] = block[name]
@@ -327,61 +327,53 @@ def _forked(send):
             os.waitpid(pid, 0)
 
 
-def _fill_in_two(path, f, dtype):
-    """_fill over the body left in the open text file f, cut at the first LF
-    past its byte midpoint, with a forked child (_forked) parsing the rows
-    after the cut; None, with f where it was, unless the body is over
-    _FORK_BYTES, tell() gives a byte offset (not after a lone CR), a child
-    runs and it sends every row it parsed. A fork that fails returns None
-    before any row is parsed. The columns are allocated after the first
-    block, as in the serial path: allocated before it, they raised the
-    benchmark's base-csv peak memory by about 3 MB."""
-    size = os.fstat(f.fileno()).st_size
-    if size - (start := f.tell()) <= _FORK_BYTES:
-        return None
-    with open(path, "rb") as raw:
-        raw.seek((start + size) // 2)
-        if not raw.readline(_READ_BLOCK_BYTES).endswith(b"\n") or (cut := raw.tell()) >= size:
-            return None
+def _read_columns(path, f, dtype, read, fork=True):
+    """Parse the rest of the open CSV file f, whose first `read` lines the
+    caller has read, with numpy's C reader into one C-contiguous column per
+    field of the structured dtype. With fork set, a body over _FORK_BYTES is
+    cut at the first LF past its byte midpoint and a forked child (_forked)
+    parses the rows after the cut into the parent's columns; with no cut or
+    no child, this process parses every row. Each process counts only its
+    own lines, the child sending its count ahead of its rows; one copy trims
+    the rows that blank lines leave unfilled. A child that fails sends the
+    body here again, with fork unset."""
+    start, size = f.tell(), os.fstat(f.fileno()).st_size
+    cut = size
+    # The gate measures the body, as _FORK_BYTES's table does, not the file.
+    # After a header ended by a lone CR, tell() is a decoder cookie past size,
+    # so such a file is parsed whole; the line counts start at byte 0.
+    if fork and size - start > _FORK_BYTES:
+        with open(path, "rb") as raw:
+            raw.seek((start + size) // 2)
+            if raw.readline(_READ_BLOCK_BYTES).endswith(b"\n"):
+                cut = raw.tell()
 
-    def send(pipe):  # the child's row count, then each column's bytes
+    def send(pipe):  # the child's line count, then its row count and each column's bytes
+        pipe.write((n := _line_count(path, cut)).to_bytes(8, "little"))
+        pipe.flush()  # the parent sizes its columns by it before parsing
         with open(path, encoding="utf-8") as rest:
             rest.seek(cut)
-            mine, sent = _fill(rest, dtype, lambda: _line_count(path, cut))
+            mine, sent = _fill(rest, dtype, n)
         pipe.write(sent.to_bytes(8, "little"))
         for column in mine:
             pipe.write(column[:sent].view(np.uint8))
 
-    with _forked(send) as child:
-        if child is None:
-            return None
-        pipe, exited_0 = child
-        head = itertools.islice(f, lines := _line_count(path, start, cut))
-        columns, filled = _fill(head, dtype, lambda: lines + _line_count(path, cut), ends=False)
-        sent = int.from_bytes(pipe.read(8), "little")
-        parts = [c[filled : filled + sent].view(np.uint8) for c in columns]
-        ok = filled + sent <= len(columns[0]) and all(pipe.readinto(p) == p.nbytes for p in parts)
-        if ok and exited_0():
-            return columns, filled + sent
-    f.seek(start)  # where the serial path starts
-    return None
-
-
-def _read_columns(path, f, dtype):
-    """Parse the rest of an open CSV file with numpy's C reader into one
-    C-contiguous column per field of the structured dtype (_fill_in_two, else
-    _fill), or return None when it rejects the text. Blank lines leave some
-    of the columns allocated for every line unfilled; one copy trims them."""
-    with warnings.catch_warnings():
-        # a blank line or a body with no rows only warns; any other warning
-        # sends the file to the row loop
-        warnings.simplefilter("error", UserWarning)
-        warnings.filterwarnings("ignore", _NO_DATA, UserWarning)
-        try:
-            serial = functools.partial(_fill, f, dtype, lambda: _line_count(path) - 1)
-            columns, filled = _fill_in_two(path, f, dtype) or serial()
-        except (ValueError, UserWarning):
-            return None
+    with _forked(send) if cut < size else contextlib.nullcontext() as child:
+        lines = _line_count(path, 0, cut if child else size) - read
+        theirs = int.from_bytes(child[0].read(8), "little") if child else 0
+        # through islice, not a file that ends at the cut: that was no faster
+        columns, filled = _fill(itertools.islice(f, lines), dtype, lines + theirs)
+        if child:
+            pipe, exited_0 = child
+            sent = int.from_bytes(pipe.read(8), "little")
+            parts = [c[filled : filled + sent].view(np.uint8) for c in columns]
+            filled += sent
+            ok = filled <= len(columns[0]) and all(pipe.readinto(p) == p.nbytes for p in parts)
+            if not (ok and exited_0()):
+                columns = None
+    if columns is None:  # after the failed child is reaped
+        f.seek(start)
+        return _read_columns(path, f, dtype, read, fork=False)
     if filled < len(columns[0]):
         columns = [column[:filled].copy() for column in columns]
     return columns
@@ -423,17 +415,25 @@ def read_csv(path, dtype_of):
     a byte that is not UTF-8 is named by `path:line`."""
     try:
         with open(path, encoding="utf-8") as f:
-            header = f.readline()
-            while header and not header.strip():
-                header = f.readline()
-            if not header:
+            for read, header in enumerate(iter(f.readline, ""), start=1):
+                if header.strip():
+                    break
+            else:
                 raise ValueError(f"{path}: empty file")
             header = [cell.strip() for cell in header.split(",")]
             try:
                 dtype = dtype_of(header)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-            columns = _read_columns(path, f, dtype)
+            with warnings.catch_warnings():
+                # a blank line or a body with no rows only warns; any other
+                # warning sends the file to the row loop
+                warnings.simplefilter("error", UserWarning)
+                warnings.filterwarnings("ignore", _NO_DATA, UserWarning)
+                try:
+                    columns = _read_columns(path, f, dtype, read)
+                except (ValueError, UserWarning):
+                    columns = None
         if columns is None:
             columns = _parse_rows(path, header, dtype)
     except UnicodeDecodeError as exc:
@@ -535,12 +535,11 @@ def save_csv(ds, path):
     """Inverse of load_csv; the round trip is exact. Every cell is written as
     the file's type: int64 ids and labels, float features and scores."""
     cols = ["id", "label"] + [f"f{i}" for i in range(ds.feature_dim)]
-    blocks = [np.asarray(ds.features, dtype=float)]
+    blocks = [ds.features]
     if ds.softmaxes is not None:
         cols += [f"s{j}" for j in range(ds.class_count)]
-        blocks.append(np.asarray(ds.softmaxes, dtype=float))
-    ids, labels = (np.asarray(a, dtype=np.int64) for a in (ds.ids, ds.labels))
-    _write_csv(path, cols, ids, labels, *blocks)
+        blocks.append(ds.softmaxes)
+    _write_csv(path, cols, ds.ids, ds.labels, *blocks)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,9 @@ equal byte for byte.
 Memory: the loaded dataset is dropped once `split` has copied its parts,
 and the CSV artifacts are written 4096 rows at a time, so a run's peak is
 the split itself, where the dataset and its parts are both alive. On two
-CPUs a CSV of over `data._FORK_FLOATS` float cells (base-csv's curves.csv,
-not its predictions.csv, whose rows hold no float cells) has its second
-half formatted by a forked child, which holds that half's text; this
-process still holds one block of text at a time.
+CPUs a CSV of over `data._FORK_FLOATS` float cells has its second half
+formatted by a forked child, which holds that half's text; this process
+still holds one block of text at a time.
 """
 
 from __future__ import annotations

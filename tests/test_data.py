@@ -458,10 +458,16 @@ class TestTwoProcesses:
         "child", ["exits_1", "fails_after_its_count", "sends_too_few_bytes", "claims_too_many_rows"]
     )
     def test_failed_child_gives_the_same_columns(self, tmp_path, parse, monkeypatch, child):
-        parent, fill = os.getpid(), data._fill
+        parent, fill, parent_fills = os.getpid(), data._fill, []
 
-        def fill_in_child(lines, dtype, count, ends=True):
-            columns, filled = fill(lines, dtype, count, ends)
+        def fill_in_child(lines, dtype, n):
+            if os.getpid() == parent:
+                # the half beside the child, then the re-parse and the serial
+                # reference, each with the failed child already reaped
+                if parent_fills:
+                    _no_child_left()
+                parent_fills.append(1)
+            columns, filled = fill(lines, dtype, n)
             if os.getpid() == parent:
                 return columns, filled
             if child == "exits_1":
@@ -470,14 +476,28 @@ class TestTwoProcesses:
                 return [None] * len(columns), 0
             if child == "sends_too_few_bytes":  # one row of each column for two
                 return [column[:1] for column in columns], 2
-            return [np.zeros_like(column) for column in columns], count() + 1
+            return [np.zeros_like(column) for column in columns], n + 1
 
         monkeypatch.setattr(data, "_fill", fill_in_child)
         path = tmp_path / "d.csv"
         path.write_text(_rows(40))
         two, one, split = parse(path)
-        assert split
+        assert split and len(parent_fills) == 3
         _assert_same_outcome(two, one)
+
+    def test_parent_counts_only_its_own_half(self, tmp_path, monkeypatch):
+        # the child counts the lines after the cut and sends that count
+        text = _rows(40).encode()
+        cut = text.index(b"\n", (len(HEADER) + len(text)) // 2) + 1
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        parent, calls, count = os.getpid(), [], data._line_count
+        monkeypatch.setattr(
+            data, "_line_count", lambda *a: calls.append((os.getpid(), *a[1:])) or count(*a)
+        )
+        assert len(load_csv(path)) == 40
+        _no_child_left()
+        assert [call[1:] for call in calls if call[0] == parent] == [(0, cut)]
 
     def test_failed_fork_gives_the_same_columns(self, tmp_path, parse, monkeypatch):
         def fork():
