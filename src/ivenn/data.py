@@ -10,19 +10,18 @@ whitespace-only lines are skipped; there are no comments and no quoting; ids
 and labels are int64. `read_csv` is the only CSV parser: it serves this file
 and predictions.csv. Its one body reader parses with numpy's C reader a
 block of at most _READ_BLOCK_BYTES (1 MiB) of rows at a time into columns
-sized by a count of the lines, so parsing holds the columns plus one block.
-On two CPUs it cuts a body over _FORK_BYTES near its middle, and a forked
-child parses the rows after the cut, holding its own columns plus one block.
-Only a file it rejects goes through the Python row loop, which accepts the
-same literals as Python's int() and float() and names the line of a bad row
-and the column of a bad cell. Every CSV is written _WRITE_BLOCK_ROWS (4096) rows at a time,
-and every artifact through `open_artifact`, which writes a new file in place
-of an old one. On two CPUs, a forked child formats the second half of a CSV
-whose columns hold over _FORK_FLOATS float cells and holds that half's text,
+sized by a count of the lines, so parsing holds the columns plus one block;
+a forked child may parse the rows after a cut near the body's middle,
+holding its own columns plus one block. Only a file it rejects goes through
+the Python row loop, which accepts the same literals as Python's int() and
+float() and names the line of a bad row and the column of a bad cell. Every
+CSV is written _WRITE_BLOCK_ROWS (4096) rows at a time, and every artifact
+through `open_artifact`, which writes a new file in place of an old one; a
+forked child may format the second half of a CSV, holding that half's text,
 while the parent writes the first half and then copies the child's text into
-the file, holding one block. Both the reader and the writer fork through
-`_forked`, which reaps the child on every path; the bytes written and the
-columns read are the one-process path's.
+the file, holding one block. `_forked` alone decides when a child runs, and
+reaps it on every path; the bytes written and the columns read are the
+one-process path's.
 """
 
 from __future__ import annotations
@@ -275,17 +274,22 @@ def _fill(lines, dtype, n):
 
 
 @contextlib.contextmanager
-def _forked(send):
+def _forked(send, wanted):
     """Fork a child that runs send(pipe), pipe the write end of a pipe as a
     binary file, and exits through os._exit: 0 only once send has returned
     and every byte is written, else 1. Yields (the read end as a binary
     file, a function that waits for the child and tells whether it exited
-    0), or None, with no child, unless os.fork exists, the CPU affinity set
-    (os.cpu_count() where it cannot be read) holds a second CPU and the fork
-    succeeds. The child is reaped on every path, and killed first if the
-    parent has not waited for it."""
+    0), or None, with no child. The child is reaped on every path, and
+    killed first if the parent has not waited for it.
+
+    This is the one place that decides whether a child runs: only when the
+    caller wants one, os.fork exists, the CPU affinity set (os.cpu_count()
+    where it cannot be read) holds a second CPU and the fork succeeds. The
+    reader wants one for a body over _FORK_BYTES with an LF past its byte
+    midpoint; the writer for a seekable file, which it can truncate back if
+    the child fails, whose columns hold over _FORK_FLOATS float cells."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2 or not hasattr(os, "fork"):
+    if not wanted or (cpus or 1) < 2 or not hasattr(os, "fork"):
         yield None
         return
     r, w = os.pipe()
@@ -330,13 +334,12 @@ def _forked(send):
 def _read_columns(path, f, dtype, read, fork=True):
     """Parse the rest of the open CSV file f, whose first `read` lines the
     caller has read, with numpy's C reader into one C-contiguous column per
-    field of the structured dtype. With fork set, a body over _FORK_BYTES is
-    cut at the first LF past its byte midpoint and a forked child (_forked)
-    parses the rows after the cut into the parent's columns; with no cut or
-    no child, this process parses every row. Each process counts only its
-    own lines, the child sending its count ahead of its rows; one copy trims
-    the rows that blank lines leave unfilled. A child that fails sends the
-    body here again, with fork unset."""
+    field of the structured dtype. With fork set, a child (_forked says when
+    one runs) parses the rows after the first LF past the body's byte
+    midpoint into the parent's columns; with no child, this process parses
+    every row. Each process counts only its own lines, the child sending its
+    count ahead of its rows; one copy trims the rows that blank lines leave
+    unfilled. A child that fails sends the body here again, with fork unset."""
     start, size = f.tell(), os.fstat(f.fileno()).st_size
     cut = size
     # The gate measures the body, as _FORK_BYTES's table does, not the file.
@@ -358,7 +361,7 @@ def _read_columns(path, f, dtype, read, fork=True):
         for column in mine:
             pipe.write(column[:sent].view(np.uint8))
 
-    with _forked(send) if cut < size else contextlib.nullcontext() as child:
+    with _forked(send, cut < size) as child:
         lines = _line_count(path, 0, cut if child else size) - read
         theirs = int.from_bytes(child[0].read(8), "little") if child else 0
         # through islice, not a file that ends at the cut: that was no faster
@@ -501,12 +504,12 @@ def _csv_blocks(columns, start, stop):
 
 def _write_csv(path, header, *columns):
     """Write the header, then the columns' csv_lines a block of rows at a
-    time, to bound the memory held in Python objects. When the columns hold
-    over _FORK_FLOATS float cells (repr is most of the cost), a forked child
-    (_forked) formats rows [n // 2, n) whole and sends them down a pipe,
-    while the parent writes the rows before them and then copies the pipe
-    into the file; if the child fails, the parent truncates the file back
-    to its own rows and formats the rest itself."""
+    time, to bound the memory held in Python objects. A child (_forked says
+    when one runs; repr of the float cells is most of the cost) formats rows
+    [n // 2, n) whole and sends them down a pipe, while the parent writes
+    the rows before them and then copies the pipe into the file; if the
+    child fails, the parent truncates the file back to its own rows and
+    formats the rest itself. With no child, the parent formats every row."""
     columns = [np.asarray(col) for col in columns]
     n = len(columns[0])
     fork = sum(col.size for col in columns if col.dtype.kind == "f") > _FORK_FLOATS
@@ -515,12 +518,12 @@ def _write_csv(path, header, *columns):
     def send(pipe):  # the whole half is formatted before the pipe can block
         pipe.writelines(list(_csv_blocks(columns, cut, n)))
 
-    # forked before the file is opened, so the child inherits no write buffer
-    forked = _forked(send) if fork else contextlib.nullcontext()
-    with forked as child, open_artifact(path, "wb") as f:
+    # forked once f is open: nothing is written yet, and the child leaves
+    # through os._exit, so it never flushes f's buffer
+    with open_artifact(path, "wb") as f, _forked(send, fork and f.seekable()) as child:
         f.write((",".join(header) + "\n").encode())
         f.writelines(_csv_blocks(columns, 0, cut))
-        if child and f.seekable():  # a device such as /dev/stdout cannot be truncated
+        if child:
             pipe, exited_0 = child
             end = f.tell()
             shutil.copyfileobj(pipe, f, _READ_BLOCK_BYTES)

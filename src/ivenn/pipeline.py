@@ -25,10 +25,11 @@ equal byte for byte.
 
 Memory: the loaded dataset is dropped once `split` has copied its parts,
 and the CSV artifacts are written 4096 rows at a time, so a run's peak is
-the split itself, where the dataset and its parts are both alive. On two
-CPUs a CSV of over `data._FORK_FLOATS` float cells has its second half
-formatted by a forked child, which holds that half's text; this process
-still holds one block of text at a time.
+the split itself, where the dataset and its parts are both alive. A forked
+child (`data._forked` says when one runs) may parse the second half of the
+data CSV, holding that half's columns plus one block, or format the second
+half of an artifact CSV, holding that half's text while this process holds
+one block of text at a time.
 """
 
 from __future__ import annotations
@@ -146,6 +147,12 @@ class RunConfig:
                 f"softmax_source must be csv or train, got {self.softmax_source!r}"
             )
         kind = TaxonomyKind(self.taxonomy)
+        reads_model = kind in DISTANCE_KINDS and self.embedding == SIAMESE
+        if self.model_path is not None and not reads_model:
+            raise ValueError(
+                f"model_path {self.model_path!r} is read only by a distance taxonomy with "
+                f"embedding siamese, not taxonomy {self.taxonomy} with embedding {self.embedding}"
+            )
         # building each stage's config checks it, before the load stage; an
         # unset class_count is the dataset's, checked when the taxonomy is fitted
         class_count = 2 if self.class_count is None else self.class_count

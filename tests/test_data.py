@@ -800,6 +800,17 @@ def forks(monkeypatch):
     return calls
 
 
+def test_unwanted_child_is_never_forked(forks, monkeypatch):
+    # two CPUs are offered, so only `wanted` keeps the child from running
+    def fork():
+        raise AssertionError("os.fork called for a child the caller did not want")
+
+    monkeypatch.setattr(os, "fork", fork)
+    with data._forked(lambda pipe: None, False) as child:
+        assert child is None
+    assert not forks
+
+
 @pytest.fixture
 def two_process_writes(forks, monkeypatch):
     """Every CSV write forks a child for its second half; the fork calls."""
@@ -895,8 +906,8 @@ class TestTwoProcessWrites:
         assert got == want
 
     def test_pipe_is_written_by_the_parent(self, tmp_path, two_process_writes):
-        # a FIFO cannot be truncated back to the parent's rows if the child
-        # fails, so the parent formats every row and the child is killed
+        # a FIFO cannot be truncated back to the parent's rows if a child
+        # fails, so none is started and the parent formats every row
         path = tmp_path / "c.fifo"
         os.mkfifo(path)
         columns, want = _curves(41)
@@ -908,7 +919,7 @@ class TestTwoProcessWrites:
         finally:
             reader.join(timeout=10)
         _no_child_left()
-        assert two_process_writes and not reader.is_alive() and got == [want]
+        assert not two_process_writes and not reader.is_alive() and got == [want]
 
     @pytest.mark.parametrize("no_second_cpu", ["no_fork", "one_cpu"])
     def test_serial_without_fork_or_second_cpu(

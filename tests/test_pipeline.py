@@ -164,6 +164,23 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
             parse_config("seed = -1")
 
+    @pytest.mark.parametrize(
+        "taxonomy, embedding",
+        [("knn_v2", "identity"), ("nc_v1", "identity"), ("base_v2", "siamese"),
+         ("base_v1", "identity")],
+    )
+    def test_model_path_the_run_would_not_read(self, taxonomy, embedding):
+        # only a distance taxonomy over a siamese embedding loads model_path
+        message = (rf"^model_path '/nonexistent\.npz' is read only by a distance taxonomy with "
+                   rf"embedding siamese, not taxonomy {taxonomy} with embedding {embedding}$")
+        with pytest.raises(ValueError, match=message):
+            RunConfig(taxonomy=taxonomy, embedding=embedding, model_path="/nonexistent.npz")
+        with pytest.raises(ValueError, match=message):
+            parse_config(f"taxonomy = {taxonomy}\nembedding = {embedding}\n"
+                         "model_path = /nonexistent.npz\n")
+        for kind in ("knn_v1", "knn_v2", "nc_v1", "nc_v2"):
+            assert RunConfig(taxonomy=kind, model_path="m.npz").model_path == "m.npz"
+
 
 class TestRunPipeline:
     def test_identity_matches_hand_oracle(self, tmp_path):
