@@ -286,8 +286,9 @@ def _forked(send, wanted):
     caller wants one, os.fork exists, the CPU affinity set (os.cpu_count()
     where it cannot be read) holds a second CPU and the fork succeeds. The
     reader wants one for a body over _FORK_BYTES with an LF past its byte
-    midpoint; the writer for a seekable file, which it can truncate back if
-    the child fails, whose columns hold over _FORK_FLOATS float cells."""
+    midpoint; the writer for columns of over _FORK_FLOATS float cells bound
+    for a seekable file, which it can truncate back to its own rows if the
+    child fails."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if not wanted or (cpus or 1) < 2 or not hasattr(os, "fork"):
         yield None

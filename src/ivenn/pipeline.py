@@ -217,7 +217,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
             result.params = train(
                 proper.features, proper.labels, dims, _derived(TrainConfig, cfg, seed=seed)
             )
-        elif kind in DISTANCE_KINDS and cfg.embedding == SIAMESE:  # reuse model_path
+        elif cfg.model_path is not None:  # RunConfig allows one only where it is read
             result.params = load_twin(cfg.model_path, proper.feature_dim)
 
     if depth >= 1:
