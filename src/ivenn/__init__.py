@@ -10,7 +10,6 @@ import types
 from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
 from ivenn.ivp import (
     CalibrationTable,
-    IvpBatch,
     IvpPrediction,
     calibrate,
     load_table,

@@ -20,7 +20,7 @@ rejected.
 Counts first: everything a prediction holds depends only on its category's
 counts, so a table derives its per-category rows once (`table.rows`, one
 column per field) and a batch of predictions is one category column
-indexing them. `predict_many` predicts a batch with one taxonomy call;
+indexing them. `predict_many` returns that column from one taxonomy call;
 `predict` is a batch of one that returns its category's IvpPrediction,
 built for every category on the table's first `predict` and shared after.
 """
@@ -132,15 +132,6 @@ class CalibrationTable:
         )
 
 
-@dataclass(frozen=True)
-class IvpBatch:
-    """Predictions of a batch as columns: example i gets row category[i] of
-    each field of `rows` (its lower bounds are rows.lower[category])."""
-
-    category: np.ndarray  # (m,) int64
-    rows: CategoryRows
-
-
 def calibrate(taxonomy, labels, embeddings=None, softmaxes=None):
     """Place every calibration example into its category and count classes.
 
@@ -169,14 +160,14 @@ def _check_config(table, taxonomy):
 
 
 def predict_many(table, taxonomy, embeddings=None, softmaxes=None):
-    """Predict a batch: one taxonomy call, then each example indexes its
-    category's row. Raises ValueError when the taxonomy's configuration
-    (kind, class count, k, theta and every threshold) differs from the one
-    the table was calibrated with. A matching configuration fixes the
-    category count, so every category indexes the table."""
+    """Predict a batch in one taxonomy call: the (m,) int64 category column,
+    whose entry i picks example i's row of `table.rows` (its lower bounds are
+    table.rows.lower[category]). Raises ValueError when the taxonomy's
+    configuration (kind, class count, k, theta and every threshold) differs
+    from the one the table was calibrated with. A matching configuration
+    fixes the category count, so every category indexes the table."""
     _check_config(table, taxonomy)
-    cats = taxonomy.assign_many(embeddings=embeddings, softmaxes=softmaxes)
-    return IvpBatch(category=cats, rows=table.rows)
+    return taxonomy.assign_many(embeddings=embeddings, softmaxes=softmaxes)
 
 
 def predict(table, taxonomy, embedding=None, softmax=None):
@@ -201,7 +192,8 @@ def save_table(table, path):
 
 def load_table(path):
     """Read a table written by save_table. A bad header line or a byte that
-    is not UTF-8 raises ValueError naming `path:line`, a missing key path and key."""
+    is not UTF-8 raises ValueError naming `path:line`, a missing key or a
+    missing `counts:` line the path."""
     try:
         with open(path, encoding="utf-8") as f:
             lines = [ln.rstrip("\n") for ln in f]
@@ -209,7 +201,9 @@ def load_table(path):
         raise not_utf8(path, exc) from None
     if not lines or lines[0] != f"# {_TABLE_FORMAT}":
         raise ValueError(f"{path}: not a {_TABLE_FORMAT} file")
-    end = next((i for i, ln in enumerate(lines) if ln.strip() == "counts:"), len(lines))
+    end = next((i for i, ln in enumerate(lines) if ln.strip() == "counts:"), None)
+    if end is None:  # a file cut off before its counts, not an all-zero table
+        raise ValueError(f"{path}: no 'counts:' line")
     header = read_fields(TaxonomyConfig, enumerate(lines[1:end], start=2), f"{path}:")
     missing = [f.name for f in fields(TaxonomyConfig) if f.name not in header]
     if missing:

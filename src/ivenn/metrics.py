@@ -12,8 +12,8 @@ class. Cumulative lower/upper error probabilities accumulate 1 - U(yhat)
 and 1 - L(yhat): when the predictor is well calibrated these bracket the
 cumulative error count.
 
-An EvalBatch is an ivp.IvpBatch with labels: example i reads row
-category[i] of each field of its CategoryRows, so per-row and
+An EvalBatch is a category column, its CategoryRows and the labels:
+example i reads row category[i] of each field of the rows, so per-row and
 per-(row, class) terms are computed once. Built from predictions, its rows
 are the table's categories and carry their integer counts, so the
 confidence bin is exact. Built from explicit intervals, each example is its
@@ -38,7 +38,7 @@ from ivenn.data import (
     open_artifact,
     row_labels,
 )
-from ivenn.ivp import CategoryRows, IvpBatch
+from ivenn.ivp import CategoryRows
 
 # Floor for probabilities entering log; midpoints never reach 1 for a
 # nonempty category, so no upper guard is needed.
@@ -82,13 +82,15 @@ class CalibrationReport:
 
 
 @dataclass(frozen=True)
-class EvalBatch(IvpBatch):
+class EvalBatch:
     """A predicted batch with its true labels: example i gets row
     category[i] of each field of `rows` and has class labels[i]; both
     columns are checked against `rows` when made. Built from predictions as
-    `EvalBatch(batch.category, batch.rows, labels)`, or from explicit
-    intervals (`from_intervals`)."""
+    `EvalBatch(predict_many(table, ...), table.rows, labels)`, or from
+    explicit intervals (`from_intervals`)."""
 
+    category: np.ndarray  # (m,) int64
+    rows: CategoryRows
     labels: np.ndarray  # (m,) true classes
 
     def __post_init__(self):

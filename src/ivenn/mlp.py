@@ -22,14 +22,15 @@ The 2-D products call np.dot, which needs a C-contiguous output of the
 exact dtype and costs 0.2-0.3 us less per call than np.matmul on the same
 BLAS routine. So a hidden layer's product lands in a contiguous (rows, d)
 buffer, tanh runs on it in place, one copy fills the strided view [:, :d]
-of the activation buffer, and the backward pass reads tanh' off the
-contiguous buffer. A ufunc over a strided view goes through numpy's
-buffered iterator: at (64, 16), tanh into the view takes 1.50 us against
-0.98 us in place plus 0.47 us for the copy, and tanh' read off the view
-1.22 us against 0.27 us. The backward pass reads W as the strided view
-[:, :-1] of its layer, which BLAS takes as it is, except in a one-row step
-into a one-unit layer: that (1, k) by (k, 1) product is a BLAS dot, which
-sums in another order when an operand is strided, so W is copied first.
+of the activation buffer, and the backward pass turns that buffer into
+tanh' in place, since nothing reads it after. A ufunc over a strided view
+goes through numpy's buffered iterator: at (64, 16), tanh into the view
+takes 1.50 us against 0.98 us in place plus 0.47 us for the copy, and
+tanh' read off the view 1.22 us against 0.27 us. The backward pass reads
+W as the strided view [:, :-1] of its layer, which BLAS takes as it is,
+except in a one-row step into a one-unit layer: that (1, k) by (k, 1)
+product is a BLAS dot, which sums in another order when an operand is
+strided, so W is copied first.
 
 Each call writes into a buffer passed as its output, so no call allocates
 an array, and every operand is an array: the margin, 0, 1, the smallest
@@ -194,7 +195,6 @@ class _Workspace:
         self.products = [np.empty((rows, d)) for d in dims[1:]]  # z; the last is the output
         self.hidden = [np.ones((rows, d + 1)) for d in dims[1:-1]]  # [tanh(z), 1]
         self.deltas = [np.empty((rows, d)) for d in dims[1:]]  # dLoss/dz
-        self.tanh_grad = [np.empty((rows, d)) for d in dims[1:-1]]
         self.one = np.ones(())
 
     def _step(self, x, head):
@@ -203,7 +203,7 @@ class _Workspace:
         # gradient buffer
         r = len(x)
         products, deltas = [z[:r] for z in self.products], [d[:r] for d in self.deltas]
-        hidden, tanh_grad = [h[:r] for h in self.hidden], [t[:r] for t in self.tanh_grad]
+        hidden = [h[:r] for h in self.hidden]
         top = len(products) - 1
         ins = [x, *hidden]  # each layer's input [a, 1]
         step = []
@@ -212,12 +212,14 @@ class _Workspace:
             if l < top:
                 step += [(_tanh, (z, z)), (_copyto, (hidden[l][:, :-1], z))]
         step += head
-        # tanh' = 1 - tanh**2 is read off the contiguous products
+        # tanh' = 1 - tanh**2 overwrites the contiguous tanh(z) it is taken
+        # from: the forward pass has copied tanh(z) into `hidden`, and nothing
+        # reads the product buffer after this
         for l in range(top, -1, -1):
             delta = deltas[l]
             step.append((_dot, (delta.T, ins[l], self.grad_layers[l])))
             if l:
-                prev, t, a = deltas[l - 1], tanh_grad[l - 1], products[l - 1]
+                prev, a = deltas[l - 1], products[l - 1]
                 W = self.layers[l][:, :-1]
                 if prev.shape == (1, 1):  # a BLAS dot; see the module docstring
                     W_col = np.empty(W.shape)
@@ -225,9 +227,9 @@ class _Workspace:
                     W = W_col
                 step += [
                     (_dot, (delta, W, prev)),
-                    (_multiply, (a, a, t)),
-                    (_subtract, (self.one, t, t)),
-                    (_multiply, (prev, t, prev)),
+                    (_multiply, (a, a, a)),
+                    (_subtract, (self.one, a, a)),
+                    (_multiply, (prev, a, prev)),
                 ]
         return step
 

@@ -236,8 +236,8 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
 
     if depth >= 2:
         with _stage("predict", timings):
-            batch = predict_many(result.table, result.taxonomy, **test_in)
-            result.records = EvalBatch(batch.category, batch.rows, test.labels)
+            cats = predict_many(result.table, result.taxonomy, **test_in)
+            result.records = EvalBatch(cats, result.table.rows, test.labels)
         test_ids = test.ids
 
     if depth >= 3:

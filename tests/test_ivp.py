@@ -312,12 +312,12 @@ class TestPredictMany:
         queries, scores = random_inputs(rng, m, c)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            batch = predict_many(table, tax, embeddings=queries, softmaxes=scores)
+            cats = predict_many(table, tax, embeddings=queries, softmaxes=scores)
             singles = [
                 predict(table, tax, embedding=q, softmax=sv) for q, sv in zip(queries, scores)
             ]
-        assert len(batch.category) == m
-        rows, cats = batch.rows, batch.category
+        assert len(cats) == m
+        rows = table.rows
         for i, one in enumerate(singles):
             assert cats[i] == one.category
             assert rows.predicted[cats[i]] == one.predicted_class
@@ -430,6 +430,17 @@ class TestPersistence:
         path = tmp_path / "junk.txt"
         path.write_text("not a table\n")
         with pytest.raises(ValueError, match="not a"):
+            load_table(path)
+
+    def test_file_cut_before_counts_rejected(self, tmp_path):
+        # without its counts line the file would load as an all-zero table,
+        # every prediction the vacuous [0, 1]
+        table = table_from_counts(np.ones((3, 3), dtype=np.int64))
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: text.index("counts:")], encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no 'counts:' line$"):
             load_table(path)
 
     @pytest.mark.parametrize(
