@@ -582,9 +582,10 @@ def split(ds, spec):
     test = ds.subset(perm[:n_test])
     calibration = ds.subset(perm[n_test : n_test + n_cal])
     proper = ds.subset(perm[n_test + n_cal :])
-    present = np.unique(proper.labels)
-    if len(present) != ds.class_count:
-        missing = sorted(set(range(ds.class_count)) - set(int(c) for c in present))
+    # bincount, not np.unique: that imports numpy.ma on first use, and
+    # mid-run its module objects pin the top of a heap grown by the data
+    counts = np.bincount(proper.labels, minlength=ds.class_count)
+    if missing := np.flatnonzero(counts == 0).tolist():
         raise ValueError(
             f"classes {missing} missing from proper training; "
             f"try another seed or more data"

@@ -400,9 +400,9 @@ def train_siamese(features, labels, layer_dims, config):
     X = float_rows(features, layer_dims[0], "features")
     check_finite_rows(X, "features")
     y = row_labels(labels, len(X), None)
-    if len(np.unique(y)) < 2:
-        raise ValueError("need at least 2 classes to form dissimilar pairs")
     sampler = _PairSampler(y)
+    if len(sampler.size) < 2:  # not np.unique(y): see data.split
+        raise ValueError("need at least 2 classes to form dissimilar pairs")
     if len(sampler.same_pool) == 0:
         raise ValueError("no class has at least 2 examples; cannot form similar pairs")
 
@@ -435,7 +435,7 @@ def train_classifier(features, labels, layer_dims, config):
     X = float_rows(features, layer_dims[0], "features")
     check_finite_rows(X, "features")
     y = row_labels(labels, len(X), layer_dims[-1])
-    if len(np.unique(y)) < 2:
+    if np.count_nonzero(np.bincount(y)) < 2:  # not np.unique(y): see data.split
         raise ValueError("need at least 2 classes to train a classifier")
 
     n, size = len(X), config.batch_size

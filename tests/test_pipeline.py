@@ -3,6 +3,8 @@
 import argparse
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 import time
 from dataclasses import fields
@@ -1155,6 +1157,33 @@ def scored_dataset():
     ds = synth_gaussians(3, 3, 60, 4.0, seed=5)
     scores = np.random.default_rng(5).dirichlet(np.ones(3), len(ds))
     return Dataset(ds.ids, ds.features, ds.labels, 3, softmaxes=scores)
+
+
+def test_runs_leave_numpy_ma_unimported(tmp_path):
+    # np.unique(x) with no options imports numpy.ma on first use; in the
+    # middle of a run that module's objects land on top of the heap the data
+    # has grown and keep it from shrinking, so no stage may take that path
+    code = f"""
+import sys
+import numpy as np
+from ivenn.data import Dataset, synth_gaussians
+from ivenn.pipeline import RunConfig, run_pipeline
+ds = synth_gaussians(3, 3, 60, 4.0, seed=5)
+scores = np.random.default_rng(5).dirichlet(np.ones(3), len(ds))
+scored = Dataset(ds.ids, ds.features, ds.labels, 3, softmaxes=scores)
+for name, given in [
+    ("csv", dict(taxonomy="base_v2", embedding="identity")),
+    ("train", dict(taxonomy="base_v1", softmax_source="train", epochs=4)),
+    ("twin", dict(taxonomy="knn_v1", k=3, hidden_dims=(6,), embedding_dim=2, epochs=4)),
+]:
+    run_pipeline(RunConfig(out_dir={str(tmp_path)!r} + "/" + name, **given), dataset=scored)
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_baseline_run_trains_no_twin_network(tmp_path):
