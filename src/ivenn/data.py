@@ -8,11 +8,34 @@ where the optional s block carries an externally produced per-class score
 vector (each row summing to 1) for score-threshold taxonomies. Blank and
 whitespace-only lines are skipped; there are no comments and no quoting; ids
 and labels are int64. `read_csv` is the only CSV parser: it serves this file
-and predictions.csv. Its one body reader parses with numpy's C reader a
-block of at most _READ_BLOCK_BYTES (1 MiB) of rows at a time into columns
-sized by a count of the lines, so parsing holds the columns plus one block;
-a forked child may parse the rows after a cut near the body's middle,
-holding its own columns plus one block. Only a file it rejects goes through
+and predictions.csv.
+
+`load_csv` alone keeps a column cache. Once it has loaded a regular file
+(not a link, a FIFO or a device) without error, it writes the parsed columns
+to a sidecar beside it, `.<name>.columns` (`.data.csv.columns` for
+data.csv), headed by a format tag, the SHA-256 of the CSV's bytes and the
+row count. A later load hashes the CSV and, if tag and hash match and the
+sidecar has the size that the row count and the header give, maps the
+columns from the sidecar instead of parsing. Any other sidecar, or none, or
+one that cannot be read, means a parse, which then writes a new sidecar; a
+sidecar that cannot be written is skipped. Every check after the parse runs
+on a hit as on a miss, with the same `path:line` errors, so a load returns
+the same Dataset or error either way, and deleting a sidecar is always
+safe. The columns are mapped copy-on-write from the sidecar. In four
+base-csv benchmark runs of each way (2-vCPU KVM guest), columns read into
+the heap peaked at 58.2-65.8 MB (median 64.8) against 60.8-63.4 (60.9)
+mapped, since the heap they grow is not given back under the set-ups'
+later allocations; read into an anonymous map, set-up took 24-28 ms
+against 16-23 ms mapped, the difference mostly page faults. A mapped
+sidecar truncated in place would fault the process (SIGBUS); nothing in
+ivenn truncates one, as a new sidecar is renamed into place after the old
+one is unlinked.
+
+The body reader parses with numpy's C reader a block of at most
+_READ_BLOCK_BYTES (1 MiB) of rows at a time into columns sized by a count
+of the lines, so parsing holds the columns plus one block; a forked child
+may parse the rows after a cut near the body's middle, holding its own
+columns plus one block. Only a file it rejects goes through
 the Python row loop, which accepts the same literals as Python's int() and
 float() and names the line of a bad row and the column of a bad cell. Every
 CSV is written _WRITE_BLOCK_ROWS (4096) rows at a time, and every artifact
@@ -28,12 +51,15 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import itertools
 import math
+import mmap
 import os
 import shutil
 import signal
 import stat
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -55,6 +81,9 @@ _FORK_BYTES = 1 << 20
 _FORK_FLOATS = 1 << 16
 # numpy warns on a blank line once max_rows is set, and on a body with no rows
 _NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
+# A sidecar starts with this tag, the CSV's SHA-256 digest and the row count
+# as 8 little-endian bytes; 56 bytes in all, so every column is 8-aligned.
+_CACHE_HEAD = b"ivenn columns v1"
 
 
 def check_score_rows(S, path=None):
@@ -169,12 +198,13 @@ class Dataset:
     def subset(self, indices):
         """The examples at the indices, each an integer in [0, len(self))."""
         indices = index_values(indices, len(self), "index", "indices")
+        # take gathers rows about 3x faster than fancy indexing, same bytes
         return Dataset(
-            ids=self.ids[indices],
-            features=self.features[indices],
-            labels=self.labels[indices],
+            ids=self.ids.take(indices),
+            features=self.features.take(indices, axis=0),
+            labels=self.labels.take(indices),
             class_count=self.class_count,
-            softmaxes=None if self.softmaxes is None else self.softmaxes[indices],
+            softmaxes=None if self.softmaxes is None else self.softmaxes.take(indices, axis=0),
         )
 
 
@@ -411,6 +441,22 @@ def _parse_rows(path, header, dtype):
     return [np.ascontiguousarray(table[name]) for name in dtype.names]
 
 
+def _read_header(path, f, dtype_of):
+    """Read the open CSV file f up to its first non-blank line, the header;
+    return (lines read, the header's stripped cells, dtype_of(cells)). A
+    ValueError from dtype_of is raised again naming the file."""
+    for read, header in enumerate(iter(f.readline, ""), start=1):
+        if header.strip():
+            break
+    else:
+        raise ValueError(f"{path}: empty file")
+    header = [cell.strip() for cell in header.split(",")]
+    try:
+        return read, header, dtype_of(header)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_csv(path, dtype_of):
     """Parse a CSV file. The stripped cells of its first non-blank line are
     the header, and dtype_of(header) is the structured dtype of every other
@@ -419,16 +465,7 @@ def read_csv(path, dtype_of):
     a byte that is not UTF-8 is named by `path:line`."""
     try:
         with open(path, encoding="utf-8") as f:
-            for read, header in enumerate(iter(f.readline, ""), start=1):
-                if header.strip():
-                    break
-            else:
-                raise ValueError(f"{path}: empty file")
-            header = [cell.strip() for cell in header.split(",")]
-            try:
-                dtype = dtype_of(header)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+            read, header, dtype = _read_header(path, f, dtype_of)
             with warnings.catch_warnings():
                 # a blank line or a body with no rows only warns; any other
                 # warning sends the file to the row loop
@@ -445,12 +482,105 @@ def read_csv(path, dtype_of):
     return header, columns
 
 
+def _sidecar(path):
+    """The column cache of the CSV at path: `.<name>.columns` beside it."""
+    head, name = os.path.split(os.fspath(path))
+    return os.path.join(head, f".{name}.columns")
+
+
+def _content_key(path):
+    """(the SHA-256 digest of the file's bytes, its os.lstat before the
+    hash) when path names a regular file itself, not a link; else None, as
+    on an OSError. The file is read _READ_BLOCK_BYTES at a time into one
+    buffer. A FIFO or a device is never opened here: hashing a stream would
+    consume it."""
+    try:
+        st = os.lstat(path)
+        if not stat.S_ISREG(st.st_mode):
+            return None
+        digest, block = hashlib.sha256(), memoryview(bytearray(_READ_BLOCK_BYTES))
+        with open(path, "rb", buffering=0) as f:
+            while n := f.readinto(block):
+                digest.update(block[:n])
+    except OSError:
+        return None
+    return digest.digest(), st
+
+
+def _stamp(st):
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+def _cached_columns(path, digest, dtype_of):
+    """The columns of the CSV at path from its sidecar, when the sidecar's
+    tag, digest and size match: one C-contiguous column per field of the
+    dtype of the CSV's header, mapped copy-on-write from the sidecar.
+    dtype_of runs on the header as read_csv runs it, with the same error.
+    None when there is no such sidecar, reading raises OSError or the
+    header is not UTF-8 (the parse names its line)."""
+    try:
+        with open(_sidecar(path), "rb") as f:
+            head = f.read(len(_CACHE_HEAD) + 40)
+            if head[:-8] != _CACHE_HEAD + digest:
+                return None
+            with open(path, encoding="utf-8") as csv:
+                dtype = _read_header(path, csv, dtype_of)[2]
+            fields = [dtype[name] for name in dtype.names]
+            n = int.from_bytes(head[-8:], "little")
+            starts = np.cumsum([len(head)] + [n * field.itemsize for field in fields]).tolist()
+            if os.fstat(f.fileno()).st_size != starts[-1]:
+                return None
+            # mapped, not read: see the module docstring
+            buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+    except (OSError, UnicodeDecodeError):
+        return None
+    return [
+        np.frombuffer(buf, field.base, n * math.prod(field.shape), at).reshape(n, *field.shape)
+        for field, at in zip(fields, starts)
+    ]
+
+
+def _save_columns(path, key, columns):
+    """Write the columns parsed from the CSV at path to its sidecar, keyed
+    by key[0], the digest: to a temporary name beside it, then renamed into
+    place after any stale sidecar is unlinked (a rename over a live file is
+    flushed to disk, see open_artifact). Nothing is renamed if the CSV's
+    size, mtime or inode changed since key[1] was taken. An OSError (no
+    write permission, a full disk) leaves no temporary file and is not
+    raised: the cache only saves a parse."""
+    digest, st = key
+    target = _sidecar(path)
+    folder, name = os.path.split(target)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=folder)
+        with open(fd, "wb") as f:
+            os.fchmod(fd, stat.S_IMODE(st.st_mode) & 0o666)  # as readable as the CSV
+            f.write(_CACHE_HEAD + digest + len(columns[0]).to_bytes(8, "little"))
+            for column in columns:
+                f.write(column.data)
+        if _stamp(os.lstat(path)) == _stamp(st):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(target)
+            os.rename(tmp, target)
+            tmp = None
+    except OSError:  # a sidecar that cannot be written costs a parse
+        pass
+    finally:
+        if tmp:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
 def load_csv(path, class_count=None):
-    """Parse a dataset CSV. Malformed rows are rejected with their line
+    """Parse a dataset CSV, or take its columns from the column cache (see
+    the module docstring). Malformed rows are rejected with their line
     number in the file, blank lines counted. When the file has no score
     block and class_count is not given, it is inferred as max(label) + 1."""
     dtype_of = functools.partial(_parse_header, class_count=class_count)
-    _, (ids, labels, features, *scores) = read_csv(path, dtype_of)
+    key = _content_key(path)
+    hit = key and _cached_columns(path, key[0], dtype_of)
+    ids, labels, features, *scores = columns = hit or read_csv(path, dtype_of)[1]
     softmaxes = scores[0] if scores else None
     blocks = [features] + scores
     if not all(np.isfinite(block).all() for block in blocks):
@@ -461,13 +591,16 @@ def load_csv(path, class_count=None):
         check_score_rows(softmaxes, path)
     if class_count is None:
         class_count = int(labels.max()) + 1 if len(labels) else 1
-    return Dataset(
+    ds = Dataset(
         ids=ids,
         features=features,
         labels=class_labels(labels, class_count, path),
         class_count=class_count,
         softmaxes=softmaxes,
     )
+    if key and not hit:
+        _save_columns(path, key, columns)
+    return ds
 
 
 def csv_lines(*columns):

@@ -14,6 +14,7 @@ parsed and formatted here, typed by the config dataclasses' annotations.
 from __future__ import annotations
 
 import functools
+import re
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -126,13 +127,18 @@ def parse_field(cls, line):
         raise ValueError(f"{key}: invalid {parse.__name__} value: {text!r}") from None
 
 
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
 def read_fields(cls, numbered_lines, where):
     """{key: value} of the `key = value` lines among (line number, text)
-    pairs, as parse_field reads them; `#` starts a comment. A bad line or a
-    repeated key raises ValueError `{where}{number}: ...` (a plain prefix)."""
+    pairs, as parse_field reads them; a `#` at the start of a line or after
+    whitespace starts a comment, so `out_dir = runs#2` keeps its `#`. A bad
+    line or a repeated key raises ValueError `{where}{number}: ...` (a plain
+    prefix)."""
     given = {}
     for number, text in numbered_lines:
-        line = text.split("#", 1)[0].strip()
+        line = _COMMENT.split(text, 1)[0].strip()
         if not line:
             continue
         try:

@@ -201,10 +201,15 @@ EDGE_INPUTS = [
 
 
 def _outcome(path, class_count):
-    try:
-        return load_csv(path, class_count)
-    except ValueError as exc:
-        return str(exc)
+    """load_csv's dataset or error text from a parse of the file: the column
+    cache is left out, as for a file that is not regular, so that a second
+    outcome of one file parses it again."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_content_key", lambda path: None)
+        try:
+            return load_csv(path, class_count)
+        except ValueError as exc:
+            return str(exc)
 
 
 def _assert_same_outcome(got, want):
@@ -563,6 +568,188 @@ def test_parse_holds_the_columns_and_one_block(tmp_path):
     assert len(ds) == n
     columns = ds.ids.nbytes + ds.labels.nbytes + ds.features.nbytes
     assert peak < columns + 2 * data._READ_BLOCK_BYTES
+
+
+def _sidecar_of(path):
+    return path.parent / f".{path.name}.columns"
+
+
+class TestColumnCache:
+    """A load of unchanged bytes takes its columns from the sidecar that the
+    first load wrote, with every check of a parse; anything else parses."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The paths read_csv is called with."""
+        calls, parse = [], data.read_csv
+        monkeypatch.setattr(data, "read_csv", lambda p, *a: calls.append(p) or parse(p, *a))
+        return calls
+
+    @pytest.mark.parametrize(
+        "text,class_count", [case[1:] for case in EDGE_INPUTS],
+        ids=[case[0] for case in EDGE_INPUTS],
+    )
+    def test_hit_gives_the_parse_outcome(self, tmp_path, parses, text, class_count):
+        # the first load writes a sidecar only when it returns a dataset, and
+        # the second then parses no row
+        def load():
+            try:
+                return load_csv(path, class_count)
+            except ValueError as exc:
+                return str(exc)
+
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        parsed = _outcome(path, class_count)
+        _assert_same_outcome(load(), parsed)
+        refused = isinstance(parsed, str)
+        assert _sidecar_of(path).exists() != refused
+        parses.clear()
+        _assert_same_outcome(load(), parsed)
+        assert parses == ([path] if refused else [])
+
+    def test_second_load_parses_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("\n" + WITH_SOFTMAX + "\n")
+        miss = load_csv(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".d.csv.columns", "d.csv"]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a row was parsed")
+
+        for name in ("read_csv", "_read_columns", "_parse_rows"):
+            monkeypatch.setattr(data, name, fail)
+        hit = load_csv(path)
+        _assert_same_outcome(hit, miss)
+        assert all(a.flags.writeable for a in (hit.ids, hit.labels, hit.features, hit.softmaxes))
+        # the columns are the process's own: a write reaches no later load
+        hit.features[0, 0] = 99.0
+        assert load_csv(path).features[0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "edit,want", [(b"7", 78.5), (b"x", "d.csv:40: f0 cell 'x8.5' is not a number")]
+    )
+    def test_same_length_edit_with_mtime_restored_is_parsed(self, tmp_path, parses, edit, want):
+        # the key is the bytes' SHA-256, not the file's size, mtime or inode
+        path = tmp_path / "d.csv"
+        text = _rows(40).encode()
+        path.write_bytes(text)
+        assert load_csv(path).features[38, 0] == 38.5
+        st = os.stat(path)
+        with open(path, "r+b") as f:
+            f.seek(text.index(b"\n38,0,38.5,") + 6)
+            f.write(edit)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert data._stamp(os.stat(path)) == data._stamp(st)  # size, mtime and inode
+        parses.clear()
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                load_csv(path)
+        else:
+            assert load_csv(path).features[38, 0] == want
+        assert parses == [path]
+
+    def test_fifo_is_parsed_with_no_sidecar(self, tmp_path, monkeypatch):
+        # hashing a FIFO would consume it; read_csv opens its path more than
+        # once, so it cannot read a FIFO whole and is stubbed here by a parse
+        # of a regular copy, while no one writes the FIFO
+        fifo, copy = tmp_path / "d.fifo", tmp_path / "copy" / "d.csv"
+        os.mkfifo(fifo)
+        copy.parent.mkdir()
+        copy.write_text(WELL_FORMED)
+        parse, seen = data.read_csv, []
+        monkeypatch.setattr(data, "read_csv", lambda path, *a: seen.append(path) or parse(copy, *a))
+        done = []
+        loader = threading.Thread(target=lambda: done.append(load_csv(fifo)), daemon=True)
+        loader.start()
+        loader.join(timeout=10)
+        assert done, "the load opened the FIFO"
+        assert seen == [fifo] and len(done[0]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["copy", "d.fifo"]
+
+    def test_link_is_parsed_with_no_sidecar(self, tmp_path, parses):
+        # only a regular file is cached, by its own name: not /dev/stdin or
+        # another link, whose directory may not be the data's
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "d.csv", tmp_path / "d.csv"
+        target.write_text(WELL_FORMED)
+        link.symlink_to(target)
+        assert data._content_key("/dev/stdin") is None
+        for _ in range(2):
+            assert len(load_csv(link)) == 3
+        assert parses == [link, link]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d.csv", "d.csv", "data"]
+
+    def test_read_only_directory_loads_with_no_sidecar(self, tmp_path):
+        if os.geteuid() == 0:
+            pytest.skip("root writes into a read-only directory")
+        path = tmp_path / "d.csv"
+        path.write_text(WELL_FORMED)
+        tmp_path.chmod(0o555)
+        try:
+            assert len(load_csv(path)) == 3 and len(load_csv(path)) == 3
+        finally:
+            tmp_path.chmod(0o755)
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    @pytest.mark.parametrize("fails", ["mkstemp", "fchmod", "rename"])
+    def test_failed_write_loads_with_no_sidecar(self, tmp_path, monkeypatch, fails):
+        # before, while and after the temporary file is written
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(data.tempfile if fails == "mkstemp" else data.os, fails, full)
+        path = tmp_path / "d.csv"
+        path.write_text(WELL_FORMED)
+        assert len(load_csv(path)) == 3
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    def test_csv_changed_during_the_parse_is_not_cached(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text(WELL_FORMED)
+        parse = data.read_csv
+
+        def parse_then_touch(*args):
+            columns = parse(*args)
+            os.utime(path, ns=(0, 0))
+            return columns
+
+        monkeypatch.setattr(data, "read_csv", parse_then_touch)
+        assert len(load_csv(path)) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda b: b"", lambda b: b[:10], lambda b: b[:56], lambda b: b[:-1], lambda b: b + b"\0",
+         lambda b: bytes(len(b)), lambda b: b[:16] + bytes(32) + b[48:]],
+        ids=["empty", "short_head", "head_only", "short_column", "long", "zeros", "wrong_key"],
+    )
+    def test_damaged_sidecar_is_parsed_and_rewritten(self, tmp_path, parses, damage):
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(40))
+        miss = load_csv(path)
+        sidecar = _sidecar_of(path)
+        good = sidecar.read_bytes()
+        sidecar.write_bytes(damage(good))
+        parses.clear()
+        _assert_same_outcome(load_csv(path), miss)
+        assert parses == [path] and sidecar.read_bytes() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".d.csv.columns", "d.csv"]
+
+    def test_bad_class_count_is_refused_on_a_hit(self, tmp_path, parses):
+        scored, plain = tmp_path / "s.csv", tmp_path / "p.csv"
+        scored.write_text(WITH_SOFTMAX)
+        plain.write_text(HEADER + "1,0,1,2\n\n2,2,3,4\n")
+        load_csv(scored), load_csv(plain)
+        parses.clear()
+        for path, message in [(scored, "s.csv: header has 2 score columns, expected 3"),
+                              (plain, "p.csv:4: label 2 outside [0, 2)")]:
+            count = 3 if path == scored else 2
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_csv(path, count)
+            assert _outcome(path, count).endswith(message)
+        assert parses == [scored, plain]
 
 
 @pytest.fixture(scope="module")

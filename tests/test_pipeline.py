@@ -100,6 +100,16 @@ class TestParseConfig:
         assert cfg.learning_rate == 0.1 and cfg.seed == 12
         assert cfg.theta is None
 
+    @pytest.mark.parametrize(
+        "line, value",
+        [("out_dir = results#2", "results#2"), ("data_csv = runs/#3/data.csv", "runs/#3/data.csv"),
+         ("out_dir = results#2  # the second try", "results#2"), ("out_dir = out\t# tab", "out")],
+    )
+    def test_hash_inside_a_value_is_kept(self, line, value):
+        # a `#` starts a comment only at the start of a line or after whitespace
+        key = line.split("=")[0].strip()
+        assert getattr(parse_config(line), key) == value
+
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("no_such_thing = 1")
