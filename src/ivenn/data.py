@@ -14,9 +14,10 @@ and predictions.csv.
 (not a link, a FIFO or a device) without error, it writes the parsed columns
 to a sidecar beside it, `.<name>.columns` (`.data.csv.columns` for
 data.csv), headed by a format tag, the SHA-256 of the CSV's bytes and the
-row count. A later load hashes the CSV and, if tag and hash match and the
-sidecar has the size that the row count and the header give, maps the
-columns from the sidecar instead of parsing. Any other sidecar, or none, or
+row count. A later load hashes the CSV and, if tag and hash match, the
+sidecar has the size that the row count and the header give and it belongs
+to the loading user or to the CSV's owner, maps the columns from the
+sidecar instead of parsing. Any other sidecar, or none, or
 one that cannot be read, means a parse, which then writes a new sidecar; a
 sidecar that cannot be written is skipped. Every check after the parse runs
 on a hit as on a miss, with the same `path:line` errors, so a load returns
@@ -511,15 +512,22 @@ def _stamp(st):
     return st.st_size, st.st_mtime_ns, st.st_ino
 
 
-def _cached_columns(path, digest, dtype_of):
+def _cached_columns(path, key, dtype_of):
     """The columns of the CSV at path from its sidecar, when the sidecar's
-    tag, digest and size match: one C-contiguous column per field of the
-    dtype of the CSV's header, mapped copy-on-write from the sidecar.
+    tag, digest (key[0]) and size match: one C-contiguous column per field
+    of the dtype of the CSV's header, mapped copy-on-write from the sidecar.
     dtype_of runs on the header as read_csv runs it, with the same error.
-    None when there is no such sidecar, reading raises OSError or the
-    header is not UTF-8 (the parse names its line)."""
+    None when there is no such sidecar, it belongs to neither this process's
+    user nor the CSV's owner (key[1].st_uid), reading raises OSError or the
+    header is not UTF-8 (the parse names its line). Anyone who can read the
+    CSV can write a matching head, so only those two users' sidecars are
+    trusted: in a shared directory another user's sidecar is parsed past."""
+    digest, st = key
     try:
         with open(_sidecar(path), "rb") as f:
+            sidecar = os.fstat(f.fileno())
+            if sidecar.st_uid not in (os.geteuid(), st.st_uid):
+                return None
             head = f.read(len(_CACHE_HEAD) + 40)
             if head[:-8] != _CACHE_HEAD + digest:
                 return None
@@ -528,7 +536,7 @@ def _cached_columns(path, digest, dtype_of):
             fields = [dtype[name] for name in dtype.names]
             n = int.from_bytes(head[-8:], "little")
             starts = np.cumsum([len(head)] + [n * field.itemsize for field in fields]).tolist()
-            if os.fstat(f.fileno()).st_size != starts[-1]:
+            if sidecar.st_size != starts[-1]:
                 return None
             # mapped, not read: see the module docstring
             buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
@@ -579,7 +587,7 @@ def load_csv(path, class_count=None):
     block and class_count is not given, it is inferred as max(label) + 1."""
     dtype_of = functools.partial(_parse_header, class_count=class_count)
     key = _content_key(path)
-    hit = key and _cached_columns(path, key[0], dtype_of)
+    hit = key and _cached_columns(path, key, dtype_of)
     ids, labels, features, *scores = columns = hit or read_csv(path, dtype_of)[1]
     softmaxes = scores[0] if scores else None
     blocks = [features] + scores

@@ -737,6 +737,36 @@ class TestColumnCache:
         assert parses == [path] and sidecar.read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == [".d.csv.columns", "d.csv"]
 
+    @pytest.mark.parametrize(
+        "sidecar_uid,euid,trusted",
+        [(0, 1, True), (2, 2, True), (1, 0, False), (1, 2, False)],
+        ids=["csv_owner", "loading_user", "someone_else", "someone_else_again"],
+    )
+    def test_sidecar_of_another_user_is_parsed(
+        self, tmp_path, monkeypatch, parses, sidecar_uid, euid, trusted
+    ):
+        # anyone who can read the CSV can plant a sidecar with its digest; uids
+        # are given relative to the CSV's owner
+        path, other = tmp_path / "d.csv", tmp_path / "o.csv"
+        path.write_text(_rows(40))
+        other.write_text(_rows(40).replace(".5,", ".25,"))
+        load_csv(path), load_csv(other)
+        head = len(data._CACHE_HEAD) + 40
+        planted = _sidecar_of(path).read_bytes()[:head] + _sidecar_of(other).read_bytes()[head:]
+        _sidecar_of(path).write_bytes(planted)
+        owner, fstat = os.stat(path).st_uid, os.fstat
+
+        def owned_fstat(fd):
+            cls, (fields, extra) = fstat(fd).__reduce__()
+            return cls(fields[:4] + (owner + sidecar_uid,) + fields[5:], extra)
+
+        monkeypatch.setattr(data.os, "fstat", owned_fstat)
+        monkeypatch.setattr(data.os, "geteuid", lambda: owner + euid)
+        parses.clear()
+        got = load_csv(path)
+        assert got.features[38, 0] == (38.25 if trusted else 38.5)
+        assert parses == ([] if trusted else [path])
+
     def test_bad_class_count_is_refused_on_a_hit(self, tmp_path, parses):
         scored, plain = tmp_path / "s.csv", tmp_path / "p.csv"
         scored.write_text(WITH_SOFTMAX)
@@ -1142,9 +1172,11 @@ class TestWhenAReadForks:
 
     @staticmethod
     def _serial(path):
+        """A parse of path in one process, past the sidecar that the forked
+        load wrote."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_FORK_BYTES", 1 << 62)
-            return load_csv(path)
+            return _outcome(path, None)
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_gate", "one_byte_over"])
     def test_fork_over_the_body_bytes(self, tmp_path, forks, extra):
