@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ivenn.data import _write_csv, load_csv, not_utf8, save_csv, synth_gaussians
+from ivenn.data import _write_csv, load_csv, read_text, save_csv, synth_gaussians
 from ivenn.metrics import build_report, report_text, save_report
 from ivenn.pipeline import (
     PipelineError,
@@ -49,12 +49,9 @@ def _build_config(args):
     flags = {name: getattr(args, name) for name in field_types(RunConfig) if hasattr(args, name)}
     if not args.config:
         return parse_config("", **flags)
+    text = read_text(args.config)
     try:
-        with open(args.config, encoding="utf-8") as f:
-            text = f.read()
         return parse_config(text, **flags)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(args.config, exc) from None
     except ValueError as exc:
         try:
             parse_config(text)  # the file alone is valid: a flag set the bad value

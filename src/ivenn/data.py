@@ -10,42 +10,29 @@ whitespace-only lines are skipped; there are no comments and no quoting; ids
 and labels are int64. `read_csv` is the only CSV parser: it serves this file
 and predictions.csv.
 
-`load_csv` alone keeps a column cache. Once it has loaded a regular file
-(not a link, a FIFO or a device) without error, it writes the parsed columns
-to a sidecar beside it, `.<name>.columns` (`.data.csv.columns` for
-data.csv), headed by a format tag, the SHA-256 of the CSV's bytes and the
-row count. A later load hashes the CSV and, if tag and hash match, the
-sidecar has the size that the row count and the header give and it belongs
-to the loading user or to the CSV's owner, maps the columns from the
-sidecar instead of parsing. Any other sidecar, or none, or
-one that cannot be read, means a parse, which then writes a new sidecar; a
-sidecar that cannot be written is skipped. Every check after the parse runs
-on a hit as on a miss, with the same `path:line` errors, so a load returns
-the same Dataset or error either way, and deleting a sidecar is always
-safe. The columns are mapped copy-on-write from the sidecar. In four
-base-csv benchmark runs of each way (2-vCPU KVM guest), columns read into
-the heap peaked at 58.2-65.8 MB (median 64.8) against 60.8-63.4 (60.9)
-mapped, since the heap they grow is not given back under the set-ups'
-later allocations; read into an anonymous map, set-up took 24-28 ms
-against 16-23 ms mapped, the difference mostly page faults. A mapped
-sidecar truncated in place would fault the process (SIGBUS); nothing in
-ivenn truncates one, as a new sidecar is renamed into place after the old
-one is unlinked.
+A load opens its input once and holds it until its checks are done (see
+_Input). One pass over its blocks counts the lines, finds the cut between
+two processes and, in `load_csv`, takes the SHA-256. `load_csv` checks each
+value once, not again on its Dataset nor on the parts `split` gathers: a
+gather cannot make a cell non-finite or a score row stop summing to 1.
 
-The body reader parses with numpy's C reader a block of at most
-_READ_BLOCK_BYTES (1 MiB) of rows at a time into columns sized by a count
-of the lines, so parsing holds the columns plus one block; a forked child
-may parse the rows after a cut near the body's middle, holding its own
-columns plus one block. Only a file it rejects goes through
-the Python row loop, which accepts the same literals as Python's int() and
-float() and names the line of a bad row and the column of a bad cell. Every
-CSV is written _WRITE_BLOCK_ROWS (4096) rows at a time, and every artifact
-through `open_artifact`, which writes a new file in place of an old one; a
-forked child may format the second half of a CSV, holding that half's text,
-while the parent writes the first half and then copies the child's text into
-the file, holding one block. `_forked` alone decides when a child runs, and
-reaps it on every path; the bytes written and the columns read are the
-one-process path's.
+`load_csv` alone keeps a column cache. After it loads, without error, a
+regular file that its path names itself (not a link such as /dev/stdin), it
+writes the parsed columns to `.<name>.columns` beside it, headed by a format
+tag, the SHA-256 and the row count. A later load whose digest, tag and
+sidecar size match, of a sidecar owned by the loading user or the CSV's
+owner, maps the columns copy-on-write from it instead of parsing; any other
+sidecar, or none, means a parse, which writes a new one if it can. The
+Dataset or error is the same either way.
+
+The body reader parses blocks of rows into columns sized by the scan's line
+count (see _fill); only a file it rejects goes through the Python row loop,
+which accepts the literals of int() and float() and names the line of a bad
+row and the column of a bad cell. Every CSV is written _WRITE_BLOCK_ROWS
+(4096) rows at a time, every artifact through `open_artifact`. A forked
+child may parse the rows after the cut, or format the second half of a CSV;
+`_forked` alone decides when one runs, and reaps it on every path; the bytes
+written and the columns read are the one-process path's.
 """
 
 from __future__ import annotations
@@ -53,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import io
 import itertools
 import math
 import mmap
@@ -67,17 +55,18 @@ from dataclasses import dataclass
 import numpy as np
 
 _WRITE_BLOCK_ROWS = 4096
-_READ_BLOCK_BYTES = 1 << 20
+# The scan (SHA-256 and line count) of base-csv's 13.4 MB data.csv took
+# 13.1-13.3 ms in 256 KiB blocks, 14.8-15.0 ms in 1 MiB ones, which leave the
+# cache between hash and count (medians of 60, 2 vCPUs); misses read alike.
+_READ_BLOCK_BYTES = 1 << 18
 # A body over _FORK_BYTES is parsed in two processes. load_csv of save_csv
-# files of synth_gaussians(3, 8, ...), one BLAS thread, 2 vCPUs, in a process
-# holding 85 MB (the benchmark's processes peak at 57-85 MB); ms, median of
-# three runs' medians of 30 loads:
+# files of synth_gaussians(3, 8, ...), one BLAS thread, 2 vCPUs, an 85 MB
+# process (bench processes peak at 57-85 MB); ms, medians of 3 x 30 loads:
 #   body KiB         317   477   636   795   955   1114  1433
 #     one process   2.30  3.40  4.50  5.57  6.67  7.80  10.16
 #     two processes 2.48  3.09  3.73  4.33  4.95  5.62   7.01
-# There a fork and its reap cost the parent about 0.8 ms, but in 2 of 8
-# timed runs at 65-105 MB they cost 2.1-2.6 ms, and one process still won
-# at 955 KiB and tied at 1114 KiB. The gate is that larger break-even.
+# A fork and reap cost about 0.8 ms, but 2.1-2.6 ms in 2 of 8 runs at 65-105
+# MB, where one process won at 955 KiB and tied at 1114: the gate is 1 MiB.
 _FORK_BYTES = 1 << 20
 _FORK_FLOATS = 1 << 16
 # numpy warns on a blank line once max_rows is set, and on a body with no rows
@@ -87,16 +76,17 @@ _NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
 _CACHE_HEAD = b"ivenn columns v1"
 
 
-def check_score_rows(S, path=None):
+def check_score_rows(S, where=None):
     """Raise unless every row of the (m, c) score array is finite,
     nonnegative and sums to 1 within 1e-6, naming the first that is not by
-    `path:line` when the rows are the file's at path, else as row i."""
-    # NaN fails both comparisons, so a non-finite row is caught here too;
-    # `all` over a row is about 3x faster than its minimum at 3 columns
-    ok = (S >= 0.0).all(axis=1) & (np.abs(np.add.reduce(S, axis=1) - 1.0) <= 1e-6)
-    if not ok.all():
-        row = int(np.argmin(ok))
-        name = f"{path}:{line_number(path, row + 1)}: softmax row" if path else f"softmax row {row}"
+    where(i), a file's `path:line:`, when given, else as row i."""
+    # NaN fails the sum's test. The columns are summed left to right, as
+    # add.reduce sums a row of up to 7 (same bits): 0.48 against 2.3 ms at
+    # 60k x 3, and as fast for one row, as served; rows only on a failure
+    ok = np.abs(functools.reduce(np.add, S.T) - 1.0) <= 1e-6
+    if not (ok.all() and S.min(initial=0.0) >= 0.0):
+        row = int(np.argmin(ok & (S >= 0.0).all(axis=1)))
+        name = f"{where(row)} softmax row" if where else f"softmax row {row}"
         raise ValueError(f"{name} must be finite, nonnegative and sum to 1 (tol 1e-6)")
 
 
@@ -196,17 +186,23 @@ class Dataset:
     def feature_dim(self):
         return self.features.shape[1]
 
+    @classmethod
+    def _checked(cls, *columns):
+        """A Dataset of the fields' values, checked and of the types that
+        __post_init__ leaves, built without running its checks again."""
+        ds = object.__new__(cls)
+        ds.__dict__.update(zip(cls.__dataclass_fields__, columns))
+        return ds
+
     def subset(self, indices):
-        """The examples at the indices, each an integer in [0, len(self))."""
+        """The examples at the indices, each an integer in [0, len(self)).
+        The rows are not checked again: a gather cannot make a finite cell
+        non-finite, a label leave its range or a score row stop summing to 1."""
         indices = index_values(indices, len(self), "index", "indices")
         # take gathers rows about 3x faster than fancy indexing, same bytes
-        return Dataset(
-            ids=self.ids.take(indices),
-            features=self.features.take(indices, axis=0),
-            labels=self.labels.take(indices),
-            class_count=self.class_count,
-            softmaxes=None if self.softmaxes is None else self.softmaxes.take(indices, axis=0),
-        )
+        rows = [a.take(indices, axis=0) for a in (self.ids, self.features, self.labels)]
+        scores = None if self.softmaxes is None else self.softmaxes.take(indices, axis=0)
+        return Dataset._checked(*rows, self.class_count, scores)
 
 
 def _parse_header(cols, class_count):
@@ -229,79 +225,120 @@ def _parse_header(cols, class_count):
     return np.dtype(fields + [("s", "<f8", (c,))] if c else fields)
 
 
-def line_number(path, k):
-    """The 1-based line in the file of its k-th (0-based) non-blank line;
-    only error paths pay for the scan."""
-    seen = -1
-    with open(path, encoding="utf-8") as f:
-        for number, ln in enumerate(f, start=1):
-            seen += bool(ln.strip())
-            if seen == k:
-                return number
-    raise IndexError(k)
-
-
-def index_values(values, count, name, column, path=None):
+def index_values(values, count, name, column, where=None):
     """The values as int64 (int64_values), each in [0, count). ValueError
-    names the first outside, by `path:line` when the values are the rows of
-    the file at path, else as row i of `column`."""
+    names the first outside by where(i), a file's `path:line:`, when the
+    values are a file's rows, else as row i of `column`."""
     values = int64_values(values, name)
     outside = (values < 0) | (values >= count)
     if outside.any():
         row = int(np.argmax(outside))
-        where = f"{path}:{line_number(path, row + 1)}:" if path else f"{column}: row {row}:"
-        raise ValueError(f"{where} {name} {values[row]} outside [0, {count})")
+        named = where(row) if where else f"{column}: row {row}:"
+        raise ValueError(f"{named} {name} {values[row]} outside [0, {count})")
     return values
 
 
-def class_labels(values, class_count, path=None):
+def class_labels(values, class_count, where=None):
     """The values as int64 labels, each in [0, class_count) (index_values)."""
-    return index_values(values, class_count, "label", "labels", path)
+    return index_values(values, class_count, "label", "labels", where)
 
 
-def not_utf8(path, exc):
-    """The ValueError for exc, a UnicodeDecodeError met reading path: it names
-    `path:line` of the first byte that is not UTF-8, found by a rescan that
-    decodes such a byte to a lone surrogate (U+DC80..U+DCFF)."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        number = next(n for n, ln in enumerate(f, 1) if any("\udc80" <= c <= "\udcff" for c in ln))
-    return ValueError(f"{path}:{number}: byte 0x{exc.object[exc.start]:02x} is not UTF-8")
+class _Input(io.RawIOBase):
+    """An input opened once, or its bytes [at, stop), as a raw stream with a
+    position of its own. src is a regular file's descriptor, read by offset
+    (os.pread) and inherited by a forked child, or the bytes of any other
+    input (a FIFO, a pipe), read whole since it cannot be read twice."""
+
+    def __init__(self, path, st, src, at=0, stop=None):
+        self.path, self.st, self.src, self.at = path, st, src, at
+        self.size = st.st_size if isinstance(src, int) else len(src)
+        self.stop = self.size if stop is None else stop
+
+    def readable(self):
+        return True
+
+    def read(self, n=-1):
+        n = self.stop - self.at if n < 0 else min(n, self.stop - self.at)
+        if isinstance(self.src, int):
+            chunk = os.pread(self.src, n, self.at)
+        else:
+            chunk = self.src[self.at : self.at + n]
+        self.at += len(chunk)
+        return chunk
+
+    def text(self, start=0, stop=None, **options):
+        """Bytes [start, stop) as a UTF-8 io.TextIOWrapper with options."""
+        raw = _Input(self.path, self.st, self.src, start, stop)
+        return io.TextIOWrapper(raw, encoding="utf-8", **options)
+
+    def where(self, row):
+        """`path:line:` of the row-th (0-based) non-blank line after the
+        header; only error paths pay for the scan."""
+        with self.text() as f:
+            numbers = (number for number, ln in enumerate(f, start=1) if ln.strip())
+            return f"{self.path}:{next(itertools.islice(numbers, row + 1, None))}:"
+
+    def not_utf8(self, exc):
+        """The ValueError for exc, a UnicodeDecodeError met reading this
+        input, naming `path:line` of its first byte that is not UTF-8: a
+        rescan decodes such a byte to a lone surrogate (U+DC80..U+DCFF)."""
+        with self.text(errors="surrogateescape") as f:
+            line = next(n for n, t in enumerate(f, 1) if any("\udc80" <= c <= "\udcff" for c in t))
+        return ValueError(f"{self.path}:{line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8")
 
 
-def _line_count(path, start=0, stop=math.inf):
-    """Lines in bytes [start, stop) of the file as text mode splits them (LF,
-    CRLF and a lone CR each end one; the last may have no end)."""
-    count, last = 0, b""
-    with open(path, "rb") as f:
-        f.seek(start)
-        while chunk := f.read(min(_READ_BLOCK_BYTES, stop - f.tell())):
-            # numpy counts a byte about four times faster than bytes.count
-            count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
-            if b"\r" in chunk:
-                count += chunk.count(b"\r") - chunk.count(b"\r\n")
-            count -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split between reads
-            last = chunk[-1:]
-    return count + (last not in (b"", b"\n", b"\r"))
+@contextlib.contextmanager
+def _opened(path):
+    """The input at path, opened once and held as an _Input; a
+    UnicodeDecodeError met reading it is raised as _Input.not_utf8's."""
+    with open(path, "rb", buffering=0) as f:
+        st = os.fstat(f.fileno())
+        source = _Input(path, st, f.fileno() if stat.S_ISREG(st.st_mode) else f.readall())
+        try:
+            yield source
+        except UnicodeDecodeError as exc:
+            raise source.not_utf8(exc) from None
+
+
+def read_text(path):
+    """The input at path, its bytes read once (a FIFO or a pipe reads too),
+    as text mode reads it; a byte that is not UTF-8 is named by `path:line`."""
+    with _opened(path) as source, source.text() as f:
+        return f.read()
+
+
+def _line_ends(chunk, last):
+    """The line ends (LF, CRLF and a lone CR) in chunk, read just after the
+    byte `last`: a CRLF split between them ends one line."""
+    # numpy counts a byte about four times faster than bytes.count
+    count = int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+    if b"\r" in chunk:
+        count += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return count - (last == b"\r" and chunk[:1] == b"\n")
 
 
 def _fill(lines, dtype, n):
     """Parse the lines with numpy's C reader, _READ_BLOCK_BYTES of rows at a
     time, into one column of n rows (at least the lines' count) per dtype
     field; return the columns and the rows filled. The columns are allocated
-    after the first block: allocated before it, they raised the benchmark's
-    base-csv peak memory by about 3 MB."""
+    after the first block: before it, they raised the benchmark's base-csv
+    peak memory by about 3 MB. A warning, other than numpy's for a blank
+    line or a body with no rows, is raised: the row loop takes the file."""
     rows = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
     columns, filled = None, 0
-    while True:
-        block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=rows)
-        if columns is None:
-            columns = [np.empty((n, *dtype[name].shape), dtype[name].base) for name in dtype.names]
-        for column, name in zip(columns, dtype.names):
-            column[filled : filled + len(block)] = block[name]
-        filled += len(block)
-        if len(block) < rows:
-            return columns, filled
-        del block  # so the next block is not read while this one is alive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        warnings.filterwarnings("ignore", _NO_DATA, UserWarning)
+        while True:
+            block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1, max_rows=rows)
+            if columns is None:
+                columns = [np.empty((n, *dtype[f].shape), dtype[f].base) for f in dtype.names]
+            for column, name in zip(columns, dtype.names):
+                column[filled : filled + len(block)] = block[name]
+            filled += len(block)
+            if len(block) < rows:
+                return columns, filled
+            del block  # so the next block is not read while this one is alive
 
 
 @contextlib.contextmanager
@@ -310,16 +347,12 @@ def _forked(send, wanted):
     binary file, and exits through os._exit: 0 only once send has returned
     and every byte is written, else 1. Yields (the read end as a binary
     file, a function that waits for the child and tells whether it exited
-    0), or None, with no child. The child is reaped on every path, and
-    killed first if the parent has not waited for it.
-
-    This is the one place that decides whether a child runs: only when the
-    caller wants one, os.fork exists, the CPU affinity set (os.cpu_count()
-    where it cannot be read) holds a second CPU and the fork succeeds. The
-    reader wants one for a body over _FORK_BYTES with an LF past its byte
-    midpoint; the writer for columns of over _FORK_FLOATS float cells bound
-    for a seekable file, which it can truncate back to its own rows if the
-    child fails."""
+    0), or None, with no child, which is reaped on every path, killed first
+    if the parent has not waited for it. This alone decides whether a child
+    runs: when the caller wants one (the reader for a body with a cut, the
+    writer for over _FORK_FLOATS float cells bound for a seekable file),
+    os.fork exists, the CPU affinity set (os.cpu_count() where it cannot be
+    read) holds a second CPU and the fork succeeds."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if not wanted or (cpus or 1) < 2 or not hasattr(os, "fork"):
         yield None
@@ -363,68 +396,53 @@ def _forked(send, wanted):
             os.waitpid(pid, 0)
 
 
-def _read_columns(path, f, dtype, read, fork=True):
-    """Parse the rest of the open CSV file f, whose first `read` lines the
-    caller has read, with numpy's C reader into one C-contiguous column per
-    field of the structured dtype. With fork set, a child (_forked says when
-    one runs) parses the rows after the first LF past the body's byte
-    midpoint into the parent's columns; with no child, this process parses
-    every row. Each process counts only its own lines, the child sending its
-    count ahead of its rows; one copy trims the rows that blank lines leave
-    unfilled. A child that fails sends the body here again, with fork unset."""
-    start, size = f.tell(), os.fstat(f.fileno()).st_size
-    cut = size
-    # The gate measures the body, as _FORK_BYTES's table does, not the file.
-    # After a header ended by a lone CR, tell() is a decoder cookie past size,
-    # so such a file is parsed whole; the line counts start at byte 0.
-    if fork and size - start > _FORK_BYTES:
-        with open(path, "rb") as raw:
-            raw.seek((start + size) // 2)
-            if raw.readline(_READ_BLOCK_BYTES).endswith(b"\n"):
-                cut = raw.tell()
+def _read_columns(source, header, dtype, start, cut, mine, theirs, fork=True):
+    """Parse the body, bytes [start, size) of the _Input source, whose lines
+    in [start, cut) and [cut, size) number mine and theirs, into one
+    C-contiguous column per field of dtype: by _fill, or by the row loop if
+    that rejects it. With fork set, a child (_forked says when) parses from
+    the cut on into this process's columns, or if it fails, this process
+    does. One copy trims the rows that blank lines leave unfilled."""
 
-    def send(pipe):  # the child's line count, then its row count and each column's bytes
-        pipe.write((n := _line_count(path, cut)).to_bytes(8, "little"))
-        pipe.flush()  # the parent sizes its columns by it before parsing
-        with open(path, encoding="utf-8") as rest:
-            rest.seek(cut)
-            mine, sent = _fill(rest, dtype, n)
+    def send(pipe):  # the child's row count, then each column's bytes
+        with source.text(cut) as rest:
+            columns, sent = _fill(rest, dtype, theirs)
         pipe.write(sent.to_bytes(8, "little"))
-        for column in mine:
+        for column in columns:
             pipe.write(column[:sent].view(np.uint8))
 
-    with _forked(send, cut < size) as child:
-        lines = _line_count(path, 0, cut if child else size) - read
-        theirs = int.from_bytes(child[0].read(8), "little") if child else 0
-        # through islice, not a file that ends at the cut: that was no faster
-        columns, filled = _fill(itertools.islice(f, lines), dtype, lines + theirs)
-        if child:
-            pipe, exited_0 = child
-            sent = int.from_bytes(pipe.read(8), "little")
-            parts = [c[filled : filled + sent].view(np.uint8) for c in columns]
-            filled += sent
-            ok = filled <= len(columns[0]) and all(pipe.readinto(p) == p.nbytes for p in parts)
-            if not (ok and exited_0()):
-                columns = None
+    try:
+        with _forked(send, fork and cut < source.size) as child:
+            with source.text(start, cut if child else source.size) as lines:
+                columns, filled = _fill(lines, dtype, mine + theirs)
+            if child:
+                pipe, exited_0 = child
+                sent = int.from_bytes(pipe.read(8), "little")
+                parts = [c[filled : filled + sent].view(np.uint8) for c in columns]
+                whole = all(pipe.readinto(p) == p.nbytes for p in parts)
+                filled += sent
+                if not (whole and filled <= len(columns[0]) and exited_0()):
+                    columns = None
+    except (ValueError, UserWarning):  # UserWarning: see _fill
+        return _parse_rows(source, header, dtype)
     if columns is None:  # after the failed child is reaped
-        f.seek(start)
-        return _read_columns(path, f, dtype, read, fork=False)
+        return _read_columns(source, header, dtype, start, cut, mine, theirs, fork=False)
     if filled < len(columns[0]):
         columns = [column[:filled].copy() for column in columns]
     return columns
 
 
-def _parse_rows(path, header, dtype):
+def _parse_rows(source, header, dtype):
     """The Python row loop: parse every non-blank line after the header into
     one column per dtype field, each cell as int() or float() would, or
     raise naming `path:line` of the first bad row and a bad cell's column."""
     bases = [dtype[n].base for n in dtype.names for _ in range(math.prod(dtype[n].shape))]
     rows = []
-    with open(path, encoding="utf-8") as f:
+    with source.text() as f:
         lines = ((number, ln) for number, ln in enumerate(f, start=1) if ln.strip())
         next(lines)  # the header
         for number, ln in lines:
-            where, cells = f"{path}:{number}:", ln.rstrip("\n").split(",")
+            where, cells = f"{source.path}:{number}:", ln.rstrip("\n").split(",")
             if len(cells) != len(header):
                 raise ValueError(f"{where} expected {len(header)} columns, got {len(cells)}")
             row = []
@@ -442,45 +460,51 @@ def _parse_rows(path, header, dtype):
     return [np.ascontiguousarray(table[name]) for name in dtype.names]
 
 
-def _read_header(path, f, dtype_of):
-    """Read the open CSV file f up to its first non-blank line, the header;
-    return (lines read, the header's stripped cells, dtype_of(cells)). A
-    ValueError from dtype_of is raised again naming the file."""
-    for read, header in enumerate(iter(f.readline, ""), start=1):
-        if header.strip():
-            break
-    else:
-        raise ValueError(f"{path}: empty file")
+def _scanned(source, dtype_of, digest=None):
+    """Read the _Input source's header, its first non-blank line, then each
+    byte once, to update digest (if given), count the lines and find the
+    cut, after the first LF past the midpoint of a body over _FORK_BYTES.
+    Returns (the header's stripped cells, dtype_of(cells), a function that
+    parses the body); a ValueError from dtype_of is raised naming the file."""
+    start = 0
+    with source.text(newline="") as f:  # line ends kept, so `start` counts bytes
+        for read, header in enumerate(iter(f.readline, ""), start=1):
+            start += len(header.encode())
+            if header.strip():
+                break
+        else:
+            raise ValueError(f"{source.path}: empty file")
     header = [cell.strip() for cell in header.split(",")]
     try:
-        return read, header, dtype_of(header)
+        dtype = dtype_of(header)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{source.path}: {exc}") from None
+    size = source.size
+    mid = (start + size) // 2 if size - start > _FORK_BYTES else size
+    ends, last, cut, before = 0, b"", size, None
+    while block := source.read(_READ_BLOCK_BYTES):  # the held input, from byte 0
+        at = source.at - len(block)
+        if digest:
+            digest.update(block)
+        if cut == size and (i := block.find(b"\n", max(mid - at, 0))) >= 0:
+            cut, before = at + i + 1, ends + _line_ends(block[: i + 1], last)
+        ends += _line_ends(block, last)
+        last = block[-1:]
+    lines = ends + (last not in (b"", b"\n", b"\r"))  # the last line may have no end
+    mine, theirs = (lines - read, 0) if before is None else (before - read, lines - before)
+    parse = functools.partial(_read_columns, source, header, dtype, start, cut, mine, theirs)
+    return header, dtype, parse
 
 
+@contextlib.contextmanager
 def read_csv(path, dtype_of):
-    """Parse a CSV file. The stripped cells of its first non-blank line are
-    the header, and dtype_of(header) is the structured dtype of every other
-    non-blank line. Returns (header, one C-contiguous column per dtype
-    field). A ValueError from dtype_of is raised again naming the file, and
-    a byte that is not UTF-8 is named by `path:line`."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            read, header, dtype = _read_header(path, f, dtype_of)
-            with warnings.catch_warnings():
-                # a blank line or a body with no rows only warns; any other
-                # warning sends the file to the row loop
-                warnings.simplefilter("error", UserWarning)
-                warnings.filterwarnings("ignore", _NO_DATA, UserWarning)
-                try:
-                    columns = _read_columns(path, f, dtype, read)
-                except (ValueError, UserWarning):
-                    columns = None
-        if columns is None:
-            columns = _parse_rows(path, header, dtype)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
-    return header, columns
+    """Parse a CSV input, held open while the caller checks what this yields:
+    (its header's stripped cells, one C-contiguous column per field of
+    dtype_of(cells), the dtype of every other non-blank line, and where,
+    where(i) naming the i-th row's `path:line:`), errors as _scanned's."""
+    with _opened(path) as source:
+        header, _, parse = _scanned(source, dtype_of)
+        yield header, parse(), source.where
 
 
 def _sidecar(path):
@@ -489,39 +513,15 @@ def _sidecar(path):
     return os.path.join(head, f".{name}.columns")
 
 
-def _content_key(path):
-    """(the SHA-256 digest of the file's bytes, its os.lstat before the
-    hash) when path names a regular file itself, not a link; else None, as
-    on an OSError. The file is read _READ_BLOCK_BYTES at a time into one
-    buffer. A FIFO or a device is never opened here: hashing a stream would
-    consume it."""
-    try:
-        st = os.lstat(path)
-        if not stat.S_ISREG(st.st_mode):
-            return None
-        digest, block = hashlib.sha256(), memoryview(bytearray(_READ_BLOCK_BYTES))
-        with open(path, "rb", buffering=0) as f:
-            while n := f.readinto(block):
-                digest.update(block[:n])
-    except OSError:
-        return None
-    return digest.digest(), st
-
-
 def _stamp(st):
     return st.st_size, st.st_mtime_ns, st.st_ino
 
 
-def _cached_columns(path, key, dtype_of):
-    """The columns of the CSV at path from its sidecar, when the sidecar's
-    tag, digest (key[0]) and size match: one C-contiguous column per field
-    of the dtype of the CSV's header, mapped copy-on-write from the sidecar.
-    dtype_of runs on the header as read_csv runs it, with the same error.
-    None when there is no such sidecar, it belongs to neither this process's
-    user nor the CSV's owner (key[1].st_uid), reading raises OSError or the
-    header is not UTF-8 (the parse names its line). Anyone who can read the
-    CSV can write a matching head, so only those two users' sidecars are
-    trusted: in a shared directory another user's sidecar is parsed past."""
+def _cached_columns(path, key, dtype):
+    """The CSV's columns of the dtype, mapped copy-on-write from its sidecar
+    if the sidecar's tag, digest (key[0]) and size match and it belongs to
+    this process's user or the CSV's owner (key[1].st_uid): anyone who can
+    read the CSV can write a matching head. Else None, as on an OSError."""
     digest, st = key
     try:
         with open(_sidecar(path), "rb") as f:
@@ -531,16 +531,17 @@ def _cached_columns(path, key, dtype_of):
             head = f.read(len(_CACHE_HEAD) + 40)
             if head[:-8] != _CACHE_HEAD + digest:
                 return None
-            with open(path, encoding="utf-8") as csv:
-                dtype = _read_header(path, csv, dtype_of)[2]
             fields = [dtype[name] for name in dtype.names]
             n = int.from_bytes(head[-8:], "little")
             starts = np.cumsum([len(head)] + [n * field.itemsize for field in fields]).tolist()
             if sidecar.st_size != starts[-1]:
                 return None
-            # mapped, not read: see the module docstring
+            # Mapped: in four base-csv bench runs each (2 vCPUs), heap columns
+            # peaked at 58.2-65.8 MB against 60.8-63.4 (the heap they grow is
+            # kept) and an anonymous map set up in 24-28 ms against 16-23. A
+            # sidecar truncated in place would fault (SIGBUS): ivenn renames.
             buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
-    except (OSError, UnicodeDecodeError):
+    except OSError:
         return None
     return [
         np.frombuffer(buf, field.base, n * math.prod(field.shape), at).reshape(n, *field.shape)
@@ -550,12 +551,10 @@ def _cached_columns(path, key, dtype_of):
 
 def _save_columns(path, key, columns):
     """Write the columns parsed from the CSV at path to its sidecar, keyed
-    by key[0], the digest: to a temporary name beside it, then renamed into
-    place after any stale sidecar is unlinked (a rename over a live file is
-    flushed to disk, see open_artifact). Nothing is renamed if the CSV's
-    size, mtime or inode changed since key[1] was taken. An OSError (no
-    write permission, a full disk) leaves no temporary file and is not
-    raised: the cache only saves a parse."""
+    by key[0], the digest: to a temporary name beside it, renamed into place
+    after any stale sidecar is unlinked (see open_artifact), unless the CSV's
+    size, mtime or inode changed since key[1]. An OSError (no write
+    permission, a full disk) leaves no temporary file and is not raised."""
     digest, st = key
     target = _sidecar(path)
     folder, name = os.path.split(target)
@@ -565,8 +564,7 @@ def _save_columns(path, key, columns):
         with open(fd, "wb") as f:
             os.fchmod(fd, stat.S_IMODE(st.st_mode) & 0o666)  # as readable as the CSV
             f.write(_CACHE_HEAD + digest + len(columns[0]).to_bytes(8, "little"))
-            for column in columns:
-                f.write(column.data)
+            f.writelines(column.data for column in columns)
         if _stamp(os.lstat(path)) == _stamp(st):
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(target)
@@ -581,34 +579,34 @@ def _save_columns(path, key, columns):
 
 
 def load_csv(path, class_count=None):
-    """Parse a dataset CSV, or take its columns from the column cache (see
-    the module docstring). Malformed rows are rejected with their line
-    number in the file, blank lines counted. When the file has no score
-    block and class_count is not given, it is inferred as max(label) + 1."""
+    """Parse a dataset CSV, or map its columns from the column cache, and
+    check each value once (see the module docstring). A bad row is named by
+    its line in the file, blank lines counted. With no score block and no
+    class_count given, the class count is max(label) + 1."""
     dtype_of = functools.partial(_parse_header, class_count=class_count)
-    key = _content_key(path)
-    hit = key and _cached_columns(path, key, dtype_of)
-    ids, labels, features, *scores = columns = hit or read_csv(path, dtype_of)[1]
-    softmaxes = scores[0] if scores else None
-    blocks = [features] + scores
-    if not all(np.isfinite(block).all() for block in blocks):
-        row = int(np.argmin(np.logical_and.reduce([np.isfinite(b).all(axis=1) for b in blocks])))
-        raise ValueError(f"{path}:{line_number(path, row + 1)}: non-finite cell (nan or inf)")
-    if softmaxes is not None:
-        class_count = softmaxes.shape[1]
-        check_score_rows(softmaxes, path)
-    if class_count is None:
-        class_count = int(labels.max()) + 1 if len(labels) else 1
-    ds = Dataset(
-        ids=ids,
-        features=features,
-        labels=class_labels(labels, class_count, path),
-        class_count=class_count,
-        softmaxes=softmaxes,
-    )
+    with _opened(path) as source:
+        st = os.lstat(path)  # only a regular file that its path names itself is hashed
+        digest = stat.S_ISREG(st.st_mode) and os.path.samestat(st, source.st) and hashlib.sha256()
+        _, dtype, parse = _scanned(source, dtype_of, digest)
+        key = digest and (digest.digest(), st)
+        hit = key and _cached_columns(path, key, dtype)
+        ids, labels, features, *scores = columns = hit or parse()
+        blocks = [features] + scores
+        if not all(np.isfinite(block).all() for block in blocks):
+            row = int(np.argmin(np.all([np.isfinite(b).all(axis=1) for b in blocks], axis=0)))
+            raise ValueError(f"{source.where(row)} non-finite cell (nan or inf)")
+        softmaxes = scores[0] if scores else None
+        if softmaxes is not None:
+            class_count = softmaxes.shape[1]
+            check_score_rows(softmaxes, source.where)
+        if class_count is None:
+            class_count = int(labels.max()) + 1 if len(labels) else 1
+        class_labels(labels, class_count, source.where)
+    if class_count < 1:  # reached with no rows, as any label is outside
+        raise ValueError("class_count must be positive")
     if key and not hit:
         _save_columns(path, key, columns)
-    return ds
+    return Dataset._checked(ids, features, labels, class_count, softmaxes)
 
 
 def csv_lines(*columns):

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ivenn.data import int64_values, not_utf8, open_artifact, row_labels
+from ivenn.data import int64_values, open_artifact, read_text, row_labels
 from ivenn.taxonomy import TaxonomyConfig, category_count, format_value, read_fields
 
 _TABLE_FORMAT = "ivenn-calibration-table-v1"
@@ -194,11 +194,7 @@ def load_table(path):
     """Read a table written by save_table. A bad header line or a byte that
     is not UTF-8 raises ValueError naming `path:line`, a missing key or a
     missing `counts:` line the path."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f]
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
+    lines = read_text(path).split("\n")
     if not lines or lines[0] != f"# {_TABLE_FORMAT}":
         raise ValueError(f"{path}: not a {_TABLE_FORMAT} file")
     end = next((i for i, ln in enumerate(lines) if ln.strip() == "counts:"), None)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -48,7 +48,6 @@ from ivenn.data import (
     check_finite_rows,
     class_labels,
     csv_lines,
-    line_number,
     load_csv,
     open_artifact,
     read_csv,
@@ -194,6 +193,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
     result = PipelineResult()
     timings = {}
     test_ids = None  # set once the test split is predicted
+    passed_in = dataset is not None
 
     with _stage("load", timings):
         if dataset is None:
@@ -206,6 +206,8 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
             )
 
     with _stage("split", timings):
+        if passed_in:  # its arrays may have been written since it was made
+            dataset = replace(dataset)  # Dataset's checks; split's parts skip them
         proper, cal, test = split(dataset, _derived(SplitSpec, cfg))
         del dataset  # split copied the parts; later stages read `proper`
 
@@ -373,39 +375,38 @@ def load_predictions(path):
             raise ValueError("not a predictions header (id,label,category,predicted,N,...)")
         return np.dtype([("ints", "<i8", (5 + c,)), ("bounds", "<f8", (2 * c,))])
 
-    header, (ints, floats) = read_csv(path, dtype_of)
-    if not len(ints):
-        raise ValueError(f"{path}: no prediction rows")
-    labels, category, counts = ints[:, 1], ints[:, 2], ints[:, 5:]
-    checked = [2, *range(5, ints.shape[1])]  # category, n0..n{c-1}
-    negative = ints[:, checked] < 0
-    unfit = unfit_count_rows(counts)  # so that the sum below cannot wrap
-    bad = negative.any(axis=1) | unfit | (ints[:, 4] != counts.sum(axis=1))
-    if bad.any():
-        row = int(np.argmax(bad))
-        where = f"{path}:{line_number(path, row + 1)}:"
-        if negative[row].any():
-            j = checked[int(np.argmax(negative[row]))]
-            raise ValueError(f"{where} {header[j]} {ints[row, j]} is negative")
-        if unfit[row]:
-            raise ValueError(f"{where} the counts total more than 2^53 - 1")
-        raise ValueError(f"{where} N {ints[row, 4]} is not the sum of the counts")
-    class_labels(labels, counts.shape[1], path)
-    # one row per distinct category, so memory follows the file, not the ids
-    distinct, key = np.unique(category, return_inverse=True)
-    per_category = np.zeros((len(distinct), counts.shape[1]), dtype=np.int64)
-    per_category[key] = counts
-    rows = category_rows(per_category)
-    bad = (
-        (rows.counts[key] != counts).any(axis=1)
-        | (rows.predicted[key] != ints[:, 3])
-        | (rows.lower[key] != floats[:, 0::2]).any(axis=1)
-        | (rows.upper[key] != floats[:, 1::2]).any(axis=1)
-    )
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(
-            f"{path}:{line_number(path, row + 1)}: counts, predicted class and intervals "
-            f"disagree with the other rows of category {category[row]}"
+    with read_csv(path, dtype_of) as (header, (ints, floats), where):
+        if not len(ints):
+            raise ValueError(f"{path}: no prediction rows")
+        labels, category, counts = ints[:, 1], ints[:, 2], ints[:, 5:]
+        checked = [2, *range(5, ints.shape[1])]  # category, n0..n{c-1}
+        negative = ints[:, checked] < 0
+        unfit = unfit_count_rows(counts)  # so that the sum below cannot wrap
+        bad = negative.any(axis=1) | unfit | (ints[:, 4] != counts.sum(axis=1))
+        if bad.any():
+            row = int(np.argmax(bad))
+            if negative[row].any():
+                j = checked[int(np.argmax(negative[row]))]
+                raise ValueError(f"{where(row)} {header[j]} {ints[row, j]} is negative")
+            if unfit[row]:
+                raise ValueError(f"{where(row)} the counts total more than 2^53 - 1")
+            raise ValueError(f"{where(row)} N {ints[row, 4]} is not the sum of the counts")
+        class_labels(labels, counts.shape[1], where)
+        # one row per distinct category, so memory follows the file, not the ids
+        distinct, key = np.unique(category, return_inverse=True)
+        per_category = np.zeros((len(distinct), counts.shape[1]), dtype=np.int64)
+        per_category[key] = counts
+        rows = category_rows(per_category)
+        bad = (
+            (rows.counts[key] != counts).any(axis=1)
+            | (rows.predicted[key] != ints[:, 3])
+            | (rows.lower[key] != floats[:, 0::2]).any(axis=1)
+            | (rows.upper[key] != floats[:, 1::2]).any(axis=1)
         )
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(
+                f"{where(row)} counts, predicted class and intervals "
+                f"disagree with the other rows of category {category[row]}"
+            )
     return EvalBatch(key, rows, labels)

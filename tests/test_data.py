@@ -1,11 +1,15 @@
 """CSV ingestion, deterministic splits, synthetic blobs."""
 
+import hashlib
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,8 @@ from ivenn.mlp import (
 from ivenn.pipeline import RunConfig, _write_predictions, load_predictions, run_pipeline
 from ivenn.space import build_centroids, build_index, nearest_centroid_many, silhouette
 from ivenn.taxonomy import Taxonomy, TaxonomyConfig, TaxonomyKind, fit_taxonomy, resolve_theta
+
+ROOT = Path(__file__).resolve().parent.parent
 
 WELL_FORMED = """id,label,f0,f1
 0,0,1.5,-2.0
@@ -202,10 +208,11 @@ EDGE_INPUTS = [
 
 def _outcome(path, class_count):
     """load_csv's dataset or error text from a parse of the file: the column
-    cache is left out, as for a file that is not regular, so that a second
-    outcome of one file parses it again."""
+    cache is left out, no sidecar read or written, so that a second outcome
+    of one file parses it again."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "_content_key", lambda path: None)
+        mp.setattr(data, "_cached_columns", lambda *args: None)
+        mp.setattr(data, "_save_columns", lambda *args: None)
         try:
             return load_csv(path, class_count)
         except ValueError as exc:
@@ -427,7 +434,7 @@ class TestTwoProcesses:
         _assert_same_outcome(two, one)
 
     def test_lone_cr_file_is_parsed_serially(self, tmp_path, parse):
-        # tell() gives no byte offset after a header ended by a lone CR
+        # a file whose lines end in lone CRs has no LF to cut it at
         path = tmp_path / "d.csv"
         path.write_bytes(_rows(40, "\r").encode())
         two, one, split = parse(path)
@@ -490,19 +497,22 @@ class TestTwoProcesses:
         assert split and len(parent_fills) == 3
         _assert_same_outcome(two, one)
 
-    def test_parent_counts_only_its_own_half(self, tmp_path, monkeypatch):
-        # the child counts the lines after the cut and sends that count
+    def test_parent_parses_only_its_own_half(self, tmp_path, monkeypatch):
+        # the parent's one scan counts both halves' lines before the fork, so
+        # the child sends no count; the parent then parses up to the cut
         text = _rows(40).encode()
         cut = text.index(b"\n", (len(HEADER) + len(text)) // 2) + 1
         path = tmp_path / "d.csv"
         path.write_bytes(text)
-        parent, calls, count = os.getpid(), [], data._line_count
+        parent, calls, stream = os.getpid(), [], data._Input.text
         monkeypatch.setattr(
-            data, "_line_count", lambda *a: calls.append((os.getpid(), *a[1:])) or count(*a)
+            data._Input, "text",
+            lambda self, *a, **k: calls.append((os.getpid(), *a)) or stream(self, *a, **k),
         )
         assert len(load_csv(path)) == 40
         _no_child_left()
-        assert [call[1:] for call in calls if call[0] == parent] == [(0, cut)]
+        # the header's stream, then the parent's half of the body
+        assert [call[1:] for call in calls if call[0] == parent] == [(), (len(HEADER), cut)]
 
     def test_failed_fork_gives_the_same_columns(self, tmp_path, parse, monkeypatch):
         def fork():
@@ -574,15 +584,55 @@ def _sidecar_of(path):
     return path.parent / f".{path.name}.columns"
 
 
+def _text_file(folder, text, name="d.csv"):
+    path = folder / name
+    path.write_text(text)
+    return path
+
+
+def _through_fifo(fifo, payload, call):
+    """call(fifo)'s value or ValueError, made while a thread writes payload
+    into fifo, a new FIFO; each thread must finish within 20 s, so a read
+    that opens the FIFO again, and waits for a writer that has gone, fails."""
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+    writer.start()
+    got = []
+
+    def load():
+        try:
+            got.append(call(fifo))
+        except ValueError as exc:
+            got.append(str(exc))
+
+    loader = threading.Thread(target=load, daemon=True)
+    loader.start()
+    loader.join(timeout=20)
+    writer.join(timeout=20)
+    assert got and not writer.is_alive(), "the read of the FIFO hung"
+    return got[0]
+
+
+def _piped(args, payload, cwd):
+    """Run `python args...` with src on the path and payload piped into its
+    stdin; the finished process, within 60 s."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], input=payload, capture_output=True,
+                          env=env, cwd=cwd, timeout=60)
+
+
 class TestColumnCache:
     """A load of unchanged bytes takes its columns from the sidecar that the
     first load wrote, with every check of a parse; anything else parses."""
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        """The paths read_csv is called with."""
-        calls, parse = [], data.read_csv
-        monkeypatch.setattr(data, "read_csv", lambda p, *a: calls.append(p) or parse(p, *a))
+        """The paths whose rows are parsed: a load reads the header and hashes
+        the bytes either way, and then parses the rows or maps a sidecar."""
+        calls, parse = [], data._read_columns
+        monkeypatch.setattr(
+            data, "_read_columns", lambda source, *a: calls.append(source.path) or parse(source, *a)
+        )
         return calls
 
     @pytest.mark.parametrize(
@@ -649,35 +699,27 @@ class TestColumnCache:
             assert load_csv(path).features[38, 0] == want
         assert parses == [path]
 
-    def test_fifo_is_parsed_with_no_sidecar(self, tmp_path, monkeypatch):
-        # hashing a FIFO would consume it; read_csv opens its path more than
-        # once, so it cannot read a FIFO whole and is stubbed here by a parse
-        # of a regular copy, while no one writes the FIFO
-        fifo, copy = tmp_path / "d.fifo", tmp_path / "copy" / "d.csv"
-        os.mkfifo(fifo)
-        copy.parent.mkdir()
-        copy.write_text(WELL_FORMED)
-        parse, seen = data.read_csv, []
-        monkeypatch.setattr(data, "read_csv", lambda path, *a: seen.append(path) or parse(copy, *a))
-        done = []
-        loader = threading.Thread(target=lambda: done.append(load_csv(fifo)), daemon=True)
-        loader.start()
-        loader.join(timeout=10)
-        assert done, "the load opened the FIFO"
-        assert seen == [fifo] and len(done[0]) == 3
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["copy", "d.fifo"]
+    def test_fifo_is_parsed_with_no_sidecar(self, tmp_path, parses):
+        # a FIFO is read once, into memory, and parsed from there; it is never
+        # hashed, which would consume it, nor cached
+        fifo = tmp_path / "d.fifo"
+        got = _through_fifo(fifo, WELL_FORMED.encode(), load_csv)
+        assert parses == [fifo]
+        _assert_same_outcome(got, _outcome(_text_file(tmp_path, WELL_FORMED), None))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.fifo"]
 
-    def test_link_is_parsed_with_no_sidecar(self, tmp_path, parses):
-        # only a regular file is cached, by its own name: not /dev/stdin or
-        # another link, whose directory may not be the data's
+    def test_link_is_parsed_with_no_sidecar(self, tmp_path, monkeypatch, parses):
+        # only a regular file is hashed and cached, by its own name: not
+        # /dev/stdin or another link, whose directory may not be the data's
         (tmp_path / "data").mkdir()
         target, link = tmp_path / "data" / "d.csv", tmp_path / "d.csv"
         target.write_text(WELL_FORMED)
         link.symlink_to(target)
-        assert data._content_key("/dev/stdin") is None
+        hashes, sha256 = [], data.hashlib.sha256
+        monkeypatch.setattr(data.hashlib, "sha256", lambda: hashes.append(1) or sha256())
         for _ in range(2):
             assert len(load_csv(link)) == 3
-        assert parses == [link, link]
+        assert parses == [link, link] and not hashes
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["d.csv", "d.csv", "data"]
 
     def test_read_only_directory_loads_with_no_sidecar(self, tmp_path):
@@ -708,14 +750,14 @@ class TestColumnCache:
     def test_csv_changed_during_the_parse_is_not_cached(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
         path.write_text(WELL_FORMED)
-        parse = data.read_csv
+        parse = data._read_columns
 
         def parse_then_touch(*args):
             columns = parse(*args)
             os.utime(path, ns=(0, 0))
             return columns
 
-        monkeypatch.setattr(data, "read_csv", parse_then_touch)
+        monkeypatch.setattr(data, "_read_columns", parse_then_touch)
         assert len(load_csv(path)) == 3
         assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
@@ -779,7 +821,94 @@ class TestColumnCache:
             with pytest.raises(ValueError, match=re.escape(message)):
                 load_csv(path, count)
             assert _outcome(path, count).endswith(message)
-        assert parses == [scored, plain]
+        # the header error comes before any row is parsed, on a hit or a miss
+        assert parses == [plain]
+
+
+class TestOneOpen:
+    """Each load opens its CSV by name once and holds it to the end of its
+    checks; the only other opens are of its sidecar."""
+
+    @pytest.fixture
+    def opens(self, tmp_path, monkeypatch):
+        """opens() -> the names opened since the last call, by this process or
+        a child forked from it, each of which appends to one log."""
+        log = os.open(tmp_path / "opens.log", os.O_RDWR | os.O_APPEND | os.O_CREAT)
+        real_open, real_os_open = open, os.open
+
+        def logged(opener):
+            def spy(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)):
+                    os.write(log, os.fsencode(file) + b"\n")
+                return opener(file, *args, **kwargs)
+            return spy
+
+        monkeypatch.setattr("builtins.open", logged(real_open))
+        monkeypatch.setattr(os, "open", logged(real_os_open))
+
+        def opens():
+            names = os.pread(log, 1 << 20, 0).decode().split()
+            os.truncate(log, 0)
+            return names
+
+        yield opens
+        monkeypatch.undo()
+        os.close(log)
+
+    @pytest.mark.parametrize(
+        "load", ["hit", "forked_miss", "one_cpu_miss", "row_loop", "bad_label", "not_utf8"]
+    )
+    def test_one_open_of_the_csv(self, tmp_path, monkeypatch, opens, load):
+        body = {"row_loop": HEADER + "1_000,0,1_0.5,2\n",
+                "bad_label": HEADER + "1,0,1,2\n\n2,4,3,4\n",
+                "not_utf8": HEADER + "1,0,1,2\n2,1,\udcff,4\n"}.get(load, _rows(40))
+        (tmp_path / "data").mkdir()
+        path = tmp_path / "data" / "d.csv"
+        path.write_bytes(body.encode("utf-8", "surrogateescape"))
+        forks, fork, parsed, rows = [], os.fork, [], data._parse_rows
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(data, "_parse_rows", lambda *a: parsed.append(1) or rows(*a))
+        if load.endswith("miss"):  # a cut in any body, and one or two CPUs
+            monkeypatch.setattr(data, "_FORK_BYTES", 0)
+            cpus = {0} if load == "one_cpu_miss" else {0, 1}
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        if load == "hit":
+            load_csv(path)
+            opens()
+        errs = load in ("bad_label", "not_utf8")
+        outcome = _outcome(path, 3) if errs else load_csv(path)
+        _no_child_left()
+        names = opens()
+        assert names.count(str(path)) == 1, names
+        assert all(name.startswith(str(_sidecar_of(path))) for name in names if name != str(path))
+        assert bool(forks) == (load == "forked_miss") and bool(parsed) == (load == "row_loop")
+        if errs:
+            assert isinstance(outcome, str) and f"d.csv:{3 + (load == 'bad_label')}:" in outcome
+
+
+def test_set_up_checks_each_value_once(tmp_path, monkeypatch):
+    # load_csv checks the columns it returns; neither the Dataset it builds
+    # nor the parts that split gathers from it are checked again
+    n, rng = 200, np.random.default_rng(5)
+    path = tmp_path / "d.csv"
+    save_csv(Dataset(ids=np.arange(n), features=rng.normal(size=(n, 3)), labels=np.arange(n) % 3,
+                     class_count=3, softmaxes=rng.dirichlet(np.ones(3), size=n)), path)
+    rows = {"scores": [], "labels": [], "finite": []}
+    scores, labels, isfinite = data.check_score_rows, data.class_labels, np.isfinite
+    monkeypatch.setattr(data, "check_score_rows",
+                        lambda S, *a: rows["scores"].append(len(S)) or scores(S, *a))
+    monkeypatch.setattr(data, "class_labels",
+                        lambda v, *a: rows["labels"].append(len(v)) or labels(v, *a))
+    monkeypatch.setattr(np, "isfinite",
+                        lambda x, *a: rows["finite"].append(len(x)) or isfinite(x, *a))
+    for _ in ("miss", "hit"):
+        for seen in rows.values():
+            seen.clear()
+        parts = split(load_csv(path), SplitSpec(seed=0))
+        assert sum(map(len, parts)) == n
+        # the features and the scores each pass through isfinite once
+        assert rows == {"scores": [n], "labels": [n], "finite": [n, n]}
+    assert _sidecar_of(path).exists()
 
 
 @pytest.fixture(scope="module")
@@ -896,6 +1025,84 @@ class TestInputErrorsNameTheFile:
         else:
             assert _report(path, tmp_path) == 2
         assert f"error: {message}\n" == capsys.readouterr().err
+
+
+class TestPipedInput:
+    """A FIFO or a pipe is read once, into memory, and parsed from there, by
+    load_csv and by `ivenn report`'s read_csv, with the errors of a file."""
+
+    @pytest.mark.parametrize(
+        "text,class_count,line",
+        [("id,label,f0\n0,0,1.0\n\n1,0,oops\n", None, 4),
+         ("id,label,f0\n0,0,1.0\n\n1,0,nan\n", None, 4),
+         ("id,label,f0\n0,0,1.0\n\n1,5,1.0\n", 2, 4),
+         ("id,label,f0\n0,0,1.0\n1,0,1\udcff\n", None, 3),
+         ("id,label,f0,s0\n0,0,1.0,1.0\n\n1,0,1,0.5\n", None, 4)],
+        ids=["bad_cell", "nan", "label_out_of_range", "not_utf8", "bad_score_row"],
+    )
+    def test_fifo_with_a_bad_row_names_its_line(self, tmp_path, text, class_count, line):
+        fifo, payload = tmp_path / "d.fifo", text.encode("utf-8", "surrogateescape")
+        got = _through_fifo(fifo, payload, lambda path: load_csv(path, class_count))
+        (tmp_path / "d.csv").write_bytes(payload)
+        want = _outcome(tmp_path / "d.csv", class_count)
+        assert isinstance(got, str) and got == want.replace("d.csv", "d.fifo")
+        assert got.startswith(f"{fifo}:{line}: ")
+
+    @pytest.mark.parametrize("fork", [False, True], ids=["one_process", "two_processes"])
+    def test_piped_stdin_loads(self, tmp_path, fork):
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(2000, blank=True))
+        code = (
+            "import hashlib, os, sys\n"
+            "from ivenn import data\n"
+            f"data._FORK_BYTES = {0 if fork else 1 << 62}\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "ds = data.load_csv('/dev/stdin')\n"
+            "arrays = (ds.ids, ds.labels, ds.features)\n"
+            "print(len(forks), hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest())\n"
+        )
+        done = _piped(["-c", code], path.read_bytes(), tmp_path)
+        assert done.returncode == 0, done.stderr
+        forked, digest = done.stdout.split()
+        assert int(forked) == fork
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]  # nothing cached
+        ds = load_csv(path)
+        arrays = (ds.ids, ds.labels, ds.features)
+        assert digest.decode() == hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+    def test_report_reads_piped_stdin(self, nc_run, tmp_path):
+        argv = ["-m", "ivenn.cli", "report", "--predictions", "/dev/stdin",
+                "--report-out", "r.txt", "--curves-out", "c.csv"]
+        done = _piped(argv, (nc_run / "predictions.csv").read_bytes(), tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "r.txt").read_bytes() == (nc_run / "report.txt").read_bytes()
+        assert (tmp_path / "c.csv").read_bytes() == (nc_run / "curves.csv").read_bytes()
+
+    def test_predictions_of_a_fifo(self, nc_run, tmp_path):
+        path = nc_run / "predictions.csv"
+        got = _through_fifo(tmp_path / "p.fifo", path.read_bytes(), load_predictions)
+        want = load_predictions(path)
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.category.tobytes() == want.category.tobytes()
+        for name in ("counts", "totals", "lower", "upper", "predicted"):
+            assert getattr(got.rows, name).tobytes() == getattr(want.rows, name).tobytes()
+
+    def test_table_of_a_fifo(self, nc_run, tmp_path):
+        table = (nc_run / "table.txt").read_bytes()
+        got = _through_fifo(tmp_path / "t.fifo", table, load_table)
+        assert got.counts.tobytes() == load_table(nc_run / "table.txt").counts.tobytes()
+        bad = table.replace(b"\n", b"\n\xff", 1)
+        fifo = tmp_path / "bad.fifo"
+        assert _through_fifo(fifo, bad, load_table) == f"{fifo}:2: byte 0xff is not UTF-8"
+
+    def test_config_on_piped_stdin_names_a_bad_byte(self, tmp_path):
+        done = _piped(["-m", "ivenn.cli", "evaluate", "--config", "/dev/stdin"],
+                      b"seed = 1\n\xff\n", tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.decode() == "error: /dev/stdin:2: byte 0xff is not UTF-8\n"
+        assert not list(tmp_path.iterdir())
 
 
 def _reference_rows(header, ids, labels, values):
