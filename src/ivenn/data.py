@@ -617,6 +617,15 @@ def csv_lines(*columns):
     return list(map(",".join(["{}"] * len(cells)).format, *cells))
 
 
+def remove_artifact(path):
+    """Unlink path if it is a regular file or a link to one, else leave it."""
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
 def open_artifact(path, mode="w"):
     """Open path to write an artifact ("w" text, "wb" bytes) as a new file.
     An existing regular file, or a link to one, is unlinked first. ext4
@@ -626,11 +635,7 @@ def open_artifact(path, mode="w"):
     write never reaches another name hard-linked to the old file, and a
     symlinked artifact becomes a regular file. A device or pipe such as
     /dev/stdout is written in place."""
-    try:
-        if stat.S_ISREG(os.stat(path).st_mode):
-            os.unlink(path)
-    except FileNotFoundError:
-        pass
+    remove_artifact(path)
     return open(path, mode, encoding=None if "b" in mode else "utf-8")
 
 

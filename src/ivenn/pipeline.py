@@ -14,7 +14,7 @@ stop_after = "train" on:
 from "calibrate" on:
     table.txt        calibration table
 from "predict" on:
-    predictions.csv  id,label,category,predicted,N,n0..,L0,U0,... (v2)
+    predictions.csv  id,label,category,n0,...,n{c-1} (v3): each example's counts
     timing.txt       wall seconds per stage; intentionally NOT deterministic
 from "report":
     report.txt       scalar metrics + bin stats
@@ -51,6 +51,7 @@ from ivenn.data import (
     load_csv,
     open_artifact,
     read_csv,
+    remove_artifact,
     split,
 )
 from ivenn.ivp import (
@@ -87,6 +88,11 @@ SIAMESE = "siamese"
 
 # stop_after milestones, in pipeline order
 STAGES = ("train", "calibrate", "predict", "report")
+# what each stage after "train" writes: a run removes the files of the stages
+# after its stop_after, so a staged rerun leaves none of an earlier run's
+# beside its own; a network (STAGES[0]'s) is never removed
+_LATER_ARTIFACTS = (("table.txt",), ("predictions.csv", "timing.txt"),
+                    ("report.txt", "curves.csv"))
 
 
 class PipelineError(RuntimeError):
@@ -246,7 +252,7 @@ def run_pipeline(cfg, dataset=None, stop_after="report"):
         with _stage("report", timings):
             result.report = build_report(result.records, bins=cfg.bins)
 
-    _write_artifacts(cfg, result, network, timings, test_ids)
+    _write_artifacts(cfg, result, network, timings, test_ids, depth)
     return result
 
 
@@ -310,10 +316,12 @@ def _inputs(kind, params, part):
     return {"softmaxes": part.softmaxes}
 
 
-def _write_artifacts(cfg, result, network, timings, test_ids):
+def _write_artifacts(cfg, result, network, timings, test_ids, depth):
     path = partial(os.path.join, cfg.out_dir)
     with _stage("write", timings):
         os.makedirs(cfg.out_dir, exist_ok=True)
+        for name in sum(_LATER_ARTIFACTS[depth:], ()):
+            remove_artifact(path(name))
         if network is not None:
             save_params(result.params, path(network[0]))
         if result.table is not None:
@@ -328,21 +336,17 @@ def _write_artifacts(cfg, result, network, timings, test_ids):
 
 
 def _predictions_header(c):
-    """The predictions.csv (v2) columns for c classes."""
-    cols = ["id", "label", "category", "predicted", "N", *(f"n{j}" for j in range(c))]
-    return cols + [f"{b}{j}" for j in range(c) for b in "LU"]
+    """The predictions.csv (v3) columns for c classes."""
+    return ["id", "label", "category", *(f"n{j}" for j in range(c))]
 
 
 def _write_predictions(path, ids, batch):
-    """v2: id,label,category,predicted,N,n0..n{c-1},L0,U0,... from an
-    EvalBatch made from predictions. Every example of a category shares
-    everything from its category on, so that suffix is formatted once per
-    category."""
-    r = batch.rows
-    bounds = np.stack([r.lower, r.upper], axis=2).reshape(len(r.lower), -1)
-    category = np.arange(len(r.predicted))
-    suffix = np.array(csv_lines(category, r.predicted, r.totals, r.counts, bounds), dtype=object)
-    header = _predictions_header(r.counts.shape[1])
+    """v3: id,label,category,n0..n{c-1} from an EvalBatch made from
+    predictions. Every example of a category shares its category and
+    counts, so that suffix is formatted once per category."""
+    counts = batch.rows.counts
+    suffix = np.array(csv_lines(np.arange(len(counts)), counts), dtype=object)
+    header = _predictions_header(counts.shape[1])
     _write_csv(path, header, ids, batch.labels, suffix[batch.category])
 
 
@@ -362,51 +366,40 @@ def load_predictions(path):
 
     data.read_csv parses the file, which carries each example's category
     counts: the EvalBatch's intervals, predicted class, empty flag and
-    confidence bin are recomputed from those integers, and the intervals in
-    the file must match them. Its rows are the file's distinct categories in
-    increasing id order, so its category column holds row numbers, not the
-    ids. ValueError names the file when it is empty or its header is not a
-    predictions header, and `path:line` for a bad row or a byte not UTF-8.
+    confidence bin are derived from those integers (ivp.category_rows). Its
+    rows are the file's distinct categories in increasing id order, so its
+    category column holds row numbers, not the ids. ValueError names the
+    file when it is empty or its header is not a predictions header, and
+    `path:line` for a bad row, a row whose counts disagree with its
+    category's earlier rows, or a byte not UTF-8.
     """
 
     def dtype_of(header):
-        c = (len(header) - 5) // 3
+        c = len(header) - 3
         if c < 2 or header != _predictions_header(c):
-            raise ValueError("not a predictions header (id,label,category,predicted,N,...)")
-        return np.dtype([("ints", "<i8", (5 + c,)), ("bounds", "<f8", (2 * c,))])
+            raise ValueError("not a predictions header (id,label,category,n0,...)")
+        return np.dtype([("ints", "<i8", (3 + c,))])
 
-    with read_csv(path, dtype_of) as (header, (ints, floats), where):
+    with read_csv(path, dtype_of) as (header, (ints,), where):
         if not len(ints):
             raise ValueError(f"{path}: no prediction rows")
-        labels, category, counts = ints[:, 1], ints[:, 2], ints[:, 5:]
-        checked = [2, *range(5, ints.shape[1])]  # category, n0..n{c-1}
-        negative = ints[:, checked] < 0
-        unfit = unfit_count_rows(counts)  # so that the sum below cannot wrap
-        bad = negative.any(axis=1) | unfit | (ints[:, 4] != counts.sum(axis=1))
+        labels, category, counts = ints[:, 1], ints[:, 2], ints[:, 3:]
+        negative = ints[:, 2:] < 0  # the category and the counts
+        bad = negative.any(axis=1) | unfit_count_rows(counts)
         if bad.any():
             row = int(np.argmax(bad))
             if negative[row].any():
-                j = checked[int(np.argmax(negative[row]))]
+                j = 2 + int(np.argmax(negative[row]))
                 raise ValueError(f"{where(row)} {header[j]} {ints[row, j]} is negative")
-            if unfit[row]:
-                raise ValueError(f"{where(row)} the counts total more than 2^53 - 1")
-            raise ValueError(f"{where(row)} N {ints[row, 4]} is not the sum of the counts")
+            raise ValueError(f"{where(row)} the counts total more than 2^53 - 1")
         class_labels(labels, counts.shape[1], where)
-        # one row per distinct category, so memory follows the file, not the ids
-        distinct, key = np.unique(category, return_inverse=True)
-        per_category = np.zeros((len(distinct), counts.shape[1]), dtype=np.int64)
-        per_category[key] = counts
-        rows = category_rows(per_category)
-        bad = (
-            (rows.counts[key] != counts).any(axis=1)
-            | (rows.predicted[key] != ints[:, 3])
-            | (rows.lower[key] != floats[:, 0::2]).any(axis=1)
-            | (rows.upper[key] != floats[:, 1::2]).any(axis=1)
-        )
+        # one row per distinct category, the counts of its first row, so
+        # memory follows the file, not the ids
+        _, first, key = np.unique(category, return_index=True, return_inverse=True)
+        bad = (counts[first][key] != counts).any(axis=1)
         if bad.any():
             row = int(np.argmax(bad))
             raise ValueError(
-                f"{where(row)} counts, predicted class and intervals "
-                f"disagree with the other rows of category {category[row]}"
+                f"{where(row)} counts disagree with the earlier rows of category {category[row]}"
             )
-    return EvalBatch(key, rows, labels)
+    return EvalBatch(key, category_rows(counts[first]), labels)

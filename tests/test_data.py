@@ -938,7 +938,7 @@ def _report(path, out):
 class TestPredictionsReader:
     """predictions.csv is parsed by the block reader every CSV goes through."""
 
-    ROW_BYTES = 8 * (5 + 3 * 3)  # id..N, n0..n2, then L0,U0..L2,U2 of 3 classes
+    ROW_BYTES = 8 * (3 + 3)  # id,label,category, then n0..n2 of 3 classes
 
     def test_well_formed_file_skips_row_loop(self, nc_run, monkeypatch):
         monkeypatch.setattr(data, "_parse_rows", _fail)
@@ -971,11 +971,11 @@ class TestPredictionsReader:
             monkeypatch.setattr(data, "_READ_BLOCK_BYTES", block_bytes)
         lines = (nc_run / "predictions.csv").read_text().splitlines()
         cells = lines[5].split(",")
-        cells[10] = "abc"  # L1
+        cells[4] = "abc"  # n1
         lines[5] = ",".join(cells)
         path = tmp_path / "p.csv"
         path.write_text("\n\n" + "\n".join(lines[:3] + ["", " "] + lines[3:]) + "\n")
-        with pytest.raises(ValueError, match=rf"p\.csv:10: L1 cell 'abc' is not a number$"):
+        with pytest.raises(ValueError, match=rf"p\.csv:10: n1 cell 'abc' is not an integer$"):
             load_predictions(path)
 
     @pytest.mark.parametrize("label", ["-1", "3", "9223372036854775807"])
@@ -1116,18 +1116,11 @@ def _reference_rows(header, ids, labels, values):
 
 
 def _reference_predictions(ids, labels, category, rows):
-    # the per-row f-strings predictions.csv (v2) was first written with
-    suffix = [
-        ",".join(
-            [str(p), str(total), *map(str, n)] + [repr(v) for pair in zip(lo, up) for v in pair]
-        )
-        for p, total, n, lo, up in zip(
-            rows.predicted.tolist(), rows.totals.tolist(), rows.counts.tolist(),
-            rows.lower.tolist(), rows.upper.tolist(),
-        )
-    ]
-    lines = ["id,label,category,predicted,N,n0,n1,L0,U0,L1,U1"]
-    lines += [f"{i},{y},{k},{suffix[k]}" for i, y, k in zip(ids, labels, category)]
+    # predictions.csv (v3) as per-row f-strings: each example's counts
+    counts = rows.counts.tolist()
+    lines = ["id,label,category,n0,n1"]
+    lines += [f"{i},{y},{k},{counts[k][0]},{counts[k][1]}"
+              for i, y, k in zip(ids, labels, category)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -1191,10 +1184,7 @@ class TestCsvWriter:
         )
 
     def test_predictions_bytes(self, tmp_path):
-        rows = category_rows([[2**62, 3], [0, 0]])._replace(
-            lower=np.reshape(FLOAT_EDGES, (2, 2)),
-            upper=np.reshape(FLOAT_EDGES[::-1], (2, 2)),
-        )
+        rows = category_rows([[2**62, 3], [0, 0]])
         ids = [-(2**63), 2**63 - 1, 7]
         labels, category = [0, 1, 1], [1, 0, 0]
         batch = EvalBatch(np.array(category), rows, np.array(labels))
@@ -1415,7 +1405,7 @@ class TestWhenAWriteForks:
 
     @pytest.mark.parametrize("n", [1, 40_000])
     def test_predictions_write_serially(self, tmp_path, forks, n):
-        # their float cells are formatted once per category, so the rows hold none
+        # predictions.csv holds integer cells only
         rows = category_rows([[2, 3], [0, 5]])
         category = np.arange(n) % 2
         ids, labels = np.arange(n, dtype=np.int64), category

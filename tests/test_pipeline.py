@@ -475,13 +475,39 @@ class TestRunPipeline:
         ) == 0
         assert (tmp_path / "ce.csv").read_bytes() == written
 
-    def test_predictions_round_trip_report(self, tmp_path):
+    @pytest.mark.parametrize("taxonomy", [kind.value for kind in TaxonomyKind])
+    def test_predictions_round_trip_report(self, tmp_path, taxonomy):
+        # a distance kind reads the raw features, a baseline the CSV's scores
         ds = synth_gaussians(3, 3, 250, 4.0, seed=6)
-        cfg = RunConfig(out_dir=str(tmp_path), taxonomy="knn_v1", embedding="identity")
-        result = run_pipeline(cfg, dataset=ds)
-        records = load_predictions(tmp_path / "predictions.csv")
-        rebuilt = build_report(records, bins=cfg.bins)
-        assert report_text(rebuilt) == report_text(result.report)
+        scores = np.random.default_rng(6).dirichlet(np.ones(3), len(ds))
+        ds = Dataset(ds.ids, ds.features, ds.labels, 3, softmaxes=scores)
+        run = tmp_path / "run"
+        run_pipeline(RunConfig(out_dir=str(run), taxonomy=taxonomy, embedding="identity"),
+                     dataset=ds)
+        assert cli.main(
+            ["report", "--predictions", str(run / "predictions.csv"),
+             "--report-out", str(tmp_path / "re.txt"), "--curves-out", str(tmp_path / "ce.csv")]
+        ) == 0
+        assert (tmp_path / "re.txt").read_bytes() == (run / "report.txt").read_bytes()
+        assert (tmp_path / "ce.csv").read_bytes() == (run / "curves.csv").read_bytes()
+
+    def test_staged_rerun_removes_the_later_stages_artifacts(self, tmp_path):
+        # a calibrate run over an evaluate run's directory leaves no
+        # predictions, report, curves or timing of the first run beside its
+        # own table; a train run that reuses the directory's model keeps it,
+        # and a directory under an artifact's name is left alone
+        ds = synth_gaussians(2, 2, 60, 5.0, seed=3)
+        base = dict(out_dir=str(tmp_path), taxonomy="nc_v1", embedding="siamese",
+                    hidden_dims=(4,), embedding_dim=2, epochs=3)
+        run_pipeline(RunConfig(seed=1, **base), dataset=ds)
+        run_pipeline(RunConfig(seed=2, **base), dataset=ds, stop_after="calibrate")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "table.txt"]
+        model = (tmp_path / "model.npz").read_bytes()
+        (tmp_path / "report.txt").mkdir()
+        reuse = RunConfig(seed=2, model_path=str(tmp_path / "model.npz"), **base)
+        run_pipeline(reuse, dataset=ds, stop_after="train")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "report.txt"]
+        assert (tmp_path / "model.npz").read_bytes() == model
 
 
 def edge_dataset():
@@ -525,23 +551,17 @@ def edge_config(out_dir):
 
 
 class TestPredictionsFile:
-    def test_v2_columns_carry_the_counts(self, tmp_path):
+    def test_v3_columns_carry_the_counts(self, tmp_path):
         result = run_pipeline(edge_config(tmp_path), dataset=edge_dataset())
         lines = (tmp_path / "predictions.csv").read_text().splitlines()
-        assert lines[0] == (
-            "id,label,category,predicted,N,n0,n1,n2,n3,L0,U0,L1,U1,L2,U2,L3,U3"
-        )
+        assert lines[0] == "id,label,category,n0,n1,n2,n3"
         records = result.records
         assert len(lines) == 1 + len(records.labels)
         for line, k, y in zip(lines[1:], records.category, records.labels):
-            cells = line.split(",")
             n = result.table.counts[k].tolist()
-            rows = records.rows
-            assert [int(v) for v in cells[1:9]] == [y, k, rows.predicted[k], sum(n), *n]
-            assert [float(v) for v in cells[9::2]] == rows.lower[k].tolist()
-            assert [float(v) for v in cells[10::2]] == rows.upper[k].tolist()
+            assert [int(v) for v in line.split(",")[1:]] == [y, k, *n]
 
-    def test_report_from_v2_is_byte_identical_on_an_edge(self, tmp_path):
+    def test_report_from_v3_is_byte_identical_on_an_edge(self, tmp_path):
         result = run_pipeline(edge_config(tmp_path / "run"), dataset=edge_dataset())
         assert result.table.counts[0].tolist() == [1, 1, 1, 1]
         records = result.records
@@ -569,18 +589,18 @@ class TestPredictionsFile:
     def test_header_without_counts_is_named(self, tmp_path):
         run_pipeline(edge_config(tmp_path), dataset=edge_dataset())
         lines = (tmp_path / "predictions.csv").read_text().splitlines()
-        # the same rows without the N,n0..n3 block
-        old = [",".join(ln.split(",")[:4] + ln.split(",")[9:]) for ln in lines]
-        assert old[0] == "id,label,category,predicted,L0,U0,L1,U1,L2,U2,L3,U3"
+        # the same rows without the n0..n3 block
+        old = [",".join(ln.split(",")[:3]) for ln in lines]
+        assert old[0] == "id,label,category"
         (tmp_path / "old.csv").write_text("\n".join(old) + "\n")
         with pytest.raises(ValueError, match=r"old\.csv: not a predictions header"):
             load_predictions(tmp_path / "old.csv")
 
-    def test_v2_rows_must_agree_with_their_counts(self, tmp_path):
+    def test_rows_must_agree_with_their_category(self, tmp_path):
         run_pipeline(edge_config(tmp_path), dataset=edge_dataset())
         lines = (tmp_path / "predictions.csv").read_text().splitlines()
         cells = lines[3].split(",")
-        cells[-1] = "0.5"
+        cells[-1] = str(int(cells[-1]) + 1)
         lines[3] = ",".join(cells)
         # the blank line counts: the altered row is line 5 of the file
         (tmp_path / "bad.csv").write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
@@ -798,7 +818,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "column, value", [(0, "99999999999999999999"), (1, "-9223372036854775809"),
-                          (2, "9223372036854775808"), (6, "99999999999999999999")]
+                          (2, "9223372036854775808"), (4, "99999999999999999999")]
     )
     def test_report_names_int64_overflow(self, tmp_path, capsys, column, value):
         def edit(cells):
@@ -812,21 +832,20 @@ class TestCli:
     @pytest.mark.parametrize(
         "column, value, message",
         [
-            (7, "abc", "L0 cell 'abc' is not a number"),
-            (10, "", "U1 cell '' is not a number"),
+            (3, "abc", "n0 cell 'abc' is not an integer"),
+            (4, "", "n1 cell '' is not an integer"),
             (1, "1.5", "label cell '1.5' is not an integer"),
-            (3, "x", "predicted cell 'x' is not an integer"),
+            (2, "x", "category cell 'x' is not an integer"),
             (2, "-3", "category -3 is negative"),
-            (6, "-1", "n1 -1 is negative"),
-            (4, "999999", "N 999999 is not the sum of the counts"),
+            (4, "-1", "n1 -1 is negative"),
         ],
-        ids=["text interval", "empty interval", "float label", "text class",
-             "negative category", "negative count", "N not the sum"],
+        ids=["text count", "empty count", "float label", "text category",
+             "negative category", "negative count"],
     )
     def test_report_names_bad_cell(self, tmp_path, capsys, column, value, message):
         def edit(cells):
-            # id,label,category,predicted,N,n0,n1,L0,U0,L1,U1
-            assert len(cells) == 11
+            # id,label,category,n0,n1
+            assert len(cells) == 5
             cells[column] = value
             return cells
 
@@ -834,12 +853,12 @@ class TestCli:
         assert code == 2
         assert f"predictions.csv:4: {message}" in err
 
-    @pytest.mark.parametrize("edit, got", [(lambda c: c[:-1], 10), (lambda c: c + ["0.5"], 12)],
+    @pytest.mark.parametrize("edit, got", [(lambda c: c[:-1], 4), (lambda c: c + ["0"], 6)],
                              ids=["short row", "long row"])
     def test_report_names_row_width(self, tmp_path, capsys, edit, got):
         code, err, _ = self.report_after_editing_line_4(tmp_path, capsys, edit)
         assert code == 2
-        assert f"predictions.csv:4: expected 11 columns, got {got}" in err
+        assert f"predictions.csv:4: expected 5 columns, got {got}" in err
 
     @pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "whitespace"])
     def test_report_names_empty_file(self, tmp_path, capsys, text):
@@ -856,11 +875,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "text",
         [
-            "id,label,category,predicted,N\n0,0,0,0,0\n",
-            "id,label,category,predicted,N,n0,L0,U0\n0,0,0,0,1,1,0.5,1.0\n",
-            "id,label,category,predicted,N,n0,n1,L0,L1,U0,U1\n0,0,0,0,1,1,0,0.5,0.0,1.0,0.5\n",
+            "id,label,category\n0,0,0\n",
+            "id,label,category,n0\n0,0,0,1\n",
+            "id,label,category,n1,n0\n0,0,0,0,1\n",
+            "id,label,category,predicted,N,n0,n1,L0,U0,L1,U1\n0,0,0,0,1,1,0,0.5,1.0,0.0,0.5\n",
         ],
-        ids=["no classes", "one class", "bounds out of order"],
+        ids=["no classes", "one class", "counts out of order", "v2"],
     )
     def test_report_rejects_a_header_the_writer_cannot_produce(self, tmp_path, capsys, text):
         path = tmp_path / "p.csv"
@@ -1278,18 +1298,15 @@ def test_run_without_data_is_named(tmp_path):
 
 def test_predictions_header_without_rows_is_named(tmp_path):
     path = tmp_path / "p.csv"
-    path.write_text("id,label,category,predicted,N,n0,n1,L0,U0,L1,U1\n")
+    path.write_text("id,label,category,n0,n1\n")
     with pytest.raises(ValueError, match=r"p\.csv: no prediction rows$"):
         load_predictions(path)
 
 
 def test_counts_past_the_width_law_bound_are_named(tmp_path):
     # n0 + n1 = 2^63 sums to N = -2^63 in int64, and every interval would be
-    # [-0.5, -0.5]; the check runs before N is compared
+    # [-0.5, -0.5]
     path = tmp_path / "p.csv"
-    path.write_text(
-        "id,label,category,predicted,N,n0,n1,L0,U0,L1,U1\n"
-        f"0,0,0,0,{-2**63},{2**62},{2**62},-0.5,-0.5,-0.5,-0.5\n"
-    )
+    path.write_text(f"id,label,category,n0,n1\n0,0,0,{2**62},{2**62}\n")
     with pytest.raises(ValueError, match=r"p\.csv:2: the counts total more than 2\^53 - 1$"):
         load_predictions(path)
