@@ -68,6 +68,21 @@ _READ_BLOCK_BYTES = 1 << 18
 # A fork and reap cost about 0.8 ms, but 2.1-2.6 ms in 2 of 8 runs at 65-105
 # MB, where one process won at 955 KiB and tied at 1114: the gate is 1 MiB.
 _FORK_BYTES = 1 << 20
+# A write of over _FORK_FLOATS float cells formats its second half in a
+# child. _write_csv of emb.csv (32 tanh columns) and data.csv (3 columns of
+# synth_gaussians) shapes, one BLAS thread, 2 vCPUs, a 98 MB process; ms,
+# medians of 41 writes each way, and of 21 with the other CPU kept busy:
+#   float cells          16 Ki  32 Ki  48 Ki  64 Ki  96 Ki  128 Ki
+#   emb   one process     12.1   26.3   42.6   55.7   94.0
+#         two processes   10.6   25.3   27.5   35.4   71.2
+#   data  one process     13.7   26.3   45.0   56.8   89.2
+#         two processes   11.3   22.2   40.3   38.4   62.8
+#   busy  emb one                35.8          55.4          113.5
+#         emb two                43.0          66.8          110.8
+#         data one               34.7          65.7          112.2
+#         data two               38.9          69.3          118.6
+# Two processes win from 32 Ki cells when the second CPU is idle and lose up
+# to 64 Ki when it is busy, so the gate stays at 64 Ki, between the two.
 _FORK_FLOATS = 1 << 16
 # numpy warns on a blank line once max_rows is set, and on a body with no rows
 _NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"

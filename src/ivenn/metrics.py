@@ -46,6 +46,11 @@ _LOG_EPS = 1e-12
 
 _REPORT_FORMAT = "ivenn-report-v1"
 
+# curves.csv keeps at most this many rows (_curves_table): at base-csv's
+# 30,000 test rows, save_report took 41-42 ms with the full curves (1.47 MB,
+# formatted in two processes) and 2.0 ms with the grid (50 KB)
+_CURVE_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class CumulativeCurves:
@@ -296,21 +301,30 @@ def report_text(report):
 
 
 def _curves_table(curves):
-    # the header and columns of curves.csv
-    n = np.arange(1, len(curves.E) + 1)
-    return ["n", "E", "LEP", "UEP"], (n, curves.E, curves.LEP, curves.UEP)
+    # the header and columns of curves.csv: the curves at n_i = ceil(i m / k)
+    # for i = 1..k, k = min(m, _CURVE_ROWS), in integers. For m <= k that is
+    # every n; past it, k distinct rows ending at n = m
+    m = len(curves.E)
+    k = min(m, _CURVE_ROWS)
+    n = (np.arange(1, k + 1) * m + k - 1) // max(k, 1)
+    at = n - 1
+    return ["n", "E", "LEP", "UEP"], (n, curves.E[at], curves.LEP[at], curves.UEP[at])
 
 
 def curves_csv(curves):
-    """Cumulative curves as CSV with columns n, E, LEP, UEP."""
+    """Cumulative curves as CSV with columns n, E, LEP, UEP: every row for
+    up to _CURVE_ROWS examples, else _CURVE_ROWS rows at n = ceil(i m /
+    _CURVE_ROWS), i = 1.._CURVE_ROWS, the last at n = m. Each cell is the
+    repr of the full curve's value at n, so the grid loses no bits."""
     header, columns = _curves_table(curves)
     return "\n".join([",".join(header), *csv_lines(*columns)]) + "\n"
 
 
 def save_report(report, report_path, curves_path):
     """Write report_text(report) to report_path and curves_csv(report.curves)
-    to curves_path, the curves a block of rows at a time, so no more than one
-    block is held as text."""
+    to curves_path: the same grid of at most _CURVE_ROWS rows, written a
+    block of rows at a time, so no more than one block is held as text.
+    report.curves itself keeps every example."""
     with open_artifact(report_path) as f:
         f.write(report_text(report))
     header, columns = _curves_table(report.curves)

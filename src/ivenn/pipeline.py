@@ -18,7 +18,8 @@ from "predict" on:
     timing.txt       wall seconds per stage; intentionally NOT deterministic
 from "report":
     report.txt       scalar metrics + bin stats
-    curves.csv       cumulative E/LEP/UEP
+    curves.csv       cumulative E/LEP/UEP at every n up to 1024 test rows,
+                     else at 1024 grid points ending at the last
 
 Timing never goes into report.txt so two runs of the same config compare
 equal byte for byte.
@@ -27,9 +28,8 @@ Memory: the loaded dataset is dropped once `split` has copied its parts,
 and the CSV artifacts are written 4096 rows at a time, so a run's peak is
 the split itself, where the dataset and its parts are both alive. A forked
 child (`data._forked` says when one runs) may parse the second half of the
-data CSV, holding that half's columns plus one block, or format the second
-half of an artifact CSV, holding that half's text while this process holds
-one block of text at a time.
+data CSV, holding that half's columns plus one block. No artifact a run
+writes has enough float cells for the writer to fork.
 """
 
 from __future__ import annotations

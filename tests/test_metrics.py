@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_data import _reference_curves
 
 from ivenn.ivp import category_rows
 from ivenn.metrics import (
@@ -21,6 +22,7 @@ from ivenn.metrics import (
     ece_mce,
     nll,
     report_text,
+    save_report,
 )
 
 
@@ -487,3 +489,29 @@ class TestExactBinning:
         conf = (n / (total + 1) + (n + 1) / (total + 1)) / 2.0
         floats = np.clip(np.ceil(conf * 10).astype(np.int64) - 1, 0, 9)
         assert int((floats != integer).sum()) == 14
+
+
+class TestCurvesGrid:
+    """curves.csv keeps every row for up to 1024 examples, else 1024 rows at
+    n = ceil(i m / 1024), each cell the full curve's value at n."""
+
+    @pytest.mark.parametrize("m", [1, 1023, 1024, 1025, 30000])
+    def test_grid(self, tmp_path, m):
+        report = build_report(random_batch(np.random.default_rng(m), 3, 7, m))
+        curves = report.curves
+        assert len(curves.E) == m  # the report keeps every example
+        text = curves_csv(curves)
+        header, *rows = text.splitlines()
+        assert header == "n,E,LEP,UEP"
+        assert len(rows) == min(m, 1024)
+        cells = [row.split(",") for row in rows]
+        n = [int(row[0]) for row in cells]
+        assert n[0] == -(-m // 1024) and n[-1] == m
+        assert all(a < b for a, b in zip(n, n[1:]))
+        for row, i in zip(cells, n):
+            assert row[1:] == [repr(float(a[i - 1])) for a in (curves.E, curves.LEP, curves.UEP)]
+        if m <= 1024:
+            assert text == _reference_curves(curves.E.tolist(), curves.LEP.tolist(),
+                                             curves.UEP.tolist())
+        save_report(report, tmp_path / "report.txt", tmp_path / "curves.csv")
+        assert (tmp_path / "curves.csv").read_text() == text

@@ -16,7 +16,7 @@ import pytest
 from ivenn import cli, ivp
 from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
 from ivenn.ivp import predict, predict_many
-from ivenn.metrics import EvalBatch, build_report, curves_csv, report_text
+from ivenn.metrics import EvalBatch, build_report, cumulative, curves_csv, report_text
 from ivenn.mlp import CLASSIFIER, EMBEDDING, MlpParams, TrainConfig, init_params, save_params
 from ivenn.pipeline import (
     PipelineError,
@@ -475,21 +475,33 @@ class TestRunPipeline:
         ) == 0
         assert (tmp_path / "ce.csv").read_bytes() == written
 
-    @pytest.mark.parametrize("taxonomy", [kind.value for kind in TaxonomyKind])
-    def test_predictions_round_trip_report(self, tmp_path, taxonomy):
-        # a distance kind reads the raw features, a baseline the CSV's scores
-        ds = synth_gaussians(3, 3, 250, 4.0, seed=6)
+    @pytest.mark.parametrize("taxonomy, per_class, test_fraction, test_rows", [
+        *(pytest.param(kind.value, 250, 0.1, 75, id=kind.value) for kind in TaxonomyKind),
+        *(pytest.param(kind.value, 500, 0.9, 1350, id=f"{kind.value}-grid")
+          for kind in TaxonomyKind),
+    ])
+    def test_predictions_round_trip_report(self, tmp_path, taxonomy, per_class, test_fraction,
+                                           test_rows):
+        # a distance kind reads the raw features, a baseline the CSV's scores;
+        # past 1024 test rows curves.csv is the 1024-row grid
+        ds = synth_gaussians(3, 3, per_class, 4.0, seed=6)
         scores = np.random.default_rng(6).dirichlet(np.ones(3), len(ds))
         ds = Dataset(ds.ids, ds.features, ds.labels, 3, softmaxes=scores)
         run = tmp_path / "run"
-        run_pipeline(RunConfig(out_dir=str(run), taxonomy=taxonomy, embedding="identity"),
-                     dataset=ds)
+        result = run_pipeline(RunConfig(out_dir=str(run), taxonomy=taxonomy, embedding="identity",
+                                        test_fraction=test_fraction), dataset=ds)
+        assert result.report.n == test_rows
+        assert len((run / "curves.csv").read_text().splitlines()) == 1 + min(test_rows, 1024)
         assert cli.main(
             ["report", "--predictions", str(run / "predictions.csv"),
              "--report-out", str(tmp_path / "re.txt"), "--curves-out", str(tmp_path / "ce.csv")]
         ) == 0
         assert (tmp_path / "re.txt").read_bytes() == (run / "report.txt").read_bytes()
         assert (tmp_path / "ce.csv").read_bytes() == (run / "curves.csv").read_bytes()
+        # the file holds the grid; the predictions give back every point
+        full = cumulative(load_predictions(run / "predictions.csv"))
+        for name in ("E", "LEP", "UEP"):
+            assert getattr(full, name).tolist() == getattr(result.report.curves, name).tolist()
 
     def test_staged_rerun_removes_the_later_stages_artifacts(self, tmp_path):
         # a calibrate run over an evaluate run's directory leaves no
