@@ -28,11 +28,11 @@ Dataset or error is the same either way.
 The body reader parses blocks of rows into columns sized by the scan's line
 count (see _fill); only a file it rejects goes through the Python row loop,
 which accepts the literals of int() and float() and names the line of a bad
-row and the column of a bad cell. Every CSV is written _WRITE_BLOCK_ROWS
-(4096) rows at a time, every artifact through `open_artifact`. A forked
-child may parse the rows after the cut, or format the second half of a CSV;
-`_forked` alone decides when one runs, and reaps it on every path; the bytes
-written and the columns read are the one-process path's.
+row and the column of a bad cell. A forked child may parse the rows after
+the cut; `_forked` alone decides when one runs, and reaps it on every path;
+the columns read are the one-process path's. Every CSV is written by this
+process alone, _WRITE_BLOCK_ROWS (4096) rows at a time, every artifact
+through `open_artifact`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import itertools
 import math
 import mmap
 import os
-import shutil
 import signal
 import stat
 import tempfile
@@ -68,22 +67,6 @@ _READ_BLOCK_BYTES = 1 << 18
 # A fork and reap cost about 0.8 ms, but 2.1-2.6 ms in 2 of 8 runs at 65-105
 # MB, where one process won at 955 KiB and tied at 1114: the gate is 1 MiB.
 _FORK_BYTES = 1 << 20
-# A write of over _FORK_FLOATS float cells formats its second half in a
-# child. _write_csv of emb.csv (32 tanh columns) and data.csv (3 columns of
-# synth_gaussians) shapes, one BLAS thread, 2 vCPUs, a 98 MB process; ms,
-# medians of 41 writes each way, and of 21 with the other CPU kept busy:
-#   float cells          16 Ki  32 Ki  48 Ki  64 Ki  96 Ki  128 Ki
-#   emb   one process     12.1   26.3   42.6   55.7   94.0
-#         two processes   10.6   25.3   27.5   35.4   71.2
-#   data  one process     13.7   26.3   45.0   56.8   89.2
-#         two processes   11.3   22.2   40.3   38.4   62.8
-#   busy  emb one                35.8          55.4          113.5
-#         emb two                43.0          66.8          110.8
-#         data one               34.7          65.7          112.2
-#         data two               38.9          69.3          118.6
-# Two processes win from 32 Ki cells when the second CPU is idle and lose up
-# to 64 Ki when it is busy, so the gate stays at 64 Ki, between the two.
-_FORK_FLOATS = 1 << 16
 # numpy warns on a blank line once max_rows is set, and on a body with no rows
 _NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
 # A sidecar starts with this tag, the CSV's SHA-256 digest and the row count
@@ -364,19 +347,18 @@ def _forked(send, wanted):
     file, a function that waits for the child and tells whether it exited
     0), or None, with no child, which is reaped on every path, killed first
     if the parent has not waited for it. This alone decides whether a child
-    runs: when the caller wants one (the reader for a body with a cut, the
-    writer for over _FORK_FLOATS float cells bound for a seekable file),
+    runs: when the caller, the reader, wants one (for a body with a cut),
     os.fork exists, the CPU affinity set (os.cpu_count() where it cannot be
-    read) holds a second CPU and the fork succeeds."""
+    read) holds a second CPU and the fork succeeds. No write forks."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if not wanted or (cpus or 1) < 2 or not hasattr(os, "fork"):
         yield None
         return
     r, w = os.pipe()
     with warnings.catch_warnings():
-        # Python 3.12+ warns of a fork beside threads (OpenBLAS's pool); each
-        # child runs only numpy's text reader or str formatting, with no
-        # import, logging or BLAS call
+        # Python 3.12+ warns of a fork beside threads (OpenBLAS's pool); the
+        # child runs only numpy's text reader, with no import, logging or
+        # BLAS call
         warnings.filterwarnings("ignore", r"This process .* use of fork\(\)", DeprecationWarning)
         try:
             pid = os.fork()
@@ -654,44 +636,21 @@ def open_artifact(path, mode="w"):
     return open(path, mode, encoding=None if "b" in mode else "utf-8")
 
 
-def _csv_blocks(columns, start, stop):
-    """The UTF-8 csv_lines of rows [start, stop) of the columns, each row
-    ended by LF, _WRITE_BLOCK_ROWS rows to a bytes object."""
-    for block in range(start, stop, _WRITE_BLOCK_ROWS):
-        rows = slice(block, min(block + _WRITE_BLOCK_ROWS, stop))
+def _csv_blocks(columns):
+    """The UTF-8 csv_lines of the columns' rows, each row ended by LF,
+    _WRITE_BLOCK_ROWS rows to a bytes object."""
+    for block in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+        rows = slice(block, block + _WRITE_BLOCK_ROWS)
         yield ("\n".join(csv_lines(*(col[rows] for col in columns))) + "\n").encode()
 
 
 def _write_csv(path, header, *columns):
     """Write the header, then the columns' csv_lines a block of rows at a
-    time, to bound the memory held in Python objects. A child (_forked says
-    when one runs; repr of the float cells is most of the cost) formats rows
-    [n // 2, n) whole and sends them down a pipe, while the parent writes
-    the rows before them and then copies the pipe into the file; if the
-    child fails, the parent truncates the file back to its own rows and
-    formats the rest itself. With no child, the parent formats every row."""
+    time, to bound the memory held in Python objects."""
     columns = [np.asarray(col) for col in columns]
-    n = len(columns[0])
-    fork = sum(col.size for col in columns if col.dtype.kind == "f") > _FORK_FLOATS
-    cut = n // 2 if fork else n
-
-    def send(pipe):  # the whole half is formatted before the pipe can block
-        pipe.writelines(list(_csv_blocks(columns, cut, n)))
-
-    # forked once f is open: nothing is written yet, and the child leaves
-    # through os._exit, so it never flushes f's buffer
-    with open_artifact(path, "wb") as f, _forked(send, fork and f.seekable()) as child:
+    with open_artifact(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
-        f.writelines(_csv_blocks(columns, 0, cut))
-        if child:
-            pipe, exited_0 = child
-            end = f.tell()
-            shutil.copyfileobj(pipe, f, _READ_BLOCK_BYTES)
-            if exited_0():
-                return
-            f.seek(end)
-            f.truncate()
-        f.writelines(_csv_blocks(columns, cut, n))
+        f.writelines(_csv_blocks(columns))
 
 
 def save_csv(ds, path):
