@@ -1238,6 +1238,28 @@ class TestCsvWriter:
             reader.join(timeout=10)
         assert not reader.is_alive() and got == [want]
 
+    @pytest.mark.parametrize("n, rows", [(0, []), (8, [4, 4]), (10, [4, 4, 2])])
+    def test_blocks_hold_at_most_the_block_rows(self, monkeypatch, n, rows):
+        # the bound on the rows held as Python objects at once
+        monkeypatch.setattr(data, "_WRITE_BLOCK_ROWS", 4)
+        columns, want = _curves(n)
+        blocks = list(data._csv_blocks([np.asarray(col) for col in columns]))
+        assert [block.count(b"\n") for block in blocks] == rows
+        assert b"n,E,LEP,UEP\n" + b"".join(blocks) == want
+
+
+class TestCsvWriterInOneRowBlocks(TestCsvWriter):
+    """Every artifact's bytes with each row its own block, so each row of
+    every column is cut from its neighbours."""
+
+    @pytest.fixture(autouse=True)
+    def one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(data, "_WRITE_BLOCK_ROWS", 1)
+
+    # these set their own block rows, so TestCsvWriter runs them
+    test_rows_beside_a_block_edge = None
+    test_blocks_hold_at_most_the_block_rows = None
+
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -1344,6 +1366,22 @@ class TestWritesInOneProcess:
         want = _reference_rows(header, ds.ids, ds.labels, np.hstack([ds.features, scores]))
         assert path.read_bytes() == want
         assert not forks
+
+    @pytest.mark.parametrize("no_fork", ["fork_absent", "fork_fails", "one_cpu"])
+    def test_write_needs_no_fork(self, tmp_path, forks, monkeypatch, no_fork):
+        # 90k float cells, where the writer once forked
+        if no_fork == "fork_absent":
+            monkeypatch.delattr(os, "fork")
+        elif no_fork == "fork_fails":
+            def fork():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", fork)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        got, want = _write_curves(tmp_path, 30_000)
+        assert not forks and got == want
 
 
 # values that are not int64 integers, each with the message naming the first
