@@ -11,10 +11,10 @@ and labels are int64. `read_csv` is the only CSV parser: it serves this file
 and predictions.csv.
 
 A load opens its input once and holds it until its checks are done (see
-_Input). One pass over its blocks counts the lines, finds the cut between
-two processes and, in `load_csv`, takes the SHA-256. `load_csv` checks each
-value once, not again on its Dataset nor on the parts `split` gathers: a
-gather cannot make a cell non-finite or a score row stop summing to 1.
+_Input); `load_csv` first takes the SHA-256 of a regular file in one pass
+over its blocks. `load_csv` checks each value once, not again on its
+Dataset nor on the parts `split` gathers: a gather cannot make a cell
+non-finite or a score row stop summing to 1.
 
 `load_csv` alone keeps a column cache. After it loads, without error, a
 regular file that its path names itself (not a link such as /dev/stdin), it
@@ -25,14 +25,16 @@ owner, maps the columns copy-on-write from it instead of parsing; any other
 sidecar, or none, means a parse, which writes a new one if it can. The
 Dataset or error is the same either way.
 
-The body reader parses blocks of rows into columns sized by the scan's line
-count (see _fill); only a file it rejects goes through the Python row loop,
-which accepts the literals of int() and float() and names the line of a bad
-row and the column of a bad cell. A forked child may parse the rows after
-the cut; `_forked` alone decides when one runs, and reaps it on every path;
-the columns read are the one-process path's. Every CSV is written by this
-process alone, _WRITE_BLOCK_ROWS (4096) rows at a time, every artifact
-through `open_artifact`.
+The body reader counts the body's lines, then parses blocks of rows into
+columns of that many rows (see _fill); only a file it rejects goes through
+the Python row loop, which accepts the literals of int() and float() and
+names the line of a bad row and the column of a bad cell. Every CSV is read
+and written by the calling process alone, with no child process, so a
+first load (a miss) parses every row on one CPU: one of base-csv's 13.4 MB
+data.csv took 137-151 ms, against 82-88 ms when a second process parsed
+half of it (medians of 15 misses, 2 vCPUs). Every CSV is written
+_WRITE_BLOCK_ROWS (4096) rows at a time, every artifact through
+`open_artifact`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import itertools
 import math
 import mmap
 import os
-import signal
 import stat
 import tempfile
 import warnings
@@ -54,19 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _WRITE_BLOCK_ROWS = 4096
-# The scan (SHA-256 and line count) of base-csv's 13.4 MB data.csv took
-# 13.1-13.3 ms in 256 KiB blocks, 14.8-15.0 ms in 1 MiB ones, which leave the
-# cache between hash and count (medians of 60, 2 vCPUs); misses read alike.
+# The SHA-256 of base-csv's 13.4 MB data.csv took 7.8 ms in 256 KiB blocks,
+# 8.4 ms in 1 MiB ones (medians of 60, 2 vCPUs); a miss's line count 1.5 ms.
 _READ_BLOCK_BYTES = 1 << 18
-# A body over _FORK_BYTES is parsed in two processes. load_csv of save_csv
-# files of synth_gaussians(3, 8, ...), one BLAS thread, 2 vCPUs, an 85 MB
-# process (bench processes peak at 57-85 MB); ms, medians of 3 x 30 loads:
-#   body KiB         317   477   636   795   955   1114  1433
-#     one process   2.30  3.40  4.50  5.57  6.67  7.80  10.16
-#     two processes 2.48  3.09  3.73  4.33  4.95  5.62   7.01
-# A fork and reap cost about 0.8 ms, but 2.1-2.6 ms in 2 of 8 runs at 65-105
-# MB, where one process won at 955 KiB and tied at 1114: the gate is 1 MiB.
-_FORK_BYTES = 1 << 20
 # numpy warns on a blank line once max_rows is set, and on a body with no rows
 _NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
 # A sidecar starts with this tag, the CSV's SHA-256 digest and the row count
@@ -244,8 +235,8 @@ def class_labels(values, class_count, where=None):
 class _Input(io.RawIOBase):
     """An input opened once, or its bytes [at, stop), as a raw stream with a
     position of its own. src is a regular file's descriptor, read by offset
-    (os.pread) and inherited by a forked child, or the bytes of any other
-    input (a FIFO, a pipe), read whole since it cannot be read twice."""
+    (os.pread), or the bytes of any other input (a FIFO, a pipe), read whole
+    since it cannot be read twice."""
 
     def __init__(self, path, st, src, at=0, stop=None):
         self.path, self.st, self.src, self.at = path, st, src, at
@@ -339,91 +330,21 @@ def _fill(lines, dtype, n):
             del block  # so the next block is not read while this one is alive
 
 
-@contextlib.contextmanager
-def _forked(send, wanted):
-    """Fork a child that runs send(pipe), pipe the write end of a pipe as a
-    binary file, and exits through os._exit: 0 only once send has returned
-    and every byte is written, else 1. Yields (the read end as a binary
-    file, a function that waits for the child and tells whether it exited
-    0), or None, with no child, which is reaped on every path, killed first
-    if the parent has not waited for it. This alone decides whether a child
-    runs: when the caller, the reader, wants one (for a body with a cut),
-    os.fork exists, the CPU affinity set (os.cpu_count() where it cannot be
-    read) holds a second CPU and the fork succeeds. No write forks."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if not wanted or (cpus or 1) < 2 or not hasattr(os, "fork"):
-        yield None
-        return
-    r, w = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns of a fork beside threads (OpenBLAS's pool); the
-        # child runs only numpy's text reader, with no import, logging or
-        # BLAS call
-        warnings.filterwarnings("ignore", r"This process .* use of fork\(\)", DeprecationWarning)
-        try:
-            pid = os.fork()
-        except OSError:  # no memory or process left for a child
-            pid = None
-    if pid is None:
-        os.close(r)
-        os.close(w)
-        yield None
-        return
-    if pid == 0:
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                send(pipe)
-            os._exit(0)  # only once every byte is written
-        finally:
-            os._exit(1)
-    os.close(w)
-    status = []
-
-    def exited_0():
-        status.append(os.waitpid(pid, 0)[1])
-        return status[0] == 0
-
+def _read_columns(source, header, dtype, start):
+    """Parse the body, bytes [start, size) of the _Input source, into one
+    C-contiguous column per field of dtype: by _fill, into columns of as
+    many rows as the body has lines, or by the row loop if _fill rejects it.
+    One copy trims the rows that blank lines leave unfilled."""
+    body, ends, last = _Input(source.path, source.st, source.src, start), 0, b""
+    while block := body.read(_READ_BLOCK_BYTES):
+        ends += _line_ends(block, last)
+        last = block[-1:]
+    lines = ends + (last not in (b"", b"\n", b"\r"))  # the last line may have no end
     try:
-        with open(r, "rb") as pipe:
-            yield pipe, exited_0
-    finally:
-        if not status:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _read_columns(source, header, dtype, start, cut, mine, theirs, fork=True):
-    """Parse the body, bytes [start, size) of the _Input source, whose lines
-    in [start, cut) and [cut, size) number mine and theirs, into one
-    C-contiguous column per field of dtype: by _fill, or by the row loop if
-    that rejects it. With fork set, a child (_forked says when) parses from
-    the cut on into this process's columns, or if it fails, this process
-    does. One copy trims the rows that blank lines leave unfilled."""
-
-    def send(pipe):  # the child's row count, then each column's bytes
-        with source.text(cut) as rest:
-            columns, sent = _fill(rest, dtype, theirs)
-        pipe.write(sent.to_bytes(8, "little"))
-        for column in columns:
-            pipe.write(column[:sent].view(np.uint8))
-
-    try:
-        with _forked(send, fork and cut < source.size) as child:
-            with source.text(start, cut if child else source.size) as lines:
-                columns, filled = _fill(lines, dtype, mine + theirs)
-            if child:
-                pipe, exited_0 = child
-                sent = int.from_bytes(pipe.read(8), "little")
-                parts = [c[filled : filled + sent].view(np.uint8) for c in columns]
-                whole = all(pipe.readinto(p) == p.nbytes for p in parts)
-                filled += sent
-                if not (whole and filled <= len(columns[0]) and exited_0()):
-                    columns = None
+        with source.text(start) as rows:
+            columns, filled = _fill(rows, dtype, lines)
     except (ValueError, UserWarning):  # UserWarning: see _fill
         return _parse_rows(source, header, dtype)
-    if columns is None:  # after the failed child is reaped
-        return _read_columns(source, header, dtype, start, cut, mine, theirs, fork=False)
     if filled < len(columns[0]):
         columns = [column[:filled].copy() for column in columns]
     return columns
@@ -458,14 +379,13 @@ def _parse_rows(source, header, dtype):
 
 
 def _scanned(source, dtype_of, digest=None):
-    """Read the _Input source's header, its first non-blank line, then each
-    byte once, to update digest (if given), count the lines and find the
-    cut, after the first LF past the midpoint of a body over _FORK_BYTES.
-    Returns (the header's stripped cells, dtype_of(cells), a function that
-    parses the body); a ValueError from dtype_of is raised naming the file."""
+    """Read the _Input source's header, its first non-blank line, then, if
+    digest is given, update it with each byte. Returns (the header's
+    stripped cells, dtype_of(cells), a function that parses the body); a
+    ValueError from dtype_of is raised naming the file."""
     start = 0
     with source.text(newline="") as f:  # line ends kept, so `start` counts bytes
-        for read, header in enumerate(iter(f.readline, ""), start=1):
+        for header in iter(f.readline, ""):
             start += len(header.encode())
             if header.strip():
                 break
@@ -476,21 +396,9 @@ def _scanned(source, dtype_of, digest=None):
         dtype = dtype_of(header)
     except ValueError as exc:
         raise ValueError(f"{source.path}: {exc}") from None
-    size = source.size
-    mid = (start + size) // 2 if size - start > _FORK_BYTES else size
-    ends, last, cut, before = 0, b"", size, None
-    while block := source.read(_READ_BLOCK_BYTES):  # the held input, from byte 0
-        at = source.at - len(block)
-        if digest:
-            digest.update(block)
-        if cut == size and (i := block.find(b"\n", max(mid - at, 0))) >= 0:
-            cut, before = at + i + 1, ends + _line_ends(block[: i + 1], last)
-        ends += _line_ends(block, last)
-        last = block[-1:]
-    lines = ends + (last not in (b"", b"\n", b"\r"))  # the last line may have no end
-    mine, theirs = (lines - read, 0) if before is None else (before - read, lines - before)
-    parse = functools.partial(_read_columns, source, header, dtype, start, cut, mine, theirs)
-    return header, dtype, parse
+    while digest and (block := source.read(_READ_BLOCK_BYTES)):  # from byte 0
+        digest.update(block)
+    return header, dtype, functools.partial(_read_columns, source, header, dtype, start)
 
 
 @contextlib.contextmanager

@@ -47,8 +47,8 @@ _LOG_EPS = 1e-12
 _REPORT_FORMAT = "ivenn-report-v1"
 
 # curves.csv keeps at most this many rows (_curves_table): at base-csv's
-# 30,000 test rows, save_report took 41-42 ms with the full curves (1.47 MB,
-# formatted in two processes) and 2.0 ms with the grid (50 KB)
+# 30,000 test rows, save_report took 41-42 ms with the full curves (1.47 MB)
+# and 2.0 ms with the grid (50 KB)
 _CURVE_ROWS = 1024
 
 

@@ -26,10 +26,9 @@ equal byte for byte.
 
 Memory: the loaded dataset is dropped once `split` has copied its parts,
 and the CSV artifacts are written 4096 rows at a time, so a run's peak is
-the split itself, where the dataset and its parts are both alive. A forked
-child (`data._forked` says when one runs) may parse the second half of the
-data CSV, holding that half's columns plus one block. Only that read may
-fork: this process formats and writes every artifact.
+the split itself, where the dataset and its parts are both alive. This
+process alone reads the data CSV, holding its columns plus one block, and
+formats and writes every artifact: no stage starts a child process.
 """
 
 from __future__ import annotations

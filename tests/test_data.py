@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -161,6 +160,16 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.softmaxes, ds.softmaxes)
 
+    @pytest.mark.parametrize("row", [3, 1900])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, row):
+        # 2000 rows, so row 1900 lies past the first text buffer
+        path = tmp_path / "d.csv"
+        text = _rows(2000).encode()
+        at = text.index(f"\n{row},".encode()) + 1
+        path.write_bytes(text[:at] + b"\xff" + text[at:])
+        with pytest.raises(ValueError, match=rf"d\.csv:{2 + row}: byte 0xff is not UTF-8$"):
+            load_csv(path)
+
 
 HEADER = "id,label,f0,f1\n"
 
@@ -197,6 +206,7 @@ EDGE_INPUTS = [
     ("blank_lines_before_header", "\n \n\n" + HEADER + "1,0,1,2\n2,1,3,4\n3,0,5,6\n", None),
     ("no_trailing_newline", HEADER + "1,0,1,2\n2,1,3,4\n3,0,5,6", None),
     ("lone_cr_line_ends", "id,label,f0,f1\r1,0,1,2\r2,1,3,4\r\r3,0,5,6\r", None),
+    ("lone_cr_then_lf", HEADER + "1,0,1,2\r2,1,3,4\r3,0,5,6\n4,1,7,8\n5,0,9,9\n", None),
     ("crlf_many_rows", "id,label,f0,f1\r\n1,0,1,2\r\n2,1,3,4\r\n\r\n3,0,5,6\r\n4,1,7,8", None),
     ("bad_cell_in_later_block", HEADER + "1,0,1,2\n2,1,3,4\n\n3,0,5,6\n4,1,oops,8\n", None),
     ("short_row_in_later_block", HEADER + "1,0,1,2\n2,1,3,4\n3,0,5,6\n4,1,7\n5,0,9,9\n", None),
@@ -355,209 +365,11 @@ class TestReaderParityInBlocks(TestReaderParity):
     """Reader parity, parsed across block edges."""
 
 
-@pytest.fixture(
-    scope="class", params=[None, 64], ids=["two_processes", "two_processes_2_row_blocks"]
-)
-def two_processes(request):
-    # any body with an LF after its midpoint is cut, and two CPUs are offered
-    if not hasattr(os, "fork"):
-        pytest.skip("the platform cannot fork")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "_FORK_BYTES", 0)
-        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        if request.param:
-            mp.setattr(data, "_READ_BLOCK_BYTES", request.param)
-        yield
-
-
-@pytest.mark.usefixtures("two_processes")
-class TestLoadCsvInTwoProcesses(TestLoadCsv):
-    """The path:line errors and round trips, parsed by two processes."""
-
-
-@pytest.mark.usefixtures("two_processes")
-class TestReaderParityInTwoProcesses(TestReaderParity):
-    """Reader parity, parsed by two processes."""
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _rows(n, end="\n", blank=False):
     """A file of n rows with `end` line ends, a blank line after each row
     when blank is set."""
     rows = [f"{i},{i % 2},{i}.5,{-i}e-3" for i in range(n)]
     return HEADER.replace("\n", end) + "".join(row + end + end * blank for row in rows)
-
-
-@pytest.mark.usefixtures("two_processes")
-class TestTwoProcesses:
-    """A body cut in two gives the columns, or the path:line error, of the
-    serial reader, and no load leaves a child process behind."""
-
-    @pytest.fixture
-    def parse(self, monkeypatch):
-        """parse(path) -> (two-process outcome, serial outcome, whether the
-        first tried to fork a child)."""
-
-        def parse(path, class_count=None):
-            forks = []
-            if hasattr(os, "fork"):
-                fork = os.fork
-                monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-            two = _outcome(path, class_count)
-            _no_child_left()
-            with monkeypatch.context() as mp:
-                mp.setattr(data, "_FORK_BYTES", 1 << 62)
-                return two, _outcome(path, class_count), bool(forks)
-
-        return parse
-
-    @pytest.mark.parametrize(
-        "text",
-        [_rows(40), _rows(40, blank=True), "\n \n" + _rows(41, blank=True), _rows(40, "\r\n"),
-         _rows(40, "\r\n", blank=True), _rows(40).rstrip("\n"),
-         HEADER + _rows(30, "\r")[len(HEADER):] + _rows(30)[len(HEADER):]],
-        ids=["lf", "blank_beside_cut", "blank_before_header", "crlf", "crlf_blank_beside_cut",
-             "no_trailing_newline", "lone_cr_then_lf"],
-    )
-    def test_same_columns(self, tmp_path, parse, monkeypatch, text):
-        path = tmp_path / "d.csv"
-        path.write_bytes(text.encode())
-        fills, fill = [], data._fill
-        monkeypatch.setattr(data, "_fill", lambda *a, **k: fills.append(os.getpid()) or fill(*a, **k))
-        two, one, split = parse(path)
-        # this process parsed its half and the serial reference, and no fallback
-        assert split and fills.count(os.getpid()) == 2 and not isinstance(one, str)
-        _assert_same_outcome(two, one)
-
-    def test_lone_cr_file_is_parsed_serially(self, tmp_path, parse):
-        # a file whose lines end in lone CRs has no LF to cut it at
-        path = tmp_path / "d.csv"
-        path.write_bytes(_rows(40, "\r").encode())
-        two, one, split = parse(path)
-        assert not split and len(one) == 40
-        _assert_same_outcome(two, one)
-
-    @pytest.mark.parametrize("row", [3, 17, 33])
-    @pytest.mark.parametrize(
-        "bad", ["1,0,oops,2", "1,0,1", "1,0,nan,2", "99999999999999999999,0,1,2", "1,7,1,2"],
-        ids=["bad_cell", "short_row", "nan", "id_overflow", "label_out_of_range"],
-    )
-    def test_bad_row_names_the_serial_line(self, tmp_path, parse, row, bad):
-        lines = _rows(40, blank=True).split("\n")
-        lines[1 + 2 * row] = bad
-        path = tmp_path / "d.csv"
-        path.write_text("\n".join(lines))
-        two, one, split = parse(path, 3)
-        assert split and isinstance(one, str) and f"d.csv:{2 + 2 * row}:" in one
-        assert two == one
-
-    @pytest.mark.parametrize("row", [3, 1900])
-    def test_byte_that_is_not_utf8_names_the_serial_line(self, tmp_path, row):
-        # 2000 rows, so the second half lies past the first half's text buffer
-        path = tmp_path / "d.csv"
-        text = _rows(2000).encode()
-        at = text.index(f"\n{row},".encode()) + 1
-        path.write_bytes(text[:at] + b"\xff" + text[at:])
-        with pytest.raises(ValueError, match=rf"d\.csv:{2 + row}: byte 0xff is not UTF-8$"):
-            load_csv(path)
-        _no_child_left()
-
-    @pytest.mark.parametrize(
-        "child", ["exits_1", "fails_after_its_count", "sends_too_few_bytes", "claims_too_many_rows"]
-    )
-    def test_failed_child_gives_the_same_columns(self, tmp_path, parse, monkeypatch, child):
-        parent, fill, parent_fills = os.getpid(), data._fill, []
-
-        def fill_in_child(lines, dtype, n):
-            if os.getpid() == parent:
-                # the half beside the child, then the re-parse and the serial
-                # reference, each with the failed child already reaped
-                if parent_fills:
-                    _no_child_left()
-                parent_fills.append(1)
-            columns, filled = fill(lines, dtype, n)
-            if os.getpid() == parent:
-                return columns, filled
-            if child == "exits_1":
-                os._exit(1)
-            if child == "fails_after_its_count":  # a count of 0, then no column
-                return [None] * len(columns), 0
-            if child == "sends_too_few_bytes":  # one row of each column for two
-                return [column[:1] for column in columns], 2
-            return [np.zeros_like(column) for column in columns], n + 1
-
-        monkeypatch.setattr(data, "_fill", fill_in_child)
-        path = tmp_path / "d.csv"
-        path.write_text(_rows(40))
-        two, one, split = parse(path)
-        assert split and len(parent_fills) == 3
-        _assert_same_outcome(two, one)
-
-    def test_parent_parses_only_its_own_half(self, tmp_path, monkeypatch):
-        # the parent's one scan counts both halves' lines before the fork, so
-        # the child sends no count; the parent then parses up to the cut
-        text = _rows(40).encode()
-        cut = text.index(b"\n", (len(HEADER) + len(text)) // 2) + 1
-        path = tmp_path / "d.csv"
-        path.write_bytes(text)
-        parent, calls, stream = os.getpid(), [], data._Input.text
-        monkeypatch.setattr(
-            data._Input, "text",
-            lambda self, *a, **k: calls.append((os.getpid(), *a)) or stream(self, *a, **k),
-        )
-        assert len(load_csv(path)) == 40
-        _no_child_left()
-        # the header's stream, then the parent's half of the body
-        assert [call[1:] for call in calls if call[0] == parent] == [(), (len(HEADER), cut)]
-
-    def test_failed_fork_gives_the_same_columns(self, tmp_path, parse, monkeypatch):
-        def fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        fills, fill = [], data._fill
-        monkeypatch.setattr(data, "_fill", lambda *a, **k: fills.append(1) or fill(*a, **k))
-        monkeypatch.setattr(os, "fork", fork)
-        path = tmp_path / "d.csv"
-        path.write_text(_rows(40))
-        two, one, split = parse(path)
-        # the load went straight to the serial path: one _fill for it and one
-        # for the serial reference, with no half parsed before the fallback
-        assert split and len(fills) == 2
-        _assert_same_outcome(two, one)
-
-    def test_fork_beside_a_thread_warns_nothing(self, tmp_path, parse):
-        # Python 3.12+ warns on a fork in a process with threads
-        path = tmp_path / "d.csv"
-        path.write_text(_rows(40))
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                two, one, split = parse(path)
-        finally:
-            done.set()
-            thread.join(timeout=10)
-        assert split and not caught and not thread.is_alive()
-        _assert_same_outcome(two, one)
-
-    @pytest.mark.parametrize("no_second_cpu", ["no_fork", "one_cpu"])
-    def test_serial_without_fork_or_second_cpu(self, tmp_path, parse, monkeypatch, no_second_cpu):
-        if no_second_cpu == "no_fork":
-            monkeypatch.delattr(os, "fork")
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        path = tmp_path / "d.csv"
-        path.write_text(_rows(40))
-        two, one, split = parse(path)
-        assert not split
-        _assert_same_outcome(two, one)
 
 
 def test_parse_holds_the_columns_and_one_block(tmp_path):
@@ -667,7 +479,8 @@ class TestColumnCache:
         def fail(*args, **kwargs):
             raise AssertionError("a row was parsed")
 
-        for name in ("read_csv", "_read_columns", "_parse_rows"):
+        # a hit parses no row and counts no line
+        for name in ("read_csv", "_read_columns", "_parse_rows", "_line_ends"):
             monkeypatch.setattr(data, name, fail)
         hit = load_csv(path)
         _assert_same_outcome(hit, miss)
@@ -830,16 +643,14 @@ class TestOneOpen:
     checks; the only other opens are of its sidecar."""
 
     @pytest.fixture
-    def opens(self, tmp_path, monkeypatch):
-        """opens() -> the names opened since the last call, by this process or
-        a child forked from it, each of which appends to one log."""
-        log = os.open(tmp_path / "opens.log", os.O_RDWR | os.O_APPEND | os.O_CREAT)
-        real_open, real_os_open = open, os.open
+    def opens(self, monkeypatch):
+        """opens() -> the names opened since the last call."""
+        names, real_open, real_os_open = [], open, os.open
 
         def logged(opener):
             def spy(file, *args, **kwargs):
                 if isinstance(file, (str, os.PathLike)):
-                    os.write(log, os.fsencode(file) + b"\n")
+                    names.append(os.fspath(file))
                 return opener(file, *args, **kwargs)
             return spy
 
@@ -847,17 +658,13 @@ class TestOneOpen:
         monkeypatch.setattr(os, "open", logged(real_os_open))
 
         def opens():
-            names = os.pread(log, 1 << 20, 0).decode().split()
-            os.truncate(log, 0)
-            return names
+            opened = names[:]
+            names.clear()
+            return opened
 
-        yield opens
-        monkeypatch.undo()
-        os.close(log)
+        return opens
 
-    @pytest.mark.parametrize(
-        "load", ["hit", "forked_miss", "one_cpu_miss", "row_loop", "bad_label", "not_utf8"]
-    )
+    @pytest.mark.parametrize("load", ["hit", "miss", "row_loop", "bad_label", "not_utf8"])
     def test_one_open_of_the_csv(self, tmp_path, monkeypatch, opens, load):
         body = {"row_loop": HEADER + "1_000,0,1_0.5,2\n",
                 "bad_label": HEADER + "1,0,1,2\n\n2,4,3,4\n",
@@ -865,23 +672,17 @@ class TestOneOpen:
         (tmp_path / "data").mkdir()
         path = tmp_path / "data" / "d.csv"
         path.write_bytes(body.encode("utf-8", "surrogateescape"))
-        forks, fork, parsed, rows = [], os.fork, [], data._parse_rows
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        parsed, rows = [], data._parse_rows
         monkeypatch.setattr(data, "_parse_rows", lambda *a: parsed.append(1) or rows(*a))
-        if load.endswith("miss"):  # a cut in any body, and one or two CPUs
-            monkeypatch.setattr(data, "_FORK_BYTES", 0)
-            cpus = {0} if load == "one_cpu_miss" else {0, 1}
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         if load == "hit":
             load_csv(path)
             opens()
         errs = load in ("bad_label", "not_utf8")
         outcome = _outcome(path, 3) if errs else load_csv(path)
-        _no_child_left()
         names = opens()
         assert names.count(str(path)) == 1, names
         assert all(name.startswith(str(_sidecar_of(path))) for name in names if name != str(path))
-        assert bool(forks) == (load == "forked_miss") and bool(parsed) == (load == "row_loop")
+        assert bool(parsed) == (load == "row_loop")
         if errs:
             assert isinstance(outcome, str) and f"d.csv:{3 + (load == 'bad_label')}:" in outcome
 
@@ -1048,25 +849,19 @@ class TestPipedInput:
         assert isinstance(got, str) and got == want.replace("d.csv", "d.fifo")
         assert got.startswith(f"{fifo}:{line}: ")
 
-    @pytest.mark.parametrize("fork", [False, True], ids=["one_process", "two_processes"])
-    def test_piped_stdin_loads(self, tmp_path, fork):
+    def test_piped_stdin_loads(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(_rows(2000, blank=True))
         code = (
-            "import hashlib, os, sys\n"
+            "import hashlib\n"
             "from ivenn import data\n"
-            f"data._FORK_BYTES = {0 if fork else 1 << 62}\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "forks, fork = [], os.fork\n"
-            "os.fork = lambda: forks.append(1) or fork()\n"
             "ds = data.load_csv('/dev/stdin')\n"
             "arrays = (ds.ids, ds.labels, ds.features)\n"
-            "print(len(forks), hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest())\n"
+            "print(hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest())\n"
         )
         done = _piped(["-c", code], path.read_bytes(), tmp_path)
         assert done.returncode == 0, done.stderr
-        forked, digest = done.stdout.split()
-        assert int(forked) == fork
+        digest = done.stdout.strip()
         assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]  # nothing cached
         ds = load_csv(path)
         arrays = (ds.ids, ds.labels, ds.features)
@@ -1262,126 +1057,83 @@ class TestCsvWriterInOneRowBlocks(TestCsvWriter):
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Two CPUs offered; the list of os.fork calls made."""
-    if not hasattr(os, "fork"):
-        pytest.skip("the platform cannot fork")
-    calls, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return calls
+def no_fork(monkeypatch):
+    """os.fork raises AssertionError, with two CPUs offered, so a read or a
+    write that would start a child beside a second CPU fails."""
 
-
-def test_unwanted_child_is_never_forked(forks, monkeypatch):
-    # two CPUs are offered, so only `wanted` keeps the child from running
     def fork():
-        raise AssertionError("os.fork called for a child the caller did not want")
+        raise AssertionError("os.fork called")
 
-    monkeypatch.setattr(os, "fork", fork)
-    with data._forked(lambda pipe: None, False) as child:
-        assert child is None
-    assert not forks
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-def _file_of_body(path, size):
-    """Write a dataset file whose body, the bytes after HEADER, is `size`
-    bytes; the last row's f0 is padded with zeros to fit."""
-    rows, length = [], 0
-    while length + 40 < size:
-        i = len(rows)
-        rows.append(f"{i},{i % 2},{i}.5,{-i}e-3\n")
-        length += len(rows[-1])
-    i = len(rows)
-    last = f"{i},{i % 2},{i}.5,0\n"
-    rows.append(last.replace(".5,", ".5" + "0" * (size - length - len(last)) + ",", 1))
-    path.write_text(HEADER + "".join(rows))
-    assert path.stat().st_size == len(HEADER) + size
-
-
-class TestWhenAReadForks:
-    """A read forks for a body of over _FORK_BYTES only, and gives the
-    serial reader's columns either way."""
+@pytest.mark.usefixtures("no_fork")
+class TestOneProcess:
+    """Every CSV is read and written by the calling process, whatever its
+    size, and each read or write gives its reference bytes."""
 
     @staticmethod
-    def _serial(path):
-        """A parse of path in one process, past the sidecar that the forked
-        load wrote."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "_FORK_BYTES", 1 << 62)
-            return _outcome(path, None)
+    def _knn_sized(path):
+        # the k-NN workloads' data.csv: 9000 rows of 8 features, 1.5 MB, over
+        # the 1 MiB past which a read once forked
+        ds = synth_gaussians(3, 8, 3000, 3.0, seed=0)
+        save_csv(ds, path)
+        assert path.stat().st_size > 1 << 20
+        return ds
 
-    @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_gate", "one_byte_over"])
-    def test_fork_over_the_body_bytes(self, tmp_path, forks, extra):
+    def test_pipeline_run_on_a_miss_and_a_hit(self, tmp_path, monkeypatch):
+        # the reference run is given the dataset, so it reads no CSV
         path = tmp_path / "d.csv"
-        _file_of_body(path, data._FORK_BYTES + extra)
-        got = load_csv(path)
-        _no_child_left()
-        assert bool(forks) == bool(extra)
-        _assert_same_outcome(got, self._serial(path))
+        ds = self._knn_sized(path)
+        cfg = RunConfig(data_csv=str(path), taxonomy="nc_v2", embedding="identity")
+        names = ("report.txt", "curves.csv", "predictions.csv", "table.txt")
+        runs = {}
+        for run in ("reference", "miss", "hit"):
+            if run == "hit":
+                assert _sidecar_of(path).exists()
+                monkeypatch.setattr(data, "_read_columns", _fail)
+            out = tmp_path / run
+            run_pipeline(replace(cfg, out_dir=str(out)), ds if run == "reference" else None)
+            runs[run] = [(out / name).read_bytes() for name in names]
+        assert runs["miss"] == runs["reference"] and runs["hit"] == runs["reference"]
 
-    def test_knn_workload_sized_file_forks(self, tmp_path, forks):
-        # the shape of the k-NN workloads' data.csv: 9000 rows of 8 features
-        path = tmp_path / "d.csv"
-        save_csv(synth_gaussians(3, 8, 3000, 3.0, seed=0), path)
-        assert not forks
-        got = load_csv(path)
-        _no_child_left()
-        assert forks and len(got) == 9000
-        _assert_same_outcome(got, self._serial(path))
-
-
-class TestWritesInOneProcess:
-    """No write forks, whatever its size, with two CPUs offered."""
-
-    def test_small_curves_write(self, tmp_path, forks):
-        got, want = _write_curves(tmp_path, 900)
-        assert not forks and got == want
-
-    @pytest.mark.parametrize("n", [1, 40_000])
-    def test_predictions_write(self, tmp_path, forks, n):
-        # predictions.csv holds integer cells only
-        rows = category_rows([[2, 3], [0, 5]])
-        category = np.arange(n) % 2
-        ids, labels = np.arange(n, dtype=np.int64), category
-        path = tmp_path / "predictions.csv"
-        _write_predictions(path, ids, EvalBatch(category, rows, labels))
-        assert not forks
-        assert path.read_bytes() == _reference_predictions(ids, labels, category, rows)
-
-    def test_workload_sized_writes(self, tmp_path, forks):
-        # an emb.csv of the knn-d32 workload's 9000 rows and 32 dimensions,
-        # and the base-csv workload's 60k-row data.csv with its score block
-        rng = np.random.default_rng(0)
-        ids, labels = np.arange(9000), np.arange(9000) % 3
-        emb = np.tanh(rng.normal(size=(9000, 32)))
+    def test_embed_of_32_dimensions(self, tmp_path):
+        data_path, model, out = tmp_path / "d.csv", tmp_path / "model.npz", tmp_path / "emb.csv"
+        ds = self._knn_sized(data_path)
+        params = init_params([8, 10, 32], seed=4)
+        save_params(params, model)
+        argv = ["embed", "--model", str(model), "--data", str(data_path), "--out", str(out)]
+        assert cli.main(argv) == 0
         header = ["id", "label", *(f"e{j}" for j in range(32))]
-        path = tmp_path / "emb.csv"
-        data._write_csv(path, header, ids, labels, emb)
-        assert path.read_bytes() == _reference_rows(header, ids, labels, emb)
-        scores = rng.dirichlet(np.ones(3), size=60_000)
+        emb = forward_batch(params, ds.features)
+        assert out.read_bytes() == _reference_rows(header, ds.ids, ds.labels, emb)
+
+    def test_save_csv_of_60k_rows(self, tmp_path):
+        # the base-csv workload's data.csv with its score block
+        scores = np.random.default_rng(0).dirichlet(np.ones(3), size=60_000)
         ds = replace(synth_gaussians(3, 8, 20_000, 3.0, seed=0), softmaxes=scores)
         path = tmp_path / "d.csv"
         save_csv(ds, path)
         header = ["id", "label", *(f"f{j}" for j in range(8)), "s0", "s1", "s2"]
         want = _reference_rows(header, ds.ids, ds.labels, np.hstack([ds.features, scores]))
         assert path.read_bytes() == want
-        assert not forks
 
-    @pytest.mark.parametrize("no_fork", ["fork_absent", "fork_fails", "one_cpu"])
-    def test_write_needs_no_fork(self, tmp_path, forks, monkeypatch, no_fork):
-        # 90k float cells, where the writer once forked
-        if no_fork == "fork_absent":
-            monkeypatch.delattr(os, "fork")
-        elif no_fork == "fork_fails":
-            def fork():
-                raise BlockingIOError(11, "Resource temporarily unavailable")
+    @pytest.mark.parametrize("n", [1, 40_000])
+    def test_predictions_write(self, tmp_path, n):
+        # predictions.csv holds integer cells only
+        rows = category_rows([[2, 3], [0, 5]])
+        category = np.arange(n) % 2
+        ids, labels = np.arange(n, dtype=np.int64), category
+        path = tmp_path / "predictions.csv"
+        _write_predictions(path, ids, EvalBatch(category, rows, labels))
+        assert path.read_bytes() == _reference_predictions(ids, labels, category, rows)
 
-            monkeypatch.setattr(os, "fork", fork)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        got, want = _write_curves(tmp_path, 30_000)
-        assert not forks and got == want
+    @pytest.mark.parametrize("n", [900, 30_000])
+    def test_curves_write(self, tmp_path, n):
+        # 90k float cells at 30,000 rows, where the writer once forked
+        got, want = _write_curves(tmp_path, n)
+        assert got == want
 
 
 # values that are not int64 integers, each with the message naming the first
