@@ -1,5 +1,6 @@
 """CSV ingestion, deterministic splits, synthetic blobs."""
 
+import contextlib
 import hashlib
 import os
 import re
@@ -365,6 +366,58 @@ class TestReaderParityInBlocks(TestReaderParity):
     """Reader parity, parsed across block edges."""
 
 
+@pytest.fixture(scope="class", params=[None, 64], ids=["fifo", "fifo_2_row_blocks"])
+def through_fifos(request):
+    """Each load of a regular file reads it through a FIFO at its path, fed by
+    a thread, so the load holds the bytes of an input that it cannot read
+    twice and hashes and caches nothing; the file is put back after."""
+    opened = data._opened
+
+    @contextlib.contextmanager
+    def fifo_opened(path):
+        if os.path.islink(path) or not os.path.isfile(path):
+            with opened(path) as source:
+                yield source
+            return
+        held = f"{os.fspath(path)}.held"
+        os.rename(path, held)
+        os.mkfifo(path)
+        payload = Path(held).read_bytes()
+        writer = threading.Thread(target=Path(path).write_bytes, args=(payload,), daemon=True)
+        writer.start()
+        try:
+            with opened(path) as source:
+                yield source
+        finally:
+            writer.join(timeout=20)
+            os.replace(held, path)
+            assert not writer.is_alive(), "the FIFO's writer hung"
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_opened", fifo_opened)
+        if request.param:
+            mp.setattr(data, "_READ_BLOCK_BYTES", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("through_fifos")
+class TestLoadCsvThroughFifos(TestLoadCsv):
+    """The path:line errors and round trips, read through a FIFO."""
+
+    def test_load_of_a_fifo_caches_nothing(self, tmp_path, monkeypatch):
+        # as for any input that is not a regular file: no sidecar is mapped
+        # or written
+        monkeypatch.setattr(data, "_cached_columns", _fail)
+        path = _text_file(tmp_path, WELL_FORMED)
+        assert len(load_csv(path)) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
+@pytest.mark.usefixtures("through_fifos")
+class TestReaderParityThroughFifos(TestReaderParity):
+    """Reader parity, read through a FIFO."""
+
+
 def _rows(n, end="\n", blank=False):
     """A file of n rows with `end` line ends, a blank line after each row
     when blank is set."""
@@ -390,6 +443,85 @@ def test_parse_holds_the_columns_and_one_block(tmp_path):
     assert len(ds) == n
     columns = ds.ids.nbytes + ds.labels.nbytes + ds.features.nbytes
     assert peak < columns + 2 * data._READ_BLOCK_BYTES
+
+
+@pytest.fixture(
+    scope="class", params=[None, 1, 64], ids=["one_block", "1_row_blocks", "2_row_blocks"]
+)
+def body_blocks(request):
+    # 1-byte blocks split every CRLF between two blocks of the line count
+    with pytest.MonkeyPatch.context() as mp:
+        if request.param:
+            mp.setattr(data, "_READ_BLOCK_BYTES", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("body_blocks")
+class TestBodyOf40Rows:
+    """A body of 40 rows, with any mix of line ends and blank lines, is
+    parsed by one _fill into columns of as many rows as the body has lines,
+    and gives the row loop's columns or the row loop's path:line error."""
+
+    @staticmethod
+    def _row_loop(path, class_count=None):
+        def reject(*args, **kwargs):
+            raise ValueError("C reader disabled")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "loadtxt", reject)
+            return _outcome(path, class_count)
+
+    @pytest.mark.parametrize(
+        "text",
+        [_rows(40), _rows(40, blank=True), "\n \n" + _rows(41, blank=True), _rows(40, "\r\n"),
+         _rows(40, "\r\n", blank=True), _rows(40).rstrip("\n"), _rows(40, "\r"),
+         HEADER + _rows(30, "\r")[len(HEADER):] + _rows(30)[len(HEADER):]],
+        ids=["lf", "blank_after_each_row", "blank_before_header", "crlf",
+             "crlf_blank_after_each_row", "no_trailing_newline", "lone_cr", "lone_cr_then_lf"],
+    )
+    def test_same_columns(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        want = self._row_loop(path)
+        sizes, fill = [], data._fill
+        monkeypatch.setattr(
+            data, "_fill", lambda rows, dtype, n: sizes.append(n) or fill(rows, dtype, n)
+        )
+        monkeypatch.setattr(data, "_parse_rows", _fail)
+        got = _outcome(path, None)
+        # every line after the header's counts, blank or not
+        lines = text.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.strip())
+        assert sizes == [len(lines) - 1 - header]
+        assert not isinstance(want, str)
+        assert len(want) == sum(1 for line in lines[header + 1 :] if line.strip())
+        _assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("row", [3, 17, 33])
+    @pytest.mark.parametrize(
+        "bad", ["1,0,oops,2", "1,0,1", "1,0,nan,2", "99999999999999999999,0,1,2", "1,7,1,2"],
+        ids=["bad_cell", "short_row", "nan", "id_overflow", "label_out_of_range"],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, row, bad):
+        lines = _rows(40, blank=True).split("\n")
+        lines[1 + 2 * row] = bad
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines))
+        got = _outcome(path, 3)
+        assert isinstance(got, str) and f"d.csv:{2 + 2 * row}:" in got
+        assert got == self._row_loop(path, 3)
+
+    def test_body_is_one_stream_after_the_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(40))
+        calls, stream = [], data._Input.text
+        monkeypatch.setattr(
+            data._Input, "text", lambda self, *a, **k: calls.append(a) or stream(self, *a, **k)
+        )
+        assert len(load_csv(path)) == 40
+        # the header's stream, then one of the whole body: the line count
+        # reads raw blocks
+        assert calls == [(), (len(HEADER),)]
 
 
 def _sidecar_of(path):
