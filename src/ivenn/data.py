@@ -11,28 +11,36 @@ and labels are int64. `read_csv` is the only CSV parser: it serves this file
 and predictions.csv.
 
 A load opens its input once and holds it until its checks are done (see
-_Input); `load_csv` first takes the SHA-256 of a regular file in one pass
-over its blocks. `load_csv` checks each value once, not again on its
-Dataset nor on the parts `split` gathers: a gather cannot make a cell
-non-finite or a score row stop summing to 1.
+_Input). `load_csv` checks each value once, not again on its Dataset nor on
+the parts `split` gathers: a gather cannot make a cell non-finite or a score
+row stop summing to 1.
 
 `load_csv` alone keeps a column cache. After it loads, without error, a
 regular file that its path names itself (not a link such as /dev/stdin), it
 writes the parsed columns to `.<name>.columns` beside it, headed by a format
-tag, the SHA-256 and the row count. A later load whose digest, tag and
-sidecar size match, of a sidecar owned by the loading user or the CSV's
-owner, maps the columns copy-on-write from it instead of parsing; any other
-sidecar, or none, means a parse, which writes a new one if it can. The
-Dataset or error is the same either way.
+tag, the CSV's SHA-256, its stat stamp (device, inode, size, mtime and ctime)
+and the row count. A sidecar is read only if its tag and size match and it
+belongs to the loading user or the CSV's owner. A later load whose stamp is
+the recorded one maps the columns copy-on-write from it without reading the
+body, if the stamp is not racy (git's rule, racy-git.txt): the CSV's mtime
+and ctime are both strictly older than the sidecar's mtime. Any other load
+hashes the CSV; on the recorded digest it maps the columns and rewrites the
+sidecar with the new stamp, and on another, or with no sidecar, it parses,
+writing a new sidecar if it can. The Dataset or error is the same either
+way. The trade: an in-place edit that keeps the size, mtime and ctime goes
+unseen. User space cannot set a ctime, so only a clock set back (as root),
+a filesystem that keeps no ctime, or two writes within one tick of a coarse
+clock with a load reading between them can make one. On base-csv's 13.4 MB
+data.csv a hit on a trusted stamp took 0.7-0.8 ms, and one that hashes and
+rewrites the sidecar 12.7-13.3 ms (medians of 15, 2 vCPUs).
 
 The body reader counts the body's lines, then parses blocks of rows into
 columns of that many rows (see _fill); only a file it rejects goes through
 the Python row loop, which accepts the literals of int() and float() and
 names the line of a bad row and the column of a bad cell. Every CSV is read
 and written by the calling process alone, with no child process, so a
-first load (a miss) parses every row on one CPU: one of base-csv's 13.4 MB
-data.csv took 137-151 ms, against 82-88 ms when a second process parsed
-half of it (medians of 15 misses, 2 vCPUs). Every CSV is written
+first load (a miss) parses every row on one CPU: one of base-csv's data.csv
+took 185-195 ms (medians of 15 misses, 2 vCPUs). Every CSV is written
 _WRITE_BLOCK_ROWS (4096) rows at a time, every artifact through
 `open_artifact`.
 """
@@ -55,14 +63,17 @@ from dataclasses import dataclass
 import numpy as np
 
 _WRITE_BLOCK_ROWS = 4096
-# The SHA-256 of base-csv's 13.4 MB data.csv took 7.8 ms in 256 KiB blocks,
-# 8.4 ms in 1 MiB ones (medians of 60, 2 vCPUs); a miss's line count 1.5 ms.
+# The SHA-256 of base-csv's 13.4 MB data.csv took 11.3-12.1 ms in 256 KiB
+# blocks, 11.6-12.5 ms in 1 MiB ones (medians of 60, 3 runs, 2 vCPUs); a
+# miss's line count 2.2-3.2 ms.
 _READ_BLOCK_BYTES = 1 << 18
 # numpy warns on a blank line once max_rows is set, and on a body with no rows
 _NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
-# A sidecar starts with this tag, the CSV's SHA-256 digest and the row count
-# as 8 little-endian bytes; 56 bytes in all, so every column is 8-aligned.
-_CACHE_HEAD = b"ivenn columns v1"
+# A sidecar starts with this tag, the CSV's SHA-256 digest, its stamp (see
+# _stamp) and the row count as 8 little-endian bytes: _HEAD_BYTES (96) in
+# all, so every column is 8-aligned.
+_CACHE_HEAD = b"ivenn columns v2"
+_HEAD_BYTES = len(_CACHE_HEAD) + 32 + 40 + 8
 
 
 def check_score_rows(S, where=None):
@@ -378,11 +389,10 @@ def _parse_rows(source, header, dtype):
     return [np.ascontiguousarray(table[name]) for name in dtype.names]
 
 
-def _scanned(source, dtype_of, digest=None):
-    """Read the _Input source's header, its first non-blank line, then, if
-    digest is given, update it with each byte. Returns (the header's
-    stripped cells, dtype_of(cells), a function that parses the body); a
-    ValueError from dtype_of is raised naming the file."""
+def _scanned(source, dtype_of):
+    """Read the _Input source's header, its first non-blank line. Returns
+    (the header's stripped cells, dtype_of(cells), a function that parses
+    the body); a ValueError from dtype_of is raised naming the file."""
     start = 0
     with source.text(newline="") as f:  # line ends kept, so `start` counts bytes
         for header in iter(f.readline, ""):
@@ -396,8 +406,6 @@ def _scanned(source, dtype_of, digest=None):
         dtype = dtype_of(header)
     except ValueError as exc:
         raise ValueError(f"{source.path}: {exc}") from None
-    while digest and (block := source.read(_READ_BLOCK_BYTES)):  # from byte 0
-        digest.update(block)
     return header, dtype, functools.partial(_read_columns, source, header, dtype, start)
 
 
@@ -419,48 +427,77 @@ def _sidecar(path):
 
 
 def _stamp(st):
-    return st.st_size, st.st_mtime_ns, st.st_ino
+    """A CSV's stat stamp as its sidecar records it: st_dev, st_ino,
+    st_size, st_mtime_ns and st_ctime_ns, each as 8 little-endian bytes."""
+    fields = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    return b"".join((value % 2**64).to_bytes(8, "little") for value in fields)
 
 
-def _cached_columns(path, key, dtype):
-    """The CSV's columns of the dtype, mapped copy-on-write from its sidecar
-    if the sidecar's tag, digest (key[0]) and size match and it belongs to
-    this process's user or the CSV's owner (key[1].st_uid): anyone who can
-    read the CSV can write a matching head. Else None, as on an OSError."""
-    digest, st = key
+def _sha256(source):
+    """The SHA-256 digest of the _Input source's bytes, read from byte 0."""
+    digest = hashlib.sha256()
+    while block := source.read(_READ_BLOCK_BYTES):
+        digest.update(block)
+    return digest.digest()
+
+
+def _cached_columns(path, source, owner, dtype):
+    """(the CSV's columns of the dtype, mapped copy-on-write from its
+    sidecar, or None; the SHA-256 of the _Input source if this load took it,
+    else None). The sidecar's tag and size must match, and it must belong to
+    this process's user or the CSV's owner, uid `owner`: anyone who can read
+    the CSV can write a matching head. An OSError counts as no sidecar.
+
+    The columns are trusted unhashed if the sidecar records source.st's
+    stamp and that stamp is not racy: the CSV's mtime and ctime are both
+    strictly older than the sidecar's mtime, so the CSV cannot have changed
+    within the tick in which the sidecar was written. Otherwise the source
+    is hashed, and the columns are the sidecar's only if it records that
+    digest."""
+    st, fields, buf = source.st, [dtype[name] for name in dtype.names], None
     try:
         with open(_sidecar(path), "rb") as f:
             sidecar = os.fstat(f.fileno())
-            if sidecar.st_uid not in (os.geteuid(), st.st_uid):
-                return None
-            head = f.read(len(_CACHE_HEAD) + 40)
-            if head[:-8] != _CACHE_HEAD + digest:
-                return None
-            fields = [dtype[name] for name in dtype.names]
+            head = f.read(_HEAD_BYTES)
             n = int.from_bytes(head[-8:], "little")
             starts = np.cumsum([len(head)] + [n * field.itemsize for field in fields]).tolist()
-            if sidecar.st_size != starts[-1]:
-                return None
-            # Mapped: in four base-csv bench runs each (2 vCPUs), heap columns
-            # peaked at 58.2-65.8 MB against 60.8-63.4 (the heap they grow is
-            # kept) and an anonymous map set up in 24-28 ms against 16-23. A
-            # sidecar truncated in place would fault (SIGBUS): ivenn renames.
-            buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+            if (
+                sidecar.st_uid in (os.geteuid(), owner)
+                and len(head) == _HEAD_BYTES
+                and head.startswith(_CACHE_HEAD)
+                and sidecar.st_size == starts[-1]
+            ):
+                # Mapped: in four base-csv bench runs each (2 vCPUs), heap
+                # columns peaked at 58.2-65.8 MB against 60.8-63.4 (the heap
+                # they grow is kept) and an anonymous map set up in 24-28 ms
+                # against 16-23. A sidecar truncated in place would fault
+                # (SIGBUS): ivenn renames.
+                buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
     except OSError:
-        return None
-    return [
+        pass
+    trusted = (
+        buf is not None
+        and head[-48:-8] == _stamp(st)
+        and max(st.st_mtime_ns, st.st_ctime_ns) < sidecar.st_mtime_ns
+    )
+    digest = None if trusted else _sha256(source)
+    if buf is None or (digest and digest != head[len(_CACHE_HEAD) : -48]):
+        return None, digest
+    columns = [
         np.frombuffer(buf, field.base, n * math.prod(field.shape), at).reshape(n, *field.shape)
         for field, at in zip(fields, starts)
     ]
+    return columns, digest
 
 
-def _save_columns(path, key, columns):
-    """Write the columns parsed from the CSV at path to its sidecar, keyed
-    by key[0], the digest: to a temporary name beside it, renamed into place
-    after any stale sidecar is unlinked (see open_artifact), unless the CSV's
-    size, mtime or inode changed since key[1]. An OSError (no write
-    permission, a full disk) leaves no temporary file and is not raised."""
-    digest, st = key
+def _save_columns(path, st, digest, columns):
+    """Write the columns of the CSV at path to its sidecar, headed by the
+    digest of its bytes and the stamp of st, the CSV's fstat before they
+    were read: to a temporary name beside it, renamed into place after any
+    stale sidecar is unlinked (see open_artifact), unless the CSV's stamp
+    changed since st. A sidecar is never rewritten in place, since another
+    process may hold it mapped. An OSError (no write permission, a full
+    disk) leaves no temporary file and is not raised."""
     target = _sidecar(path)
     folder, name = os.path.split(target)
     tmp = None
@@ -468,7 +505,7 @@ def _save_columns(path, key, columns):
         fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=folder)
         with open(fd, "wb") as f:
             os.fchmod(fd, stat.S_IMODE(st.st_mode) & 0o666)  # as readable as the CSV
-            f.write(_CACHE_HEAD + digest + len(columns[0]).to_bytes(8, "little"))
+            f.write(_CACHE_HEAD + digest + _stamp(st) + len(columns[0]).to_bytes(8, "little"))
             f.writelines(column.data for column in columns)
         if _stamp(os.lstat(path)) == _stamp(st):
             with contextlib.suppress(FileNotFoundError):
@@ -490,11 +527,10 @@ def load_csv(path, class_count=None):
     class_count given, the class count is max(label) + 1."""
     dtype_of = functools.partial(_parse_header, class_count=class_count)
     with _opened(path) as source:
-        st = os.lstat(path)  # only a regular file that its path names itself is hashed
-        digest = stat.S_ISREG(st.st_mode) and os.path.samestat(st, source.st) and hashlib.sha256()
-        _, dtype, parse = _scanned(source, dtype_of, digest)
-        key = digest and (digest.digest(), st)
-        hit = key and _cached_columns(path, key, dtype)
+        st = os.lstat(path)  # only a regular file that its path names itself is cached
+        cached = stat.S_ISREG(st.st_mode) and os.path.samestat(st, source.st)
+        _, dtype, parse = _scanned(source, dtype_of)
+        hit, digest = _cached_columns(path, source, st.st_uid, dtype) if cached else (None, None)
         ids, labels, features, *scores = columns = hit or parse()
         blocks = [features] + scores
         if not all(np.isfinite(block).all() for block in blocks):
@@ -509,8 +545,8 @@ def load_csv(path, class_count=None):
         class_labels(labels, class_count, source.where)
     if class_count < 1:  # reached with no rows, as any label is outside
         raise ValueError("class_count must be positive")
-    if key and not hit:
-        _save_columns(path, key, columns)
+    if digest:  # hashed: a miss, or a hit on a stamp not trusted, stamped afresh
+        _save_columns(path, source.st, digest, columns)
     return Dataset._checked(ids, features, labels, class_count, softmaxes)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -222,7 +223,7 @@ def _outcome(path, class_count):
     cache is left out, no sidecar read or written, so that a second outcome
     of one file parses it again."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "_cached_columns", lambda *args: None)
+        mp.setattr(data, "_cached_columns", lambda *args: (None, None))
         mp.setattr(data, "_save_columns", lambda *args: None)
         try:
             return load_csv(path, class_count)
@@ -528,6 +529,31 @@ def _sidecar_of(path):
     return path.parent / f".{path.name}.columns"
 
 
+def _trust_stamp(path):
+    """Set the sidecar's mtime a second past the CSV's mtime and ctime, so
+    that a stamp it records is not racy: it is trusted if it matches."""
+    st = os.stat(path)
+    later = max(st.st_mtime_ns, st.st_ctime_ns) + 10**9
+    os.utime(_sidecar_of(path), ns=(later, later))
+
+
+def _racy_stamp(path):
+    """Set the sidecar's mtime back to the CSV's ctime, so that a stamp it
+    records is racy: the CSV is hashed whether it matches or not."""
+    ctime = os.stat(path).st_ctime_ns
+    os.utime(_sidecar_of(path), ns=(ctime, ctime))
+
+
+def _tick_past(path):
+    """Return once the filesystem's clock is past the file's ctime, so that
+    a file changed or written next gets a later time, on a coarse clock too."""
+    probe, ctime = path.parent / ".tick", os.stat(path).st_ctime_ns
+    probe.touch()
+    while os.stat(probe).st_mtime_ns <= ctime:
+        os.utime(probe)
+    probe.unlink()
+
+
 def _text_file(folder, text, name="d.csv"):
     path = folder / name
     path.write_text(text)
@@ -571,12 +597,19 @@ class TestColumnCache:
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        """The paths whose rows are parsed: a load reads the header and hashes
-        the bytes either way, and then parses the rows or maps a sidecar."""
+        """The paths whose rows are parsed: a load reads the header either
+        way, and then parses the rows or maps a sidecar."""
         calls, parse = [], data._read_columns
         monkeypatch.setattr(
             data, "_read_columns", lambda source, *a: calls.append(source.path) or parse(source, *a)
         )
+        return calls
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        """A 1 for each SHA-256 pass that a load takes."""
+        calls, sha256 = [], data.hashlib.sha256
+        monkeypatch.setattr(data.hashlib, "sha256", lambda: calls.append(1) or sha256())
         return calls
 
     @pytest.mark.parametrize(
@@ -625,17 +658,24 @@ class TestColumnCache:
         "edit,want", [(b"7", 78.5), (b"x", "d.csv:40: f0 cell 'x8.5' is not a number")]
     )
     def test_same_length_edit_with_mtime_restored_is_parsed(self, tmp_path, parses, edit, want):
-        # the key is the bytes' SHA-256, not the file's size, mtime or inode
+        # the edit keeps the file's size, mtime and inode, but not its ctime,
+        # which user space cannot set: the stamp is hashed, and the key is
+        # the bytes' SHA-256
         path = tmp_path / "d.csv"
         text = _rows(40).encode()
         path.write_bytes(text)
         assert load_csv(path).features[38, 0] == 38.5
         st = os.stat(path)
+        _tick_past(path)
         with open(path, "r+b") as f:
             f.seek(text.index(b"\n38,0,38.5,") + 6)
             f.write(edit)
         os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
-        assert data._stamp(os.stat(path)) == data._stamp(st)  # size, mtime and inode
+        edited = os.stat(path)
+        assert (edited.st_size, edited.st_mtime_ns, edited.st_ino) == (
+            st.st_size, st.st_mtime_ns, st.st_ino)
+        assert edited.st_ctime_ns > st.st_ctime_ns
+        _trust_stamp(path)
         parses.clear()
         if isinstance(want, str):
             with pytest.raises(ValueError, match=re.escape(want)):
@@ -653,15 +693,13 @@ class TestColumnCache:
         _assert_same_outcome(got, _outcome(_text_file(tmp_path, WELL_FORMED), None))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.fifo"]
 
-    def test_link_is_parsed_with_no_sidecar(self, tmp_path, monkeypatch, parses):
+    def test_link_is_parsed_with_no_sidecar(self, tmp_path, parses, hashes):
         # only a regular file is hashed and cached, by its own name: not
         # /dev/stdin or another link, whose directory may not be the data's
         (tmp_path / "data").mkdir()
         target, link = tmp_path / "data" / "d.csv", tmp_path / "d.csv"
         target.write_text(WELL_FORMED)
         link.symlink_to(target)
-        hashes, sha256 = [], data.hashlib.sha256
-        monkeypatch.setattr(data.hashlib, "sha256", lambda: hashes.append(1) or sha256())
         for _ in range(2):
             assert len(load_csv(link)) == 3
         assert parses == [link, link] and not hashes
@@ -706,22 +744,37 @@ class TestColumnCache:
         assert len(load_csv(path)) == 3
         assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
+    # the head is the tag (16 bytes), the digest (32), the stamp (40) and
+    # the row count (8); a stamp is forced trusted or racy, not left to the
+    # clock, and a wrong digest is seen only when the stamp is hashed
     @pytest.mark.parametrize(
-        "damage",
-        [lambda b: b"", lambda b: b[:10], lambda b: b[:56], lambda b: b[:-1], lambda b: b + b"\0",
-         lambda b: bytes(len(b)), lambda b: b[:16] + bytes(32) + b[48:]],
-        ids=["empty", "short_head", "head_only", "short_column", "long", "zeros", "wrong_key"],
+        "damage,stamp,parsed",
+        [(lambda b: b"", _trust_stamp, True),
+         (lambda b: b[:10], _trust_stamp, True),
+         (lambda b: b[: data._HEAD_BYTES], _trust_stamp, True),
+         (lambda b: b[:-1], _trust_stamp, True),
+         (lambda b: b + b"\0", _trust_stamp, True),
+         (lambda b: bytes(len(b)), _trust_stamp, True),
+         (lambda b: b[:16] + bytes(32) + b[48:], _racy_stamp, True),
+         (lambda b: b[:48] + bytes(40) + b[88:], _trust_stamp, False)],
+        ids=["empty", "short_head", "head_only", "short_column", "long", "zeros", "wrong_key",
+             "wrong_stamp"],
     )
-    def test_damaged_sidecar_is_parsed_and_rewritten(self, tmp_path, parses, damage):
+    def test_damaged_sidecar_is_parsed_and_rewritten(
+        self, tmp_path, parses, damage, stamp, parsed
+    ):
+        # a wrong stamp alone is hashed, and the digest, which matches, maps
+        # the columns with no parse
         path = tmp_path / "d.csv"
         path.write_text(_rows(40))
         miss = load_csv(path)
         sidecar = _sidecar_of(path)
         good = sidecar.read_bytes()
         sidecar.write_bytes(damage(good))
+        stamp(path)
         parses.clear()
         _assert_same_outcome(load_csv(path), miss)
-        assert parses == [path] and sidecar.read_bytes() == good
+        assert parses == [path] * parsed and sidecar.read_bytes() == good
         assert sorted(p.name for p in tmp_path.iterdir()) == [".d.csv.columns", "d.csv"]
 
     @pytest.mark.parametrize(
@@ -738,7 +791,7 @@ class TestColumnCache:
         path.write_text(_rows(40))
         other.write_text(_rows(40).replace(".5,", ".25,"))
         load_csv(path), load_csv(other)
-        head = len(data._CACHE_HEAD) + 40
+        head = data._HEAD_BYTES
         planted = _sidecar_of(path).read_bytes()[:head] + _sidecar_of(other).read_bytes()[head:]
         _sidecar_of(path).write_bytes(planted)
         owner, fstat = os.stat(path).st_uid, os.fstat
@@ -769,6 +822,112 @@ class TestColumnCache:
         # the header error comes before any row is parsed, on a hit or a miss
         assert parses == [plain]
 
+    def test_stamped_hit_reads_only_the_header(self, tmp_path, monkeypatch, parses, hashes):
+        # a stamp that matches and is not racy is trusted: no hash, and no
+        # read of the CSV but the one text chunk that holds the header
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(2000))
+        miss = load_csv(path)
+        _trust_stamp(path)
+        reads, read = [], data._Input.read
+
+        def logged(source, n=-1):
+            at, chunk = source.at, read(source, n)
+            reads.append((at, len(chunk)))
+            return chunk
+
+        monkeypatch.setattr(data._Input, "read", logged)
+        hashes.clear()
+        parses.clear()
+        _assert_same_outcome(load_csv(path), miss)
+        assert not hashes and not parses
+        assert reads and all(at < len(HEADER) for at, _ in reads)
+        assert sum(size for _, size in reads) < os.path.getsize(path)
+
+    def test_racy_stamp_is_hashed_then_trusted(self, tmp_path, parses, hashes):
+        # a CSV changed in the tick in which its sidecar was written can keep
+        # its stamp: a hash vouches for it, and the sidecar it rewrites is
+        # newer, so the next load trusts the same stamp
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(40))
+        miss = load_csv(path)
+        good = _sidecar_of(path).read_bytes()
+        _racy_stamp(path)
+        _tick_past(path)
+        hashes.clear()
+        parses.clear()
+        _assert_same_outcome(load_csv(path), miss)
+        assert hashes == [1] and not parses
+        assert _sidecar_of(path).read_bytes() == good
+        hashes.clear()
+        _assert_same_outcome(load_csv(path), miss)
+        assert not hashes and not parses
+
+    def test_chmod_is_hashed_and_stamped_afresh(self, tmp_path, parses, hashes):
+        # a chmod moves only the ctime: the bytes are hashed, still map, and
+        # the sidecar records the new stamp, as readable as the CSV now is
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(40))
+        miss = load_csv(path)
+        ctime = os.stat(path).st_ctime_ns
+        _tick_past(path)
+        path.chmod(0o600)
+        assert os.stat(path).st_ctime_ns > ctime
+        _trust_stamp(path)
+        hashes.clear()
+        parses.clear()
+        _assert_same_outcome(load_csv(path), miss)
+        assert hashes == [1] and not parses
+        assert stat.S_IMODE(os.stat(_sidecar_of(path)).st_mode) == 0o600
+        _trust_stamp(path)
+        hashes.clear()
+        _assert_same_outcome(load_csv(path), miss)
+        assert not hashes and not parses
+
+    @pytest.mark.parametrize("same_bytes", [True, False], ids=["same_bytes", "other_bytes"])
+    def test_csv_renamed_over_is_hashed(self, tmp_path, parses, hashes, same_bytes):
+        # a new file renamed over the CSV, of its size and mtime, has another
+        # inode: its bytes are hashed, and map only if they are the same
+        path, new = tmp_path / "d.csv", tmp_path / "new.csv"
+        text = _rows(40)
+        path.write_text(text)
+        miss = load_csv(path)
+        st = os.stat(path)
+        new.write_text(text if same_bytes else text.replace("38.5", "78.5"))
+        os.utime(new, ns=(st.st_atime_ns, st.st_mtime_ns))
+        os.replace(new, path)
+        renamed = os.stat(path)
+        assert (renamed.st_size, renamed.st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+        assert renamed.st_ino != st.st_ino
+        _trust_stamp(path)
+        hashes.clear()
+        parses.clear()
+        got = load_csv(path)
+        assert hashes == [1] and parses == ([] if same_bytes else [path])
+        if same_bytes:
+            _assert_same_outcome(got, miss)
+        else:
+            _assert_same_outcome(got, _outcome(path, None))
+            assert got.features[38, 0] == 78.5
+        # the sidecar now records the new file's stamp
+        _trust_stamp(path)
+        hashes.clear()
+        _assert_same_outcome(load_csv(path), got)
+        assert not hashes
+
+    def test_v1_sidecar_is_parsed_and_replaced(self, tmp_path, parses):
+        # a v1 head was the tag, the digest and the row count (56 bytes)
+        path = tmp_path / "d.csv"
+        path.write_text(_rows(40))
+        miss = load_csv(path)
+        sidecar = _sidecar_of(path)
+        good = sidecar.read_bytes()
+        sidecar.write_bytes(b"ivenn columns v1" + good[16:48] + good[88:])
+        _trust_stamp(path)
+        parses.clear()
+        _assert_same_outcome(load_csv(path), miss)
+        assert parses == [path] and sidecar.read_bytes() == good
+
 
 class TestOneOpen:
     """Each load opens its CSV by name once and holds it to the end of its
@@ -796,7 +955,9 @@ class TestOneOpen:
 
         return opens
 
-    @pytest.mark.parametrize("load", ["hit", "miss", "row_loop", "bad_label", "not_utf8"])
+    @pytest.mark.parametrize(
+        "load", ["hit", "stamped_hit", "miss", "row_loop", "bad_label", "not_utf8"]
+    )
     def test_one_open_of_the_csv(self, tmp_path, monkeypatch, opens, load):
         body = {"row_loop": HEADER + "1_000,0,1_0.5,2\n",
                 "bad_label": HEADER + "1,0,1,2\n\n2,4,3,4\n",
@@ -806,8 +967,9 @@ class TestOneOpen:
         path.write_bytes(body.encode("utf-8", "surrogateescape"))
         parsed, rows = [], data._parse_rows
         monkeypatch.setattr(data, "_parse_rows", lambda *a: parsed.append(1) or rows(*a))
-        if load == "hit":
+        if load in ("hit", "stamped_hit"):  # a hit that hashes and rewrites, and one that trusts
             load_csv(path)
+            (_racy_stamp if load == "hit" else _trust_stamp)(path)
             opens()
         errs = load in ("bad_label", "not_utf8")
         outcome = _outcome(path, 3) if errs else load_csv(path)
@@ -815,6 +977,8 @@ class TestOneOpen:
         assert names.count(str(path)) == 1, names
         assert all(name.startswith(str(_sidecar_of(path))) for name in names if name != str(path))
         assert bool(parsed) == (load == "row_loop")
+        if load == "stamped_hit":
+            assert names == [str(path), str(_sidecar_of(path))]
         if errs:
             assert isinstance(outcome, str) and f"d.csv:{3 + (load == 'bad_label')}:" in outcome
 
@@ -834,13 +998,19 @@ def test_set_up_checks_each_value_once(tmp_path, monkeypatch):
                         lambda v, *a: rows["labels"].append(len(v)) or labels(v, *a))
     monkeypatch.setattr(np, "isfinite",
                         lambda x, *a: rows["finite"].append(len(x)) or isfinite(x, *a))
-    for _ in ("miss", "hit"):
-        for seen in rows.values():
+    hashes, sha256 = [], hashlib.sha256
+    monkeypatch.setattr(data.hashlib, "sha256", lambda: hashes.append(1) or sha256())
+    # a miss, a hit on a racy stamp (hashed) and a hit on a trusted one
+    for stamp, hashed in [(None, 1), (_racy_stamp, 1), (_trust_stamp, 0)]:
+        if stamp:
+            stamp(path)
+        for seen in [*rows.values(), hashes]:
             seen.clear()
         parts = split(load_csv(path), SplitSpec(seed=0))
         assert sum(map(len, parts)) == n
         # the features and the scores each pass through isfinite once
         assert rows == {"scores": [n], "labels": [n], "finite": [n, n]}
+        assert len(hashes) == hashed
     assert _sidecar_of(path).exists()
 
 
