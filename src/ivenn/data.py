@@ -40,8 +40,9 @@ the Python row loop, which accepts the literals of int() and float() and
 names the line of a bad row and the column of a bad cell. Every CSV is read
 and written by the calling process alone, with no child process, so a
 first load (a miss) parses every row on one CPU: one of base-csv's data.csv
-took 185-195 ms (medians of 15 misses, 2 vCPUs). Every CSV is written
-_WRITE_BLOCK_ROWS (4096) rows at a time, every artifact through
+took 185-195 ms (medians of 15 misses, 2 vCPUs). Every CSV is written a
+block of at most _WRITE_BLOCK_CELLS cells (whole rows, and at least one) at
+a time, each block formatted by one `%`, every artifact through
 `open_artifact`.
 """
 
@@ -62,7 +63,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_WRITE_BLOCK_ROWS = 4096
+# A write block holds at most this many cells as Python objects (whole rows,
+# at least one), so its memory follows its cells, not its rows: as many as
+# 4096 rows of base-csv's predictions.csv held when written as id, label and
+# counts. A 784-D save_csv of 5000 rows peaked at 158.7 MiB traced in
+# 4096-row blocks and at 0.9 MiB in these (15 rows), with the same bytes.
+_WRITE_BLOCK_CELLS = 4096 * 3
 # The SHA-256 of base-csv's 13.4 MB data.csv took 11.3-12.1 ms in 256 KiB
 # blocks, 11.6-12.5 ms in 1 MiB ones (medians of 60, 3 runs, 2 vCPUs); a
 # miss's line count 2.2-3.2 ms.
@@ -550,12 +556,23 @@ def load_csv(path, class_count=None):
     return Dataset._checked(ids, features, labels, class_count, softmaxes)
 
 
+def _csv_text(columns):
+    """The rows of the columns, each a 1-D array or a 2-D block of columns,
+    as CSV text with each row ended by LF. One `%` over a template of the
+    whole block formats every cell, flattened row by row; `%s` is str(),
+    which is repr for a float, so load_csv reads back the same bits."""
+    cells = [cell for col in columns for cell in np.atleast_2d(np.asarray(col).T).tolist()]
+    width, rows = len(cells), len(cells[0])
+    flat = [None] * (width * rows)
+    for j, cell in enumerate(cells):
+        flat[j::width] = cell
+    return ((",".join(["%s"] * width) + "\n") * rows) % tuple(flat)
+
+
 def csv_lines(*columns):
     """One `,`-joined line per row of the columns, each a 1-D array or a 2-D
-    block of columns. Every cell is formatted as str() formats it, which is
-    repr for a float, so load_csv reads back the same bits."""
-    cells = [cell for col in columns for cell in np.atleast_2d(np.asarray(col).T).tolist()]
-    return list(map(",".join(["{}"] * len(cells)).format, *cells))
+    block of columns, formatted as _csv_text formats them."""
+    return _csv_text(columns).split("\n")[:-1]
 
 
 def remove_artifact(path):
@@ -581,16 +598,19 @@ def open_artifact(path, mode="w"):
 
 
 def _csv_blocks(columns):
-    """The UTF-8 csv_lines of the columns' rows, each row ended by LF,
-    _WRITE_BLOCK_ROWS rows to a bytes object."""
-    for block in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-        rows = slice(block, block + _WRITE_BLOCK_ROWS)
-        yield ("\n".join(csv_lines(*(col[rows] for col in columns))) + "\n").encode()
+    """The UTF-8 _csv_text of the columns' rows, a bytes object for each
+    block of max(1, _WRITE_BLOCK_CELLS // width) rows of width cells."""
+    width = sum(1 if col.ndim < 2 else col.shape[1] for col in columns)
+    step = max(1, _WRITE_BLOCK_CELLS // width)
+    for block in range(0, len(columns[0]), step):
+        rows = slice(block, block + step)
+        yield _csv_text([col[rows] for col in columns]).encode()
 
 
 def _write_csv(path, header, *columns):
-    """Write the header, then the columns' csv_lines a block of rows at a
-    time, to bound the memory held in Python objects."""
+    """Write the header, then the columns' rows a block of at most
+    _WRITE_BLOCK_CELLS cells at a time, to bound the memory held in Python
+    objects."""
     columns = [np.asarray(col) for col in columns]
     with open_artifact(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())

@@ -323,8 +323,9 @@ def curves_csv(curves):
 def save_report(report, report_path, curves_path):
     """Write report_text(report) to report_path and curves_csv(report.curves)
     to curves_path: the same grid of at most _CURVE_ROWS rows, written a
-    block of rows at a time, so no more than one block is held as text.
-    report.curves itself keeps every example."""
+    block of at most data._WRITE_BLOCK_CELLS cells at a time, so no more
+    than one block is held as text. report.curves itself keeps every
+    example."""
     with open_artifact(report_path) as f:
         f.write(report_text(report))
     header, columns = _curves_table(report.curves)

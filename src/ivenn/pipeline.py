@@ -25,10 +25,11 @@ Timing never goes into report.txt so two runs of the same config compare
 equal byte for byte.
 
 Memory: the loaded dataset is dropped once `split` has copied its parts,
-and the CSV artifacts are written 4096 rows at a time, so a run's peak is
-the split itself, where the dataset and its parts are both alive. This
-process alone reads the data CSV, holding its columns plus one block, and
-formats and writes every artifact: no stage starts a child process.
+and the CSV artifacts are written a block of at most 12288 cells at a time
+(data._WRITE_BLOCK_CELLS), so a run's peak is the split itself, where the
+dataset and its parts are both alive. This process alone reads the data
+CSV, holding its columns plus one block, and formats and writes every
+artifact: no stage starts a child process.
 """
 
 from __future__ import annotations
@@ -341,12 +342,16 @@ def _predictions_header(c):
 
 def _write_predictions(path, ids, batch):
     """v3: id,label,category,n0..n{c-1} from an EvalBatch made from
-    predictions. Every example of a category shares its category and
-    counts, so that suffix is formatted once per category."""
+    predictions. Every example of a (label, category) pair shares the tail
+    after its id, so each tail that occurs is formatted once (at most c K of
+    them, for K categories) and a row formats only its id."""
     counts = batch.rows.counts
-    suffix = np.array(csv_lines(np.arange(len(counts)), counts), dtype=object)
+    pair = batch.labels * len(counts) + batch.category
+    seen = np.bincount(pair, minlength=counts.size) > 0
+    label, category = np.divmod(np.flatnonzero(seen), len(counts))
+    tails = np.array(csv_lines(label, category, counts[category]), dtype=object)
     header = _predictions_header(counts.shape[1])
-    _write_csv(path, header, ids, batch.labels, suffix[batch.category])
+    _write_csv(path, header, ids, tails[np.cumsum(seen) - 1][pair])
 
 
 def _write_timing(path, timings, predictions):

@@ -1215,8 +1215,9 @@ def _reference_rows(header, ids, labels, values):
 def _reference_predictions(ids, labels, category, rows):
     # predictions.csv (v3) as per-row f-strings: each example's counts
     counts = rows.counts.tolist()
-    lines = ["id,label,category,n0,n1"]
-    lines += [f"{i},{y},{k},{counts[k][0]},{counts[k][1]}"
+    c = len(counts[0])
+    lines = ["id,label,category," + ",".join(f"n{j}" for j in range(c))]
+    lines += [f"{i},{y},{k}," + ",".join(f"{n}" for n in counts[k])
               for i, y, k in zip(ids, labels, category)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -1318,7 +1319,8 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 10, 11, 41])
     def test_rows_beside_a_block_edge(self, tmp_path, monkeypatch, n):
-        monkeypatch.setattr(data, "_WRITE_BLOCK_ROWS", 4)
+        # 4-row blocks of curves.csv's 4 cells a row
+        monkeypatch.setattr(data, "_WRITE_BLOCK_CELLS", 16)
         got, want = _write_curves(tmp_path, n)
         assert got == want
 
@@ -1337,9 +1339,20 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("n, rows", [(0, []), (8, [4, 4]), (10, [4, 4, 2])])
     def test_blocks_hold_at_most_the_block_rows(self, monkeypatch, n, rows):
-        # the bound on the rows held as Python objects at once
-        monkeypatch.setattr(data, "_WRITE_BLOCK_ROWS", 4)
+        # the bound on the cells held as Python objects at once: 4-row
+        # blocks of curves.csv's 4 cells a row
+        monkeypatch.setattr(data, "_WRITE_BLOCK_CELLS", 16)
         columns, want = _curves(n)
+        blocks = list(data._csv_blocks([np.asarray(col) for col in columns]))
+        assert [block.count(b"\n") for block in blocks] == rows
+        assert b"n,E,LEP,UEP\n" + b"".join(blocks) == want
+
+    @pytest.mark.parametrize("cells, rows", [(19, [4, 4, 2]), (4, [1] * 10), (3, [1] * 10)])
+    def test_a_block_is_whole_rows_within_the_cells(self, monkeypatch, cells, rows):
+        # a budget rounds down to whole rows, and is one row when a row has
+        # more cells than the budget
+        monkeypatch.setattr(data, "_WRITE_BLOCK_CELLS", cells)
+        columns, want = _curves(10)
         blocks = list(data._csv_blocks([np.asarray(col) for col in columns]))
         assert [block.count(b"\n") for block in blocks] == rows
         assert b"n,E,LEP,UEP\n" + b"".join(blocks) == want
@@ -1351,11 +1364,140 @@ class TestCsvWriterInOneRowBlocks(TestCsvWriter):
 
     @pytest.fixture(autouse=True)
     def one_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(data, "_WRITE_BLOCK_ROWS", 1)
+        # a budget of one cell is one row, however wide
+        monkeypatch.setattr(data, "_WRITE_BLOCK_CELLS", 1)
 
-    # these set their own block rows, so TestCsvWriter runs them
+    # these set their own block cells, so TestCsvWriter runs them
     test_rows_beside_a_block_edge = None
     test_blocks_hold_at_most_the_block_rows = None
+    test_a_block_is_whole_rows_within_the_cells = None
+
+
+def _reference_csv(header, columns):
+    # per-row f-strings: each cell of a row as its Python int, float or str,
+    # a float by its repr
+    def cell(v):
+        if isinstance(v, np.integer):
+            return f"{int(v)}"
+        if isinstance(v, np.floating):
+            return f"{float(v)!r}"
+        return f"{v}"
+
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        row = [v for col in columns for v in ([col[i]] if col.ndim == 1 else list(col[i]))]
+        lines.append(",".join(cell(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+INT64_CELLS = st.one_of(
+    st.sampled_from([-(2**63), 2**63 - 1, -1, 0]), st.integers(-(2**63), 2**63 - 1)
+)
+# the edges, nan, infinities, the smallest normal and subnormals, and reprs
+# that switch to an exponent
+FLOAT_CELLS = st.one_of(
+    st.sampled_from(
+        [*FLOAT_EDGES, np.nan, np.inf, -np.inf, 2.2250738585072014e-308, 2.225e-308, -1e-320,
+         1e16, 9999999999999998.0, 1e-4, 1e-5, 1.5e-7, 1e22, 123456789012345680.0]
+    ),
+    st.floats(),
+)
+# "%" cells check that a cell is never read as a template
+STR_CELLS = st.one_of(
+    st.sampled_from(["", "%s", "%", "%%d", "a,b"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+CELLS = {"int": (INT64_CELLS, np.int64), "float": (FLOAT_CELLS, np.float64),
+         "str": (STR_CELLS, object)}
+
+
+@st.composite
+def _csv_columns(draw):
+    """1 to 4 columns of 0 to 50 rows: int64, float or str cells, each column
+    1-D or a 2-D block of 1 to 3 columns."""
+    n = draw(st.integers(0, 50))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=4)):
+        width = draw(st.sampled_from([None, 1, 2, 3]))
+        shape = (n,) if width is None else (n, width)
+        cells, dtype = CELLS[kind]
+        values = draw(st.lists(cells, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        columns.append(np.array(values, dtype=dtype).reshape(shape))
+    return columns
+
+
+@pytest.fixture(scope="module")
+def write_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writes")
+
+
+@contextlib.contextmanager
+def _block_rows(rows, width):
+    # blocks of that many rows of width cells, or the default budget
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(data, "_WRITE_BLOCK_CELLS", rows * width)
+        yield
+
+
+class TestCsvWriterProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(columns=_csv_columns(), rows=st.sampled_from([1, 2, 3, 5, None]))
+    def test_bytes_are_the_per_row_reference(self, write_dir, columns, rows):
+        width = sum(1 if col.ndim == 1 else col.shape[1] for col in columns)
+        header = [f"c{j}" for j in range(width)]
+        path = write_dir / "w.csv"
+        with _block_rows(rows, width):
+            data._write_csv(path, header, *columns)
+        assert path.read_bytes() == _reference_csv(header, columns)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_predictions_of_every_label_and_category(self, write_dir, drawn):
+        # c classes and the categories knn_v2 gives for some k; labels and
+        # categories drawn apart, so any (label, category) pair can occur
+        c = drawn.draw(st.integers(2, 6))
+        k = drawn.draw(st.integers(1, 15))
+        K = c * (k - k // c)
+        most = (2**53 - 1) // c
+        whole = st.integers(0, c - 1).map(lambda j: [2**53 - 1 if i == j else 0 for i in range(c)])
+        shared = st.lists(st.one_of(st.sampled_from([0, 1, most]), st.integers(0, most)),
+                          min_size=c, max_size=c)
+        rows = category_rows(drawn.draw(st.lists(st.one_of(whole, shared), min_size=K, max_size=K)))
+        n = drawn.draw(st.integers(1, 60))
+        ids = drawn.draw(st.lists(INT64_CELLS, min_size=n, max_size=n))
+        labels = drawn.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+        category = drawn.draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n))
+        path = write_dir / "predictions.csv"
+        batch = EvalBatch(np.array(category), rows, np.array(labels))
+        with _block_rows(drawn.draw(st.sampled_from([1, 3, None])), 2):
+            _write_predictions(path, np.array(ids, dtype=np.int64), batch)
+        assert path.read_bytes() == _reference_predictions(ids, labels, category, rows)
+        got = load_predictions(path)
+        assert got.labels.tolist() == labels
+        assert got.category.tolist() == np.unique(category, return_inverse=True)[1].tolist()
+        for name in ("counts", "totals", "lower", "upper", "mean", "predicted", "empty"):
+            want = getattr(rows, name)[batch.category]
+            assert getattr(got.rows, name)[got.category].tobytes() == want.tobytes()
+
+    def test_wide_write_holds_one_block_of_cells(self, tmp_path):
+        # a 784-D save_csv of 400 rows: blocks of whole rows within
+        # _WRITE_BLOCK_CELLS held 0.93 MiB traced; 4096-row blocks held every
+        # row at once, 15.6 MiB
+        n = 400
+        features = np.random.default_rng(5).normal(size=(n, 784))
+        ds = Dataset(ids=np.arange(n), features=features, labels=np.arange(n) % 10,
+                     class_count=10)
+        path = tmp_path / "wide.csv"
+        tracemalloc.start()
+        try:
+            save_csv(ds, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        header = ["id", "label", *(f"f{j}" for j in range(784))]
+        assert path.read_bytes() == _reference_rows(header, ds.ids, ds.labels, features)
 
 
 @pytest.fixture

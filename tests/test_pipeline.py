@@ -460,7 +460,7 @@ class TestRunPipeline:
         assert result.report.n == len(result.records.labels)
 
     def test_curves_csv_written_in_blocks(self, tmp_path):
-        # 4200 test rows: curves.csv spans two 4096-row write blocks
+        # 4200 test rows: curves.csv is the 1024-row grid of their curves
         ds = synth_gaussians(3, 3, 2800, 4.0, seed=8)
         cfg = RunConfig(
             out_dir=str(tmp_path), taxonomy="nc_v1", embedding="identity", test_fraction=0.5
