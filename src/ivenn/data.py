@@ -5,10 +5,9 @@ The on-disk format is a single CSV with header
     id,label,f0,...,f{D-1}[,s0,...,s{c-1}]
 
 where the optional s block carries an externally produced per-class score
-vector (each row summing to 1) for score-threshold taxonomies. Blank and
-whitespace-only lines are skipped; there are no comments and no quoting; ids
-and labels are int64. `read_csv` is the only CSV parser: it serves this file
-and predictions.csv.
+vector (each row summing to 1) for score-threshold taxonomies. Blank lines
+(whitespace only) are skipped; there are no comments and no quoting; ids and
+labels are int64. `read_csv`, the only CSV parser, serves it and predictions.csv.
 
 A load opens its input once and holds it until its checks are done (see
 _Input). `load_csv` checks each value once, not again on its Dataset nor on
@@ -34,16 +33,15 @@ clock with a load reading between them can make one. On base-csv's 13.4 MB
 data.csv a hit on a trusted stamp took 0.7-0.8 ms, and one that hashes and
 rewrites the sidecar 12.7-13.3 ms (medians of 15, 2 vCPUs).
 
-The body reader counts the body's lines, then parses blocks of rows into
-columns of that many rows (see _fill); only a file it rejects goes through
-the Python row loop, which accepts the literals of int() and float() and
-names the line of a bad row and the column of a bad cell. Every CSV is read
-and written by the calling process alone, with no child process, so a
-first load (a miss) parses every row on one CPU: one of base-csv's data.csv
-took 185-195 ms (medians of 15 misses, 2 vCPUs). Every CSV is written a
-block of at most _WRITE_BLOCK_CELLS cells (whole rows, and at least one) at
-a time, each block formatted by one `%`, every artifact through
-`open_artifact`.
+The body reader counts the body's lines, then parses those that are not
+blank into columns of that many rows, a block at a time (see _fill).
+numpy's C reader alone decides what loads (see _loadtxt); a refused block
+is rescanned only to name its first bad row (see _refusal). A CSV is read
+and written by the calling process alone, so a first load (a miss) parses
+every row on one CPU: one of base-csv's data.csv took 185-195 ms (medians
+of 15 misses, 2 vCPUs). A CSV is written a block of at most
+_WRITE_BLOCK_CELLS cells (whole rows, at least one) at a time, each
+formatted by one `%`, every artifact through `open_artifact`.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ import itertools
 import math
 import mmap
 import os
+import re
 import stat
 import tempfile
 import warnings
@@ -73,8 +72,8 @@ _WRITE_BLOCK_CELLS = 4096 * 3
 # blocks, 11.6-12.5 ms in 1 MiB ones (medians of 60, 3 runs, 2 vCPUs); a
 # miss's line count 2.2-3.2 ms.
 _READ_BLOCK_BYTES = 1 << 18
-# numpy warns on a blank line once max_rows is set, and on a body with no rows
-_NO_DATA = r"(Input line \d+|loadtxt: input) contained no data"
+# a blank line, whitespace only (\x1c-\x1f too), is skipped wherever a CSV is read
+_blank = str.isspace
 # A sidecar starts with this tag, the CSV's SHA-256 digest, its stamp (see
 # _stamp) and the row count as 8 little-endian bytes: _HEAD_BYTES (96) in
 # all, so every column is 8-aligned.
@@ -250,46 +249,45 @@ def class_labels(values, class_count, where=None):
 
 
 class _Input(io.RawIOBase):
-    """An input opened once, or its bytes [at, stop), as a raw stream with a
-    position of its own. src is a regular file's descriptor, read by offset
-    (os.pread), or the bytes of any other input (a FIFO, a pipe), read whole
-    since it cannot be read twice."""
+    """An input opened once, as a raw stream with a position of its own: a
+    regular file's descriptor, read by offset (os.pread), or the bytes of
+    any other input (a FIFO, a pipe), read whole as it cannot be read twice."""
 
-    def __init__(self, path, st, src, at=0, stop=None):
-        self.path, self.st, self.src, self.at = path, st, src, at
+    def __init__(self, path, st, src):
+        self.path, self.st, self.src, self.at = path, st, src, 0
         self.size = st.st_size if isinstance(src, int) else len(src)
-        self.stop = self.size if stop is None else stop
 
     def readable(self):
         return True
 
     def read(self, n=-1):
-        n = self.stop - self.at if n < 0 else min(n, self.stop - self.at)
-        if isinstance(self.src, int):
-            chunk = os.pread(self.src, n, self.at)
-        else:
-            chunk = self.src[self.at : self.at + n]
+        n = self.size - self.at if n < 0 else min(n, self.size - self.at)
+        src, at = self.src, self.at
+        chunk = os.pread(src, n, at) if isinstance(src, int) else src[at : at + n]
         self.at += len(chunk)
         return chunk
 
-    def text(self, start=0, stop=None, **options):
-        """Bytes [start, stop) as a UTF-8 io.TextIOWrapper with options."""
-        raw = _Input(self.path, self.st, self.src, start, stop)
-        return io.TextIOWrapper(raw, encoding="utf-8", **options)
+    def text(self, **options):
+        """The bytes, from the first, as a UTF-8 io.TextIOWrapper with options."""
+        return io.TextIOWrapper(_Input(self.path, self.st, self.src), encoding="utf-8", **options)
+
+    def lines(self, first=0, **options):
+        """(line number, line) of each line not _blank, read by text(**options),
+        from the first-th on (the header is the 0th)."""
+        with self.text(**options) as f:
+            numbered = ((number, ln) for number, ln in enumerate(f, start=1) if not _blank(ln))
+            yield from itertools.islice(numbered, first, None)
 
     def where(self, row):
-        """`path:line:` of the row-th (0-based) non-blank line after the
-        header; only error paths pay for the scan."""
-        with self.text() as f:
-            numbers = (number for number, ln in enumerate(f, start=1) if ln.strip())
-            return f"{self.path}:{next(itertools.islice(numbers, row + 1, None))}:"
+        """`path:line:` of row `row` (0-based) after the header: error paths scan."""
+        return f"{self.path}:{next(self.lines(row + 1))[0]}:"
 
     def not_utf8(self, exc):
         """The ValueError for exc, a UnicodeDecodeError met reading this
         input, naming `path:line` of its first byte that is not UTF-8: a
         rescan decodes such a byte to a lone surrogate (U+DC80..U+DCFF)."""
-        with self.text(errors="surrogateescape") as f:
-            line = next(n for n, t in enumerate(f, 1) if any("\udc80" <= c <= "\udcff" for c in t))
+        lines = self.lines(errors="surrogateescape")
+        line = next(n for n, t in lines if any("\udc80" <= c <= "\udcff" for c in t))
         return ValueError(f"{self.path}:{line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8")
 
 
@@ -323,104 +321,105 @@ def _line_ends(chunk, last):
     return count - (last == b"\r" and chunk[:1] == b"\n")
 
 
-def _fill(lines, dtype, n):
-    """Parse the lines with numpy's C reader, _READ_BLOCK_BYTES of rows at a
-    time, into one column of n rows (at least the lines' count) per dtype
-    field; return the columns and the rows filled. The columns are allocated
-    after the first block: before it, they raised the benchmark's base-csv
-    peak memory by about 3 MB. A warning, other than numpy's for a blank
-    line or a body with no rows, is raised: the row loop takes the file."""
+def _loadtxt(lines, dtype, rows=None):
+    """numpy's C reader's rows of dtype in lines of CSV cells, or None if it
+    refuses them: the one rule for what loads. Any warning but one of no rows
+    refuses: numpy 1.23-1.26 read 1.0 into an int with a DeprecationWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1, max_rows=rows)
+        except (ValueError, Warning):  # a UnicodeDecodeError too: a rescan meets it
+            return None
+
+
+def _fill(lines, dtype, n, refusal):
+    """Parse the lines, none blank, with _loadtxt, _READ_BLOCK_BYTES of rows
+    at a time, into one column of n rows (n >= the lines) per dtype field;
+    return the columns and the rows filled, or raise refusal(rows filled)
+    at a refused block. The columns are allocated after the first block:
+    before it, they raised base-csv's bench peak memory by about 3 MB."""
     rows = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
     columns, filled = None, 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)
-        warnings.filterwarnings("ignore", _NO_DATA, UserWarning)
-        while True:
-            block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1, max_rows=rows)
-            if columns is None:
-                columns = [np.empty((n, *dtype[f].shape), dtype[f].base) for f in dtype.names]
-            for column, name in zip(columns, dtype.names):
-                column[filled : filled + len(block)] = block[name]
-            filled += len(block)
-            if len(block) < rows:
-                return columns, filled
-            del block  # so the next block is not read while this one is alive
+    while True:
+        if (block := _loadtxt(lines, dtype, rows)) is None:
+            raise refusal(filled)
+        if columns is None:
+            columns = [np.empty((n, *dtype[f].shape), dtype[f].base) for f in dtype.names]
+        for column, name in zip(columns, dtype.names):
+            column[filled : filled + len(block)] = block[name]
+        filled += len(block)
+        if len(block) < rows:
+            return columns, filled
+        del block  # so the next block is not read while this one is alive
 
 
-def _read_columns(source, header, dtype, start):
-    """Parse the body, bytes [start, size) of the _Input source, into one
-    C-contiguous column per field of dtype: by _fill, into columns of as
-    many rows as the body has lines, or by the row loop if _fill rejects it.
-    One copy trims the rows that blank lines leave unfilled."""
-    body, ends, last = _Input(source.path, source.st, source.src, start), 0, b""
-    while block := body.read(_READ_BLOCK_BYTES):
+def _refusal(source, header, dtype, first):
+    """The ValueError naming `path:line` of the first row, from the first-th
+    (0-based) on, that _loadtxt refuses alone, and its column count or first
+    cell refused as its column's type; no value is parsed here."""
+
+    def parses(text, of):  # an empty cell reads as no row
+        return (rows := _loadtxt([text], of)) is not None and len(rows) == 1
+
+    bases = [dtype[n].base for n in dtype.names for _ in range(math.prod(dtype[n].shape))]
+    for number, ln in source.lines(first + 1):
+        if parses(ln, dtype):
+            continue
+        where, cells = f"{source.path}:{number}:", ln.rstrip("\n").split(",")
+        if len(cells) != len(header):
+            return ValueError(f"{where} expected {len(header)} columns, got {len(cells)}")
+        for name, base, text in zip(header, bases, cells):
+            if not parses(text, base):
+                value, integer = text.strip(), base.kind == "i"
+                if integer and re.fullmatch("[+-]?[0-9]+", value) and not parses(value, base):
+                    return ValueError(f"{where} {name} {value} outside int64")
+                kind = "an integer" if integer else "a number"
+                return ValueError(f"{where} {name} cell {text!r} is not {kind}")
+        return ValueError(f"{where} row refused")
+    return ValueError(f"{source.path}: body refused")
+
+
+def _read_columns(source, header, dtype, skip):
+    """Parse the body, the _Input source's lines after the first `skip` (to
+    the header), into one C-contiguous column per field of dtype: by _fill,
+    blank lines left out, into columns of as many rows as the body has
+    lines, trimmed by one copy, or raise the _refusal of its first bad row."""
+    raw, ends, last = _Input(source.path, source.st, source.src), 0, b""
+    while block := raw.read(_READ_BLOCK_BYTES):
         ends += _line_ends(block, last)
         last = block[-1:]
     lines = ends + (last not in (b"", b"\n", b"\r"))  # the last line may have no end
-    try:
-        with source.text(start) as rows:
-            columns, filled = _fill(rows, dtype, lines)
-    except (ValueError, UserWarning):  # UserWarning: see _fill
-        return _parse_rows(source, header, dtype)
+    refusal = functools.partial(_refusal, source, header, dtype)
+    with source.text() as f:
+        body = itertools.filterfalse(_blank, itertools.islice(f, skip, None))
+        columns, filled = _fill(body, dtype, lines - skip, refusal)
     if filled < len(columns[0]):
         columns = [column[:filled].copy() for column in columns]
     return columns
-
-
-def _parse_rows(source, header, dtype):
-    """The Python row loop: parse every non-blank line after the header into
-    one column per dtype field, each cell as int() or float() would, or
-    raise naming `path:line` of the first bad row and a bad cell's column."""
-    bases = [dtype[n].base for n in dtype.names for _ in range(math.prod(dtype[n].shape))]
-    rows = []
-    with source.text() as f:
-        lines = ((number, ln) for number, ln in enumerate(f, start=1) if ln.strip())
-        next(lines)  # the header
-        for number, ln in lines:
-            where, cells = f"{source.path}:{number}:", ln.rstrip("\n").split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{where} expected {len(header)} columns, got {len(cells)}")
-            row = []
-            for name, base, text in zip(header, bases, cells):
-                try:
-                    row.append(int(text) if base.kind == "i" else float(text))
-                except ValueError:
-                    kind = "an integer" if base.kind == "i" else "a number"
-                    raise ValueError(f"{where} {name} cell {text!r} is not {kind}") from None
-                if base.kind == "i" and not -(2**63) <= row[-1] < 2**63:
-                    raise ValueError(f"{where} {name} {text.strip()} outside int64")
-            rows.append(tuple(row))
-    # one scalar field per cell has the dtype's layout
-    table = np.array(rows, [(str(i), base) for i, base in enumerate(bases)]).view(dtype)
-    return [np.ascontiguousarray(table[name]) for name in dtype.names]
 
 
 def _scanned(source, dtype_of):
     """Read the _Input source's header, its first non-blank line. Returns
     (the header's stripped cells, dtype_of(cells), a function that parses
     the body); a ValueError from dtype_of is raised naming the file."""
-    start = 0
-    with source.text(newline="") as f:  # line ends kept, so `start` counts bytes
-        for header in iter(f.readline, ""):
-            start += len(header.encode())
-            if header.strip():
-                break
-        else:
-            raise ValueError(f"{source.path}: empty file")
+    skip, header = next(source.lines(), (0, None))
+    if header is None:
+        raise ValueError(f"{source.path}: empty file")
     header = [cell.strip() for cell in header.split(",")]
     try:
         dtype = dtype_of(header)
     except ValueError as exc:
         raise ValueError(f"{source.path}: {exc}") from None
-    return header, dtype, functools.partial(_read_columns, source, header, dtype, start)
+    return header, dtype, functools.partial(_read_columns, source, header, dtype, skip)
 
 
 @contextlib.contextmanager
 def read_csv(path, dtype_of):
     """Parse a CSV input, held open while the caller checks what this yields:
-    (its header's stripped cells, one C-contiguous column per field of
-    dtype_of(cells), the dtype of every other non-blank line, and where,
-    where(i) naming the i-th row's `path:line:`), errors as _scanned's."""
+    (its header's stripped cells, one C-contiguous column per field of the
+    rows' dtype_of(cells), and where(i), naming row i's `path:line:`)."""
     with _opened(path) as source:
         header, _, parse = _scanned(source, dtype_of)
         yield header, parse(), source.where

@@ -17,8 +17,10 @@ from ivenn.ivp import load_table
 from ivenn.mlp import init_params, save_params
 from ivenn.pipeline import RunConfig, run_pipeline
 
+# a cell written as "1_0", an Arabic-Indic one or "\x1c1" (a padded 1) loads only
+# if numpy's reader takes it, whatever the lines around it
 MUTATIONS = ["delete", "duplicate", "truncate", "reverse", "digit", "nan", "inf", "1e400",
-             "0xff"]
+             "0xff", "1_0", "\u0661", "\x1c1"]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,11 @@ def mutate(text, kind, i, j, digit):
 # a count cell: line 3's n1, 2, becomes 7, so its counts disagree with those
 # of line 2, of the same category
 @example(kind="digit", i=2, j=4, digit=7)
+# line 3's label as "1_0" or "\x1c1" (a label of 1), and its f0 (embed) or
+# category (report) as "\u0661"
+@example(kind="1_0", i=2, j=1, digit=0)
+@example(kind="\u0661", i=2, j=2, digit=0)
+@example(kind="\x1c1", i=2, j=1, digit=0)
 def test_mutated_line_exits_0_or_names_the_file(inputs, command, kind, i, j, digit):
     source = {"embed": "d.csv", "report": "predictions.csv"}[command]
     path = inputs / f"mutated_{source}"
