@@ -34,7 +34,7 @@ data.csv a hit on a trusted stamp took 0.7-0.8 ms, and one that hashes and
 rewrites the sidecar 12.7-13.3 ms (medians of 15, 2 vCPUs).
 
 The body reader counts the body's lines, then parses those that are not
-blank into columns of that many rows, a block at a time (see _fill).
+blank into columns of that many rows, a block at a time (see _read_columns).
 numpy's C reader alone decides what loads (see _loadtxt); a refused block
 is rescanned only to name its first bad row (see _refusal). A CSV is read
 and written by the calling process alone, so a first load (a miss) parses
@@ -267,6 +267,12 @@ class _Input(io.RawIOBase):
         self.at += len(chunk)
         return chunk
 
+    def blocks(self):
+        """The raw bytes, from the first, _READ_BLOCK_BYTES at a time."""
+        raw = _Input(self.path, self.st, self.src)
+        while block := raw.read(_READ_BLOCK_BYTES):
+            yield block
+
     def text(self, **options):
         """The bytes, from the first, as a UTF-8 io.TextIOWrapper with options."""
         return io.TextIOWrapper(_Input(self.path, self.st, self.src), encoding="utf-8", **options)
@@ -334,27 +340,6 @@ def _loadtxt(lines, dtype, rows=None):
             return None
 
 
-def _fill(lines, dtype, n, refusal):
-    """Parse the lines, none blank, with _loadtxt, _READ_BLOCK_BYTES of rows
-    at a time, into one column of n rows (n >= the lines) per dtype field;
-    return the columns and the rows filled, or raise refusal(rows filled)
-    at a refused block. The columns are allocated after the first block:
-    before it, they raised base-csv's bench peak memory by about 3 MB."""
-    rows = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
-    columns, filled = None, 0
-    while True:
-        if (block := _loadtxt(lines, dtype, rows)) is None:
-            raise refusal(filled)
-        if columns is None:
-            columns = [np.empty((n, *dtype[f].shape), dtype[f].base) for f in dtype.names]
-        for column, name in zip(columns, dtype.names):
-            column[filled : filled + len(block)] = block[name]
-        filled += len(block)
-        if len(block) < rows:
-            return columns, filled
-        del block  # so the next block is not read while this one is alive
-
-
 def _refusal(source, header, dtype, first):
     """The ValueError naming `path:line` of the first row, from the first-th
     (0-based) on, that _loadtxt refuses alone, and its column count or first
@@ -383,18 +368,33 @@ def _refusal(source, header, dtype, first):
 
 def _read_columns(source, header, dtype, skip):
     """Parse the body, the _Input source's lines after the first `skip` (to
-    the header), into one C-contiguous column per field of dtype: by _fill,
-    blank lines left out, into columns of as many rows as the body has
-    lines, trimmed by one copy, or raise the _refusal of its first bad row."""
-    raw, ends, last = _Input(source.path, source.st, source.src), 0, b""
-    while block := raw.read(_READ_BLOCK_BYTES):
-        ends += _line_ends(block, last)
-        last = block[-1:]
-    lines = ends + (last not in (b"", b"\n", b"\r"))  # the last line may have no end
-    refusal = functools.partial(_refusal, source, header, dtype)
+    the header), into one C-contiguous column per field of dtype. Its lines
+    are counted from source.blocks(); those not blank are parsed with
+    _loadtxt, _READ_BLOCK_BYTES of rows at a time, into columns of as many
+    rows as the body has lines, trimmed by one copy. A refused block raises
+    the _refusal of its first bad row. The columns are allocated after the
+    first block: before it, they raised base-csv's bench peak memory by
+    about 3 MB."""
+    ends, last = 0, b""
+    for chunk in source.blocks():
+        ends += _line_ends(chunk, last)
+        last = chunk[-1:]
+    n = ends + (last not in (b"", b"\n", b"\r")) - skip  # the last line may have no end
+    rows = max(1, _READ_BLOCK_BYTES // dtype.itemsize)
+    columns, filled = None, 0
     with source.text() as f:
         body = itertools.filterfalse(_blank, itertools.islice(f, skip, None))
-        columns, filled = _fill(body, dtype, lines - skip, refusal)
+        while True:
+            if (block := _loadtxt(body, dtype, rows)) is None:
+                raise _refusal(source, header, dtype, filled)
+            if columns is None:
+                columns = [np.empty((n, *dtype[f].shape), dtype[f].base) for f in dtype.names]
+            for column, name in zip(columns, dtype.names):
+                column[filled : filled + len(block)] = block[name]
+            filled += len(block)
+            if len(block) < rows:
+                break
+            del block  # so the next block is not read while this one is alive
     if filled < len(columns[0]):
         columns = [column[:filled].copy() for column in columns]
     return columns
@@ -402,8 +402,9 @@ def _read_columns(source, header, dtype, skip):
 
 def _scanned(source, dtype_of):
     """Read the _Input source's header, its first non-blank line. Returns
-    (the header's stripped cells, dtype_of(cells), a function that parses
-    the body); a ValueError from dtype_of is raised naming the file."""
+    (the header's stripped cells, dtype_of(cells), the count of lines to
+    the header's, which the body skips); a ValueError from dtype_of is
+    raised naming the file."""
     skip, header = next(source.lines(), (0, None))
     if header is None:
         raise ValueError(f"{source.path}: empty file")
@@ -412,7 +413,7 @@ def _scanned(source, dtype_of):
         dtype = dtype_of(header)
     except ValueError as exc:
         raise ValueError(f"{source.path}: {exc}") from None
-    return header, dtype, functools.partial(_read_columns, source, header, dtype, skip)
+    return header, dtype, skip
 
 
 @contextlib.contextmanager
@@ -421,8 +422,8 @@ def read_csv(path, dtype_of):
     (its header's stripped cells, one C-contiguous column per field of the
     rows' dtype_of(cells), and where(i), naming row i's `path:line:`)."""
     with _opened(path) as source:
-        header, _, parse = _scanned(source, dtype_of)
-        yield header, parse(), source.where
+        header, dtype, skip = _scanned(source, dtype_of)
+        yield header, _read_columns(source, header, dtype, skip), source.where
 
 
 def _sidecar(path):
@@ -439,9 +440,10 @@ def _stamp(st):
 
 
 def _sha256(source):
-    """The SHA-256 digest of the _Input source's bytes, read from byte 0."""
+    """The SHA-256 digest of the _Input source's bytes, read by
+    source.blocks(): from byte 0, wherever the source's position is."""
     digest = hashlib.sha256()
-    while block := source.read(_READ_BLOCK_BYTES):
+    for block in source.blocks():
         digest.update(block)
     return digest.digest()
 
@@ -530,13 +532,13 @@ def load_csv(path, class_count=None):
     check each value once (see the module docstring). A bad row is named by
     its line in the file, blank lines counted. With no score block and no
     class_count given, the class count is max(label) + 1."""
-    dtype_of = functools.partial(_parse_header, class_count=class_count)
     with _opened(path) as source:
         st = os.lstat(path)  # only a regular file that its path names itself is cached
         cached = stat.S_ISREG(st.st_mode) and os.path.samestat(st, source.st)
-        _, dtype, parse = _scanned(source, dtype_of)
+        header, dtype, skip = _scanned(source, lambda cells: _parse_header(cells, class_count))
         hit, digest = _cached_columns(path, source, st.st_uid, dtype) if cached else (None, None)
-        ids, labels, features, *scores = columns = hit or parse()
+        columns = hit or _read_columns(source, header, dtype, skip)
+        ids, labels, features, *scores = columns
         blocks = [features] + scores
         if not all(np.isfinite(block).all() for block in blocks):
             row = int(np.argmin(np.all([np.isfinite(b).all(axis=1) for b in blocks], axis=0)))
@@ -575,12 +577,11 @@ def csv_lines(*columns):
 
 
 def remove_artifact(path):
-    """Unlink path if it is a regular file or a link to one, else leave it."""
-    try:
-        if stat.S_ISREG(os.stat(path).st_mode):
+    """Unlink path if it is a regular file, a link to one or a link that
+    resolves to nothing, else leave it (a device such as /dev/stdout)."""
+    with contextlib.suppress(FileNotFoundError):
+        if not os.path.exists(path) or stat.S_ISREG(os.stat(path).st_mode):
             os.unlink(path)
-    except FileNotFoundError:
-        pass
 
 
 def open_artifact(path, mode="w"):
@@ -590,30 +591,23 @@ def open_artifact(path, mode="w"):
     temp file when renamed over another), so rewriting a 3 MB artifact in
     place took 110-156 ms and unlinking and writing afresh 0.3 ms. The
     write never reaches another name hard-linked to the old file, and a
-    symlinked artifact becomes a regular file. A device or pipe such as
-    /dev/stdout is written in place."""
+    symlinked artifact, its target missing or not, becomes a regular file.
+    A device or pipe such as /dev/stdout is written in place."""
     remove_artifact(path)
     return open(path, mode, encoding=None if "b" in mode else "utf-8")
 
 
-def _csv_blocks(columns):
-    """The UTF-8 _csv_text of the columns' rows, a bytes object for each
-    block of max(1, _WRITE_BLOCK_CELLS // width) rows of width cells."""
+def _write_csv(path, header, *columns):
+    """Write the header, then the UTF-8 _csv_text of the columns' rows, one
+    write for each block of max(1, _WRITE_BLOCK_CELLS // width) rows of
+    width cells, to bound the memory held in Python objects."""
+    columns = [np.asarray(col) for col in columns]
     width = sum(1 if col.ndim < 2 else col.shape[1] for col in columns)
     step = max(1, _WRITE_BLOCK_CELLS // width)
-    for block in range(0, len(columns[0]), step):
-        rows = slice(block, block + step)
-        yield _csv_text([col[rows] for col in columns]).encode()
-
-
-def _write_csv(path, header, *columns):
-    """Write the header, then the columns' rows a block of at most
-    _WRITE_BLOCK_CELLS cells at a time, to bound the memory held in Python
-    objects."""
-    columns = [np.asarray(col) for col in columns]
     with open_artifact(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
-        f.writelines(_csv_blocks(columns))
+        for start in range(0, len(columns[0]), step):
+            f.write(_csv_text([col[start : start + step] for col in columns]).encode())
 
 
 def save_csv(ds, path):
@@ -690,18 +684,11 @@ def synth_gaussians(class_count, dim, n_per_class, separation, seed):
     if separation < 0:
         raise ValueError("separation must be nonnegative")
     rng = np.random.default_rng(seed)
-    scale = separation / np.sqrt(2.0)
-    n = class_count * n_per_class
-    features = np.empty((n, dim))
-    labels = np.empty(n, dtype=np.int64)
-    for cls in range(class_count):
-        center = np.zeros(dim)
-        center[cls] = scale
-        rows = slice(cls * n_per_class, (cls + 1) * n_per_class)
-        features[rows] = center + rng.standard_normal((n_per_class, dim))
-        labels[rows] = cls
+    centers = np.eye(class_count, dim) * (separation / np.sqrt(2.0))
+    labels = np.repeat(np.arange(class_count, dtype=np.int64), n_per_class)
+    features = centers[labels] + rng.standard_normal((len(labels), dim))
     return Dataset(
-        ids=np.arange(n, dtype=np.int64),
+        ids=np.arange(len(labels), dtype=np.int64),
         features=features,
         labels=labels,
         class_count=class_count,

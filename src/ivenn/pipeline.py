@@ -34,6 +34,7 @@ artifact: no stage starts a child process.
 
 from __future__ import annotations
 
+import io
 import os
 import time
 from contextlib import contextmanager
@@ -173,8 +174,10 @@ class RunConfig:
 
 def parse_config(text, **flags):
     """The RunConfig of `key = value` lines (taxonomy.read_fields, `none` only
-    for an optional key) and the typed `flags` over them, checked when made."""
-    given = read_fields(RunConfig, enumerate(text.splitlines(), 1), "config line ")
+    for an optional key) and the typed `flags` over them, checked when made.
+    Lines end at LF, CRLF or CR alone, as every other input's lines do."""
+    lines = io.StringIO(text, newline=None)
+    given = read_fields(RunConfig, enumerate(lines, 1), "config line ")
     return RunConfig(**given | flags)
 
 

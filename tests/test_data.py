@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import io
 import itertools
 import os
 import re
@@ -557,6 +558,21 @@ def test_parse_holds_the_columns_and_one_block(tmp_path):
     assert peak < columns + 2 * data._READ_BLOCK_BYTES
 
 
+class _AllocationsOf:
+    """numpy as data.py sees it, recording the row count of each array that
+    np.empty allocates: the reader's columns."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        self.sizes.append(shape[0])
+        return np.empty(shape, *args, **kwargs)
+
+
 @pytest.fixture(
     scope="class", params=[None, 1, 64], ids=["one_block", "1_row_blocks", "2_row_blocks"]
 )
@@ -571,9 +587,9 @@ def body_blocks(request):
 @pytest.mark.usefixtures("body_blocks")
 class TestBodyOf40Rows:
     """A body of 40 rows, with any mix of line ends and blank lines, is
-    parsed by one _fill into columns of as many rows as the body has lines,
-    and gives the columns that _rows wrote or the named row's path:line
-    error."""
+    parsed by _read_columns' block loop into columns of as many rows as the
+    body has lines, and gives the columns that _rows wrote or the named
+    row's path:line error."""
 
     @pytest.mark.parametrize(
         "text,counts",
@@ -588,14 +604,15 @@ class TestBodyOf40Rows:
     def test_same_columns(self, tmp_path, monkeypatch, text, counts):
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode())
-        sizes, fill = [], data._fill
-        monkeypatch.setattr(data, "_fill", lambda *a: sizes.append(a[2]) or fill(*a))
+        sizes = []
+        monkeypatch.setattr(data, "np", _AllocationsOf(sizes))
         monkeypatch.setattr(data, "_refusal", _fail)
         got = _outcome(path, None)
-        # every line after the header's counts, blank or not
+        # every line after the header's counts, blank or not: one column
+        # each of id, label and the features
         lines = text.splitlines()
         header = next(i for i, line in enumerate(lines) if line.strip())
-        assert sizes == [len(lines) - 1 - header]
+        assert sizes == [len(lines) - 1 - header] * 3
         _assert_same_outcome(got, _drawn(*counts))
 
     @pytest.mark.parametrize("row", [3, 17, 33])
@@ -626,6 +643,17 @@ class TestBodyOf40Rows:
         # the header's stream, then one of the whole file whose lines to the
         # header's are skipped: the line count reads raw blocks
         assert calls == [((), {}), ((), {})]
+
+
+def test_digest_reads_from_byte_0(tmp_path):
+    # the digest and the line count read source.blocks(), not the source's
+    # own position
+    path = tmp_path / "d.csv"
+    path.write_text(_rows(40))
+    with data._opened(path) as source:
+        source.read(10)
+        assert data._sha256(source) == hashlib.sha256(path.read_bytes()).digest()
+        assert b"".join(source.blocks()) == path.read_bytes()
 
 
 def _sidecar_of(path):
@@ -1354,6 +1382,22 @@ def _write_curves(tmp_path, n):
     return path.read_bytes(), want
 
 
+def _writes(monkeypatch, columns):
+    """The bytes of each write that _write_csv makes of curves-shaped
+    columns, to a recording file from a patched open_artifact: the header,
+    then one write per block."""
+    writes = []
+
+    class Recording(io.BytesIO):
+        def write(self, chunk):
+            writes.append(bytes(chunk))
+            return super().write(chunk)
+
+    monkeypatch.setattr(data, "open_artifact", lambda path, mode: Recording())
+    data._write_csv("c.csv", ["n", "E", "LEP", "UEP"], *columns)
+    return writes
+
+
 class TestCsvWriter:
     EXTREMES = Dataset(
         ids=np.array([-(2**63), 2**63 - 1, 7], dtype=np.int64),
@@ -1447,9 +1491,9 @@ class TestCsvWriter:
         # blocks of curves.csv's 4 cells a row
         monkeypatch.setattr(data, "_WRITE_BLOCK_CELLS", 16)
         columns, want = _curves(n)
-        blocks = list(data._csv_blocks([np.asarray(col) for col in columns]))
+        header, *blocks = _writes(monkeypatch, columns)
         assert [block.count(b"\n") for block in blocks] == rows
-        assert b"n,E,LEP,UEP\n" + b"".join(blocks) == want
+        assert header + b"".join(blocks) == want
 
     @pytest.mark.parametrize("cells, rows", [(19, [4, 4, 2]), (4, [1] * 10), (3, [1] * 10)])
     def test_a_block_is_whole_rows_within_the_cells(self, monkeypatch, cells, rows):
@@ -1457,9 +1501,9 @@ class TestCsvWriter:
         # more cells than the budget
         monkeypatch.setattr(data, "_WRITE_BLOCK_CELLS", cells)
         columns, want = _curves(10)
-        blocks = list(data._csv_blocks([np.asarray(col) for col in columns]))
+        header, *blocks = _writes(monkeypatch, columns)
         assert [block.count(b"\n") for block in blocks] == rows
-        assert b"n,E,LEP,UEP\n" + b"".join(blocks) == want
+        assert header + b"".join(blocks) == want
 
 
 class TestCsvWriterInOneRowBlocks(TestCsvWriter):
@@ -1931,7 +1975,31 @@ class TestSplit:
             split(self.make(100), SplitSpec(test_fraction=1.5))
 
 
+def _synth_by_class(class_count, dim, n_per_class, separation, seed):
+    """synth_gaussians' (features, labels) drawn one class at a time."""
+    rng = np.random.default_rng(seed)
+    features, labels = [], []
+    for cls in range(class_count):
+        center = np.zeros(dim)
+        center[cls] = separation / np.sqrt(2.0)
+        features.append(center + rng.standard_normal((n_per_class, dim)))
+        labels.append(np.full(n_per_class, cls))
+    return np.concatenate(features), np.concatenate(labels)
+
+
 class TestSynthGaussians:
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 3, 500, 4.0, 0), (10, 784, 60, 3.0, [1, 0]), (2, 2, 7, 0.0, 5),
+         (4, 6, 1, 2.5, 9), (3, 8, 1, 0.0, [7, 0, 0])],
+    )
+    def test_one_draw_is_the_per_class_draws(self, shape):
+        ds = synth_gaussians(*shape)
+        features, labels = _synth_by_class(*shape)
+        assert ds.features.tobytes() == features.tobytes()
+        np.testing.assert_array_equal(ds.labels, labels)
+        np.testing.assert_array_equal(ds.ids, np.arange(len(labels)))
+
     def test_shapes_and_determinism(self):
         a = synth_gaussians(3, 5, 40, 4.0, seed=11)
         b = synth_gaussians(3, 5, 40, 4.0, seed=11)

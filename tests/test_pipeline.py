@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from ivenn import cli, ivp
-from ivenn.data import Dataset, SplitSpec, load_csv, save_csv, split, synth_gaussians
+from ivenn.data import (
+    Dataset, SplitSpec, load_csv, open_artifact, remove_artifact, save_csv, split,
+    synth_gaussians,
+)
 from ivenn.ivp import predict, predict_many
 from ivenn.metrics import EvalBatch, build_report, cumulative, curves_csv, report_text
 from ivenn.mlp import CLASSIFIER, EMBEDDING, MlpParams, TrainConfig, init_params, save_params
@@ -109,6 +112,20 @@ class TestParseConfig:
         # a `#` starts a comment only at the start of a line or after whitespace
         key = line.split("=")[0].strip()
         assert getattr(parse_config(line), key) == value
+
+    @pytest.mark.parametrize(
+        "char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["vt", "ff", "x1c", "x1d", "x1e", "nel", "u2028", "u2029"],
+    )
+    def test_only_lf_cr_and_crlf_end_a_line(self, char):
+        # str.splitlines also breaks at these; read_text, load_table and the
+        # CSV reader do not, so a config's line numbers are the file's
+        assert parse_config(f"out_dir = a{char}b\r\nseed = 3").out_dir == f"a{char}b"
+        assert parse_config(f"seed = 0 # a{char}b = 1").seed == 0
+        for first in (f"out_dir = a{char}b", f"seed = 0 # a{char}b = 1", f"seed = 0{char}"):
+            for end in ("\n", "\r\n", "\r"):
+                with pytest.raises(ValueError, match=r"^config line 2: k: invalid int value"):
+                    parse_config(f"{first}{end}k = x\n")
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -374,6 +391,30 @@ class TestRunPipeline:
             if name != "timing.txt":
                 assert (out / name).read_bytes() == (first / name).read_bytes()
         assert not (out / "report.txt").is_symlink() and target.read_text() == "keep"
+
+    def test_dangling_artifact_link_is_replaced(self, tmp_path):
+        # a link whose target is missing is unlinked, not written through:
+        # by open_artifact, and by a staged rerun removing stale artifacts
+        out, target = tmp_path / "out", tmp_path / "elsewhere.txt"
+        out.mkdir()
+        (out / "report.txt").symlink_to("../elsewhere.txt")
+        with open_artifact(out / "report.txt") as f:
+            f.write("new")
+        assert not (out / "report.txt").is_symlink()
+        assert (out / "report.txt").read_text() == "new" and not target.exists()
+        (out / "report.txt").unlink()
+        (out / "report.txt").symlink_to("../elsewhere.txt")
+        cfg = RunConfig(out_dir=str(out), taxonomy="nc_v1", embedding="identity", seed=1)
+        run_pipeline(cfg, dataset=synth_gaussians(2, 2, 60, 5.0, seed=3), stop_after="calibrate")
+        assert not os.path.lexists(out / "report.txt") and not target.exists()
+
+    def test_link_to_a_device_is_written_in_place(self, tmp_path):
+        link = tmp_path / "report.txt"
+        link.symlink_to(os.devnull)
+        remove_artifact(link)
+        with open_artifact(link) as f:
+            f.write("gone")
+        assert link.is_symlink() and os.readlink(link) == os.devnull
 
     def test_stop_after_writes_prefix_artifacts(self, tmp_path):
         ds = synth_gaussians(2, 2, 120, 5.0, seed=3)
@@ -1030,13 +1071,13 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {cfg_path} with flags: k must be at least 1\n"
 
     def test_the_cli_reads_a_config_file_as_parse_config_does(self, tmp_path):
-        # str.splitlines breaks at a form feed, and so does the CLI's reader
-        text = "seed = 1\x0cepochs = 2\n"
+        # a form feed ends no line, in the file or in text given to parse_config
+        text = "seed = 1 # \x0cepochs = 2\r\nepochs = 3\rk = 4\n"
         cfg_path = tmp_path / "ff.cfg"
-        cfg_path.write_text(text)
+        cfg_path.write_bytes(text.encode())
         args = cli.build_parser().parse_args(["train", "--config", str(cfg_path)])
-        assert cli._build_config(args) == parse_config(text)
-        assert parse_config(text).epochs == 2
+        cfg = parse_config(text)
+        assert cli._build_config(args) == cfg and (cfg.seed, cfg.epochs, cfg.k) == (1, 3, 4)
 
 
 # the pipeline flags that command lines use, in help order, one per RunConfig field
