@@ -13,19 +13,23 @@ and 1 - L(yhat): when the predictor is well calibrated these bracket the
 cumulative error count.
 
 An EvalBatch is a category column, its CategoryRows and the labels:
-example i reads row category[i] of each field of the rows, so per-row and
-per-(row, class) terms are computed once. Built from predictions, its rows
-are the table's categories and carry their integer counts, so the
-confidence bin is exact. Built from explicit intervals, each example is its
-own row, no counts are known, and the bin comes from the float confidence.
-Sums run left to right in example order (cumsum, bincount weights), as a
-loop over the examples would.
+example i reads row category[i] of each field of the rows. Built from
+predictions, its rows are the table's categories and carry their integer
+counts, so the confidence bin is exact. Built from explicit intervals, each
+example is its own row, no counts are known, and the bin comes from the
+float confidence. Every example of a row gets that row's intervals, so each
+scalar is a sum over the nonzero cells of M, the (K, c) count of examples
+per (row, true class), in (row, class) order, a cell's term times its
+count: only the curves read the order of the examples. Sums run left to
+right (cumsum, bincount weights), the diameter's pairwise as np.mean's.
+From intervals the cells are the examples, in example order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,37 +133,18 @@ class EvalBatch:
         rows = CategoryRows(None, None, lower, upper, mean, np.argmax(mean, axis=1), empty)
         return cls(np.arange(len(lower)), rows, labels)
 
-    @property
-    def err(self):
-        return self.rows.predicted[self.category] != self.labels
+    @cached_property
+    def cells(self):
+        """M's nonzero cells in (row, class) order, as their rows, classes and
+        counts; M is the (K, c) count of examples per (row, true class)."""
+        c = self.rows.mean.shape[1]
+        m = np.bincount(self.category * c + self.labels, minlength=self.rows.mean.size)
+        cell = np.flatnonzero(m)
+        return (*np.divmod(cell, c), m[cell])
 
     def at_predicted(self, a):
         """Per-row value of a (K, c) field of `rows` at the predicted class."""
         return a[np.arange(len(a)), self.rows.predicted]
-
-
-def _cell_terms(batch):
-    """Per-example log(o_true) and squared error to the one-hot truth,
-    each computed once per distinct (row, true class) cell."""
-    mean = batch.rows.mean
-    c = mean.shape[1]
-    cells, inverse = np.unique(batch.category * c + batch.labels, return_inverse=True)
-    rows, classes = np.divmod(cells, c)
-    o = mean[rows]
-    o_true = o[np.arange(len(o)), classes].tolist()
-    log_o = np.array([math.log(max(v, _LOG_EPS)) for v in o_true])
-    sq = ((o - np.eye(c)[classes]) ** 2).sum(axis=1)
-    return log_o[inverse], sq[inverse]
-
-
-def _nll(log_o):
-    # 0 - (l1 + l2 + ...) rounds exactly as the loop 0 - l1 - l2 - ...,
-    # signed zero included
-    return 0.0 - float(np.cumsum(log_o)[-1])
-
-
-def _brier(sq):
-    return float(np.cumsum(sq)[-1]) / len(sq)
 
 
 def _bin_index(conf, bins):
@@ -182,8 +167,10 @@ def _count_bin_index(n, total, bins):
 
 
 def check_bins(bins):
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    # the float path bins by ceil(conf * bins) in float64, which past 2^53
+    # cannot tell every pair of neighbouring bins apart
+    if not 1 <= bins <= 2**53:
+        raise ValueError(f"bins must be between 1 and 2^53, got {bins}")
 
 
 def ece_mce(batch, bins=10):
@@ -191,86 +178,89 @@ def ece_mce(batch, bins=10):
     bins, plus the per-bin stats. Empty bins do not contribute."""
     check_bins(bins)
     r = batch.rows
+    row, label, count = batch.cells
     conf = batch.at_predicted(r.mean)
     if r.counts is None:
         row_bin = _bin_index(conf, bins)
     else:
         row_bin = _count_bin_index(batch.at_predicted(r.counts), r.totals, bins)
-    b = row_bin[batch.category]
-    counts = np.bincount(b, minlength=bins)
-    hits = np.bincount(b[~batch.err], minlength=bins)
-    conf_sums = np.bincount(b, weights=conf[batch.category], minlength=bins)
-    n = len(b)
+    # only the bins some cell falls in, at most one per row, ascending
+    used, b = np.unique(row_bin[row], return_inverse=True)
+    counts = np.bincount(b, count).tolist()
+    hits = np.bincount(b, count * (label == r.predicted[row])).tolist()
+    conf_sums = np.bincount(b, count * conf[row]).tolist()
+    n = len(batch.category)
     ece = 0.0
     mce = 0.0
     stats = []
-    for m in range(bins):
-        if counts[m] == 0:
-            continue
-        acc_m = float(hits[m] / counts[m])
-        conf_m = float(conf_sums[m] / counts[m])
+    for m, k, h, s in zip(used.tolist(), counts, hits, conf_sums):
+        acc_m = h / k
+        conf_m = s / k
         gap = abs(acc_m - conf_m)
-        ece += int(counts[m]) / n * gap
+        ece += k / n * gap
         mce = max(mce, gap)
-        stats.append(
-            BinStat(
-                bin_index=m,
-                count=int(counts[m]),
-                accuracy=acc_m,
-                confidence=conf_m,
-            )
-        )
+        stats.append(BinStat(bin_index=m, count=int(k), accuracy=acc_m, confidence=conf_m))
     return ece, mce, tuple(stats)
 
 
 def cumulative(batch):
     """Running sums of errors and of 1-U(yhat), 1-L(yhat), in example order."""
+    err = batch.rows.predicted[batch.category] != batch.labels
     lep_inc = 1.0 - batch.at_predicted(batch.rows.upper)
     uep_inc = 1.0 - batch.at_predicted(batch.rows.lower)
     return CumulativeCurves(
-        E=np.cumsum(batch.err.astype(float)),
+        E=np.cumsum(err.astype(float)),
         LEP=np.cumsum(lep_inc[batch.category]),
         UEP=np.cumsum(uep_inc[batch.category]),
     )
 
 
 def accuracy(batch):
-    return 1.0 - int(batch.err.sum()) / len(batch.category)
+    row, label, count = batch.cells
+    return 1.0 - int(count[label != batch.rows.predicted[row]].sum()) / len(batch.category)
 
 
 def nll(batch):
     """Summed negative log-likelihood of the true class under the interval
     midpoints. The report derives the mean from this."""
-    return _nll(_cell_terms(batch)[0])
+    row, label, count = batch.cells
+    log_o = [math.log(max(v, _LOG_EPS)) for v in batch.rows.mean[row, label].tolist()]
+    # 0 - (t1 + t2 + ...) rounds exactly as the loop 0 - t1 - t2 - ...,
+    # signed zero included
+    return 0.0 - float(np.cumsum(count * np.array(log_o))[-1])
 
 
 def brier(batch):
     """Mean over samples of the squared error between the midpoint vector
     and the one-hot truth, summed over classes."""
-    return _brier(_cell_terms(batch)[1])
+    row, label, count = batch.cells
+    o = batch.rows.mean[row]
+    sq = ((o - np.eye(o.shape[1])[label]) ** 2).sum(axis=1)
+    return float(np.cumsum(count * sq)[-1]) / len(batch.category)
 
 
 def diameter(batch):
     """Mean interval width at the predicted class."""
+    row, _, count = batch.cells
     width = batch.at_predicted(batch.rows.upper) - batch.at_predicted(batch.rows.lower)
-    return float(np.mean(width[batch.category]))
+    return float(np.add.reduce(count * width[row])) / len(batch.category)
 
 
 def build_report(batch, bins=10):
     ece, mce, stats = ece_mce(batch, bins)
-    log_o, sq = _cell_terms(batch)
-    total_nll = _nll(log_o)
+    total_nll = nll(batch)
     n = len(batch.category)
+    row, _, count = batch.cells
     return CalibrationReport(
         n=n,
         accuracy=accuracy(batch),
         nll_sum=total_nll,
         nll_mean=total_nll / n,
-        brier=_brier(sq),
+        brier=brier(batch),
         diameter=diameter(batch),
         ece=ece,
         mce=mce,
-        empty_category_count=int(batch.rows.empty[batch.category].sum()),
+        empty_category_count=int(count[batch.rows.empty[row]].sum()),
         curves=cumulative(batch),
         bin_stats=stats,
     )

@@ -345,16 +345,15 @@ def _predictions_header(c):
 
 def _write_predictions(path, ids, batch):
     """v3: id,label,category,n0..n{c-1} from an EvalBatch made from
-    predictions. Every example of a (label, category) pair shares the tail
-    after its id, so each tail that occurs is formatted once (at most c K of
-    them, for K categories) and a row formats only its id."""
+    predictions. Every example of a cell of batch.cells shares the tail
+    after its id, so each tail that occurs is formatted once (at most K c of
+    them, for K categories and c classes) and a row formats only its id."""
     counts = batch.rows.counts
-    pair = batch.labels * len(counts) + batch.category
-    seen = np.bincount(pair, minlength=counts.size) > 0
-    label, category = np.divmod(np.flatnonzero(seen), len(counts))
-    tails = np.array(csv_lines(label, category, counts[category]), dtype=object)
+    category, label, _ = batch.cells
+    tails = np.empty(counts.shape, dtype=object)
+    tails[category, label] = csv_lines(label, category, counts[category])
     header = _predictions_header(counts.shape[1])
-    _write_csv(path, header, ids, tails[np.cumsum(seen) - 1][pair])
+    _write_csv(path, header, ids, tails[batch.category, batch.labels])
 
 
 def _write_timing(path, timings, predictions):

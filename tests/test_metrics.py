@@ -1,7 +1,11 @@
 """Hand-computed oracles for every scalar metric and the cumulative curves."""
 
 import math
+import tracemalloc
+from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -289,8 +293,28 @@ class TestEceMce:
         assert 0.0 <= ece <= mce <= 1.0
 
     def test_bad_bins(self):
-        with pytest.raises(ValueError, match="bins"):
-            ece_mce(batch_of([point_record((1.0, 0.0), 0)]), bins=0)
+        for bins in (0, 2**53 + 1, 10**19):
+            with pytest.raises(ValueError, match=f"bins must .* got {bins}$"):
+                ece_mce(batch_of([point_record((1.0, 0.0), 0)]), bins=bins)
+
+    def test_huge_bin_count_visits_only_the_used_bins(self):
+        # N + 1 is 7 or 3 and no predicted n is N / 2, so no confidence lies
+        # on an edge and the float path bins exactly too
+        rows = category_rows([[4, 1, 1], [0, 2, 0], [1, 5, 0]])
+        batch = EvalBatch(np.array([0, 0, 1, 2, 2, 0, 1]), rows, np.array([0, 1, 1, 1, 2, 0, 0]))
+        bins = 10**12
+        n = rows.counts[np.arange(3), rows.predicted][batch.category].tolist()
+        exact = Counter(exact_bin(a, int(rows.totals[k]), bins) for a, k in zip(n, batch.category))
+        for b in (batch, without_counts(batch)):
+            ece_mce(b)  # modules imported on first use are not counted
+            tracemalloc.start()
+            try:
+                stats = ece_mce(b, bins=bins)[2]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [(s.bin_index, s.count) for s in stats] == sorted(exact.items())
+            assert peak < 2**20
 
 
 class TestReport:
@@ -345,7 +369,8 @@ class TestReport:
 
 def loop_report(batch, bins):
     """The metrics written as one loop over the examples, summing left to
-    right: the arithmetic every columnar path must reproduce bit for bit."""
+    right: the arithmetic a batch from intervals, whose cells are its
+    examples in order, must reproduce bit for bit."""
     E = LEP = UEP = nll_total = brier_total = 0.0
     curves, widths, errs, empties = [], [], [], []
     hits, counts, conf_sums = [0] * bins, [0] * bins, [0.0] * bins
@@ -386,17 +411,67 @@ def loop_report(batch, bins):
     )
 
 
-def assert_matches_loop(report, batch, bins, check_bins=True):
+def assert_matches_loop(report, batch, bins):
     want = loop_report(batch, bins)
     curves = report.curves
     assert list(zip(curves.E.tolist(), curves.LEP.tolist(), curves.UEP.tolist())) == want["curves"]
     for field in ("nll_sum", "brier", "diameter", "accuracy"):
         assert repr(getattr(report, field)) == repr(want[field]), field
     assert report.empty_category_count == want["empty"]
-    if check_bins:
-        assert (repr(report.ece), repr(report.mce)) == (repr(want["ece"]), repr(want["mce"]))
-        got = [(b.bin_index, b.count, b.accuracy, b.confidence) for b in report.bin_stats]
-        assert repr(got) == repr(want["bin_stats"])
+    assert (repr(report.ece), repr(report.mce)) == (repr(want["ece"]), repr(want["mce"]))
+    got = [(b.bin_index, b.count, b.accuracy, b.confidence) for b in report.bin_stats]
+    assert repr(got) == repr(want["bin_stats"])
+
+
+def loop_cells(batch, bins):
+    """The scalars of a batch from counts written as one loop over M's
+    nonzero cells in (row, class) order, each cell's term times its count,
+    summing left to right; the weighted widths are summed pairwise, as
+    np.mean sums. Bins are exact_bin's."""
+    r = batch.rows
+    M = np.zeros(r.mean.shape, dtype=np.int64)
+    for k, y in zip(batch.category.tolist(), batch.labels.tolist()):
+        M[k, y] += 1
+    nll_total = brier_total = 0.0
+    errors = empty = 0
+    widths, by_bin = [], {}
+    for (k, y), n in np.ndenumerate(M):
+        if not n:
+            continue
+        n = int(n)
+        mean, j = r.mean[k], int(r.predicted[k])
+        hit = int(j == y)
+        errors += n * (1 - hit)
+        empty += n * bool(r.empty[k])
+        nll_total -= n * math.log(max(float(mean[y]), 1e-12))
+        t = np.zeros_like(mean)
+        t[y] = 1.0
+        brier_total += n * float(((mean - t) ** 2).sum())
+        widths.append(n * float(r.upper[k, j] - r.lower[k, j]))
+        b = exact_bin(int(r.counts[k, j]), int(r.totals[k]), bins)
+        count, hits, conf = by_bin.get(b, (0, 0, 0.0))
+        by_bin[b] = (count + n, hits + n * hit, conf + n * float(mean[j]))
+    m = len(batch.category)
+    ece = mce = 0.0
+    stats = []
+    for b, (count, hits, conf) in sorted(by_bin.items()):
+        acc, conf = hits / count, conf / count
+        ece += count / m * abs(acc - conf)
+        mce = max(mce, abs(acc - conf))
+        stats.append((b, count, acc, conf))
+    return dict(
+        nll_sum=nll_total, brier=brier_total / m, diameter=float(np.add.reduce(widths)) / m,
+        ece=ece, mce=mce, bin_stats=stats, empty=empty, accuracy=1.0 - errors / m,
+    )
+
+
+def assert_matches_cells(report, batch, bins):
+    want = loop_cells(batch, bins)
+    for field in ("nll_sum", "brier", "diameter", "accuracy", "ece", "mce"):
+        assert repr(getattr(report, field)) == repr(want[field]), field
+    assert report.empty_category_count == want["empty"]
+    got = [(b.bin_index, b.count, b.accuracy, b.confidence) for b in report.bin_stats]
+    assert repr(got) == repr(want["bin_stats"])
 
 
 def exact_bin(n, total, bins):
@@ -441,18 +516,60 @@ class TestColumns:
         n = batch.rows.counts[np.arange(categories), batch.rows.predicted][cats]
         total = batch.rows.totals[cats]
         # a confidence on a bin edge is where float binning may land one bin
-        # high; everything else must agree to the last bit
+        # high
         on_edge = bool(((bins * (2 * n + 1)) % (2 * (total + 1)) == 0).any())
         from_batch = build_report(batch, bins=bins)
-        assert_matches_loop(from_batch, batch, bins, check_bins=not on_edge)
-        assert_matches_loop(build_report(records, bins=bins), records, bins)
+        from_records = build_report(records, bins=bins)
+        assert_matches_cells(from_batch, batch, bins)
+        assert_matches_loop(from_records, records, bins)
+        # the same examples: counts and curves agree exactly
+        for a, b in zip(astuple(from_batch.curves), astuple(from_records.curves)):
+            assert a.tolist() == b.tolist()
+        assert curves_csv(from_batch.curves) == curves_csv(from_records.curves)
+        fields = ("n", "accuracy", "empty_category_count")
+        assert [getattr(from_batch, f) for f in fields] == [getattr(from_records, f) for f in fields]
+        # the float scalars sum the same m <= 200 nonnegative terms, a term
+        # times its cell's count or once per example, grouped otherwise, so
+        # each is within 200 * 2^-53 (2.2e-14) of the exact sum, relative to
+        # it; bin confidences are at most 1, so they, the gaps, ECE and MCE
+        # are within that absolutely. 1e-12 leaves a 45-fold margin
+        close = partial(pytest.approx, rel=1e-12, abs=1e-12)
+        for f in ("nll_sum", "nll_mean", "brier", "diameter"):
+            assert getattr(from_batch, f) == close(getattr(from_records, f)), f
         if not on_edge:
-            assert report_text(from_batch) == report_text(build_report(records, bins=bins))
-        assert curves_csv(from_batch.curves) == curves_csv(build_report(records, bins=bins).curves)
+            assert (from_batch.ece, from_batch.mce) == close((from_records.ece, from_records.mce))
+            for a, b in zip(from_batch.bin_stats, from_records.bin_stats, strict=True):
+                assert (a.bin_index, a.count) == (b.bin_index, b.count)
+                assert (a.accuracy, a.confidence) == close((b.accuracy, b.confidence))
         exact = [exact_bin(int(a), int(b), bins) for a, b in zip(n, total)]
         got = [s.bin_index for s in from_batch.bin_stats]
         assert got == sorted(set(exact))
         assert [s.count for s in from_batch.bin_stats] == [exact.count(b) for b in got]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        c=st.integers(2, 5),
+        categories=st.integers(1, 12),
+        m=st.integers(1, 200),
+        bins=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scalars_ignore_row_order(self, c, categories, m, bins, seed):
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, c, categories, m)
+        p = rng.permutation(m)
+        a = build_report(batch, bins=bins)
+        b = build_report(EvalBatch(batch.category[p], batch.rows, batch.labels[p]), bins=bins)
+        fields = ("n", "accuracy", "nll_sum", "nll_mean", "brier", "diameter", "ece", "mce",
+                  "empty_category_count", "bin_stats")
+        assert [repr(getattr(a, f)) for f in fields] == [repr(getattr(b, f)) for f in fields]
+
+        def text(report):
+            # the curves' ends are sums in row order
+            ends = ("final_LEP = ", "final_UEP = ")
+            return [line for line in report_text(report).splitlines() if not line.startswith(ends)]
+
+        assert text(a) == text(b)
 
 
 class TestExactBinning:

@@ -258,7 +258,8 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("bins", 0), ("k", 0), ("theta", -1.0), ("theta", float("nan")), ("seed", -1)],
+        [("bins", 0), ("bins", 2**53 + 1), ("k", 0), ("theta", -1.0), ("theta", float("nan")),
+         ("seed", -1)],
     )
     def test_bad_config_fails_before_load(self, tmp_path, field, value):
         # a value only the report or taxonomy stage reads still fails up
@@ -734,6 +735,15 @@ class TestCli:
              "--curves-out", str(tmp_path / "ce.csv")]
         ) == 0
         assert (tmp_path / "re.txt").read_bytes() == a
+        capsys.readouterr()
+        assert cli.main(
+            ["report", "--predictions", str(tmp_path / "r1" / "predictions.csv"),
+             "--report-out", str(tmp_path / "re.txt"), "--curves-out", str(tmp_path / "ce.csv"),
+             "--bins", "10000000000000000000"]
+        ) == 2
+        assert "bins must be between 1 and 2^53, got 10000000000000000000" in (
+            capsys.readouterr().err
+        )
 
     def test_float_ids_give_a_predictions_csv_report_reads(self, tmp_path, capsys):
         synth = synth_gaussians(2, 2, 40, 5.0, seed=2)
